@@ -51,7 +51,7 @@ int main() {
       comm.compute(serial / p);
     }
   });
-  const double actual = des::to_seconds(rt.elapsed()) / iterations;
+  const double actual = rt.elapsed().to_seconds() / iterations;
 
   std::printf("bin_width_us,pred_ms,err_pct,mean_abs_err_vs_finest_pct\n");
   double finest_prediction = 0.0;

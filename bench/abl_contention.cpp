@@ -59,7 +59,7 @@ int main() {
         comm.compute(serial / p);
       }
     });
-    const double actual = des::to_seconds(rt.elapsed()) / iterations;
+    const double actual = rt.elapsed().to_seconds() / iterations;
 
     auto err = [&](pevpm::SamplerOptions opts) {
       const double predicted =

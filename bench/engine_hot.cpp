@@ -5,9 +5,6 @@
 //
 //   * events/sec on a representative event mix (timer chains with
 //     packet-sized captures, immediate wake-ups, and cancellations),
-//   * the same mix on an embedded replica of the pre-overhaul engine
-//     (std::priority_queue + dual hash sets + std::function), giving a
-//     live speedup ratio,
 //   * packets/sec and allocations/packet through the full Network
 //     forwarding path (route cache + transit pool + TCP-sized frames),
 //   * the conservative-parallel thread-scaling curve: one fixed
@@ -34,13 +31,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <new>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_util.h"
@@ -49,6 +43,7 @@
 #include "net/cluster.h"
 #include "net/network.h"
 #include "net/packet.h"
+#include "serve/json.h"
 
 // ---------------------------------------------------------------------------
 // Instrumented allocator: every operator-new call site in the process is
@@ -69,89 +64,6 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
-namespace refdes {
-
-// Faithful replica of the pre-overhaul engine (the seed implementation):
-// binary priority_queue of events owning std::function callbacks, with
-// cancellation tracked in two hash sets. Kept here so the speedup the
-// overhaul bought is measured live on this machine, not quoted.
-class Engine {
- public:
-  using Callback = std::function<void()>;
-  struct EventId {
-    std::uint64_t seq = 0;
-    [[nodiscard]] bool valid() const noexcept { return seq != 0; }
-  };
-
-  Engine() = default;
-  [[nodiscard]] des::SimTime now() const noexcept { return now_; }
-
-  EventId schedule_at(des::SimTime t, Callback fn, int priority = 0) {
-    const std::uint64_t seq = next_seq_++;
-    queue_.push(Event{t, priority, seq, std::move(fn)});
-    live_.insert(seq);
-    return EventId{seq};
-  }
-  EventId schedule_in(des::Duration dt, Callback fn, int priority = 0) {
-    return schedule_at(now_ + dt, std::move(fn), priority);
-  }
-  bool cancel(EventId id) {
-    if (!id.valid() || live_.count(id.seq) == 0) return false;
-    return cancelled_.insert(id.seq).second;
-  }
-  bool step() {
-    while (!queue_.empty()) {
-      Event event;
-      if (!pop_head(event)) continue;
-      now_ = event.time;
-      ++processed_;
-      event.fn();
-      return true;
-    }
-    return false;
-  }
-  void run() {
-    while (step()) {
-    }
-  }
-  [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
-
- private:
-  struct Event {
-    des::SimTime time{};
-    int priority = 0;
-    std::uint64_t seq = 0;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
-  };
-  bool pop_head(Event& out) {
-    Event event = queue_.top();
-    queue_.pop();
-    live_.erase(event.seq);
-    if (const auto it = cancelled_.find(event.seq); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      return false;
-    }
-    out = std::move(event);
-    return true;
-  }
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<std::uint64_t> live_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  des::SimTime now_{};
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t processed_ = 0;
-};
-
-}  // namespace refdes
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -161,25 +73,22 @@ double seconds_since(Clock::time_point t0) {
 }
 
 /// Packet-sized payload carried by the chain events, mimicking what a link
-/// arrival event carries (a net::Packet plus its delivery callback). The
-/// old engine heap-allocates every such callback; the new one stores it in
-/// the event slot.
+/// arrival event carries (a net::Packet plus its delivery callback); the
+/// engine stores it in the event slot.
 struct Payload {
   std::uint64_t words[6] = {1, 2, 3, 4, 5, 6};
 };
 
-/// The representative mix, templated over the engine type: `chains`
-/// self-rescheduling timer chains at staggered deterministic delays. Each
-/// firing schedules its successor (with a Payload capture), an immediate
-/// zero-delay wake-up (the process hand-off pattern), and on every fourth
-/// firing a long-delay timer that the next firing cancels (the TCP
-/// retransmission-timer pattern).
-template <typename EngineT>
+/// The representative mix: `chains` self-rescheduling timer chains at
+/// staggered deterministic delays. Each firing schedules its successor
+/// (with a Payload capture), an immediate zero-delay wake-up (the process
+/// hand-off pattern), and on every fourth firing a long-delay timer that
+/// the next firing cancels (the TCP retransmission-timer pattern).
 struct MixState {
-  EngineT& engine;
+  des::Engine& engine;
   std::uint64_t lcg;
   std::uint64_t budget;
-  typename EngineT::EventId timer{};
+  des::Engine::EventId timer{};
   std::uint64_t fired = 0;
 
   std::uint64_t next_rand() {
@@ -211,13 +120,12 @@ struct MixResult {
   double allocs_per_event = 0;
 };
 
-template <typename EngineT>
 MixResult run_mix(std::uint64_t events_per_chain, int chains) {
-  EngineT engine;
-  std::vector<MixState<EngineT>> states;
+  des::Engine engine;
+  std::vector<MixState> states;
   states.reserve(chains);
   for (int c = 0; c < chains; ++c) {
-    states.push_back(MixState<EngineT>{
+    states.push_back(MixState{
         engine, 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(c),
         events_per_chain});
   }
@@ -409,22 +317,8 @@ ScalingResult run_scaling(std::uint64_t events_per_chain) {
   return result;
 }
 
-/// Minimal lookup of `"key": <number>` in a flat JSON document. Good
-/// enough for the baseline files this benchmark writes itself.
-bool json_number(const std::string& doc, const std::string& key,
-                 double& out) {
-  const std::string needle = "\"" + key + "\"";
-  const auto pos = doc.find(needle);
-  if (pos == std::string::npos) return false;
-  const auto colon = doc.find(':', pos + needle.size());
-  if (colon == std::string::npos) return false;
-  out = std::strtod(doc.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 struct Results {
   MixResult mix;
-  MixResult ref_mix;
   ForwardResult forward;
   ScalingResult scaling;
 };
@@ -437,9 +331,6 @@ std::string to_json(const Results& r) {
       "  \"schema\": \"pevpm-engine-hot-v2\",\n"
       "  \"engine_events_per_sec\": %.0f,\n"
       "  \"engine_allocs_per_event\": %.4f,\n"
-      "  \"reference_events_per_sec\": %.0f,\n"
-      "  \"reference_allocs_per_event\": %.4f,\n"
-      "  \"speedup_vs_reference\": %.2f,\n"
       "  \"forward_packets_per_sec\": %.0f,\n"
       "  \"forward_allocs_per_packet\": %.4f,\n"
       "  \"forward_events_per_sec\": %.0f,\n"
@@ -450,8 +341,6 @@ std::string to_json(const Results& r) {
       "  \"partitioned_speedup_t8\": %.2f\n"
       "}\n",
       r.mix.events_per_sec, r.mix.allocs_per_event,
-      r.ref_mix.events_per_sec, r.ref_mix.allocs_per_event,
-      r.mix.events_per_sec / r.ref_mix.events_per_sec,
       r.forward.packets_per_sec, r.forward.allocs_per_packet,
       r.forward.events_per_sec, r.scaling.events_per_sec_t1,
       r.scaling.events_per_sec_t2, r.scaling.events_per_sec_t4,
@@ -461,7 +350,7 @@ std::string to_json(const Results& r) {
 
 /// Applies the CI gate: throughput >= 80% of baseline, allocation rates no
 /// more than baseline + 0.05. Returns the number of violations.
-int check_against(const Results& r, const std::string& baseline_doc) {
+int check_against(const Results& r, const serve::Json& baseline_doc) {
   struct Gate {
     const char* key;
     double value;
@@ -476,12 +365,13 @@ int check_against(const Results& r, const std::string& baseline_doc) {
   };
   int violations = 0;
   for (const Gate& gate : gates) {
-    double baseline = 0;
-    if (!json_number(baseline_doc, gate.key, baseline)) {
+    const serve::Json* entry = baseline_doc.find(gate.key);
+    if (entry == nullptr) {
       std::fprintf(stderr, "check: baseline is missing \"%s\"\n", gate.key);
       ++violations;
       continue;
     }
+    const double baseline = entry->as_double();
     if (gate.higher_is_better) {
       const double floor = baseline * 0.8;
       if (gate.value < floor) {
@@ -540,8 +430,7 @@ int main(int argc, char** argv) {
       benchutil::quick() ? 4000 : 40000;  // per chain x 64 chains x 8 parts
 
   Results results;
-  results.mix = run_mix<des::Engine>(mix_events, 8);
-  results.ref_mix = run_mix<refdes::Engine>(mix_events, 8);
+  results.mix = run_mix(mix_events, 8);
   results.forward = run_forwarding(packets);
   results.scaling = run_scaling(scaling_events);
 
@@ -560,7 +449,14 @@ int main(int argc, char** argv) {
     }
     std::stringstream ss;
     ss << in.rdbuf();
-    const int violations = check_against(results, ss.str());
+    serve::Json baseline;
+    try {
+      baseline = serve::Json::parse(ss.str());
+    } catch (const serve::JsonError& e) {
+      std::fprintf(stderr, "cannot parse baseline: %s\n", e.what());
+      return 2;
+    }
+    const int violations = check_against(results, baseline);
     if (violations > 0) return 1;
     std::printf("check: all gates passed against %s\n", check_file.c_str());
   }

@@ -33,7 +33,7 @@ int main() {
   opt.cluster.fault.seed = opt.seed;
   const auto lossy = mpibench::run_isend(opt, size);
   const auto lossy_dist = lossy.distribution();
-  const double rto_s = des::to_seconds(opt.cluster.tcp.rto_initial);
+  const double rto_s = opt.cluster.tcp.rto_initial.to_seconds();
 
   // The retransmit mode: the fullest histogram bin clearly above the
   // lossless bulk (50x its median keeps jitter spikes out).

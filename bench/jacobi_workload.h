@@ -95,7 +95,7 @@ inline void run_rank(smpi::Comm& comm, int iterations) {
   opts.seed = seed;
   smpi::Runtime rt{opts};
   rt.run([&](smpi::Comm& comm) { run_rank(comm, iterations); });
-  return des::to_seconds(rt.elapsed());
+  return rt.elapsed().to_seconds();
 }
 
 /// PEVPM per-iteration prediction under the given sampler options.

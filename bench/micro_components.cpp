@@ -64,7 +64,8 @@ void BM_LinkPacketForwarding(benchmark::State& state) {
     des::Engine engine;
     net::Link link{engine, "l",
                    net::LinkParams{net::Rate::mbit(100),
-                                   des::from_micros(1), net::Bytes{1 << 20}}};
+                                   des::Duration::from_micros(1),
+                                   net::Bytes{1 << 20}}};
     net::Packet packet;
     packet.wire_bytes = net::Bytes{1538};
     for (int i = 0; i < 512; ++i) {

@@ -41,7 +41,7 @@ double measure_actual_with_serial(int nodes, int ppn, int iterations,
       comm.compute(serial_seconds / p);
     }
   });
-  return des::to_seconds(rt.elapsed()) / iterations;
+  return rt.elapsed().to_seconds() / iterations;
 }
 
 }  // namespace

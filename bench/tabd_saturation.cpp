@@ -44,7 +44,7 @@ TrunkStats run_config(int nodes, net::Bytes size, int reps) {
         comm.send_bytes(size, partner, 1);
         comm.recv_bytes(size, partner, 1);
         // Round trip at ground truth: half of it approximates one-way.
-        oneway.add(des::to_seconds(comm.sim_now() - t0) / 2.0);
+        oneway.add((comm.sim_now() - t0).to_seconds() / 2.0);
       } else {
         comm.recv_bytes(size, partner, 1);
         comm.send_bytes(size, partner, 1);
@@ -55,7 +55,7 @@ TrunkStats run_config(int nodes, net::Bytes size, int reps) {
   if (ro.cluster.switch_count() > 1) {
     const net::Link& trunk = rt.network().trunk(0);
     out.offered_gbit = trunk.bytes_sent().to_double() * 8.0 /
-                       des::to_seconds(rt.elapsed()) / 1e9;
+                       rt.elapsed().to_seconds() / 1e9;
     out.busy_fraction = static_cast<double>(trunk.busy_time().ns()) /
                         static_cast<double>(rt.elapsed().ns());
   }

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -37,6 +36,7 @@
 #include "bench_util.h"
 #include "scaling/crossval.h"
 #include "scaling/model.h"
+#include "serve/json.h"
 
 namespace {
 
@@ -76,19 +76,6 @@ void extrapolation_errors(const scaling::ScalingModel& model,
   }
 }
 
-/// Minimal lookup of `"key": <number>` in a flat JSON document. Good
-/// enough for the baseline files this benchmark writes itself.
-bool json_number(const std::string& doc, const std::string& key,
-                 double& out) {
-  const std::string needle = "\"" + key + "\"";
-  const auto pos = doc.find(needle);
-  if (pos == std::string::npos) return false;
-  const auto colon = doc.find(':', pos + needle.size());
-  if (colon == std::string::npos) return false;
-  out = std::strtod(doc.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 struct Results {
   double loo_median_pct = 0.0;  ///< worst per-op pooled median
   double loo_p95_pct = 0.0;     ///< worst per-op pooled p95
@@ -121,7 +108,7 @@ std::string to_json(const Results& r) {
 /// Applies the CI gate: every error metric within baseline plus an
 /// absolute percentage-point margin, determinism exact. Returns the
 /// number of violations.
-int check_against(const Results& r, const std::string& baseline_doc) {
+int check_against(const Results& r, const serve::Json& baseline_doc) {
   struct Gate {
     const char* key;
     double value;
@@ -140,12 +127,13 @@ int check_against(const Results& r, const std::string& baseline_doc) {
   };
   int violations = 0;
   for (const Gate& gate : gates) {
-    double baseline = 0;
-    if (!json_number(baseline_doc, gate.key, baseline)) {
+    const serve::Json* entry = baseline_doc.find(gate.key);
+    if (entry == nullptr) {
       std::fprintf(stderr, "check: baseline is missing \"%s\"\n", gate.key);
       ++violations;
       continue;
     }
+    const double baseline = entry->as_double();
     if (gate.value > baseline + gate.margin_points) {
       std::fprintf(stderr,
                    "check: %s regressed: %.3f > baseline %.3f + %.1f points\n",
@@ -260,7 +248,14 @@ int main(int argc, char** argv) {
     }
     std::stringstream ss;
     ss << in.rdbuf();
-    const int violations = check_against(results, ss.str());
+    serve::Json baseline;
+    try {
+      baseline = serve::Json::parse(ss.str());
+    } catch (const serve::JsonError& e) {
+      std::fprintf(stderr, "cannot parse baseline: %s\n", e.what());
+      return 2;
+    }
+    const int violations = check_against(results, baseline);
     if (violations > 0) return 1;
     std::printf("check: all gates passed against %s\n", check_file.c_str());
   }

@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
       static_cast<void>(cols);
     }
   });
-  const double actual = des::to_seconds(rt.elapsed());
+  const double actual = rt.elapsed().to_seconds();
   std::printf("parallel FFT (N=%d, P=%d, %d transforms): %.4f s\n", kN,
               procs, transforms, actual);
   std::printf("max relative error vs serial FFT: %.2e %s\n", max_rel_error,

@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
     rt.run([&](smpi::Comm& comm) {
       jacobi_rank(comm, iterations, checksum.data());
     });
-    const double actual = des::to_seconds(rt.elapsed());
+    const double actual = rt.elapsed().to_seconds();
 
     // PEVPM prediction from distributions.
     pevpm::PredictOptions popt;

@@ -57,7 +57,7 @@ int main() {
   run_opts.seed = 42;
   smpi::Runtime runtime{run_opts};
   runtime.run(application);
-  const double actual = des::to_seconds(runtime.elapsed());
+  const double actual = runtime.elapsed().to_seconds();
   std::printf("== actual ==\n%d ranks, %d iterations: %.4f s\n\n", kNodes,
               kIterations, actual);
 

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
       }
     }
   });
-  const double actual = des::to_seconds(rt.elapsed());
+  const double actual = rt.elapsed().to_seconds();
   int busiest = 0;
   int laziest = tasks;
   for (int w = 1; w < procs; ++w) {

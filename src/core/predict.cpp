@@ -62,23 +62,12 @@ Prediction predict(const Model& model, int numprocs,
 
   const unsigned threads = std::min<unsigned>(
       resolve_threads(options.threads), static_cast<unsigned>(std::max(reps, 1)));
-  if (threads <= 1) {
-    for (int rep = 0; rep < reps; ++rep) {
-      SimulationResult result = run_replication(model, numprocs, overrides,
-                                                table, options, rep, seeds[rep]);
-      prediction.makespan.add(result.makespan);
-      prediction.deadlocked = prediction.deadlocked || result.deadlocked;
-      if (rep == reps - 1) prediction.detail = std::move(result);
-    }
-    return prediction;
-  }
-
-  // Parallel fan-out: each replication owns its sampler and Vm state and
-  // only reads the shared model/table, so workers touch disjoint slots.
-  // The reduction below runs in replication order over those slots, which
-  // makes the merged summary bit-identical to the serial path — Welford
-  // updates are not reorderable, so order (not associativity) is what
-  // guarantees thread-count invariance.
+  // Each replication owns its sampler and Vm state and only reads the
+  // shared model/table, so workers touch disjoint slots (parallel_for runs
+  // inline at one thread). The reduction below runs in replication order
+  // over those slots, which makes the merged summary bit-identical at any
+  // thread count — Welford updates are not reorderable, so order (not
+  // associativity) is what guarantees thread-count invariance.
   std::vector<double> makespans(static_cast<std::size_t>(reps), 0.0);
   std::vector<unsigned char> deadlocked(static_cast<std::size_t>(reps), 0);
   SimulationResult detail;

@@ -7,12 +7,11 @@
 // scheduled) is non-decreasing in sequence order, so the extra key changes
 // nothing sequentially; it exists for the partitioned engine
 // (partitioned_engine.h), where events injected from a neighbouring
-// partition carry their *source* schedule time and therefore tie-break
-// against local events exactly as they would have in a single sequential
-// engine. Exactly one execution context (the engine loop or one
-// cooperative process) is active at any instant, so the queue needs no
-// locking; the process hand-off (process.h) provides the happens-before
-// edges between contexts.
+// partition carry their *source* schedule time, which fixes their order
+// against local events independently of the thread count. Exactly one
+// execution context (the engine loop or one cooperative process) is active
+// at any instant, so the queue needs no locking; the process hand-off
+// (process.h) provides the happens-before edges between contexts.
 //
 // Storage is allocation-free in steady state: events live in pooled slots
 // recycled through a free list, callbacks are constructed directly into the
@@ -97,9 +96,8 @@ class Engine {
   /// partitioned engine's cross-partition mailbox drain). `sched` is the
   /// source context's virtual time at the instant the event was produced
   /// (<= t); it participates in tie-breaking as if the event had been
-  /// scheduled locally at that time, which is what keeps a partitioned run
-  /// ordering-equivalent to the sequential one. Always takes the heap path:
-  /// injected events lie at least one lookahead beyond now.
+  /// scheduled locally at that time. Always takes the heap path: injected
+  /// events lie at least one lookahead beyond now.
   EventId schedule_injected(SimTime t, SimTime sched, SmallFn fn,
                             int priority = 0) {
     if (t < now_ || sched > t) {

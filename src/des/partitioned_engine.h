@@ -17,18 +17,18 @@
 //     ascending, source ascending, FIFO within a pair. Running the window
 //     bodies on 1 thread or N therefore executes the exact same event
 //     sequence per engine, byte for byte.
-//   * Equivalence with a single sequential engine rests on the `sched`
-//     tie-break key (engine.h): injected events carry the source-partition
-//     virtual time at which they were produced and order against local
-//     events exactly as they would have in one engine. Ties are broken
-//     identically unless two events target the same partition with equal
-//     (time, priority, sched) from different sources, which the network's
-//     distinct link latencies make unobservable in practice; the golden
-//     tests pin this empirically.
+//   * A partitioned run is its own reference. It is not ordering-equivalent
+//     to one engine over the same model: an injected event carries the
+//     source partition's now() at post time as its `sched` key and takes
+//     the destination engine's next `seq` when the coordinator drains it,
+//     so a same-time tie against a local event can resolve differently
+//     from the global seq order of a single engine (DESIGN.md section 9
+//     has the reproduction). smpi::Runtime therefore always partitions by
+//     switch, whatever the thread count.
 //
-// A PartitionSet of one partition is the sequential engine: run() forwards
-// straight to Engine::run() with no windows, barriers or mailboxes, so the
-// default configuration is bit-for-bit the pre-partitioning code path.
+// A PartitionSet of one partition is the plain sequential engine: run()
+// forwards straight to Engine::run() with no windows, barriers or
+// mailboxes.
 #pragma once
 
 #include <cstddef>

@@ -5,9 +5,10 @@
 // Duration a span, and only dimensionally valid combinations compile.
 // Additions are exact, event ordering is total, and runs are
 // bit-reproducible. Floating-point seconds appear only at the cost-model
-// boundary, through the converters below, which round half away from zero
-// (symmetric for negative spans) and saturate at kNever so the sentinel
-// survives a to/from-micros round trip.
+// boundary, through the Duration/SimTime converters (from_micros,
+// to_seconds, ...), which round half away from zero (symmetric for
+// negative spans) and saturate at kNever so the sentinel survives a
+// to/from-micros round trip.
 #pragma once
 
 #include "core/units.h"
@@ -19,34 +20,5 @@ using units::SimTime;
 
 inline constexpr SimTime kNever = units::kNever;
 inline constexpr Duration kForever = units::kForever;
-
-[[nodiscard]] constexpr Duration from_seconds(double s) noexcept {
-  return Duration::from_seconds(s);
-}
-
-[[nodiscard]] constexpr Duration from_micros(double us) noexcept {
-  return Duration::from_micros(us);
-}
-
-[[nodiscard]] constexpr double to_seconds(Duration d) noexcept {
-  return d.to_seconds();
-}
-[[nodiscard]] constexpr double to_seconds(SimTime t) noexcept {
-  return t.to_seconds();
-}
-
-[[nodiscard]] constexpr double to_micros(Duration d) noexcept {
-  return d.to_micros();
-}
-[[nodiscard]] constexpr double to_micros(SimTime t) noexcept {
-  return t.to_micros();
-}
-
-[[nodiscard]] constexpr double to_millis(Duration d) noexcept {
-  return d.to_millis();
-}
-[[nodiscard]] constexpr double to_millis(SimTime t) noexcept {
-  return t.to_millis();
-}
 
 }  // namespace des

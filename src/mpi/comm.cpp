@@ -32,7 +32,7 @@ double Comm::wtime() const {
   // The rank's own partition clock: in a partitioned run another engine
   // may be ahead or behind within the window, but this rank's events all
   // happen on this one.
-  const double t = des::to_seconds(runtime_.engine_of_rank(rank_).now());
+  const double t = runtime_.engine_of_rank(rank_).now().to_seconds();
   return t * (1.0 + state.clock_drift) + state.clock_offset_s;
 }
 

@@ -12,8 +12,7 @@ namespace smpi {
 
 Runtime::Runtime(Options options)
     : options_{std::move(options)},
-      sim_{options_.sim_threads == 0 ? 1 : options_.cluster.switch_count(),
-           options_.cluster.lookahead()},
+      sim_{options_.cluster.switch_count(), options_.cluster.lookahead()},
       network_{sim_, options_.cluster},
       transport_{sim_, network_} {
   if (options_.nprocs < 1) throw MpiError{"Runtime: nprocs < 1"};
@@ -85,7 +84,7 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
   if (!blocked.empty()) {
     std::ostringstream os;
     os << "deadlock: " << blocked.size() << " rank(s) blocked at t="
-       << des::to_micros(finish_time_) << " us; first blocked rank "
+       << finish_time_.to_micros() << " us; first blocked rank "
        << blocked.front();
     throw DeadlockError{os.str(), std::move(blocked)};
   }

@@ -17,11 +17,11 @@
 // clock-synchronisation algorithm runs against these imperfect clocks just
 // as the real tool did against unsynchronised node clocks.
 //
-// Parallel simulation: the runtime always builds over a des::PartitionSet.
-// With Options::sim_threads == 0 the set has one partition and the
-// behaviour (event order, RNG draws, timings) is bit-identical to the
-// historical single-engine runtime. Otherwise the cluster is partitioned
-// by switch and a rank's state — its process, RNG, clock, receive queues,
+// Parallel simulation: the runtime always partitions the cluster by switch
+// (one des::PartitionSet partition per switch; a single-switch cluster is
+// one partition and runs the plain sequential engine). Options::sim_threads
+// only sets how many workers execute the windows, so output cannot depend
+// on it. A rank's state — its process, RNG, clock, receive queues,
 // rendezvous bookkeeping — is owned by its node's partition: every
 // process-context call runs on that partition's engine, and every
 // engine-context handler below runs in the partition that owns the rank it
@@ -117,12 +117,9 @@ class Runtime {
     /// uniformly in +-clock_offset_max_s, drifts in +-clock_drift_max.
     double clock_offset_max_s = 5e-3;
     double clock_drift_max = 2e-5;
-    /// 0: sequential simulation on a single engine (the historical
-    /// behaviour, bit for bit). N >= 1: partition the cluster by switch
-    /// and run the conservative parallel engine on N threads (N == 1 is
-    /// the serial reference of the same partitioned execution). Output is
-    /// identical for every N >= 1, and — by the determinism contract —
-    /// identical to the sequential run as well.
+    /// Workers for the switch-partitioned engine. 0 and 1 both run every
+    /// window inline on the calling thread; N > 1 uses N workers. The
+    /// partitioning never changes with N, so neither does the output.
     int sim_threads = 0;
   };
 
@@ -143,14 +140,8 @@ class Runtime {
   /// Virtual time at which the last rank finished.
   [[nodiscard]] des::SimTime elapsed() const noexcept { return finish_time_; }
 
-  /// The partition set the simulation runs on (one partition when
-  /// sim_threads == 0 or the topology has a single switch).
+  /// The partition set the simulation runs on: one partition per switch.
   [[nodiscard]] des::PartitionSet& sim() noexcept { return sim_; }
-  /// Partition 0's engine — the whole simulation when sequential. Prefer
-  /// engine_of_rank() anywhere a specific rank's clock matters.
-  [[nodiscard]] des::Engine& engine() {
-    return sim_.engine(units::PartitionId{0});
-  }
   [[nodiscard]] des::Engine& engine_of_rank(int rank) {
     return sim_.engine(partition_of_rank(rank));
   }

@@ -30,9 +30,9 @@ struct Options {
   double bin_width_us = 10.0;    ///< histogram bin width (the accuracy knob)
   int sync_rounds = 32;          ///< clock-sync ping-pongs per rank
   int resync_interval = 64;      ///< barrier every this many repetitions
-  /// Simulation threads for the conservative parallel engine (see
-  /// smpi::Runtime::Options::sim_threads). 0 keeps the sequential engine;
-  /// any N >= 1 partitions by switch and produces identical tables.
+  /// Workers for the switch-partitioned engine (see
+  /// smpi::Runtime::Options::sim_threads). 0 and 1 both run inline; the
+  /// tables are identical at every value.
   int sim_threads = 0;
 
   /// Optional cooperative-cancellation flag (typically set from a SIGINT

@@ -47,8 +47,8 @@ struct WireFormat {
 /// per-byte copy cost; jitter models OS scheduling/interrupt noise and
 /// gives the PDFs their bounded-minimum, right-tailed shape (Fig. 3).
 struct HostParams {
-  des::Duration send_overhead = des::from_micros(22.0);
-  des::Duration recv_overhead = des::from_micros(24.0);
+  des::Duration send_overhead = des::Duration::from_micros(22.0);
+  des::Duration recv_overhead = des::Duration::from_micros(24.0);
   /// Extra per-byte CPU cost (memory copies through the socket layer);
   /// ~200 MB/s, a PC100-SDRAM-era memcpy. Tuned so a 16 KB eager message
   /// achieves the paper's ~81 Mbit/s per-pair throughput.
@@ -57,11 +57,11 @@ struct HostParams {
   double jitter_sigma = 0.12;
   /// Rare scheduling spikes: probability per operation and mean size.
   double spike_prob = 0.004;
-  des::Duration spike_mean = des::from_micros(350.0);
+  des::Duration spike_mean = des::Duration::from_micros(350.0);
   /// Multiplicative jitter on Comm::compute (cache/interrupt noise).
   double compute_jitter_sigma = 0.02;
   /// SMP intra-node channel (shared memory): latency and bandwidth.
-  des::Duration smp_latency = des::from_micros(12.0);
+  des::Duration smp_latency = des::Duration::from_micros(12.0);
   Rate smp_rate = Rate::mbyte(180.0);
 };
 
@@ -70,9 +70,9 @@ struct TcpParams {
   Bytes recv_window = 32_KiB;     ///< caps in-flight data per connection
   int initial_cwnd = 2;           ///< segments
   int dupack_threshold = 3;       ///< fast retransmit trigger
-  des::Duration rto_initial = des::from_micros(200e3);  ///< 200 ms
-  des::Duration rto_min = des::from_micros(200e3);
-  des::Duration rto_max = des::from_micros(2e6);  ///< 2 s cap
+  des::Duration rto_initial = des::Duration::from_micros(200e3);  ///< 200 ms
+  des::Duration rto_min = des::Duration::from_micros(200e3);
+  des::Duration rto_max = des::Duration::from_micros(2e6);  ///< 2 s cap
 };
 
 /// MPICH-like messaging protocol parameters.
@@ -85,7 +85,7 @@ struct MpiParams {
 /// One link class in the topology.
 struct LinkParams {
   Rate rate = Rate::mbit(100.0);
-  des::Duration latency = des::from_micros(2.0);
+  des::Duration latency = des::Duration::from_micros(2.0);
   Bytes buffer = 64_KiB;  ///< output queue capacity in wire bytes
   /// Fixed per-packet service time on top of serialisation; nonzero for
   /// the switch forwarding fabric, whose cost is packet-dominated.
@@ -105,18 +105,19 @@ struct ClusterParams {
 
   /// Node NIC, each direction (full duplex Fast Ethernet). The buffer is
   /// the kernel interface queue (txqueuelen 100 full frames).
-  LinkParams nic{Rate::mbit(100.0), des::from_micros(1.0), Bytes{100 * 1538}};
+  LinkParams nic{Rate::mbit(100.0), des::Duration::from_micros(1.0),
+                 Bytes{100 * 1538}};
   /// Switch port forwarding: store-and-forward latency charged per hop.
-  des::Duration switch_latency = des::from_micros(6.0);
+  des::Duration switch_latency = des::Duration::from_micros(6.0);
   /// Per-switch shared forwarding fabric, crossed once where a frame enters
   /// the stack. Packet-rate limited (~2 us/frame, ~500 kpps — comfortably
   /// above 24 ports of full-size frames, but a real queueing point for
   /// synchronised bursts of small messages, which is where the paper sees
   /// small-message contention grow with process count).
-  LinkParams fabric{Rate::gbit(2.1), des::from_micros(1.0), 1_MiB,
-                    des::from_micros(2.0)};
+  LinkParams fabric{Rate::gbit(2.1), des::Duration::from_micros(1.0), 1_MiB,
+                    des::Duration::from_micros(2.0)};
   /// Inter-switch stacking trunk, each direction.
-  LinkParams trunk{Rate::gbit(2.1), des::from_micros(2.0), 256_KiB};
+  LinkParams trunk{Rate::gbit(2.1), des::Duration::from_micros(2.0), 256_KiB};
 
   /// Packet-loss fault injection (fault.h). Disabled by default: the
   /// lossless network is the calibrated Perseus baseline, and disabled

@@ -22,17 +22,17 @@ std::string describe(const ClusterParams& params) {
   os << "cluster: " << params.nodes << " nodes over " << params.switch_count()
      << " switch(es), " << params.ports_per_switch << " ports each\n";
   os << "  nic:    " << params.nic.rate.bps() / 1e6 << " Mbit/s, "
-     << des::to_micros(params.nic.latency) << " us latency, "
+     << params.nic.latency.to_micros() << " us latency, "
      << params.nic.buffer.count() << " B buffer\n";
-  os << "  switch: " << des::to_micros(params.switch_latency)
+  os << "  switch: " << params.switch_latency.to_micros()
      << " us forwarding latency\n";
   os << "  trunk:  " << params.trunk.rate.bps() / 1e9 << " Gbit/s, "
-     << des::to_micros(params.trunk.latency) << " us latency, "
+     << params.trunk.latency.to_micros() << " us latency, "
      << params.trunk.buffer.count() << " B buffer\n";
-  os << "  host:   send " << des::to_micros(params.host.send_overhead)
-     << " us, recv " << des::to_micros(params.host.recv_overhead)
+  os << "  host:   send " << params.host.send_overhead.to_micros()
+     << " us, recv " << params.host.recv_overhead.to_micros()
      << " us, copy " << params.host.copy_ns_per_byte << " ns/B\n";
-  os << "  tcp:    rto " << des::to_millis(params.tcp.rto_initial)
+  os << "  tcp:    rto " << params.tcp.rto_initial.to_millis()
      << " ms, window " << params.tcp.recv_window.count() << " B\n";
   os << "  mpi:    eager threshold " << params.mpi.eager_threshold.count() << " B\n";
   if (params.fault.enabled()) {
@@ -83,22 +83,22 @@ ClusterParams parse_cluster(std::istream& is, ClusterParams base) {
     } else if (key == "nic_mbit") {
       base.nic.rate = Rate::mbit(value);
     } else if (key == "nic_latency_us") {
-      base.nic.latency = des::from_micros(value);
+      base.nic.latency = des::Duration::from_micros(value);
     } else if (key == "nic_buffer_frames") {
       base.nic.buffer = Bytes{static_cast<std::uint64_t>(value) * 1538};
     } else if (key == "trunk_gbit") {
       base.trunk.rate = Rate::gbit(value);
     } else if (key == "trunk_latency_us") {
-      base.trunk.latency = des::from_micros(value);
+      base.trunk.latency = des::Duration::from_micros(value);
     } else if (key == "trunk_buffer_kib") {
       base.trunk.buffer = Bytes{static_cast<std::uint64_t>(value) * 1024};
     } else if (key == "switch_latency_us") {
-      base.switch_latency = des::from_micros(value);
+      base.switch_latency = des::Duration::from_micros(value);
     } else if (key == "lookahead_us") {
       // Overrides the derived conservative-window lookahead (see
       // ClusterParams::lookahead()). Must not exceed the topology's safe
       // bound — Network's partitioned constructor rejects it if it does.
-      base.lookahead_override = des::from_micros(value);
+      base.lookahead_override = des::Duration::from_micros(value);
       if (base.lookahead_override <= des::Duration{}) {
         throw std::runtime_error{"parse_cluster: line " +
                                  std::to_string(lineno) +
@@ -107,9 +107,9 @@ ClusterParams parse_cluster(std::istream& is, ClusterParams base) {
     } else if (key == "eager_threshold_kib") {
       base.mpi.eager_threshold = Bytes{static_cast<std::uint64_t>(value) * 1024};
     } else if (key == "send_overhead_us") {
-      base.host.send_overhead = des::from_micros(value);
+      base.host.send_overhead = des::Duration::from_micros(value);
     } else if (key == "recv_overhead_us") {
-      base.host.recv_overhead = des::from_micros(value);
+      base.host.recv_overhead = des::Duration::from_micros(value);
     } else if (key == "copy_ns_per_byte") {
       base.host.copy_ns_per_byte = value;
     } else if (key == "jitter_sigma") {
@@ -117,9 +117,9 @@ ClusterParams parse_cluster(std::istream& is, ClusterParams base) {
     } else if (key == "spike_prob") {
       base.host.spike_prob = value;
     } else if (key == "spike_mean_us") {
-      base.host.spike_mean = des::from_micros(value);
+      base.host.spike_mean = des::Duration::from_micros(value);
     } else if (key == "rto_ms") {
-      base.tcp.rto_initial = des::from_micros(value * 1e3);
+      base.tcp.rto_initial = des::Duration::from_micros(value * 1e3);
       base.tcp.rto_min = base.tcp.rto_initial;
     } else if (key == "recv_window_kib") {
       base.tcp.recv_window = Bytes{static_cast<std::uint64_t>(value) * 1024};
@@ -152,6 +152,13 @@ ClusterParams parse_cluster(std::istream& is, ClusterParams base) {
   if (base.nodes < 1) throw std::runtime_error{"parse_cluster: nodes < 1"};
   if (base.ports_per_switch < 1) {
     throw std::runtime_error{"parse_cluster: ports_per_switch < 1"};
+  }
+  // The runtime partitions a multi-switch cluster by switch, which needs a
+  // positive window between partitions (ClusterParams::safe_lookahead()).
+  if (base.switch_count() > 1 && base.safe_lookahead() <= des::Duration{}) {
+    throw std::runtime_error{
+        "parse_cluster: a multi-switch cluster needs a positive lookahead; "
+        "raise trunk_latency_us or switch_latency_us"};
   }
   const auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
   if (!probability(base.fault.loss_rate) ||

@@ -16,9 +16,9 @@ Network::Network(des::Engine& engine, ClusterParams params)
 Network::Network(des::PartitionSet& sim, ClusterParams params)
     : sim_{&sim}, params_{std::move(params)} {
   const int k = sim.partitions();
-  if (k != 1 && k != params_.switch_count()) {
+  if (k != params_.switch_count()) {
     throw std::invalid_argument{
-        "Network: partition count must be 1 or the switch count"};
+        "Network: partition count must equal the switch count"};
   }
   // Compare against the derived bound, not lookahead(): a config override
   // must not be able to vouch for itself.
@@ -302,7 +302,7 @@ std::string Network::stats_csv() const {
     os << link.name() << ',' << link.packets_sent() << ','
        << link.bytes_sent().count() << ',' << link.packets_dropped() << ','
        << link.packets_lost() << ',' << link.peak_backlog().count() << ','
-       << des::to_micros(link.busy_time()) << '\n';
+       << link.busy_time().to_micros() << '\n';
   };
   for (const auto& link : nic_tx_) row(*link);
   for (const auto& link : nic_rx_) row(*link);

@@ -16,8 +16,10 @@
 // submit time on the last link this partition owns (Link::submit_resolved)
 // and the continuation is posted through the PartitionSet mailbox, arriving
 // at least min-link-latency + switch-latency later — the lookahead
-// (ClusterParams::lookahead()). A one-partition set takes exactly the
-// sequential code path: no boundaries exist, no posts happen.
+// (ClusterParams::lookahead()). A single-switch cluster is one partition:
+// no boundaries exist and no posts happen. The des::Engine constructor puts
+// every switch on one engine with no boundaries either; it is the harness
+// for network-level tests and benches, not a mode of smpi::Runtime.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +43,11 @@ class Network {
   using DeliverFn = std::function<void(const Packet&)>;
   using DropFn = std::function<void(const Packet&)>;
 
-  /// Sequential network: every link on one engine, one partition.
+  /// Single-engine network: every link on one engine, one partition.
   Network(des::Engine& engine, ClusterParams params);
 
-  /// Partitioned network over a conservative parallel engine set. The set
-  /// must have either one partition (sequential semantics, any topology) or
-  /// exactly params.switch_count() partitions (switch-partitioned mode).
+  /// Switch-partitioned network over a conservative parallel engine set,
+  /// which must have exactly params.switch_count() partitions.
   Network(des::PartitionSet& sim, ClusterParams params);
 
   Network(const Network&) = delete;

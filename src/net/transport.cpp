@@ -287,7 +287,7 @@ void Transport::on_rto(std::uint64_t stream, int src_node) {
   conn.rto = std::min(conn.rto * 2, tcp_.rto_max);  // exponential backoff
   trace_event(conn,
               "rto_retransmit seq=" + std::to_string(conn.snd_una.value()) +
-                  " next_rto_ms=" + std::to_string(des::to_millis(conn.rto)));
+                  " next_rto_ms=" + std::to_string(conn.rto.to_millis()));
   const Bytes len = std::min(wire_.mss(), conn.snd_nxt - conn.snd_una);
   transmit_segment(conn, conn.snd_una, len);
   arm_rto(conn);

@@ -50,7 +50,7 @@ double actual_pingpong_chain(int procs, int iterations, double serial) {
       comm.compute(serial / p);
     }
   });
-  return des::to_seconds(rt.elapsed());
+  return rt.elapsed().to_seconds();
 }
 
 pevpm::Model pingpong_chain_model(double serial) {

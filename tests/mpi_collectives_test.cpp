@@ -185,7 +185,7 @@ TEST(Collectives, BcastBytesScalesWithTreeDepth) {
   auto timed = [](int p) {
     smpi::Runtime rt{options(p)};
     rt.run([&](smpi::Comm& comm) { comm.bcast_bytes(net::Bytes{1024}, 0); });
-    return des::to_seconds(rt.elapsed());
+    return rt.elapsed().to_seconds();
   };
   const double t4 = timed(4);
   const double t16 = timed(16);

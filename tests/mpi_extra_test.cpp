@@ -31,7 +31,7 @@ TEST(MpiExtra, BlockingProbeWaitsForArrival) {
     } else {
       const des::SimTime before = comm.sim_now();
       const smpi::Status st = comm.probe(0, 4);
-      EXPECT_GT(comm.sim_now() - before, des::from_micros(10000));
+      EXPECT_GT(comm.sim_now() - before, des::Duration::from_micros(10000));
       EXPECT_EQ(st.bytes, net::Bytes::of(sizeof(int)));
       EXPECT_EQ(comm.recv_value<int>(0, 4), 7);
     }

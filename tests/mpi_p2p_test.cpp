@@ -236,7 +236,7 @@ TEST(P2P, RendezvousBlocksUntilReceiverPosts) {
     if (comm.rank() == 0) {
       std::vector<std::byte> big((64_KiB).count());
       comm.send(big, 1, 0);
-      send_done = des::to_seconds(comm.sim_now());
+      send_done = comm.sim_now().to_seconds();
     } else {
       comm.compute(0.05);  // make the sender wait for the CTS
       std::vector<std::byte> big((64_KiB).count());
@@ -253,7 +253,7 @@ TEST(P2P, EagerSendCompletesLocallyBeforeReceiverPosts) {
   rt.run([&](smpi::Comm& comm) {
     if (comm.rank() == 0) {
       comm.send_bytes(net::Bytes{1024}, 1, 0);  // eager: buffered, local completion
-      send_done = des::to_seconds(comm.sim_now());
+      send_done = comm.sim_now().to_seconds();
     } else {
       comm.compute(0.05);
       comm.recv_bytes(net::Bytes{1024}, 0, 0);

@@ -63,7 +63,7 @@ TEST(Runtime, DeadlockNamesBlockedRanks) {
 TEST(Runtime, ElapsedReflectsWork) {
   smpi::Runtime rt{options(2, 1, 2)};
   rt.run([](smpi::Comm& comm) { comm.compute(0.25); });
-  EXPECT_NEAR(des::to_seconds(rt.elapsed()), 0.25, 0.05);
+  EXPECT_NEAR(rt.elapsed().to_seconds(), 0.25, 0.05);
 }
 
 TEST(Runtime, DeterministicAcrossIdenticalRuns) {

@@ -36,7 +36,7 @@ TEST(MpiSmoke, PingPongDeliversPayload) {
   EXPECT_EQ(got, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
   EXPECT_GT(rt.elapsed(), des::SimTime{});
   // A 32-byte eager message should take tens of microseconds, not seconds.
-  EXPECT_LT(des::to_micros(rt.elapsed()), 2000.0);
+  EXPECT_LT(rt.elapsed().to_micros(), 2000.0);
 }
 
 TEST(MpiSmoke, LargeMessageUsesRendezvousAndArrives) {
@@ -53,8 +53,8 @@ TEST(MpiSmoke, LargeMessageUsesRendezvousAndArrives) {
   });
   EXPECT_EQ(got, payload);
   // 64 KiB at ~10 MB/s effective is ~6-8 ms one way.
-  EXPECT_GT(des::to_micros(rt.elapsed()), 4000.0);
-  EXPECT_LT(des::to_micros(rt.elapsed()), 60000.0);
+  EXPECT_GT(rt.elapsed().to_micros(), 4000.0);
+  EXPECT_LT(rt.elapsed().to_micros(), 60000.0);
 }
 
 TEST(MpiSmoke, CollectivesAgree) {

@@ -72,7 +72,7 @@ TEST(ClockSync, DriftEstimationImprovesLongRuns) {
         mpibench::SyncedClock::synchronise_with_drift(comm, 32, 0.5);
     comm.compute(5.0);  // a long quiet period lets drift accumulate
     comm.barrier();
-    const double truth = des::to_seconds(comm.sim_now());
+    const double truth = comm.sim_now().to_seconds();
     err_plain[comm.rank()] = std::abs(plain.now(comm) - truth -
                                       (comm.rank() == 0 ? 0.0 : 0.0));
     err_drift[comm.rank()] = std::abs(with_drift.now(comm) - truth);

@@ -24,7 +24,8 @@ net::Packet packet(std::uint64_t id, int src, int dst, net::Bytes wire) {
 TEST(Link, SerialisationPlusLatency) {
   des::Engine engine;
   // 100 Mbit/s, 5 us latency: 1250 wire bytes = 100 us on the wire.
-  net::LinkParams params{net::Rate::mbit(100), des::from_micros(5), 1_KiB * 64};
+  net::LinkParams params{net::Rate::mbit(100), des::Duration::from_micros(5),
+                         1_KiB * 64};
   net::Link link{engine, "l", params};
   des::SimTime arrival{-1};
   link.submit(packet(1, 0, 1, net::Bytes{1250}),
@@ -33,7 +34,7 @@ TEST(Link, SerialisationPlusLatency) {
   EXPECT_EQ(arrival, des::SimTime::from_micros(105));
   EXPECT_EQ(link.packets_sent(), 1u);
   EXPECT_EQ(link.bytes_sent(), net::Bytes{1250});
-  EXPECT_EQ(link.busy_time(), des::from_micros(100));
+  EXPECT_EQ(link.busy_time(), des::Duration::from_micros(100));
 }
 
 TEST(Link, FifoQueueingDelaysSecondPacket) {
@@ -85,7 +86,7 @@ TEST(Link, BacklogDrainsAfterServicing) {
 TEST(Link, PerPacketServiceDominatesSmallFrames) {
   des::Engine engine;
   net::LinkParams params{net::Rate::gbit(2.1), des::Duration{}, 1_KiB * 1024,
-                         des::from_micros(2)};
+                         des::Duration::from_micros(2)};
   net::Link link{engine, "l", params};
   std::vector<des::SimTime> arrivals;
   for (int i = 0; i < 2; ++i) {
@@ -96,7 +97,7 @@ TEST(Link, PerPacketServiceDominatesSmallFrames) {
   engine.run();
   ASSERT_EQ(arrivals.size(), 2u);
   // Each packet costs 2 us + 84 B / 2.1 Gbit/s (0.32 us).
-  EXPECT_GT(arrivals[1] - arrivals[0], des::from_micros(2));
+  EXPECT_GT(arrivals[1] - arrivals[0], des::Duration::from_micros(2));
 }
 
 TEST(Network, HopCountsReflectTopology) {
@@ -177,7 +178,7 @@ rto_ms = 100
   EXPECT_EQ(p.nodes, 8);
   EXPECT_NEAR(p.nic.rate.bps(), 10e6, 1);
   EXPECT_EQ(p.mpi.eager_threshold, net::Bytes{4096});
-  EXPECT_EQ(p.tcp.rto_initial, des::from_micros(100e3));
+  EXPECT_EQ(p.tcp.rto_initial, des::Duration::from_micros(100e3));
 }
 
 TEST(Cluster, ParseRejectsUnknownKeyAndBadNumber) {
@@ -187,6 +188,29 @@ TEST(Cluster, ParseRejectsUnknownKeyAndBadNumber) {
   EXPECT_THROW((void)net::parse_cluster(bad_num), std::runtime_error);
   std::istringstream no_eq{"nodes 4\n"};
   EXPECT_THROW((void)net::parse_cluster(no_eq), std::runtime_error);
+}
+
+TEST(Cluster, ParseRejectsUnpartitionableMultiSwitch) {
+  // Zero trunk and switch latency leave no lookahead between switch
+  // partitions; the runtime cannot simulate that, so the text is rejected.
+  const std::string zero = "trunk_latency_us = 0\nswitch_latency_us = 0\n";
+  std::istringstream multi{zero};
+  try {
+    (void)net::parse_cluster(multi, net::perseus(64));
+    FAIL() << "zero lookahead accepted on three switches";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trunk_latency_us"), std::string::npos) << what;
+    EXPECT_NE(what.find("switch_latency_us"), std::string::npos) << what;
+  }
+  // One switch has no partition boundary, so the same text is fine there,
+  // and either latency alone keeps a multi-switch cluster runnable.
+  std::istringstream single{zero};
+  EXPECT_EQ(net::parse_cluster(single, net::perseus(16)).switch_count(), 1);
+  std::istringstream no_switch_latency{"switch_latency_us = 0\n"};
+  EXPECT_GT(
+      net::parse_cluster(no_switch_latency, net::perseus(64)).safe_lookahead(),
+      des::Duration{});
 }
 
 TEST(Units, RateConversions) {

@@ -1,17 +1,23 @@
-// Thread-count determinism of the conservative parallel simulator: with
-// --sim-threads N the cluster is partitioned by switch and simulated by N
-// worker threads, and every table MPIBench emits must be byte-identical to
-// the sequential engine's (sim_threads = 0) — including under fault
-// injection and for collectives. These tests encode in the suite what the
-// CLI diffs demonstrate, on a multi-switch topology so cross-partition
-// traffic (trunk hops, mailbox exchange) is actually exercised.
+// Thread-count determinism of the simulator. smpi::Runtime always
+// partitions the cluster by switch and --sim-threads N only sets how many
+// workers execute the conservative windows, so every table MPIBench emits
+// must be byte-identical at every N — including under fault injection and
+// for collectives. sim_threads = 0 (one worker, inline) is the reference.
+//
+// The differential grid below sweeps seeds x topologies (1, 2, 3 and 5
+// switches) x eager/rendezvous sizes x fault injection off/on x thread
+// counts; MatchesPerseusSeedOneTable pins the 64-node Perseus case whose
+// table used to change with the thread count.
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mpibench/benchmark.h"
 #include "net/cluster.h"
+#include "stats/histogram.h"
 
 namespace {
 
@@ -29,11 +35,29 @@ mpibench::Options multi_switch_options() {
   return opt;
 }
 
+/// Bin-for-bin equality, which is what byte-identical CSV output means.
+/// Compared directly because a lossy run's RTO tail spans seconds of 1 us
+/// bins, too many to render as text in a quick test.
+void expect_same_histogram(const stats::Histogram& a,
+                           const stats::Histogram& b) {
+  EXPECT_EQ(a.bin_width(), b.bin_width());
+  EXPECT_EQ(a.origin(), b.origin());
+  EXPECT_EQ(a.total(), b.total());
+  EXPECT_EQ(a.underflow(), b.underflow());
+  EXPECT_EQ(a.summary().mean(), b.summary().mean());
+  EXPECT_EQ(a.summary().min(), b.summary().min());
+  EXPECT_EQ(a.summary().max(), b.summary().max());
+  ASSERT_EQ(a.bin_count(), b.bin_count());
+  for (std::size_t bin = 0; bin < a.bin_count(); ++bin) {
+    ASSERT_EQ(a.count_at(bin), b.count_at(bin)) << "bin " << bin;
+  }
+}
+
 void expect_identical(const mpibench::PointToPointResult& a,
                       const mpibench::PointToPointResult& b) {
   EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.oneway.to_csv(), b.oneway.to_csv());
-  EXPECT_EQ(a.sender_hist.to_csv(), b.sender_hist.to_csv());
+  expect_same_histogram(a.oneway, b.oneway);
+  expect_same_histogram(a.sender_hist, b.sender_hist);
   EXPECT_EQ(a.sender_op.count(), b.sender_op.count());
   EXPECT_EQ(a.sender_op.mean(), b.sender_op.mean());
   EXPECT_EQ(a.tcp_timeouts, b.tcp_timeouts);
@@ -43,20 +67,106 @@ void expect_identical(const mpibench::PointToPointResult& a,
   EXPECT_EQ(a.faults_injected, b.faults_injected);
 }
 
+// ---- differential grid ----------------------------------------------------
+
+/// (switch count, seed).
+using GridParam = std::tuple<int, int>;
+
+class SimThreadsDifferential : public ::testing::TestWithParam<GridParam> {};
+
+/// Two ports per switch keeps every run small, and every Isend pair
+/// (i <-> i + P/2) of a multi-switch topology crosses at least one trunk.
+mpibench::Options grid_options(int switches, int seed) {
+  mpibench::Options opt;
+  opt.cluster = net::perseus(2 * switches);
+  opt.cluster.ports_per_switch = 2;
+  opt.procs_per_node = 1;
+  opt.repetitions = 4;
+  opt.warmup = 1;
+  opt.sync_rounds = 4;
+  opt.seed = static_cast<std::uint64_t>(seed);
+  return opt;
+}
+
+TEST_P(SimThreadsDifferential, EveryThreadCountMatchesTheInlineRun) {
+  const auto [switches, seed] = GetParam();
+  mpibench::Options opt = grid_options(switches, seed);
+  ASSERT_EQ(opt.cluster.switch_count(), switches);
+  for (const bool faults : {false, true}) {
+    opt.cluster.fault.loss_rate = faults ? 0.03 : 0.0;
+    opt.cluster.fault.seed = opt.seed;
+    // Below and at the eager threshold: eager and rendezvous protocols.
+    for (const net::Bytes size :
+         {net::Bytes{1024}, opt.cluster.mpi.eager_threshold}) {
+      SCOPED_TRACE("faults " + std::to_string(faults) + " size " +
+                   std::to_string(size.count()));
+      opt.sim_threads = 0;
+      const auto reference = mpibench::run_isend(opt, size);
+      ASSERT_GT(reference.messages, 0u);
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE("sim_threads " + std::to_string(threads));
+        opt.sim_threads = threads;
+        expect_identical(mpibench::run_isend(opt, size), reference);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SwitchesAndSeeds, SimThreadsDifferential,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5),
+                       ::testing::Range(1, 11)),
+    [](const ::testing::TestParamInfo<GridParam>& param_info) {
+      return "sw" + std::to_string(std::get<0>(param_info.param)) + "_seed" +
+             std::to_string(std::get<1>(param_info.param));
+    });
+
+TEST(SimThreads, FaultGridActuallyLosesPackets) {
+  // Guards the grid's fault half against silently testing nothing.
+  mpibench::Options opt = grid_options(3, 1);
+  opt.cluster.fault.loss_rate = 0.03;
+  opt.cluster.fault.seed = opt.seed;
+  EXPECT_GT(mpibench::run_isend(opt, net::Bytes{1024}).faults_injected, 0u);
+}
+
+TEST(SimThreads, MatchesPerseusSeedOneTable) {
+  // `mpibench --nodes 64 --sizes 1024 --reps 20 --seed 1 --table T`, the
+  // 64-node (three-switch) cell: a single engine over all switches (the
+  // old --sim-threads 0) broke same-time ties on trunk.0 differently from
+  // the partitioned engine here, shifting one-way samples by a bin.
+  mpibench::Options opt;
+  opt.cluster = net::perseus(64);
+  opt.repetitions = 20;
+  opt.warmup = 8;
+  opt.seed = 1;
+  const std::vector<net::Bytes> sizes{net::Bytes{1024}};
+  const std::vector<mpibench::Config> configs{{64, 1}};
+  std::string tables[2];
+  for (const int threads : {0, 2}) {
+    opt.sim_threads = threads;
+    std::ostringstream out;
+    mpibench::measure_isend_table(opt, sizes, configs, 1).save(out);
+    tables[threads / 2] = out.str();
+  }
+  EXPECT_EQ(tables[1], tables[0]);
+}
+
+// ---- focused cases -------------------------------------------------------
+
 TEST(SimThreads, IsendIsBitIdenticalAtEveryThreadCount) {
   mpibench::Options opt = multi_switch_options();
   ASSERT_EQ(opt.cluster.switch_count(), 3);
   for (const net::Bytes size : {net::Bytes{256}, net::Bytes{16384}}) {
     SCOPED_TRACE("size " + std::to_string(size.count()));
     opt.sim_threads = 0;
-    const auto sequential = mpibench::run_isend(opt, size);
-    ASSERT_GT(sequential.messages, 0u);
-    // 1 thread isolates partitioning from parallelism; 2 and 4 exercise
-    // both fewer and more workers than partitions (4 > 3 leaves one idle).
+    const auto reference = mpibench::run_isend(opt, size);
+    ASSERT_GT(reference.messages, 0u);
+    // 2 and 4 exercise both fewer and more workers than partitions (4 > 3
+    // leaves one idle).
     for (const int threads : {1, 2, 4}) {
       SCOPED_TRACE("sim_threads " + std::to_string(threads));
       opt.sim_threads = threads;
-      expect_identical(mpibench::run_isend(opt, size), sequential);
+      expect_identical(mpibench::run_isend(opt, size), reference);
     }
   }
 }
@@ -64,17 +174,17 @@ TEST(SimThreads, IsendIsBitIdenticalAtEveryThreadCount) {
 TEST(SimThreads, FaultInjectionStaysDeterministic) {
   // Loss forces retransmissions and RTO timers — the paths where an
   // execution-order-dependent engine would diverge first. The fault seeder
-  // runs in construction order, which is identical across partition counts.
+  // runs in construction order, which is independent of the thread count.
   mpibench::Options opt = multi_switch_options();
   opt.cluster.fault.loss_rate = 0.02;
   opt.cluster.fault.seed = opt.seed;
   opt.sim_threads = 0;
-  const auto sequential = mpibench::run_isend(opt, net::Bytes{8192});
-  ASSERT_GT(sequential.faults_injected, 0u) << "fault path not exercised";
+  const auto reference = mpibench::run_isend(opt, net::Bytes{8192});
+  ASSERT_GT(reference.faults_injected, 0u) << "fault path not exercised";
   for (const int threads : {1, 3}) {
     SCOPED_TRACE("sim_threads " + std::to_string(threads));
     opt.sim_threads = threads;
-    expect_identical(mpibench::run_isend(opt, net::Bytes{8192}), sequential);
+    expect_identical(mpibench::run_isend(opt, net::Bytes{8192}), reference);
   }
 }
 
@@ -85,20 +195,20 @@ TEST(SimThreads, AlltoallIsBitIdentical) {
   opt.repetitions = 10;
   opt.warmup = 2;
   opt.sim_threads = 0;
-  const auto sequential = mpibench::run_alltoall(opt, net::Bytes{1024});
-  ASSERT_GT(sequential.operations, 0u);
+  const auto reference = mpibench::run_alltoall(opt, net::Bytes{1024});
+  ASSERT_GT(reference.operations, 0u);
   opt.sim_threads = 3;
-  const auto partitioned = mpibench::run_alltoall(opt, net::Bytes{1024});
-  EXPECT_EQ(partitioned.operations, sequential.operations);
-  EXPECT_EQ(partitioned.completion.to_csv(), sequential.completion.to_csv());
-  EXPECT_EQ(partitioned.tcp_retransmits, sequential.tcp_retransmits);
-  EXPECT_EQ(partitioned.tcp_timeouts, sequential.tcp_timeouts);
+  const auto threaded = mpibench::run_alltoall(opt, net::Bytes{1024});
+  EXPECT_EQ(threaded.operations, reference.operations);
+  EXPECT_EQ(threaded.completion.to_csv(), reference.completion.to_csv());
+  EXPECT_EQ(threaded.tcp_retransmits, reference.tcp_retransmits);
+  EXPECT_EQ(threaded.tcp_timeouts, reference.tcp_timeouts);
 }
 
 TEST(SimThreads, TableAssemblyComposesWithJobFanOut) {
   // sim_threads (parallelism inside one simulation) and jobs (parallelism
   // across independent sweep cells) are orthogonal; combined they must
-  // still reproduce the sequential single-job table byte for byte.
+  // still reproduce the inline single-job table byte for byte.
   mpibench::Options opt = multi_switch_options();
   const std::vector<net::Bytes> sizes{net::Bytes{512}, net::Bytes{4096}};
   const std::vector<mpibench::Config> configs{{12, 1}};
@@ -120,10 +230,10 @@ TEST(SimThreads, SmpAndMultiRankNodesStayDeterministic) {
   opt.procs_per_node = 2;
   opt.repetitions = 15;
   opt.sim_threads = 0;
-  const auto sequential = mpibench::run_isend(opt, net::Bytes{2048});
-  ASSERT_GT(sequential.messages, 0u);
+  const auto reference = mpibench::run_isend(opt, net::Bytes{2048});
+  ASSERT_GT(reference.messages, 0u);
   opt.sim_threads = 2;
-  expect_identical(mpibench::run_isend(opt, net::Bytes{2048}), sequential);
+  expect_identical(mpibench::run_isend(opt, net::Bytes{2048}), reference);
 }
 
 }  // namespace

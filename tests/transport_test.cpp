@@ -108,7 +108,7 @@ TEST(Transport, ThroughputApproachesWireRate) {
   const net::Bytes bytes = 1_MiB;
   f.transport.send(1, 0, 1, bytes, [&] { done_at = f.engine.now(); });
   f.engine.run();
-  const double seconds = des::to_seconds(done_at);
+  const double seconds = done_at.to_seconds();
   const double goodput_mbit = bytes.to_double() * 8 / seconds / 1e6;
   // TCP over Fast Ethernet: expect 80-95 Mbit/s of goodput.
   EXPECT_GT(goodput_mbit, 80.0);

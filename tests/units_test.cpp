@@ -79,8 +79,8 @@ TEST(Units, RoundingIsHalfAwayFromZeroSymmetricInSign) {
   EXPECT_EQ(Duration::from_micros(-0.0025).ns(), -3);
   EXPECT_EQ(Duration::from_micros(0.0024).ns(), 2);
   EXPECT_EQ(Duration::from_micros(-0.0024).ns(), -2);
-  EXPECT_EQ(des::from_micros(-1.5e-3).ns(), -2);
-  EXPECT_EQ(des::from_seconds(-2.5e-9).ns(), -3);
+  EXPECT_EQ(Duration::from_micros(-1.5e-3).ns(), -2);
+  EXPECT_EQ(Duration::from_seconds(-2.5e-9).ns(), -3);
   EXPECT_EQ(Duration::from_millis(-0.5e-6).ns(), -1);
   EXPECT_EQ(SimTime::from_micros(-0.0025).ns(), -3);
 
@@ -90,8 +90,8 @@ TEST(Units, RoundingIsHalfAwayFromZeroSymmetricInSign) {
 }
 
 TEST(Units, NeverAndForeverSurviveTheFloatBoundary) {
-  EXPECT_EQ(SimTime::from_micros(des::to_micros(des::kNever)), des::kNever);
-  EXPECT_EQ(SimTime::from_seconds(des::to_seconds(des::kNever)), des::kNever);
+  EXPECT_EQ(SimTime::from_micros(des::kNever.to_micros()), des::kNever);
+  EXPECT_EQ(SimTime::from_seconds(des::kNever.to_seconds()), des::kNever);
   EXPECT_EQ(Duration::from_micros(des::kForever.to_micros()), des::kForever);
   EXPECT_EQ(Duration::from_seconds(1e300), des::kForever);
   // Negative overflow saturates symmetrically instead of wrapping.

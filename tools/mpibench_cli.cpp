@@ -19,10 +19,10 @@
 //     --histograms       print full per-size histograms
 //     --cluster FILE     cluster description overrides ("key = value")
 //     --seed S
-//     --sim-threads T    run each simulator instance on T threads with the
-//                        switch-partitioned conservative parallel engine;
-//                        0 = sequential engine. Output is byte-identical
-//                        for every T (default 0)
+//     --sim-threads T    workers for each simulator instance, which always
+//                        runs the switch-partitioned conservative engine;
+//                        0 and 1 both mean one worker, inline. Output is
+//                        byte-identical for every T (default 0)
 //
 //   Fault injection (see src/net/fault.h). With any of these the summary
 //   grows tail quantiles (p99.9) and retransmission/fault counters:
@@ -175,8 +175,9 @@ void apply_fault_profile(const std::string& spec, net::FaultParams& fault,
     fault.ge_p_exit = fields[1];
     fault.ge_loss_bad = fields[2];
   } else if (kind == "down" && fields.size() == 2) {
-    fault.down.push_back(net::DownWindow{des::SimTime{} + des::from_micros(fields[0] * 1e3),
-                                         des::SimTime{} + des::from_micros(fields[1] * 1e3)});
+    fault.down.push_back(
+        net::DownWindow{des::SimTime::from_micros(fields[0] * 1e3),
+                        des::SimTime::from_micros(fields[1] * 1e3)});
   } else {
     usage(argv0);
   }
@@ -205,7 +206,12 @@ int main(int argc, char** argv) {
                    args.cluster_file.c_str());
       return 3;
     }
-    opt.cluster = net::parse_cluster(in, opt.cluster);
+    try {
+      opt.cluster = net::parse_cluster(in, opt.cluster);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", args.cluster_file.c_str(), e.what());
+      return 3;
+    }
   }
   opt.cluster.nodes = args.nodes;
   opt.procs_per_node = args.ppn;
@@ -220,7 +226,7 @@ int main(int argc, char** argv) {
     apply_fault_profile(spec, opt.cluster.fault, argv[0]);
   }
   if (args.rto_ms >= 0.0) {
-    opt.cluster.tcp.rto_initial = des::from_micros(args.rto_ms * 1e3);
+    opt.cluster.tcp.rto_initial = des::Duration::from_micros(args.rto_ms * 1e3);
     opt.cluster.tcp.rto_min = opt.cluster.tcp.rto_initial;
   }
   if (opt.cluster.fault.enabled()) {
