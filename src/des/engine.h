@@ -10,8 +10,8 @@
 // partition carry their *source* schedule time, which fixes their order
 // against local events independently of the thread count. Exactly one
 // execution context (the engine loop or one cooperative process) is active
-// at any instant, so the queue needs no locking; the process hand-off
-// (process.h) provides the happens-before edges between contexts.
+// at any instant, so the queue needs no locking: a process switch
+// (process.h) is a fiber switch on the engine's own thread.
 //
 // Storage is allocation-free in steady state: events live in pooled slots
 // recycled through a free list, callbacks are constructed directly into the

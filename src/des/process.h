@@ -1,12 +1,18 @@
 // Cooperative processes over the discrete-event engine.
 //
-// Each Process runs its body on a dedicated OS thread, but exactly one
-// context (the engine loop or one process) executes at a time: control is
-// handed back and forth through a mutex/condition-variable pair, which also
-// provides the happens-before edges that make the shared engine queue safe
-// to touch from whichever context is active. This lets simulated MPI ranks
-// be written as ordinary blocking code while virtual time stays fully
-// deterministic (all wake-ups are engine events ordered by time/seq).
+// Each Process runs its body on its own user-space fiber: a ucontext with
+// an mmap'ed stack of kStackBytes behind a PROT_NONE guard page. Exactly
+// one context (the engine loop or one process) executes at a time on a
+// given OS thread: resume() switches from the engine's stack to the
+// process's, and every blocking primitive switches back. The switch is a
+// plain function call on one thread, so the engine queue and the process
+// state need no locks. This lets simulated MPI ranks be written as ordinary
+// blocking code while virtual time stays fully deterministic (all wake-ups
+// are engine events ordered by time/seq).
+//
+// On a des::PartitionSet the fiber runs on whichever worker thread runs its
+// engine's partition; that assignment is fixed for a whole run, so a fiber
+// never runs on two threads at once.
 //
 // Blocking primitives and their guarantees:
 //   delay(dt)            advance this process's virtual clock by dt
@@ -15,15 +21,18 @@
 // unpark() carries a single permit (like thread park/unpark), so an unpark
 // that races ahead of the park is never lost. Spurious wake-ups are
 // impossible to observe: every primitive re-checks its condition.
+//
+// A body must not block inside a catch handler: the C++ runtime keeps its
+// caught-exception stack per OS thread, not per fiber.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <string>
-#include <thread>
 
-#include "core/thread_annotations.h"
 #include "des/engine.h"
 
 namespace des {
@@ -33,6 +42,11 @@ class Process {
   /// Thrown inside the body when the process is killed; the body wrapper
   /// catches it. User code should not catch it (or must rethrow).
   struct Killed {};
+
+  /// Usable stack of every process fiber. Overflowing it faults on the
+  /// guard page below it. Rank bodies peak near 5 KiB across the test
+  /// suite; the rest is room for deep user code and sanitizer frames.
+  static constexpr std::size_t kStackBytes = std::size_t{256} << 10;
 
   /// Creates the process and schedules its first activation at `start_at`.
   Process(Engine& engine, std::string name, std::function<void()> body,
@@ -73,7 +87,10 @@ class Process {
   void rethrow_if_failed();
 
  private:
-  void thread_main();
+  class Fiber;
+
+  /// Runs on the fiber: the body, then the final switch out.
+  [[noreturn]] void fiber_main();
   /// Engine context -> process context; returns when the process yields.
   void resume();
   /// Process context -> engine context; throws Killed when killed.
@@ -88,16 +105,6 @@ class Process {
   std::string name_;
   std::function<void()> body_;
 
-  pevpm::Mutex mutex_;
-  pevpm::CondVar cv_;
-  enum class Turn { kEngine, kProcess };
-  /// The hand-off token: which context may run. The only member the mutex
-  /// itself guards — everything below is protected by the active-context
-  /// discipline instead (exactly one context executes at a time, and the
-  /// turn_ hand-off provides the happens-before edges), which a lock-based
-  /// analysis cannot express. See the file comment.
-  Turn turn_ GUARDED_BY(mutex_) = Turn::kEngine;
-
   bool finished_ = false;
   bool killed_ = false;
   bool blocked_ = false;        ///< inside sleep_once()
@@ -105,7 +112,7 @@ class Process {
   std::uint64_t sleep_gen_ = 1; ///< invalidates stale wake events
   std::exception_ptr failure_;
 
-  std::thread thread_;
+  std::unique_ptr<Fiber> fiber_;
 };
 
 }  // namespace des

@@ -159,7 +159,7 @@ class Runtime {
         ranks_.at(static_cast<std::size_t>(rank))->node);
   }
 
-  // ---- process-context operations (called via Comm from rank threads) ----
+  // ---- process-context operations (called via Comm from rank fibers) ----
   Request isend(int src, std::span<const std::byte> data, net::Bytes bytes,
                 int dst, int tag);
   Request irecv(int dst, std::span<std::byte> buffer, net::Bytes max_bytes,

@@ -1,12 +1,15 @@
 // Unit tests for the discrete-event engine and cooperative processes.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "des/engine.h"
+#include "des/partitioned_engine.h"
 #include "des/process.h"
 
 namespace {
@@ -235,6 +238,192 @@ TEST(Process, ManyProcessesInterleaveDeterministically) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---- fiber edge cases ----------------------------------------------------
+
+TEST(Process, DestructorKillsProcessThatNeverStarted) {
+  des::Engine engine;
+  bool ran = false;
+  {
+    des::Process proc{engine, "late", [&] { ran = true; },
+                      des::SimTime{1000}};
+    engine.run_until(des::SimTime{10});
+    EXPECT_FALSE(proc.finished());
+  }  // killed before its first activation: the body must never run
+  EXPECT_FALSE(ran);
+}
+
+TEST(Process, DestructorKillsProcessInParkUntil) {
+  des::Engine engine;
+  bool unwound = false;
+  bool returned = false;
+  {
+    std::unique_ptr<des::Process> proc;
+    proc = std::make_unique<des::Process>(engine, "waiting", [&] {
+      struct Guard {
+        bool* flag;
+        ~Guard() { *flag = true; }
+      } guard{&unwound};
+      static_cast<void>(guard);
+      static_cast<void>(proc->park_until(des::SimTime{1'000'000}));
+      returned = true;
+    });
+    engine.run_until(des::SimTime{500});  // parked, deadline still ahead
+    EXPECT_FALSE(proc->finished());
+  }
+  EXPECT_TRUE(unwound);
+  EXPECT_FALSE(returned);
+}
+
+TEST(Process, ExceptionAfterASwitchIsRethrown) {
+  des::Engine engine;
+  std::unique_ptr<des::Process> proc;
+  proc = std::make_unique<des::Process>(engine, "late-thrower", [&] {
+    proc->delay(des::Duration{40});
+    throw std::out_of_range{"late boom"};
+  });
+  engine.run();
+  EXPECT_TRUE(proc->finished());
+  try {
+    proc->rethrow_if_failed();
+    FAIL() << "expected the body's exception";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "late boom");
+  }
+}
+
+TEST(Process, KillRunsDestructorsInsideOutOnTheFiber) {
+  des::Engine engine;
+  std::vector<int> destroyed;
+  struct Guard {
+    std::vector<int>* log;
+    int id;
+    ~Guard() { log->push_back(id); }
+  };
+  std::unique_ptr<des::Process> proc;
+  proc = std::make_unique<des::Process>(engine, "victim", [&] {
+    const Guard outer{&destroyed, 1};
+    proc->delay(des::Duration{10});
+    const Guard inner{&destroyed, 2};
+    proc->delay(des::Duration{1'000'000});
+    destroyed.push_back(99);  // never reached
+  });
+  engine.run_until(des::SimTime{100});
+  ASSERT_TRUE(destroyed.empty());
+  proc->kill();
+  EXPECT_TRUE(proc->finished());
+  EXPECT_EQ(destroyed, (std::vector<int>{2, 1}));
+  EXPECT_NO_THROW(proc->rethrow_if_failed());  // Killed is not a failure
+}
+
+/// Recurses `depth` frames of 4 KiB each, blocking once at the bottom.
+int deep_sum(des::Process& proc, int depth) {
+  volatile unsigned char frame[4096];
+  for (std::size_t i = 0; i < sizeof frame; ++i) {
+    frame[i] = static_cast<unsigned char>(i + static_cast<std::size_t>(depth));
+  }
+  if (depth == 0) {
+    proc.delay(des::Duration{5});
+  } else {
+    static_cast<void>(deep_sum(proc, depth - 1));
+  }
+  int sum = 0;
+  for (std::size_t i = 0; i < sizeof frame; i += 512) sum += frame[i];
+  return sum;
+}
+
+TEST(Process, BodyCanUse64KiBOfStack) {
+  des::Engine engine;
+  int sum = -1;
+  std::unique_ptr<des::Process> proc;
+  proc = std::make_unique<des::Process>(
+      engine, "deep", [&] { sum = deep_sum(*proc, 16); });
+  engine.run();
+  EXPECT_TRUE(proc->finished());
+  EXPECT_NO_THROW(proc->rethrow_if_failed());
+  // The outermost frame reads (i + 16) mod 256 = 16 at eight offsets.
+  EXPECT_EQ(sum, 8 * 16);
+  EXPECT_EQ(engine.now(), des::SimTime{5});
+}
+
+/// Number of mappings in this process's address space.
+std::size_t mapping_count() {
+  std::ifstream maps{"/proc/self/maps"};
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(Process, ThousandsOfFibersReleaseTheirStacks) {
+  auto round = [] {
+    des::Engine engine;
+    std::vector<std::unique_ptr<des::Process>> procs(1024);
+    int done = 0;
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      procs[i] = std::make_unique<des::Process>(
+          engine, "p" + std::to_string(i), [&, i] {
+            procs[i]->delay(des::Duration{static_cast<std::int64_t>(i % 7)});
+            ++done;
+          });
+    }
+    engine.run();
+    return done;
+  };
+  ASSERT_EQ(round(), 1024);  // warms the allocator
+  const std::size_t before = mapping_count();
+  ASSERT_GT(before, 0u);
+  ASSERT_EQ(round(), 1024);
+  // A leaked fiber keeps two mappings (guard page + stack), 2048 for the
+  // round; the slack covers the sanitizer runtimes' own bookkeeping maps.
+  EXPECT_LE(mapping_count(), before + 128);
+}
+
+TEST(Process, PartitionedFibersFinishAlikeAtEveryWorkerCount) {
+  // Twelve processes over three partitions; each wakes a neighbour on the
+  // next partition through a cross-partition post, so fibers are resumed
+  // by events that crossed a window barrier.
+  auto run_at = [](unsigned workers) {
+    constexpr int kPartitions = 3;
+    constexpr int kProcs = 12;
+    des::PartitionSet sim{kPartitions, des::Duration{50}};
+    std::vector<std::unique_ptr<des::Process>> procs(kProcs);
+    std::vector<des::SimTime> finish(kProcs, des::SimTime{-1});
+    std::vector<int> permits(kProcs, 0);
+    auto part_of = [](int i) { return des::PartitionId{i % kPartitions}; };
+    for (int i = 0; i < kProcs; ++i) {
+      procs[i] = std::make_unique<des::Process>(
+          sim.engine(part_of(i)), "p" + std::to_string(i), [&, i] {
+            des::Process& me = *procs[i];
+            const int next = (i + 1) % kProcs;
+            des::Process* neighbour = procs[next].get();
+            for (int k = 0; k < 20; ++k) {
+              me.delay(des::Duration{7 + 3 * i + k % 5});
+              const des::SimTime at = me.now() + sim.lookahead();
+              sim.post(part_of(i), part_of(next), at,
+                       [neighbour] { neighbour->unpark(); });
+              if (me.park_until(me.now() + des::Duration{40 + i})) {
+                ++permits[i];
+              }
+            }
+            finish[i] = me.now();
+          });
+    }
+    sim.run(workers);
+    for (auto& p : procs) {
+      EXPECT_TRUE(p->finished());
+      p->rethrow_if_failed();
+    }
+    return std::make_pair(finish, permits);
+  };
+  const auto reference = run_at(1);
+  int consumed = 0;
+  for (const int n : reference.second) consumed += n;
+  EXPECT_GT(consumed, 0) << "no cross-partition wake-up was exercised";
+  for (const unsigned workers : {2u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    EXPECT_EQ(run_at(workers), reference);
+  }
 }
 
 }  // namespace

@@ -5,12 +5,14 @@
 // for collectives. sim_threads = 0 (one worker, inline) is the reference.
 //
 // The differential grid below sweeps seeds x topologies (1, 2, 3 and 5
-// switches) x eager/rendezvous sizes x fault injection off/on x thread
-// counts; MatchesPerseusSeedOneTable pins the 64-node Perseus case whose
-// table used to change with the thread count.
+// switches) x fault injection off/on x thread counts, for Isend at
+// eager/rendezvous sizes and for barrier, bcast and alltoall;
+// MatchesPerseusSeedOneTable pins the 64-node Perseus case whose table
+// used to change with the thread count.
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,6 +109,50 @@ TEST_P(SimThreadsDifferential, EveryThreadCountMatchesTheInlineRun) {
         SCOPED_TRACE("sim_threads " + std::to_string(threads));
         opt.sim_threads = threads;
         expect_identical(mpibench::run_isend(opt, size), reference);
+      }
+    }
+  }
+}
+
+void expect_identical(const mpibench::CollectiveResult& a,
+                      const mpibench::CollectiveResult& b) {
+  EXPECT_EQ(a.operations, b.operations);
+  expect_same_histogram(a.completion, b.completion);
+  EXPECT_EQ(a.tcp_timeouts, b.tcp_timeouts);
+  EXPECT_EQ(a.tcp_retransmits, b.tcp_retransmits);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
+}
+
+TEST_P(SimThreadsDifferential, CollectivesMatchTheInlineRun) {
+  const auto [switches, seed] = GetParam();
+  mpibench::Options opt = grid_options(switches, seed);
+  using Collective =
+      mpibench::CollectiveResult (*)(const mpibench::Options& options);
+  const std::pair<const char*, Collective> collectives[] = {
+      {"barrier", [](const mpibench::Options& o) {
+         return mpibench::run_barrier(o);
+       }},
+      {"bcast", [](const mpibench::Options& o) {
+         return mpibench::run_bcast(o, net::Bytes{4096});
+       }},
+      {"alltoall", [](const mpibench::Options& o) {
+         return mpibench::run_alltoall(o, net::Bytes{1024});
+       }},
+  };
+  for (const bool faults : {false, true}) {
+    opt.cluster.fault.loss_rate = faults ? 0.03 : 0.0;
+    opt.cluster.fault.seed = opt.seed;
+    for (const auto& [name, run] : collectives) {
+      SCOPED_TRACE(std::string{name} + " faults " + std::to_string(faults));
+      opt.sim_threads = 0;
+      const auto reference = run(opt);
+      ASSERT_GT(reference.operations, 0u);
+      // 1 worker is the reference's own code path. 2 and 4 split the
+      // partitions unevenly, and 4 leaves workers idle on 2 or 3 switches.
+      for (const int threads : {2, 4}) {
+        SCOPED_TRACE("sim_threads " + std::to_string(threads));
+        opt.sim_threads = threads;
+        expect_identical(run(opt), reference);
       }
     }
   }
