@@ -61,6 +61,17 @@ inline const char* annotations() {
   return pevpm::parse_annotated_source(annotations(), "jacobi-fig5");
 }
 
+/// The Figure 5 model inside an `iterations`-long Loop, so an evaluation
+/// really executes every iteration, as the paper's did.
+[[nodiscard]] inline pevpm::Model looped_model(int iterations) {
+  std::string text = annotations();
+  const std::size_t after_param = text.find('\n', text.find("Param")) + 1;
+  text.insert(after_param, "// PEVPM Loop iterations = " +
+                               std::to_string(iterations) + "\n// PEVPM {\n");
+  text += "// PEVPM }\n";
+  return pevpm::parse_annotated_source(text, "jacobi-looped");
+}
+
 /// One rank's communication + compute structure (message pattern only; the
 /// numerics live in examples/jacobi.cpp).
 inline void run_rank(smpi::Comm& comm, int iterations) {

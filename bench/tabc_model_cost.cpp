@@ -34,19 +34,7 @@ int main() {
   const auto table = mpibench::measure_isend_table(
       benchutil::bench_options(2, 1, table_reps), sizes, configs);
 
-  // Wrap the one-iteration Figure 5 model in the full iteration loop so the
-  // PEVPM evaluation really executes every iteration, as the paper's did.
-  pevpm::Model looped;
-  {
-    pevpm::Model inner = jacobi::model();
-    pevpm::Node loop_node;
-    loop_node.data = pevpm::LoopNode{
-        pevpm::constant(static_cast<double>(iterations)), inner.body, {}};
-    loop_node.id = 100000;
-    looped.body.push_back(std::make_shared<pevpm::Node>(std::move(loop_node)));
-    looped.parameters = inner.parameters;
-    looped.name = "jacobi-looped";
-  }
+  const pevpm::Model looped = jacobi::looped_model(iterations);
 
   double virtual_seconds = 0.0;
   double pevpm_wall = 0.0;

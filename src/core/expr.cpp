@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace pevpm {
@@ -15,7 +16,7 @@ namespace {
 class Constant final : public Expr {
  public:
   explicit Constant(double value) : value_{value} {}
-  double eval(const Bindings&) const override { return value_; }
+  double eval(const Env&) const override { return value_; }
   std::string str() const override {
     std::ostringstream os;
     os << value_;
@@ -29,13 +30,12 @@ class Constant final : public Expr {
 
 class Variable final : public Expr {
  public:
-  explicit Variable(std::string name) : name_{std::move(name)} {}
-  double eval(const Bindings& env) const override {
-    const auto it = env.find(name_);
-    if (it == env.end()) {
+  Variable(std::string name, int slot) : name_{std::move(name)}, slot_{slot} {}
+  double eval(const Env& env) const override {
+    if (!env.bound(slot_)) {
       throw std::runtime_error{"unbound PEVPM variable '" + name_ + "'"};
     }
-    return it->second;
+    return env.value(slot_);
   }
   std::string str() const override { return name_; }
   void collect_vars(std::vector<std::string>& out) const override {
@@ -44,6 +44,7 @@ class Variable final : public Expr {
 
  private:
   std::string name_;
+  int slot_;
 };
 
 enum class Op {
@@ -76,7 +77,7 @@ class Binary final : public Expr {
   Binary(Op op, ExprPtr lhs, ExprPtr rhs)
       : op_{op}, lhs_{std::move(lhs)}, rhs_{std::move(rhs)} {}
 
-  double eval(const Bindings& env) const override {
+  double eval(const Env& env) const override {
     const double a = lhs_->eval(env);
     // Short-circuit logic first.
     if (op_ == Op::kAnd) return (a != 0.0 && rhs_->eval(env) != 0.0) ? 1 : 0;
@@ -132,7 +133,7 @@ class Binary final : public Expr {
 class Unary final : public Expr {
  public:
   Unary(char op, ExprPtr arg) : op_{op}, arg_{std::move(arg)} {}
-  double eval(const Bindings& env) const override {
+  double eval(const Env& env) const override {
     const double v = arg_->eval(env);
     return op_ == '-' ? -v : (v == 0.0 ? 1.0 : 0.0);
   }
@@ -150,7 +151,8 @@ class Unary final : public Expr {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_{text} {}
+  Parser(std::string_view text, SymbolTable& symbols)
+      : text_{text}, symbols_{symbols} {}
 
   ExprPtr parse() {
     ExprPtr expr = parse_or();
@@ -287,28 +289,73 @@ class Parser {
               text_[pos_] == '_')) {
         ++pos_;
       }
-      return std::make_shared<Variable>(
-          std::string{text_.substr(start, pos_ - start)});
+      return variable(std::string{text_.substr(start, pos_ - start)},
+                      symbols_);
     }
     fail(std::string{"unexpected character '"} + c + "'");
   }
 
   std::string_view text_;
+  SymbolTable& symbols_;
   std::size_t pos_ = 0;
 };
 
+[[noreturn]] void throw_out_of_range(const Expr& expr, double value,
+                                     const char* what, const char* why) {
+  std::ostringstream os;
+  os << what << " evaluates to " << value << ", which is not " << why << " ("
+     << expr.str() << ")";
+  throw ModelError{os.str()};
+}
+
 }  // namespace
 
-ExprPtr parse_expr(std::string_view text) { return Parser{text}.parse(); }
+int SymbolTable::intern(std::string_view name) {
+  if (const int slot = find(name); slot >= 0) return slot;
+  const int slot = static_cast<int>(slots_.size());
+  slots_.emplace(name, slot);
+  return slot;
+}
+
+int SymbolTable::find(std::string_view name) const {
+  const auto it = slots_.find(name);
+  return it == slots_.end() ? -1 : it->second;
+}
+
+void SymbolTable::bind(Env& env, const Bindings& bindings) const {
+  for (const auto& [name, value] : bindings) {
+    if (const int slot = find(name); slot >= 0) env.bind(slot, value);
+  }
+}
+
+ExprPtr parse_expr(std::string_view text, SymbolTable& symbols) {
+  return Parser{text, symbols}.parse();
+}
 
 ExprPtr constant(double value) { return std::make_shared<Constant>(value); }
 
-ExprPtr variable(std::string name) {
-  return std::make_shared<Variable>(std::move(name));
+ExprPtr variable(std::string name, SymbolTable& symbols) {
+  const int slot = symbols.intern(name);
+  return std::make_shared<Variable>(std::move(name), slot);
 }
 
-long eval_int(const Expr& expr, const Bindings& env) {
-  return static_cast<long>(expr.eval(env));
+long eval_int(const Expr& expr, const Env& env, const char* what) {
+  const double value = expr.eval(env);
+  // Truncation is defined only for values whose integral part fits a long
+  // (the comparisons are false for NaN). -LONG_MIN is a power of two, so
+  // it converts to double exactly.
+  constexpr double kLimit =
+      -static_cast<double>(std::numeric_limits<long>::min());
+  if (!(value >= -kLimit && value < kLimit)) {
+    throw_out_of_range(expr, value, what, "an integer in range");
+  }
+  return static_cast<long>(value);
+}
+
+double eval_finite(const Expr& expr, const Env& env, const char* what) {
+  const double value = expr.eval(env);
+  if (!std::isfinite(value)) throw_out_of_range(expr, value, what, "finite");
+  return value;
 }
 
 }  // namespace pevpm

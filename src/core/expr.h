@@ -7,6 +7,11 @@
 // therefore expressions over named variables, parsed once and evaluated
 // against a binding environment per virtual process.
 //
+// Names are resolved when an expression is parsed, not when it runs: each
+// variable takes a dense slot in the SymbolTable of the model it belongs
+// to, and evaluation reads that slot of a flat Env. Named Bindings are
+// turned into an Env once per evaluation context (SymbolTable::bind).
+//
 // Grammar (C-like precedence):
 //   or     := and ('||' and)*
 //   and    := cmp ('&&' cmp)*
@@ -28,13 +33,55 @@
 
 namespace pevpm {
 
-/// Variable environment. Values are doubles; integer contexts truncate.
+/// Named variable values (model parameters, overrides). Values are
+/// doubles; integer contexts truncate.
 using Bindings = std::map<std::string, double, std::less<>>;
+
+/// Slot-indexed variable values for one evaluation context: a value and a
+/// bound flag per SymbolTable slot. Slots past the end read as unbound.
+class Env {
+ public:
+  Env() = default;
+  explicit Env(std::size_t slots) : values_(slots, 0.0), bound_(slots, 0) {}
+
+  void bind(int slot, double value) {
+    values_[static_cast<std::size_t>(slot)] = value;
+    bound_[static_cast<std::size_t>(slot)] = 1;
+  }
+  [[nodiscard]] bool bound(int slot) const noexcept {
+    return static_cast<std::size_t>(slot) < bound_.size() &&
+           bound_[static_cast<std::size_t>(slot)] != 0;
+  }
+  [[nodiscard]] double value(int slot) const noexcept {
+    return values_[static_cast<std::size_t>(slot)];
+  }
+
+ private:
+  std::vector<double> values_;
+  std::vector<unsigned char> bound_;
+};
+
+/// Dense name -> slot map of one model. Slots are handed out in first-use
+/// order; a model keeps one table for the variables its expressions read
+/// and one for its nonblocking handle names.
+class SymbolTable {
+ public:
+  /// Slot of `name`, adding it on first use.
+  int intern(std::string_view name);
+  /// Slot of `name`, or -1 when nothing interned it.
+  [[nodiscard]] int find(std::string_view name) const;
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+  /// Binds every name of `bindings` that has a slot here.
+  void bind(Env& env, const Bindings& bindings) const;
+
+ private:
+  std::map<std::string, int, std::less<>> slots_;
+};
 
 class Expr {
  public:
   virtual ~Expr() = default;
-  [[nodiscard]] virtual double eval(const Bindings& env) const = 0;
+  [[nodiscard]] virtual double eval(const Env& env) const = 0;
   /// Round-trippable textual form (for model dumps).
   [[nodiscard]] virtual std::string str() const = 0;
   /// Names of all variables referenced (for validation/documentation).
@@ -43,19 +90,36 @@ class Expr {
 
 using ExprPtr = std::shared_ptr<const Expr>;
 
-/// Parses an expression. Throws ParseError with position info on failure.
-[[nodiscard]] ExprPtr parse_expr(std::string_view text);
+/// Parses an expression, interning its variable names into `symbols`.
+/// Throws ParseError with position info on failure.
+[[nodiscard]] ExprPtr parse_expr(std::string_view text, SymbolTable& symbols);
 
 /// Convenience: constant / variable leaf constructors for the builder API.
 [[nodiscard]] ExprPtr constant(double value);
-[[nodiscard]] ExprPtr variable(std::string name);
+[[nodiscard]] ExprPtr variable(std::string name, SymbolTable& symbols);
 
 class ParseError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Evaluates and truncates toward zero, for counts/ranks/sizes.
-[[nodiscard]] long eval_int(const Expr& expr, const Bindings& env);
+/// Raised for malformed models (negative sizes, self-messages, peers out of
+/// range, Wait on an unknown handle...). Deadlock is NOT an exception: it
+/// is a legitimate analysis result, reported in SimulationResult.
+class ModelError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Evaluates and truncates toward zero, for counts/ranks/sizes. A value
+/// that is not finite or does not fit a `long` raises a ModelError naming
+/// `what` (the directive operand, e.g. "loop count") and the value.
+[[nodiscard]] long eval_int(const Expr& expr, const Env& env,
+                            const char* what);
+
+/// Evaluates an operand that must be finite (a Serial time); NaN or an
+/// infinity raises a ModelError naming `what` and the value.
+[[nodiscard]] double eval_finite(const Expr& expr, const Env& env,
+                                 const char* what);
 
 }  // namespace pevpm

@@ -95,43 +95,52 @@ void ModelBuilder::push(Node node) {
   current().push_back(std::make_shared<Node>(std::move(node)));
 }
 
+MessageNode ModelBuilder::message(MsgOp op, std::string_view size,
+                                  std::string_view peer, std::string handle) {
+  MessageNode node;
+  node.op = op;
+  node.size = parse_expr(size, variables_);
+  node.peer = parse_expr(peer, variables_);
+  if (!handle.empty()) node.handle_slot = handles_.intern(handle);
+  node.handle = std::move(handle);
+  return node;
+}
+
 ModelBuilder& ModelBuilder::serial(std::string_view seconds,
                                    std::string label) {
-  push(Node{SerialNode{parse_expr(seconds), std::move(label)}, 0, 0});
+  push(Node{SerialNode{parse_expr(seconds, variables_), std::move(label)}, 0,
+            0});
   return *this;
 }
 
 ModelBuilder& ModelBuilder::send(std::string_view size, std::string_view to) {
-  push(Node{MessageNode{MsgOp::kSend, parse_expr(size), parse_expr(to), {}},
-            0, 0});
+  push(Node{message(MsgOp::kSend, size, to, {}), 0, 0});
   return *this;
 }
 
 ModelBuilder& ModelBuilder::recv(std::string_view size,
                                  std::string_view from) {
-  push(Node{MessageNode{MsgOp::kRecv, parse_expr(size), parse_expr(from), {}},
-            0, 0});
+  push(Node{message(MsgOp::kRecv, size, from, {}), 0, 0});
   return *this;
 }
 
 ModelBuilder& ModelBuilder::isend(std::string_view size, std::string_view to,
                                   std::string handle) {
-  push(Node{MessageNode{MsgOp::kIsend, parse_expr(size), parse_expr(to),
-                        std::move(handle)},
-            0, 0});
+  push(Node{message(MsgOp::kIsend, size, to, std::move(handle)), 0, 0});
   return *this;
 }
 
 ModelBuilder& ModelBuilder::irecv(std::string_view size,
                                   std::string_view from, std::string handle) {
-  push(Node{MessageNode{MsgOp::kIrecv, parse_expr(size), parse_expr(from),
-                        std::move(handle)},
-            0, 0});
+  push(Node{message(MsgOp::kIrecv, size, from, std::move(handle)), 0, 0});
   return *this;
 }
 
 ModelBuilder& ModelBuilder::wait(std::string handle) {
-  push(Node{WaitNode{std::move(handle)}, 0, 0});
+  WaitNode node;
+  if (!handle.empty()) node.handle_slot = handles_.intern(handle);
+  node.handle = std::move(handle);
+  push(Node{std::move(node), 0, 0});
   return *this;
 }
 
@@ -142,21 +151,22 @@ ModelBuilder& ModelBuilder::barrier() {
 
 ModelBuilder& ModelBuilder::collective(CollOp op, std::string_view size,
                                        std::string_view root) {
-  push(Node{CollectiveNode{op, parse_expr(size),
-                           root.empty() ? nullptr : parse_expr(root)},
+  push(Node{CollectiveNode{op, parse_expr(size, variables_),
+                           root.empty() ? nullptr
+                                        : parse_expr(root, variables_)},
             0, 0});
   return *this;
 }
 
 ModelBuilder& ModelBuilder::loop(std::string_view count, std::string var) {
-  stack_.push_back(
-      Frame{Frame::Kind::kLoop, parse_expr(count), {}, {}, std::move(var)});
+  stack_.push_back(Frame{Frame::Kind::kLoop, parse_expr(count, variables_),
+                         {}, {}, std::move(var)});
   return *this;
 }
 
 ModelBuilder& ModelBuilder::runon(std::string_view condition) {
-  stack_.push_back(
-      Frame{Frame::Kind::kRunonThen, parse_expr(condition), {}, {}, {}});
+  stack_.push_back(Frame{Frame::Kind::kRunonThen,
+                         parse_expr(condition, variables_), {}, {}, {}});
   return *this;
 }
 
@@ -173,9 +183,14 @@ ModelBuilder& ModelBuilder::end() {
   Frame frame = std::move(stack_.back());
   stack_.pop_back();
   if (frame.kind == Frame::Kind::kLoop) {
-    push(Node{LoopNode{std::move(frame.expr), std::move(frame.then_body),
-                       std::move(frame.loop_var)},
-              0, 0});
+    LoopNode loop;
+    loop.count = std::move(frame.expr);
+    loop.body = std::move(frame.then_body);
+    if (!frame.loop_var.empty()) {
+      loop.var_slot = variables_.intern(frame.loop_var);
+    }
+    loop.var = std::move(frame.loop_var);
+    push(Node{std::move(loop), 0, 0});
   } else {
     push(Node{RunonNode{std::move(frame.expr), std::move(frame.then_body),
                         std::move(frame.else_body)},
@@ -196,6 +211,8 @@ Model ModelBuilder::build(std::string name) {
   Model model;
   model.body = std::move(root_);
   model.parameters = std::move(parameters_);
+  model.variables = std::move(variables_);
+  model.handles = std::move(handles_);
   model.name = std::move(name);
   model.node_count = next_id_ - 1;
   return model;

@@ -13,7 +13,10 @@
 //   Loop     — repetition with a symbolic trip count
 //
 // All operands are symbolic expressions over `procnum`, `numprocs` and any
-// user parameters, so one model re-evaluates across machine sizes.
+// user parameters, so one model re-evaluates across machine sizes. Every
+// variable, loop induction variable and handle name is resolved to a slot
+// of the model's symbol tables when the model is built, so evaluation
+// never looks a name up.
 #pragma once
 
 #include <memory>
@@ -43,10 +46,12 @@ struct MessageNode {
   ExprPtr size;               ///< bytes
   ExprPtr peer;               ///< destination (sends) / source (recvs)
   std::string handle;         ///< nonblocking ops: name matched by Wait
+  int handle_slot = -1;       ///< Model::handles slot; -1 without a handle
 };
 
 struct WaitNode {
   std::string handle;         ///< which outstanding request to complete
+  int handle_slot = -1;       ///< Model::handles slot; -1 for an empty name
 };
 
 enum class CollOp { kBarrier, kBcast, kReduce, kAllreduce, kAlltoall };
@@ -75,6 +80,7 @@ struct LoopNode {
   /// Optional induction variable, bound to 0 .. count-1 in the body
   /// ("loop numprocs - 1 as round { ... }").
   std::string var;
+  int var_slot = -1;          ///< Model::variables slot; -1 without a var
 };
 
 struct Node {
@@ -88,10 +94,13 @@ struct Node {
 /// A complete model: the program body plus default parameter bindings.
 /// `numprocs` and `procnum` are bound by the evaluator; everything else the
 /// expressions reference must appear in `parameters` or be supplied at
-/// prediction time.
+/// prediction time. The body's slots index `variables` and `handles`, so a
+/// body only runs with the tables it was built against.
 struct Model {
   Body body;
   Bindings parameters;
+  SymbolTable variables;      ///< names the expressions read
+  SymbolTable handles;        ///< nonblocking handle names
   std::string name;
   int node_count = 0;         ///< total directives, for reporting
 
@@ -147,10 +156,15 @@ class ModelBuilder {
   };
   Body& current();
   void push(Node node);
+  [[nodiscard]] MessageNode message(MsgOp op, std::string_view size,
+                                    std::string_view peer,
+                                    std::string handle);
 
   Body root_;
   std::vector<Frame> stack_;
   Bindings parameters_;
+  SymbolTable variables_;
+  SymbolTable handles_;
   int next_id_ = 1;
 };
 

@@ -70,6 +70,25 @@ class Assembler {
 
   void set_line(int line) { line_ = line; }
 
+  /// Parses an operand expression against the model's variable slots.
+  [[nodiscard]] ExprPtr expr(std::string_view text) {
+    return parse_expr(text, variables_);
+  }
+
+  /// Folds a parameter definition against the parameters defined so far.
+  [[nodiscard]] double fold(std::string_view text,
+                            const Bindings& parameters) {
+    const ExprPtr value = expr(text);
+    Env env{variables_.size()};
+    variables_.bind(env, parameters);
+    return value->eval(env);
+  }
+
+  /// Handle slot for a nonblocking handle name (-1 for no name).
+  [[nodiscard]] int handle(std::string_view name) {
+    return name.empty() ? -1 : handles_.intern(name);
+  }
+
   void append(Node node) {
     node.id = next_id_++;
     node.line = line_;
@@ -81,6 +100,7 @@ class Assembler {
     Frame frame;
     frame.kind = Frame::Kind::kLoop;
     frame.loop_count = std::move(count);
+    if (!var.empty()) frame.loop_slot = variables_.intern(var);
     frame.loop_var = std::move(var);
     frames_.push_back(std::move(frame));
   }
@@ -159,6 +179,8 @@ class Assembler {
     Model model;
     model.body = std::move(root_);
     model.parameters = std::move(parameters);
+    model.variables = std::move(variables_);
+    model.handles = std::move(handles_);
     model.name = std::move(name);
     model.node_count = next_id_ - 1;
     return model;
@@ -173,6 +195,7 @@ class Assembler {
     Body current;
     bool open = false;
     std::string loop_var;
+    int loop_slot = -1;
   };
 
   Body& target() {
@@ -198,7 +221,7 @@ class Assembler {
       if (frame.blocks.size() != 1) fail("loop needs exactly one block");
       node.data = LoopNode{std::move(frame.loop_count),
                            std::move(frame.blocks[0]),
-                           std::move(frame.loop_var)};
+                           std::move(frame.loop_var), frame.loop_slot};
     } else {
       // Build the if / elif / else chain from the inside out.
       Body else_body;
@@ -228,6 +251,8 @@ class Assembler {
 
   Body root_;
   std::vector<Frame> frames_;
+  SymbolTable variables_;
+  SymbolTable handles_;
   int next_id_ = 1;
   int line_ = 0;
 };
@@ -236,12 +261,12 @@ class Assembler {
 struct KeyedExprs {
   std::map<std::string, std::string, std::less<>> values;
 
-  [[nodiscard]] ExprPtr expr(std::string_view key, const Assembler& asmr) const {
+  [[nodiscard]] ExprPtr expr(std::string_view key, Assembler& asmr) const {
     const auto it = values.find(key);
     if (it == values.end()) {
       asmr.fail("missing '" + std::string{key} + " =' operand");
     }
-    return parse_expr(it->second);
+    return asmr.expr(it->second);
   }
   [[nodiscard]] bool has(std::string_view key) const {
     return values.count(std::string{key}) > 0;
@@ -346,8 +371,7 @@ Model parse_model(std::string_view text, std::string name) {
       const std::size_t eq = find_assign(tail);
       if (eq == std::string_view::npos) asmr.fail("param needs 'name = value'");
       const std::string pname{trim(tail.substr(0, eq))};
-      const ExprPtr value = parse_expr(trim(tail.substr(eq + 1)));
-      parameters[pname] = value->eval(parameters);
+      parameters[pname] = asmr.fold(trim(tail.substr(eq + 1)), parameters);
     } else if (starts_with_word(line, "loop")) {
       std::string_view tail = trim(line.substr(4));
       if (starts_with_word(tail, "iterations") ||
@@ -372,9 +396,9 @@ Model parse_model(std::string_view text, std::string name) {
           tail = trim(tail.substr(0, as_pos));
         }
       }
-      asmr.push_loop(parse_expr(tail), std::move(var));
+      asmr.push_loop(asmr.expr(tail), std::move(var));
     } else if (starts_with_word(line, "runon")) {
-      asmr.push_runon({parse_expr(trim(line.substr(5)))});
+      asmr.push_runon({asmr.expr(trim(line.substr(5)))});
     } else if (starts_with_word(line, "serial")) {
       std::string_view tail = trim(line.substr(6));
       if (starts_with_word(tail, "time")) {
@@ -382,7 +406,7 @@ Model parse_model(std::string_view text, std::string name) {
         if (eq == std::string_view::npos) asmr.fail("serial needs 'time ='");
         tail = trim(tail.substr(eq + 1));
       }
-      asmr.append(Node{SerialNode{parse_expr(tail), {}}, 0, 0});
+      asmr.append(Node{SerialNode{asmr.expr(tail), {}}, 0, 0});
     } else if (starts_with_word(line, "message")) {
       std::string_view tail = trim(line.substr(7));
       MsgOp op{};
@@ -412,6 +436,7 @@ Model parse_model(std::string_view text, std::string name) {
           node.handle.empty()) {
         asmr.fail("nonblocking message needs 'handle ='");
       }
+      node.handle_slot = asmr.handle(node.handle);
       asmr.append(Node{std::move(node), 0, 0});
     } else if (starts_with_word(line, "barrier")) {
       asmr.append(Node{CollectiveNode{CollOp::kBarrier, nullptr, nullptr}, 0,
@@ -436,7 +461,7 @@ Model parse_model(std::string_view text, std::string name) {
       CollectiveNode node;
       node.op = op;
       node.size = keys.expr("size", asmr);
-      node.root = keys.has("root") ? parse_expr(keys.text("root")) : nullptr;
+      node.root = keys.has("root") ? asmr.expr(keys.text("root")) : nullptr;
       asmr.append(Node{std::move(node), 0, 0});
     } else if (starts_with_word(line, "wait")) {
       std::string_view tail = trim(line.substr(4));
@@ -446,7 +471,7 @@ Model parse_model(std::string_view text, std::string name) {
         tail = trim(tail.substr(eq + 1));
       }
       if (tail.empty()) asmr.fail("wait needs a handle name");
-      asmr.append(Node{WaitNode{std::string{tail}}, 0, 0});
+      asmr.append(Node{WaitNode{std::string{tail}, asmr.handle(tail)}, 0, 0});
     } else {
       asmr.fail("unrecognised directive '" + std::string{line} + "'");
     }
@@ -516,7 +541,7 @@ Model parse_annotated_source(std::string_view source, std::string name) {
         if (eq == std::string_view::npos) {
           asmr.fail("Runon condition needs 'cN = expr'");
         }
-        conditions.push_back(parse_expr(trim(segment.substr(eq + 1))));
+        conditions.push_back(asmr.expr(trim(segment.substr(eq + 1))));
       }
       asmr.push_runon(std::move(conditions));
     } else if (starts_with_word(text, "Message")) {
@@ -542,6 +567,7 @@ Model parse_annotated_source(std::string_view source, std::string name) {
         node.handle = keys.has("handle")
                           ? keys.text("handle")
                           : "h" + std::to_string(directive.line);
+        node.handle_slot = asmr.handle(node.handle);
       }
       asmr.append(Node{std::move(node), 0, 0});
     } else if (starts_with_word(text, "Serial")) {
@@ -550,13 +576,14 @@ Model parse_annotated_source(std::string_view source, std::string name) {
       asmr.append(Node{SerialNode{keys.expr("time", asmr), {}}, 0, 0});
     } else if (starts_with_word(text, "Wait")) {
       const KeyedExprs keys = parse_keys(text, asmr);
-      asmr.append(Node{WaitNode{keys.text("handle")}, 0, 0});
+      const std::string handle = keys.text("handle");
+      asmr.append(Node{WaitNode{handle, asmr.handle(handle)}, 0, 0});
     } else if (starts_with_word(text, "Param")) {
       const std::string_view tail = trim(text.substr(5));
       const std::size_t eq = find_assign(tail);
       if (eq == std::string_view::npos) asmr.fail("Param needs 'name = value'");
       const std::string pname{trim(tail.substr(0, eq))};
-      parameters[pname] = parse_expr(trim(tail.substr(eq + 1)))->eval(parameters);
+      parameters[pname] = asmr.fold(trim(tail.substr(eq + 1)), parameters);
     } else {
       asmr.fail("unrecognised annotation '" + std::string{text} + "'");
     }

@@ -13,14 +13,9 @@ std::size_t DeliverySampler::hash_key(std::int32_t op, net::Bytes bytes,
                                       std::int32_t contention) noexcept {
   // splitmix64 finaliser over the packed key; op and contention are small,
   // so folding them into the high bits keeps distinct keys distinct.
-  std::uint64_t x = bytes.count() ^ (static_cast<std::uint64_t>(op) << 56) ^
-                    (static_cast<std::uint64_t>(contention) << 40);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x);
+  return static_cast<std::size_t>(stats::mix64(
+      bytes.count() ^ (static_cast<std::uint64_t>(op) << 56) ^
+      (static_cast<std::uint64_t>(contention) << 40)));
 }
 
 void DeliverySampler::rehash(std::size_t buckets) {

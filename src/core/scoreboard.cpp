@@ -1,59 +1,129 @@
 #include "core/scoreboard.h"
 
-#include <utility>
+#include "stats/rng.h"
 
 namespace pevpm {
 
+namespace {
+
+/// Ranks are small and dense, so callers mix the packed pair (mix64)
+/// before masking it to a bucket.
+std::uint64_t pair_key(int src, int dst) noexcept {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
+         static_cast<std::uint32_t>(dst);
+}
+
+}  // namespace
+
+void Scoreboard::rehash(std::size_t buckets) {
+  index_.assign(buckets, kEmpty);
+  const std::size_t mask = buckets - 1;
+  for (std::uint32_t pos = 0; pos < streams_.size(); ++pos) {
+    std::size_t b = stats::mix64(streams_[pos].key) & mask;
+    while (index_[b] != kEmpty) b = (b + 1) & mask;
+    index_[b] = pos;
+  }
+}
+
+// LINT:hot-path begin (per-message scoreboard traffic: pooled messages and
+// hashed stream records; only pool, record and index growth allocate)
+std::uint32_t Scoreboard::find(std::uint64_t key) const noexcept {
+  if (index_.empty()) return kEmpty;
+  const std::size_t mask = index_.size() - 1;
+  std::size_t b = stats::mix64(key) & mask;
+  while (index_[b] != kEmpty) {
+    if (streams_[index_[b]].key == key) return index_[b];
+    b = (b + 1) & mask;
+  }
+  return kEmpty;
+}
+
+Scoreboard::Stream& Scoreboard::stream(int src, int dst) {
+  if (index_.empty()) rehash(16);
+  const std::uint64_t key = pair_key(src, dst);
+  const std::size_t mask = index_.size() - 1;
+  std::size_t b = stats::mix64(key) & mask;
+  while (index_[b] != kEmpty) {
+    if (streams_[index_[b]].key == key) return streams_[index_[b]];
+    b = (b + 1) & mask;
+  }
+  index_[b] = static_cast<std::uint32_t>(streams_.size());
+  streams_.push_back(Stream{key});
+  // Keep the load factor under 1/2 so probe chains stay short.
+  if (streams_.size() * 2 >= index_.size()) rehash(index_.size() * 2);
+  return streams_.back();
+}
+
 MessageRef Scoreboard::add(int src, int dst, net::Bytes bytes, double depart,
                            int send_directive) {
-  auto message = std::make_shared<TransitMessage>();
+  Stream& s = stream(src, dst);
+  TransitMessage* message = free_;
+  if (message != nullptr) {
+    free_ = message->next;
+  } else {
+    message = &pool_.emplace_back();
+  }
+  *message = TransitMessage{};
   message->id = next_id_++;
   message->src = src;
   message->dst = dst;
   message->bytes = bytes;
   message->depart = depart;
   message->send_directive = send_directive;
-  queues_[{src, dst}].push_back(message);
+  message->stream = static_cast<std::uint32_t>(&s - streams_.data());
+  if (s.tail != nullptr) {
+    s.tail->next = message;
+  } else {
+    s.head = message;
+  }
+  s.tail = message;
+  if (s.unclaimed == nullptr) s.unclaimed = message;
   unassigned_.push_back(message);
   ++outstanding_;
   return message;
 }
 
 MessageRef Scoreboard::claim(int src, int dst) {
-  const auto it = queues_.find({src, dst});
-  if (it == queues_.end()) return nullptr;
-  for (const MessageRef& message : it->second) {
-    if (!message->claimed) {
-      message->claimed = true;
-      return message;
-    }
-  }
-  return nullptr;
+  const std::uint32_t pos = find(pair_key(src, dst));
+  if (pos == kEmpty) return nullptr;
+  Stream& s = streams_[pos];
+  TransitMessage* message = s.unclaimed;
+  if (message == nullptr) return nullptr;
+  message->claimed = true;
+  s.unclaimed = message->next;
+  return message;
 }
 
-void Scoreboard::consume(const MessageRef& message) {
+void Scoreboard::consume(MessageRef message) {
   if (message->consumed) return;
   message->consumed = true;
   --outstanding_;
-  auto it = queues_.find({message->src, message->dst});
-  if (it == queues_.end()) return;
-  auto& queue = it->second;
-  while (!queue.empty() && queue.front()->consumed) queue.pop_front();
-  if (queue.empty()) queues_.erase(it);
+  // Receives may complete out of order (two irecvs waited in reverse), so
+  // only a consumed head leaves the stream; later ones wait their turn.
+  Stream& s = streams_[message->stream];
+  while (s.head != nullptr && s.head->consumed) {
+    TransitMessage* done = s.head;
+    s.head = done->next;
+    done->next = free_;
+    free_ = done;
+  }
+  if (s.head == nullptr) s.tail = nullptr;
 }
 
-std::vector<MessageRef> Scoreboard::take_unassigned() {
-  return std::exchange(unassigned_, {});
+void Scoreboard::take_unassigned(std::vector<MessageRef>& out) {
+  out.clear();
+  out.swap(unassigned_);
 }
 
 double Scoreboard::arrival_floor(int src, int dst) const {
-  const auto it = last_arrival_.find({src, dst});
-  return it == last_arrival_.end() ? 0.0 : it->second;
+  const std::uint32_t pos = find(pair_key(src, dst));
+  return pos == kEmpty ? 0.0 : streams_[pos].last_arrival;
 }
 
 void Scoreboard::note_arrival(int src, int dst, double arrival) {
-  double& last = last_arrival_[{src, dst}];
+  double& last = stream(src, dst).last_arrival;
   if (arrival > last) last = arrival;
 }
+// LINT:hot-path end
 
 }  // namespace pevpm

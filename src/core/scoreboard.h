@@ -7,12 +7,17 @@
 // arrival times (sampling distributions parameterised by the scoreboard
 // population); receives consume messages in per-pair FIFO order, removing
 // them from the scoreboard.
+//
+// Layout: messages live in a pool with a free list, so a run allocates
+// only while its peak number of messages in transit grows. Each (src, dst)
+// stream is one record (its FIFO and its in-order arrival floor), found
+// through an open-addressed hash on the pair; records exist only for
+// pairs that have carried a message, so memory follows the active pairs
+// rather than P^2.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "net/units.h"
@@ -30,9 +35,14 @@ struct TransitMessage {
   bool claimed = false;       ///< reserved by a posted receive
   bool consumed = false;      ///< delivered; awaiting removal
   int send_directive = 0;     ///< directive id, for attribution
+  /// Next message of the same stream (or of the free list once removed).
+  TransitMessage* next = nullptr;
+  std::uint32_t stream = 0;   ///< index of the message's (src, dst) record
 };
 
-using MessageRef = std::shared_ptr<TransitMessage>;
+/// A message on the scoreboard. Valid until the message is consumed and
+/// leaves the head of its stream; its slot is then reused.
+using MessageRef = TransitMessage*;
 
 class Scoreboard {
  public:
@@ -44,15 +54,17 @@ class Scoreboard {
   [[nodiscard]] MessageRef claim(int src, int dst);
 
   /// Marks a claimed message consumed and removes settled queue heads.
-  void consume(const MessageRef& message);
+  void consume(MessageRef message);
 
   /// Messages in transit (added, not yet consumed) — the paper's contention
   /// level.
   [[nodiscard]] int outstanding() const noexcept { return outstanding_; }
 
-  /// All messages awaiting an arrival assignment, in global send order.
-  /// The returned list is consumed by the match phase (cleared after).
-  [[nodiscard]] std::vector<MessageRef> take_unassigned();
+  /// Moves every message awaiting an arrival assignment, in global send
+  /// order, into `out` (cleared first). Swapping buffers keeps both
+  /// vectors' capacity, so a caller that passes the same buffer each match
+  /// phase stops allocating once it has grown.
+  void take_unassigned(std::vector<MessageRef>& out);
 
   /// Per-(src,dst) in-order delivery floor: no message may arrive before
   /// an earlier message on the same stream (TCP delivers in order).
@@ -62,8 +74,33 @@ class Scoreboard {
   [[nodiscard]] std::uint64_t total_messages() const noexcept { return next_id_ - 1; }
 
  private:
-  std::map<std::pair<int, int>, std::deque<MessageRef>> queues_;
-  std::map<std::pair<int, int>, double> last_arrival_;
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+  /// One (src, dst) stream: a FIFO threaded through TransitMessage::next.
+  /// Claims are taken in order, so claimed messages form a prefix and
+  /// `unclaimed` marks where it ends.
+  struct Stream {
+    std::uint64_t key = 0;
+    TransitMessage* head = nullptr;
+    TransitMessage* tail = nullptr;
+    TransitMessage* unclaimed = nullptr;  ///< oldest unclaimed, or null
+    double last_arrival = 0.0;            ///< in-order delivery floor
+  };
+
+  /// Record index of a pair, or kEmpty.
+  [[nodiscard]] std::uint32_t find(std::uint64_t key) const noexcept;
+  /// Record of a pair, created on first use.
+  Stream& stream(int src, int dst);
+  void rehash(std::size_t buckets);
+
+  /// Message storage: a deque never moves its elements, so MessageRefs stay
+  /// valid while the pool grows.
+  std::deque<TransitMessage> pool_;
+  TransitMessage* free_ = nullptr;
+  /// Stream records in first-use order; `index_` holds open-addressed
+  /// bucket -> record positions (kEmpty = vacant).
+  std::vector<Stream> streams_;
+  std::vector<std::uint32_t> index_;
   std::vector<MessageRef> unassigned_;
   int outstanding_ = 0;
   std::uint64_t next_id_ = 1;

@@ -25,30 +25,50 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
        DeliverySampler& sampler)
     : model_{model}, numprocs_{numprocs}, sampler_{sampler} {
   if (numprocs < 1) throw ModelError{"Vm: numprocs < 1"};
+  // Names are resolved here, once: every process starts from the same
+  // slot environment and differs only in procnum.
+  Env base{model.variables.size()};
+  model.variables.bind(base, model.parameters);
+  model.variables.bind(base, overrides);
+  if (const int slot = model.variables.find("numprocs"); slot >= 0) {
+    base.bind(slot, static_cast<double>(numprocs));
+  }
+  const int procnum = model.variables.find("procnum");
   processes_.resize(numprocs);
   for (int r = 0; r < numprocs; ++r) {
     Process& proc = processes_[r];
     proc.rank = r;
-    proc.env = model.parameters;
-    for (const auto& [key, value] : overrides) proc.env[key] = value;
-    proc.env["numprocs"] = static_cast<double>(numprocs);
-    proc.env["procnum"] = static_cast<double>(r);
+    proc.env = base;
+    if (procnum >= 0) proc.env.bind(procnum, static_cast<double>(r));
+    proc.handles.resize(model.handles.size());
     proc.stack.push_back(Frame{&model.body, 0, 0, false});
   }
 }
 
 int Vm::eval_rank(const Process& proc, const Expr& expr,
                   const char* what) const {
-  const long value = eval_int(expr, proc.env);
+  const long value = eval_int(expr, proc.env, what);
   if (value < 0 || value >= numprocs_) {
     std::ostringstream os;
-    os << what << " rank " << value << " out of range [0, " << numprocs_
+    os << what << ' ' << value << " out of range [0, " << numprocs_
        << ") at process " << proc.rank << " (" << expr.str() << ")";
     throw ModelError{os.str()};
   }
   return static_cast<int>(value);
 }
 
+Vm::Claim& Vm::reuse_handle(Process& proc, const MessageNode& msg) const {
+  Claim& claim = proc.handles[static_cast<std::size_t>(msg.handle_slot)];
+  if (claim.active && claim.pending) {
+    throw ModelError{"handle '" + msg.handle + "' reused at process " +
+                     std::to_string(proc.rank) +
+                     " while its receive is still pending"};
+  }
+  return claim;
+}
+
+// LINT:hot-path begin (per-directive evaluation: names are slots and
+// messages come from the scoreboard's pool)
 bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
   if (!claim.message) {
     claim.message = scoreboard_.claim(claim.src, proc.rank);
@@ -76,7 +96,7 @@ bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
   proc.report.blocked += idle;
   if (idle > 0.0) proc.report.blocked_by_directive[directive] += idle;
   scoreboard_.consume(claim.message);
-  claim.message.reset();
+  claim.message = nullptr;
   claim.pending = false;
   proc.blocked = false;
   return true;
@@ -84,20 +104,20 @@ bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
 
 bool Vm::exec(Process& proc, const Node& node) {
   if (const auto* serial = std::get_if<SerialNode>(&node.data)) {
-    const double dt = serial->seconds->eval(proc.env);
+    const double dt = eval_finite(*serial->seconds, proc.env, "serial time");
     if (dt < 0) throw ModelError{"Serial directive with negative time"};
     proc.clock += dt;
     proc.report.compute += dt;
     return true;
   }
   if (const auto* msg = std::get_if<MessageNode>(&node.data)) {
-    const long size_value = eval_int(*msg->size, proc.env);
+    const long size_value = eval_int(*msg->size, proc.env, "message size");
     if (size_value < 0) throw ModelError{"message with negative size"};
     const auto bytes = static_cast<net::Bytes>(size_value);
     switch (msg->op) {
       case MsgOp::kSend:
       case MsgOp::kIsend: {
-        const int dst = eval_rank(proc, *msg->peer, "send to");
+        const int dst = eval_rank(proc, *msg->peer, "send to rank");
         if (dst == proc.rank) {
           throw ModelError{"message sent to self at process " +
                            std::to_string(proc.rank)};
@@ -107,46 +127,49 @@ bool Vm::exec(Process& proc, const Node& node) {
             sampler_.sender_seconds(bytes, scoreboard_.outstanding());
         proc.clock += cost;
         proc.report.send_overhead += cost;
-        if (msg->op == MsgOp::kIsend && !msg->handle.empty()) {
-          Claim claim;
+        if (msg->op == MsgOp::kIsend && msg->handle_slot >= 0) {
+          Claim& claim = reuse_handle(proc, *msg);
+          claim = Claim{};
           claim.pending = false;  // eager: locally complete at once
-          proc.handles[msg->handle] = claim;
+          claim.active = true;
         }
         return true;
       }
       case MsgOp::kRecv: {
         if (!proc.blocked) {
           proc.wanted = Claim{};
-          proc.wanted.src = eval_rank(proc, *msg->peer, "recv from");
+          proc.wanted.src = eval_rank(proc, *msg->peer, "recv from rank");
           proc.wanted.bytes = bytes;
         }
         return try_receive(proc, proc.wanted, node.id);
       }
       case MsgOp::kIrecv: {
-        if (msg->handle.empty()) {
+        if (msg->handle_slot < 0) {
           throw ModelError{"irecv requires a handle"};
         }
-        Claim claim;
-        claim.src = eval_rank(proc, *msg->peer, "irecv from");
+        const int src = eval_rank(proc, *msg->peer, "irecv from rank");
+        Claim& claim = reuse_handle(proc, *msg);
+        claim = Claim{};
+        claim.active = true;
+        claim.src = src;
         claim.bytes = bytes;
-        claim.message = scoreboard_.claim(claim.src, proc.rank);
-        proc.handles[msg->handle] = std::move(claim);
+        claim.message = scoreboard_.claim(src, proc.rank);
         return true;
       }
     }
     return true;
   }
   if (const auto* wait = std::get_if<WaitNode>(&node.data)) {
-    const auto it = proc.handles.find(wait->handle);
-    if (it == proc.handles.end()) {
+    Claim* claim = wait->handle_slot < 0
+                       ? nullptr
+                       : &proc.handles[static_cast<std::size_t>(
+                             wait->handle_slot)];
+    if (claim == nullptr || !claim->active) {
       throw ModelError{"wait on unknown handle '" + wait->handle + "'"};
     }
-    if (!it->second.pending) {  // completed send (or already-satisfied op)
-      proc.handles.erase(it);
-      return true;
-    }
-    if (!try_receive(proc, it->second, node.id)) return false;
-    proc.handles.erase(it);
+    // A completed send (or already-satisfied op) completes at once.
+    if (claim->pending && !try_receive(proc, *claim, node.id)) return false;
+    claim->active = false;
     return true;
   }
   if (const auto* runon = std::get_if<RunonNode>(&node.data)) {
@@ -158,12 +181,12 @@ bool Vm::exec(Process& proc, const Node& node) {
     return true;
   }
   if (const auto* loop = std::get_if<LoopNode>(&node.data)) {
-    const long n = eval_int(*loop->count, proc.env);
+    const long n = eval_int(*loop->count, proc.env, "loop count");
     if (n > 0 && !loop->body.empty()) {
       Frame frame{&loop->body, 0, n, true};
-      if (!loop->var.empty()) {
-        frame.loop_var = &loop->var;
-        proc.env[loop->var] = 0.0;
+      if (loop->var_slot >= 0) {
+        frame.loop_slot = loop->var_slot;
+        proc.env.bind(loop->var_slot, 0.0);
       }
       proc.stack.push_back(frame);
     }
@@ -173,10 +196,12 @@ bool Vm::exec(Process& proc, const Node& node) {
     if (!proc.blocked) {
       // First arrival: record operands, then wait for everyone.
       long size_value = 0;
-      if (coll->size) size_value = eval_int(*coll->size, proc.env);
+      if (coll->size) {
+        size_value = eval_int(*coll->size, proc.env, "collective size");
+      }
       if (size_value < 0) throw ModelError{"collective with negative size"};
       if (coll->root) {
-        (void)eval_rank(proc, *coll->root, "collective root");
+        (void)eval_rank(proc, *coll->root, "collective root rank");
       }
       proc.coll_bytes = static_cast<net::Bytes>(size_value);
       proc.at_collective = true;
@@ -200,6 +225,7 @@ bool Vm::exec(Process& proc, const Node& node) {
   }
   throw ModelError{"unknown directive"};
 }
+// LINT:hot-path end
 
 void Vm::resolve_collectives() {
   // A collective completes only when every process has arrived at the same
@@ -237,6 +263,8 @@ void Vm::resolve_collectives() {
   }
 }
 
+// LINT:hot-path begin (the sweep loop, and the match phase over a reused
+// buffer)
 void Vm::sweep(Process& proc) {
   ++sweeps_;
   // A blocked process retries its pending receive first.
@@ -253,8 +281,9 @@ void Vm::sweep(Process& proc) {
     if (frame.index >= frame.body->size()) {
       if (frame.is_loop && --frame.remaining > 0) {
         frame.index = 0;
-        if (frame.loop_var) {
-          proc.env[*frame.loop_var] = static_cast<double>(++frame.iteration);
+        if (frame.loop_slot >= 0) {
+          proc.env.bind(frame.loop_slot,
+                        static_cast<double>(++frame.iteration));
         }
         continue;
       }
@@ -274,11 +303,11 @@ void Vm::sweep(Process& proc) {
 
 void Vm::match() {
   ++matches_;
-  const std::vector<MessageRef> unassigned = scoreboard_.take_unassigned();
+  scoreboard_.take_unassigned(unassigned_);
   // The paper: delivery distributions are a function of message size and
   // the total number of messages on the scoreboard.
   const int contention = scoreboard_.outstanding();
-  for (const MessageRef& message : unassigned) {
+  for (const MessageRef message : unassigned_) {
     const double sampled =
         message->depart +
         sampler_.delivery_seconds(message->bytes, contention);
@@ -289,6 +318,7 @@ void Vm::match() {
     message->arrival_known = true;
   }
 }
+// LINT:hot-path end
 
 SimulationResult Vm::run() {
   for (Process& proc : processes_) sweep(proc);

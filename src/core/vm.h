@@ -55,14 +55,6 @@ struct SimulationResult {
       std::size_t count = 5) const;
 };
 
-/// Raised for malformed models (negative sizes, self-messages, peers out of
-/// range, Wait on an unknown handle...). Deadlock is NOT an exception: it
-/// is a legitimate analysis result, reported in SimulationResult.
-class ModelError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 class Vm {
  public:
   /// `overrides` extend/override the model's parameter bindings.
@@ -78,21 +70,22 @@ class Vm {
     std::size_t index = 0;
     long remaining = 0;  ///< loop iterations left (0 for plain blocks)
     bool is_loop = false;
-    const std::string* loop_var = nullptr;  ///< induction variable, if any
+    int loop_slot = -1;  ///< induction variable's slot, if any
     long iteration = 0;
   };
 
   struct Claim {
-    MessageRef message;      ///< may be null until a sender catches up
+    MessageRef message = nullptr;  ///< null until a sender catches up
     int src = -1;
     net::Bytes bytes{};
     bool pending = true;
+    bool active = false;  ///< a handle's outstanding op (Wait may name it)
   };
 
   struct Process {
     int rank = -1;
     double clock = 0.0;
-    Bindings env;
+    Env env;                 ///< indexed by Model::variables slot
     std::vector<Frame> stack;
     bool finished = false;
 
@@ -100,8 +93,8 @@ class Vm {
     bool blocked = false;
     int blocked_directive = 0;
     double blocked_since = 0.0;
-    Claim wanted;                       ///< the receive being waited on
-    std::map<std::string, Claim> handles;  ///< outstanding nonblocking ops
+    Claim wanted;                 ///< the receive being waited on
+    std::vector<Claim> handles;   ///< indexed by Model::handles slot
 
     // Collective synchronisation state.
     bool at_collective = false;   ///< blocked at a collective directive
@@ -125,12 +118,17 @@ class Vm {
   [[nodiscard]] SimulationResult collect() const;
   [[nodiscard]] int eval_rank(const Process& proc, const Expr& expr,
                               const char* what) const;
+  /// The handle claim an Isend/Irecv is about to (re)use; throws if it
+  /// still holds a pending receive, whose message would be orphaned.
+  [[nodiscard]] Claim& reuse_handle(Process& proc,
+                                    const MessageNode& msg) const;
 
   const Model& model_;
   int numprocs_;
   DeliverySampler& sampler_;
   Scoreboard scoreboard_;
   std::vector<Process> processes_;
+  std::vector<MessageRef> unassigned_;  ///< match-phase buffer, reused
   std::uint64_t sweeps_ = 0;
   std::uint64_t matches_ = 0;
   std::uint64_t executed_ = 0;  ///< directives completed; progress detector

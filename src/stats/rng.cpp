@@ -7,10 +7,7 @@ namespace {
 
 std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return mix64(x);
 }
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

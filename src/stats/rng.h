@@ -12,6 +12,14 @@
 
 namespace stats {
 
+/// splitmix64's output finaliser: a bijective 64-bit mix, also used to
+/// hash small dense keys before masking them to a table size.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256++ engine. Satisfies UniformRandomBitGenerator.
 class Rng {
  public:

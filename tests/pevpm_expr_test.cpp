@@ -1,12 +1,31 @@
 // The PEVPM symbolic expression language.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/expr.h"
 
 namespace {
 
-double ev(const char* text, pevpm::Bindings env = {}) {
-  return pevpm::parse_expr(text)->eval(env);
+/// Binds `bindings` through the expression's own symbol table, the way
+/// the VM builds each process's environment.
+pevpm::Env env_for(const pevpm::SymbolTable& symbols,
+                   const pevpm::Bindings& bindings) {
+  pevpm::Env env{symbols.size()};
+  symbols.bind(env, bindings);
+  return env;
+}
+
+double ev(const char* text, const pevpm::Bindings& bindings = {}) {
+  pevpm::SymbolTable symbols;
+  const auto expr = pevpm::parse_expr(text, symbols);
+  return expr->eval(env_for(symbols, bindings));
+}
+
+long ev_int(const char* text) {
+  pevpm::SymbolTable symbols;
+  return pevpm::eval_int(*pevpm::parse_expr(text, symbols), pevpm::Env{},
+                         "test value");
 }
 
 TEST(Expr, ArithmeticPrecedence) {
@@ -22,7 +41,7 @@ TEST(Expr, DivisionIsRealModuloIsIntegral) {
   // size contexts truncate via eval_int instead.
   EXPECT_DOUBLE_EQ(ev("7 / 2"), 3.5);
   EXPECT_DOUBLE_EQ(ev("1 / 4"), 0.25);
-  EXPECT_EQ(pevpm::eval_int(*pevpm::parse_expr("7 / 2"), {}), 3);
+  EXPECT_EQ(ev_int("7 / 2"), 3);
   EXPECT_DOUBLE_EQ(ev("7 % 3"), 1.0);
   EXPECT_DOUBLE_EQ(ev("7.5 % 2"), 1.5);  // fmod for non-integral operands
 }
@@ -55,6 +74,21 @@ TEST(Expr, VariablesFromEnvironment) {
 
 TEST(Expr, UnboundVariableThrows) {
   EXPECT_THROW(ev("bogus + 1"), std::runtime_error);
+  // A binding for some other name leaves the slot unbound.
+  EXPECT_THROW(ev("bogus + 1", {{"other", 1.0}}), std::runtime_error);
+}
+
+TEST(Expr, NamesShareOneSlotPerTable) {
+  pevpm::SymbolTable symbols;
+  const auto a = pevpm::parse_expr("x * 2 + y", symbols);
+  const auto b = pevpm::parse_expr("y - x", symbols);
+  EXPECT_EQ(symbols.size(), 2u);
+  EXPECT_EQ(symbols.find("x"), 0);
+  EXPECT_EQ(symbols.find("y"), 1);
+  EXPECT_EQ(symbols.find("z"), -1);
+  const pevpm::Env env = env_for(symbols, {{"x", 3.0}, {"y", 10.0}, {"z", 7.0}});
+  EXPECT_DOUBLE_EQ(a->eval(env), 16.0);
+  EXPECT_DOUBLE_EQ(b->eval(env), 7.0);
 }
 
 TEST(Expr, DivisionByZeroThrows) {
@@ -63,23 +97,27 @@ TEST(Expr, DivisionByZeroThrows) {
 }
 
 TEST(Expr, ParseErrorsCarryContext) {
-  EXPECT_THROW((void)pevpm::parse_expr("2 +"), pevpm::ParseError);
-  EXPECT_THROW((void)pevpm::parse_expr("(1 + 2"), pevpm::ParseError);
-  EXPECT_THROW((void)pevpm::parse_expr("1 ; 2"), pevpm::ParseError);
-  EXPECT_THROW((void)pevpm::parse_expr(""), pevpm::ParseError);
+  pevpm::SymbolTable symbols;
+  EXPECT_THROW((void)pevpm::parse_expr("2 +", symbols), pevpm::ParseError);
+  EXPECT_THROW((void)pevpm::parse_expr("(1 + 2", symbols), pevpm::ParseError);
+  EXPECT_THROW((void)pevpm::parse_expr("1 ; 2", symbols), pevpm::ParseError);
+  EXPECT_THROW((void)pevpm::parse_expr("", symbols), pevpm::ParseError);
 }
 
 TEST(Expr, StrRoundTripsThroughParser) {
-  const auto e = pevpm::parse_expr("(procnum % 2 == 0) && procnum != 0");
-  const auto again = pevpm::parse_expr(e->str());
-  pevpm::Bindings env{{"procnum", 4.0}};
+  pevpm::SymbolTable symbols;
+  const auto e =
+      pevpm::parse_expr("(procnum % 2 == 0) && procnum != 0", symbols);
+  const auto again = pevpm::parse_expr(e->str(), symbols);
+  pevpm::Env env = env_for(symbols, {{"procnum", 4.0}});
   EXPECT_DOUBLE_EQ(e->eval(env), again->eval(env));
-  env["procnum"] = 0.0;
+  env = env_for(symbols, {{"procnum", 0.0}});
   EXPECT_DOUBLE_EQ(e->eval(env), again->eval(env));
 }
 
 TEST(Expr, CollectVarsFindsAllNames) {
-  const auto e = pevpm::parse_expr("xsize * 4 + procnum - procnum");
+  pevpm::SymbolTable symbols;
+  const auto e = pevpm::parse_expr("xsize * 4 + procnum - procnum", symbols);
   std::vector<std::string> vars;
   e->collect_vars(vars);
   EXPECT_EQ(vars.size(), 3u);
@@ -89,14 +127,31 @@ TEST(Expr, CollectVarsFindsAllNames) {
 
 TEST(Expr, BuilderLeaves) {
   const auto c = pevpm::constant(2.5);
-  EXPECT_DOUBLE_EQ(c->eval({}), 2.5);
-  const auto v = pevpm::variable("n");
-  EXPECT_DOUBLE_EQ(v->eval({{"n", 9.0}}), 9.0);
+  EXPECT_DOUBLE_EQ(c->eval(pevpm::Env{}), 2.5);
+  pevpm::SymbolTable symbols;
+  const auto v = pevpm::variable("n", symbols);
+  EXPECT_DOUBLE_EQ(v->eval(env_for(symbols, {{"n", 9.0}})), 9.0);
 }
 
 TEST(Expr, EvalIntTruncates) {
-  const auto e = pevpm::parse_expr("7.9");
-  EXPECT_EQ(pevpm::eval_int(*e, {}), 7);
+  EXPECT_EQ(ev_int("7.9"), 7);
+  EXPECT_EQ(ev_int("-7.9"), -7);
+}
+
+TEST(Expr, EvalIntRejectsValuesOutsideLong) {
+  EXPECT_EQ(ev_int("-9223372036854775808"), std::numeric_limits<long>::min());
+  EXPECT_THROW((void)ev_int("9223372036854775808"), pevpm::ModelError);
+  EXPECT_THROW((void)ev_int("1e30"), pevpm::ModelError);
+  EXPECT_THROW((void)ev_int("-1e308 * 10"), pevpm::ModelError);
+  EXPECT_THROW((void)ev_int("1e308 * 10 - 1e308 * 10"), pevpm::ModelError);
+  try {
+    (void)ev_int("1e30");
+    FAIL() << "expected a ModelError";
+  } catch (const pevpm::ModelError& e) {
+    EXPECT_STREQ(e.what(),
+                 "test value evaluates to 1e+30, which is not an integer in "
+                 "range (1e+30)");
+  }
 }
 
 }  // namespace

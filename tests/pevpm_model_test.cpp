@@ -171,7 +171,9 @@ TEST(ParseAnnotations, ExtractsFigure5Structure) {
   ASSERT_EQ(m.body.size(), 1u);
   const auto* loop = std::get_if<LoopNode>(&m.body[0]->data);
   ASSERT_NE(loop, nullptr);
-  EXPECT_DOUBLE_EQ(loop->count->eval(m.parameters), 1000.0);
+  pevpm::Env env{m.variables.size()};
+  m.variables.bind(env, m.parameters);
+  EXPECT_DOUBLE_EQ(loop->count->eval(env), 1000.0);
   // Loop body: the two-condition Runon chain plus the Serial directive.
   ASSERT_EQ(loop->body.size(), 2u);
   const auto* chain = std::get_if<RunonNode>(&loop->body[0]->data);
@@ -199,9 +201,9 @@ TEST(ParseAnnotations, MessageDirectionFollowsType) {
   ASSERT_NE(send, nullptr);
   ASSERT_NE(recv, nullptr);
   EXPECT_EQ(send->op, MsgOp::kSend);
-  EXPECT_DOUBLE_EQ(send->peer->eval({}), 1.0);  // "to" operand
+  EXPECT_DOUBLE_EQ(send->peer->eval(pevpm::Env{}), 1.0);  // "to" operand
   EXPECT_EQ(recv->op, MsgOp::kRecv);
-  EXPECT_DOUBLE_EQ(recv->peer->eval({}), 0.0);  // "from" operand
+  EXPECT_DOUBLE_EQ(recv->peer->eval(pevpm::Env{}), 0.0);  // "from" operand
 }
 
 TEST(ParseAnnotations, RejectsGarbage) {

@@ -2,6 +2,14 @@
 // modes, deadlock detection and loss attribution.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/parse.h"
 #include "core/predict.h"
 #include "core/scoreboard.h"
@@ -256,6 +264,318 @@ runon procnum == 0 {
   EXPECT_EQ(again.str(), model.str());
 }
 
+TEST(Vm, UnboundVariableInUntakenBranchStillPredicts) {
+  const char* text = R"(
+runon procnum == numprocs {
+  serial time = missing
+} else {
+  serial time = 0.25
+}
+)";
+  const auto model = pevpm::parse_model(text);
+  EXPECT_DOUBLE_EQ(run(model, 3, constant_table(1e-3, 0.0)).makespan, 0.25);
+}
+
+TEST(Vm, UnboundVariableInTakenBranchThrows) {
+  const char* text = R"(
+runon procnum == 1 {
+  serial time = missing
+}
+)";
+  const auto model = pevpm::parse_model(text);
+  try {
+    (void)run(model, 3, constant_table(1e-3, 0.0));
+    FAIL() << "expected an unbound-variable error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unbound PEVPM variable 'missing'");
+  }
+}
+
+/// Runs `text` on `nprocs` processes and returns the ModelError message
+/// (empty when the run did not throw one).
+std::string model_error(const char* text, int nprocs = 2) {
+  const auto model = pevpm::parse_model(text);
+  try {
+    (void)run(model, nprocs, constant_table(1e-3, 1e-4));
+  } catch (const pevpm::ModelError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(VmRange, MessageSizeOutOfRangeNamesValueAndDirective) {
+  const std::string what = model_error(R"(
+runon procnum == 0 {
+  message send size = 1e30 to = 1
+} else {
+  message recv size = 8 from = 0
+}
+)");
+  EXPECT_NE(what.find("message size"), std::string::npos) << what;
+  EXPECT_NE(what.find("1e+30"), std::string::npos) << what;
+}
+
+TEST(VmRange, LoopCountOutOfRangeThrows) {
+  const std::string what = model_error("loop 1e30 {\n serial time = 1\n}\n");
+  EXPECT_NE(what.find("loop count"), std::string::npos) << what;
+  EXPECT_NE(what.find("1e+30"), std::string::npos) << what;
+  const std::string nan = model_error(
+      "loop 1e308 * 10 - 1e308 * 10 {\n serial time = 1\n}\n");
+  EXPECT_NE(nan.find("loop count"), std::string::npos) << nan;
+  EXPECT_NE(nan.find("nan"), std::string::npos) << nan;
+}
+
+TEST(VmRange, RankOutOfRangeNamesValue) {
+  const std::string what = model_error("message send size = 8 to = 1e30\n");
+  EXPECT_NE(what.find("send to"), std::string::npos) << what;
+  EXPECT_NE(what.find("1e+30"), std::string::npos) << what;
+  const std::string inf = model_error("message recv size = 8 from = -1e308 * 10\n");
+  EXPECT_NE(inf.find("recv from"), std::string::npos) << inf;
+  EXPECT_NE(inf.find("-inf"), std::string::npos) << inf;
+}
+
+TEST(VmRange, SerialTimeMustBeFinite) {
+  const std::string inf = model_error("serial time = 1e308 * 10\n");
+  EXPECT_NE(inf.find("serial time"), std::string::npos) << inf;
+  EXPECT_NE(inf.find("inf"), std::string::npos) << inf;
+  const std::string nan = model_error("serial time = 1e308 * 10 - 1e308 * 10\n");
+  EXPECT_NE(nan.find("serial time"), std::string::npos) << nan;
+  EXPECT_NE(nan.find("nan"), std::string::npos) << nan;
+}
+
+TEST(VmHandles, ReusingAPendingReceiveHandleThrows) {
+  const std::string what = model_error(R"(
+runon procnum == 0 {
+  message send size = 8 to = 1
+  message send size = 8 to = 1
+} else {
+  message irecv size = 8 from = 0 handle = h
+  message irecv size = 8 from = 0 handle = h
+  wait h
+}
+)");
+  EXPECT_NE(what.find("handle 'h'"), std::string::npos) << what;
+  // An isend over a pending receive handle would orphan it just the same.
+  const std::string isend = model_error(R"(
+message irecv size = 8 from = (procnum + numprocs - 1) % numprocs handle = h
+message isend size = 8 to = (procnum + 1) % numprocs handle = h
+wait h
+)");
+  EXPECT_NE(isend.find("handle 'h'"), std::string::npos) << isend;
+}
+
+TEST(VmHandles, ReusingACompletedIsendHandleStaysLegal) {
+  const char* text = R"(
+runon procnum == 0 {
+  message isend size = 8 to = 1 handle = s
+  message isend size = 8 to = 1 handle = s
+  wait s
+} else {
+  message recv size = 8 from = 0
+  message recv size = 8 from = 0
+}
+)";
+  const auto model = pevpm::parse_model(text);
+  const auto result = run(model, 2, constant_table(1e-3, 1e-4));
+  EXPECT_FALSE(result.deadlocked);
+  EXPECT_EQ(result.messages, 2u);
+}
+
+long peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(VmMemory, RingAt4096ProcessesStaysSmall) {
+  // Scoreboard state must grow with the pairs that carry messages (4096
+  // here), not with P^2 (16.7 M pairs).
+  const char* text = R"(
+loop 2 {
+  message send size = 64 to = (procnum + 1) % numprocs
+  message recv size = 64 from = (procnum + numprocs - 1) % numprocs
+}
+)";
+  const auto model = pevpm::parse_model(text);
+  const auto table = constant_table(1e-3, 1e-4);
+  const long before = peak_rss_kb();
+  const auto result = run(model, 4096, table);
+  const long grown_kb = peak_rss_kb() - before;
+  EXPECT_FALSE(result.deadlocked);
+  EXPECT_EQ(result.messages, 2u * 4096u);
+  EXPECT_LT(grown_kb, 64L * 1024) << "peak RSS grew by " << grown_kb << " KiB";
+}
+
+/// Spread (non-constant) delivery and sender distributions at several
+/// contention levels and two sizes, so golden runs exercise random draws,
+/// size interpolation and the scoreboard's contention count.
+DistributionTable spread_table() {
+  DistributionTable table;
+  for (const int level : {2, 8, 32, 64}) {
+    stats::Histogram oneway{1e-6};
+    stats::Histogram sender{1e-6};
+    for (int i = 0; i < 40; ++i) {
+      oneway.add((60.0 + level + (i * 37 % 40)) * 1e-6);
+      sender.add((10.0 + (i * 13 % 20)) * 1e-6);
+    }
+    const stats::EmpiricalDistribution d_oneway{oneway};
+    const stats::EmpiricalDistribution d_sender{sender};
+    table.insert(OpKind::kPtpOneWay, net::Bytes{64}, level, d_oneway);
+    table.insert(OpKind::kPtpOneWay, net::Bytes{1 << 16}, level,
+                 d_oneway.scaled(4.0));
+    table.insert(OpKind::kPtpSender, net::Bytes{64}, level, d_sender);
+    table.insert(OpKind::kPtpSender, net::Bytes{1 << 16}, level,
+                 d_sender.scaled(3.0));
+  }
+  return table;
+}
+
+/// FNV-1a over every blocked_by_directive entry (rank, directive id and
+/// the loss's IEEE-754 bits), in rank then directive order.
+std::uint64_t loss_digest(const pevpm::SimulationResult& result) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::size_t rank = 0; rank < result.processes.size(); ++rank) {
+    for (const auto& [directive, loss] :
+         result.processes[rank].blocked_by_directive) {
+      mix(rank);
+      mix(static_cast<std::uint64_t>(directive));
+      mix(std::bit_cast<std::uint64_t>(loss));
+    }
+  }
+  return h;
+}
+
+std::size_t loss_entries(const pevpm::SimulationResult& result) {
+  std::size_t n = 0;
+  for (const auto& proc : result.processes) n += proc.blocked_by_directive.size();
+  return n;
+}
+
+/// The paper's Figure 5 Jacobi annotations, five iterations.
+constexpr const char* kJacobiFig5 = R"(
+// PEVPM Param xsize = 256
+// PEVPM Loop iterations = 5
+// PEVPM {
+// PEVPM Runon c1 = procnum%2 == 0
+// PEVPM &     c2 = procnum%2 != 0
+// PEVPM {
+// PEVPM Runon c1 = procnum != 0
+// PEVPM {
+// PEVPM Message type = MPI_Send & size = xsize*4 & from = procnum & to = procnum-1
+// PEVPM }
+// PEVPM Runon c1 = procnum != numprocs-1
+// PEVPM {
+// PEVPM Message type = MPI_Send & size = xsize*4 & from = procnum & to = procnum+1
+// PEVPM Message type = MPI_Recv & size = xsize*4 & from = procnum+1 & to = procnum
+// PEVPM }
+// PEVPM Runon c1 = procnum != 0
+// PEVPM {
+// PEVPM Message type = MPI_Recv & size = xsize*4 & from = procnum-1 & to = procnum
+// PEVPM }
+// PEVPM }
+// PEVPM {
+// PEVPM Runon c1 = procnum != numprocs-1
+// PEVPM {
+// PEVPM Message type = MPI_Recv & size = xsize*4 & from = procnum+1 & to = procnum
+// PEVPM }
+// PEVPM Message type = MPI_Recv & size = xsize*4 & from = procnum-1 & to = procnum
+// PEVPM Message type = MPI_Send & size = xsize*4 & from = procnum & to = procnum-1
+// PEVPM Runon c1 = procnum != numprocs-1
+// PEVPM {
+// PEVPM Message type = MPI_Send & size = xsize*4 & from = procnum & to = procnum+1
+// PEVPM }
+// PEVPM }
+// PEVPM Serial on perseus time = 3.24/numprocs
+// PEVPM }
+)";
+
+// Golden values recorded before the evaluator moved to slot-indexed
+// symbols and the pooled scoreboard: the same model, table and seed must
+// give the same bits, i.e. the same results in the same RNG draw order.
+TEST(VmGolden, JacobiFigure5At64Processes) {
+  const auto model = pevpm::parse_annotated_source(kJacobiFig5, "jacobi");
+  const auto table = spread_table();
+  pevpm::DeliverySampler sampler{table, {}, 1234};
+  const auto result = pevpm::simulate(model, 64, {}, sampler);
+  ASSERT_FALSE(result.deadlocked);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.makespan),
+            0x3fd095b997888050ULL);
+  EXPECT_EQ(result.messages, 630u);
+  EXPECT_EQ(result.sweep_phases, 672u);
+  EXPECT_EQ(result.match_phases, 10u);
+  EXPECT_EQ(loss_entries(result), 126u);
+  EXPECT_EQ(loss_digest(result), 0xab4019359ff0fe95ULL);
+}
+
+TEST(VmGolden, NonblockingInductionAndCollectives) {
+  const char* text = R"(
+param block = 2048
+loop 3 as it {
+  loop numprocs - 1 as k {
+    message isend size = block + 64 * it to = (procnum + k + 1) % numprocs handle = s
+    message irecv size = block + 64 * it from = (procnum - k - 1 + numprocs) % numprocs handle = r
+    serial time = 0.0001 * (k + 1) * (procnum + 1)
+    wait r
+    wait s
+  }
+  runon procnum == it {
+    message send size = 64 to = (procnum + 1) % numprocs
+  } else {
+    runon procnum == (it + 1) % numprocs {
+      message recv size = 64 from = it
+    }
+  }
+  allreduce size = 8
+}
+barrier
+)";
+  const auto model = pevpm::parse_model(text, "golden");
+  const auto table = spread_table();
+  pevpm::DeliverySampler sampler{table, {}, 99};
+  const auto result = pevpm::simulate(model, 5, {}, sampler);
+  ASSERT_FALSE(result.deadlocked);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.makespan),
+            0x3f9207bee97bccf8ULL);
+  EXPECT_EQ(result.messages, 63u);
+  EXPECT_EQ(result.sweep_phases, 100u);
+  EXPECT_EQ(result.match_phases, 19u);
+  // (rank, directive id, blocked-seconds bits) for every entry.
+  const std::vector<std::tuple<int, int, std::uint64_t>> expected{
+      {0, 4, 0x3f5e1f5927b1a8d9ULL},
+      {0, 11, 0x3f884ff1ce19d4c8ULL},
+      {0, 13, 0x3f30764262a82380ULL},
+      {1, 4, 0x3f4f791fe96c04c8ULL},
+      {1, 8, 0x3ef87924633e3100ULL},
+      {1, 11, 0x3f83f502784d01f8ULL},
+      {1, 13, 0x3f348f820338d300ULL},
+      {2, 4, 0x3f399c8f6a7301edULL},
+      {2, 8, 0x3eea2a5b2a7b7c00ULL},
+      {2, 11, 0x3f7dd64e04fdf994ULL},
+      {2, 13, 0x3f33669181f3a440ULL},
+      {3, 4, 0x3f432b6e360502cdULL},
+      {3, 8, 0x3ef90c91024a8400ULL},
+      {3, 11, 0x3f70814c1ea4d97eULL},
+      {3, 13, 0x3f33019dd3a5d440ULL},
+      {4, 4, 0x3f3a45a36f51df54ULL},
+      {4, 11, 0x3f5958f03636d424ULL},
+      {4, 13, 0x3f2da5d2e1359580ULL}};
+  std::vector<std::tuple<int, int, std::uint64_t>> losses;
+  for (std::size_t rank = 0; rank < result.processes.size(); ++rank) {
+    for (const auto& [directive, loss] :
+         result.processes[rank].blocked_by_directive) {
+      losses.emplace_back(static_cast<int>(rank), directive,
+                          std::bit_cast<std::uint64_t>(loss));
+    }
+  }
+  EXPECT_EQ(losses, expected);
+}
+
 TEST(Scoreboard, FifoClaimAndOutstandingCount) {
   pevpm::Scoreboard board;
   const auto m1 = board.add(0, 1, net::Bytes{100}, 0.0, 1);
@@ -276,8 +596,11 @@ TEST(Scoreboard, FifoClaimAndOutstandingCount) {
 TEST(Scoreboard, UnassignedDrainsOnce) {
   pevpm::Scoreboard board;
   board.add(0, 1, net::Bytes{100}, 0.0, 1);
-  EXPECT_EQ(board.take_unassigned().size(), 1u);
-  EXPECT_TRUE(board.take_unassigned().empty());
+  std::vector<pevpm::MessageRef> unassigned;
+  board.take_unassigned(unassigned);
+  EXPECT_EQ(unassigned.size(), 1u);
+  board.take_unassigned(unassigned);
+  EXPECT_TRUE(unassigned.empty());
 }
 
 TEST(Scoreboard, ArrivalFloorMonotone) {

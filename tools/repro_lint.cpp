@@ -12,7 +12,7 @@
 //   hot-path            no heap allocation, locks, or iostream between
 //                       `// LINT:hot-path begin` and `// LINT:hot-path end`
 //                       fences (des::Engine dispatch, net::Network packet
-//                       forwarding).
+//                       forwarding, the PEVPM Vm and its scoreboard).
 //   unannotated-mutex   every mutex member declared in a header must have
 //                       a GUARDED_BY partner in the same file, and bare
 //                       std::mutex members are rejected in favour of the
