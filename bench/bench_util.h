@@ -21,10 +21,6 @@ inline bool quick() {
   return env != nullptr && env[0] == '1';
 }
 
-/// Optional path for a machine-readable JSON result summary (used by the CI
-/// bench-smoke job to upload artifacts); nullptr when unset.
-inline const char* json_path() { return std::getenv("PEVPM_BENCH_JSON"); }
-
 inline int scaled(int full, int quick_value) {
   return quick() ? quick_value : full;
 }

@@ -12,14 +12,15 @@
 //     driven by 1, 2, 4 and 8 worker threads,
 //
 // with heap allocations counted by instrumented global operator new. The
-// result is printed as JSON (and written to PEVPM_BENCH_JSON when set).
+// result document is emitted through gate.h.
 //
 // Usage:
 //   engine_hot [--check BASELINE.json]
 //
 // With --check, current throughput must be at least 80% of the committed
 // baseline and allocation rates must not exceed baseline + 0.05; any miss
-// prints the offending metric and exits 1 (the CI perf-smoke gate). The
+// prints the offending metric and exits 1 (the CI perf-smoke gate; an
+// unreadable baseline exits 2 before anything is measured). The
 // thread-scaling gate (>= 3x events/sec at 8 threads over 1) only applies
 // when the machine actually has 8 hardware threads; on smaller machines it
 // prints a skip notice instead of failing.
@@ -30,9 +31,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <new>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,10 +40,10 @@
 #include "bench_util.h"
 #include "des/engine.h"
 #include "des/partitioned_engine.h"
+#include "gate.h"
 #include "net/cluster.h"
 #include "net/network.h"
 #include "net/packet.h"
-#include "serve/json.h"
 
 // ---------------------------------------------------------------------------
 // Instrumented allocator: every operator-new call site in the process is
@@ -317,98 +317,6 @@ ScalingResult run_scaling(std::uint64_t events_per_chain) {
   return result;
 }
 
-struct Results {
-  MixResult mix;
-  ForwardResult forward;
-  ScalingResult scaling;
-};
-
-std::string to_json(const Results& r) {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\n"
-      "  \"schema\": \"pevpm-engine-hot-v2\",\n"
-      "  \"engine_events_per_sec\": %.0f,\n"
-      "  \"engine_allocs_per_event\": %.4f,\n"
-      "  \"forward_packets_per_sec\": %.0f,\n"
-      "  \"forward_allocs_per_packet\": %.4f,\n"
-      "  \"forward_events_per_sec\": %.0f,\n"
-      "  \"partitioned_events_per_sec_t1\": %.0f,\n"
-      "  \"partitioned_events_per_sec_t2\": %.0f,\n"
-      "  \"partitioned_events_per_sec_t4\": %.0f,\n"
-      "  \"partitioned_events_per_sec_t8\": %.0f,\n"
-      "  \"partitioned_speedup_t8\": %.2f\n"
-      "}\n",
-      r.mix.events_per_sec, r.mix.allocs_per_event,
-      r.forward.packets_per_sec, r.forward.allocs_per_packet,
-      r.forward.events_per_sec, r.scaling.events_per_sec_t1,
-      r.scaling.events_per_sec_t2, r.scaling.events_per_sec_t4,
-      r.scaling.events_per_sec_t8, r.scaling.speedup_t8());
-  return buf;
-}
-
-/// Applies the CI gate: throughput >= 80% of baseline, allocation rates no
-/// more than baseline + 0.05. Returns the number of violations.
-int check_against(const Results& r, const serve::Json& baseline_doc) {
-  struct Gate {
-    const char* key;
-    double value;
-    bool higher_is_better;
-  };
-  const Gate gates[] = {
-      {"engine_events_per_sec", r.mix.events_per_sec, true},
-      {"forward_packets_per_sec", r.forward.packets_per_sec, true},
-      {"partitioned_events_per_sec_t1", r.scaling.events_per_sec_t1, true},
-      {"engine_allocs_per_event", r.mix.allocs_per_event, false},
-      {"forward_allocs_per_packet", r.forward.allocs_per_packet, false},
-  };
-  int violations = 0;
-  for (const Gate& gate : gates) {
-    const serve::Json* entry = baseline_doc.find(gate.key);
-    if (entry == nullptr) {
-      std::fprintf(stderr, "check: baseline is missing \"%s\"\n", gate.key);
-      ++violations;
-      continue;
-    }
-    const double baseline = entry->as_double();
-    if (gate.higher_is_better) {
-      const double floor = baseline * 0.8;
-      if (gate.value < floor) {
-        std::fprintf(stderr,
-                     "check: %s regressed: %.0f < %.0f (80%% of baseline "
-                     "%.0f)\n",
-                     gate.key, gate.value, floor, baseline);
-        ++violations;
-      }
-    } else if (gate.value > baseline + 0.05) {
-      std::fprintf(stderr, "check: %s regressed: %.4f > baseline %.4f + 0.05\n",
-                   gate.key, gate.value, baseline);
-      ++violations;
-    }
-  }
-  // The parallel-efficiency gate is absolute (not baseline-relative): the
-  // partitioned engine must deliver >= 3x events/sec with 8 worker threads
-  // over 1 on the contention scenario. It is meaningless without the
-  // hardware to back it, so it only arms on machines with >= 8 threads.
-  if (std::thread::hardware_concurrency() >= 8) {
-    const double speedup = r.scaling.speedup_t8();
-    if (speedup < 3.0) {
-      std::fprintf(stderr,
-                   "check: partitioned_speedup_t8 regressed: %.2fx < 3.00x "
-                   "required on %u hardware threads\n",
-                   speedup, std::thread::hardware_concurrency());
-      ++violations;
-    }
-  } else {
-    std::printf(
-        "check: skipping partitioned_speedup_t8 gate (needs >= 8 hardware "
-        "threads, have %u)\n",
-        std::thread::hardware_concurrency());
-  }
-  return violations;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -421,6 +329,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  std::optional<serve::Json> baseline;
+  if (!check_file.empty()) {
+    baseline = gate::load_baseline(check_file);
+    if (!baseline) return 2;
+  }
 
   const std::uint64_t mix_events =
       benchutil::quick() ? 20000 : 200000;  // per chain x 8 chains
@@ -429,36 +342,43 @@ int main(int argc, char** argv) {
   const std::uint64_t scaling_events =
       benchutil::quick() ? 4000 : 40000;  // per chain x 64 chains x 8 parts
 
-  Results results;
-  results.mix = run_mix(mix_events, 8);
-  results.forward = run_forwarding(packets);
-  results.scaling = run_scaling(scaling_events);
+  const MixResult mix = run_mix(mix_events, 8);
+  const ForwardResult forward = run_forwarding(packets);
+  const ScalingResult scaling = run_scaling(scaling_events);
 
-  const std::string json = to_json(results);
-  std::printf("%s", json.c_str());
-  if (const char* path = benchutil::json_path()) {
-    std::ofstream out{path};
-    out << json;
-  }
+  serve::Json doc{serve::Json::Object{}};
+  doc.set("schema", "pevpm-engine-hot-v2");
+  doc.set("engine_events_per_sec", mix.events_per_sec);
+  doc.set("engine_allocs_per_event", mix.allocs_per_event);
+  doc.set("forward_packets_per_sec", forward.packets_per_sec);
+  doc.set("forward_allocs_per_packet", forward.allocs_per_packet);
+  doc.set("forward_events_per_sec", forward.events_per_sec);
+  doc.set("partitioned_events_per_sec_t1", scaling.events_per_sec_t1);
+  doc.set("partitioned_events_per_sec_t2", scaling.events_per_sec_t2);
+  doc.set("partitioned_events_per_sec_t4", scaling.events_per_sec_t4);
+  doc.set("partitioned_events_per_sec_t8", scaling.events_per_sec_t8);
+  doc.set("partitioned_speedup_t8", scaling.speedup_t8());
+  if (!gate::emit(doc)) return 1;
+  if (!baseline) return 0;
 
-  if (!check_file.empty()) {
-    std::ifstream in{check_file};
-    if (!in) {
-      std::fprintf(stderr, "cannot open baseline %s\n", check_file.c_str());
-      return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    serve::Json baseline;
-    try {
-      baseline = serve::Json::parse(ss.str());
-    } catch (const serve::JsonError& e) {
-      std::fprintf(stderr, "cannot parse baseline: %s\n", e.what());
-      return 2;
-    }
-    const int violations = check_against(results, baseline);
-    if (violations > 0) return 1;
-    std::printf("check: all gates passed against %s\n", check_file.c_str());
+  gate::Checker check{doc, *baseline};
+  check.at_least_fraction("engine_events_per_sec", 0.8);
+  check.at_least_fraction("forward_packets_per_sec", 0.8);
+  check.at_least_fraction("partitioned_events_per_sec_t1", 0.8);
+  check.at_most_plus("engine_allocs_per_event", 0.05);
+  check.at_most_plus("forward_allocs_per_packet", 0.05);
+  // The parallel-efficiency gate is absolute: >= 3x events/sec with 8
+  // worker threads over 1. It is meaningless without the hardware to back
+  // it, so it only arms on machines with >= 8 threads.
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw >= 8) {
+    check.require("partitioned_speedup_t8", 3.0, gate::Checker::kUnbounded,
+                  "8 workers must deliver 3x the events/sec of 1");
+  } else {
+    std::printf(
+        "check: skipping partitioned_speedup_t8 gate (needs >= 8 hardware "
+        "threads, have %u)\n",
+        hw);
   }
-  return 0;
+  return check.finish(check_file);
 }

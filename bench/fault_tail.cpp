@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "gate.h"
 #include "stats/summary.h"
 
 int main() {
@@ -86,37 +87,20 @@ int main() {
                 bin.hi * 1e6, static_cast<unsigned long long>(bin.count));
   }
 
-  if (const char* json = benchutil::json_path()) {
-    std::FILE* out = std::fopen(json, "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json);
-      return 1;
-    }
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"bench\": \"fault_tail\",\n"
-        "  \"size_bytes\": %llu,\n"
-        "  \"loss_rate\": %.4f,\n"
-        "  \"rto_ms\": %.1f,\n"
-        "  \"lossless_median_us\": %.2f,\n"
-        "  \"retransmit_mode_us\": %.2f,\n"
-        "  \"mode_over_median\": %.1f,\n"
-        "  \"lossy_p99_us\": %.2f,\n"
-        "  \"lossy_p999_us\": %.2f,\n"
-        "  \"retransmits\": %llu,\n"
-        "  \"timeouts\": %llu,\n"
-        "  \"faults_injected\": %llu,\n"
-        "  \"pass\": %s\n"
-        "}\n",
-        static_cast<unsigned long long>(size.count()), loss_rate, rto_s * 1e3,
-        lossless_median * 1e6, mode_s * 1e6, ratio,
-        lossy_dist.quantile(0.99) * 1e6, lossy_dist.quantile(0.999) * 1e6,
-        static_cast<unsigned long long>(lossy.tcp_retransmits),
-        static_cast<unsigned long long>(lossy.tcp_timeouts),
-        static_cast<unsigned long long>(lossy.faults_injected),
-        pass ? "true" : "false");
-    std::fclose(out);
-  }
+  serve::Json doc{serve::Json::Object{}};
+  doc.set("bench", "fault_tail");
+  doc.set("size_bytes", size.count());
+  doc.set("loss_rate", loss_rate);
+  doc.set("rto_ms", rto_s * 1e3);
+  doc.set("lossless_median_us", lossless_median * 1e6);
+  doc.set("retransmit_mode_us", mode_s * 1e6);
+  doc.set("mode_over_median", ratio);
+  doc.set("lossy_p99_us", lossy_dist.quantile(0.99) * 1e6);
+  doc.set("lossy_p999_us", lossy_dist.quantile(0.999) * 1e6);
+  doc.set("retransmits", lossy.tcp_retransmits);
+  doc.set("timeouts", lossy.tcp_timeouts);
+  doc.set("faults_injected", lossy.faults_injected);
+  doc.set("pass", pass);
+  if (!gate::emit(doc)) return 1;
   return pass ? 0 : 1;
 }

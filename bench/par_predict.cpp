@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "bench_util.h"
+#include "gate.h"
 #include "jacobi_workload.h"
 
 namespace {
@@ -49,14 +50,7 @@ int main() {
               "mean_s,identical_to_serial\n");
   double serial_wall = 0.0;
   stats::Summary serial_summary;
-  struct Row {
-    int threads = 0;
-    double wall = 0.0;
-    double speedup = 0.0;
-    double mean_s = 0.0;
-    bool identical = false;
-  };
-  std::vector<Row> rows;
+  serve::Json::Array rows;
   for (const int threads : thread_counts) {
     opts.threads = threads;
     pevpm::Prediction prediction;
@@ -75,29 +69,19 @@ int main() {
     std::printf("%d,%d,%.3f,%.1f,%.2f,%.6f,%s\n", threads, reps, wall,
                 static_cast<double>(reps) / wall, serial_wall / wall,
                 prediction.seconds(), identical ? "yes" : "NO");
-    rows.push_back(Row{threads, wall, serial_wall / wall,
-                       prediction.seconds(), identical});
+    serve::Json row{serve::Json::Object{}};
+    row.set("threads", threads);
+    row.set("wall_s", wall);
+    row.set("speedup", serial_wall / wall);
+    row.set("mean_s", prediction.seconds());
+    row.set("identical", identical);
+    rows.push_back(std::move(row));
   }
-  if (const char* json = benchutil::json_path()) {
-    std::FILE* out = std::fopen(json, "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json);
-      return 1;
-    }
-    std::fprintf(out, "{\n  \"bench\": \"par_predict\",\n  \"reps\": %d,\n"
-                      "  \"rows\": [\n", reps);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(out,
-                   "    {\"threads\": %d, \"wall_s\": %.3f, \"speedup\": "
-                   "%.2f, \"mean_s\": %.6f, \"identical\": %s}%s\n",
-                   r.threads, r.wall, r.speedup, r.mean_s,
-                   r.identical ? "true" : "false",
-                   i + 1 == rows.size() ? "" : ",");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-  }
+  serve::Json doc{serve::Json::Object{}};
+  doc.set("bench", "par_predict");
+  doc.set("reps", reps);
+  doc.set("rows", std::move(rows));
+  if (!gate::emit(doc)) return 1;
   std::printf("# acceptance: 4-thread speedup >= 2x over serial at %d reps,\n"
               "# and identical_to_serial = yes in every row (fixed seed\n"
               "# 20260806 => bit-identical makespan summary at any thread\n"

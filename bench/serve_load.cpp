@@ -24,9 +24,10 @@
 //
 // With --check, the run must show zero nominal rejections, at least one
 // overload rejection, and nominal p99 latency within 120% of the
-// committed baseline; any miss prints the offending metric and exits 1.
-// PEVPM_BENCH_QUICK=1 scales request counts down; PEVPM_BENCH_JSON names
-// a file to write the artifact to.
+// committed baseline; any miss prints the offending metric and exits 1
+// (an unreadable baseline exits 2 before any load is offered). The
+// artifact is emitted through gate.h. PEVPM_BENCH_QUICK=1 scales request
+// counts down.
 #include <unistd.h>
 
 #include <algorithm>
@@ -35,14 +36,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "gate.h"
 #include "mpibench/benchmark.h"
 #include "serve/client.h"
 #include "serve/json.h"
@@ -277,59 +279,6 @@ void add_phase(serve::Json& doc, const std::string& prefix,
           serve::Json{quantile_ms(phase.latencies_ms, 0.999)});
 }
 
-/// The CI gate. Absolute requirements first (the queue's contract), then
-/// the latency regression check against the committed baseline.
-int check_against(const serve::Json& doc, const serve::Json& baseline) {
-  int violations = 0;
-  const auto number = [](const serve::Json& from, const char* key,
-                         double& out) {
-    const serve::Json* value = from.find(key);
-    if (value == nullptr) return false;
-    out = value->as_double();
-    return true;
-  };
-  double value = 0.0;
-  if (number(doc, "nominal_rejected", value) && value > 0.0) {
-    std::fprintf(stderr,
-                 "check: %.0f rejections at nominal load (must be 0)\n",
-                 value);
-    ++violations;
-  }
-  if (number(doc, "nominal_errors", value) && value > 0.0) {
-    std::fprintf(stderr, "check: %.0f errors at nominal load (must be 0)\n",
-                 value);
-    ++violations;
-  }
-  if (number(doc, "overload_rejected", value) && value < 1.0) {
-    std::fprintf(stderr,
-                 "check: overload produced no rejections — the queue bound "
-                 "is not engaging\n");
-    ++violations;
-  }
-  if (number(doc, "overload_errors", value) && value > 0.0) {
-    std::fprintf(stderr,
-                 "check: %.0f overload requests got no answer (must be 0: "
-                 "reject, don't stall)\n",
-                 value);
-    ++violations;
-  }
-  double current = 0.0;
-  double base = 0.0;
-  if (!number(doc, "nominal_p99_ms", current) ||
-      !number(baseline, "nominal_p99_ms", base)) {
-    std::fprintf(stderr, "check: baseline is missing nominal_p99_ms\n");
-    return violations + 1;
-  }
-  if (current > base * 1.2) {
-    std::fprintf(stderr,
-                 "check: nominal p99 regressed: %.2f ms > %.2f ms (120%% of "
-                 "baseline %.2f ms)\n",
-                 current, base * 1.2, base);
-    ++violations;
-  }
-  return violations;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -368,6 +317,11 @@ int main(int argc, char** argv) {
                    argv[0]);
       return 2;
     }
+  }
+  std::optional<serve::Json> baseline;
+  if (!check_file.empty()) {
+    baseline = gate::load_baseline(check_file);
+    if (!baseline) return 2;
   }
 
   std::printf("# measuring the distribution table in-process...\n");
@@ -463,31 +417,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string json = doc.dump();
-  std::printf("%s\n", json.c_str());
-  if (const char* path = benchutil::json_path()) {
-    std::ofstream out{path};
-    out << json << "\n";
-  }
+  if (!gate::emit(doc)) return 1;
+  if (!baseline) return 0;
 
-  if (!check_file.empty()) {
-    std::ifstream in{check_file};
-    if (!in) {
-      std::fprintf(stderr, "cannot open baseline %s\n", check_file.c_str());
-      return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    serve::Json baseline;
-    try {
-      baseline = serve::Json::parse(ss.str());
-    } catch (const serve::JsonError& e) {
-      std::fprintf(stderr, "cannot parse baseline: %s\n", e.what());
-      return 2;
-    }
-    const int violations = check_against(doc, baseline);
-    if (violations > 0) return 1;
-    std::printf("check: all gates passed against %s\n", check_file.c_str());
-  }
-  return 0;
+  // Absolute requirements first (the queue's contract), then the latency
+  // regression check against the committed baseline.
+  gate::Checker check{doc, *baseline};
+  check.require("nominal_rejected", 0.0, 0.0, "rejections at nominal load");
+  check.require("nominal_errors", 0.0, 0.0, "errors at nominal load");
+  check.require("overload_rejected", 1.0, gate::Checker::kUnbounded,
+                "overload produced no rejections, the queue bound is not "
+                "engaging");
+  check.require("overload_errors", 0.0, 0.0,
+                "overload requests got no answer (reject, don't stall)");
+  check.at_most_factor("nominal_p99_ms", 1.2);
+  return check.finish(check_file);
 }

@@ -12,8 +12,7 @@
 //   * determinism: fitting the same table twice must serialise to
 //     byte-identical artifacts.
 //
-// The result is printed as JSON (and written to PEVPM_BENCH_JSON when
-// set).
+// The result document is emitted through gate.h.
 //
 // Usage:
 //   tabe_fit_error [--check BASELINE.json]
@@ -22,21 +21,22 @@
 // baseline plus an absolute margin (these are statistical quantities, so
 // the gate is in percentage points, not ratios), and the determinism flag
 // must hold exactly; any miss prints the offending metric and exits 1
-// (the CI perf-smoke gate). PEVPM_BENCH_QUICK=1 scales repetition counts
-// down for smoke runs.
+// (the CI perf-smoke gate; an unreadable baseline exits 2 before anything
+// is measured). PEVPM_BENCH_QUICK=1 scales repetition counts down for
+// smoke runs.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "gate.h"
 #include "scaling/crossval.h"
 #include "scaling/model.h"
-#include "serve/json.h"
 
 namespace {
 
@@ -76,80 +76,6 @@ void extrapolation_errors(const scaling::ScalingModel& model,
   }
 }
 
-struct Results {
-  double loo_median_pct = 0.0;  ///< worst per-op pooled median
-  double loo_p95_pct = 0.0;     ///< worst per-op pooled p95
-  double extrap_size_median_pct = 0.0;
-  double extrap_size_p95_pct = 0.0;
-  double extrap_procs_median_pct = 0.0;
-  double extrap_procs_p95_pct = 0.0;
-  int fit_deterministic = 0;
-};
-
-std::string to_json(const Results& r) {
-  char buf[1024];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "  \"schema\": \"pevpm-tabe-fit-error-v1\",\n"
-                "  \"loo_median_pct\": %.3f,\n"
-                "  \"loo_p95_pct\": %.3f,\n"
-                "  \"extrap_size_median_pct\": %.3f,\n"
-                "  \"extrap_size_p95_pct\": %.3f,\n"
-                "  \"extrap_procs_median_pct\": %.3f,\n"
-                "  \"extrap_procs_p95_pct\": %.3f,\n"
-                "  \"fit_deterministic\": %d\n"
-                "}\n",
-                r.loo_median_pct, r.loo_p95_pct, r.extrap_size_median_pct,
-                r.extrap_size_p95_pct, r.extrap_procs_median_pct,
-                r.extrap_procs_p95_pct, r.fit_deterministic);
-  return buf;
-}
-
-/// Applies the CI gate: every error metric within baseline plus an
-/// absolute percentage-point margin, determinism exact. Returns the
-/// number of violations.
-int check_against(const Results& r, const serve::Json& baseline_doc) {
-  struct Gate {
-    const char* key;
-    double value;
-    double margin_points;
-  };
-  // Median gates are tight (the fits are stable there); p95 gates get a
-  // wider margin because the worst quantile track of the worst cell is a
-  // max statistic over the simulator's sampling noise.
-  const Gate gates[] = {
-      {"loo_median_pct", r.loo_median_pct, 5.0},
-      {"loo_p95_pct", r.loo_p95_pct, 15.0},
-      {"extrap_size_median_pct", r.extrap_size_median_pct, 10.0},
-      {"extrap_size_p95_pct", r.extrap_size_p95_pct, 20.0},
-      {"extrap_procs_median_pct", r.extrap_procs_median_pct, 10.0},
-      {"extrap_procs_p95_pct", r.extrap_procs_p95_pct, 20.0},
-  };
-  int violations = 0;
-  for (const Gate& gate : gates) {
-    const serve::Json* entry = baseline_doc.find(gate.key);
-    if (entry == nullptr) {
-      std::fprintf(stderr, "check: baseline is missing \"%s\"\n", gate.key);
-      ++violations;
-      continue;
-    }
-    const double baseline = entry->as_double();
-    if (gate.value > baseline + gate.margin_points) {
-      std::fprintf(stderr,
-                   "check: %s regressed: %.3f > baseline %.3f + %.1f points\n",
-                   gate.key, gate.value, baseline, gate.margin_points);
-      ++violations;
-    }
-  }
-  if (r.fit_deterministic != 1) {
-    std::fprintf(stderr,
-                 "check: fit_deterministic failed: refitting the same table "
-                 "produced a different artifact\n");
-    ++violations;
-  }
-  return violations;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,6 +88,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  std::optional<serve::Json> baseline;
+  if (!check_file.empty()) {
+    baseline = gate::load_baseline(check_file);
+    if (!baseline) return 2;
+  }
 
   benchutil::banner("Table E", "scaling-model fit and extrapolation error");
   const int reps = benchutil::scaled(160, 48);
@@ -173,7 +104,8 @@ int main(int argc, char** argv) {
   const auto table = mpibench::measure_isend_table(
       benchutil::bench_options(2, 1, reps), grid_sizes, grid_configs, 4);
 
-  Results results;
+  serve::Json doc{serve::Json::Object{}};
+  doc.set("schema", "pevpm-tabe-fit-error-v1");
 
   // Leave-one-out cross-validation on the training grid.
   const scaling::CrossValidationReport loo = scaling::cross_validate(table);
@@ -183,8 +115,8 @@ int main(int argc, char** argv) {
                 op.cells, 100.0 * op.median_rel_error,
                 100.0 * op.p95_rel_error);
   }
-  results.loo_median_pct = 100.0 * loo.worst_median();
-  results.loo_p95_pct = 100.0 * loo.worst_p95();
+  doc.set("loo_median_pct", 100.0 * loo.worst_median());
+  doc.set("loo_p95_pct", 100.0 * loo.worst_p95());
 
   // Fit on the full grid; refit to assert determinism via the artifact
   // bytes (the serialisation is exact, max_digits10).
@@ -193,7 +125,7 @@ int main(int argc, char** argv) {
     std::ostringstream first, second;
     model.save(first);
     scaling::fit_scaling_model(table).save(second);
-    results.fit_deterministic = first.str() == second.str() ? 1 : 0;
+    doc.set("fit_deterministic", first.str() == second.str() ? 1 : 0);
   }
 
   // Ground truth at points outside the grid: 4x the largest message size,
@@ -216,48 +148,37 @@ int main(int argc, char** argv) {
     extrapolation_errors(model, procs_truth, size,
                          contention_level(big_configs[0]), procs_errors);
   }
-  results.extrap_size_median_pct =
-      100.0 * sample_quantile(size_errors, 0.5);
-  results.extrap_size_p95_pct = 100.0 * sample_quantile(size_errors, 0.95);
-  results.extrap_procs_median_pct =
-      100.0 * sample_quantile(procs_errors, 0.5);
-  results.extrap_procs_p95_pct =
-      100.0 * sample_quantile(procs_errors, 0.95);
+  const double size_median = 100.0 * sample_quantile(size_errors, 0.5);
+  const double size_p95 = 100.0 * sample_quantile(size_errors, 0.95);
+  const double procs_median = 100.0 * sample_quantile(procs_errors, 0.5);
+  const double procs_p95 = 100.0 * sample_quantile(procs_errors, 0.95);
+  doc.set("extrap_size_median_pct", size_median);
+  doc.set("extrap_size_p95_pct", size_p95);
+  doc.set("extrap_procs_median_pct", procs_median);
+  doc.set("extrap_procs_p95_pct", procs_p95);
 
   std::printf("axis,cells,extrap_median_pct,extrap_p95_pct\n");
   std::printf("size(65536),%zu,%.3f,%.3f\n",
               size_errors.size() / scaling::ScalingModel::kTracks,
-              results.extrap_size_median_pct, results.extrap_size_p95_pct);
+              size_median, size_p95);
   std::printf("procs(32),%zu,%.3f,%.3f\n",
               procs_errors.size() / scaling::ScalingModel::kTracks,
-              results.extrap_procs_median_pct,
-              results.extrap_procs_p95_pct);
+              procs_median, procs_p95);
 
-  const std::string json = to_json(results);
-  std::printf("%s", json.c_str());
-  if (const char* path = benchutil::json_path()) {
-    std::ofstream out{path};
-    out << json;
-  }
+  if (!gate::emit(doc)) return 1;
+  if (!baseline) return 0;
 
-  if (!check_file.empty()) {
-    std::ifstream in{check_file};
-    if (!in) {
-      std::fprintf(stderr, "cannot open baseline %s\n", check_file.c_str());
-      return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    serve::Json baseline;
-    try {
-      baseline = serve::Json::parse(ss.str());
-    } catch (const serve::JsonError& e) {
-      std::fprintf(stderr, "cannot parse baseline: %s\n", e.what());
-      return 2;
-    }
-    const int violations = check_against(results, baseline);
-    if (violations > 0) return 1;
-    std::printf("check: all gates passed against %s\n", check_file.c_str());
-  }
-  return 0;
+  // Median gates are tight (the fits are stable there); p95 gates get a
+  // wider margin because the worst quantile track of the worst cell is a
+  // max statistic over the simulator's sampling noise.
+  gate::Checker check{doc, *baseline};
+  check.at_most_plus("loo_median_pct", 5.0);
+  check.at_most_plus("loo_p95_pct", 15.0);
+  check.at_most_plus("extrap_size_median_pct", 10.0);
+  check.at_most_plus("extrap_size_p95_pct", 20.0);
+  check.at_most_plus("extrap_procs_median_pct", 10.0);
+  check.at_most_plus("extrap_procs_p95_pct", 20.0);
+  check.require("fit_deterministic", 1.0, 1.0,
+                "refitting the same table produced a different artifact");
+  return check.finish(check_file);
 }

@@ -162,12 +162,6 @@ class SpscMailbox {
     }
   }
 
-  [[nodiscard]] bool empty() const noexcept {
-    return head_.load(std::memory_order_acquire) ==
-               tail_.load(std::memory_order_acquire) &&
-           !overflowed_.load(std::memory_order_relaxed);
-  }
-
  private:
   void push_slow(T value) EXCLUDES(overflow_mu_) {
     MutexLock lock{overflow_mu_};

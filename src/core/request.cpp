@@ -149,14 +149,14 @@ std::shared_ptr<const scaling::ScalingModel> resolve_scaling(
   return nullptr;
 }
 
-PredictReport run_request(const PredictRequest& request, const Model& model,
-                          const mpibench::DistributionTable& table) {
+PredictReport run_request(const PredictRequest& request) {
+  const Model model = parse_request_model(request);
+  std::istringstream table_in{request.table_text};
+  const auto table = mpibench::DistributionTable::load(table_in);
   PredictOptions options = request.options;
-  std::shared_ptr<const scaling::ScalingModel> scaling;
-  if (options.sampler.scaling == nullptr) {
-    scaling = resolve_scaling(request, table);
-    if (scaling) options.sampler.scaling = scaling.get();
-  }
+  const std::shared_ptr<const scaling::ScalingModel> scaling =
+      resolve_scaling(request, table);
+  options.sampler.scaling = scaling.get();
   std::vector<Prediction> predictions;
   predictions.reserve(request.procs.size());
   for (const int procs : request.procs) {
@@ -164,13 +164,6 @@ PredictReport run_request(const PredictRequest& request, const Model& model,
         predict(model, procs, request.overrides, table, options));
   }
   return format_report(request, model, table.size(), predictions);
-}
-
-PredictReport run_request(const PredictRequest& request) {
-  const Model model = parse_request_model(request);
-  std::istringstream table_in{request.table_text};
-  const auto table = mpibench::DistributionTable::load(table_in);
-  return run_request(request, model, table);
 }
 
 }  // namespace pevpm

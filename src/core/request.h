@@ -97,15 +97,9 @@ struct PredictReport {
 [[nodiscard]] std::shared_ptr<const scaling::ScalingModel> resolve_scaling(
     const PredictRequest& request, const mpibench::DistributionTable& table);
 
-/// Runs the request against pre-parsed artifacts (the daemon's cache path).
-/// Honours a scaling model already planted in `request.options.sampler`;
-/// otherwise resolves one per `resolve_scaling` and keeps it alive for the
-/// duration of the call.
-[[nodiscard]] PredictReport run_request(
-    const PredictRequest& request, const Model& model,
-    const mpibench::DistributionTable& table);
-
-/// Parses model and table from the request text and runs it (the CLI path).
+/// Parses model and table from the request text, resolves the scaling
+/// model per `resolve_scaling`, and runs every `procs` entry (the CLI path;
+/// the daemon schedules replications itself and calls format_report).
 /// Throws ParseError / std::runtime_error on malformed model or table.
 [[nodiscard]] PredictReport run_request(const PredictRequest& request);
 

@@ -142,15 +142,6 @@ SimTime PartitionSet::last_event_time() const noexcept {
   return t;
 }
 
-std::size_t PartitionSet::pending() const noexcept {
-  std::size_t n = 0;
-  for (const Engine& engine : engines_) n += engine.pending();
-  for (const auto& box : mailboxes_) {
-    if (box && !box->empty()) ++n;
-  }
-  return n;
-}
-
 std::uint64_t PartitionSet::processed() const noexcept {
   std::uint64_t n = 0;
   for (const Engine& engine : engines_) n += engine.processed();

@@ -84,7 +84,6 @@ class PartitionSet {
   /// simulation finish time; run_until() overshoot does not count).
   [[nodiscard]] SimTime last_event_time() const noexcept;
 
-  [[nodiscard]] std::size_t pending() const noexcept;
   [[nodiscard]] std::uint64_t processed() const noexcept;
 
  private:
