@@ -69,7 +69,7 @@ void BM_LinkPacketForwarding(benchmark::State& state) {
     net::Packet packet;
     packet.wire_bytes = net::Bytes{1538};
     for (int i = 0; i < 512; ++i) {
-      link.submit(packet, [](const net::Packet&) {}, nullptr);
+      engine.schedule_at(link.submit_resolved(packet).arrive, [] {});
     }
     engine.run();
     benchmark::DoNotOptimize(link.packets_sent());

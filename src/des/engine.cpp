@@ -28,6 +28,7 @@ void Engine::release_slot(std::uint32_t index) noexcept {
 void Engine::heap_push(const HeapEntry& entry) {
   // Hole insertion: bubble the hole up, write the entry once at the end.
   heap_.push_back(entry);
+  if (heap_.size() > heap_high_water_) heap_high_water_ = heap_.size();
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
@@ -41,9 +42,11 @@ void Engine::heap_push(const HeapEntry& entry) {
 void Engine::heap_pop_root() noexcept {
   const HeapEntry moved = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, moved);
+}
+
+void Engine::sift_down(std::size_t i, const HeapEntry& moved) noexcept {
   const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t i = 0;
   for (;;) {
     const std::size_t first_child = (i << 2) + 1;
     if (first_child >= n) break;
@@ -59,6 +62,24 @@ void Engine::heap_pop_root() noexcept {
   heap_[i] = moved;
 }
 
+void Engine::purge_cancelled() noexcept {
+  std::size_t kept = 0;
+  for (const HeapEntry& entry : heap_) {
+    if (slot_at(entry.slot).state == SlotState::kCancelled) {
+      release_slot(entry.slot);
+    } else {
+      heap_[kept++] = entry;
+    }
+  }
+  heap_.resize(kept);
+  // Floyd's bottom-up heapify: sift every parent down, last one first.
+  if (kept < 2) return;
+  for (std::size_t i = (kept - 2) / 4 + 1; i-- > 0;) {
+    const HeapEntry moved = heap_[i];
+    sift_down(i, moved);
+  }
+}
+
 bool Engine::cancel(EventId id) {
   if (!id.valid() || id.slot > slot_count_) return false;
   Slot& slot = slot_at(id.slot - 1);
@@ -66,6 +87,10 @@ bool Engine::cancel(EventId id) {
   slot.state = SlotState::kCancelled;
   slot.fn.reset();  // release captures now; the heap entry is discarded later
   --live_;
+  ++cancelled_;
+  // Safe inside a callback: the dispatch loops copy the head entry before
+  // running it, so nothing holds a pointer into heap_ across a callback.
+  if (heap_.size() > 2 * live_ + kPurgeSlack) purge_cancelled();
   return true;
 }
 
@@ -77,6 +102,8 @@ void Engine::dispatch(const HeapEntry& head) {
   // callback throws (the exception still propagates to the caller).
   slot.state = SlotState::kRunning;
   --live_;
+  ran_key_ = Key{head.time, head.sched, head.seq, head.priority};
+  ran_below_seq_ = next_seq_;
   now_ = head.time;
   last_dispatch_ = head.time;
   ++processed_;
@@ -139,6 +166,9 @@ bool Engine::step() {
 void Engine::run() {
   while (step()) {
   }
+  // Every event that exists has run.
+  ran_key_ = Key{kNever, kNever, UINT64_MAX, INT32_MAX};
+  ran_below_seq_ = next_seq_;
 }
 
 void Engine::run_until(SimTime t) {
@@ -162,6 +192,13 @@ void Engine::run_until(SimTime t) {
     dispatch(head);
   }
   if (now_ < t) now_ = t;
+  // Every event that exists with time <= t has run. A t behind an earlier
+  // horizon or dispatch adds nothing to what has run.
+  const Key horizon{t, kNever, UINT64_MAX, INT32_MAX};
+  if (!before(horizon, ran_key_)) {
+    ran_key_ = horizon;
+    ran_below_seq_ = next_seq_;
+  }
 }
 // LINT:hot-path end
 

@@ -20,10 +20,21 @@
 // comparisons never chase a pointer. Slots live in fixed-size chunks with
 // stable addresses, which lets a callback run in place while it schedules
 // further events. Cancellation is lazy — the slot is flagged and its
-// callback destroyed immediately, but the heap entry stays until it
-// surfaces at the root, where it is discarded. Generation tags on the
-// slots make stale EventIds (after the event ran, was cancelled, or the
-// slot was recycled) harmless.
+// callback destroyed immediately, and the heap entry is discarded when it
+// surfaces at the root — but bounded: once cancelled entries make up more
+// than half the heap (plus a fixed slack), cancel() compacts the heap and
+// re-heapifies it, so its size tracks the live events rather than every
+// TCP retransmission timer ever disarmed. The pop order cannot change,
+// since the ordering key is a strict total order. Generation tags on the
+// slots make stale EventIds (after the event ran, was cancelled, purged,
+// or the slot was recycled) harmless.
+//
+// An event whose only effect is bookkeeping the owner can apply on demand
+// need not be queued at all: reserve_key() hands out the key it would have
+// had (consuming its sequence number, so no other event's key moves), and
+// has_run() says whether it would already have executed — exactly, ties at
+// the same nanosecond included. net::Link retires its queue backlog this
+// way instead of scheduling one release event per packet.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +59,15 @@ class Engine {
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
     [[nodiscard]] bool valid() const noexcept { return slot != 0; }
+  };
+
+  /// Full ordering key of an event: events execute in ascending
+  /// (time, priority, sched, seq) order.
+  struct Key {
+    SimTime time{};
+    SimTime sched{};
+    std::uint64_t seq = 0;
+    std::int32_t priority = 0;
   };
 
   Engine() = default;
@@ -79,7 +99,7 @@ class Engine {
     } else {
       heap_push(entry);
     }
-    ++live_;
+    note_scheduled();
     return EventId{index + 1, slot.gen};
   }
 
@@ -108,8 +128,26 @@ class Engine {
     slot.fn = std::move(fn);
     slot.state = SlotState::kScheduled;
     heap_push(HeapEntry{t, sched, next_seq_++, index, priority});
-    ++live_;
+    note_scheduled();
     return EventId{index + 1, slot_at(index).gen};
+  }
+
+  /// Returns the key schedule_at(t, fn) would give a default-priority
+  /// event now, consuming its sequence number, without queueing anything.
+  [[nodiscard]] Key reserve_key(SimTime t) {
+    if (t < now_) {
+      throw std::invalid_argument{"Engine::reserve_key: time is in the past"};
+    }
+    return Key{t, now_, next_seq_++, 0};
+  }
+
+  /// True when an event holding `key` (from reserve_key) would already have
+  /// executed by this point: inside a callback, iff it sorts before the
+  /// dispatching event; after step(), before the event step() ran; after
+  /// run_until(t), iff its time is <= t; after run(), always. Keys reserved
+  /// since that event started never count as run.
+  [[nodiscard]] bool has_run(const Key& key) const noexcept {
+    return key.seq < ran_below_seq_ && before(key, ran_key_);
   }
 
   /// Cancels a pending event. Returns false if it already ran, is
@@ -128,11 +166,21 @@ class Engine {
   [[nodiscard]] std::size_t pending() const noexcept { return live_; }
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
+  /// Successful cancel() calls.
+  [[nodiscard]] std::uint64_t cancelled() const noexcept { return cancelled_; }
+  /// Largest heap size reached, cancelled entries included.
+  [[nodiscard]] std::size_t heap_high_water() const noexcept {
+    return heap_high_water_;
+  }
+  /// Largest pending() reached.
+  [[nodiscard]] std::size_t pending_high_water() const noexcept {
+    return pending_high_water_;
+  }
 
   /// Timestamp of the earliest queued entry, or kNever when the queue is
   /// empty. A lazily-cancelled entry may report its (stale) time — callers
   /// using this as a window bound get a conservative (possibly empty)
-  /// window, never a wrong one, and run_until() purges such entries.
+  /// window, never a wrong one, and run_until() discards such entries.
   [[nodiscard]] SimTime next_event_time() const noexcept {
     const bool have_fifo = fifo_head_ < fifo_.size();
     if (heap_.empty()) return have_fifo ? fifo_[fifo_head_].time : kNever;
@@ -156,6 +204,11 @@ class Engine {
   /// pool) underneath itself.
   static constexpr std::uint32_t kChunkShift = 9;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+  /// cancel() compacts the heap once it holds more than
+  /// 2 * pending() + kPurgeSlack entries. The slack keeps tiny queues from
+  /// compacting on every cancel; the factor 2 makes the O(n) compaction
+  /// amortised O(1) per cancel.
+  static constexpr std::size_t kPurgeSlack = 64;
 
   enum class SlotState : std::uint8_t {
     kFree,
@@ -182,8 +235,9 @@ class Engine {
     std::int32_t priority = 0;
   };
 
-  [[nodiscard]] static bool before(const HeapEntry& a,
-                                   const HeapEntry& b) noexcept {
+  /// The execution order, over heap entries and Keys alike.
+  template <typename A, typename B>
+  [[nodiscard]] static bool before(const A& a, const B& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     if (a.priority != b.priority) return a.priority < b.priority;
     if (a.sched != b.sched) return a.sched < b.sched;
@@ -202,9 +256,17 @@ class Engine {
   /// recycles the slot.
   void dispatch(const HeapEntry& head);
 
+  void note_scheduled() noexcept {
+    if (++live_ > pending_high_water_) pending_high_water_ = live_;
+  }
+
   void heap_push(const HeapEntry& entry);
   /// Removes the root, restoring the heap property.
   void heap_pop_root() noexcept;
+  /// Moves the hole at `i` down to where `moved` belongs and writes it.
+  void sift_down(std::size_t i, const HeapEntry& moved) noexcept;
+  /// Drops every cancelled heap entry, releases its slot and re-heapifies.
+  void purge_cancelled() noexcept;
 
   /// Points `out` at the earliest pending entry (FIFO front vs heap root)
   /// without removing it. Returns false when both queues are empty;
@@ -226,6 +288,13 @@ class Engine {
   SimTime last_dispatch_{};
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::size_t heap_high_water_ = 0;
+  std::size_t pending_high_water_ = 0;
+  /// has_run() state: every event that existed before `ran_below_seq_` was
+  /// handed out and sorts before `ran_key_` has executed.
+  Key ran_key_{};
+  std::uint64_t ran_below_seq_ = 0;
 };
 
 }  // namespace des

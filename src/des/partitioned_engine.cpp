@@ -148,4 +148,22 @@ std::uint64_t PartitionSet::processed() const noexcept {
   return n;
 }
 
+std::uint64_t PartitionSet::cancelled() const noexcept {
+  std::uint64_t n = 0;
+  for (const Engine& engine : engines_) n += engine.cancelled();
+  return n;
+}
+
+std::uint64_t PartitionSet::heap_high_water() const noexcept {
+  std::uint64_t n = 0;
+  for (const Engine& engine : engines_) n += engine.heap_high_water();
+  return n;
+}
+
+std::uint64_t PartitionSet::pending_high_water() const noexcept {
+  std::uint64_t n = 0;
+  for (const Engine& engine : engines_) n += engine.pending_high_water();
+  return n;
+}
+
 }  // namespace des

@@ -85,6 +85,12 @@ class PartitionSet {
   [[nodiscard]] SimTime last_event_time() const noexcept;
 
   [[nodiscard]] std::uint64_t processed() const noexcept;
+  /// Engine counters summed over partitions (Engine::cancelled() etc.).
+  /// Each engine's event sequence is independent of the thread count, and
+  /// so are these.
+  [[nodiscard]] std::uint64_t cancelled() const noexcept;
+  [[nodiscard]] std::uint64_t heap_high_water() const noexcept;
+  [[nodiscard]] std::uint64_t pending_high_water() const noexcept;
 
  private:
   struct QueuedEvent {

@@ -113,6 +113,9 @@ PointToPointResult run_isend(const Options& options, net::Bytes size) {
   result.tcp_fast_retransmits = rt.transport().fast_retransmits();
   result.link_drops = rt.network().total_drops();
   result.faults_injected = rt.network().total_faults();
+  result.events_cancelled = rt.sim().cancelled();
+  result.heap_high_water = rt.sim().heap_high_water();
+  result.pending_high_water = rt.sim().pending_high_water();
   return result;
 }
 

@@ -73,6 +73,12 @@ struct PointToPointResult {
   std::uint64_t link_drops = 0;
   std::uint64_t faults_injected = 0;
 
+  // Event-queue counters (des::Engine), summed over the simulation's
+  // partitions. Like every other field they do not depend on sim_threads.
+  std::uint64_t events_cancelled = 0;
+  std::uint64_t heap_high_water = 0;
+  std::uint64_t pending_high_water = 0;
+
   [[nodiscard]] stats::EmpiricalDistribution distribution() const {
     return stats::EmpiricalDistribution{oneway};
   }

@@ -1,11 +1,34 @@
 #include "net/link.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 namespace net {
 
+void Link::grow_releases() {
+  std::rotate(releases_.begin(),
+              releases_.begin() + static_cast<std::ptrdiff_t>(release_head_),
+              releases_.end());
+  release_head_ = 0;
+  releases_.resize(releases_.empty() ? 16 : 2 * releases_.size());
+}
+
+// LINT:hot-path begin (per-hop submit and lazy backlog retirement: the
+// release ring is pooled and grows only in grow_releases above; no heap
+// allocation, locks, or iostream below; enforced by tools/repro_lint)
+void Link::retire() noexcept {
+  const std::size_t mask = releases_.size() - 1;
+  while (release_count_ != 0 &&
+         engine_.has_run(releases_[release_head_].key)) {
+    backlog_ -= releases_[release_head_].bytes;
+    release_head_ = (release_head_ + 1) & mask;
+    --release_count_;
+  }
+}
+
 Link::Resolved Link::submit_resolved(const Packet& packet) {
+  retire();
   if (backlog_ + packet.wire_bytes > params_.buffer) {
     ++dropped_;
     return Resolved{SubmitOutcome::kDropped, engine_.now()};
@@ -21,10 +44,11 @@ Link::Resolved Link::submit_resolved(const Packet& packet) {
   ++sent_;
   bytes_sent_ += packet.wire_bytes;
 
-  // The packet leaves the queue when fully serialised, and arrives at the
-  // far end one propagation latency later.
-  engine_.schedule_at(busy_until_,
-                      [this, bytes = packet.wire_bytes] { backlog_ -= bytes; });
+  // The packet leaves the queue when fully serialised (retired lazily), and
+  // arrives at the far end one propagation latency later.
+  if (release_count_ == releases_.size()) grow_releases();
+  releases_[(release_head_ + release_count_++) & (releases_.size() - 1)] =
+      Release{engine_.reserve_key(busy_until_), packet.wire_bytes};
 
   // Injected wire loss: the packet was transmitted (it paid for its queue
   // slot and serialisation above) but never arrives.
@@ -34,28 +58,10 @@ Link::Resolved Link::submit_resolved(const Packet& packet) {
   }
   return Resolved{SubmitOutcome::kDelivered, busy_until_ + params_.latency};
 }
-
-void Link::submit(const Packet& packet, DeliverFn deliver, DropFn drop) {
-  const Resolved resolved = submit_resolved(packet);
-  switch (resolved.outcome) {
-    case SubmitOutcome::kDropped:
-      if (drop) drop(packet);  // tail drop: immediate, at the submit instant
-      return;
-    case SubmitOutcome::kLost:
-      engine_.schedule_at(resolved.arrive, [packet, drop = std::move(drop)] {
-        if (drop) drop(packet);
-      });
-      return;
-    case SubmitOutcome::kDelivered:
-      engine_.schedule_at(resolved.arrive,
-                          [packet, deliver = std::move(deliver)] {
-                            if (deliver) deliver(packet);
-                          });
-      return;
-  }
-}
+// LINT:hot-path end
 
 void Link::reset_stats() noexcept {
+  retire();
   sent_ = 0;
   dropped_ = 0;
   lost_ = 0;

@@ -6,13 +6,19 @@
 // and are dropped when the queued wire bytes would exceed the buffer —
 // exactly the resources that produced the paper's contention effects on
 // Perseus.
+//
+// A link schedules no events. A packet's bytes leave the queue when it is
+// fully serialised; the link keeps the key that release event would have
+// had (des::Engine::reserve_key) and retires it at the next submit or
+// backlog read once des::Engine::has_run() says it would have run, ties
+// at the same nanosecond included.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/units.h"
 #include "des/engine.h"
@@ -24,9 +30,6 @@ namespace net {
 
 class Link {
  public:
-  using DeliverFn = std::function<void(const Packet&)>;
-  using DropFn = std::function<void(const Packet&)>;
-
   /// `partition` is the index of the logical process that owns this link
   /// under the conservative parallel engine; every submit must come from
   /// that partition's execution context. Sequential networks leave it 0.
@@ -40,26 +43,18 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Submits a packet. If the queue has room it will be delivered after
-  /// queueing + serialisation + propagation via `deliver`; otherwise `drop`
-  /// is invoked immediately (tail drop). An installed fault model may lose
-  /// the packet on the wire instead: it then still consumes queue space and
-  /// serialisation time, but `drop` fires (at the would-be arrival instant)
-  /// in place of `deliver`.
-  void submit(const Packet& packet, DeliverFn deliver, DropFn drop);
-
   enum class SubmitOutcome : std::uint8_t { kDropped, kLost, kDelivered };
   struct Resolved {
     SubmitOutcome outcome = SubmitOutcome::kDropped;
     des::SimTime arrive{};    ///< (would-be) arrival; meaningless if dropped
   };
 
-  /// Boundary-handoff variant of submit(): identical queueing,
-  /// serialisation, fault decision and accounting, but schedules no
-  /// delivery or drop event — the outcome is returned to the caller, who
-  /// owns whatever happens at `arrive`. This is what gives the partitioned
-  /// network its lookahead: the submit instant, not the arrival event, is
-  /// when the far side learns about the frame.
+  /// Submits a packet and returns its fate for the caller to schedule: a
+  /// tail drop now if the queue is full (kDropped), else arrival after
+  /// queueing + serialisation + propagation (kDelivered) — unless an
+  /// installed fault model loses it on the wire (kLost), after it paid for
+  /// its queue space and serialisation. Resolving at the submit instant is
+  /// what gives the partitioned network its lookahead.
   [[nodiscard]] Resolved submit_resolved(const Packet& packet);
 
   /// Installs (or clears, with nullptr) the fault injector for this link.
@@ -77,8 +72,11 @@ class Link {
     return partition_;
   }
 
-  /// Wire bytes currently queued or being serialised.
-  [[nodiscard]] Bytes backlog() const noexcept { return backlog_; }
+  /// Wire bytes currently queued or being serialised (retires first).
+  [[nodiscard]] Bytes backlog() noexcept {
+    retire();
+    return backlog_;
+  }
 
   // Lifetime statistics.
   [[nodiscard]] std::uint64_t packets_sent() const noexcept { return sent_; }
@@ -95,6 +93,17 @@ class Link {
   void reset_stats() noexcept;
 
  private:
+  /// `bytes` leave the backlog once an event with `key` would have run.
+  struct Release {
+    des::Engine::Key key{};
+    Bytes bytes{};
+  };
+
+  /// Applies the releases that would have run by now: a prefix of the
+  /// ring, which is in key order (busy_until_ and now() only grow).
+  void retire() noexcept;
+  void grow_releases();  ///< doubles the full ring, oldest entry first
+
   des::Engine& engine_;
   std::string name_;
   LinkParams params_;
@@ -103,7 +112,11 @@ class Link {
   std::unique_ptr<FaultModel> fault_;
 
   des::SimTime busy_until_{};
-  Bytes backlog_{};
+  Bytes backlog_{};  ///< includes releases not yet retired
+  /// Unretired releases, oldest first; capacity a power of two.
+  std::vector<Release> releases_;
+  std::size_t release_head_ = 0;
+  std::size_t release_count_ = 0;
   Bytes peak_backlog_{};
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;

@@ -71,14 +71,10 @@ void Network::build_links() {
   // and the fast path is untouched.
   if (params_.fault.enabled()) {
     stats::Rng seeder{params_.fault.seed};
-    const auto install = [&](const std::unique_ptr<Link>& link) {
-      link->install_fault_model(
+    for_each_link([&](Link& link) {
+      link.install_fault_model(
           std::make_unique<FaultModel>(params_.fault, seeder()));
-    };
-    for (const auto& link : nic_tx_) install(link);
-    for (const auto& link : nic_rx_) install(link);
-    for (const auto& link : fabric_) install(link);
-    for (const auto& link : trunk_) install(link);
+    });
   }
 }
 
@@ -159,18 +155,9 @@ void Network::release_transit(std::uint32_t part,
 }
 
 void Network::send(const Packet& packet, DeliverFn deliver, DropFn drop) {
-  const std::uint32_t part =
-      static_cast<std::uint32_t>(partition_of_node(packet.src_node).value());
-  const std::span<Link* const> path =
-      route_span(static_cast<int>(part), packet.src_node, packet.dst_node);
-  const std::uint32_t index = acquire_transit(part);
-  Transit& record = transit(part, index);
-  record.packet = packet;
-  record.path = path;
-  record.hop = 0;
-  record.deliver = std::move(deliver);
-  record.drop = std::move(drop);
-  forward_hop(part, index);
+  resume_transit(
+      static_cast<std::uint32_t>(partition_of_node(packet.src_node).value()),
+      0, packet, std::move(deliver), std::move(drop));
 }
 
 void Network::resume_transit(std::uint32_t part, std::uint32_t hop,
@@ -189,52 +176,47 @@ void Network::resume_transit(std::uint32_t part, std::uint32_t hop,
 }
 
 // LINT:hot-path begin (per-packet forwarding: transit records come from the
-// per-partition pool, callbacks are moved, cross-partition continuations
-// ride the wait-free mailbox ring; nothing allocates; enforced by
-// tools/repro_lint)
+// per-partition pool, hop events capture (network, partition, index), and
+// cross-partition continuations ride the wait-free mailbox ring; nothing
+// allocates; enforced by tools/repro_lint)
 void Network::forward_hop(std::uint32_t part, std::uint32_t index) {
   Transit& record = transit(part, index);
   Link* link = record.path[record.hop];
+  des::Engine& engine = link->engine();
+  const Link::Resolved resolved = link->submit_resolved(record.packet);
+  switch (resolved.outcome) {
+    case Link::SubmitOutcome::kDropped:
+      finish_transit(part, index, false);  // tail drop: at the submit instant
+      return;
+    case Link::SubmitOutcome::kLost:  // drops at the would-be arrival
+      engine.schedule_at(resolved.arrive, [this, part, index] {
+        finish_transit(part, index, false);
+      });
+      return;
+    case Link::SubmitOutcome::kDelivered:
+      break;
+  }
   if (record.hop + 1 == record.path.size()) {
-    // Final hop: hand the user's callbacks to the link and retire the
-    // record before submit so the pool slot can be reused immediately.
-    const Packet packet = record.packet;
-    DeliverFn deliver = std::move(record.deliver);
-    DropFn drop = std::move(record.drop);
-    release_transit(part, index);
-    link->submit(packet, std::move(deliver), std::move(drop));
+    engine.schedule_at(resolved.arrive, [this, part, index] {
+      finish_transit(part, index, true);
+    });
     return;
   }
   Link* next = record.path[record.hop + 1];
   if (next->partition().value() != static_cast<int>(part)) {
-    // Partition boundary: resolve this link's outcome at the submit instant
-    // (queueing, serialisation, fault decision — all sender-side state) and
-    // hand the continuation to the neighbouring partition. The continuation
-    // lands at arrival + switch latency, i.e. at least one link latency +
-    // switch latency ahead of now: the lookahead.
-    const Link::Resolved resolved = link->submit_resolved(record.packet);
+    // Partition boundary: the outcome was resolved at the submit instant
+    // (queueing, serialisation, fault decision — all sender-side state);
+    // hand the continuation to the neighbouring partition. It lands at
+    // arrival + switch latency, i.e. at least one link latency + switch
+    // latency ahead of now: the lookahead.
     const Packet packet = record.packet;
     DeliverFn deliver = std::move(record.deliver);
     DropFn drop = std::move(record.drop);
     const std::uint32_t next_hop = record.hop + 1;
     release_transit(part, index);
-    if (resolved.outcome == Link::SubmitOutcome::kDropped) {
-      if (drop) drop(packet);
-      return;
-    }
-    if (resolved.outcome == Link::SubmitOutcome::kLost) {
-      // The loss happened on a link this partition owns; the drop fires
-      // here, at the would-be arrival instant, exactly as sequentially.
-      link->engine().schedule_at(resolved.arrive,
-                                 [packet, drop = std::move(drop)] {
-                                   if (drop) drop(packet);
-                                 });
-      return;
-    }
-    const std::uint32_t to =
-        static_cast<std::uint32_t>(next->partition().value());
     const units::PartitionId from_id{static_cast<int>(part)};
-    const units::PartitionId to_id{static_cast<int>(to)};
+    const units::PartitionId to_id = next->partition();
+    const auto to = static_cast<std::uint32_t>(to_id.value());
     const des::SimTime at = resolved.arrive + params_.switch_latency;
     if (drop) {
       // Rare oversized capture (user-supplied drop callback crossing a
@@ -255,67 +237,53 @@ void Network::forward_hop(std::uint32_t part, std::uint32_t index) {
     }
     return;
   }
-  // Intermediate hop within the partition: arrival advances the record to
-  // the next link after the store-and-forward switch latency. Exactly one
-  // of the two callbacks fires per submit, so the record is released
-  // exactly once.
-  link->submit(
-      record.packet,
-      [this, part, index](const Packet&) {
-        Transit& arrived = transit(part, index);
-        arrived.path[arrived.hop]->engine().schedule_in(
-            params_.switch_latency, [this, part, index] {
-              ++transit(part, index).hop;
-              forward_hop(part, index);
-            });
-      },
-      [this, part, index](const Packet& dropped) {
-        DropFn drop = std::move(transit(part, index).drop);
-        release_transit(part, index);
-        if (drop) drop(dropped);
-      });
+  // Arrival at the switch; the next hop starts after the store-and-forward
+  // switch latency. Two events, not one: the continuation's schedule time
+  // (its `sched` tie-break key) is the arrival instant.
+  engine.schedule_at(resolved.arrive, [this, &engine, part, index] {
+    engine.schedule_in(params_.switch_latency, [this, part, index] {
+      ++transit(part, index).hop;
+      forward_hop(part, index);
+    });
+  });
+}
+
+void Network::finish_transit(std::uint32_t part, std::uint32_t index,
+                             bool delivered) {
+  Transit& record = transit(part, index);
+  const Packet packet = record.packet;
+  DeliverFn done = std::move(delivered ? record.deliver : record.drop);
+  release_transit(part, index);
+  if (done) done(packet);
 }
 // LINT:hot-path end
 
 std::uint64_t Network::total_drops() const noexcept {
   std::uint64_t drops = 0;
-  for (const auto& link : nic_tx_) drops += link->packets_dropped();
-  for (const auto& link : nic_rx_) drops += link->packets_dropped();
-  for (const auto& link : fabric_) drops += link->packets_dropped();
-  for (const auto& link : trunk_) drops += link->packets_dropped();
+  for_each_link([&drops](const Link& l) { drops += l.packets_dropped(); });
   return drops;
 }
 
 std::uint64_t Network::total_faults() const noexcept {
   std::uint64_t lost = 0;
-  for (const auto& link : nic_tx_) lost += link->packets_lost();
-  for (const auto& link : nic_rx_) lost += link->packets_lost();
-  for (const auto& link : fabric_) lost += link->packets_lost();
-  for (const auto& link : trunk_) lost += link->packets_lost();
+  for_each_link([&lost](const Link& link) { lost += link.packets_lost(); });
   return lost;
 }
 
 std::string Network::stats_csv() const {
   std::ostringstream os;
   os << "link,packets,bytes,drops,lost,peak_backlog,busy_us\n";
-  const auto row = [&os](const Link& link) {
+  for_each_link([&os](const Link& link) {
     os << link.name() << ',' << link.packets_sent() << ','
        << link.bytes_sent().count() << ',' << link.packets_dropped() << ','
        << link.packets_lost() << ',' << link.peak_backlog().count() << ','
        << link.busy_time().to_micros() << '\n';
-  };
-  for (const auto& link : nic_tx_) row(*link);
-  for (const auto& link : nic_rx_) row(*link);
-  for (const auto& link : fabric_) row(*link);
-  for (const auto& link : trunk_) row(*link);
+  });
   return os.str();
 }
 
 void Network::reset_stats() noexcept {
-  for (const auto& link : nic_tx_) link->reset_stats();
-  for (const auto& link : nic_rx_) link->reset_stats();
-  for (const auto& link : fabric_) link->reset_stats();
-  for (const auto& link : trunk_) link->reset_stats();
+  for_each_link([](Link& link) { link.reset_stats(); });
 }
 
 }  // namespace net

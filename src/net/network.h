@@ -5,9 +5,9 @@
 // The forwarding hot path is allocation-free in steady state: routes are
 // computed once per (src, dst) pair and reused as spans into per-pair
 // arrays, and each in-flight packet is tracked by a pool-allocated transit
-// record addressed by index, so the per-hop callbacks capture only
-// (network, partition, index) and fit every small-object buffer on the way
-// down.
+// record addressed by index, so the per-hop events capture only
+// (network, partition, index) and no std::function is built per hop; the
+// user's callbacks wait in the record until the packet arrives or is lost.
 //
 // Partitioned mode (the conservative parallel engine): each switch — its
 // node NICs, its forwarding fabric, and the trunk to its upper neighbour —
@@ -134,6 +134,14 @@ class Network {
   };
 
   void build_links();
+  /// Calls fn(Link&) on every link in construction order (NIC tx, NIC rx,
+  /// fabrics, trunks), which fault seeding and the stats rows follow.
+  template <typename Fn>
+  void for_each_link(Fn&& fn) const {
+    for (const auto* links : {&nic_tx_, &nic_rx_, &fabric_, &trunk_}) {
+      for (const std::unique_ptr<Link>& link : *links) fn(*link);
+    }
+  }
   [[nodiscard]] des::Engine& engine_for(units::PartitionId part) const {
     return sim_ ? sim_->engine(part) : *engine0_;
   }
@@ -148,12 +156,16 @@ class Network {
   }
 
   /// Submits the transit's packet to the link at its current hop; the
-  /// arrival callback advances the hop (after the store-and-forward switch
+  /// arrival event advances the hop (after the store-and-forward switch
   /// latency) until the final link delivers to the destination host, or a
   /// partition boundary hands the continuation to the neighbour.
   void forward_hop(std::uint32_t part, std::uint32_t index);
-  /// Re-enters a packet in partition `part` at `hop` of its route after a
-  /// cross-partition handoff (runs in `part`'s context).
+  /// Releases the record, then runs its deliver (or drop) callback.
+  void finish_transit(std::uint32_t part, std::uint32_t index,
+                      bool delivered);
+  /// Enters a packet in partition `part` at `hop` of its route: at hop 0
+  /// on send(), or after a cross-partition handoff (runs in `part`'s
+  /// context).
   void resume_transit(std::uint32_t part, std::uint32_t hop,
                       const Packet& packet, DeliverFn deliver, DropFn drop);
 

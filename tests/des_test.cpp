@@ -104,6 +104,54 @@ TEST(Engine, EventsCanScheduleEvents) {
   EXPECT_EQ(engine.now(), des::SimTime{40});
 }
 
+TEST(Engine, HasRunAnswersAsIfTheReservedEventWereQueued) {
+  des::Engine engine;
+  std::vector<bool> seen;
+  des::Engine::Key at10{};
+  engine.schedule_at(des::SimTime{10},
+                     [&] { seen.push_back(engine.has_run(at10)); });
+  at10 = engine.reserve_key(des::SimTime{10});
+  const des::Engine::Key at70 = engine.reserve_key(des::SimTime{70});
+  EXPECT_FALSE(engine.has_run(at10)) << "nothing has run yet";
+  // Same time and priority: the earlier event runs before the key, the
+  // later one after it; priority -1 runs before it.
+  des::Engine::Key inside{};
+  engine.schedule_at(des::SimTime{10}, [&] {
+    seen.push_back(engine.has_run(at10));
+    // A key reserved now has not run, even at this very instant.
+    inside = engine.reserve_key(des::SimTime{10});
+    seen.push_back(engine.has_run(inside));
+  });
+  engine.schedule_at(des::SimTime{10},
+                     [&] { seen.push_back(engine.has_run(at10)); }, -1);
+  engine.schedule_at(des::SimTime{100}, [] {});
+  engine.run_until(des::SimTime{9});
+  EXPECT_FALSE(engine.has_run(at10));
+  engine.step();  // priority -1
+  EXPECT_FALSE(engine.has_run(at10));
+  engine.step();  // the event scheduled before the key
+  EXPECT_FALSE(engine.has_run(at10));
+  engine.step();  // the event scheduled after it
+  EXPECT_TRUE(engine.has_run(at10));
+  EXPECT_FALSE(engine.has_run(inside));
+  // Priority -1, the event before the key, the event after it, and the
+  // key reserved inside that last callback.
+  EXPECT_EQ(seen, (std::vector<bool>{false, false, true, false}));
+  engine.run_until(des::SimTime{10});
+  EXPECT_TRUE(engine.has_run(inside));
+  EXPECT_FALSE(engine.has_run(at70));
+  engine.step();  // t = 100
+  EXPECT_TRUE(engine.has_run(at70));
+  // An earlier horizon takes nothing back.
+  engine.run_until(des::SimTime{50});
+  EXPECT_TRUE(engine.has_run(at70));
+  // After run(), everything that existed has run; newer keys have not.
+  const des::Engine::Key late = engine.reserve_key(des::SimTime{200});
+  engine.run();
+  EXPECT_TRUE(engine.has_run(late));
+  EXPECT_FALSE(engine.has_run(engine.reserve_key(des::SimTime{200})));
+}
+
 TEST(Process, DelayAdvancesVirtualTime) {
   des::Engine engine;
   des::SimTime finish{-1};

@@ -7,11 +7,13 @@
 // reference implementation (std::priority_queue + hash-set cancellation,
 // the pre-overhaul design) through the same script and requires the
 // recorded execution orders to match event for event.
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -46,15 +48,19 @@ class RefEngine {
     if (!id.valid() || live_.count(id.seq) == 0) return false;
     return cancelled_.insert(id.seq).second;
   }
-  void run() {
+  bool step() {
     while (!queue_.empty()) {
-      Event event = queue_.top();
-      queue_.pop();
-      live_.erase(event.seq);
-      if (cancelled_.erase(event.seq) > 0) continue;
-      now_ = event.time;
-      event.fn();
+      if (pop_and_run()) return true;
     }
+    return false;
+  }
+  void run() {
+    while (step()) {
+    }
+  }
+  void run_until(des::SimTime t) {
+    while (!queue_.empty() && queue_.top().time <= t) pop_and_run();
+    if (now_ < t) now_ = t;
   }
 
  private:
@@ -71,6 +77,17 @@ class RefEngine {
       return a.seq > b.seq;
     }
   };
+  /// Pops the earliest event and runs it unless it was cancelled.
+  bool pop_and_run() {
+    Event event = queue_.top();
+    queue_.pop();
+    live_.erase(event.seq);
+    if (cancelled_.erase(event.seq) > 0) return false;
+    now_ = event.time;
+    event.fn();
+    return true;
+  }
+
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::unordered_set<std::uint64_t> live_;
   std::unordered_set<std::uint64_t> cancelled_;
@@ -268,6 +285,115 @@ TEST(EngineGolden, CancelFromInsideCallbackOfSameTimestamp) {
   };
   script.nested = {{1, {{ScriptOp::kCancel, 0, 0, 0, 3}}}};
   expect_same_order(script);
+}
+
+/// What one replay of the timer workload observed.
+struct TimerReplay {
+  std::vector<Fired> order;
+  std::vector<bool> cancels;  ///< every cancel() result, in call order
+};
+
+/// A cancel-heavy workload shaped like TCP retransmission timers: 64
+/// connections each run a chain of near-term activities, and every
+/// activity disarms its connection's timer (200 us or more ahead) and arms
+/// a new one, so over 12,000 far-future timers are cancelled from inside
+/// callbacks and only the last per connection fires. The control loop
+/// interleaves step() and run_until() with out-of-callback cancels: of an
+/// event scheduled to be the next one to run (the heap root), and of
+/// handles already cancelled, whose slots the engine may have recycled.
+template <typename EngineT>
+TimerReplay replay_timers(std::uint64_t seed) {
+  constexpr int kConnections = 64;
+  constexpr int kActivities = 12'500;
+  EngineT engine;
+  TimerReplay replay;
+  std::vector<typename EngineT::EventId> timer(kConnections);
+  std::vector<typename EngineT::EventId> disarmed;
+  std::uint64_t state = seed * 0x9e3779b97f4a7c15ULL;
+  const auto rnd = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::int64_t>((state >> 33) % bound);
+  };
+  const auto cancel = [&](typename EngineT::EventId id) {
+    replay.cancels.push_back(engine.cancel(id));
+  };
+  int activities = 0;
+  int next_label = kConnections + 1;
+  std::function<void(int)> activity = [&](int conn) {
+    replay.order.push_back(Fired{conn, engine.now()});
+    cancel(timer[conn]);
+    disarmed.push_back(timer[conn]);
+    const int label = next_label++;
+    timer[conn] = engine.schedule_in(
+        des::Duration{200'000 + rnd(1000)},
+        [&replay, &engine, label] {
+          replay.order.push_back(Fired{label, engine.now()});
+        });
+    if (++activities < kActivities) {
+      // Offset 0 with priority 0 takes the immediate-event queue.
+      engine.schedule_in(des::Duration{rnd(40)},
+                         [&activity, conn] { activity(conn); },
+                         static_cast<int>(rnd(3)) - 1);
+    }
+  };
+  for (int conn = 0; conn < kConnections; ++conn) {
+    engine.schedule_at(des::SimTime{rnd(100)},
+                       [&activity, conn] { activity(conn); });
+  }
+  for (int control = 0; control < 2000; ++control) {
+    switch (rnd(3)) {
+      case 0:
+        engine.step();
+        break;
+      case 1:
+        engine.run_until(engine.now() + des::Duration{rnd(60)});
+        break;
+      default: {
+        // Nothing else has priority -100, so this event is the earliest
+        // pending one — the heap root — until the cancel.
+        const int label = next_label++;
+        cancel(engine.schedule_at(
+            engine.now(),
+            [&replay, &engine, label] {
+              replay.order.push_back(Fired{label, engine.now()});
+            },
+            -100));
+        for (int i = 0; i < 4 && !disarmed.empty(); ++i) {
+          cancel(disarmed[static_cast<std::size_t>(
+              rnd(static_cast<std::int64_t>(disarmed.size())))]);
+        }
+        break;
+      }
+    }
+  }
+  engine.run();
+  if constexpr (std::is_same_v<EngineT, des::Engine>) {
+    EXPECT_GE(engine.cancelled(), 10'000u);
+    EXPECT_LE(engine.heap_high_water(),
+              2 * engine.pending_high_water() + 64)
+        << "cancelled timers were not purged";
+    // Purged slots go back to the pool: no slot index exceeds the most
+    // events ever queued or running at once.
+    std::uint32_t top_slot = 0;
+    for (const auto& id : disarmed) top_slot = std::max(top_slot, id.slot);
+    EXPECT_LE(top_slot,
+              engine.heap_high_water() + engine.pending_high_water() + 1)
+        << "purged slots were not recycled";
+  }
+  return replay;
+}
+
+TEST(EngineGolden, PurgedTimersMatchReference) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const TimerReplay ref = replay_timers<RefEngine>(seed);
+    const TimerReplay got = replay_timers<des::Engine>(seed);
+    ASSERT_EQ(ref.order.size(), got.order.size());
+    for (std::size_t i = 0; i < ref.order.size(); ++i) {
+      ASSERT_EQ(ref.order[i], got.order[i]) << "diverged at step " << i;
+    }
+    EXPECT_EQ(ref.cancels, got.cancels);
+  }
 }
 
 // ---------------------------------------------------------------------------

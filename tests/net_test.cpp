@@ -1,7 +1,12 @@
 // Unit tests for links, topology/routing and the cluster description.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "des/engine.h"
 #include "net/cluster.h"
@@ -21,6 +26,26 @@ net::Packet packet(std::uint64_t id, int src, int dst, net::Bytes wire) {
   return p;
 }
 
+using OnPacket = std::function<void(const net::Packet&)>;
+
+/// Submits `p` and schedules its fate the way the network's final hop
+/// does: `deliver` at the arrival instant, or `drop` at the would-be
+/// arrival for a wire loss and at once for a tail drop.
+void submit(net::Link& link, const net::Packet& p, OnPacket deliver,
+            OnPacket drop) {
+  const net::Link::Resolved resolved = link.submit_resolved(p);
+  if (resolved.outcome == net::Link::SubmitOutcome::kDropped) {
+    if (drop) drop(p);
+    return;
+  }
+  OnPacket fire = resolved.outcome == net::Link::SubmitOutcome::kLost
+                      ? std::move(drop)
+                      : std::move(deliver);
+  link.engine().schedule_at(resolved.arrive, [p, fire = std::move(fire)] {
+    if (fire) fire(p);
+  });
+}
+
 TEST(Link, SerialisationPlusLatency) {
   des::Engine engine;
   // 100 Mbit/s, 5 us latency: 1250 wire bytes = 100 us on the wire.
@@ -28,8 +53,8 @@ TEST(Link, SerialisationPlusLatency) {
                          1_KiB * 64};
   net::Link link{engine, "l", params};
   des::SimTime arrival{-1};
-  link.submit(packet(1, 0, 1, net::Bytes{1250}),
-              [&](const net::Packet&) { arrival = engine.now(); }, nullptr);
+  submit(link, packet(1, 0, 1, net::Bytes{1250}),
+               [&](const net::Packet&) { arrival = engine.now(); }, nullptr);
   engine.run();
   EXPECT_EQ(arrival, des::SimTime::from_micros(105));
   EXPECT_EQ(link.packets_sent(), 1u);
@@ -43,9 +68,9 @@ TEST(Link, FifoQueueingDelaysSecondPacket) {
   net::Link link{engine, "l", params};
   std::vector<des::SimTime> arrivals;
   for (int i = 0; i < 3; ++i) {
-    link.submit(packet(i, 0, 1, net::Bytes{1250}),
-                [&](const net::Packet&) { arrivals.push_back(engine.now()); },
-                nullptr);
+    submit(link, packet(i, 0, 1, net::Bytes{1250}),
+                 [&](const net::Packet&) { arrivals.push_back(engine.now()); },
+                 nullptr);
   }
   engine.run();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -63,9 +88,9 @@ TEST(Link, TailDropWhenBufferFull) {
   int delivered = 0;
   int dropped = 0;
   for (int i = 0; i < 4; ++i) {
-    link.submit(packet(i, 0, 1, net::Bytes{1250}),
-                [&](const net::Packet&) { ++delivered; },
-                [&](const net::Packet&) { ++dropped; });
+    submit(link, packet(i, 0, 1, net::Bytes{1250}),
+                 [&](const net::Packet&) { ++delivered; },
+                 [&](const net::Packet&) { ++dropped; });
   }
   engine.run();
   EXPECT_EQ(delivered, 2);
@@ -77,7 +102,7 @@ TEST(Link, BacklogDrainsAfterServicing) {
   des::Engine engine;
   net::LinkParams params{net::Rate::mbit(100), des::Duration{}, 64_KiB};
   net::Link link{engine, "l", params};
-  link.submit(packet(0, 0, 1, net::Bytes{1250}), nullptr, nullptr);
+  submit(link, packet(0, 0, 1, net::Bytes{1250}), nullptr, nullptr);
   EXPECT_EQ(link.backlog(), net::Bytes{1250});
   engine.run();
   EXPECT_EQ(link.backlog(), net::Bytes{});
@@ -90,14 +115,214 @@ TEST(Link, PerPacketServiceDominatesSmallFrames) {
   net::Link link{engine, "l", params};
   std::vector<des::SimTime> arrivals;
   for (int i = 0; i < 2; ++i) {
-    link.submit(packet(i, 0, 1, net::Bytes{84}),
-                [&](const net::Packet&) { arrivals.push_back(engine.now()); },
-                nullptr);
+    submit(link, packet(i, 0, 1, net::Bytes{84}),
+                 [&](const net::Packet&) { arrivals.push_back(engine.now()); },
+                 nullptr);
   }
   engine.run();
   ASSERT_EQ(arrivals.size(), 2u);
   // Each packet costs 2 us + 84 B / 2.1 Gbit/s (0.32 us).
   EXPECT_GT(arrivals[1] - arrivals[0], des::Duration::from_micros(2));
+}
+
+// ---- lazy backlog retirement ---------------------------------------------
+//
+// A link retires a packet's queue bytes when the release event it no longer
+// schedules would have run. Each test below holds it to the eager
+// behaviour: a real release event at busy_until.
+
+/// The eager link: the same queue accounting, with one real release event
+/// per accepted packet. It takes the same sequence numbers the lazy link
+/// reserves, so two engines driven by one script stay in lockstep.
+class EagerLink {
+ public:
+  EagerLink(des::Engine& engine, net::LinkParams params)
+      : engine_{engine}, params_{params} {}
+
+  bool submit(const net::Packet& p) {
+    if (backlog_ + p.wire_bytes > params_.buffer) return false;
+    backlog_ += p.wire_bytes;
+    peak_ = std::max(peak_, backlog_);
+    busy_until_ = std::max(engine_.now(), busy_until_) + params_.per_packet +
+                  params_.rate.time_to_send(p.wire_bytes);
+    engine_.schedule_at(busy_until_,
+                        [this, bytes = p.wire_bytes] { backlog_ -= bytes; });
+    return true;
+  }
+  void reset_stats() { peak_ = backlog_; }
+  [[nodiscard]] net::Bytes backlog() const { return backlog_; }
+  [[nodiscard]] net::Bytes peak_backlog() const { return peak_; }
+
+ private:
+  des::Engine& engine_;
+  net::LinkParams params_;
+  des::SimTime busy_until_{};
+  net::Bytes backlog_{};
+  net::Bytes peak_{};
+};
+
+/// 100 Mbit/s, no latency: 1250 wire bytes take exactly 100 us.
+const net::LinkParams kOnePacketBuffer{net::Rate::mbit(100), des::Duration{},
+                                       net::Bytes{1250}};
+
+TEST(Link, SubmitAtTheReleaseInstantFollowsTheEventOrder) {
+  // A fills the buffer until t = 100 us. Submits at exactly that instant
+  // see the queue slot free only if their event sorts after A's release
+  // (time, priority, schedule time, sequence), as with an eager event.
+  des::Engine engine;
+  net::Link link{engine, "l", kOnePacketBuffer};
+  const des::SimTime release = des::SimTime::from_micros(100);
+  std::vector<std::pair<char, bool>> accepted;
+  const auto try_submit = [&](char who) {
+    const bool ok = link.submit_resolved(packet(0, 0, 1, net::Bytes{1250}))
+                        .outcome != net::Link::SubmitOutcome::kDropped;
+    accepted.emplace_back(who, ok);
+  };
+  engine.schedule_at(release, [&] { try_submit('x'); });  // earlier seq
+  (void)link.submit_resolved(packet(0, 0, 1, net::Bytes{1250}));  // A
+  engine.schedule_at(release, [&] { try_submit('y'); });  // later seq
+  engine.schedule_at(release, [&] { try_submit('z'); }, -1);  // priority
+  engine.run();
+  const std::vector<std::pair<char, bool>> expected{
+      {'z', false}, {'x', false}, {'y', true}};
+  EXPECT_EQ(accepted, expected);
+  EXPECT_EQ(link.packets_dropped(), 2u);
+}
+
+TEST(Link, BacklogReadsMatchEagerReleaseEvents) {
+  // One seeded script drives a lazy link on one engine and the eager link
+  // on another. Times sit on a 10 us grid and every packet serialises in a
+  // multiple of 10 us, so submits keep landing on release instants. The
+  // backlog and its peak must agree inside every callback, after every
+  // step() (the eager engine steps until it has run the same script
+  // event), after run_until() and after run() — reset_stats() mid-drain
+  // included.
+  struct Side {
+    des::Engine engine;
+    std::vector<std::string> trace;
+    int fired = 0;
+  };
+  const net::LinkParams params{net::Rate::mbit(100), des::Duration{},
+                               net::Bytes{2000}};
+  Side lazy;
+  Side eager;
+  net::Link link{lazy.engine, "l", params};
+  EagerLink reference{eager.engine, params};
+  // Entries carry now(), except after run(): the eager engine ends at its
+  // last release event, which the lazy engine never schedules.
+  const auto record = [](Side& side, const char* where, net::Bytes backlog,
+                         net::Bytes peak) {
+    const bool timed = std::string_view{where} != "run";
+    side.trace.push_back(
+        std::string{where} + " " +
+        std::to_string(timed ? side.engine.now().ns() : 0) + " " +
+        std::to_string(backlog.count()) + " " + std::to_string(peak.count()));
+  };
+  const auto observe = [&](const char* where) {
+    record(lazy, where, link.backlog(), link.peak_backlog());
+    record(eager, where, reference.backlog(), reference.peak_backlog());
+  };
+
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  const auto rnd = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  const auto grid = [](std::uint64_t steps) {
+    return des::Duration::from_micros(10.0 * static_cast<double>(steps));
+  };
+  // Script event `id` submits a packet and may reset the stats; events
+  // 0-199 are scheduled up front and may each schedule event id + 200
+  // (offset 0 exercises the immediate queue). The random draws happen here,
+  // once, so both sides replay one script.
+  struct Op {
+    net::Bytes bytes{};
+    bool reset = false;
+    bool follow = false;
+    des::Duration offset{};
+    int priority = 0;
+  };
+  constexpr std::size_t kTopLevel = 200;
+  std::vector<Op> ops(2 * kTopLevel);
+  for (Op& op : ops) {
+    op.bytes = net::Bytes{125 * (1 + rnd(8))};
+    op.reset = rnd(16) == 0;
+    op.follow = rnd(2) == 0;
+    op.offset = grid(rnd(6));
+    op.priority = static_cast<int>(rnd(3)) - 1;
+  }
+  std::function<void(Side&, std::size_t)> fire = [&](Side& side,
+                                                     std::size_t id) {
+    const Op& op = ops[id];
+    ++side.fired;
+    if (&side == &lazy) {
+      (void)link.submit_resolved(packet(id, 0, 1, op.bytes));
+      if (op.reset) link.reset_stats();
+      record(side, "callback", link.backlog(), link.peak_backlog());
+    } else {
+      (void)reference.submit(packet(id, 0, 1, op.bytes));
+      if (op.reset) reference.reset_stats();
+      record(side, "callback", reference.backlog(), reference.peak_backlog());
+    }
+    if (op.follow && id < kTopLevel) {
+      side.engine.schedule_in(
+          op.offset,
+          [&fire, &side, child = id + kTopLevel] { fire(side, child); },
+          op.priority);
+    }
+  };
+  for (std::size_t id = 0; id < kTopLevel; ++id) {
+    const des::SimTime at = des::SimTime{} + grid(rnd(150));
+    const int priority = static_cast<int>(rnd(3)) - 1;
+    for (Side* side : {&lazy, &eager}) {
+      side->engine.schedule_at(
+          at, [&fire, side, id] { fire(*side, id); }, priority);
+    }
+  }
+  for (int control = 0; control < 300; ++control) {
+    if (rnd(2) == 0) {
+      if (!lazy.engine.step()) break;
+      while (eager.fired < lazy.fired) ASSERT_TRUE(eager.engine.step());
+      observe("step");
+    } else {
+      const des::SimTime until = lazy.engine.now() + grid(rnd(4));
+      lazy.engine.run_until(until);
+      eager.engine.run_until(until);
+      observe("run_until");
+    }
+  }
+  lazy.engine.run();
+  eager.engine.run();
+  observe("run");
+  EXPECT_EQ(link.backlog(), net::Bytes{});
+  ASSERT_EQ(lazy.trace.size(), eager.trace.size());
+  for (std::size_t i = 0; i < lazy.trace.size(); ++i) {
+    ASSERT_EQ(lazy.trace[i], eager.trace[i]) << "diverged at entry " << i;
+  }
+  EXPECT_GT(link.packets_dropped(), 0u) << "the buffer never filled";
+}
+
+TEST(Link, ResetStatsMidDrainStartsThePeakAtTheCurrentBacklog) {
+  des::Engine engine;
+  net::Link link{engine, "l",
+                 net::LinkParams{net::Rate::mbit(100), des::Duration{},
+                                 64_KiB}};
+  for (int i = 0; i < 3; ++i) {
+    (void)link.submit_resolved(packet(i, 0, 1, net::Bytes{1250}));
+  }
+  EXPECT_EQ(link.peak_backlog(), net::Bytes{3750});
+  // Releases at 100 and 200 us have run by 250 us; the third has not.
+  engine.run_until(des::SimTime::from_micros(250));
+  EXPECT_EQ(link.backlog(), net::Bytes{1250});
+  link.reset_stats();
+  EXPECT_EQ(link.peak_backlog(), net::Bytes{1250});
+  EXPECT_EQ(link.packets_sent(), 0u);
+  engine.run();
+  EXPECT_EQ(link.backlog(), net::Bytes{});
+  EXPECT_EQ(link.peak_backlog(), net::Bytes{1250});
+  // A submit after the run is queued until the engine runs again.
+  (void)link.submit_resolved(packet(3, 0, 1, net::Bytes{1250}));
+  EXPECT_EQ(link.backlog(), net::Bytes{1250});
 }
 
 TEST(Network, HopCountsReflectTopology) {
@@ -135,6 +360,46 @@ TEST(Network, DeliversAcrossSwitches) {
   EXPECT_EQ(network.nic_rx(47).packets_sent(), 1u);
   EXPECT_EQ(network.fabric(0).packets_sent(), 1u);
   EXPECT_EQ(network.total_drops(), 0u);
+}
+
+TEST(Network, WireLossOnEachHopDropsAtTheWouldBeArrival) {
+  // The second packet on every link is lost, and packets are sent one at a
+  // time, so packet 2 dies on nic_tx.0 (hop 0), packet 3 on the fabric
+  // (hop 1) and packet 4 on nic_rx.1 (the final hop). Each drop callback
+  // fires when the packet would have arrived, queue bytes still drain,
+  // and the transit records are reused for packet 5.
+  des::Engine engine;
+  net::ClusterParams params = net::perseus(2);
+  params.fault.drop_nth = {2};
+  net::Network network{engine, params};
+  std::vector<std::uint64_t> delivered;
+  std::vector<std::pair<std::uint64_t, des::SimTime>> dropped;
+  des::SimTime second_sent{};
+  for (std::uint64_t id = 1; id <= 5; ++id) {
+    if (id == 2) second_sent = engine.now();
+    network.send(packet(id, 0, 1, net::Bytes{1538}),
+                 [&](const net::Packet& p) { delivered.push_back(p.id); },
+                 [&](const net::Packet& p) {
+                   dropped.emplace_back(p.id, engine.now());
+                 });
+    engine.run();
+  }
+  const net::LinkParams& nic = params.nic;
+  const des::SimTime would_reach_switch =
+      second_sent + nic.per_packet + nic.rate.time_to_send(net::Bytes{1538}) +
+      nic.latency;
+  ASSERT_EQ(dropped.size(), 3u);
+  EXPECT_EQ(dropped[0], std::make_pair(std::uint64_t{2}, would_reach_switch));
+  EXPECT_EQ(dropped[1].first, 3u);
+  EXPECT_EQ(dropped[2].first, 4u);
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{1, 5}));
+  EXPECT_EQ(network.nic_tx(0).packets_sent(), 5u);
+  EXPECT_EQ(network.fabric(0).packets_sent(), 4u);
+  EXPECT_EQ(network.nic_rx(1).packets_sent(), 3u);
+  EXPECT_EQ(network.total_faults(), 3u);
+  for (net::Link* link : network.route(0, 1)) {
+    EXPECT_EQ(link->backlog(), net::Bytes{}) << link->name();
+  }
 }
 
 TEST(Network, StatsCsvListsLinks) {

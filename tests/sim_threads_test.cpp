@@ -199,6 +199,29 @@ TEST(SimThreads, MatchesPerseusSeedOneTable) {
 
 // ---- focused cases -------------------------------------------------------
 
+TEST(SimThreads, EngineCountersMatchAndHeapStaysBounded) {
+  // One 64-node Perseus cell (three partitions). Every ACK disarms a TCP
+  // retransmission timer; the engines purge those cancelled entries, so
+  // the heaps stay within twice the live events plus each engine's fixed
+  // slack (64) instead of growing with every timer ever armed.
+  mpibench::Options opt;
+  opt.cluster = net::perseus(64);
+  opt.repetitions = 4;
+  opt.warmup = 2;
+  opt.seed = 1;
+  const int partitions = opt.cluster.switch_count();
+  opt.sim_threads = 0;
+  const auto one = mpibench::run_isend(opt, net::Bytes{1024});
+  opt.sim_threads = 2;
+  const auto two = mpibench::run_isend(opt, net::Bytes{1024});
+  EXPECT_GT(one.events_cancelled, 0u);
+  EXPECT_LE(one.heap_high_water,
+            2 * one.pending_high_water + 64u * partitions);
+  EXPECT_EQ(one.events_cancelled, two.events_cancelled);
+  EXPECT_EQ(one.heap_high_water, two.heap_high_water);
+  EXPECT_EQ(one.pending_high_water, two.pending_high_water);
+}
+
 TEST(SimThreads, IsendIsBitIdenticalAtEveryThreadCount) {
   mpibench::Options opt = multi_switch_options();
   ASSERT_EQ(opt.cluster.switch_count(), 3);
