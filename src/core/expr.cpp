@@ -33,7 +33,7 @@ class Variable final : public Expr {
   Variable(std::string name, int slot) : name_{std::move(name)}, slot_{slot} {}
   double eval(const Env& env) const override {
     if (!env.bound(slot_)) {
-      throw std::runtime_error{"unbound PEVPM variable '" + name_ + "'"};
+      throw ModelError{"unbound PEVPM variable '" + name_ + "'"};
     }
     return env.value(slot_);
   }
@@ -88,12 +88,12 @@ class Binary final : public Expr {
       case Op::kSub: return a - b;
       case Op::kMul: return a * b;
       case Op::kDiv:
-        if (b == 0.0) throw std::runtime_error{"PEVPM expression: division by zero"};
+        if (b == 0.0) throw ModelError{"PEVPM expression: division by zero"};
         // Division is always real: time expressions like "1/numprocs" must
-        // not truncate. Rank/size contexts truncate at eval_int instead.
+        // not truncate. Rank/size contexts truncate at checked_int instead.
         return a / b;
       case Op::kMod: {
-        if (b == 0.0) throw std::runtime_error{"PEVPM expression: modulo by zero"};
+        if (b == 0.0) throw ModelError{"PEVPM expression: modulo by zero"};
         if (is_integral(a) && is_integral(b)) {
           return static_cast<double>(static_cast<long long>(a) %
                                      static_cast<long long>(b));
@@ -339,8 +339,7 @@ ExprPtr variable(std::string name, SymbolTable& symbols) {
   return std::make_shared<Variable>(std::move(name), slot);
 }
 
-long eval_int(const Expr& expr, const Env& env, const char* what) {
-  const double value = expr.eval(env);
+long checked_int(double value, const Expr& expr, const char* what) {
   // Truncation is defined only for values whose integral part fits a long
   // (the comparisons are false for NaN). -LONG_MIN is a power of two, so
   // it converts to double exactly.
@@ -352,8 +351,7 @@ long eval_int(const Expr& expr, const Env& env, const char* what) {
   return static_cast<long>(value);
 }
 
-double eval_finite(const Expr& expr, const Env& env, const char* what) {
-  const double value = expr.eval(env);
+double checked_finite(double value, const Expr& expr, const char* what) {
   if (!std::isfinite(value)) throw_out_of_range(expr, value, what, "finite");
   return value;
 }

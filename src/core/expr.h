@@ -104,22 +104,26 @@ class ParseError : public std::runtime_error {
 };
 
 /// Raised for malformed models (negative sizes, self-messages, peers out of
-/// range, Wait on an unknown handle...). Deadlock is NOT an exception: it
-/// is a legitimate analysis result, reported in SimulationResult.
+/// range, Wait on an unknown handle...) and for operands that cannot be
+/// evaluated (an unbound variable, division or modulo by zero). Deadlock is
+/// NOT an exception: it is a legitimate analysis result, reported in
+/// SimulationResult.
 class ModelError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Evaluates and truncates toward zero, for counts/ranks/sizes. A value
-/// that is not finite or does not fit a `long` raises a ModelError naming
-/// `what` (the directive operand, e.g. "loop count") and the value.
-[[nodiscard]] long eval_int(const Expr& expr, const Env& env,
-                            const char* what);
+/// Truncates toward zero the value `expr` evaluated to, for counts, ranks
+/// and sizes. A value that is not finite or does not fit a `long` raises a
+/// ModelError naming `what` (the directive operand, e.g. "loop count"),
+/// the value and the expression.
+[[nodiscard]] long checked_int(double value, const Expr& expr,
+                               const char* what);
 
-/// Evaluates an operand that must be finite (a Serial time); NaN or an
-/// infinity raises a ModelError naming `what` and the value.
-[[nodiscard]] double eval_finite(const Expr& expr, const Env& env,
-                                 const char* what);
+/// Passes through the value of an operand that must be finite (a Serial
+/// time); NaN or an infinity raises a ModelError naming `what` and the
+/// value.
+[[nodiscard]] double checked_finite(double value, const Expr& expr,
+                                    const char* what);
 
 }  // namespace pevpm

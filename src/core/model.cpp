@@ -72,7 +72,87 @@ void print_body(std::ostringstream& os, const Body& body, int indent) {
   for (const NodePtr& node : body) print_node(os, *node, indent);
 }
 
+/// Marks every variable slot a loop of `body` binds.
+void mark_loop_slots(const Body& body, std::vector<char>& written) {
+  for (const NodePtr& node : body) {
+    if (const auto* loop = std::get_if<LoopNode>(&node->data)) {
+      if (loop->var_slot >= 0) {
+        written[static_cast<std::size_t>(loop->var_slot)] = 1;
+      }
+      mark_loop_slots(loop->body, written);
+    } else if (const auto* runon = std::get_if<RunonNode>(&node->data)) {
+      mark_loop_slots(runon->then_body, written);
+      mark_loop_slots(runon->else_body, written);
+    }
+  }
+}
+
+/// Rebuilds a body with operand cache indexes (see index_cached_operands).
+class OperandIndexer {
+ public:
+  OperandIndexer(const SymbolTable& variables, std::vector<char> loop_slots)
+      : variables_{variables}, loop_slots_{std::move(loop_slots)} {}
+
+  [[nodiscard]] Body index(const Body& body) {
+    Body out;
+    out.reserve(body.size());
+    for (const NodePtr& node : body) out.push_back(index(*node));
+    return out;
+  }
+
+  [[nodiscard]] int count() const noexcept { return next_; }
+
+ private:
+  [[nodiscard]] NodePtr index(const Node& node) {
+    Node out = node;
+    if (auto* serial = std::get_if<SerialNode>(&out.data)) {
+      serial->seconds_cache = operand(serial->seconds);
+    } else if (auto* msg = std::get_if<MessageNode>(&out.data)) {
+      msg->size_cache = operand(msg->size);
+      msg->peer_cache = operand(msg->peer);
+    } else if (auto* coll = std::get_if<CollectiveNode>(&out.data)) {
+      coll->size_cache = operand(coll->size);
+      coll->root_cache = operand(coll->root);
+    } else if (auto* runon = std::get_if<RunonNode>(&out.data)) {
+      runon->condition_cache = operand(runon->condition);
+      runon->then_body = index(runon->then_body);
+      runon->else_body = index(runon->else_body);
+    } else if (auto* loop = std::get_if<LoopNode>(&out.data)) {
+      loop->count_cache = operand(loop->count);
+      loop->body = index(loop->body);
+    }
+    return std::make_shared<const Node>(std::move(out));
+  }
+
+  /// A fresh cache index, or -1 when `expr` is absent or reads a slot
+  /// some loop writes.
+  [[nodiscard]] int operand(const ExprPtr& expr) {
+    if (!expr) return -1;
+    std::vector<std::string> names;
+    expr->collect_vars(names);
+    for (const std::string& name : names) {
+      const int slot = variables_.find(name);
+      if (slot >= 0 && loop_slots_[static_cast<std::size_t>(slot)] != 0) {
+        return -1;
+      }
+    }
+    return next_++;
+  }
+
+  const SymbolTable& variables_;
+  std::vector<char> loop_slots_;
+  int next_ = 0;
+};
+
 }  // namespace
+
+void index_cached_operands(Model& model) {
+  std::vector<char> loop_slots(model.variables.size(), 0);
+  mark_loop_slots(model.body, loop_slots);
+  OperandIndexer indexer{model.variables, std::move(loop_slots)};
+  model.body = indexer.index(model.body);
+  model.cached_operands = indexer.count();
+}
 
 std::string Model::str() const {
   std::ostringstream os;
@@ -215,6 +295,7 @@ Model ModelBuilder::build(std::string name) {
   model.handles = std::move(handles_);
   model.name = std::move(name);
   model.node_count = next_id_ - 1;
+  index_cached_operands(model);
   return model;
 }
 

@@ -17,6 +17,14 @@
 // variable, loop induction variable and handle name is resolved to a slot
 // of the model's symbol tables when the model is built, so evaluation
 // never looks a name up.
+//
+// An operand that reads no loop induction variable has one value per
+// process for a whole run: only loops write a process's variables once it
+// has started. When a model is built, each such operand gets a dense index
+// (its `*_cache` field) into a per-process operand cache, so the Vm
+// evaluates it once per process and reads the cache after that. An index
+// of -1 means "evaluate every time": operands that read an induction
+// variable, and any node built by hand.
 #pragma once
 
 #include <memory>
@@ -39,6 +47,7 @@ enum class MsgOp { kSend, kRecv, kIsend, kIrecv };
 struct SerialNode {
   ExprPtr seconds;            ///< duration of the serial segment
   std::string label;          ///< optional annotation for loss attribution
+  int seconds_cache = -1;     ///< operand cache index; -1 = no cache
 };
 
 struct MessageNode {
@@ -47,6 +56,8 @@ struct MessageNode {
   ExprPtr peer;               ///< destination (sends) / source (recvs)
   std::string handle;         ///< nonblocking ops: name matched by Wait
   int handle_slot = -1;       ///< Model::handles slot; -1 without a handle
+  int size_cache = -1;        ///< operand cache index; -1 = no cache
+  int peer_cache = -1;        ///< operand cache index; -1 = no cache
 };
 
 struct WaitNode {
@@ -66,12 +77,15 @@ struct CollectiveNode {
   CollOp op = CollOp::kBarrier;
   ExprPtr size;               ///< payload bytes (null for barrier)
   ExprPtr root;               ///< root rank where applicable (may be null)
+  int size_cache = -1;        ///< operand cache index; -1 = no cache
+  int root_cache = -1;        ///< operand cache index; -1 = no cache
 };
 
 struct RunonNode {
   ExprPtr condition;
   Body then_body;
   Body else_body;             ///< may be empty
+  int condition_cache = -1;   ///< operand cache index; -1 = no cache
 };
 
 struct LoopNode {
@@ -81,6 +95,7 @@ struct LoopNode {
   /// ("loop numprocs - 1 as round { ... }").
   std::string var;
   int var_slot = -1;          ///< Model::variables slot; -1 without a var
+  int count_cache = -1;       ///< operand cache index; -1 = no cache
 };
 
 struct Node {
@@ -94,8 +109,9 @@ struct Node {
 /// A complete model: the program body plus default parameter bindings.
 /// `numprocs` and `procnum` are bound by the evaluator; everything else the
 /// expressions reference must appear in `parameters` or be supplied at
-/// prediction time. The body's slots index `variables` and `handles`, so a
-/// body only runs with the tables it was built against.
+/// prediction time. The body's slots index `variables` and `handles`, and
+/// its operand cache indexes run below `cached_operands`, so a body only
+/// runs with the tables it was built against.
 struct Model {
   Body body;
   Bindings parameters;
@@ -103,10 +119,17 @@ struct Model {
   SymbolTable handles;        ///< nonblocking handle names
   std::string name;
   int node_count = 0;         ///< total directives, for reporting
+  int cached_operands = 0;    ///< operand cache entries per process
 
   /// Pretty-prints the directive program.
   [[nodiscard]] std::string str() const;
 };
+
+/// Gives every loop-invariant operand of `model.body` (one that reads no
+/// variable any loop of the model binds) a dense operand cache index and
+/// sets `model.cached_operands`. Both model parsers and ModelBuilder call
+/// it once the body is complete.
+void index_cached_operands(Model& model);
 
 /// Fluent builder for constructing models programmatically.
 ///

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 namespace pevpm {
@@ -37,6 +38,20 @@ bool parse_contention(std::string_view text, SamplerOptions& sampler) {
   return false;
 }
 
+bool positive_int(std::int64_t value, int& out) {
+  if (value <= 0 || value > std::numeric_limits<int>::max()) return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
+bool parse_positive_int(std::string_view text, int& out) {
+  std::int64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  return ec == std::errc{} && ptr == text.data() + text.size() &&
+         positive_int(value, out);
+}
+
 bool parse_procs(std::string_view text, std::vector<int>& out) {
   std::vector<int> parsed;
   // Hand-rolled split on ',' (no stringstream copy per request). Matches
@@ -47,11 +62,8 @@ bool parse_procs(std::string_view text, std::vector<int>& out) {
     const std::size_t comma = text.find(',', begin);
     const std::size_t end = comma == std::string_view::npos ? text.size()
                                                             : comma;
-    const std::string_view item = text.substr(begin, end - begin);
     int value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(item.data(), item.data() + item.size(), value);
-    if (ec != std::errc{} || ptr != item.data() + item.size() || value <= 0) {
+    if (!parse_positive_int(text.substr(begin, end - begin), value)) {
       return false;
     }
     parsed.push_back(value);

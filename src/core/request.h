@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -53,6 +54,14 @@ struct PredictRequest {
 /// (sampler untouched) on anything else.
 [[nodiscard]] bool parse_contention(std::string_view text,
                                     SamplerOptions& sampler);
+
+/// Stores `value` in `out` when it is a positive int — the rule every
+/// process count and replication count must meet. Returns false (`out`
+/// untouched) otherwise, so callers check before narrowing.
+[[nodiscard]] bool positive_int(std::int64_t value, int& out);
+
+/// Parses one count (a whole decimal string) under the positive_int rule.
+[[nodiscard]] bool parse_positive_int(std::string_view text, int& out);
 
 /// Parses a comma-separated process-count list ("4,8,16"). Returns false on
 /// empty input or a malformed/non-positive entry.

@@ -43,11 +43,35 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
     proc.handles.resize(model.handles.size());
     proc.stack.push_back(Frame{&model.body, 0, 0, false});
   }
+  // From here on only loops write a process's variables, so the operands
+  // the model indexed keep one value per process for the whole run.
+  operand_cache_.resize(static_cast<std::size_t>(numprocs) *
+                        static_cast<std::size_t>(model.cached_operands));
 }
 
-int Vm::eval_rank(const Process& proc, const Expr& expr,
-                  const char* what) const {
-  const long value = eval_int(expr, proc.env, what);
+// LINT:hot-path begin (operand evaluation: a cached operand is one load)
+double Vm::eval(const Process& proc, const Expr& expr, int cache) {
+  if (cache < 0) return expr.eval(proc.env);
+  CachedOperand& entry =
+      operand_cache_[static_cast<std::size_t>(proc.rank) *
+                         static_cast<std::size_t>(model_.cached_operands) +
+                     static_cast<std::size_t>(cache)];
+  if (!entry.known) {
+    entry.value = expr.eval(proc.env);
+    entry.known = true;
+  }
+  return entry.value;
+}
+
+long Vm::eval_int(const Process& proc, const Expr& expr, int cache,
+                  const char* what) {
+  return checked_int(eval(proc, expr, cache), expr, what);
+}
+// LINT:hot-path end
+
+int Vm::eval_rank(const Process& proc, const Expr& expr, int cache,
+                  const char* what) {
+  const long value = eval_int(proc, expr, cache, what);
   if (value < 0 || value >= numprocs_) {
     std::ostringstream os;
     os << what << ' ' << value << " out of range [0, " << numprocs_
@@ -104,20 +128,24 @@ bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
 
 bool Vm::exec(Process& proc, const Node& node) {
   if (const auto* serial = std::get_if<SerialNode>(&node.data)) {
-    const double dt = eval_finite(*serial->seconds, proc.env, "serial time");
+    const double dt =
+        checked_finite(eval(proc, *serial->seconds, serial->seconds_cache),
+                       *serial->seconds, "serial time");
     if (dt < 0) throw ModelError{"Serial directive with negative time"};
     proc.clock += dt;
     proc.report.compute += dt;
     return true;
   }
   if (const auto* msg = std::get_if<MessageNode>(&node.data)) {
-    const long size_value = eval_int(*msg->size, proc.env, "message size");
+    const long size_value =
+        eval_int(proc, *msg->size, msg->size_cache, "message size");
     if (size_value < 0) throw ModelError{"message with negative size"};
     const auto bytes = static_cast<net::Bytes>(size_value);
     switch (msg->op) {
       case MsgOp::kSend:
       case MsgOp::kIsend: {
-        const int dst = eval_rank(proc, *msg->peer, "send to rank");
+        const int dst =
+            eval_rank(proc, *msg->peer, msg->peer_cache, "send to rank");
         if (dst == proc.rank) {
           throw ModelError{"message sent to self at process " +
                            std::to_string(proc.rank)};
@@ -138,7 +166,8 @@ bool Vm::exec(Process& proc, const Node& node) {
       case MsgOp::kRecv: {
         if (!proc.blocked) {
           proc.wanted = Claim{};
-          proc.wanted.src = eval_rank(proc, *msg->peer, "recv from rank");
+          proc.wanted.src =
+              eval_rank(proc, *msg->peer, msg->peer_cache, "recv from rank");
           proc.wanted.bytes = bytes;
         }
         return try_receive(proc, proc.wanted, node.id);
@@ -147,7 +176,8 @@ bool Vm::exec(Process& proc, const Node& node) {
         if (msg->handle_slot < 0) {
           throw ModelError{"irecv requires a handle"};
         }
-        const int src = eval_rank(proc, *msg->peer, "irecv from rank");
+        const int src =
+            eval_rank(proc, *msg->peer, msg->peer_cache, "irecv from rank");
         Claim& claim = reuse_handle(proc, *msg);
         claim = Claim{};
         claim.active = true;
@@ -173,7 +203,8 @@ bool Vm::exec(Process& proc, const Node& node) {
     return true;
   }
   if (const auto* runon = std::get_if<RunonNode>(&node.data)) {
-    const bool taken = runon->condition->eval(proc.env) != 0.0;
+    const bool taken =
+        eval(proc, *runon->condition, runon->condition_cache) != 0.0;
     const Body& body = taken ? runon->then_body : runon->else_body;
     if (!body.empty()) {
       proc.stack.push_back(Frame{&body, 0, 0, false});
@@ -181,7 +212,7 @@ bool Vm::exec(Process& proc, const Node& node) {
     return true;
   }
   if (const auto* loop = std::get_if<LoopNode>(&node.data)) {
-    const long n = eval_int(*loop->count, proc.env, "loop count");
+    const long n = eval_int(proc, *loop->count, loop->count_cache, "loop count");
     if (n > 0 && !loop->body.empty()) {
       Frame frame{&loop->body, 0, n, true};
       if (loop->var_slot >= 0) {
@@ -197,11 +228,13 @@ bool Vm::exec(Process& proc, const Node& node) {
       // First arrival: record operands, then wait for everyone.
       long size_value = 0;
       if (coll->size) {
-        size_value = eval_int(*coll->size, proc.env, "collective size");
+        size_value =
+            eval_int(proc, *coll->size, coll->size_cache, "collective size");
       }
       if (size_value < 0) throw ModelError{"collective with negative size"};
       if (coll->root) {
-        (void)eval_rank(proc, *coll->root, "collective root rank");
+        (void)eval_rank(proc, *coll->root, coll->root_cache,
+                        "collective root rank");
       }
       proc.coll_bytes = static_cast<net::Bytes>(size_value);
       proc.at_collective = true;

@@ -82,6 +82,12 @@ class Vm {
     bool active = false;  ///< a handle's outstanding op (Wait may name it)
   };
 
+  /// One operand cache entry: the operand's value once evaluated.
+  struct CachedOperand {
+    double value = 0.0;
+    bool known = false;
+  };
+
   struct Process {
     int rank = -1;
     double clock = 0.0;
@@ -116,8 +122,16 @@ class Vm {
   /// Releases a collective once every process has arrived at it.
   void resolve_collectives();
   [[nodiscard]] SimulationResult collect() const;
+  /// The value of operand `expr` at `proc`: evaluated on first use and
+  /// read from the process's operand cache after that, or evaluated every
+  /// time when `cache` is -1. A throwing evaluation caches nothing.
+  [[nodiscard]] double eval(const Process& proc, const Expr& expr,
+                            int cache);
+  [[nodiscard]] long eval_int(const Process& proc, const Expr& expr,
+                              int cache, const char* what);
+  /// An operand naming a rank: an integer in [0, numprocs).
   [[nodiscard]] int eval_rank(const Process& proc, const Expr& expr,
-                              const char* what) const;
+                              int cache, const char* what);
   /// The handle claim an Isend/Irecv is about to (re)use; throws if it
   /// still holds a pending receive, whose message would be orphaned.
   [[nodiscard]] Claim& reuse_handle(Process& proc,
@@ -128,6 +142,8 @@ class Vm {
   DeliverySampler& sampler_;
   Scoreboard scoreboard_;
   std::vector<Process> processes_;
+  /// Model::cached_operands entries per process, process after process.
+  std::vector<CachedOperand> operand_cache_;
   std::vector<MessageRef> unassigned_;  ///< match-phase buffer, reused
   std::uint64_t sweeps_ = 0;
   std::uint64_t matches_ = 0;

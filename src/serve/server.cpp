@@ -337,7 +337,11 @@ Json Server::handle_predict(const Json& request) {
   if (const Json* procs = request.find("procs")) {
     if (procs->is_array()) {
       for (const Json& value : procs->as_array()) {
-        predict.procs.push_back(static_cast<int>(value.as_int64()));
+        int count = 0;
+        if (!pevpm::positive_int(value.as_int64(), count)) {
+          return error_response(400, "bad procs list");
+        }
+        predict.procs.push_back(count);
       }
     } else if (!pevpm::parse_procs(procs->as_string(), predict.procs)) {
       return error_response(400, "bad procs list");
@@ -359,7 +363,10 @@ Json Server::handle_predict(const Json& request) {
     }
   }
   if (const Json* reps = request.find("reps")) {
-    predict.options.replications = static_cast<int>(reps->as_int64());
+    if (!pevpm::positive_int(reps->as_int64(),
+                             predict.options.replications)) {
+      return error_response(400, "reps must be a positive integer");
+    }
   }
   if (const Json* threads = request.find("threads")) {
     // Accepted for CLI compatibility; scheduling belongs to the service

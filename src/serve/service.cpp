@@ -164,11 +164,16 @@ void Service::drain_loop() {
     lock.unlock();
     pevpm::SimulationResult result;
     bool ok = true;
+    bool model_error = false;
     std::string error;
     try {
       result = pevpm::run_replication(
           *job->model, procs, job->request->overrides, *job->table,
           job->options, rep, job->seeds[static_cast<std::size_t>(rep)]);
+    } catch (const pevpm::ModelError& e) {
+      ok = false;
+      model_error = true;
+      error = e.what();
     } catch (const std::exception& e) {
       ok = false;
       error = e.what();
@@ -179,6 +184,7 @@ void Service::drain_loop() {
       job->results[entry][static_cast<std::size_t>(rep)] = std::move(result);
     } else if (!job->failed) {
       job->failed = true;
+      job->model_error = model_error;
       job->error = std::move(error);
     }
     if (job->failed || job->expired) {
@@ -309,7 +315,9 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
     return response;
   }
   if (job.failed) {
-    response.status = 500;
+    // A model that fails to evaluate is the client's input at fault, like
+    // one that fails to parse.
+    response.status = job.model_error ? 400 : 500;
     response.error = job.error;
     return response;
   }

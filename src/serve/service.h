@@ -67,7 +67,7 @@ struct ServiceStats {
   std::uint64_t rejected = 0;
   std::uint64_t completed = 0;
   std::uint64_t deadline_expired = 0;
-  std::uint64_t failed = 0;     ///< evaluation errors (status 500)
+  std::uint64_t failed = 0;     ///< evaluation errors (status 400 or 500)
   std::uint64_t bad_requests = 0;
   /// Requests that asked for scaling-model extrapolation (accepted only).
   std::uint64_t extrapolations = 0;
@@ -83,8 +83,9 @@ struct ServiceStats {
 class Service {
  public:
   struct Response {
-    /// 200 ok | 400 bad request | 500 evaluation error | 503 rejected
-    /// (queue full or draining) | 504 deadline exceeded.
+    /// 200 ok | 400 bad request (including a model that fails to
+    /// evaluate: pevpm::ModelError) | 500 other evaluation error | 503
+    /// rejected (queue full or draining) | 504 deadline exceeded.
     int status = 200;
     std::string error;
     units::Duration retry_after{};  ///< populated on 503
@@ -151,6 +152,7 @@ class Service {
     bool first_slice_seen = false;
     bool expired = false;
     bool failed = false;
+    bool model_error = false;  ///< the failure was a pevpm::ModelError
     std::string error;
     bool done = false;
     /// Waits on the service's mu_. (Job fields are guarded by mu_ too, but

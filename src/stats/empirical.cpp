@@ -54,7 +54,24 @@ void EmpiricalDistribution::finalize() {
     total_ += cell.weight;
     cell.cum = total_;
   }
+  guide_.clear();
   if (total_ == 0) return;
+  // Every cell carries weight, so cells <= total_ and the scale fits 64
+  // bits; rounding it down keeps each bucket at or below the exact one.
+  using Wide = unsigned __int128;
+  const std::uint64_t cells = cells_.size();
+  limit_ = Rng::max() - Rng::max() % total_;
+  bucket_scale_ =
+      static_cast<std::uint64_t>(Wide{Rng::max()} * cells / total_);
+  guide_.resize(cells);
+  std::uint32_t first = 0;
+  for (std::uint64_t j = 0; j < cells; ++j) {
+    const Wide scaled = Wide{j} * total_;
+    const auto lowest = static_cast<std::uint64_t>(
+        scaled / cells + (scaled % cells != 0 ? 1 : 0));
+    while (cells_[first].cum <= lowest) ++first;
+    guide_[j] = first;
+  }
   double sum = 0.0;
   double sumsq = 0.0;
   for (const auto& cell : cells_) {
@@ -72,20 +89,27 @@ void EmpiricalDistribution::finalize() {
   max_ = cells_.back().hi;
 }
 
+// LINT:hot-path begin (the Monte-Carlo draw: no search, one division)
 double EmpiricalDistribution::sample(Rng& rng) const {
   if (!valid()) throw std::logic_error{"sampling an empty distribution"};
-  const std::uint64_t pick = rng.below(total_);
-  // Find the first cell whose cumulative weight exceeds `pick`.
-  const auto it = std::upper_bound(
-      cells_.begin(), cells_.end(), pick,
-      [](std::uint64_t value, const Cell& cell) { return value < cell.cum; });
-  const Cell& cell = *it;
+  // rng.below(total_) against the precomputed rejection limit.
+  std::uint64_t draw = rng();
+  while (draw >= limit_) draw = rng();
+  const std::uint64_t pick = draw % total_;
+  // The first cell whose cumulative weight exceeds `pick`, scanning from
+  // the first cell its bucket can hold.
+  const auto bucket = static_cast<std::size_t>(
+      (static_cast<unsigned __int128>(pick) * bucket_scale_) >> 64);
+  std::size_t index = guide_[bucket];
+  while (cells_[index].cum <= pick) ++index;
+  const Cell& cell = cells_[index];
   if (cell.lo == cell.hi) return cell.lo;
   // Clamp to the exact observed extrema: bins quantise the support, but
   // communication times have a hard physical minimum (the paper's bounded
   // minimum) which sampling must respect.
   return std::clamp(rng.uniform(cell.lo, cell.hi), min_, max_);
 }
+// LINT:hot-path end
 
 double EmpiricalDistribution::cdf(double x) const {
   if (!valid()) throw std::logic_error{"cdf of an empty distribution"};
@@ -199,7 +223,7 @@ EmpiricalDistribution EmpiricalDistribution::load(std::istream& is) {
     // A malformed table must not reach finalize(): inverted or non-finite
     // cells break the piecewise-linear CDF, out-of-order cells break the
     // sorted-by-lo invariant cdf()/quantile() rely on, and an overflowing
-    // cumulative sum makes upper_bound sampling land on arbitrary cells.
+    // cumulative sum makes the weighted pick land on arbitrary cells.
     if (!std::isfinite(cell.lo) || !std::isfinite(cell.hi)) {
       throw std::runtime_error{"EmpiricalDistribution::load: non-finite cell"};
     }

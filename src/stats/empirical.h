@@ -38,6 +38,9 @@ class EmpiricalDistribution {
 
   /// Draws one value: picks a bin by weight, then jitters uniformly inside
   /// it. For atom (raw-sample) distributions the atom value is returned.
+  /// The weighted pick consumes the same draws as `rng.below(total)` and
+  /// selects the first cell whose cumulative weight exceeds it, in O(1)
+  /// expected time through a guide table.
   [[nodiscard]] double sample(Rng& rng) const;
 
   [[nodiscard]] double mean() const noexcept { return mean_; }
@@ -75,6 +78,15 @@ class EmpiricalDistribution {
 
   std::vector<Cell> cells_;
   std::uint64_t total_ = 0;
+  /// Rng::below's rejection limit for total_: draws at or above it repeat.
+  std::uint64_t limit_ = 0;
+  /// Maps a pick p to bucket (p * bucket_scale_) >> 64, never above
+  /// floor(p * cells / total_).
+  std::uint64_t bucket_scale_ = 0;
+  /// Per bucket j, the first cell whose cum exceeds ceil(j * total_ /
+  /// cells): no pick of bucket j lands before it. (A distribution with
+  /// 2^32 cells would need 128 GiB of them, so 32 bits index any.)
+  std::vector<std::uint32_t> guide_;
   double mean_ = 0.0;
   double stddev_ = 0.0;
   double min_ = 0.0;

@@ -24,8 +24,8 @@ double ev(const char* text, const pevpm::Bindings& bindings = {}) {
 
 long ev_int(const char* text) {
   pevpm::SymbolTable symbols;
-  return pevpm::eval_int(*pevpm::parse_expr(text, symbols), pevpm::Env{},
-                         "test value");
+  const auto expr = pevpm::parse_expr(text, symbols);
+  return pevpm::checked_int(expr->eval(pevpm::Env{}), *expr, "test value");
 }
 
 TEST(Expr, ArithmeticPrecedence) {
@@ -38,7 +38,7 @@ TEST(Expr, ArithmeticPrecedence) {
 
 TEST(Expr, DivisionIsRealModuloIsIntegral) {
   // Division never truncates ("1/numprocs" is a time expression); rank and
-  // size contexts truncate via eval_int instead.
+  // size contexts truncate via checked_int instead.
   EXPECT_DOUBLE_EQ(ev("7 / 2"), 3.5);
   EXPECT_DOUBLE_EQ(ev("1 / 4"), 0.25);
   EXPECT_EQ(ev_int("7 / 2"), 3);

@@ -6,8 +6,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include "core/parse.h"
@@ -381,6 +383,117 @@ runon procnum == 0 {
   EXPECT_EQ(result.messages, 2u);
 }
 
+/// The operand cache index of `body[i]`'s Serial time.
+int serial_cache(const pevpm::Body& body, std::size_t i) {
+  return std::get<pevpm::SerialNode>(body.at(i)->data).seconds_cache;
+}
+
+TEST(VmOperandCache, InvariantOperandsAreEvaluatedOncePerProcess) {
+  const auto model = pevpm::parse_model(
+      "loop 3 {\n serial time = procnum + 1\n}\n");
+  const auto& loop = std::get<pevpm::LoopNode>(model.body.at(0)->data);
+  EXPECT_EQ(model.cached_operands, 2);  // the count and the Serial time
+  EXPECT_GE(loop.count_cache, 0);
+  EXPECT_GE(serial_cache(loop.body, 0), 0);
+  // Each process reads its own entry.
+  const auto result = run(model, 3, constant_table(1e-3, 0.0));
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_DOUBLE_EQ(result.processes[r].compute, 3.0 * (r + 1.0));
+  }
+}
+
+TEST(VmOperandCache, InductionReadersAreReevaluatedEachIteration) {
+  const auto model = pevpm::parse_model(
+      "loop 4 as i {\n serial time = 0.25 * i\n}\n");
+  const auto& loop = std::get<pevpm::LoopNode>(model.body.at(0)->data);
+  EXPECT_GE(loop.count_cache, 0);
+  EXPECT_EQ(serial_cache(loop.body, 0), -1);
+  EXPECT_EQ(model.cached_operands, 1);
+  EXPECT_DOUBLE_EQ(run(model, 2, constant_table(1e-3, 0.0)).makespan, 1.5);
+}
+
+TEST(VmOperandCache, LoopVariableShadowingAParamIsNotInvariant) {
+  // `k` is a param until the inner loop first binds it; from then on it
+  // holds the inner loop's last value, so an operand reading `k` changes
+  // between outer iterations even though it sits outside the inner loop.
+  const char* text = R"(
+param k = 5
+loop 2 {
+  serial time = k
+  loop 3 as k {
+    serial time = 0
+  }
+}
+)";
+  const auto model = pevpm::parse_model(text);
+  const auto& outer = std::get<pevpm::LoopNode>(model.body.at(0)->data);
+  EXPECT_EQ(serial_cache(outer.body, 0), -1);
+  // First outer iteration reads the param, the second the inner loop's
+  // last value: 5 + 2.
+  EXPECT_DOUBLE_EQ(run(model, 2, constant_table(1e-3, 0.0)).makespan, 7.0);
+}
+
+TEST(VmOperandCache, DivisionByZeroInAnUntakenBranchNeverThrows) {
+  const char* text = R"(
+loop 3 {
+  runon procnum == numprocs {
+    serial time = 1 / 0
+  } else {
+    serial time = 0.25
+  }
+}
+)";
+  const auto model = pevpm::parse_model(text);
+  EXPECT_DOUBLE_EQ(run(model, 3, constant_table(1e-3, 0.0)).makespan, 0.75);
+}
+
+TEST(VmOperandCache, DivisionByZeroInATakenBranchThrowsOnFirstExecution) {
+  const std::string what = model_error(R"(
+loop 3 {
+  serial time = 1
+  runon procnum == 1 {
+    serial time = 1 / 0
+  }
+}
+)");
+  EXPECT_EQ(what, "PEVPM expression: division by zero");
+}
+
+TEST(VmOperandCache, HandBuiltNodesWithoutAnIndexStillEvaluate) {
+  pevpm::Model model;
+  pevpm::Body body;
+  body.push_back(std::make_shared<const pevpm::Node>(pevpm::Node{
+      pevpm::SerialNode{pevpm::parse_expr("0.5 * (procnum + 1)",
+                                          model.variables),
+                        {}},
+      2, 0}));
+  pevpm::LoopNode loop;
+  loop.count = pevpm::parse_expr("2", model.variables);
+  loop.body = std::move(body);
+  model.body.push_back(std::make_shared<const pevpm::Node>(
+      pevpm::Node{std::move(loop), 1, 0}));
+  model.node_count = 2;
+  ASSERT_EQ(model.cached_operands, 0);
+  const auto result = run(model, 2, constant_table(1e-3, 0.0));
+  EXPECT_DOUBLE_EQ(result.processes[0].compute, 1.0);
+  EXPECT_DOUBLE_EQ(result.processes[1].compute, 2.0);
+}
+
+TEST(VmOperandCache, BuilderIndexesLikeTheParser) {
+  pevpm::ModelBuilder builder;
+  builder.loop("3", "i").serial("0.1 * i").serial("0.5").end();
+  const pevpm::Model built = builder.build("built");
+  const pevpm::Model parsed = pevpm::parse_model(
+      "loop 3 as i {\n serial time = 0.1 * i\n serial time = 0.5\n}\n");
+  const auto& a = std::get<pevpm::LoopNode>(built.body.at(0)->data);
+  const auto& b = std::get<pevpm::LoopNode>(parsed.body.at(0)->data);
+  EXPECT_EQ(built.cached_operands, parsed.cached_operands);
+  EXPECT_EQ(a.count_cache, b.count_cache);
+  EXPECT_EQ(serial_cache(a.body, 0), -1);
+  EXPECT_EQ(serial_cache(a.body, 1), serial_cache(b.body, 1));
+  EXPECT_GE(serial_cache(a.body, 1), 0);
+}
+
 long peak_rss_kb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -494,6 +607,43 @@ constexpr const char* kJacobiFig5 = R"(
 // PEVPM Serial on perseus time = 3.24/numprocs
 // PEVPM }
 )";
+
+/// Counts the operands of `body` and those without a cache index.
+void count_operands(const pevpm::Body& body, int& operands, int& uncached) {
+  const auto note = [&](const pevpm::ExprPtr& expr, int cache) {
+    if (!expr) return;
+    ++operands;
+    if (cache < 0) ++uncached;
+  };
+  for (const pevpm::NodePtr& node : body) {
+    if (const auto* serial = std::get_if<pevpm::SerialNode>(&node->data)) {
+      note(serial->seconds, serial->seconds_cache);
+    } else if (const auto* msg =
+                   std::get_if<pevpm::MessageNode>(&node->data)) {
+      note(msg->size, msg->size_cache);
+      note(msg->peer, msg->peer_cache);
+    } else if (const auto* runon =
+                   std::get_if<pevpm::RunonNode>(&node->data)) {
+      note(runon->condition, runon->condition_cache);
+      count_operands(runon->then_body, operands, uncached);
+      count_operands(runon->else_body, operands, uncached);
+    } else if (const auto* loop = std::get_if<pevpm::LoopNode>(&node->data)) {
+      note(loop->count, loop->count_cache);
+      count_operands(loop->body, operands, uncached);
+    }
+  }
+}
+
+TEST(VmOperandCache, EveryJacobiOperandIsInvariant) {
+  // The Figure 5 operands read only procnum, numprocs and xsize.
+  const auto model = pevpm::parse_annotated_source(kJacobiFig5, "jacobi");
+  int operands = 0;
+  int uncached = 0;
+  count_operands(model.body, operands, uncached);
+  EXPECT_EQ(operands, 25);
+  EXPECT_EQ(uncached, 0);
+  EXPECT_EQ(model.cached_operands, operands);
+}
 
 // Golden values recorded before the evaluator moved to slot-indexed
 // symbols and the pooled scoreboard: the same model, table and seed must

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "serve/json.h"
 #include "serve/server.h"
@@ -168,11 +169,69 @@ TEST_F(ServeProtocolServer, PredictValidationErrorsAreClientErrors) {
            R"("procs":[2]})",
            R"({"type":"predict","model_text":"serial time = 0.001\n",)"
            R"("table_text":"not a table","procs":[2]})",
+           // Counts are range-checked before they narrow to int; the
+           // table is valid, so the count is the only fault.
+           R"({"type":"predict","model_text":"serial time = 0.001\n",)"
+           R"("table_text":"pevpm-table v1\n0\n","procs":[4294967298]})",
+           R"({"type":"predict","model_text":"serial time = 0.001\n",)"
+           R"("table_text":"pevpm-table v1\n0\n","procs":[-2]})",
+           R"({"type":"predict","model_text":"serial time = 0.001\n",)"
+           R"("table_text":"pevpm-table v1\n0\n","procs":[2],"reps":0})",
+           R"({"type":"predict","model_text":"serial time = 0.001\n",)"
+           R"("table_text":"pevpm-table v1\n0\n","procs":[2],"reps":-1})",
+           R"({"type":"predict","model_text":"serial time = 0.001\n",)"
+           R"("table_text":"pevpm-table v1\n0\n","procs":[2],)"
+           R"("reps":4294967304})",
        }) {
     const Json response = Json::parse(server_->handle_line(frame));
     EXPECT_EQ(response.find("status")->as_int64(), 400) << frame;
   }
   EXPECT_EQ(server_->service().stats().accepted, 0u);
+}
+
+/// The reply to a predict of `model_text` at 2 processes on a valid table
+/// with no entries.
+Json predict_reply(serve::Server& server, const std::string& model_text) {
+  Json frame{Json::Object{}};
+  frame.set("type", Json{"predict"});
+  frame.set("model_text", Json{model_text});
+  frame.set("table_text", Json{"pevpm-table v1\n0\n"});
+  frame.set("procs", Json{Json::Array{Json{2}}});
+  return Json::parse(server.handle_line(frame.dump()));
+}
+
+TEST_F(ServeProtocolServer, ModelEvaluationErrorsAreClientErrors) {
+  // A model that parses but cannot be evaluated is the client's input at
+  // fault, exactly like one that fails to parse: 400, with the message.
+  const std::pair<const char*, const char*> cases[] = {
+      {"serial time = 1 / 0\n",
+       "PEVPM expression: division by zero"},
+      {"serial time = 1 % 0\n",
+       "PEVPM expression: modulo by zero"},
+      {"serial time = missing\n", "unbound PEVPM variable 'missing'"},
+      {"serial time = 1e308 * 10\n", "serial time evaluates to inf"},
+  };
+  for (const auto& [model, message] : cases) {
+    const Json response = predict_reply(*server_, model);
+    EXPECT_EQ(response.find("status")->as_int64(), 400) << model;
+    const std::string error = response.find("error")->as_string();
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
+  EXPECT_EQ(server_->service().stats().failed, 4u);
+  // The same table and procs evaluate a well-formed model.
+  EXPECT_EQ(predict_reply(*server_, "serial time = 0.001\n")
+                .find("status")
+                ->as_int64(),
+            200);
+}
+
+TEST_F(ServeProtocolServer, OtherEvaluationFailuresStayServerErrors) {
+  // No one-way table to draw a delivery time from: not a model error.
+  const Json response = predict_reply(
+      *server_,
+      "runon procnum == 0 {\n  message send size = 8 to = 1\n} else {\n"
+      "  message recv size = 8 from = 0\n}\n");
+  EXPECT_EQ(response.find("status")->as_int64(), 500);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // Unit tests for the statistics substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
@@ -396,6 +399,121 @@ TEST(Empirical, EmptyThrowsOnUse) {
   EXPECT_FALSE(d.valid());
   EXPECT_THROW((void)d.sample(rng), std::logic_error);
   EXPECT_THROW((void)d.cdf(0.0), std::logic_error);
+}
+
+/// sample() as a binary search over the cells save() writes: the draw
+/// the guide table replaces.
+class UpperBoundSampler {
+ public:
+  explicit UpperBoundSampler(const stats::EmpiricalDistribution& d)
+      : min_{d.min()}, max_{d.max()} {
+    std::stringstream ss;
+    d.save(ss);
+    std::size_t n = 0;
+    ss >> n;
+    cells_.resize(n);
+    for (Cell& cell : cells_) {
+      std::uint64_t weight = 0;
+      ss >> cell.lo >> cell.hi >> weight;
+      total_ += weight;
+      cell.cum = total_;
+    }
+  }
+
+  double sample(stats::Rng& rng) const {
+    const std::uint64_t pick = rng.below(total_);
+    const auto it = std::upper_bound(
+        cells_.begin(), cells_.end(), pick,
+        [](std::uint64_t value, const Cell& cell) { return value < cell.cum; });
+    if (it->lo == it->hi) return it->lo;
+    return std::clamp(rng.uniform(it->lo, it->hi), min_, max_);
+  }
+
+ private:
+  struct Cell {
+    double lo = 0.0;
+    double hi = 0.0;
+    std::uint64_t cum = 0;
+  };
+  std::vector<Cell> cells_;
+  std::uint64_t total_ = 0;
+  double min_;
+  double max_;
+};
+
+/// Draws `draws` values from `d` and from the reference with twin
+/// generators: same bits each time, same generator state afterwards.
+void expect_matches_upper_bound(const stats::EmpiricalDistribution& d,
+                                int draws, std::uint64_t seed) {
+  const UpperBoundSampler reference_sampler{d};
+  stats::Rng guided{seed};
+  stats::Rng reference{seed};
+  for (int i = 0; i < draws; ++i) {
+    const double got = d.sample(guided);
+    const double want = reference_sampler.sample(reference);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "draw " << i << ": " << got << " vs " << want;
+  }
+  EXPECT_EQ(guided(), reference());
+}
+
+stats::EmpiricalDistribution load_text(const char* text) {
+  std::stringstream ss{text};
+  return stats::EmpiricalDistribution::load(ss);
+}
+
+TEST(EmpiricalGuide, MatchesUpperBoundOnEveryConstructor) {
+  stats::Rng rng{77};
+  stats::Histogram skewed{0.5};
+  stats::Histogram wide{1e-6};
+  for (int i = 0; i < 4000; ++i) {
+    skewed.add(rng.lognormal(1.0, 0.9));
+    wide.add((60.0 + (i * 37 % 400)) * 1e-6);
+  }
+  const stats::EmpiricalDistribution hist{skewed};
+  const stats::EmpiricalDistribution other{wide};
+  std::vector<double> xs;
+  for (int i = 0; i < 300; ++i) xs.push_back(std::floor(rng.normal(20, 4)));
+  std::stringstream saved;
+  hist.save(saved);
+  const stats::EmpiricalDistribution cases[] = {
+      hist,
+      other,
+      hist.blended(other.scaled(1e6), 0.3),
+      other.blended(stats::EmpiricalDistribution::constant(70e-6), 1e-3),
+      hist.scaled(3.0),
+      hist.scaled(-2.0),
+      stats::EmpiricalDistribution::from_samples(xs),
+      stats::EmpiricalDistribution::from_samples(std::vector<double>{1, 2, 3}),
+      stats::EmpiricalDistribution::constant(4.5),
+      stats::EmpiricalDistribution::load(saved),
+  };
+  std::uint64_t seed = 1;
+  for (const auto& d : cases) {
+    SCOPED_TRACE(seed);
+    expect_matches_upper_bound(d, 5000, seed++);
+  }
+}
+
+TEST(EmpiricalGuide, MatchesUpperBoundAtTotalsNear2To64) {
+  const char* tables[] = {
+      // total 2^64 - 1: the rejection limit rejects one value only.
+      "4\n0 1 1\n1 2 9223372036854775808\n2 3 4611686018427387904\n"
+      "3 3 4611686018427387902\n",
+      // total 2^63 + 1: almost half of all draws are rejected.
+      "2\n0 1 9223372036854775808\n5 5 1\n",
+      // One cell holds nearly all the weight; the light ones sit in the
+      // first bucket and the last.
+      "5\n0 0 1\n1 1 1\n2 3 18446744073709551600\n4 4 1\n5 6 1\n",
+      // As many cells as weight: every bucket holds exactly one cell.
+      "3\n0 0 1\n1 1 1\n2 2 1\n",
+  };
+  std::uint64_t seed = 100;
+  for (const char* text : tables) {
+    SCOPED_TRACE(text);
+    expect_matches_upper_bound(load_text(text), 5000, seed++);
+  }
 }
 
 struct FitCase {

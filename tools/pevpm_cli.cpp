@@ -179,7 +179,9 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (flag == "--reps") {
-      request.options.replications = std::stoi(value());
+      if (!pevpm::parse_positive_int(value(), request.options.replications)) {
+        usage(argv[0]);
+      }
     } else if (flag == "--threads") {
       request.options.threads = std::stoi(value());
     } else if (flag == "--set") {
