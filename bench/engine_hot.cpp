@@ -7,9 +7,8 @@
 //     packet-sized captures, immediate wake-ups, and cancellations),
 //   * packets/sec and allocations/packet through the full Network
 //     forwarding path (route cache + transit pool + TCP-sized frames),
-//   * the conservative-parallel thread-scaling curve: one fixed
+//   * events/sec through the partitioned window loop: one fixed
 //     multi-switch contention workload on an 8-partition PartitionSet,
-//     driven by 1, 2, 4 and 8 worker threads,
 //
 // with heap allocations counted by instrumented global operator new. The
 // result document is emitted through gate.h.
@@ -20,10 +19,7 @@
 // With --check, current throughput must be at least 80% of the committed
 // baseline and allocation rates must not exceed baseline + 0.05; any miss
 // prints the offending metric and exits 1 (the CI perf-smoke gate; an
-// unreadable baseline exits 2 before anything is measured). The
-// thread-scaling gate (>= 3x events/sec at 8 threads over 1) only applies
-// when the machine actually has 8 hardware threads; on smaller machines it
-// prints a skip notice instead of failing.
+// unreadable baseline exits 2 before anything is measured).
 // PEVPM_BENCH_QUICK=1 scales iteration counts down ~10x.
 #include <atomic>
 #include <chrono>
@@ -34,7 +30,6 @@
 #include <new>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -227,18 +222,16 @@ ForwardResult run_forwarding(std::uint64_t packets) {
 }
 
 // ---------------------------------------------------------------------------
-// Conservative-parallel scaling: the multi-switch contention scenario. Eight
+// Partitioned windows: the multi-switch contention scenario. Eight
 // partitions (one per "switch"), each loaded with self-rescheduling timer
 // chains as in the mix above, plus a ring of cross-partition posts so the
-// mailbox exchange and window barriers are on the measured path. The
-// workload is a pure function of its constants — every thread count
-// executes exactly the same events — so events/sec at 1 vs 8 threads is a
-// clean parallel-efficiency measurement.
+// pending-post drain and the window loop are on the measured path. The
+// workload is a pure function of its constants.
 
 constexpr int kScalingPartitions = 8;
 constexpr int kScalingChainsPerPartition = 64;
 /// Window size: chains fire every 1..1024 ticks, so each partition executes
-/// a few hundred events per window and the barrier cost is amortised.
+/// a few hundred events per window and the per-window cost is amortised.
 constexpr des::Duration kScalingLookahead{4096};
 
 struct PartitionChain {
@@ -274,8 +267,8 @@ struct PartitionChain {
   }
 };
 
-/// Runs the scaling scenario once and returns events/sec.
-double run_partitioned(std::uint64_t events_per_chain, unsigned threads) {
+/// Runs the partitioned scenario once and returns events/sec.
+double run_partitioned(std::uint64_t events_per_chain) {
   des::PartitionSet sim{kScalingPartitions, kScalingLookahead};
   std::vector<PartitionChain> chains;
   chains.reserve(kScalingPartitions * kScalingChainsPerPartition);
@@ -290,31 +283,9 @@ double run_partitioned(std::uint64_t events_per_chain, unsigned threads) {
   }
   for (PartitionChain& chain : chains) chain.arm();
   const auto t0 = Clock::now();
-  sim.run(threads);
+  sim.run();
   const double elapsed = seconds_since(t0);
   return static_cast<double>(sim.processed()) / elapsed;
-}
-
-struct ScalingResult {
-  double events_per_sec_t1 = 0;
-  double events_per_sec_t2 = 0;
-  double events_per_sec_t4 = 0;
-  double events_per_sec_t8 = 0;
-  [[nodiscard]] double speedup_t8() const {
-    return events_per_sec_t8 / events_per_sec_t1;
-  }
-};
-
-ScalingResult run_scaling(std::uint64_t events_per_chain) {
-  // One throwaway pass warms the allocator arenas and thread stacks so the
-  // per-thread-count passes start from the same state.
-  (void)run_partitioned(events_per_chain / 4 + 1, 2);
-  ScalingResult result;
-  result.events_per_sec_t1 = run_partitioned(events_per_chain, 1);
-  result.events_per_sec_t2 = run_partitioned(events_per_chain, 2);
-  result.events_per_sec_t4 = run_partitioned(events_per_chain, 4);
-  result.events_per_sec_t8 = run_partitioned(events_per_chain, 8);
-  return result;
 }
 
 }  // namespace
@@ -339,12 +310,15 @@ int main(int argc, char** argv) {
       benchutil::quick() ? 20000 : 200000;  // per chain x 8 chains
   const std::uint64_t packets = benchutil::quick() ? 20000 : 200000;
 
-  const std::uint64_t scaling_events =
+  const std::uint64_t partitioned_events =
       benchutil::quick() ? 4000 : 40000;  // per chain x 64 chains x 8 parts
 
   const MixResult mix = run_mix(mix_events, 8);
   const ForwardResult forward = run_forwarding(packets);
-  const ScalingResult scaling = run_scaling(scaling_events);
+  // One throwaway pass warms the allocator arenas first.
+  (void)run_partitioned(partitioned_events / 4 + 1);
+  const double partitioned_events_per_sec =
+      run_partitioned(partitioned_events);
 
   serve::Json doc{serve::Json::Object{}};
   doc.set("schema", "pevpm-engine-hot-v2");
@@ -353,11 +327,7 @@ int main(int argc, char** argv) {
   doc.set("forward_packets_per_sec", forward.packets_per_sec);
   doc.set("forward_allocs_per_packet", forward.allocs_per_packet);
   doc.set("forward_events_per_sec", forward.events_per_sec);
-  doc.set("partitioned_events_per_sec_t1", scaling.events_per_sec_t1);
-  doc.set("partitioned_events_per_sec_t2", scaling.events_per_sec_t2);
-  doc.set("partitioned_events_per_sec_t4", scaling.events_per_sec_t4);
-  doc.set("partitioned_events_per_sec_t8", scaling.events_per_sec_t8);
-  doc.set("partitioned_speedup_t8", scaling.speedup_t8());
+  doc.set("partitioned_events_per_sec_t1", partitioned_events_per_sec);
   if (!gate::emit(doc)) return 1;
   if (!baseline) return 0;
 
@@ -367,18 +337,5 @@ int main(int argc, char** argv) {
   check.at_least_fraction("partitioned_events_per_sec_t1", 0.8);
   check.at_most_plus("engine_allocs_per_event", 0.05);
   check.at_most_plus("forward_allocs_per_packet", 0.05);
-  // The parallel-efficiency gate is absolute: >= 3x events/sec with 8
-  // worker threads over 1. It is meaningless without the hardware to back
-  // it, so it only arms on machines with >= 8 threads.
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw >= 8) {
-    check.require("partitioned_speedup_t8", 3.0, gate::Checker::kUnbounded,
-                  "8 workers must deliver 3x the events/sec of 1");
-  } else {
-    std::printf(
-        "check: skipping partitioned_speedup_t8 gate (needs >= 8 hardware "
-        "threads, have %u)\n",
-        hw);
-  }
   return check.finish(check_file);
 }

@@ -1,6 +1,5 @@
 #include "core/request.h"
 
-#include <charconv>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -26,11 +25,8 @@ bool parse_contention(std::string_view text, SamplerOptions& sampler) {
     return true;
   }
   if (text.rfind("fixed:", 0) == 0) {
-    const std::string_view level = text.substr(6);
     int value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(level.data(), level.data() + level.size(), value);
-    if (ec != std::errc{} || ptr != level.data() + level.size()) return false;
+    if (!parse_number(text.substr(6), value)) return false;
     sampler.contention = ContentionSource::kFixed;
     sampler.fixed_contention = value;
     return true;
@@ -46,10 +42,7 @@ bool positive_int(std::int64_t value, int& out) {
 
 bool parse_positive_int(std::string_view text, int& out) {
   std::int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  return ec == std::errc{} && ptr == text.data() + text.size() &&
-         positive_int(value, out);
+  return parse_number(text, value) && positive_int(value, out);
 }
 
 bool parse_procs(std::string_view text, std::vector<int>& out) {

@@ -8,7 +8,7 @@
 // nothing sequentially; it exists for the partitioned engine
 // (partitioned_engine.h), where events injected from a neighbouring
 // partition carry their *source* schedule time, which fixes their order
-// against local events independently of the thread count. Exactly one
+// against local events. Exactly one
 // execution context (the engine loop or one cooperative process) is active
 // at any instant, so the queue needs no locking: a process switch
 // (process.h) is a fiber switch on the engine's own thread.
@@ -113,7 +113,7 @@ class Engine {
   }
 
   /// Schedules an event injected from another execution context (the
-  /// partitioned engine's cross-partition mailbox drain). `sched` is the
+  /// partitioned engine's drain of cross-partition posts). `sched` is the
   /// source context's virtual time at the instant the event was produced
   /// (<= t); it participates in tie-breaking as if the event had been
   /// scheduled locally at that time. Always takes the heap path: injected

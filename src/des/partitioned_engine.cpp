@@ -1,7 +1,6 @@
 #include "des/partitioned_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -17,17 +16,13 @@ PartitionSet::PartitionSet(int partitions, Duration lookahead)
   }
   for (int p = 0; p < partitions; ++p) engines_.emplace_back();
   if (partitions > 1) {
-    mailboxes_.resize(static_cast<std::size_t>(partitions) * partitions);
-    for (auto& box : mailboxes_) {
-      box = std::make_unique<pevpm::SpscMailbox<QueuedEvent>>();
-    }
+    pending_.resize(static_cast<std::size_t>(partitions) * partitions);
   }
 }
 
-// LINT:hot-path begin (cross-partition post and the per-window execution
-// body: mailbox pushes are wait-free ring stores, run_until dispatches from
-// the pooled event queue — no allocation, locks or iostream here; the
-// coordinator-side drain below is equally fenced. Enforced by
+// LINT:hot-path begin (cross-partition post and the drain between windows:
+// the pending vectors keep their capacity across windows, so a steady-state
+// post is a store — no allocation, locks or iostream here. Enforced by
 // tools/repro_lint.)
 void PartitionSet::post(PartitionId from, PartitionId to, SimTime at,
                         SmallFn fn, int priority) {
@@ -41,28 +36,24 @@ void PartitionSet::post(PartitionId from, PartitionId to, SimTime at,
   if (at < sched + lookahead_) {
     throw std::logic_error{"PartitionSet::post: event inside the lookahead"};
   }
-  mailbox(from.value(), to.value())
-      .push(QueuedEvent{at, sched, priority, std::move(fn)});
+  pending(from.value(), to.value())
+      .push_back(QueuedEvent{at, sched, priority, std::move(fn)});
 }
 
-void PartitionSet::run_window(int p, SimTime horizon) {
-  engines_[p].run_until(horizon);
-}
-
-void PartitionSet::drain_mailboxes() {
-  // Fixed (destination, source, FIFO) order: this serial drain is the only
-  // place cross-partition events enter an engine, so the injection order —
-  // and with it every downstream tie-break — is independent of how many
-  // threads executed the window.
+void PartitionSet::drain_pending() {
+  // Fixed (destination, source, FIFO) order: this drain is the only place
+  // cross-partition events enter an engine, so it alone fixes their
+  // injection order and with it every downstream `seq` tie-break.
   const int k = partitions();
   for (int to = 0; to < k; ++to) {
     Engine& dst = engines_[to];
     for (int from = 0; from < k; ++from) {
-      if (from == to) continue;
-      mailbox(from, to).drain([&dst](QueuedEvent&& event) {
+      std::vector<QueuedEvent>& queue = pending(from, to);
+      for (QueuedEvent& event : queue) {
         dst.schedule_injected(event.at, event.sched, std::move(event.fn),
                               event.priority);
-      });
+      }
+      queue.clear();
     }
   }
 }
@@ -76,62 +67,22 @@ SimTime PartitionSet::next_time() const noexcept {
   return w;
 }
 
-void PartitionSet::run(unsigned threads) {
+void PartitionSet::run(unsigned /*ignored*/) {
   const int k = partitions();
   if (k == 1) {
     // The sequential special case really is the sequential engine: no
-    // windows, no barriers, so a one-partition set is bit-identical to the
+    // windows, so a one-partition set is bit-identical to the
     // pre-partitioning code path.
     engines_[0].run();
     return;
   }
-  const unsigned workers =
-      std::min<unsigned>(std::max(1u, threads), static_cast<unsigned>(k));
-  if (workers == 1) {
-    // Same window/drain structure as the threaded path (which is what makes
-    // thread count unobservable), minus the barriers.
-    for (;;) {
-      drain_mailboxes();
-      const SimTime window = next_time();
-      if (window == kNever) return;
-      const SimTime horizon = window + lookahead_ - Duration{1};
-      for (int p = 0; p < k; ++p) run_window(p, horizon);
-    }
-  }
-
-  pevpm::WindowBarrier barrier{workers};
-  std::atomic<bool> done{false};
-  SimTime horizon{};  // written by the coordinator, published by the barrier
-  pevpm::ThreadPool pool{workers - 1};
-  for (unsigned worker = 1; worker < workers; ++worker) {
-    pool.submit([this, worker, workers, k, &barrier, &done, &horizon] {
-      for (;;) {
-        barrier.arrive_and_wait();  // wait for the coordinator's window
-        if (done.load(std::memory_order_acquire)) return;
-        for (int p = static_cast<int>(worker); p < k;
-             p += static_cast<int>(workers)) {
-          run_window(p, horizon);
-        }
-        barrier.arrive_and_wait();  // window complete
-      }
-    });
-  }
   for (;;) {
-    drain_mailboxes();
+    drain_pending();
     const SimTime window = next_time();
-    if (window == kNever) {
-      done.store(true, std::memory_order_release);
-      barrier.arrive_and_wait();
-      break;
-    }
-    horizon = window + lookahead_ - Duration{1};
-    barrier.arrive_and_wait();  // publish the window
-    for (int p = 0; p < k; p += static_cast<int>(workers)) {
-      run_window(p, horizon);
-    }
-    barrier.arrive_and_wait();  // wait for the followers
+    if (window == kNever) return;
+    const SimTime horizon = window + lookahead_ - Duration{1};
+    for (Engine& engine : engines_) engine.run_until(horizon);
   }
-  pool.wait();
 }
 
 SimTime PartitionSet::last_event_time() const noexcept {

@@ -10,9 +10,8 @@
 // blocking code while virtual time stays fully deterministic (all wake-ups
 // are engine events ordered by time/seq).
 //
-// On a des::PartitionSet the fiber runs on whichever worker thread runs its
-// engine's partition; that assignment is fixed for a whole run, so a fiber
-// never runs on two threads at once.
+// On a des::PartitionSet every partition's engine runs on the thread that
+// called PartitionSet::run(), so all fibers of a simulation share it.
 //
 // Blocking primitives and their guarantees:
 //   delay(dt)            advance this process's virtual clock by dt

@@ -20,8 +20,8 @@ class SmallFn {
  public:
   /// Sized for the largest hot-path capture: the cross-partition hop
   /// continuation (network pointer + hop bookkeeping + a net::Packet +
-  /// a std::function delivery callback, ~104 bytes) shipped through the
-  /// partitioned engine's mailboxes.
+  /// a std::function delivery callback, ~104 bytes) posted across
+  /// partitions by PartitionSet::post.
   static constexpr std::size_t kInlineBytes = 112;
 
   /// True when a callable of type F is stored in the inline buffer rather

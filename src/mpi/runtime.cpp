@@ -19,7 +19,6 @@ Runtime::Runtime(Options options)
   if (options_.procs_per_node < 1) {
     throw MpiError{"Runtime: procs_per_node < 1"};
   }
-  if (options_.sim_threads < 0) throw MpiError{"Runtime: sim_threads < 0"};
   const long capacity = static_cast<long>(options_.cluster.nodes) *
                         options_.procs_per_node;
   if (options_.nprocs > capacity) {
@@ -70,7 +69,7 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
         engine_of_rank(r), "rank" + std::to_string(r),
         [&rank_main, &comm] { rank_main(comm); });
   }
-  sim_.run(static_cast<unsigned>(std::max(1, options_.sim_threads)));
+  sim_.run();
   finish_time_ = sim_.last_event_time();
 
   for (auto& state : ranks_) state->process->rethrow_if_failed();

@@ -17,15 +17,14 @@
 // clock-synchronisation algorithm runs against these imperfect clocks just
 // as the real tool did against unsynchronised node clocks.
 //
-// Parallel simulation: the runtime always partitions the cluster by switch
-// (one des::PartitionSet partition per switch; a single-switch cluster is
-// one partition and runs the plain sequential engine). Options::sim_threads
-// only sets how many workers execute the windows, so output cannot depend
-// on it. A rank's state — its process, RNG, clock, receive queues,
-// rendezvous bookkeeping — is owned by its node's partition: every
-// process-context call runs on that partition's engine, and every
-// engine-context handler below runs in the partition that owns the rank it
-// touches, so no lock guards rank state. Rendezvous bookkeeping is split
+// Partitioned simulation: the runtime always partitions the cluster by
+// switch (one des::PartitionSet partition per switch; a single-switch
+// cluster is one partition and runs the plain sequential engine), and one
+// worker runs every window. A rank's state — its process, RNG, clock,
+// receive queues, rendezvous bookkeeping — is owned by its node's
+// partition: every process-context call runs on that partition's engine,
+// and every engine-context handler below runs in the partition that owns
+// the rank it touches. Rendezvous bookkeeping is split
 // into a sender half (keyed in the source partition) and a receiver half
 // (keyed in the destination partition); the rendezvous id encodes the
 // source rank so either side can find its half from the id alone.
@@ -117,10 +116,6 @@ class Runtime {
     /// uniformly in +-clock_offset_max_s, drifts in +-clock_drift_max.
     double clock_offset_max_s = 5e-3;
     double clock_drift_max = 2e-5;
-    /// Workers for the switch-partitioned engine. 0 and 1 both run every
-    /// window inline on the calling thread; N > 1 uses N workers. The
-    /// partitioning never changes with N, so neither does the output.
-    int sim_threads = 0;
   };
 
   explicit Runtime(Options options);

@@ -21,7 +21,6 @@ smpi::Runtime::Options runtime_options(const Options& options) {
   rt.procs_per_node = options.procs_per_node;
   rt.nprocs = options.nprocs();
   rt.seed = options.seed;
-  rt.sim_threads = options.sim_threads;
   return rt;
 }
 
@@ -43,9 +42,8 @@ PointToPointResult run_isend(const Options& options, net::Bytes size) {
   std::vector<std::vector<double>> recv_done(
       nprocs, std::vector<double>(total, 0.0));
   // Sender-side op durations are also logged per rank and folded in rank
-  // order after the run: rank bodies may execute on different partition
-  // threads, and a shared accumulator would race (and float-sum in
-  // execution order, which varies).
+  // order after the run, so the float sum does not depend on the order in
+  // which rank bodies on different partitions execute.
   std::vector<std::vector<double>> sender_samples(nprocs);
 
   rt.run([&](smpi::Comm& comm) {

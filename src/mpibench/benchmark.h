@@ -30,9 +30,9 @@ struct Options {
   double bin_width_us = 10.0;    ///< histogram bin width (the accuracy knob)
   int sync_rounds = 32;          ///< clock-sync ping-pongs per rank
   int resync_interval = 64;      ///< barrier every this many repetitions
-  /// Workers for the switch-partitioned engine (see
-  /// smpi::Runtime::Options::sim_threads). 0 and 1 both run inline; the
-  /// tables are identical at every value.
+  /// Ignored: the switch-partitioned engine always runs on one worker. The
+  /// field remains only for the benchmark harness, which still sets it, and
+  /// goes with that harness's next change.
   int sim_threads = 0;
 
   /// Optional cooperative-cancellation flag (typically set from a SIGINT
@@ -74,7 +74,7 @@ struct PointToPointResult {
   std::uint64_t faults_injected = 0;
 
   // Event-queue counters (des::Engine), summed over the simulation's
-  // partitions. Like every other field they do not depend on sim_threads.
+  // partitions.
   std::uint64_t events_cancelled = 0;
   std::uint64_t heap_high_water = 0;
   std::uint64_t pending_high_water = 0;

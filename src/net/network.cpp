@@ -177,7 +177,7 @@ void Network::resume_transit(std::uint32_t part, std::uint32_t hop,
 
 // LINT:hot-path begin (per-packet forwarding: transit records come from the
 // per-partition pool, hop events capture (network, partition, index), and
-// cross-partition continuations ride the wait-free mailbox ring; nothing
+// cross-partition continuations go through PartitionSet::post; nothing
 // allocates; enforced by tools/repro_lint)
 void Network::forward_hop(std::uint32_t part, std::uint32_t index) {
   Transit& record = transit(part, index);

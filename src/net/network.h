@@ -14,7 +14,7 @@
 // is one logical process owning a des::Engine, a transit pool and a route
 // cache. A frame whose next hop belongs to another partition is resolved at
 // submit time on the last link this partition owns (Link::submit_resolved)
-// and the continuation is posted through the PartitionSet mailbox, arriving
+// and the continuation is posted through PartitionSet::post, arriving
 // at least min-link-latency + switch-latency later — the lookahead
 // (ClusterParams::lookahead()). A single-switch cluster is one partition:
 // no boundaries exist and no posts happen. The des::Engine constructor puts

@@ -115,7 +115,8 @@ void Transport::send(std::uint64_t stream, int src_node, int dst_node,
                      std::move(on_delivered));
   } else {
     // The receiver half lives in the destination partition: ship the
-    // (end offset, callback) pair through the mailbox one lookahead out.
+    // (end offset, callback) pair through PartitionSet::post one
+    // lookahead out.
     // It beats the first data byte — see the class comment.
     const SeqNo end = conn.stream_end;
     sim_->post(sp, dp, engine_of(src_node).now() + lookahead_,

@@ -19,7 +19,7 @@
 // destination node's, matching where the network delivers data and ACK
 // packets. The only sender-to-receiver control transfer outside the packet
 // path — registering a message's end offset and delivery callback — rides
-// the PartitionSet mailbox one lookahead ahead, which always beats the
+// PartitionSet::post one lookahead ahead, which always beats the
 // first data byte (end-to-end is at least two NIC latencies plus a switch
 // hop). With one partition both halves live in shard 0 and every path is
 // the sequential one.

@@ -1,4 +1,4 @@
-// Fixture: the partitioned-engine shape — a window-dispatch / mailbox
+// Fixture: a bounded-mailbox shape — a window-dispatch / mailbox
 // drain loop is fenced, so blocking or allocating mid-drain is a finding;
 // the overflow slow path outside the fence may lock and allocate.
 #include <condition_variable>

@@ -110,11 +110,9 @@ TEST(ReproLint, HotPathFenceCatchesAllocationAndLocks) {
 }
 
 TEST(ReproLint, MailboxDrainFenceFlagsBlockingNotOverflowPath) {
-  // The conservative-parallel engine fences its window dispatch and
-  // mailbox drain (src/des/partitioned_engine.cpp); this fixture mirrors
-  // that shape. Blocking primitives and allocation inside the drain are
-  // findings; the lock-and-grow overflow slow path after the fence is the
-  // documented design and must stay quiet.
+  // A fenced mailbox drain with a lock-and-grow overflow path after the
+  // fence. Blocking primitives and allocation inside the drain are
+  // findings; the slow path outside the fence must stay quiet.
   const RunResult result = run_lint("--json " + fixture("hot_mailbox.cpp"));
   EXPECT_EQ(result.exit_code, 3);
   const Json doc = Json::parse(result.output);

@@ -1,6 +1,6 @@
 // Determinism contract of the scaling pipeline: a model fitted from a
-// measured table is byte-identical at any benchmark job count and
-// simulation thread count, and extrapolated predictions through
+// measured table is byte-identical at any benchmark job count, and
+// extrapolated predictions through
 // run_request are byte-identical at any Monte-Carlo thread count. Also
 // covers the DeliverySampler's scaling fallback against the table edge.
 #include <cmath>
@@ -20,32 +20,30 @@ namespace {
 
 using mpibench::OpKind;
 
-mpibench::Options bench_options(int sim_threads) {
+mpibench::Options bench_options() {
   mpibench::Options opt;
   opt.cluster = net::perseus(2);
   opt.procs_per_node = 1;
   opt.repetitions = 40;
   opt.warmup = 8;
   opt.seed = 20260808;
-  opt.sim_threads = sim_threads;
   return opt;
 }
 
-std::string fit_artifact(int sim_threads, int jobs) {
+std::string fit_artifact(int jobs) {
   const std::vector<net::Bytes> sizes{net::Bytes{256}, net::Bytes{4096}};
   const std::vector<mpibench::Config> configs{{2, 1}, {4, 1}, {8, 1}};
   const auto table = mpibench::measure_isend_table(
-      bench_options(sim_threads), sizes, configs, jobs);
+      bench_options(), sizes, configs, jobs);
   std::ostringstream out;
   scaling::fit_scaling_model(table).save(out);
   return out.str();
 }
 
 TEST(ScalingDeterminism, ArtifactIdenticalAcrossSimThreadsAndJobs) {
-  const std::string baseline = fit_artifact(0, 1);
+  const std::string baseline = fit_artifact(1);
   ASSERT_FALSE(baseline.empty());
-  EXPECT_EQ(fit_artifact(0, 2), baseline);  // measurement fan-out
-  EXPECT_EQ(fit_artifact(2, 1), baseline);  // conservative-parallel engine
+  EXPECT_EQ(fit_artifact(2), baseline);  // measurement fan-out
 }
 
 /// Synthetic table with a clear size/contention law, for the sampler and

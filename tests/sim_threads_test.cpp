@@ -1,31 +1,33 @@
-// Thread-count determinism of the simulator. smpi::Runtime always
-// partitions the cluster by switch and --sim-threads N only sets how many
-// workers execute the conservative windows, so every table MPIBench emits
-// must be byte-identical at every N — including under fault injection and
-// for collectives. sim_threads = 0 (one worker, inline) is the reference.
+// Pinned output of the switch-partitioned simulator. smpi::Runtime always
+// partitions the cluster by switch and one worker runs every conservative
+// window, so every table MPIBench emits is a pure function of its options.
+// These cases used to compare runs at several worker counts; the threaded
+// window loop is gone, so each now asserts a digest recorded at the last
+// commit that still had it (whose runs at every worker count agreed with
+// these values). A change that moves one changes simulator output.
 //
-// The differential grid below sweeps seeds x topologies (1, 2, 3 and 5
-// switches) x fault injection off/on x thread counts, for Isend at
-// eager/rendezvous sizes and for barrier, bcast and alltoall;
-// MatchesPerseusSeedOneTable pins the 64-node Perseus case whose table
-// used to change with the thread count.
+// The grid below sweeps seeds x topologies (1, 2, 3 and 5 switches) x
+// fault injection off/on, for Isend at eager/rendezvous sizes and for
+// barrier, bcast and alltoall; MatchesPerseusSeedOneTable pins the 64-node
+// Perseus table that once changed with the worker count.
 #include <sstream>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "digest.h"
 #include "mpibench/benchmark.h"
 #include "net/cluster.h"
-#include "stats/histogram.h"
 
 namespace {
 
-/// 12 nodes on 4-port switches -> 3 switches, so partitioned runs use
-/// three logical processes and every pair in the Isend pattern
-/// (i <-> i + P/2) crosses at least one trunk.
+using testdigest::Digest;
+
+/// 12 nodes on 4-port switches -> 3 switches, so runs use three logical
+/// processes and every pair in the Isend pattern (i <-> i + P/2) crosses
+/// at least one trunk.
 mpibench::Options multi_switch_options() {
   mpibench::Options opt;
   opt.cluster = net::perseus(12);
@@ -37,39 +39,37 @@ mpibench::Options multi_switch_options() {
   return opt;
 }
 
-/// Bin-for-bin equality, which is what byte-identical CSV output means.
-/// Compared directly because a lossy run's RTO tail spans seconds of 1 us
+/// Every field a byte-identical CSV or table depends on. Histograms are
+/// hashed bin for bin because a lossy run's RTO tail spans seconds of 1 us
 /// bins, too many to render as text in a quick test.
-void expect_same_histogram(const stats::Histogram& a,
-                           const stats::Histogram& b) {
-  EXPECT_EQ(a.bin_width(), b.bin_width());
-  EXPECT_EQ(a.origin(), b.origin());
-  EXPECT_EQ(a.total(), b.total());
-  EXPECT_EQ(a.underflow(), b.underflow());
-  EXPECT_EQ(a.summary().mean(), b.summary().mean());
-  EXPECT_EQ(a.summary().min(), b.summary().min());
-  EXPECT_EQ(a.summary().max(), b.summary().max());
-  ASSERT_EQ(a.bin_count(), b.bin_count());
-  for (std::size_t bin = 0; bin < a.bin_count(); ++bin) {
-    ASSERT_EQ(a.count_at(bin), b.count_at(bin)) << "bin " << bin;
-  }
+void add(Digest& digest, const mpibench::PointToPointResult& result) {
+  digest.add(result.messages);
+  digest.add(result.oneway);
+  digest.add(result.sender_hist);
+  digest.add(result.sender_op);
+  digest.add(result.tcp_timeouts);
+  digest.add(result.tcp_retransmits);
+  digest.add(result.tcp_fast_retransmits);
+  digest.add(result.link_drops);
+  digest.add(result.faults_injected);
 }
 
-void expect_identical(const mpibench::PointToPointResult& a,
-                      const mpibench::PointToPointResult& b) {
-  EXPECT_EQ(a.messages, b.messages);
-  expect_same_histogram(a.oneway, b.oneway);
-  expect_same_histogram(a.sender_hist, b.sender_hist);
-  EXPECT_EQ(a.sender_op.count(), b.sender_op.count());
-  EXPECT_EQ(a.sender_op.mean(), b.sender_op.mean());
-  EXPECT_EQ(a.tcp_timeouts, b.tcp_timeouts);
-  EXPECT_EQ(a.tcp_retransmits, b.tcp_retransmits);
-  EXPECT_EQ(a.tcp_fast_retransmits, b.tcp_fast_retransmits);
-  EXPECT_EQ(a.link_drops, b.link_drops);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
+void add(Digest& digest, const mpibench::CollectiveResult& result) {
+  digest.add(result.operations);
+  digest.add(result.completion);
+  digest.add(result.tcp_timeouts);
+  digest.add(result.tcp_retransmits);
+  digest.add(result.faults_injected);
 }
 
-// ---- differential grid ----------------------------------------------------
+template <typename Result>
+std::string digest_of(const Result& result) {
+  Digest digest;
+  add(digest, result);
+  return digest.hex();
+}
+
+// ---- pinned grid ----------------------------------------------------------
 
 /// (switch count, seed).
 using GridParam = std::tuple<int, int>;
@@ -90,37 +90,72 @@ mpibench::Options grid_options(int switches, int seed) {
   return opt;
 }
 
+/// One row per switch count (1, 2, 3, 5), one digest per seed 1-10.
+using GridDigests = const char* const[4][10];
+
+const char* expected_digest(const GridDigests& table, int switches,
+                            int seed) {
+  const int row = switches == 5 ? 3 : switches - 1;
+  return table[row][seed - 1];
+}
+
+// Isend: faults off/on x 1 KiB (eager) and the eager threshold
+// (rendezvous), hashed in that order.
+GridDigests kIsendDigests = {
+    {"f31146751182a4ca", "e3e8fab571254a78", "3770d55adb1658da",
+     "787443522ed2a287", "393a0113844984f2", "81cd715090a4a9cc",
+     "e7d744b941691f9a", "c8e9ae758499f407", "ca0ec32a6af18d72",
+     "0c475c6413339e6d"},
+    {"45b6cd3289cd280e", "76f63f1048b9f4e9", "06b787f66441a8a6",
+     "1c26c94074ee4f77", "ef6e1b143f48091f", "3d28336fb333ee50",
+     "50f7a57664c3162f", "ddf04b9753bd10fb", "7dec96aee40833f8",
+     "e57e34118e485b4e"},
+    {"f5e4f7b9b9098456", "08400f8d1e8cb4ae", "ea2cd53a4394290f",
+     "5baaef51840cabea", "d9970d18f9d8db6c", "63ceee9255033187",
+     "39e0c773ba16272e", "b5d48ce267699298", "80501dc5f8a9ab45",
+     "f3c23881846c0184"},
+    {"c87020a018df39fb", "2fe46d64a107d246", "d2c4ac997a935730",
+     "21f993341f804af8", "6bef2ab5e02ae953", "073f841d432e121b",
+     "010318dd6b639985", "a74cdee359b3a405", "d7d4a069f41f7522",
+     "e00424384cff2bb9"},
+};
+
+// Collectives: faults off/on x barrier, bcast 4 KiB, alltoall 1 KiB.
+GridDigests kCollectiveDigests = {
+    {"4a9e530e98409944", "4e40444ef6af1250", "7ab13d5aaf1cd389",
+     "d48e861975aab6af", "45277c9ffbb3c046", "60a6fca066391db1",
+     "8dc77fc3c1711ed9", "d742f06fe210910d", "e1efb0f5672aba50",
+     "3d42574c7bef0a9a"},
+    {"9a5c6c8af66304da", "9b8fcaa08f2788c0", "972b48eac4d69ad0",
+     "d8dbc837d63cd071", "b9752a971135b968", "13a8c1436d5cfd1d",
+     "0b556855a231214e", "943dcd3f4b5625e5", "18b6d079751cfcd1",
+     "860c99093ae4c3c2"},
+    {"cfee7e00e77aff06", "7f35a8928387d05e", "43133de14ad6f9ef",
+     "e08bd89dd466f1ef", "c2cb3ff579d2a700", "2c9963e9e88bebcc",
+     "7f0abd98bc946a9d", "5e31deb14df0c166", "3791158ffa776dce",
+     "515791afbc6d5e25"},
+    {"8979047e1e577326", "23e28656d3046bb1", "8d53ced3f6409e91",
+     "97833d5f99d88064", "47aba8e7e970000c", "a3a8cadd08aa1620",
+     "99409c561aae5a54", "c56eaa3ac51a6105", "9d1257bbf43c9d66",
+     "791c48083cb9c748"},
+};
+
 TEST_P(SimThreadsDifferential, EveryThreadCountMatchesTheInlineRun) {
   const auto [switches, seed] = GetParam();
   mpibench::Options opt = grid_options(switches, seed);
   ASSERT_EQ(opt.cluster.switch_count(), switches);
+  Digest digest;
   for (const bool faults : {false, true}) {
     opt.cluster.fault.loss_rate = faults ? 0.03 : 0.0;
     opt.cluster.fault.seed = opt.seed;
-    // Below and at the eager threshold: eager and rendezvous protocols.
     for (const net::Bytes size :
          {net::Bytes{1024}, opt.cluster.mpi.eager_threshold}) {
-      SCOPED_TRACE("faults " + std::to_string(faults) + " size " +
-                   std::to_string(size.count()));
-      opt.sim_threads = 0;
-      const auto reference = mpibench::run_isend(opt, size);
-      ASSERT_GT(reference.messages, 0u);
-      for (const int threads : {1, 2, 4}) {
-        SCOPED_TRACE("sim_threads " + std::to_string(threads));
-        opt.sim_threads = threads;
-        expect_identical(mpibench::run_isend(opt, size), reference);
-      }
+      const auto result = mpibench::run_isend(opt, size);
+      ASSERT_GT(result.messages, 0u);
+      add(digest, result);
     }
   }
-}
-
-void expect_identical(const mpibench::CollectiveResult& a,
-                      const mpibench::CollectiveResult& b) {
-  EXPECT_EQ(a.operations, b.operations);
-  expect_same_histogram(a.completion, b.completion);
-  EXPECT_EQ(a.tcp_timeouts, b.tcp_timeouts);
-  EXPECT_EQ(a.tcp_retransmits, b.tcp_retransmits);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(digest.hex(), expected_digest(kIsendDigests, switches, seed));
 }
 
 TEST_P(SimThreadsDifferential, CollectivesMatchTheInlineRun) {
@@ -128,34 +163,27 @@ TEST_P(SimThreadsDifferential, CollectivesMatchTheInlineRun) {
   mpibench::Options opt = grid_options(switches, seed);
   using Collective =
       mpibench::CollectiveResult (*)(const mpibench::Options& options);
-  const std::pair<const char*, Collective> collectives[] = {
-      {"barrier", [](const mpibench::Options& o) {
-         return mpibench::run_barrier(o);
-       }},
-      {"bcast", [](const mpibench::Options& o) {
-         return mpibench::run_bcast(o, net::Bytes{4096});
-       }},
-      {"alltoall", [](const mpibench::Options& o) {
-         return mpibench::run_alltoall(o, net::Bytes{1024});
-       }},
+  const Collective collectives[] = {
+      [](const mpibench::Options& o) { return mpibench::run_barrier(o); },
+      [](const mpibench::Options& o) {
+        return mpibench::run_bcast(o, net::Bytes{4096});
+      },
+      [](const mpibench::Options& o) {
+        return mpibench::run_alltoall(o, net::Bytes{1024});
+      },
   };
+  Digest digest;
   for (const bool faults : {false, true}) {
     opt.cluster.fault.loss_rate = faults ? 0.03 : 0.0;
     opt.cluster.fault.seed = opt.seed;
-    for (const auto& [name, run] : collectives) {
-      SCOPED_TRACE(std::string{name} + " faults " + std::to_string(faults));
-      opt.sim_threads = 0;
-      const auto reference = run(opt);
-      ASSERT_GT(reference.operations, 0u);
-      // 1 worker is the reference's own code path. 2 and 4 split the
-      // partitions unevenly, and 4 leaves workers idle on 2 or 3 switches.
-      for (const int threads : {2, 4}) {
-        SCOPED_TRACE("sim_threads " + std::to_string(threads));
-        opt.sim_threads = threads;
-        expect_identical(run(opt), reference);
-      }
+    for (const Collective run : collectives) {
+      const auto result = run(opt);
+      ASSERT_GT(result.operations, 0u);
+      add(digest, result);
     }
   }
+  EXPECT_EQ(digest.hex(),
+            expected_digest(kCollectiveDigests, switches, seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -177,9 +205,9 @@ TEST(SimThreads, FaultGridActuallyLosesPackets) {
 
 TEST(SimThreads, MatchesPerseusSeedOneTable) {
   // `mpibench --nodes 64 --sizes 1024 --reps 20 --seed 1 --table T`, the
-  // 64-node (three-switch) cell: a single engine over all switches (the
-  // old --sim-threads 0) broke same-time ties on trunk.0 differently from
-  // the partitioned engine here, shifting one-way samples by a bin.
+  // 64-node (three-switch) cell: a single engine over all switches broke
+  // same-time ties on trunk.0 differently from the partitioned engine,
+  // shifting one-way samples by a bin.
   mpibench::Options opt;
   opt.cluster = net::perseus(64);
   opt.repetitions = 20;
@@ -187,14 +215,11 @@ TEST(SimThreads, MatchesPerseusSeedOneTable) {
   opt.seed = 1;
   const std::vector<net::Bytes> sizes{net::Bytes{1024}};
   const std::vector<mpibench::Config> configs{{64, 1}};
-  std::string tables[2];
-  for (const int threads : {0, 2}) {
-    opt.sim_threads = threads;
-    std::ostringstream out;
-    mpibench::measure_isend_table(opt, sizes, configs, 1).save(out);
-    tables[threads / 2] = out.str();
-  }
-  EXPECT_EQ(tables[1], tables[0]);
+  std::ostringstream out;
+  mpibench::measure_isend_table(opt, sizes, configs, 1).save(out);
+  Digest digest;
+  digest.add(out.str());
+  EXPECT_EQ(digest.hex(), "7128d20813748b67");
 }
 
 // ---- focused cases -------------------------------------------------------
@@ -210,51 +235,38 @@ TEST(SimThreads, EngineCountersMatchAndHeapStaysBounded) {
   opt.warmup = 2;
   opt.seed = 1;
   const int partitions = opt.cluster.switch_count();
-  opt.sim_threads = 0;
-  const auto one = mpibench::run_isend(opt, net::Bytes{1024});
-  opt.sim_threads = 2;
-  const auto two = mpibench::run_isend(opt, net::Bytes{1024});
-  EXPECT_GT(one.events_cancelled, 0u);
-  EXPECT_LE(one.heap_high_water,
-            2 * one.pending_high_water + 64u * partitions);
-  EXPECT_EQ(one.events_cancelled, two.events_cancelled);
-  EXPECT_EQ(one.heap_high_water, two.heap_high_water);
-  EXPECT_EQ(one.pending_high_water, two.pending_high_water);
+  const auto result = mpibench::run_isend(opt, net::Bytes{1024});
+  EXPECT_GT(result.events_cancelled, 0u);
+  EXPECT_LE(result.heap_high_water,
+            2 * result.pending_high_water + 64u * partitions);
+  // The counters are deterministic; these were recorded with the output.
+  EXPECT_EQ(result.events_cancelled, 5409u);
+  EXPECT_EQ(result.heap_high_water, 401u);
+  EXPECT_EQ(result.pending_high_water, 190u);
 }
 
 TEST(SimThreads, IsendIsBitIdenticalAtEveryThreadCount) {
   mpibench::Options opt = multi_switch_options();
   ASSERT_EQ(opt.cluster.switch_count(), 3);
+  const char* const expected[] = {"63e8adae4a71f864", "fdf538ea44c11cc2"};
+  int i = 0;
   for (const net::Bytes size : {net::Bytes{256}, net::Bytes{16384}}) {
     SCOPED_TRACE("size " + std::to_string(size.count()));
-    opt.sim_threads = 0;
-    const auto reference = mpibench::run_isend(opt, size);
-    ASSERT_GT(reference.messages, 0u);
-    // 2 and 4 exercise both fewer and more workers than partitions (4 > 3
-    // leaves one idle).
-    for (const int threads : {1, 2, 4}) {
-      SCOPED_TRACE("sim_threads " + std::to_string(threads));
-      opt.sim_threads = threads;
-      expect_identical(mpibench::run_isend(opt, size), reference);
-    }
+    const auto result = mpibench::run_isend(opt, size);
+    ASSERT_GT(result.messages, 0u);
+    EXPECT_EQ(digest_of(result), expected[i++]);
   }
 }
 
 TEST(SimThreads, FaultInjectionStaysDeterministic) {
   // Loss forces retransmissions and RTO timers — the paths where an
-  // execution-order-dependent engine would diverge first. The fault seeder
-  // runs in construction order, which is independent of the thread count.
+  // execution-order-dependent engine would diverge first.
   mpibench::Options opt = multi_switch_options();
   opt.cluster.fault.loss_rate = 0.02;
   opt.cluster.fault.seed = opt.seed;
-  opt.sim_threads = 0;
-  const auto reference = mpibench::run_isend(opt, net::Bytes{8192});
-  ASSERT_GT(reference.faults_injected, 0u) << "fault path not exercised";
-  for (const int threads : {1, 3}) {
-    SCOPED_TRACE("sim_threads " + std::to_string(threads));
-    opt.sim_threads = threads;
-    expect_identical(mpibench::run_isend(opt, net::Bytes{8192}), reference);
-  }
+  const auto result = mpibench::run_isend(opt, net::Bytes{8192});
+  ASSERT_GT(result.faults_injected, 0u) << "fault path not exercised";
+  EXPECT_EQ(digest_of(result), "309e8eedb00d7dbb");
 }
 
 TEST(SimThreads, AlltoallIsBitIdentical) {
@@ -263,32 +275,23 @@ TEST(SimThreads, AlltoallIsBitIdentical) {
   mpibench::Options opt = multi_switch_options();
   opt.repetitions = 10;
   opt.warmup = 2;
-  opt.sim_threads = 0;
-  const auto reference = mpibench::run_alltoall(opt, net::Bytes{1024});
-  ASSERT_GT(reference.operations, 0u);
-  opt.sim_threads = 3;
-  const auto threaded = mpibench::run_alltoall(opt, net::Bytes{1024});
-  EXPECT_EQ(threaded.operations, reference.operations);
-  EXPECT_EQ(threaded.completion.to_csv(), reference.completion.to_csv());
-  EXPECT_EQ(threaded.tcp_retransmits, reference.tcp_retransmits);
-  EXPECT_EQ(threaded.tcp_timeouts, reference.tcp_timeouts);
+  const auto result = mpibench::run_alltoall(opt, net::Bytes{1024});
+  ASSERT_GT(result.operations, 0u);
+  EXPECT_EQ(digest_of(result), "d318c29606ea1fcd");
 }
 
 TEST(SimThreads, TableAssemblyComposesWithJobFanOut) {
-  // sim_threads (parallelism inside one simulation) and jobs (parallelism
-  // across independent sweep cells) are orthogonal; combined they must
-  // still reproduce the inline single-job table byte for byte.
+  // Cells fanned out over jobs run on independent simulator instances, so
+  // the assembled table must match the inline single-job one byte for byte.
   mpibench::Options opt = multi_switch_options();
   const std::vector<net::Bytes> sizes{net::Bytes{512}, net::Bytes{4096}};
   const std::vector<mpibench::Config> configs{{12, 1}};
-  opt.sim_threads = 0;
   const auto reference = mpibench::measure_isend_table(opt, sizes, configs, 1);
-  opt.sim_threads = 3;
-  const auto combined = mpibench::measure_isend_table(opt, sizes, configs, 2);
+  const auto fanned = mpibench::measure_isend_table(opt, sizes, configs, 2);
   std::ostringstream want;
   std::ostringstream got;
   reference.save(want);
-  combined.save(got);
+  fanned.save(got);
   EXPECT_EQ(got.str(), want.str());
 }
 
@@ -298,11 +301,9 @@ TEST(SimThreads, SmpAndMultiRankNodesStayDeterministic) {
   mpibench::Options opt = multi_switch_options();
   opt.procs_per_node = 2;
   opt.repetitions = 15;
-  opt.sim_threads = 0;
-  const auto reference = mpibench::run_isend(opt, net::Bytes{2048});
-  ASSERT_GT(reference.messages, 0u);
-  opt.sim_threads = 2;
-  expect_identical(mpibench::run_isend(opt, net::Bytes{2048}), reference);
+  const auto result = mpibench::run_isend(opt, net::Bytes{2048});
+  ASSERT_GT(result.messages, 0u);
+  EXPECT_EQ(digest_of(result), "57523f9e7eee20c9");
 }
 
 }  // namespace

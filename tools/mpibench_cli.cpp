@@ -11,18 +11,14 @@
 //     --op OP            isend | barrier | bcast | alltoall (default isend)
 //     --jobs J           benchmark J (size x config) cells concurrently on
 //                        independent simulator instances; 0 = one per
-//                        hardware thread. Output is byte-identical to
-//                        --jobs 1 (default 1)
+//                        hardware thread. This is the parallel axis:
+//                        output is byte-identical to --jobs 1 (default 1)
 //     --bin-us W         histogram bin width in microseconds (default 10)
 //     --table FILE       ALSO sweep configs 2..N x ppn and write a PEVPM
 //                        distribution table to FILE
 //     --histograms       print full per-size histograms
 //     --cluster FILE     cluster description overrides ("key = value")
 //     --seed S
-//     --sim-threads T    workers for each simulator instance, which always
-//                        runs the switch-partitioned conservative engine;
-//                        0 and 1 both mean one worker, inline. Output is
-//                        byte-identical for every T (default 0)
 //
 //   Fault injection (see src/net/fault.h). With any of these the summary
 //   grows tail quantiles (p99.9) and retransmission/fault counters:
@@ -35,6 +31,9 @@
 // SIGINT/SIGTERM during a sweep stop unstarted cells; completed cells are
 // still printed (and the distribution table flushed, partially) before the
 // process exits with status 3.
+//
+// Numeric values must be whole, in-range numbers; --nodes, --ppn and --reps
+// at least 1 and --jobs at least 0. Anything else is a usage error.
 //
 // Exit codes: 0 success, 2 usage error, 3 runtime failure or interruption.
 #include <algorithm>
@@ -49,6 +48,7 @@
 #include <vector>
 
 #include "core/parallel.h"
+#include "core/request.h"
 #include "core/version.h"
 #include "mpibench/benchmark.h"
 #include "net/cluster.h"
@@ -73,7 +73,6 @@ struct Args {
   std::string cluster_file;
   bool histograms = false;
   std::uint64_t seed = 1;
-  int sim_threads = 0;
 
   double loss_rate = -1.0;  ///< < 0 means "not set"
   std::vector<std::string> fault_profiles;
@@ -82,29 +81,40 @@ struct Args {
   double rto_ms = -1.0;     ///< < 0 means "not set"
 };
 
-std::vector<net::Bytes> parse_sizes(const std::string& list) {
-  std::vector<net::Bytes> out;
-  std::stringstream ss{list};
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    out.push_back(static_cast<net::Bytes>(std::stoull(item)));
-  }
-  return out;
-}
-
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--nodes N] [--ppn P] [--sizes a,b,c] [--reps R]\n"
                "          [--op isend|barrier|bcast|alltoall] [--jobs J]\n"
                "          [--bin-us W]\n"
                "          [--table FILE] [--histograms] [--cluster FILE]\n"
-               "          [--seed S] [--sim-threads T]\n"
+               "          [--seed S]\n"
                "          [--loss-rate P] [--fault-profile burst:E,X,L]\n"
                "          [--fault-profile down:START_MS,END_MS]\n"
                "          [--fault-seed S] [--rto-ms R]\n"
                "          [--version]\n",
                argv0);
   std::exit(2);
+}
+
+/// The value of a numeric flag; a malformed or out-of-range one is a usage
+/// error.
+template <typename T>
+T number(const std::string& text, const char* argv0) {
+  T value{};
+  if (!pevpm::parse_number(text, value)) usage(argv0);
+  return value;
+}
+
+std::vector<net::Bytes> parse_sizes(const std::string& list,
+                                    const char* argv0) {
+  std::vector<net::Bytes> out;
+  std::stringstream ss{list};
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    out.emplace_back(number<std::uint64_t>(item, argv0));
+  }
+  if (out.empty()) usage(argv0);
+  return out;
 }
 
 Args parse_args(int argc, char** argv) {
@@ -115,20 +125,24 @@ Args parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    const auto count = [&](int& out) {
+      if (!pevpm::parse_positive_int(value(), out)) usage(argv[0]);
+    };
     if (flag == "--nodes") {
-      args.nodes = std::stoi(value());
+      count(args.nodes);
     } else if (flag == "--ppn") {
-      args.ppn = std::stoi(value());
+      count(args.ppn);
     } else if (flag == "--sizes") {
-      args.sizes = parse_sizes(value());
+      args.sizes = parse_sizes(value(), argv[0]);
     } else if (flag == "--reps") {
-      args.reps = std::stoi(value());
+      count(args.reps);
     } else if (flag == "--op") {
       args.op = value();
     } else if (flag == "--jobs") {
-      args.jobs = std::stoi(value());
+      args.jobs = number<int>(value(), argv[0]);
+      if (args.jobs < 0) usage(argv[0]);
     } else if (flag == "--bin-us") {
-      args.bin_us = std::stod(value());
+      args.bin_us = number<double>(value(), argv[0]);
     } else if (flag == "--table") {
       args.table_file = value();
     } else if (flag == "--cluster") {
@@ -136,19 +150,16 @@ Args parse_args(int argc, char** argv) {
     } else if (flag == "--histograms") {
       args.histograms = true;
     } else if (flag == "--seed") {
-      args.seed = std::stoull(value());
-    } else if (flag == "--sim-threads") {
-      args.sim_threads = std::stoi(value());
-      if (args.sim_threads < 0) usage(argv[0]);
+      args.seed = number<std::uint64_t>(value(), argv[0]);
     } else if (flag == "--loss-rate") {
-      args.loss_rate = std::stod(value());
+      args.loss_rate = number<double>(value(), argv[0]);
     } else if (flag == "--fault-profile") {
       args.fault_profiles.push_back(value());
     } else if (flag == "--fault-seed") {
-      args.fault_seed = std::stoull(value());
+      args.fault_seed = number<std::uint64_t>(value(), argv[0]);
       args.fault_seed_set = true;
     } else if (flag == "--rto-ms") {
-      args.rto_ms = std::stod(value());
+      args.rto_ms = number<double>(value(), argv[0]);
     } else if (flag == "--version") {
       std::printf("%s\n", pevpm::version_string("mpibench").c_str());
       std::exit(0);
@@ -169,7 +180,9 @@ void apply_fault_profile(const std::string& spec, net::FaultParams& fault,
   std::vector<double> fields;
   std::stringstream ss{spec.substr(colon + 1)};
   std::string item;
-  while (std::getline(ss, item, ',')) fields.push_back(std::stod(item));
+  while (std::getline(ss, item, ',')) {
+    fields.push_back(number<double>(item, argv0));
+  }
   if (kind == "burst" && fields.size() == 3) {
     fault.ge_p_enter = fields[0];
     fault.ge_p_exit = fields[1];
@@ -183,11 +196,8 @@ void apply_fault_profile(const std::string& spec, net::FaultParams& fault,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-
+/// Runs the benchmark the arguments describe and prints its results.
+int run(const Args& args, const char* argv0) {
   // Long sweeps (--jobs over big grids) should die gracefully: a SIGINT or
   // SIGTERM stops unstarted cells; whatever already finished still prints
   // (and the table flushes, partially) before exiting non-zero.
@@ -219,11 +229,10 @@ int main(int argc, char** argv) {
   opt.warmup = std::max(8, args.reps / 10);
   opt.bin_width_us = args.bin_us;
   opt.seed = args.seed;
-  opt.sim_threads = args.sim_threads;
 
   if (args.loss_rate >= 0.0) opt.cluster.fault.loss_rate = args.loss_rate;
   for (const std::string& spec : args.fault_profiles) {
-    apply_fault_profile(spec, opt.cluster.fault, argv[0]);
+    apply_fault_profile(spec, opt.cluster.fault, argv0);
   }
   if (args.rto_ms >= 0.0) {
     opt.cluster.tcp.rto_initial = des::Duration::from_micros(args.rto_ms * 1e3);
@@ -360,4 +369,18 @@ int main(int argc, char** argv) {
     return 3;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Args args = parse_args(argc, argv);
+  // A configuration that parses but cannot run (say, an odd process count)
+  // surfaces as an exception from the sweep: one line, runtime failure.
+  try {
+    return run(args, argv[0]);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "mpibench: %s\n", e.what());
+    return 3;
+  }
 }

@@ -40,6 +40,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/request.h"
@@ -115,14 +116,18 @@ int run_remote(const std::string& endpoint,
   }
   if (!request.overrides.empty()) frame.set("set", std::move(set));
 
+  const auto colon = endpoint.rfind(':');
+  const bool tcp = colon != std::string::npos &&
+                   endpoint.find('/') == std::string::npos;
+  int port = 0;
+  if (tcp && !pevpm::parse_number(std::string_view{endpoint}.substr(colon + 1),
+                                  port)) {
+    std::fprintf(stderr, "--server %s: malformed port\n", endpoint.c_str());
+    return 2;
+  }
   try {
-    const auto colon = endpoint.rfind(':');
     serve::Client client =
-        colon != std::string::npos &&
-                endpoint.find('/') == std::string::npos
-            ? serve::Client::connect_tcp(
-                  endpoint.substr(0, colon),
-                  std::stoi(endpoint.substr(colon + 1)))
+        tcp ? serve::Client::connect_tcp(endpoint.substr(0, colon), port)
             : serve::Client::connect_unix(endpoint);
     const serve::Json response = client.call(frame);
     const serve::Json* status = response.find("status");
@@ -164,6 +169,10 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Every numeric value parses strictly: malformed is a usage error.
+    const auto number = [&](auto& out) {
+      if (!pevpm::parse_number(value(), out)) usage(argv[0]);
+    };
     if (flag == "--model") {
       model_file = value();
     } else if (flag == "--table") {
@@ -183,14 +192,18 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (flag == "--threads") {
-      request.options.threads = std::stoi(value());
+      number(request.options.threads);
     } else if (flag == "--set") {
       const std::string kv = value();
       const auto eq = kv.find('=');
-      if (eq == std::string::npos) usage(argv[0]);
-      request.overrides[kv.substr(0, eq)] = std::stod(kv.substr(eq + 1));
+      double bound = 0.0;
+      if (eq == std::string::npos ||
+          !pevpm::parse_number(std::string_view{kv}.substr(eq + 1), bound)) {
+        usage(argv[0]);
+      }
+      request.overrides[kv.substr(0, eq)] = bound;
     } else if (flag == "--seed") {
-      request.options.seed = std::stoull(value());
+      number(request.options.seed);
     } else if (flag == "--trace") {
       trace_file = value();
     } else if (flag == "--losses") {

@@ -29,6 +29,7 @@
 #include <fstream>
 #include <string>
 
+#include "core/request.h"
 #include "core/version.h"
 #include "serve/server.h"
 #include "trace/trace.h"
@@ -62,21 +63,24 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Every numeric value parses strictly: malformed is a usage error.
+    const auto number = [&](auto& out) {
+      if (!pevpm::parse_number(value(), out)) usage(argv[0]);
+    };
     if (flag == "--socket") {
       options.unix_path = value();
     } else if (flag == "--tcp") {
-      options.tcp_port = std::stoi(value());
+      number(options.tcp_port);
     } else if (flag == "--threads") {
-      options.service.threads = std::stoi(value());
+      number(options.service.threads);
     } else if (flag == "--queue-cap") {
-      options.service.queue_capacity =
-          static_cast<std::size_t>(std::stoul(value()));
+      number(options.service.queue_capacity);
     } else if (flag == "--cache-cap") {
-      options.service.cache_capacity =
-          static_cast<std::size_t>(std::stoul(value()));
+      number(options.service.cache_capacity);
     } else if (flag == "--deadline-ms") {
-      options.service.default_deadline =
-          units::Duration::from_millis(std::stod(value()));
+      double ms = 0.0;
+      number(ms);
+      options.service.default_deadline = units::Duration::from_millis(ms);
     } else if (flag == "--trace") {
       trace_file = value();
     } else if (flag == "--version") {
