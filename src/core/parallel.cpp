@@ -4,63 +4,14 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <utility>
+#include <thread>
+#include <vector>
 
 namespace pevpm {
 
 unsigned resolve_threads(int requested) noexcept {
   if (requested >= 1) return static_cast<unsigned>(requested);
   return std::max(1u, std::thread::hardware_concurrency());
-}
-
-ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned n = std::max(1u, threads);
-  workers_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock{mu_};
-    stop_ = true;
-  }
-  task_ready_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    MutexLock lock{mu_};
-    queue_.push_back(std::move(task));
-  }
-  task_ready_.notify_one();
-}
-
-void ThreadPool::wait() {
-  MutexLock lock{mu_};
-  while (!queue_.empty() || active_ != 0) all_done_.wait(lock);
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock{mu_};
-      while (!stop_ && queue_.empty()) task_ready_.wait(lock);
-      if (queue_.empty()) return;  // stop_ set and nothing left to run
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    task();
-    {
-      MutexLock lock{mu_};
-      --active_;
-      if (queue_.empty() && active_ == 0) all_done_.notify_all();
-    }
-  }
 }
 
 void parallel_for(int total, unsigned threads,
@@ -91,9 +42,12 @@ void parallel_for(int total, unsigned threads,
       }
     }
   };
-  ThreadPool pool{workers};
-  for (unsigned t = 0; t < workers; ++t) pool.submit(drain);
-  pool.wait();
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(workers - 1);
+    for (unsigned t = 1; t < workers; ++t) helpers.emplace_back(drain);
+    drain();
+  }  // joins the helpers
   if (error) std::rethrow_exception(error);
 }
 

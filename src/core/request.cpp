@@ -26,7 +26,7 @@ bool parse_contention(std::string_view text, SamplerOptions& sampler) {
   }
   if (text.rfind("fixed:", 0) == 0) {
     int value = 0;
-    if (!parse_number(text.substr(6), value)) return false;
+    if (!parse_positive_int(text.substr(6), value)) return false;
     sampler.contention = ContentionSource::kFixed;
     sampler.fixed_contention = value;
     return true;

@@ -53,8 +53,9 @@ struct PredictRequest {
 /// Returns false (sampler untouched) on anything else.
 [[nodiscard]] bool parse_mode(std::string_view text, SamplerOptions& sampler);
 
-/// Parses "scoreboard" | "fixed:<level>" into `sampler`. Returns false
-/// (sampler untouched) on anything else.
+/// Parses "scoreboard" | "fixed:<level>" into `sampler`, where <level>
+/// meets the positive_int rule. Returns false (sampler untouched) on
+/// anything else.
 [[nodiscard]] bool parse_contention(std::string_view text,
                                     SamplerOptions& sampler);
 

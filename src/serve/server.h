@@ -20,7 +20,9 @@
 //   {"type":"ping"}
 // Responses carry "status" (200/400/500/503/504); 200 predict responses
 // carry "summary" — byte-identical to the pevpm CLI's stdout block —
-// and "deadlocked"; 503 responses carry "retry_after_ms".
+// and "deadlocked"; 503 responses carry "retry_after_ms". A line longer
+// than Server::kMaxLineBytes answers 400 "request line too long" and
+// closes its connection.
 //
 // shutdown() (or the async-signal-safe request_shutdown(), for SIGTERM
 // handlers) stops accepting, drains the service so every in-flight request
@@ -28,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -76,6 +79,10 @@ class Server {
   [[nodiscard]] int tcp_port() const noexcept { return tcp_port_; }
 
   [[nodiscard]] Service& service() noexcept { return service_; }
+
+  /// Longest request line a connection may send (newline excluded). An
+  /// 8-node distribution table is about 8 KB of text.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
 
   /// Handles one request line and returns the response line (no trailing
   /// newline). Exposed for protocol tests; thread-safe.

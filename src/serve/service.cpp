@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/parallel.h"
 #include "net/cluster.h"
 
 namespace serve {
@@ -30,11 +31,23 @@ void reservoir_push(std::vector<double>& samples, std::size_t& next,
 }  // namespace
 
 Service::Service(const ServiceOptions& options)
-    : options_{options},
-      cache_{options.cache_capacity},
-      pool_{pevpm::resolve_threads(options.threads)} {}
+    : options_{options}, cache_{options.cache_capacity} {
+  const unsigned threads = pevpm::resolve_threads(options.threads);
+  workers_.reserve(threads);
+  for (unsigned i = 0; i < threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
+}
 
-Service::~Service() { drain(); }
+Service::~Service() {
+  drain();
+  {
+    pevpm::MutexLock lock{mu_};
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  for (auto& worker : workers_) worker.join();
+}
 
 des::SimTime Service::now() const {
   return des::SimTime{
@@ -52,7 +65,7 @@ void Service::record_event(std::int64_t subject, const std::string& detail) {
 
 units::Duration Service::retry_after_locked() const {
   // Little's-law flavoured hint: the backlog ahead of a retry, paced by the
-  // pool, at the recently observed per-request latency.
+  // workers, at the recently observed per-request latency.
   double mean_latency_ms = 50.0;  // cold-start guess
   if (!latency_samples_.empty()) {
     double sum = 0.0;
@@ -62,7 +75,7 @@ units::Duration Service::retry_after_locked() const {
   }
   const double backlog = static_cast<double>(jobs_.size() + 1);
   const double hint =
-      mean_latency_ms * backlog / static_cast<double>(pool_.size());
+      mean_latency_ms * backlog / static_cast<double>(workers_.size());
   return units::Duration::from_millis(std::max(1.0, hint));
 }
 
@@ -136,26 +149,15 @@ bool Service::pick_slice(Job*& out_job, std::size_t& out_slice) {
   return false;
 }
 
-void Service::spawn_drainers() {
-  std::size_t startable = 0;
-  for (const Job* job : jobs_) {
-    if (!job->expired) startable += job->total_slices - job->next_slice;
-  }
-  while (drainers_ < pool_.size() &&
-         static_cast<std::size_t>(drainers_) < startable) {
-    ++drainers_;
-    pool_.submit([this] { drain_loop(); });
-  }
-}
-
-void Service::drain_loop() {
+void Service::worker_loop() {
   pevpm::MutexLock lock{mu_};
   for (;;) {
     Job* job = nullptr;
     std::size_t slice = 0;
     if (!pick_slice(job, slice)) {
-      --drainers_;
-      return;
+      if (stopping_) return;
+      work_cv_.wait(lock);
+      continue;
     }
     const std::size_t entry = slice / static_cast<std::size_t>(job->reps);
     const auto rep = static_cast<int>(
@@ -305,7 +307,7 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
   if (job.total_slices == 0) {
     finalize(job);
   } else {
-    spawn_drainers();
+    work_cv_.notify_all();
   }
   while (!job.done) job.done_cv.wait(lock);
 

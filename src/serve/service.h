@@ -1,13 +1,13 @@
 // The pevpmd prediction service core (transport-agnostic).
 //
 // A Service owns the resident state a fleet of prediction queries wants to
-// share: the parsed-artifact cache, one pevpm::ThreadPool, and the request
-// scheduler. The socket front end (server.h) is a thin shell over it, and
-// tests drive it directly.
+// share: the parsed-artifact cache, a fixed set of slice workers, and the
+// request scheduler they run. The socket front end (server.h) is a thin
+// shell over it, and tests drive it directly.
 //
 // Scheduling: each admitted request ("job") decomposes into its
 // (procs entry x Monte-Carlo replication) slices via the per-replication
-// API in core/predict.h. Worker drainers on the shared pool pick slices
+// API in core/predict.h. The service's own worker threads pick slices
 // round-robin *across jobs*, so a 1000-replication request and a
 // 4-replication request admitted together finish in interleaved fashion
 // rather than head-of-line order — one huge query cannot starve small
@@ -32,9 +32,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "core/parallel.h"
 #include "core/request.h"
 #include "core/thread_annotations.h"
 #include "serve/cache.h"
@@ -44,8 +44,8 @@
 namespace serve {
 
 struct ServiceOptions {
-  /// Worker threads in the shared pool (pevpm::resolve_threads semantics:
-  /// <= 0 means one per hardware thread).
+  /// Slice worker threads (pevpm::resolve_threads semantics: <= 0 means
+  /// one per hardware thread).
   int threads = 0;
   /// Bound on jobs in the system (queued + running); submissions beyond it
   /// are rejected with status 503.
@@ -116,7 +116,9 @@ class Service {
 
   [[nodiscard]] ServiceStats stats() const EXCLUDES(mu_);
 
-  [[nodiscard]] unsigned threads() const noexcept { return pool_.size(); }
+  [[nodiscard]] unsigned threads() const noexcept {
+    return static_cast<unsigned>(workers_.size());
+  }
 
   /// Stops admitting (new submissions answer 503 "draining") and blocks
   /// until every in-flight job has answered. Idempotent.
@@ -161,14 +163,16 @@ class Service {
     pevpm::CondVar done_cv;
   };
 
-  void drain_loop() EXCLUDES(mu_);
+  /// One slice worker: under mu_, picks a slice, runs it unlocked, stores
+  /// its result; waits on work_cv_ while nothing is startable and returns
+  /// once stopping_ is set.
+  void worker_loop() EXCLUDES(mu_);
   /// Picks the next startable slice round-robin across jobs. Expires
   /// overdue jobs as a side effect. Returns false when nothing is
   /// startable.
   bool pick_slice(Job*& job, std::size_t& slice) REQUIRES(mu_);
   /// Marks `job` finished, records latency, notifies.
   void finalize(Job& job) REQUIRES(mu_);
-  void spawn_drainers() REQUIRES(mu_);
   void record_event(std::int64_t subject, const std::string& detail);
   /// Wall-clock instant on the service's own clock (ns since construction).
   [[nodiscard]] des::SimTime now() const;
@@ -178,23 +182,22 @@ class Service {
   ArtifactCache cache_;
 
   /// Root of the serve-side lock order. Code paths that hold mu_ may
-  /// acquire, in nested scope: the artifact cache's lock (stats()), the
-  /// tracer's record lock (record_event under admission/finalize), and
-  /// the worker pool's queue lock (spawn_drainers -> ThreadPool::submit).
-  /// All three are leaves — none acquires anything further — so the graph
-  /// is a star and cannot cycle. Declared here so clang's
+  /// acquire, in nested scope: the artifact cache's lock (stats()) and the
+  /// tracer's record lock (record_event under admission/finalize). Both
+  /// are leaves — neither acquires anything further — so the graph is a
+  /// star and cannot cycle. Declared here so clang's
   /// -Wthread-safety-beta lock-order analysis checks every acquisition
   /// against it. Server::connections_mu_ is outside the graph: it is
   /// never held across a Service call (shutdown() drains first, then
   /// sweeps connections).
   mutable pevpm::Mutex mu_ ACQUIRED_BEFORE(cache_.mutex(),
-                                           pool_.mutex(),
                                            options_.tracer->mutex());
   std::vector<Job*> jobs_ GUARDED_BY(mu_);  ///< active jobs, admission order
   std::size_t cursor_ GUARDED_BY(mu_) = 0;  ///< round-robin position in jobs_
   pevpm::CondVar idle_cv_;                  ///< signalled when jobs_ empties
-  unsigned drainers_ GUARDED_BY(mu_) = 0;
+  pevpm::CondVar work_cv_;  ///< signalled on admission and on stopping_
   bool draining_ GUARDED_BY(mu_) = false;
+  bool stopping_ GUARDED_BY(mu_) = false;  ///< set by the destructor
   std::uint64_t next_job_id_ GUARDED_BY(mu_) = 1;
 
   // Counters + latency reservoirs (bounded; tail_summary on demand).
@@ -212,9 +215,9 @@ class Service {
 
   Clock::time_point epoch_ = Clock::now();
 
-  // Declared last: destroyed first, joining any in-flight drainers while
-  // the state above is still alive.
-  pevpm::ThreadPool pool_;
+  /// Started by the constructor, joined by the destructor; the vector
+  /// itself is not modified in between.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace serve

@@ -1,4 +1,4 @@
-// The parallel Monte-Carlo replication engine: thread-pool primitives and
+// The parallel Monte-Carlo replication engine: the parallel_for fan-out and
 // the determinism contract of pevpm::predict (fixed seed => bit-identical
 // makespan summary at any thread count).
 #include <gtest/gtest.h>
@@ -26,19 +26,6 @@ TEST(ResolveThreads, PositivePassesThrough) {
 TEST(ResolveThreads, AutoIsAtLeastOne) {
   EXPECT_GE(pevpm::resolve_threads(0), 1u);
   EXPECT_GE(pevpm::resolve_threads(-3), 1u);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  pevpm::ThreadPool pool{4};
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&ran] { ++ran; });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 100);
-  // The pool is reusable after wait().
-  for (int i = 0; i < 50; ++i) pool.submit([&ran] { ++ran; });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 150);
 }
 
 TEST(ParallelFor, VisitsEachIndexExactlyOnce) {
@@ -178,20 +165,17 @@ TEST(SamplerConcurrency, WarmAverageModeReadersShareTheMemo) {
   }
 
   std::atomic<int> mismatches{0};
-  pevpm::ThreadPool pool{8};
-  for (int worker = 0; worker < 8; ++worker) {
-    pool.submit([&sampler, &sizes, &expected, &mismatches, worker] {
-      // Each worker starts on a different key so the shared memo is
-      // overwritten constantly from several threads at once.
-      for (int i = 0; i < 5000; ++i) {
-        const std::size_t k = (static_cast<std::size_t>(worker) + i) % 3;
-        if (sampler.delivery_seconds(sizes[k], 0) != expected[k]) {
-          ++mismatches;
-        }
+  pevpm::parallel_for(8, 8, [&sampler, &sizes, &expected,
+                             &mismatches](int worker) {
+    // Each worker starts on a different key so the shared memo is
+    // overwritten constantly from several threads at once.
+    for (int i = 0; i < 5000; ++i) {
+      const std::size_t k = (static_cast<std::size_t>(worker) + i) % 3;
+      if (sampler.delivery_seconds(sizes[k], 0) != expected[k]) {
+        ++mismatches;
       }
-    });
-  }
-  pool.wait();
+    }
+  });
   EXPECT_EQ(mismatches.load(), 0);
 }
 

@@ -1,13 +1,23 @@
 // Property tests for the pevpmd wire protocol: random well-formed JSON
 // values must survive a dump/parse round trip, and Server::handle_line
 // must answer every frame — valid, garbled, or truncated — with a
-// well-formed response that echoes the request id and never crashes.
+// well-formed response that echoes the request id and never crashes. Over
+// a real socket, a request line past the length cap gets a 400 and costs
+// only its own connection, and a peer that hangs up before its replies
+// does not take the server down.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 
+#include "serve/client.h"
 #include "serve/json.h"
 #include "serve/server.h"
 
@@ -182,6 +192,12 @@ TEST_F(ServeProtocolServer, PredictValidationErrorsAreClientErrors) {
            R"({"type":"predict","model_text":"serial time = 0.001\n",)"
            R"("table_text":"pevpm-table v1\n0\n","procs":[2],)"
            R"("reps":4294967304})",
+           R"({"type":"predict","model_text":"serial time = 0.001\n",)"
+           R"("table_text":"pevpm-table v1\n0\n","procs":[2],)"
+           R"("contention":"fixed:0"})",
+           R"({"type":"predict","model_text":"serial time = 0.001\n",)"
+           R"("table_text":"pevpm-table v1\n0\n","procs":[2],)"
+           R"("contention":"fixed:-5"})",
        }) {
     const Json response = Json::parse(server_->handle_line(frame));
     EXPECT_EQ(response.find("status")->as_int64(), 400) << frame;
@@ -232,6 +248,75 @@ TEST_F(ServeProtocolServer, OtherEvaluationFailuresStayServerErrors) {
       "runon procnum == 0 {\n  message send size = 8 to = 1\n} else {\n"
       "  message recv size = 8 from = 0\n}\n");
   EXPECT_EQ(response.find("status")->as_int64(), 500);
+}
+
+/// Sends `bytes` as-is over a fresh loopback TCP connection and returns
+/// the first response line (empty on any transport error, or when no reply
+/// comes within 10 s). With `hang_up`, closes without reading any reply.
+std::string send_raw(int port, const std::string& bytes,
+                     bool hang_up = false) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return {};
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  std::string reply;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) == 0) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    char c = 0;
+    while (!hang_up && ::read(fd, &c, 1) == 1 && c != '\n') {
+      reply.push_back(c);
+    }
+  }
+  ::close(fd);
+  return reply;
+}
+
+TEST_F(ServeProtocolServer, OverlongRequestLineGets400AndClosesOnlyItself) {
+  std::thread accept_thread{[this] { server_->serve(); }};
+
+  // One byte past the cap and no newline: the server reads every byte
+  // before it answers, so the send cannot block on a full socket.
+  const std::string reply = send_raw(
+      server_->tcp_port(), std::string(serve::Server::kMaxLineBytes + 1, ' '));
+  serve::Client client =
+      serve::Client::connect_tcp("127.0.0.1", server_->tcp_port());
+  const Json pong = client.call(Json::parse(R"({"type":"ping"})"));
+
+  server_->request_shutdown();
+  accept_thread.join();
+
+  // The same bytes every other 400 carries: canonical dump order.
+  EXPECT_EQ(reply, R"({"error":"request line too long","status":400})");
+  EXPECT_EQ(pong.find("status")->as_int64(), 200);
+}
+
+TEST_F(ServeProtocolServer, PeerThatHangsUpBeforeItsRepliesIsNotFatal) {
+  std::thread accept_thread{[this] { server_->serve(); }};
+
+  // The handler answers these pings after the peer has gone, so its
+  // writes fail with EPIPE; that must end the connection, not raise
+  // SIGPIPE in the process.
+  std::string pings;
+  for (int i = 0; i < 2000; ++i) pings += "{\"type\":\"ping\"}\n";
+  (void)send_raw(server_->tcp_port(), pings, /*hang_up=*/true);
+  serve::Client client =
+      serve::Client::connect_tcp("127.0.0.1", server_->tcp_port());
+  const Json pong = client.call(Json::parse(R"({"type":"ping"})"));
+
+  server_->request_shutdown();
+  accept_thread.join();  // joins the hung-up connection's handler too
+  EXPECT_EQ(pong.find("status")->as_int64(), 200);
 }
 
 }  // namespace

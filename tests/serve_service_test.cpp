@@ -244,6 +244,51 @@ TEST(ServeService, BoundedQueueRejectsWithRetryAfterInsteadOfBlocking) {
   EXPECT_EQ(service.stats().completed, 1u);
 }
 
+TEST(ServeService, RoundRobinLetsASmallRequestOvertakeALargeOne) {
+  serve::ServiceOptions options;
+  options.threads = 1;  // one worker: only the pick order decides
+  serve::Service service{options};
+
+  pevpm::PredictRequest large = chain_request(41);
+  large.options.replications = 2000;
+  pevpm::PredictRequest small = chain_request(42);
+  small.options.replications = 2;
+  const std::string large_expected = pevpm::run_request(large).summary;
+  const std::string small_expected = pevpm::run_request(small).summary;
+
+  std::atomic<int> finish_order{0};
+  int large_rank = -1;
+  int small_rank = -1;
+  serve::Service::Response large_response;
+  serve::Service::Response small_response;
+  std::thread large_thread{[&] {
+    large_response = service.predict(large);
+    large_rank = finish_order++;
+  }};
+  // The large job has started its first slice before the small one is
+  // admitted, so a FIFO or one-job-at-a-time scheduler would finish it
+  // first. (Checking `completed` too turns a poller stalled past the
+  // whole large job into a failure below rather than a hang.)
+  for (;;) {
+    const serve::ServiceStats stats = service.stats();
+    if (stats.in_flight > 0 || stats.completed > 0) break;
+    std::this_thread::yield();
+  }
+  std::thread small_thread{[&] {
+    small_response = service.predict(small);
+    small_rank = finish_order++;
+  }};
+  small_thread.join();
+  large_thread.join();
+
+  EXPECT_EQ(small_rank, 0);
+  EXPECT_EQ(large_rank, 1);
+  ASSERT_EQ(small_response.status, 200) << small_response.error;
+  ASSERT_EQ(large_response.status, 200) << large_response.error;
+  EXPECT_EQ(small_response.summary, small_expected);
+  EXPECT_EQ(large_response.summary, large_expected);
+}
+
 TEST(ServeService, ExpiredDeadlineAnswers504) {
   serve::ServiceOptions options;
   options.threads = 1;
