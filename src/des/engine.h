@@ -176,6 +176,8 @@ class Engine {
   [[nodiscard]] std::size_t pending_high_water() const noexcept {
     return pending_high_water_;
   }
+  /// Switches into the fibers of this engine's des::Process objects.
+  [[nodiscard]] std::uint64_t resumes() const noexcept { return resumes_; }
 
   /// Timestamp of the earliest queued entry, or kNever when the queue is
   /// empty. A lazily-cancelled entry may report its (stale) time — callers
@@ -198,6 +200,8 @@ class Engine {
   }
 
  private:
+  friend class Process;  // counts resumes_
+
   static constexpr std::uint32_t kNil = UINT32_MAX;
   /// Slots per pool chunk. Chunked storage keeps slot addresses stable, so
   /// a callback can execute in place while scheduling (and growing the
@@ -291,6 +295,7 @@ class Engine {
   std::uint64_t cancelled_ = 0;
   std::size_t heap_high_water_ = 0;
   std::size_t pending_high_water_ = 0;
+  std::uint64_t resumes_ = 0;  ///< counted by Process::resume()
   /// has_run() state: every event that existed before `ran_below_seq_` was
   /// handed out and sorts before `ran_key_` has executed.
   Key ran_key_{};

@@ -117,4 +117,10 @@ std::uint64_t PartitionSet::pending_high_water() const noexcept {
   return n;
 }
 
+std::uint64_t PartitionSet::resumes() const noexcept {
+  std::uint64_t n = 0;
+  for (const Engine& engine : engines_) n += engine.resumes();
+  return n;
+}
+
 }  // namespace des

@@ -85,6 +85,7 @@ class PartitionSet {
   [[nodiscard]] std::uint64_t cancelled() const noexcept;
   [[nodiscard]] std::uint64_t heap_high_water() const noexcept;
   [[nodiscard]] std::uint64_t pending_high_water() const noexcept;
+  [[nodiscard]] std::uint64_t resumes() const noexcept;
 
  private:
   struct QueuedEvent {

@@ -1,15 +1,18 @@
 #include "des/process.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
-#include <array>
-#include <bit>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
+#include <new>
 #include <system_error>
 #include <utility>
+
+#if !defined(__x86_64__)
+#error "des::Process fibers switch stacks in x86-64 assembly: x86-64 only"
+#endif
 
 // Sanitizer fiber annotations: compiled in only when the matching sanitizer
 // is on (clang spells the test __has_feature, gcc __SANITIZE_*__).
@@ -36,12 +39,75 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+// pevpm_fiber_switch(save_sp, load_sp): saves the callee-saved registers
+// of the x86-64 SysV ABI (rbp, rbx, r12-r15, the MXCSR and the x87 control
+// word) on the current stack, stores rsp in *save_sp, loads load_sp and
+// restores the same set from there. Everything else is caller-saved, so
+// the call itself tells the compiler what the switch clobbers. The signal
+// mask is left alone, so a switch makes no syscall.
+//
+// pevpm_fiber_start: where a new fiber's first switch returns to. Its
+// initial frame (Fiber::Frame) leaves the entry function in r12 and its
+// argument in rbx; rsp is 16-byte aligned here, as the call needs. The
+// CFI marks it the outermost frame for unwinders and debuggers.
+asm(R"(
+  .text
+  .globl pevpm_fiber_switch
+  .hidden pevpm_fiber_switch
+  .type pevpm_fiber_switch, @function
+  .p2align 4
+pevpm_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size pevpm_fiber_switch, .-pevpm_fiber_switch
+
+  .globl pevpm_fiber_start
+  .hidden pevpm_fiber_start
+  .type pevpm_fiber_start, @function
+  .p2align 4
+pevpm_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %rbx, %rdi
+  call *%r12
+  ud2
+  .cfi_endproc
+  .size pevpm_fiber_start, .-pevpm_fiber_start
+)");
+
+extern "C" {
+void pevpm_fiber_switch(void** save_sp, void* load_sp);
+void pevpm_fiber_start();
+}
+
 namespace des {
 
-/// One process's stack and saved contexts. enter() runs on the caller's
-/// stack and returns when the fiber calls leave() or exit(); leave()
-/// returns when the next enter() comes. The caller may be a different
-/// OS thread from one enter() to the next, never two at once.
+/// One process's stack and saved stack pointers. enter() runs on the
+/// caller's stack and returns when the fiber calls leave() or exit();
+/// leave() returns when the next enter() comes. Every enter() comes from
+/// the thread that runs the owning engine (PartitionSet::run() runs all of
+/// a simulation's partitions on its calling thread), never two at once.
+/// The ASan caller-stack bounds are still taken afresh at every switch,
+/// so a later run() may come from another thread.
 class Process::Fiber {
  public:
   explicit Fiber(Process* owner);
@@ -60,9 +126,27 @@ class Process::Fiber {
   [[noreturn]] void exit();
 
  private:
-  /// A 64-bit pointer as makecontext's int-sized arguments.
-  using Halves = std::array<unsigned, 2>;
-  static void entry(unsigned first, unsigned second);
+  /// What pevpm_fiber_switch pops, lowest address first: the frame a new
+  /// fiber's first enter() loads. Its return address is pevpm_fiber_start,
+  /// which calls r12(rbx), i.e. entry(owner).
+  struct Frame {
+    std::uint32_t mxcsr = 0;
+    std::uint16_t fpu_control = 0;
+    std::uint16_t unused = 0;
+    void* r15 = nullptr;
+    void* r14 = nullptr;
+    void* r13 = nullptr;
+    void (*r12)(Process*) = nullptr;
+    Process* rbx = nullptr;
+    void* rbp = nullptr;  ///< null ends frame-pointer walks here
+    void (*ret)() = nullptr;
+  };
+  // Eight bytes of control words, six registers and the return address.
+  // The frame ends at the page-aligned stack top, so once the switch's ret
+  // pops it rsp is 16-byte aligned, as pevpm_fiber_start's call requires.
+  static_assert(sizeof(Frame) == 64);
+
+  static void entry(Process* owner) { owner->fiber_main(); }
 
   [[nodiscard]] void* stack_bottom() const noexcept {
     return static_cast<std::byte*>(mapping_) + (mapping_bytes_ - kStackBytes);
@@ -70,8 +154,8 @@ class Process::Fiber {
 
   void* mapping_ = nullptr;  ///< guard page, then the stack
   std::size_t mapping_bytes_ = 0;
-  ucontext_t ctx_{};
-  ucontext_t caller_{};
+  void* sp_ = nullptr;         ///< the fiber's rsp while it is switched out
+  void* caller_sp_ = nullptr;  ///< the caller's rsp while the fiber runs
 #ifdef PEVPM_FIBER_ASAN
   const void* caller_bottom_ = nullptr;
   std::size_t caller_size_ = 0;
@@ -93,22 +177,22 @@ Process::Fiber::Fiber(Process* owner) {
     throw std::system_error{errno, std::generic_category(),
                             "des::Process: fiber stack mmap"};
   }
-  if (mprotect(mapping_, page, PROT_NONE) != 0 || getcontext(&ctx_) != 0) {
+  if (mprotect(mapping_, page, PROT_NONE) != 0) {
     const int err = errno;
     munmap(mapping_, mapping_bytes_);
     throw std::system_error{err, std::generic_category(),
                             "des::Process: fiber setup"};
   }
-  ctx_.uc_stack.ss_sp = stack_bottom();
-  ctx_.uc_stack.ss_size = kStackBytes;
-  ctx_.uc_link = nullptr;  // entry() never returns; exit() switches out
-  // makecontext passes only int arguments, so the owner pointer travels as
-  // two 32-bit halves; entry() joins them again.
-  const auto halves = std::bit_cast<Halves>(owner);
-  // makecontext's C signature takes every entry point as void(*)(); the
-  // context it builds calls entry() with its real two-argument type.
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&entry), 2, halves[0],
-              halves[1]);
+  std::byte* const top = static_cast<std::byte*>(mapping_) + mapping_bytes_;
+  auto* frame = new (top - sizeof(Frame)) Frame{};
+  // The fiber starts with the constructing thread's floating-point control
+  // state (rounding mode, exception masks, flush-to-zero).
+  asm("stmxcsr %0" : "=m"(frame->mxcsr));
+  asm("fnstcw %0" : "=m"(frame->fpu_control));
+  frame->r12 = &entry;
+  frame->rbx = owner;
+  frame->ret = &pevpm_fiber_start;
+  sp_ = frame;
 #ifdef PEVPM_FIBER_TSAN
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -126,10 +210,6 @@ Process::Fiber::~Fiber() {
   munmap(mapping_, mapping_bytes_);
 }
 
-void Process::Fiber::entry(unsigned first, unsigned second) {
-  std::bit_cast<Process*>(Halves{first, second})->fiber_main();
-}
-
 void Process::Fiber::enter() {
 #ifdef PEVPM_FIBER_TSAN
   tsan_caller_ = __tsan_get_current_fiber();
@@ -139,7 +219,7 @@ void Process::Fiber::enter() {
   void* fake_stack = nullptr;
   __sanitizer_start_switch_fiber(&fake_stack, stack_bottom(), kStackBytes);
 #endif
-  if (swapcontext(&caller_, &ctx_) != 0) std::abort();
+  pevpm_fiber_switch(&caller_sp_, sp_);
 #ifdef PEVPM_FIBER_ASAN
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -153,9 +233,9 @@ void Process::Fiber::leave() {
   void* fake_stack = nullptr;
   __sanitizer_start_switch_fiber(&fake_stack, caller_bottom_, caller_size_);
 #endif
-  if (swapcontext(&ctx_, &caller_) != 0) std::abort();
+  pevpm_fiber_switch(&sp_, caller_sp_);
 #ifdef PEVPM_FIBER_ASAN
-  // The next enter() may come from another thread's stack.
+  // Record the stack of whichever enter() resumed us.
   __sanitizer_finish_switch_fiber(fake_stack, &caller_bottom_, &caller_size_);
 #endif
 }
@@ -174,8 +254,8 @@ void Process::Fiber::exit() {
   // A null save slot tells ASan this fiber's fake stack can go.
   __sanitizer_start_switch_fiber(nullptr, caller_bottom_, caller_size_);
 #endif
-  setcontext(&caller_);
-  std::abort();  // setcontext returns only on failure
+  pevpm_fiber_switch(&sp_, caller_sp_);
+  std::abort();  // nothing switches back to a finished fiber
 }
 
 Process::Process(Engine& engine, std::string name, std::function<void()> body,
@@ -208,7 +288,10 @@ void Process::fiber_main() {
   fiber_->exit();
 }
 
-void Process::resume() { fiber_->enter(); }
+void Process::resume() {
+  ++engine_.resumes_;
+  fiber_->enter();
+}
 
 void Process::yield() {
   fiber_->leave();

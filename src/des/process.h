@@ -1,12 +1,14 @@
 // Cooperative processes over the discrete-event engine.
 //
-// Each Process runs its body on its own user-space fiber: a ucontext with
-// an mmap'ed stack of kStackBytes behind a PROT_NONE guard page. Exactly
-// one context (the engine loop or one process) executes at a time on a
-// given OS thread: resume() switches from the engine's stack to the
-// process's, and every blocking primitive switches back. The switch is a
-// plain function call on one thread, so the engine queue and the process
-// state need no locks. This lets simulated MPI ranks be written as ordinary
+// Each Process runs its body on its own user-space fiber: an mmap'ed stack
+// of kStackBytes behind a PROT_NONE guard page. Exactly one context (the
+// engine loop or one process) executes at a time on a given OS thread:
+// resume() switches from the engine's stack to the process's, and every
+// blocking primitive switches back. The switch is a hand-written x86-64
+// routine (process.cpp) that saves the callee-saved registers and swaps
+// stack pointers: a plain function call on one thread, with no syscall,
+// so the engine queue and the process state need no locks. The fibers
+// build only for x86-64. This lets simulated MPI ranks be written as ordinary
 // blocking code while virtual time stays fully deterministic (all wake-ups
 // are engine events ordered by time/seq).
 //
@@ -91,6 +93,7 @@ class Process {
   /// Runs on the fiber: the body, then the final switch out.
   [[noreturn]] void fiber_main();
   /// Engine context -> process context; returns when the process yields.
+  /// Counted in Engine::resumes().
   void resume();
   /// Process context -> engine context; throws Killed when killed.
   void yield();

@@ -114,6 +114,7 @@ PointToPointResult run_isend(const Options& options, net::Bytes size) {
   result.events_cancelled = rt.sim().cancelled();
   result.heap_high_water = rt.sim().heap_high_water();
   result.pending_high_water = rt.sim().pending_high_water();
+  result.resumes = rt.sim().resumes();
   return result;
 }
 

@@ -78,6 +78,8 @@ struct PointToPointResult {
   std::uint64_t events_cancelled = 0;
   std::uint64_t heap_high_water = 0;
   std::uint64_t pending_high_water = 0;
+  /// des::Process resumes: rank hand-offs, summed likewise.
+  std::uint64_t resumes = 0;
 
   [[nodiscard]] stats::EmpiricalDistribution distribution() const {
     return stats::EmpiricalDistribution{oneway};

@@ -1,7 +1,9 @@
 // Unit tests for the discrete-event engine and cooperative processes.
 #include <gtest/gtest.h>
 
+#include <cfenv>
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -394,6 +396,65 @@ TEST(Process, BodyCanUse64KiBOfStack) {
   // The outermost frame reads (i + 16) mod 256 = 16 at eight offsets.
   EXPECT_EQ(sum, 8 * 16);
   EXPECT_EQ(engine.now(), des::SimTime{5});
+}
+
+TEST(Process, RoundingModeStaysWithItsContext) {
+  // The rounding mode is callee-saved state in the x86-64 ABI (x87 control
+  // word and MXCSR), so each side of a switch keeps its own.
+  des::Engine engine;
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  int body_mode = -1;
+  int engine_mode = -1;
+  double body_third = 0.0;
+  double engine_third = 0.0;
+  std::unique_ptr<des::Process> proc;
+  proc = std::make_unique<des::Process>(engine, "upward", [&] {
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    proc->delay(des::Duration{10});
+    body_mode = std::fegetround();
+    body_third = one / three;
+  });
+  engine.schedule_at(des::SimTime{5}, [&] {  // while the body is blocked
+    engine_mode = std::fegetround();
+    engine_third = one / three;
+  });
+  engine.run();
+  EXPECT_TRUE(proc->finished());
+  EXPECT_EQ(body_mode, FE_UPWARD);
+  EXPECT_EQ(engine_mode, FE_TONEAREST);
+  EXPECT_GT(body_third, engine_third);  // the SSE unit rounded upward too
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);  // the final switch restored it
+}
+
+/// True when `object` is 16-byte aligned. Its address goes through a
+/// volatile, so the compiler cannot answer from the declared alignment.
+template <typename T>
+bool on_16_byte_boundary(const T& object) {
+  const volatile auto address = reinterpret_cast<std::uintptr_t>(&object);
+  return address % 16 == 0;
+}
+
+[[gnu::noinline]] bool callee_local_is_aligned() {
+  alignas(16) const unsigned char local[16] = {};
+  return on_16_byte_boundary(local);
+}
+
+TEST(Process, StackIsAbiAlignedOnEntryAndAfterAResume) {
+  des::Engine engine;
+  bool first_frame = false;
+  bool after_resume = false;
+  std::unique_ptr<des::Process> proc;
+  proc = std::make_unique<des::Process>(engine, "aligned", [&] {
+    alignas(16) const unsigned char local[16] = {};
+    first_frame = on_16_byte_boundary(local);
+    proc->delay(des::Duration{1});
+    after_resume = callee_local_is_aligned();
+  });
+  engine.run();
+  EXPECT_TRUE(proc->finished());
+  EXPECT_TRUE(first_frame);
+  EXPECT_TRUE(after_resume);
 }
 
 /// Number of mappings in this process's address space.

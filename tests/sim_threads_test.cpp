@@ -245,6 +245,26 @@ TEST(SimThreads, EngineCountersMatchAndHeapStaysBounded) {
   EXPECT_EQ(result.pending_high_water, 190u);
 }
 
+TEST(SimThreads, ResumeCountIsPinnedAndEqualAcrossJobs) {
+  // Rank hand-offs (des::Process resumes summed over partitions) are a
+  // deterministic count: a cell's value must not depend on how many jobs
+  // the sweep fans out over.
+  const mpibench::Options opt = multi_switch_options();
+  const std::vector<net::Bytes> sizes{net::Bytes{256}, net::Bytes{1024},
+                                      net::Bytes{4096}, net::Bytes{16384}};
+  const auto inline_run = mpibench::run_isend_sweep(opt, sizes, 1);
+  const auto fanned = mpibench::run_isend_sweep(opt, sizes, 4);
+  ASSERT_EQ(inline_run.size(), sizes.size());
+  ASSERT_EQ(fanned.size(), sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    SCOPED_TRACE("size " + std::to_string(sizes[i].count()));
+    EXPECT_GT(inline_run[i].resumes, 0u);
+    EXPECT_EQ(fanned[i].resumes, inline_run[i].resumes);
+  }
+  // The 1 KiB cell, recorded with the output.
+  EXPECT_EQ(inline_run[1].resumes, 2446u);
+}
+
 TEST(SimThreads, IsendIsBitIdenticalAtEveryThreadCount) {
   mpibench::Options opt = multi_switch_options();
   ASSERT_EQ(opt.cluster.switch_count(), 3);
