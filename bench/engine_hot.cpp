@@ -7,8 +7,9 @@
 //     packet-sized captures, immediate wake-ups, and cancellations),
 //   * packets/sec and allocations/packet through the full Network
 //     forwarding path (route cache + transit pool + TCP-sized frames),
-//   * events/sec through the partitioned window loop: one fixed
-//     multi-switch contention workload on an 8-partition PartitionSet,
+//   * events/sec through the partitioned engine: one fixed multi-switch
+//     contention workload on an 8-partition PartitionSet, whose
+//     cross-partition posts share the one event heap,
 //
 // with heap allocations counted by instrumented global operator new. The
 // result document is emitted through gate.h.
@@ -222,16 +223,15 @@ ForwardResult run_forwarding(std::uint64_t packets) {
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned windows: the multi-switch contention scenario. Eight
+// Partitioned engine: the multi-switch contention scenario. Eight
 // partitions (one per "switch"), each loaded with self-rescheduling timer
-// chains as in the mix above, plus a ring of cross-partition posts so the
-// pending-post drain and the window loop are on the measured path. The
-// workload is a pure function of its constants.
+// chains as in the mix above, plus a ring of cross-partition posts so
+// PartitionSet::post and its cross-tagged keys are on the measured path.
+// The workload is a pure function of its constants.
 
 constexpr int kScalingPartitions = 8;
 constexpr int kScalingChainsPerPartition = 64;
-/// Window size: chains fire every 1..1024 ticks, so each partition executes
-/// a few hundred events per window and the per-window cost is amortised.
+/// Cross-partition post distance; chains fire every 1..1024 ticks.
 constexpr des::Duration kScalingLookahead{4096};
 
 struct PartitionChain {

@@ -6,12 +6,13 @@
 // the simple linear model holds (2x1) and where it breaks (loaded
 // configurations).
 //
-// Run: ./clustertool [nodes]            — inspect a Perseus slice
-//      ./clustertool [nodes] < cfg.txt  — apply "key = value" overrides
+// Run: ./clustertool [nodes]          — inspect a Perseus slice
+//      ./clustertool [nodes] cfg.txt  — apply "key = value" overrides
+//                                       (net::parse_cluster) from cfg.txt
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
-#include <unistd.h>
+#include <exception>
+#include <fstream>
 #include <vector>
 
 #include "mpibench/benchmark.h"
@@ -21,8 +22,18 @@
 int main(int argc, char** argv) {
   const int nodes = argc > 1 ? std::atoi(argv[1]) : 48;
   net::ClusterParams params = net::perseus(nodes);
-  if (!isatty(fileno(stdin))) {
-    params = net::parse_cluster(std::cin, params);
+  if (argc > 2) {
+    std::ifstream in{argv[2]};
+    if (!in) {
+      std::fprintf(stderr, "cannot open cluster file %s\n", argv[2]);
+      return 1;
+    }
+    try {
+      params = net::parse_cluster(in, params);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[2], e.what());
+      return 1;
+    }
   }
   std::printf("%s\n", net::describe(params).c_str());
 

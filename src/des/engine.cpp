@@ -105,7 +105,6 @@ void Engine::dispatch(const HeapEntry& head) {
   ran_key_ = Key{head.time, head.sched, head.seq, head.priority};
   ran_below_seq_ = next_seq_;
   now_ = head.time;
-  last_dispatch_ = head.time;
   ++processed_;
   struct Guard {
     Engine* engine;

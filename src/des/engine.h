@@ -5,9 +5,9 @@
 // schedule-time + sequence tiebreak makes same-time same-priority events
 // FIFO. Within one engine `sched` (the value of now() when the event was
 // scheduled) is non-decreasing in sequence order, so the extra key changes
-// nothing sequentially; it exists for the partitioned engine
-// (partitioned_engine.h), where events injected from a neighbouring
-// partition carry their *source* schedule time, which fixes their order
+// nothing sequentially. The partitioned engine (partitioned_engine.h)
+// schedules its cross-partition posts through schedule_injected() with a
+// tag in the high bits of their sequence number, which fixes their order
 // against local events. Exactly one
 // execution context (the engine loop or one cooperative process) is active
 // at any instant, so the queue needs no locking: a process switch
@@ -112,22 +112,31 @@ class Engine {
     return schedule_at(now_ + dt, std::forward<F>(fn), priority);
   }
 
-  /// Schedules an event injected from another execution context (the
-  /// partitioned engine's drain of cross-partition posts). `sched` is the
-  /// source context's virtual time at the instant the event was produced
-  /// (<= t); it participates in tie-breaking as if the event had been
-  /// scheduled locally at that time. Always takes the heap path: injected
-  /// events lie at least one lookahead beyond now.
-  EventId schedule_injected(SimTime t, SimTime sched, SmallFn fn,
-                            int priority = 0) {
-    if (t < now_ || sched > t) {
-      throw std::invalid_argument{"Engine::schedule_injected: bad times"};
+  /// Sequence numbers stay below 2^kTagShift wherever a tag is in use:
+  /// schedule_injected() ORs its `tag` above them.
+  static constexpr unsigned kTagShift = 44;
+
+  /// Schedules an already-built callback (the partitioned engine's posts)
+  /// at absolute time `t` (>= now), with `tag` (zero, or a value with no
+  /// bit below kTagShift) ORed into its sequence number; a tag orders the
+  /// event after every untagged one of equal (time, priority, sched).
+  /// Throws std::overflow_error when a nonzero tag would meet a sequence
+  /// number of 2^kTagShift or more. Always takes the heap path.
+  EventId schedule_injected(SimTime t, SmallFn fn, int priority = 0,
+                            std::uint64_t tag = 0) {
+    if (t < now_) {
+      throw std::invalid_argument{
+          "Engine::schedule_injected: time is in the past"};
+    }
+    if (tag != 0 && (next_seq_ >> kTagShift) != 0) {
+      throw std::overflow_error{
+          "Engine::schedule_injected: sequence numbers reached the tag"};
     }
     const std::uint32_t index = acquire_slot();
     Slot& slot = slot_at(index);
     slot.fn = std::move(fn);
     slot.state = SlotState::kScheduled;
-    heap_push(HeapEntry{t, sched, next_seq_++, index, priority});
+    heap_push(HeapEntry{t, now_, tag | next_seq_++, index, priority});
     note_scheduled();
     return EventId{index + 1, slot_at(index).gen};
   }
@@ -178,26 +187,6 @@ class Engine {
   }
   /// Switches into the fibers of this engine's des::Process objects.
   [[nodiscard]] std::uint64_t resumes() const noexcept { return resumes_; }
-
-  /// Timestamp of the earliest queued entry, or kNever when the queue is
-  /// empty. A lazily-cancelled entry may report its (stale) time — callers
-  /// using this as a window bound get a conservative (possibly empty)
-  /// window, never a wrong one, and run_until() discards such entries.
-  [[nodiscard]] SimTime next_event_time() const noexcept {
-    const bool have_fifo = fifo_head_ < fifo_.size();
-    if (heap_.empty()) return have_fifo ? fifo_[fifo_head_].time : kNever;
-    if (have_fifo && fifo_[fifo_head_].time < heap_[0].time) {
-      return fifo_[fifo_head_].time;
-    }
-    return heap_[0].time;
-  }
-
-  /// Time at which the most recent event dispatched, independent of where
-  /// run_until() later advanced now(). This is the partitioned engine's
-  /// notion of "when work last happened" for computing the finish time.
-  [[nodiscard]] SimTime last_dispatch_time() const noexcept {
-    return last_dispatch_;
-  }
 
  private:
   friend class Process;  // counts resumes_
@@ -289,7 +278,6 @@ class Engine {
   std::uint32_t free_head_ = kNil;
   std::size_t live_ = 0;  ///< scheduled and not cancelled
   SimTime now_{};
-  SimTime last_dispatch_{};
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   std::uint64_t cancelled_ = 0;

@@ -1,37 +1,35 @@
-// Conservative (lookahead-window) discrete-event simulation over
-// partitions.
+// Conservative partitioned discrete-event simulation on one event heap.
 //
-// A PartitionSet runs K logical processes, each a plain des::Engine, in
-// lockstep windows of virtual time. The window bound is the classic
-// conservative-synchronisation invariant: if every cross-partition
-// interaction posted at source time t lands at t + lookahead or later, then
-// all events in [W, W + lookahead) — W the global minimum next-event time —
-// are already fully determined, so each engine can run that window to its
-// end before any other engine's events of the window are seen.
+// A PartitionSet models K logical processes (one per cluster switch) whose
+// only interactions are posts that land at least one lookahead after the
+// posting instant — the classic conservative-synchronisation invariant.
+// All K partitions share one des::Engine: engine(p) returns it for every
+// p, and run() is Engine::run(). What keeps the partitions apart is the
+// ordering key (DESIGN.md section 9):
 //
-// Determinism contract (DESIGN.md section 9):
+//   * a local event — Engine::schedule_at, Engine::reserve_key, or
+//     post(p, p, ...) — keys as (time, priority, sched, seq), `seq` being
+//     the engine's counter;
+//   * a cross-partition post — post(from, to, ...) with from != to — keys
+//     as (time, priority, sched, 1, source partition, post order), the
+//     last three packed into the 64-bit `seq`: the top bit, then
+//     kSourceBits of source partition, then the engine's counter.
 //
-//   * One worker runs every window: partitions execute in index order, and
-//     cross-partition events wait in per-(destination, source) vectors
-//     until the drain between windows, which injects them in a fixed order
-//     — destination ascending, source ascending, FIFO within a pair. The
-//     window sequence depends only on event timestamps.
-//   * A partitioned run is its own reference. It is not ordering-equivalent
-//     to one engine over the same model: an injected event carries the
-//     source partition's now() at post time as its `sched` key and takes
-//     the destination engine's next `seq` when the drain injects it, so a
-//     same-time tie against a local event can resolve differently from the
-//     global seq order of a single engine (DESIGN.md section 9 has the
-//     reproduction). smpi::Runtime therefore always partitions by switch.
+// At equal (time, priority, sched) a cross post therefore runs after every
+// local event, and cross posts run in (source, FIFO) order. Because posts
+// land at least one lookahead out, this gives each partition exactly the
+// event order of a per-partition engine run in lookahead windows with a
+// (destination, source, FIFO) drain between them (DESIGN.md section 9
+// has the proof); the lookahead check in post() is what the proof needs.
 //
-// A PartitionSet of one partition is the plain sequential engine: run()
-// forwards straight to Engine::run() with no windows or pending posts.
+// A partitioned run is its own reference: it is not ordering-equivalent to
+// the same model on one partition, where every boundary hop would be a
+// local event (DESIGN.md section 9 has the reproduction). smpi::Runtime
+// therefore always partitions by switch.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <vector>
+#include <stdexcept>
 
 #include "core/units.h"
 #include "des/engine.h"
@@ -44,73 +42,75 @@ using units::PartitionId;
 
 class PartitionSet {
  public:
+  /// Width of the source-partition field of a cross post's `seq`: it sits
+  /// between the top ("cross") bit and the engine's counter.
+  static constexpr unsigned kSourceBits = 63 - Engine::kTagShift;
+  static constexpr int kMaxPartitions = 1 << kSourceBits;
+
   /// `lookahead` is the minimum cross-partition latency in virtual time;
-  /// required > 0 when partitions > 1.
+  /// required > 0 when partitions > 1. Throws std::invalid_argument when
+  /// `partitions` is outside [1, kMaxPartitions].
   PartitionSet(int partitions, Duration lookahead);
 
   PartitionSet(const PartitionSet&) = delete;
   PartitionSet& operator=(const PartitionSet&) = delete;
 
-  [[nodiscard]] int partitions() const noexcept {
-    return static_cast<int>(engines_.size());
-  }
+  [[nodiscard]] int partitions() const noexcept { return partitions_; }
   [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
+  /// The shared engine, after checking that `p` names a partition.
   [[nodiscard]] Engine& engine(PartitionId p) {
-    return engines_.at(static_cast<std::size_t>(p.value()));
+    check(p);
+    return engine_;
   }
   [[nodiscard]] const Engine& engine(PartitionId p) const {
-    return engines_.at(static_cast<std::size_t>(p.value()));
+    check(p);
+    return engine_;
   }
 
   /// Posts `fn` into partition `to` at absolute time `at`, from partition
-  /// `from`'s execution context. Cross-partition posts must respect the
-  /// lookahead (`at >= engine(from).now() + lookahead()`); same-partition
-  /// posts degenerate to a local injected schedule. The event's tie-break
-  /// schedule time is the source partition's now().
+  /// `from`'s execution context; the event's tie-break schedule time is
+  /// now(). Cross-partition posts must respect the lookahead
+  /// (`at >= now() + lookahead()`, else std::logic_error) and take the
+  /// cross key above; same-partition posts are a local schedule.
   void post(PartitionId from, PartitionId to, SimTime at, SmallFn fn,
             int priority = 0);
 
-  /// Runs all partitions to completion on the calling thread. With one
-  /// partition this is exactly Engine::run() on the sole engine. The
+  /// Runs every partition to completion on the calling thread. The
   /// parameter is ignored; it remains only for existing callers and goes
   /// with the benchmark harness's next change.
-  void run(unsigned /*ignored*/ = 1);
+  void run(unsigned /*ignored*/ = 1) { engine_.run(); }
 
-  /// Virtual time of the last dispatched event across all partitions (the
-  /// simulation finish time; run_until() overshoot does not count).
-  [[nodiscard]] SimTime last_event_time() const noexcept;
-
-  [[nodiscard]] std::uint64_t processed() const noexcept;
-  /// Engine counters summed over partitions (Engine::cancelled() etc.).
-  [[nodiscard]] std::uint64_t cancelled() const noexcept;
-  [[nodiscard]] std::uint64_t heap_high_water() const noexcept;
-  [[nodiscard]] std::uint64_t pending_high_water() const noexcept;
-  [[nodiscard]] std::uint64_t resumes() const noexcept;
-
- private:
-  struct QueuedEvent {
-    SimTime at{};
-    SimTime sched{};
-    std::int32_t priority = 0;
-    SmallFn fn;
-  };
-
-  [[nodiscard]] std::vector<QueuedEvent>& pending(int from, int to) {
-    return pending_[static_cast<std::size_t>(to) * engines_.size() + from];
+  /// Virtual time of the last dispatched event (the simulation finish time
+  /// after run()).
+  [[nodiscard]] SimTime last_event_time() const noexcept {
+    return engine_.now();
   }
 
-  /// Injects every pending post into its destination engine in (to, from,
-  /// FIFO) order, then clears the vectors (keeping their capacity).
-  void drain_pending();
-  /// Minimum next-event time across engines (pending posts must be drained).
-  [[nodiscard]] SimTime next_time() const noexcept;
+  [[nodiscard]] std::uint64_t processed() const noexcept {
+    return engine_.processed();
+  }
+  [[nodiscard]] std::uint64_t cancelled() const noexcept {
+    return engine_.cancelled();
+  }
+  [[nodiscard]] std::uint64_t heap_high_water() const noexcept {
+    return engine_.heap_high_water();
+  }
+  [[nodiscard]] std::uint64_t pending_high_water() const noexcept {
+    return engine_.pending_high_water();
+  }
+  [[nodiscard]] std::uint64_t resumes() const noexcept {
+    return engine_.resumes();
+  }
 
-  /// Engines are neither copyable nor movable; the deque gives them stable
-  /// addresses and is sized once in the constructor.
-  std::deque<Engine> engines_;
-  /// Cross-partition posts of the current window, one vector per (to, from)
-  /// pair at index to * K + from.
-  std::vector<std::vector<QueuedEvent>> pending_;
+ private:
+  void check(PartitionId p) const {
+    if (p.value() < 0 || p.value() >= partitions_) {
+      throw std::out_of_range{"PartitionSet: no such partition"};
+    }
+  }
+
+  Engine engine_;
+  int partitions_ = 1;
   Duration lookahead_{};
 };
 

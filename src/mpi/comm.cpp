@@ -29,9 +29,8 @@ enum CollTag : int {
 
 double Comm::wtime() const {
   const auto& state = runtime_.rank_state(rank_);
-  // The rank's own partition clock: in a partitioned run another engine
-  // may be ahead or behind within the window, but this rank's events all
-  // happen on this one.
+  // The rank's partition clock: the shared engine's now(), read while this
+  // rank's process runs.
   const double t = runtime_.engine_of_rank(rank_).now().to_seconds();
   return t * (1.0 + state.clock_drift) + state.clock_offset_s;
 }

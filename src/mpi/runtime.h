@@ -19,12 +19,12 @@
 //
 // Partitioned simulation: the runtime always partitions the cluster by
 // switch (one des::PartitionSet partition per switch; a single-switch
-// cluster is one partition and runs the plain sequential engine), and one
-// worker runs every window. A rank's state — its process, RNG, clock,
-// receive queues, rendezvous bookkeeping — is owned by its node's
-// partition: every process-context call runs on that partition's engine,
-// and every engine-context handler below runs in the partition that owns
-// the rank it touches. Rendezvous bookkeeping is split
+// cluster is one partition), and all partitions share one event heap. A
+// rank's state — its process, RNG, clock, receive queues, rendezvous
+// bookkeeping — is owned by its node's partition: every process-context
+// call runs as that partition's events, and every engine-context handler
+// below runs in the partition that owns the rank it touches. Rendezvous
+// bookkeeping is split
 // into a sender half (keyed in the source partition) and a receiver half
 // (keyed in the destination partition); the rendezvous id encodes the
 // source rank so either side can find its half from the id alone.

@@ -73,12 +73,11 @@ struct PointToPointResult {
   std::uint64_t link_drops = 0;
   std::uint64_t faults_injected = 0;
 
-  // Event-queue counters (des::Engine), summed over the simulation's
-  // partitions.
+  // Event-queue counters of the simulation's one des::Engine.
   std::uint64_t events_cancelled = 0;
   std::uint64_t heap_high_water = 0;
   std::uint64_t pending_high_water = 0;
-  /// des::Process resumes: rank hand-offs, summed likewise.
+  /// des::Process resumes: rank hand-offs.
   std::uint64_t resumes = 0;
 
   [[nodiscard]] stats::EmpiricalDistribution distribution() const {

@@ -95,7 +95,7 @@ ClusterParams parse_cluster(std::istream& is, ClusterParams base) {
     } else if (key == "switch_latency_us") {
       base.switch_latency = des::Duration::from_micros(value);
     } else if (key == "lookahead_us") {
-      // Overrides the derived conservative-window lookahead (see
+      // Overrides the derived cross-partition lookahead (see
       // ClusterParams::lookahead()). Must not exceed the topology's safe
       // bound — Network's partitioned constructor rejects it if it does.
       base.lookahead_override = des::Duration::from_micros(value);
@@ -154,7 +154,7 @@ ClusterParams parse_cluster(std::istream& is, ClusterParams base) {
     throw std::runtime_error{"parse_cluster: ports_per_switch < 1"};
   }
   // The runtime partitions a multi-switch cluster by switch, which needs a
-  // positive window between partitions (ClusterParams::safe_lookahead()).
+  // positive lookahead between partitions (ClusterParams::safe_lookahead()).
   if (base.switch_count() > 1 && base.safe_lookahead() <= des::Duration{}) {
     throw std::runtime_error{
         "parse_cluster: a multi-switch cluster needs a positive lookahead; "

@@ -123,8 +123,8 @@ class Network {
     std::uint32_t len = 0;
   };
 
-  /// Per-partition forwarding state; each partition touches only its own,
-  /// so the window bodies share nothing but the immutable link graph.
+  /// Per-partition forwarding state; each partition's events touch only its
+  /// own, so partitions share nothing but the immutable link graph.
   /// Held in a deque: the inner deque's move is not noexcept, which would
   /// push vector growth onto the deleted copy path.
   struct PartitionLocal {

@@ -542,9 +542,9 @@ TEST(PartitionedGolden, RecordedCrossPostScript) {
     sim.run();
     return log;
   };
-  // Window [0, 9] runs label 2; the drain then injects 3 and 4 behind the
-  // local 1, which ties with them on (time, priority, sched) and wins on
-  // seq. Window [10, 19] runs 1, 3, 4, and 4's post lands at 20.
+  // Label 2 runs at 0. The cross posts 3 and 4 tie with the local 1 on
+  // (time, priority, sched) and sort after it on their cross-tagged seq,
+  // in post order; 4's post lands at 20.
   const std::vector<PartFired> expected{
       {0, 2, des::SimTime{0}},  {1, 1, des::SimTime{10}},
       {1, 3, des::SimTime{10}}, {1, 4, des::SimTime{10}},
@@ -554,12 +554,12 @@ TEST(PartitionedGolden, RecordedCrossPostScript) {
 }
 
 TEST(PartitionedGolden, PendingPostsDrainInPairThenFifoOrder) {
-  // Cross-partition posts wait in one vector per (destination, source)
-  // pair until the drain between windows. 300 same-time posts from
-  // partition 0 to 2 (more than the 256 a pair once held before spilling
-  // into a second lane), 5 from partition 1 to 2, and one local event in
-  // partition 2 all land at t = 20 with schedule time 0, so only `seq` —
-  // the drain order — separates them.
+  // Cross-partition posts sort in (source, FIFO) order behind local events
+  // of equal (time, priority, sched). 300 same-time posts from partition 0
+  // to 2, 5 from partition 1 to 2, and one local event in partition 2 all
+  // land at t = 20 with schedule time 0, so only `seq` separates them.
+  // Partition 1 posts first, so FIFO across sources would put its labels
+  // first.
   constexpr int kFromZero = 300;
   constexpr int kFromOne = 5;
   des::PartitionSet sim{3, kLookahead};
@@ -568,19 +568,19 @@ TEST(PartitionedGolden, PendingPostsDrainInPairThenFifoOrder) {
   const auto record = [&order](int label) {
     return [&order, label] { order.push_back(label); };
   };
-  sim.engine(des::PartitionId{0}).schedule_at(des::SimTime{0}, [&] {
-    for (int i = 0; i < kFromZero; ++i) {
-      sim.post(des::PartitionId{0}, des::PartitionId{2}, at, record(i));
-    }
-  });
   sim.engine(des::PartitionId{1}).schedule_at(des::SimTime{0}, [&] {
     for (int i = 0; i < kFromOne; ++i) {
       sim.post(des::PartitionId{1}, des::PartitionId{2}, at,
                record(1000 + i));
     }
   });
-  // Scheduled before the drain at the same (time, priority, sched), so the
-  // local event's smaller seq puts it first.
+  sim.engine(des::PartitionId{0}).schedule_at(des::SimTime{0}, [&] {
+    for (int i = 0; i < kFromZero; ++i) {
+      sim.post(des::PartitionId{0}, des::PartitionId{2}, at, record(i));
+    }
+  });
+  // Scheduled after the posts at the same (time, priority, sched); a local
+  // event still sorts first.
   sim.engine(des::PartitionId{2}).schedule_at(des::SimTime{0}, [&] {
     sim.engine(des::PartitionId{2}).schedule_at(at, record(-1));
   });
@@ -652,6 +652,55 @@ TEST(PartitionedGolden, PostBelowLookaheadIsRejected) {
            des::SimTime{} + kLookahead, [] {});
   sim.run();
   EXPECT_EQ(sim.processed(), 1u);
+}
+
+TEST(PartitionedGolden, SamePartitionPostTiesLikeALocalSchedule) {
+  // post(p, p, ...) is a local schedule: at equal (time, priority, sched)
+  // it runs in call order with Engine::schedule_at, never behind it as a
+  // cross-partition post would.
+  des::PartitionSet sim{2, kLookahead};
+  des::Engine& engine = sim.engine(des::PartitionId{1});
+  std::vector<int> order;
+  const auto record = [&order](int label) {
+    return [&order, label] { order.push_back(label); };
+  };
+  const des::SimTime at{5};
+  engine.schedule_at(des::SimTime{0}, [&] {
+    engine.schedule_at(at, record(1));
+    sim.post(des::PartitionId{1}, des::PartitionId{1}, at, record(2));
+    engine.schedule_at(at, record(3));
+    sim.post(des::PartitionId{1}, des::PartitionId{1}, at, record(4));
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(PartitionedGolden, PartitionCountMustFitTheSourceField) {
+  // A cross post's seq packs its source partition into kSourceBits bits
+  // between the cross bit and the counter; a larger set must be refused.
+  constexpr int kMax = des::PartitionSet::kMaxPartitions;
+  EXPECT_THROW((des::PartitionSet{kMax + 1, kLookahead}),
+               std::invalid_argument);
+  EXPECT_THROW((des::PartitionSet{0, kLookahead}), std::invalid_argument);
+  EXPECT_THROW((des::PartitionSet{2, des::Duration{}}),
+               std::invalid_argument);
+
+  // The widest set works, and its top source still sorts by source: the
+  // post from the last partition, made first, runs after partition 0's.
+  des::PartitionSet sim{kMax, kLookahead};
+  const des::PartitionId top{kMax - 1};
+  std::vector<int> order;
+  sim.engine(top).schedule_at(des::SimTime{0}, [&] {
+    sim.post(top, des::PartitionId{1}, des::SimTime{20},
+             [&order] { order.push_back(2); });
+  });
+  sim.engine(des::PartitionId{0}).schedule_at(des::SimTime{0}, [&] {
+    sim.post(des::PartitionId{0}, des::PartitionId{1}, des::SimTime{20},
+             [&order] { order.push_back(1); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_THROW((void)sim.engine(des::PartitionId{kMax}), std::out_of_range);
 }
 
 TEST(EngineGolden, RunUntilHonoursCancellationAndResumes) {
