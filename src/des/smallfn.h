@@ -18,10 +18,9 @@ namespace des {
 
 class SmallFn {
  public:
-  /// Sized for the largest hot-path capture: the cross-partition hop
-  /// continuation (network pointer + hop bookkeeping + a net::Packet +
-  /// a std::function delivery callback, ~104 bytes) posted across
-  /// partitions by PartitionSet::post.
+  /// Large enough for every hot-path capture. The largest is
+  /// smpi::Runtime's receive completion (~72 bytes), so the buffer has
+  /// room to shrink; the effect of that is not yet measured.
   static constexpr std::size_t kInlineBytes = 112;
 
   /// True when a callable of type F is stored in the inline buffer rather

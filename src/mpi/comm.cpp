@@ -29,14 +29,14 @@ enum CollTag : int {
 
 double Comm::wtime() const {
   const auto& state = runtime_.rank_state(rank_);
-  // The rank's partition clock: the shared engine's now(), read while this
-  // rank's process runs.
-  const double t = runtime_.engine_of_rank(rank_).now().to_seconds();
+  // Virtual time: the shared engine's now(), read while this rank's process
+  // runs.
+  const double t = runtime_.engine().now().to_seconds();
   return t * (1.0 + state.clock_drift) + state.clock_offset_s;
 }
 
 des::SimTime Comm::sim_now() const noexcept {
-  return runtime_.engine_of_rank(rank_).now();
+  return runtime_.engine().now();
 }
 
 void Comm::compute(double seconds) { runtime_.compute(rank_, seconds); }

@@ -13,6 +13,7 @@ namespace smpi {
 Runtime::Runtime(Options options)
     : options_{std::move(options)},
       sim_{options_.cluster.switch_count(), options_.cluster.lookahead()},
+      engine_{sim_.engine(units::PartitionId{0})},
       network_{sim_, options_.cluster},
       transport_{sim_, network_} {
   if (options_.nprocs < 1) throw MpiError{"Runtime: nprocs < 1"};
@@ -28,7 +29,6 @@ Runtime::Runtime(Options options)
        << options_.procs_per_node << " ppn)";
     throw MpiError{os.str()};
   }
-  parts_.resize(static_cast<std::size_t>(sim_.partitions()));
   stats::Rng master{options_.seed};
   ranks_.reserve(options_.nprocs);
   comms_.reserve(options_.nprocs);
@@ -66,7 +66,7 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
     const int r = state->rank.value();
     Comm& comm = *comms_[static_cast<std::size_t>(r)];
     state->process = std::make_unique<des::Process>(
-        engine_of_rank(r), "rank" + std::to_string(r),
+        engine_, "rank" + std::to_string(r),
         [&rank_main, &comm] { rank_main(comm); });
   }
   sim_.run();
@@ -150,12 +150,11 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
     // message crosses the memory system. Same node means same partition,
     // so the arrival event and the per-sender ordering state are local.
     rs.process->delay(send_cost(rs, bytes));
-    des::Engine& engine = engine_of_rank(src);
     const auto& host = options_.cluster.host;
     const des::Duration xfer{static_cast<std::int64_t>(
         static_cast<double>(host.smp_latency.ns()) +
         bytes.to_double() / host.smp_rate.byte_per_sec() * 1e9)};
-    des::SimTime arrive = engine.now() + jittered(rs, xfer);
+    des::SimTime arrive = engine_.now() + jittered(rs, xfer);
     // Non-overtaking per sender on the SMP channel.
     detail::RankState& rd = rank_state(dst);
     des::SimTime& last = rd.smp_last_arrival[src];
@@ -167,7 +166,7 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
                             .is_rts = false,
                             .rendezvous = 0,
                             .payload = std::move(payload)};
-    engine.schedule_at(arrive, [this, dst, inbound = std::move(inbound)] {
+    engine_.schedule_at(arrive, [this, dst, inbound = std::move(inbound)] {
       eager_arrive(dst, inbound);
     });
     req->complete = true;
@@ -192,17 +191,15 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
   }
 
   // Rendezvous: announce with an RTS; data follows the receiver's CTS. The
-  // sender half (request, payload) stays in this partition, filed under an
-  // id that encodes the source rank.
+  // sender half (request, payload) waits here, filed under an id that
+  // encodes the source rank.
   rs.process->delay(jittered(rs, options_.cluster.host.send_overhead));
   const std::uint64_t id = rendezvous_id(src, rs.next_rendezvous++);
-  parts_[static_cast<std::size_t>(partition_of_rank(src).value())]
-      .rdv_out.emplace(
-      id, RendezvousOut{.send_request = req,
-                        .src_rank = src,
-                        .dst_rank = dst,
-                        .bytes = bytes,
-                        .payload = std::move(payload)});
+  rdv_out_.emplace(id, RendezvousOut{.send_request = req,
+                                     .src_rank = src,
+                                     .dst_rank = dst,
+                                     .bytes = bytes,
+                                     .payload = std::move(payload)});
   detail::Inbound rts{.source = src,
                       .tag = tag,
                       .bytes = bytes,
@@ -291,7 +288,7 @@ void Runtime::eager_arrive(int dst, detail::Inbound inbound) {
       auto recv = *it;
       rd.posted_recvs.erase(it);
       complete_recv_at(recv, inbound,
-                       engine_of_rank(dst).now() + recv_cost(rd, inbound.bytes));
+                       engine_.now() + recv_cost(rd, inbound.bytes));
       return;
     }
   }
@@ -325,8 +322,7 @@ bool Runtime::match_posted_against_unexpected(
       grant_rendezvous(rank, recv, inbound);
     } else {
       complete_recv_at(recv, inbound,
-                       engine_of_rank(rank.rank.value()).now() +
-                           recv_cost(rank, inbound.bytes));
+                       engine_.now() + recv_cost(rank, inbound.bytes));
     }
     return true;
   }
@@ -336,17 +332,15 @@ bool Runtime::match_posted_against_unexpected(
 void Runtime::grant_rendezvous(detail::RankState& rank,
                                const std::shared_ptr<detail::RequestState>& recv,
                                const detail::Inbound& inbound) {
-  // Runs in the destination partition: file the receiver half here, then
-  // CTS back on the reverse-direction stream. The id alone lets the CTS
-  // handler find the sender half in the source partition.
+  // Runs in the destination partition: file the receiver half, then CTS
+  // back on the reverse-direction stream. The id alone lets the CTS
+  // handler find the sender half.
   const int src = inbound.source;
   const int dst = rank.rank.value();
-  parts_[static_cast<std::size_t>(partition_of_rank(dst).value())]
-      .rdv_in.emplace(
-      inbound.rendezvous, RendezvousIn{.recv_request = recv,
-                                       .src_rank = src,
-                                       .tag = inbound.tag,
-                                       .bytes = inbound.bytes});
+  rdv_in_.emplace(inbound.rendezvous, RendezvousIn{.recv_request = recv,
+                                                   .src_rank = src,
+                                                   .tag = inbound.tag,
+                                                   .bytes = inbound.bytes});
   transport_.send(stream_id(dst, src), rank.node, rank_state(src).node,
                   options_.cluster.mpi.rendezvous_ctrl,
                   [this, id = inbound.rendezvous] { cts_arrive(id); });
@@ -354,15 +348,13 @@ void Runtime::grant_rendezvous(detail::RankState& rank,
 
 void Runtime::cts_arrive(std::uint64_t rendezvous) {
   // Runs in the source partition (the CTS landed at the sender's node).
-  const int src = rendezvous_src(rendezvous);
-  PartitionState& ps =
-      parts_[static_cast<std::size_t>(partition_of_rank(src).value())];
-  auto it = ps.rdv_out.find(rendezvous);
-  if (it == ps.rdv_out.end()) {
+  auto it = rdv_out_.find(rendezvous);
+  if (it == rdv_out_.end()) {
     throw MpiError{"internal: CTS for unknown rendezvous"};
   }
   RendezvousOut pending = std::move(it->second);
-  ps.rdv_out.erase(it);
+  rdv_out_.erase(it);
+  const int src = pending.src_rank;
   detail::RankState& rs = rank_state(src);
   const auto& mpi = options_.cluster.mpi;
   const int dst = pending.dst_rank;
@@ -379,20 +371,18 @@ void Runtime::cts_arrive(std::uint64_t rendezvous) {
       static_cast<std::int64_t>(options_.cluster.host.copy_ns_per_byte *
                                 pending.bytes.to_double())};
   complete_send_at(pending.send_request,
-                   engine_of_rank(src).now() + jittered(rs, copy));
+                   engine_.now() + jittered(rs, copy));
 }
 
 void Runtime::rendezvous_data_arrive(
     int dst, std::uint64_t rendezvous,
     std::shared_ptr<std::vector<std::byte>> payload) {
-  PartitionState& ps =
-      parts_[static_cast<std::size_t>(partition_of_rank(dst).value())];
-  auto it = ps.rdv_in.find(rendezvous);
-  if (it == ps.rdv_in.end()) {
+  auto it = rdv_in_.find(rendezvous);
+  if (it == rdv_in_.end()) {
     throw MpiError{"internal: data for unknown rendezvous"};
   }
   RendezvousIn pending = std::move(it->second);
-  ps.rdv_in.erase(it);
+  rdv_in_.erase(it);
   detail::RankState& rd = rank_state(dst);
   detail::Inbound inbound{.source = pending.src_rank,
                           .tag = pending.tag,
@@ -401,13 +391,13 @@ void Runtime::rendezvous_data_arrive(
                           .rendezvous = 0,
                           .payload = std::move(payload)};
   complete_recv_at(pending.recv_request, inbound,
-                   engine_of_rank(dst).now() + recv_cost(rd, inbound.bytes));
+                   engine_.now() + recv_cost(rd, inbound.bytes));
 }
 
 void Runtime::complete_recv_at(
     const std::shared_ptr<detail::RequestState>& recv,
     const detail::Inbound& inbound, des::SimTime when) {
-  engine_of_rank(recv->owner).schedule_at(when, [this, recv, inbound] {
+  engine_.schedule_at(when, [this, recv, inbound] {
     recv->status = Status{inbound.source, inbound.tag, inbound.bytes};
     if (inbound.bytes > recv->max_bytes) {
       recv->error = "recv truncation: message of " +
@@ -425,7 +415,7 @@ void Runtime::complete_recv_at(
 
 void Runtime::complete_send_at(
     const std::shared_ptr<detail::RequestState>& send, des::SimTime when) {
-  engine_of_rank(send->owner).schedule_at(when, [this, send] {
+  engine_.schedule_at(when, [this, send] {
     send->complete = true;
     if (auto& process = rank_state(send->owner).process) process->unpark();
   });

@@ -21,13 +21,13 @@
 // switch (one des::PartitionSet partition per switch; a single-switch
 // cluster is one partition), and all partitions share one event heap. A
 // rank's state — its process, RNG, clock, receive queues, rendezvous
-// bookkeeping — is owned by its node's partition: every process-context
-// call runs as that partition's events, and every engine-context handler
-// below runs in the partition that owns the rank it touches. Rendezvous
-// bookkeeping is split
-// into a sender half (keyed in the source partition) and a receiver half
-// (keyed in the destination partition); the rendezvous id encodes the
-// source rank so either side can find its half from the id alone.
+// bookkeeping — is touched only by its node's partition: every
+// process-context call runs as that partition's events, and every
+// engine-context handler below runs in the partition of the rank it
+// touches. Rendezvous bookkeeping is split into a sender half (touched by
+// the source partition) and a receiver half (touched by the destination
+// partition), each in one map shared by every partition and keyed by a
+// rendezvous id that is unique across ranks.
 #pragma once
 
 #include <cstdint>
@@ -137,9 +137,8 @@ class Runtime {
 
   /// The partition set the simulation runs on: one partition per switch.
   [[nodiscard]] des::PartitionSet& sim() noexcept { return sim_; }
-  [[nodiscard]] des::Engine& engine_of_rank(int rank) {
-    return sim_.engine(partition_of_rank(rank));
-  }
+  /// The one engine every partition runs on.
+  [[nodiscard]] des::Engine& engine() noexcept { return engine_; }
   [[nodiscard]] net::Network& network() noexcept { return network_; }
   [[nodiscard]] net::Transport& transport() noexcept { return transport_; }
   [[nodiscard]] int node_of(int rank) const;
@@ -149,10 +148,6 @@ class Runtime {
 
   detail::RankState& rank_state(int rank);
   [[nodiscard]] stats::Rng& rng_of(int rank);
-  [[nodiscard]] units::PartitionId partition_of_rank(int rank) {
-    return network_.partition_of_node(
-        ranks_.at(static_cast<std::size_t>(rank))->node);
-  }
 
   // ---- process-context operations (called via Comm from rank fibers) ----
   Request isend(int src, std::span<const std::byte> data, net::Bytes bytes,
@@ -166,7 +161,7 @@ class Runtime {
   void compute(int rank, double seconds);
 
   // ---- engine-context message machinery ----
-  // Each handler runs in the partition owning the rank it names: arrivals
+  // Each handler runs in the partition of the rank it names: arrivals
   // run where the transport delivers (the destination node's partition),
   // cts_arrive where the CTS lands (the source node's).
   void eager_arrive(int dst, detail::Inbound inbound);
@@ -207,28 +202,27 @@ class Runtime {
             << 32) |
            static_cast<std::uint32_t>(dst_rank);
   }
-  /// Rendezvous ids carry the source rank (biased so id 0 never occurs),
-  /// letting the CTS handler locate the sender-side half without it.
+  /// Rendezvous ids carry the source rank (biased so id 0 never occurs)
+  /// next to the rank-local counter, so they are unique without a shared
+  /// counter.
   [[nodiscard]] static std::uint64_t rendezvous_id(int src_rank,
                                                    std::uint64_t n) noexcept {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank) + 1)
             << 32) |
            static_cast<std::uint32_t>(n);
   }
-  [[nodiscard]] static int rendezvous_src(std::uint64_t id) noexcept {
-    return static_cast<int>((id >> 32) - 1);
-  }
 
   Options options_;
   des::PartitionSet sim_;
+  des::Engine& engine_;
   net::Network network_;
   net::Transport transport_;
 
   std::vector<std::unique_ptr<detail::RankState>> ranks_;
   std::vector<std::unique_ptr<Comm>> comms_;
 
-  /// Sender-side half of an in-flight rendezvous, owned by the source
-  /// node's partition.
+  /// Sender-side half of an in-flight rendezvous, touched only by the
+  /// source node's partition.
   struct RendezvousOut {
     std::shared_ptr<detail::RequestState> send_request;
     int src_rank = -1;
@@ -236,20 +230,16 @@ class Runtime {
     net::Bytes bytes{};
     std::shared_ptr<std::vector<std::byte>> payload;
   };
-  /// Receiver-side half, owned by the destination node's partition from
-  /// the moment the receive matches the RTS.
+  /// Receiver-side half, touched only by the destination node's partition
+  /// from the moment the receive matches the RTS.
   struct RendezvousIn {
     std::shared_ptr<detail::RequestState> recv_request;
     int src_rank = -1;
     int tag = kAnyTag;
     net::Bytes bytes{};
   };
-  /// Per-partition MPI-layer state; touched only from its partition.
-  struct PartitionState {
-    std::map<std::uint64_t, RendezvousOut> rdv_out;
-    std::map<std::uint64_t, RendezvousIn> rdv_in;
-  };
-  std::vector<PartitionState> parts_;
+  std::map<std::uint64_t, RendezvousOut> rdv_out_;
+  std::map<std::uint64_t, RendezvousIn> rdv_in_;
 
   des::SimTime finish_time_{};
   bool ran_ = false;

@@ -8,13 +8,14 @@
 namespace net {
 
 Network::Network(des::Engine& engine, ClusterParams params)
-    : engine0_{&engine}, params_{std::move(params)} {
-  parts_.resize(1);
+    : engine_{engine}, params_{std::move(params)} {
   build_links();
 }
 
 Network::Network(des::PartitionSet& sim, ClusterParams params)
-    : sim_{&sim}, params_{std::move(params)} {
+    : sim_{&sim},
+      engine_{sim.engine(units::PartitionId{0})},
+      params_{std::move(params)} {
   const int k = sim.partitions();
   if (k != params_.switch_count()) {
     throw std::invalid_argument{
@@ -26,43 +27,38 @@ Network::Network(des::PartitionSet& sim, ClusterParams params)
     throw std::invalid_argument{
         "Network: engine lookahead exceeds the topology's safe bound"};
   }
-  parts_.resize(k);
   build_links();
 }
 
 void Network::build_links() {
-  const int k = partitions();
+  const bool partitioned = partitions() > 1;
   nic_tx_.reserve(params_.nodes);
   nic_rx_.reserve(params_.nodes);
   for (int n = 0; n < params_.nodes; ++n) {
     const units::PartitionId part = partition_of_node(n);
-    nic_tx_.push_back(std::make_unique<Link>(engine_for(part),
-                                             "nic_tx." + std::to_string(n),
-                                             params_.nic, part));
-    nic_rx_.push_back(std::make_unique<Link>(engine_for(part),
-                                             "nic_rx." + std::to_string(n),
-                                             params_.nic, part));
+    nic_tx_.push_back(std::make_unique<Link>(
+        engine_, "nic_tx." + std::to_string(n), params_.nic, part));
+    nic_rx_.push_back(std::make_unique<Link>(
+        engine_, "nic_rx." + std::to_string(n), params_.nic, part));
   }
   const int switches = params_.switch_count();
   for (int s = 0; s < switches; ++s) {
-    const units::PartitionId part{k == 1 ? 0 : s};
-    fabric_.push_back(std::make_unique<Link>(engine_for(part),
-                                             "fabric." + std::to_string(s),
-                                             params_.fabric, part));
+    const units::PartitionId part{partitioned ? s : 0};
+    fabric_.push_back(std::make_unique<Link>(
+        engine_, "fabric." + std::to_string(s), params_.fabric, part));
   }
   for (int s = 0; s + 1 < switches; ++s) {
     // The half-duplex trunk is owned by the lower switch's partition; the
     // descending direction reaches it through a boundary handoff, so every
     // submit still comes from the owner's context.
-    const units::PartitionId part{k == 1 ? 0 : s};
-    trunk_.push_back(std::make_unique<Link>(engine_for(part),
-                                            "trunk." + std::to_string(s),
-                                            params_.trunk, part));
+    const units::PartitionId part{partitioned ? s : 0};
+    trunk_.push_back(std::make_unique<Link>(
+        engine_, "trunk." + std::to_string(s), params_.trunk, part));
   }
-  for (PartitionLocal& part : parts_) {
-    part.route_cache.resize(static_cast<std::size_t>(params_.nodes) *
-                            params_.nodes);
-  }
+  // Assigned rather than resized: gcc 12's -fanalyzer misreads the
+  // libstdc++ default-append path of resize() as a null dereference.
+  route_cache_ = std::vector<CachedRoute>(
+      static_cast<std::size_t>(params_.nodes) * params_.nodes);
 
   // Fault injection: every link gets an independent RNG stream drawn from
   // the master seed in construction order, which is deterministic (and
@@ -107,13 +103,11 @@ std::vector<Link*> Network::route(int src_node, int dst_node) const {
   return path;
 }
 
-std::span<Link* const> Network::route_span(int part, int src_node,
-                                           int dst_node) {
+std::span<Link* const> Network::route_span(int src_node, int dst_node) {
   check_route_args(src_node, dst_node);
   CachedRoute& cached =
-      parts_[part]
-          .route_cache[static_cast<std::size_t>(src_node) * params_.nodes +
-                       dst_node];
+      route_cache_[static_cast<std::size_t>(src_node) * params_.nodes +
+                   dst_node];
   if (cached.len == 0) {
     const std::vector<Link*> path = route(src_node, dst_node);
     cached.links = std::make_unique<Link*[]>(path.size());
@@ -132,128 +126,95 @@ int Network::hop_count(int src_node, int dst_node) const {
   return 3 + trunks;
 }
 
-std::uint32_t Network::acquire_transit(std::uint32_t part) {
-  PartitionLocal& local = parts_[part];
-  if (local.transit_free != kNil) {
-    const std::uint32_t index = local.transit_free;
-    local.transit_free = local.transits[index].next_free;
+std::uint32_t Network::acquire_transit() {
+  if (transit_free_ != kNil) {
+    const std::uint32_t index = transit_free_;
+    transit_free_ = transits_[index].next_free;
     return index;
   }
-  local.transits.emplace_back();
-  return static_cast<std::uint32_t>(local.transits.size() - 1);
+  transits_.emplace_back();
+  return static_cast<std::uint32_t>(transits_.size() - 1);
 }
 
-void Network::release_transit(std::uint32_t part,
-                              std::uint32_t index) noexcept {
-  PartitionLocal& local = parts_[part];
-  Transit& record = local.transits[index];
+void Network::release_transit(std::uint32_t index) noexcept {
+  Transit& record = transits_[index];
   record.deliver = nullptr;
   record.drop = nullptr;
   record.path = {};
-  record.next_free = local.transit_free;
-  local.transit_free = index;
+  record.next_free = transit_free_;
+  transit_free_ = index;
 }
 
 void Network::send(const Packet& packet, DeliverFn deliver, DropFn drop) {
-  resume_transit(
-      static_cast<std::uint32_t>(partition_of_node(packet.src_node).value()),
-      0, packet, std::move(deliver), std::move(drop));
-}
-
-void Network::resume_transit(std::uint32_t part, std::uint32_t hop,
-                             const Packet& packet, DeliverFn deliver,
-                             DropFn drop) {
   const std::span<Link* const> path =
-      route_span(static_cast<int>(part), packet.src_node, packet.dst_node);
-  const std::uint32_t index = acquire_transit(part);
-  Transit& record = transit(part, index);
+      route_span(packet.src_node, packet.dst_node);
+  const std::uint32_t index = acquire_transit();
+  Transit& record = transits_[index];
   record.packet = packet;
   record.path = path;
-  record.hop = hop;
+  record.hop = 0;
   record.deliver = std::move(deliver);
   record.drop = std::move(drop);
-  forward_hop(part, index);
+  forward_hop(index);
 }
 
 // LINT:hot-path begin (per-packet forwarding: transit records come from the
-// per-partition pool, hop events capture (network, partition, index), and
-// cross-partition continuations go through PartitionSet::post; nothing
-// allocates; enforced by tools/repro_lint)
-void Network::forward_hop(std::uint32_t part, std::uint32_t index) {
-  Transit& record = transit(part, index);
+// pool, hop events capture (network, index), and cross-partition
+// continuations go through PartitionSet::post; nothing allocates; enforced
+// by tools/repro_lint)
+void Network::forward_hop(std::uint32_t index) {
+  Transit& record = transits_[index];
   Link* link = record.path[record.hop];
-  des::Engine& engine = link->engine();
   const Link::Resolved resolved = link->submit_resolved(record.packet);
   switch (resolved.outcome) {
     case Link::SubmitOutcome::kDropped:
-      finish_transit(part, index, false);  // tail drop: at the submit instant
+      finish_transit(index, false);  // tail drop: at the submit instant
       return;
     case Link::SubmitOutcome::kLost:  // drops at the would-be arrival
-      engine.schedule_at(resolved.arrive, [this, part, index] {
-        finish_transit(part, index, false);
-      });
+      engine_.schedule_at(resolved.arrive,
+                          [this, index] { finish_transit(index, false); });
       return;
     case Link::SubmitOutcome::kDelivered:
       break;
   }
   if (record.hop + 1 == record.path.size()) {
-    engine.schedule_at(resolved.arrive, [this, part, index] {
-      finish_transit(part, index, true);
-    });
+    engine_.schedule_at(resolved.arrive,
+                        [this, index] { finish_transit(index, true); });
     return;
   }
   Link* next = record.path[record.hop + 1];
-  if (next->partition().value() != static_cast<int>(part)) {
+  if (next->partition() != link->partition()) {
     // Partition boundary: the outcome was resolved at the submit instant
     // (queueing, serialisation, fault decision — all sender-side state);
-    // hand the continuation to the neighbouring partition. It lands at
-    // arrival + switch latency, i.e. at least one link latency + switch
-    // latency ahead of now: the lookahead.
-    const Packet packet = record.packet;
-    DeliverFn deliver = std::move(record.deliver);
-    DropFn drop = std::move(record.drop);
-    const std::uint32_t next_hop = record.hop + 1;
-    release_transit(part, index);
-    const units::PartitionId from_id{static_cast<int>(part)};
-    const units::PartitionId to_id = next->partition();
-    const auto to = static_cast<std::uint32_t>(to_id.value());
-    const des::SimTime at = resolved.arrive + params_.switch_latency;
-    if (drop) {
-      // Rare oversized capture (user-supplied drop callback crossing a
-      // boundary); SmallFn falls back to the heap for it.
-      sim_->post(from_id, to_id, at,
-                 [this, to, next_hop, packet, deliver = std::move(deliver),
-                  drop = std::move(drop)]() mutable {
-                   resume_transit(to, next_hop, packet, std::move(deliver),
-                                  std::move(drop));
-                 });
-    } else {
-      sim_->post(from_id, to_id, at,
-                 [this, to, next_hop, packet,
-                  deliver = std::move(deliver)]() mutable {
-                   resume_transit(to, next_hop, packet, std::move(deliver),
-                                  nullptr);
-                 });
-    }
+    // hand the record to the neighbouring partition. The continuation
+    // lands at arrival + switch latency, i.e. at least one link latency +
+    // switch latency ahead of now: the lookahead. The current link belongs
+    // to the partition the transit is in: a route starts in the source
+    // node's partition, and the trunk a descending route crosses is
+    // reached through a handoff into its owner.
+    sim_->post(link->partition(), next->partition(),
+               resolved.arrive + params_.switch_latency, [this, index] {
+                 ++transits_[index].hop;
+                 forward_hop(index);
+               });
     return;
   }
   // Arrival at the switch; the next hop starts after the store-and-forward
   // switch latency. Two events, not one: the continuation's schedule time
   // (its `sched` tie-break key) is the arrival instant.
-  engine.schedule_at(resolved.arrive, [this, &engine, part, index] {
-    engine.schedule_in(params_.switch_latency, [this, part, index] {
-      ++transit(part, index).hop;
-      forward_hop(part, index);
+  engine_.schedule_at(resolved.arrive, [this, index] {
+    engine_.schedule_in(params_.switch_latency, [this, index] {
+      ++transits_[index].hop;
+      forward_hop(index);
     });
   });
 }
 
-void Network::finish_transit(std::uint32_t part, std::uint32_t index,
-                             bool delivered) {
-  Transit& record = transit(part, index);
+void Network::finish_transit(std::uint32_t index, bool delivered) {
+  Transit& record = transits_[index];
   const Packet packet = record.packet;
   DeliverFn done = std::move(delivered ? record.deliver : record.drop);
-  release_transit(part, index);
+  release_transit(index);
   if (done) done(packet);
 }
 // LINT:hot-path end

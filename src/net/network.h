@@ -6,20 +6,23 @@
 // computed once per (src, dst) pair and reused as spans into per-pair
 // arrays, and each in-flight packet is tracked by a pool-allocated transit
 // record addressed by index, so the per-hop events capture only
-// (network, partition, index) and no std::function is built per hop; the
-// user's callbacks wait in the record until the packet arrives or is lost.
+// (network, index) and no std::function is built per hop; the user's
+// callbacks wait in the record until the packet arrives or is lost.
 //
 // Partitioned mode (the conservative parallel engine): each switch — its
 // node NICs, its forwarding fabric, and the trunk to its upper neighbour —
-// is one logical process owning a des::Engine, a transit pool and a route
-// cache. A frame whose next hop belongs to another partition is resolved at
-// submit time on the last link this partition owns (Link::submit_resolved)
-// and the continuation is posted through PartitionSet::post, arriving
-// at least min-link-latency + switch-latency later — the lookahead
-// (ClusterParams::lookahead()). A single-switch cluster is one partition:
-// no boundaries exist and no posts happen. The des::Engine constructor puts
-// every switch on one engine with no boundaries either; it is the harness
-// for network-level tests and benches, not a mode of smpi::Runtime.
+// is one logical process, and every link is tagged with it
+// (Link::partition()). All partitions run on the set's one des::Engine and
+// share one transit pool and one route cache; a transit record is touched
+// only by the partition its packet is in. A frame whose next hop belongs to
+// another partition is resolved at submit time on the last link this
+// partition owns (Link::submit_resolved) and the continuation is posted
+// through PartitionSet::post, arriving at least min-link-latency +
+// switch-latency later — the lookahead (ClusterParams::lookahead()). A
+// single-switch cluster is one partition: no boundaries exist and no posts
+// happen. The des::Engine constructor puts every switch on one engine with
+// no boundaries either; it is the harness for network-level tests and
+// benches, not a mode of smpi::Runtime.
 #pragma once
 
 #include <cstdint>
@@ -56,11 +59,10 @@ class Network {
   [[nodiscard]] const ClusterParams& params() const noexcept { return params_; }
   [[nodiscard]] int nodes() const noexcept { return params_.nodes; }
   [[nodiscard]] int partitions() const noexcept {
-    return static_cast<int>(parts_.size());
+    return sim_ ? sim_->partitions() : 1;
   }
   [[nodiscard]] units::PartitionId partition_of_node(int node) const noexcept {
-    return units::PartitionId{
-        parts_.size() == 1 ? 0 : params_.switch_of(node)};
+    return units::PartitionId{sim_ ? params_.switch_of(node) : 0};
   }
 
   /// Sends a packet from packet.src_node to packet.dst_node. `deliver`
@@ -80,10 +82,8 @@ class Network {
   [[nodiscard]] std::vector<Link*> route(int src_node, int dst_node) const;
 
   /// Cached route for src -> dst: computed on first use, stable for the
-  /// lifetime of the Network. Reads the source partition's cache.
-  [[nodiscard]] std::span<Link* const> route_span(int src_node, int dst_node) {
-    return route_span(partition_of_node(src_node).value(), src_node, dst_node);
-  }
+  /// lifetime of the Network.
+  [[nodiscard]] std::span<Link* const> route_span(int src_node, int dst_node);
 
   // Link accessors for statistics and tests.
   [[nodiscard]] Link& nic_tx(int node) { return *nic_tx_.at(node); }
@@ -104,9 +104,10 @@ class Network {
  private:
   static constexpr std::uint32_t kNil = UINT32_MAX;
 
-  /// One in-flight packet traversing the hops its current partition owns.
-  /// Pool-allocated and addressed by (partition, index) so per-hop
-  /// callbacks capture 16 bytes.
+  /// One in-flight packet, from send() until delivery or loss; the link at
+  /// its current hop belongs to the partition it is in. Pool-allocated and
+  /// addressed by index so per-hop callbacks, boundary handoffs included,
+  /// capture 16 bytes.
   struct Transit {
     Packet packet{};
     std::span<Link* const> path{};
@@ -123,16 +124,6 @@ class Network {
     std::uint32_t len = 0;
   };
 
-  /// Per-partition forwarding state; each partition's events touch only its
-  /// own, so partitions share nothing but the immutable link graph.
-  /// Held in a deque: the inner deque's move is not noexcept, which would
-  /// push vector growth onto the deleted copy path.
-  struct PartitionLocal {
-    std::vector<CachedRoute> route_cache;  ///< src * nodes + dst
-    std::deque<Transit> transits;  ///< stable addresses while growing
-    std::uint32_t transit_free = kNil;
-  };
-
   void build_links();
   /// Calls fn(Link&) on every link in construction order (NIC tx, NIC rx,
   /// fabrics, trunks), which fault seeding and the stats rows follow.
@@ -142,37 +133,21 @@ class Network {
       for (const std::unique_ptr<Link>& link : *links) fn(*link);
     }
   }
-  [[nodiscard]] des::Engine& engine_for(units::PartitionId part) const {
-    return sim_ ? sim_->engine(part) : *engine0_;
-  }
-
-  [[nodiscard]] std::span<Link* const> route_span(int part, int src_node,
-                                                  int dst_node);
-  [[nodiscard]] std::uint32_t acquire_transit(std::uint32_t part);
-  void release_transit(std::uint32_t part, std::uint32_t index) noexcept;
-  [[nodiscard]] Transit& transit(std::uint32_t part,
-                                 std::uint32_t index) noexcept {
-    return parts_[part].transits[index];
-  }
+  [[nodiscard]] std::uint32_t acquire_transit();
+  void release_transit(std::uint32_t index) noexcept;
 
   /// Submits the transit's packet to the link at its current hop; the
   /// arrival event advances the hop (after the store-and-forward switch
   /// latency) until the final link delivers to the destination host, or a
   /// partition boundary hands the continuation to the neighbour.
-  void forward_hop(std::uint32_t part, std::uint32_t index);
+  void forward_hop(std::uint32_t index);
   /// Releases the record, then runs its deliver (or drop) callback.
-  void finish_transit(std::uint32_t part, std::uint32_t index,
-                      bool delivered);
-  /// Enters a packet in partition `part` at `hop` of its route: at hop 0
-  /// on send(), or after a cross-partition handoff (runs in `part`'s
-  /// context).
-  void resume_transit(std::uint32_t part, std::uint32_t hop,
-                      const Packet& packet, DeliverFn deliver, DropFn drop);
+  void finish_transit(std::uint32_t index, bool delivered);
 
   void check_route_args(int src_node, int dst_node) const;
 
-  des::PartitionSet* sim_ = nullptr;   ///< null in sequential mode
-  des::Engine* engine0_ = nullptr;     ///< the sole engine, sequential mode
+  des::PartitionSet* sim_ = nullptr;  ///< null in sequential mode
+  des::Engine& engine_;  ///< the one engine every partition runs on
   ClusterParams params_;
   std::vector<std::unique_ptr<Link>> nic_tx_;
   std::vector<std::unique_ptr<Link>> nic_rx_;
@@ -185,7 +160,9 @@ class Network {
   /// paper's 24 x 84.25 Mbit/s = 2.02 Gbit/s offered load saturate it).
   std::vector<std::unique_ptr<Link>> trunk_;
 
-  std::deque<PartitionLocal> parts_;
+  std::vector<CachedRoute> route_cache_;  ///< src * nodes + dst
+  std::deque<Transit> transits_;  ///< stable addresses while growing
+  std::uint32_t transit_free_ = kNil;
 };
 
 }  // namespace net

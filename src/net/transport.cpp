@@ -8,30 +8,25 @@
 namespace net {
 
 Transport::Transport(des::Engine& engine, Network& network)
-    : engine0_{&engine},
+    : engine_{engine},
       network_{network},
       tcp_{network.params().tcp},
-      wire_{network.params().wire},
-      lookahead_{network.params().lookahead()} {
-  shards_.resize(1);
-}
+      wire_{network.params().wire} {}
 
 Transport::Transport(des::PartitionSet& sim, Network& network)
     : sim_{&sim},
+      engine_{sim.engine(units::PartitionId{0})},
       network_{network},
       tcp_{network.params().tcp},
-      wire_{network.params().wire},
-      lookahead_{sim.lookahead()} {
+      wire_{network.params().wire} {
   if (network.partitions() != sim.partitions()) {
     throw std::invalid_argument{
         "Transport: network was built over a different partition set"};
   }
-  shards_.resize(static_cast<std::size_t>(sim.partitions()));
 }
 
 Transport::Sender& Transport::sender(std::uint64_t stream, int src, int dst) {
-  Shard& shard = shards_[static_cast<std::size_t>(partition_of(src).value())];
-  auto [it, inserted] = shard.senders.try_emplace(stream);
+  auto [it, inserted] = senders_.try_emplace(stream);
   Sender& conn = it->second;
   if (inserted) {
     conn.id = stream;
@@ -47,20 +42,15 @@ Transport::Sender& Transport::sender(std::uint64_t stream, int src, int dst) {
 }
 
 Transport::Sender& Transport::sender_of(const Packet& ack_packet) {
-  // An ACK flows dst -> src, so its destination node is the sender's host.
-  Shard& shard = shards_[static_cast<std::size_t>(
-      partition_of(ack_packet.dst_node).value())];
-  const auto it = shard.senders.find(ack_packet.conn);
-  if (it == shard.senders.end()) {
+  const auto it = senders_.find(ack_packet.conn);
+  if (it == senders_.end()) {
     throw std::logic_error{"Transport: ACK for unknown stream"};
   }
   return it->second;
 }
 
 Transport::Receiver& Transport::receiver_of(const Packet& data_packet) {
-  Shard& shard = shards_[static_cast<std::size_t>(
-      partition_of(data_packet.dst_node).value())];
-  auto [it, inserted] = shard.receivers.try_emplace(data_packet.conn);
+  auto [it, inserted] = receivers_.try_emplace(data_packet.conn);
   Receiver& conn = it->second;
   if (inserted) {
     conn.id = data_packet.conn;
@@ -72,8 +62,7 @@ Transport::Receiver& Transport::receiver_of(const Packet& data_packet) {
 
 void Transport::register_message(std::uint64_t stream, int src, int dst,
                                  SeqNo end, DeliveredFn cb) {
-  Shard& shard = shards_[static_cast<std::size_t>(partition_of(dst).value())];
-  auto [it, inserted] = shard.receivers.try_emplace(stream);
+  auto [it, inserted] = receivers_.try_emplace(stream);
   Receiver& conn = it->second;
   if (inserted) {
     conn.id = stream;
@@ -89,13 +78,9 @@ void Transport::register_message(std::uint64_t stream, int src, int dst,
   while (!conn.pending.empty() && conn.pending.front().first <= conn.rcv_nxt) {
     DeliveredFn ready = std::move(conn.pending.front().second);
     conn.pending.pop_front();
-    ++shard.messages_delivered;
+    ++messages_delivered_;
     if (ready) ready();
   }
-}
-
-std::uint64_t Transport::next_packet_id(units::PartitionId part) noexcept {
-  return shards_[static_cast<std::size_t>(part.value())].next_packet_id++;
 }
 
 void Transport::send(std::uint64_t stream, int src_node, int dst_node,
@@ -108,8 +93,8 @@ void Transport::send(std::uint64_t stream, int src_node, int dst_node,
   }
   Sender& conn = sender(stream, src_node, dst_node);
   conn.stream_end += bytes;
-  const units::PartitionId sp = partition_of(src_node);
-  const units::PartitionId dp = partition_of(dst_node);
+  const units::PartitionId sp = network_.partition_of_node(src_node);
+  const units::PartitionId dp = network_.partition_of_node(dst_node);
   if (sp == dp) {
     register_message(stream, src_node, dst_node, conn.stream_end,
                      std::move(on_delivered));
@@ -119,7 +104,7 @@ void Transport::send(std::uint64_t stream, int src_node, int dst_node,
     // lookahead out.
     // It beats the first data byte — see the class comment.
     const SeqNo end = conn.stream_end;
-    sim_->post(sp, dp, engine_of(src_node).now() + lookahead_,
+    sim_->post(sp, dp, engine_.now() + sim_->lookahead(),
                [this, stream, src_node, dst_node, end,
                 cb = std::move(on_delivered)]() mutable {
                  register_message(stream, src_node, dst_node, end,
@@ -149,9 +134,8 @@ void Transport::pump(Sender& conn) {
 }
 
 void Transport::transmit_segment(Sender& conn, SeqNo seq, Bytes len) {
-  const units::PartitionId part = partition_of(conn.src);
   Packet packet;
-  packet.id = next_packet_id(part);
+  packet.id = next_packet_id_++;
   packet.kind = PacketKind::kData;
   packet.src_node = conn.src;
   packet.dst_node = conn.dst;
@@ -159,7 +143,7 @@ void Transport::transmit_segment(Sender& conn, SeqNo seq, Bytes len) {
   packet.seq = seq;
   packet.payload = len;
   packet.wire_bytes = wire_.segment_wire_bytes(len);
-  ++shards_[static_cast<std::size_t>(part.value())].segments_sent;
+  ++segments_sent_;
   // The delivery callback runs in the destination partition; it captures
   // no sender state — the packet's conn field resolves the receiver half
   // there.
@@ -170,7 +154,7 @@ void Transport::transmit_segment(Sender& conn, SeqNo seq, Bytes len) {
 
 void Transport::send_ack(Receiver& conn) {
   Packet packet;
-  packet.id = next_packet_id(partition_of(conn.dst));
+  packet.id = next_packet_id_++;
   packet.kind = PacketKind::kAck;
   packet.src_node = conn.dst;  // ACKs flow dst -> src
   packet.dst_node = conn.src;
@@ -185,8 +169,6 @@ void Transport::send_ack(Receiver& conn) {
 
 void Transport::on_data(const Packet& packet) {
   Receiver& conn = receiver_of(packet);
-  Shard& shard = shards_[static_cast<std::size_t>(
-      partition_of(packet.dst_node).value())];
   const SeqNo seg_end = packet.seq + packet.payload;
   if (seg_end <= conn.rcv_nxt) {
     // Duplicate of already-received data (e.g. a spurious retransmit):
@@ -210,15 +192,13 @@ void Transport::on_data(const Packet& packet) {
   while (!conn.pending.empty() && conn.pending.front().first <= conn.rcv_nxt) {
     DeliveredFn cb = std::move(conn.pending.front().second);
     conn.pending.pop_front();
-    ++shard.messages_delivered;
+    ++messages_delivered_;
     if (cb) cb();
   }
 }
 
 void Transport::on_ack(const Packet& packet) {
   Sender& conn = sender_of(packet);
-  Shard& shard = shards_[static_cast<std::size_t>(
-      partition_of(packet.dst_node).value())];
   const SeqNo ackno = packet.seq;
   if (ackno > conn.snd_una) {
     conn.snd_una = ackno;
@@ -230,7 +210,7 @@ void Transport::on_ack(const Packet& packet) {
       // rather than stalling until the RTO fires.
       const Bytes len =
           std::min(wire_.mss(), conn.snd_nxt - conn.snd_una);
-      ++shard.retransmits;
+      ++retransmits_;
       trace_event(conn, "partial_ack_retransmit seq=" +
                             std::to_string(conn.snd_una.value()));
       transmit_segment(conn, conn.snd_una, len);
@@ -260,8 +240,8 @@ void Transport::on_ack(const Packet& packet) {
       conn.recover_end = conn.snd_nxt;
       const Bytes len =
           std::min(wire_.mss(), conn.snd_nxt - conn.snd_una);
-      ++shard.retransmits;
-      ++shard.fast_retransmits;
+      ++retransmits_;
+      ++fast_retransmits_;
       trace_event(conn, "fast_retransmit seq=" +
                             std::to_string(conn.snd_una.value()));
       transmit_segment(conn, conn.snd_una, len);
@@ -269,16 +249,14 @@ void Transport::on_ack(const Packet& packet) {
   }
 }
 
-void Transport::on_rto(std::uint64_t stream, int src_node) {
-  Shard& shard =
-      shards_[static_cast<std::size_t>(partition_of(src_node).value())];
-  const auto it = shard.senders.find(stream);
-  if (it == shard.senders.end()) return;
+void Transport::on_rto(std::uint64_t stream) {
+  const auto it = senders_.find(stream);
+  if (it == senders_.end()) return;
   Sender& conn = it->second;
   conn.rto_timer = {};
   if (conn.snd_una >= conn.snd_nxt) return;  // everything got acknowledged
-  ++shard.timeouts;
-  ++shard.retransmits;
+  ++timeouts_;
+  ++retransmits_;
   const double flight =
       (conn.snd_nxt - conn.snd_una).to_double() / wire_.mss().to_double();
   conn.ssthresh = std::max(flight / 2.0, 2.0);
@@ -296,62 +274,30 @@ void Transport::on_rto(std::uint64_t stream, int src_node) {
 
 void Transport::trace_event(const Sender& conn, std::string detail) {
   if (tracer_ == nullptr || !tracer_->enabled()) return;
-  tracer_->record(engine_of(conn.src).now(), trace::Category::kTransport,
+  tracer_->record(engine_.now(), trace::Category::kTransport,
                   static_cast<std::int64_t>(conn.id), std::move(detail));
 }
 
 void Transport::arm_rto(Sender& conn) {
   disarm_rto(conn);
-  conn.rto_timer = engine_of(conn.src).schedule_in(
+  conn.rto_timer = engine_.schedule_in(
       std::max(conn.rto, tcp_.rto_min),
-      [this, stream = conn.id, src = conn.src] { on_rto(stream, src); });
+      [this, stream = conn.id] { on_rto(stream); });
 }
 
 void Transport::disarm_rto(Sender& conn) {
   if (conn.rto_timer.valid()) {
-    engine_of(conn.src).cancel(conn.rto_timer);
+    engine_.cancel(conn.rto_timer);
     conn.rto_timer = {};
   }
 }
 
-std::uint64_t Transport::segments_sent() const noexcept {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.segments_sent;
-  return total;
-}
-
-std::uint64_t Transport::retransmits() const noexcept {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.retransmits;
-  return total;
-}
-
-std::uint64_t Transport::fast_retransmits() const noexcept {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.fast_retransmits;
-  return total;
-}
-
-std::uint64_t Transport::timeouts() const noexcept {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.timeouts;
-  return total;
-}
-
-std::uint64_t Transport::messages_delivered() const noexcept {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.messages_delivered;
-  return total;
-}
-
 void Transport::reset_stats() noexcept {
-  for (Shard& shard : shards_) {
-    shard.segments_sent = 0;
-    shard.retransmits = 0;
-    shard.fast_retransmits = 0;
-    shard.timeouts = 0;
-    shard.messages_delivered = 0;
-  }
+  segments_sent_ = 0;
+  retransmits_ = 0;
+  fast_retransmits_ = 0;
+  timeouts_ = 0;
+  messages_delivered_ = 0;
 }
 
 }  // namespace net

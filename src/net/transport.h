@@ -14,15 +14,16 @@
 // byte of a message arrives in order at the destination host.
 //
 // Partitioned mode: a connection's sender half (sequence numbers,
-// congestion state, the RTO timer) is pinned to the source node's
-// partition and its receiver half (reassembly, pending deliveries) to the
-// destination node's, matching where the network delivers data and ACK
-// packets. The only sender-to-receiver control transfer outside the packet
-// path — registering a message's end offset and delivery callback — rides
-// PartitionSet::post one lookahead ahead, which always beats the
-// first data byte (end-to-end is at least two NIC latencies plus a switch
-// hop). With one partition both halves live in shard 0 and every path is
-// the sequential one.
+// congestion state, the RTO timer) is touched only by the source node's
+// partition and its receiver half (reassembly, pending deliveries) only by
+// the destination node's, matching where the network delivers data and ACK
+// packets. Both halves sit in one map per kind, shared by every partition
+// on the set's one engine. The only sender-to-receiver control transfer
+// outside the packet path — registering a message's end offset and
+// delivery callback — rides PartitionSet::post one lookahead ahead, which
+// always beats the first data byte (end-to-end is at least two NIC
+// latencies plus a switch hop). With one partition every path is the
+// sequential one.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,6 @@
 #include <functional>
 #include <map>
 #include <utility>
-#include <vector>
 
 #include "des/engine.h"
 #include "des/partitioned_engine.h"
@@ -56,8 +56,6 @@ class Transport {
   /// backed-off interval, fast retransmits, NewReno partial-ACK resends —
   /// is recorded under Category::kTransport with the connection id as
   /// subject, so retransmission forensics can be replayed offline.
-  /// (Tracer::record is internally synchronised, so partitions may record
-  /// concurrently.)
   void set_tracer(trace::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   /// Queues `bytes` (> 0) on stream `stream` from src to dst. A stream is
@@ -72,16 +70,25 @@ class Transport {
   void send(std::uint64_t stream, int src_node, int dst_node, Bytes bytes,
             DeliveredFn on_delivered);
 
-  // Lifetime statistics (summed over partitions; read when quiescent).
-  [[nodiscard]] std::uint64_t segments_sent() const noexcept;
-  [[nodiscard]] std::uint64_t retransmits() const noexcept;
-  [[nodiscard]] std::uint64_t fast_retransmits() const noexcept;
-  [[nodiscard]] std::uint64_t timeouts() const noexcept;
-  [[nodiscard]] std::uint64_t messages_delivered() const noexcept;
+  // Lifetime statistics (read when quiescent).
+  [[nodiscard]] std::uint64_t segments_sent() const noexcept {
+    return segments_sent_;
+  }
+  [[nodiscard]] std::uint64_t retransmits() const noexcept {
+    return retransmits_;
+  }
+  [[nodiscard]] std::uint64_t fast_retransmits() const noexcept {
+    return fast_retransmits_;
+  }
+  [[nodiscard]] std::uint64_t timeouts() const noexcept { return timeouts_; }
+  [[nodiscard]] std::uint64_t messages_delivered() const noexcept {
+    return messages_delivered_;
+  }
   void reset_stats() noexcept;
 
  private:
-  /// Sender half of a connection, owned by the source node's partition.
+  /// Sender half of a connection, touched only by the source node's
+  /// partition.
   struct Sender {
     std::uint64_t id = 0;
     int src = 0;
@@ -98,7 +105,7 @@ class Transport {
     des::Engine::EventId rto_timer{};
   };
 
-  /// Receiver half, owned by the destination node's partition.
+  /// Receiver half, touched only by the destination node's partition.
   struct Receiver {
     std::uint64_t id = 0;
     int src = 0;
@@ -108,25 +115,6 @@ class Transport {
     std::deque<std::pair<SeqNo, DeliveredFn>> pending;  ///< (end, cb)
   };
 
-  /// Per-partition transport state; every field is touched only from its
-  /// partition's execution context.
-  struct Shard {
-    std::map<std::uint64_t, Sender> senders;
-    std::map<std::uint64_t, Receiver> receivers;
-    std::uint64_t next_packet_id = 1;
-    std::uint64_t segments_sent = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t fast_retransmits = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t messages_delivered = 0;
-  };
-
-  [[nodiscard]] units::PartitionId partition_of(int node) const noexcept {
-    return network_.partition_of_node(node);
-  }
-  [[nodiscard]] des::Engine& engine_of(int node) const {
-    return sim_ ? sim_->engine(partition_of(node)) : *engine0_;
-  }
   [[nodiscard]] Sender& sender(std::uint64_t stream, int src, int dst);
   [[nodiscard]] Sender& sender_of(const Packet& ack_packet);
   [[nodiscard]] Receiver& receiver_of(const Packet& data_packet);
@@ -134,28 +122,33 @@ class Transport {
   /// Runs in the destination partition's context.
   void register_message(std::uint64_t stream, int src, int dst, SeqNo end,
                         DeliveredFn cb);
-  [[nodiscard]] std::uint64_t next_packet_id(units::PartitionId part) noexcept;
 
   void pump(Sender& conn);
   void transmit_segment(Sender& conn, SeqNo seq, Bytes len);
   void send_ack(Receiver& conn);
   void on_data(const Packet& packet);
   void on_ack(const Packet& packet);
-  void on_rto(std::uint64_t stream, int src_node);
+  void on_rto(std::uint64_t stream);
   void arm_rto(Sender& conn);
   void disarm_rto(Sender& conn);
   [[nodiscard]] Bytes window_bytes(const Sender& conn) const noexcept;
   void trace_event(const Sender& conn, std::string detail);
 
   des::PartitionSet* sim_ = nullptr;  ///< null in sequential mode
-  des::Engine* engine0_ = nullptr;    ///< the sole engine, sequential mode
+  des::Engine& engine_;  ///< the one engine every partition runs on
   Network& network_;
   const TcpParams tcp_;
   const WireFormat wire_;
-  const des::Duration lookahead_;
   trace::Tracer* tracer_ = nullptr;
 
-  std::vector<Shard> shards_;
+  std::map<std::uint64_t, Sender> senders_;
+  std::map<std::uint64_t, Receiver> receivers_;
+  std::uint64_t next_packet_id_ = 1;
+  std::uint64_t segments_sent_ = 0;
+  std::uint64_t retransmits_ = 0;
+  std::uint64_t fast_retransmits_ = 0;
+  std::uint64_t timeouts_ = 0;
+  std::uint64_t messages_delivered_ = 0;
 };
 
 }  // namespace net

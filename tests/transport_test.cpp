@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "des/engine.h"
+#include "des/partitioned_engine.h"
 #include "net/cluster.h"
 #include "net/network.h"
 #include "net/transport.h"
@@ -100,6 +101,22 @@ TEST(Transport, RejectsMisuse) {
   EXPECT_THROW(f.transport.send(7, 1, 0, net::Bytes{10}, nullptr),
                std::invalid_argument);
   f.engine.run();
+}
+
+TEST(Transport, PartitionedStreamRebindIsRejected) {
+  // 50 nodes span 3 switches, one partition each. Node 0 is on switch 0
+  // and node 40 on switch 1, so the two sends start in different
+  // partitions; the binding must hold across them.
+  const net::ClusterParams params = net::perseus(50);
+  des::PartitionSet sim{params.switch_count(), params.lookahead()};
+  net::Network network{sim, params};
+  net::Transport transport{sim, network};
+  bool delivered = false;
+  transport.send(7, 0, 30, net::Bytes{10}, [&] { delivered = true; });
+  EXPECT_THROW(transport.send(7, 40, 1, net::Bytes{10}, nullptr),
+               std::invalid_argument);
+  sim.run();
+  EXPECT_TRUE(delivered);
 }
 
 TEST(Transport, ThroughputApproachesWireRate) {
