@@ -54,8 +54,8 @@ struct Prediction {
 
 // --- Per-replication decomposition -----------------------------------
 // predict() is a reduction over the three functions below; they are exposed
-// so an external scheduler (the pevpmd service) can interleave replications
-// from many concurrent requests onto one shared worker pool and still
+// so an external scheduler (the pevpmd service, whose slice workers run
+// replications from many concurrent requests) can interleave them and still
 // reproduce predict()'s output bit for bit: seeds are a pure function of
 // options.seed, each replication is independent, and the reduction is
 // defined over replication order rather than completion order.

@@ -9,16 +9,14 @@
 // for the same model, table, procs, seed and thread count by construction.
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
+#include "core/number.h"
 #include "core/parse.h"
 #include "core/predict.h"
 #include "mpibench/table.h"
@@ -63,25 +61,6 @@ struct PredictRequest {
 /// process count and replication count must meet. Returns false (`out`
 /// untouched) otherwise, so callers check before narrowing.
 [[nodiscard]] bool positive_int(std::int64_t value, int& out);
-
-/// Parses `text` as one whole number of type T (an integer or a floating
-/// type), strictly: the entire token, no leading space or '+', no sign for
-/// an unsigned T, nothing outside T's range, and for floating T nothing
-/// non-finite. Returns false (`out` untouched) otherwise. Every numeric
-/// command-line flag goes through this, so a malformed value is a usage
-/// error rather than an uncaught exception.
-template <typename T>
-[[nodiscard]] bool parse_number(std::string_view text, T& out) {
-  T value{};
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return false;
-  }
-  out = value;
-  return true;
-}
 
 /// Parses one count (a whole decimal string) under the positive_int rule.
 [[nodiscard]] bool parse_positive_int(std::string_view text, int& out);

@@ -57,14 +57,11 @@ void Comm::recv_raw(std::span<std::byte> buffer, int source, int tag) {
 }
 
 void Comm::sendrecv_raw(std::span<const std::byte> send_data, int dest,
-                        std::span<std::byte> recv_buffer, int source,
-                        int tag) {
+                        std::span<std::byte> recv_buffer, int source, int tag,
+                        net::Bytes bytes) {
   const Request recv_req =
-      runtime_.irecv(rank_, recv_buffer, net::Bytes{recv_buffer.size()},
-                     source, tag);
-  const Request send_req =
-      runtime_.isend(rank_, send_data, net::Bytes{send_data.size()}, dest,
-                     tag);
+      runtime_.irecv(rank_, recv_buffer, bytes, source, tag);
+  const Request send_req = runtime_.isend(rank_, send_data, bytes, dest, tag);
   wait(send_req);
   wait(recv_req);
 }
@@ -157,17 +154,21 @@ void Comm::barrier() {
   for (int step = 1; step < p; step *= 2) {
     const int to = (rank_ + step) % p;
     const int from = (rank_ - step % p + p) % p;
-    const Request recv_req =
-        runtime_.irecv(rank_, {}, net::Bytes{}, from, kTagBarrier);
-    const Request send_req =
-        runtime_.isend(rank_, {}, net::Bytes{}, to, kTagBarrier);
-    wait(send_req);
-    wait(recv_req);
+    sendrecv_raw({}, to, {}, from, kTagBarrier, net::Bytes{});
   }
 }
 
 void Comm::bcast(std::span<std::byte> data, int root) {
   check_peer(root, "bcast");
+  bcast_tree(data, net::Bytes{data.size()}, root);
+}
+
+void Comm::bcast_bytes(net::Bytes bytes, int root) {
+  check_peer(root, "bcast_bytes");
+  bcast_tree({}, bytes, root);
+}
+
+void Comm::bcast_tree(std::span<std::byte> data, net::Bytes bytes, int root) {
   const int p = size();
   if (p == 1) return;
   // Binomial tree on ranks relative to root.
@@ -176,7 +177,7 @@ void Comm::bcast(std::span<std::byte> data, int root) {
   if (vrank != 0) {
     const int parent_v = vrank & (vrank - 1);  // clear lowest set bit
     const int parent = (parent_v + root) % p;
-    recv_raw(data, parent, kTagBcast);
+    wait(runtime_.irecv(rank_, data, bytes, parent, kTagBcast));
   }
   // Forward to children: vrank + 2^k for k above our lowest set bit range.
   for (int bit = 1; bit < p; bit *= 2) {
@@ -184,27 +185,7 @@ void Comm::bcast(std::span<std::byte> data, int root) {
     const int child_v = vrank | bit;
     if (child_v == vrank || child_v >= p) continue;
     const int child = (child_v + root) % p;
-    send_raw(std::span<const std::byte>{data.data(), data.size()}, child,
-             kTagBcast);
-  }
-}
-
-void Comm::bcast_bytes(net::Bytes bytes, int root) {
-  check_peer(root, "bcast_bytes");
-  const int p = size();
-  if (p == 1) return;
-  const int vrank = (rank_ - root + p) % p;
-  if (vrank != 0) {
-    const int parent_v = vrank & (vrank - 1);
-    const int parent = (parent_v + root) % p;
-    runtime_.wait(rank_, runtime_.irecv(rank_, {}, bytes, parent, kTagBcast));
-  }
-  for (int bit = 1; bit < p; bit *= 2) {
-    if (vrank & bit) break;
-    const int child_v = vrank | bit;
-    if (child_v == vrank || child_v >= p) continue;
-    const int child = (child_v + root) % p;
-    runtime_.wait(rank_, runtime_.isend(rank_, {}, bytes, child, kTagBcast));
+    wait(runtime_.isend(rank_, data, bytes, child, kTagBcast));
   }
 }
 
@@ -328,7 +309,7 @@ void Comm::allgather(std::span<const std::byte> block,
     sendrecv_raw(
         recv_all.subspan(bs * static_cast<std::size_t>(send_origin), bs), to,
         recv_all.subspan(bs * static_cast<std::size_t>(recv_origin), bs), from,
-        kTagAllgather);
+        kTagAllgather, net::Bytes{bs});
   }
 }
 
@@ -342,34 +323,30 @@ void Comm::alltoall(std::span<const std::byte> send_all,
   std::memcpy(recv_all.data() + block_bytes * static_cast<std::size_t>(rank_),
               send_all.data() + block_bytes * static_cast<std::size_t>(rank_),
               block_bytes);
+  alltoall_rounds(send_all, recv_all, net::Bytes{block_bytes});
+}
+
+void Comm::alltoall_bytes(net::Bytes block_bytes) {
+  alltoall_rounds({}, {}, block_bytes);
+}
+
+void Comm::alltoall_rounds(std::span<const std::byte> send_all,
+                           std::span<std::byte> recv_all, net::Bytes block) {
+  const int p = size();
+  // Rank r's block of a P-block buffer; nothing for the payloadless form.
+  const auto block_of = [&](auto all, int r) {
+    return all.empty() ? all
+                       : all.subspan(block.count() * static_cast<std::size_t>(r),
+                                     block.count());
+  };
   // Pairwise exchange: in round i talk to rank +- i (xor schedule when P is
   // a power of two keeps every round perfectly paired).
   const bool pow2 = std::has_single_bit(static_cast<unsigned>(p));
   for (int round = 1; round < p; ++round) {
     const int to = pow2 ? (rank_ ^ round) : (rank_ + round) % p;
     const int from = pow2 ? (rank_ ^ round) : (rank_ - round + p) % p;
-    sendrecv_raw(
-        send_all.subspan(block_bytes * static_cast<std::size_t>(to),
-                         block_bytes),
-        to,
-        recv_all.subspan(block_bytes * static_cast<std::size_t>(from),
-                         block_bytes),
-        from, kTagAlltoall);
-  }
-}
-
-void Comm::alltoall_bytes(net::Bytes block_bytes) {
-  const int p = size();
-  const bool pow2 = std::has_single_bit(static_cast<unsigned>(p));
-  for (int round = 1; round < p; ++round) {
-    const int to = pow2 ? (rank_ ^ round) : (rank_ + round) % p;
-    const int from = pow2 ? (rank_ ^ round) : (rank_ - round + p) % p;
-    const Request recv_req =
-        runtime_.irecv(rank_, {}, block_bytes, from, kTagAlltoall);
-    const Request send_req =
-        runtime_.isend(rank_, {}, block_bytes, to, kTagAlltoall);
-    wait(send_req);
-    wait(recv_req);
+    sendrecv_raw(block_of(send_all, to), to, block_of(recv_all, from), from,
+                 kTagAlltoall, block);
   }
 }
 

@@ -122,8 +122,16 @@ class Comm {
   // Unchecked variants used by collectives (reserved tag space).
   void send_raw(std::span<const std::byte> data, int dest, int tag);
   void recv_raw(std::span<std::byte> buffer, int source, int tag);
+  /// Receive and send of `bytes` each (the payload spans are empty for a
+  /// payloadless message), then wait for both.
   void sendrecv_raw(std::span<const std::byte> send_data, int dest,
-                    std::span<std::byte> recv_buffer, int source, int tag);
+                    std::span<std::byte> recv_buffer, int source, int tag,
+                    net::Bytes bytes);
+  /// One schedule per collective: the payload forms pass their buffers,
+  /// the `_bytes` forms empty spans and the byte count alone.
+  void bcast_tree(std::span<std::byte> data, net::Bytes bytes, int root);
+  void alltoall_rounds(std::span<const std::byte> send_all,
+                       std::span<std::byte> recv_all, net::Bytes block);
   static void combine(std::span<double> acc, std::span<const double> in,
                       ReduceOp op) noexcept;
 

@@ -154,20 +154,20 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
     const des::Duration xfer{static_cast<std::int64_t>(
         static_cast<double>(host.smp_latency.ns()) +
         bytes.to_double() / host.smp_rate.byte_per_sec() * 1e9)};
-    des::SimTime arrive = engine_.now() + jittered(rs, xfer);
+    des::SimTime arrival = engine_.now() + jittered(rs, xfer);
     // Non-overtaking per sender on the SMP channel.
     detail::RankState& rd = rank_state(dst);
     des::SimTime& last = rd.smp_last_arrival[src];
-    arrive = std::max(arrive, last + des::Duration{1});
-    last = arrive;
+    arrival = std::max(arrival, last + des::Duration{1});
+    last = arrival;
     detail::Inbound inbound{.source = src,
                             .tag = tag,
                             .bytes = bytes,
                             .is_rts = false,
                             .rendezvous = 0,
                             .payload = std::move(payload)};
-    engine_.schedule_at(arrive, [this, dst, inbound = std::move(inbound)] {
-      eager_arrive(dst, inbound);
+    engine_.schedule_at(arrival, [this, dst, inbound = std::move(inbound)] {
+      arrive(dst, inbound);
     });
     req->complete = true;
     return Request{req};
@@ -184,7 +184,7 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
     transport_.send(stream_id(src, dst), src_node, dst_node,
                     bytes + mpi.eager_header,
                     [this, dst, inbound = std::move(inbound)] {
-                      eager_arrive(dst, inbound);
+                      arrive(dst, inbound);
                     });
     req->complete = true;  // buffered locally, like MPICH eager sends
     return Request{req};
@@ -208,7 +208,7 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
                       .payload = nullptr};
   transport_.send(stream_id(src, dst), src_node, dst_node,
                   mpi.rendezvous_ctrl,
-                  [this, dst, rts = std::move(rts)] { rts_arrive(dst, rts); });
+                  [this, dst, rts = std::move(rts)] { arrive(dst, rts); });
   return Request{req};
 }
 
@@ -281,33 +281,18 @@ bool Runtime::envelope_match(const detail::RequestState& recv,
          (recv.tag == kAnyTag || recv.tag == inbound.tag);
 }
 
-void Runtime::eager_arrive(int dst, detail::Inbound inbound) {
+void Runtime::arrive(int dst, detail::Inbound inbound) {
   detail::RankState& rd = rank_state(dst);
   for (auto it = rd.posted_recvs.begin(); it != rd.posted_recvs.end(); ++it) {
     if (envelope_match(**it, inbound)) {
       auto recv = *it;
       rd.posted_recvs.erase(it);
-      complete_recv_at(recv, inbound,
-                       engine_.now() + recv_cost(rd, inbound.bytes));
+      on_match(rd, recv, inbound);
       return;
     }
   }
   rd.unexpected.push_back(std::move(inbound));
   // Wake a rank parked in probe().
-  if (rd.process) rd.process->unpark();
-}
-
-void Runtime::rts_arrive(int dst, detail::Inbound inbound) {
-  detail::RankState& rd = rank_state(dst);
-  for (auto it = rd.posted_recvs.begin(); it != rd.posted_recvs.end(); ++it) {
-    if (envelope_match(**it, inbound)) {
-      auto recv = *it;
-      rd.posted_recvs.erase(it);
-      grant_rendezvous(rd, recv, inbound);
-      return;
-    }
-  }
-  rd.unexpected.push_back(std::move(inbound));
   if (rd.process) rd.process->unpark();
 }
 
@@ -318,15 +303,21 @@ bool Runtime::match_posted_against_unexpected(
     if (!envelope_match(*recv, *it)) continue;
     detail::Inbound inbound = std::move(*it);
     rank.unexpected.erase(it);
-    if (inbound.is_rts) {
-      grant_rendezvous(rank, recv, inbound);
-    } else {
-      complete_recv_at(recv, inbound,
-                       engine_.now() + recv_cost(rank, inbound.bytes));
-    }
+    on_match(rank, recv, inbound);
     return true;
   }
   return false;
+}
+
+void Runtime::on_match(detail::RankState& rank,
+                       const std::shared_ptr<detail::RequestState>& recv,
+                       const detail::Inbound& inbound) {
+  if (inbound.is_rts) {
+    grant_rendezvous(rank, recv, inbound);
+  } else {
+    complete_recv_at(recv, inbound,
+                     engine_.now() + recv_cost(rank, inbound.bytes));
+  }
 }
 
 void Runtime::grant_rendezvous(detail::RankState& rank,

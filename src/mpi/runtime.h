@@ -164,8 +164,10 @@ class Runtime {
   // Each handler runs in the partition of the rank it names: arrivals
   // run where the transport delivers (the destination node's partition),
   // cts_arrive where the CTS lands (the source node's).
-  void eager_arrive(int dst, detail::Inbound inbound);
-  void rts_arrive(int dst, detail::Inbound inbound);
+  /// An eager message or a rendezvous RTS reaching `dst`: matched against
+  /// the first fitting posted receive (see on_match), else queued as
+  /// unexpected.
+  void arrive(int dst, detail::Inbound inbound);
   void cts_arrive(std::uint64_t rendezvous);
   void rendezvous_data_arrive(int dst, std::uint64_t rendezvous,
                               std::shared_ptr<std::vector<std::byte>> payload);
@@ -177,6 +179,11 @@ class Runtime {
   /// Tries to match a newly-posted receive against the unexpected queue.
   bool match_posted_against_unexpected(detail::RankState& rank,
                                        const std::shared_ptr<detail::RequestState>& recv);
+  /// What a match does: an RTS grants the rendezvous; an eager message
+  /// completes the receive after the receive overhead.
+  void on_match(detail::RankState& rank,
+                const std::shared_ptr<detail::RequestState>& recv,
+                const detail::Inbound& inbound);
   /// Completes a receive request at `when` (engine event) and unparks.
   /// Must be called from the owner rank's partition context.
   void complete_recv_at(const std::shared_ptr<detail::RequestState>& recv,

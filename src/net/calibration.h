@@ -152,12 +152,6 @@ struct ClusterParams {
     return lookahead_override > des::Duration{} ? lookahead_override
                                                : safe_lookahead();
   }
-  /// Lookahead between two partitions `hops` switch boundaries apart (the
-  /// per-partition-pair bound; validation asserts use it).
-  [[nodiscard]] des::Duration lookahead_between(int p, int q) const noexcept {
-    const int hops = p < q ? q - p : p - q;
-    return lookahead() * hops;
-  }
 };
 
 }  // namespace net

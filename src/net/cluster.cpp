@@ -1,9 +1,13 @@
 #include "net/cluster.h"
 
-#include <istream>
 #include <cstdint>
+#include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "core/number.h"
 
 namespace net {
 
@@ -49,124 +53,172 @@ std::string describe(const ClusterParams& params) {
   return os.str();
 }
 
+namespace {
+
+[[noreturn]] void reject(std::string_view key, std::string_view value,
+                         const char* wanted) {
+  throw std::runtime_error{std::string{key} + ": expected " + wanted +
+                           ", got '" + std::string{value} + "'"};
+}
+
+template <typename T>
+T whole(std::string_view key, std::string_view value) {
+  T out{};
+  if (!pevpm::parse_number(value, out)) reject(key, value, "a whole number in range");
+  return out;
+}
+
+/// A whole count of `unit`-byte blocks whose byte total fits 64 bits.
+Bytes blocks(std::string_view key, std::string_view value,
+             std::uint64_t unit) {
+  const auto n = whole<std::uint64_t>(key, value);
+  if (n > std::numeric_limits<std::uint64_t>::max() / unit) {
+    reject(key, value, "a size that fits 64 bits");
+  }
+  return Bytes{n * unit};
+}
+
+enum class Range { kPositive, kNonNegative, kProbability };
+
+double real(std::string_view key, std::string_view value, Range range) {
+  static constexpr const char* kWanted[] = {
+      "a finite number > 0", "a finite number >= 0", "a probability in [0, 1]"};
+  double x = 0.0;
+  const bool ok = pevpm::parse_number(value, x) &&
+                  (range == Range::kPositive ? x > 0.0 : x >= 0.0) &&
+                  (range != Range::kProbability || x <= 1.0);
+  if (!ok) reject(key, value, kWanted[static_cast<int>(range)]);
+  return x;
+}
+
+std::string_view trim(std::string_view s) {
+  const auto b = s.find_first_not_of(" \t\r");
+  if (b == std::string_view::npos) return {};
+  return s.substr(b, s.find_last_not_of(" \t\r") - b + 1);
+}
+
+}  // namespace
+
+void apply_cluster_setting(ClusterParams& p, std::string_view key,
+                           std::string_view value) {
+  const auto micros = [&] {
+    return des::Duration::from_micros(real(key, value, Range::kNonNegative));
+  };
+  const auto probability = [&] { return real(key, value, Range::kProbability); };
+  if (key == "nodes") {
+    p.nodes = whole<int>(key, value);
+  } else if (key == "ports_per_switch") {
+    p.ports_per_switch = whole<int>(key, value);
+  } else if (key == "nic_mbit") {
+    p.nic.rate = Rate::mbit(real(key, value, Range::kPositive));
+  } else if (key == "nic_latency_us") {
+    p.nic.latency = micros();
+  } else if (key == "nic_buffer_frames") {
+    p.nic.buffer = blocks(key, value, 1538);
+  } else if (key == "trunk_gbit") {
+    p.trunk.rate = Rate::gbit(real(key, value, Range::kPositive));
+  } else if (key == "trunk_latency_us") {
+    p.trunk.latency = micros();
+  } else if (key == "trunk_buffer_kib") {
+    p.trunk.buffer = blocks(key, value, 1024);
+  } else if (key == "switch_latency_us") {
+    p.switch_latency = micros();
+  } else if (key == "lookahead_us") {
+    // Overrides the derived cross-partition lookahead (see
+    // ClusterParams::lookahead()). Must not exceed the topology's safe
+    // bound — Network's partitioned constructor rejects it if it does.
+    p.lookahead_override =
+        des::Duration::from_micros(real(key, value, Range::kPositive));
+  } else if (key == "eager_threshold_kib") {
+    p.mpi.eager_threshold = blocks(key, value, 1024);
+  } else if (key == "send_overhead_us") {
+    p.host.send_overhead = micros();
+  } else if (key == "recv_overhead_us") {
+    p.host.recv_overhead = micros();
+  } else if (key == "copy_ns_per_byte") {
+    p.host.copy_ns_per_byte = real(key, value, Range::kNonNegative);
+  } else if (key == "jitter_sigma") {
+    p.host.jitter_sigma = real(key, value, Range::kNonNegative);
+  } else if (key == "spike_prob") {
+    p.host.spike_prob = probability();
+  } else if (key == "spike_mean_us") {
+    p.host.spike_mean = micros();
+  } else if (key == "rto_ms") {
+    p.tcp.rto_initial = des::Duration::from_micros(
+        real(key, value, Range::kNonNegative) * 1e3);
+    p.tcp.rto_min = p.tcp.rto_initial;
+  } else if (key == "recv_window_kib") {
+    p.tcp.recv_window = blocks(key, value, 1024);
+  } else if (key == "fault_loss_rate") {
+    p.fault.loss_rate = probability();
+  } else if (key == "fault_burst_enter") {
+    p.fault.ge_p_enter = probability();
+  } else if (key == "fault_burst_exit") {
+    p.fault.ge_p_exit = probability();
+  } else if (key == "fault_burst_loss") {
+    p.fault.ge_loss_bad = probability();
+  } else if (key == "fault_seed") {
+    p.fault.seed = whole<std::uint64_t>(key, value);
+  } else if (key == "fault_down_start_ms") {
+    p.fault.down.push_back(DownWindow{
+        des::SimTime::from_micros(real(key, value, Range::kNonNegative) * 1e3),
+        des::kNever});
+  } else if (key == "fault_down_end_ms") {
+    const double ms = real(key, value, Range::kNonNegative);
+    if (p.fault.down.empty()) {
+      throw std::runtime_error{
+          "fault_down_end_ms before any fault_down_start_ms"};
+    }
+    const des::SimTime end = des::SimTime::from_micros(ms * 1e3);
+    if (end < p.fault.down.back().start) {
+      reject(key, value, "an end no earlier than its window's start");
+    }
+    p.fault.down.back().end = end;
+  } else {
+    throw std::runtime_error{"unknown key '" + std::string{key} + "'"};
+  }
+}
+
+void check_cluster(const ClusterParams& params) {
+  if (params.nodes < 1) throw std::runtime_error{"nodes < 1"};
+  if (params.ports_per_switch < 1) {
+    throw std::runtime_error{"ports_per_switch < 1"};
+  }
+  // The runtime partitions a multi-switch cluster by switch, which needs a
+  // positive lookahead between partitions (ClusterParams::safe_lookahead()).
+  if (params.switch_count() > 1 &&
+      params.safe_lookahead() <= des::Duration{}) {
+    throw std::runtime_error{
+        "a multi-switch cluster needs a positive lookahead; "
+        "raise trunk_latency_us or switch_latency_us"};
+  }
+}
+
 ClusterParams parse_cluster(std::istream& is, ClusterParams base) {
   std::string line;
   int lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const auto eq = line.find('=');
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (eq == std::string::npos) {
-      throw std::runtime_error{"parse_cluster: line " + std::to_string(lineno) +
-                               ": expected key = value"};
+    const std::string_view text =
+        std::string_view{line}.substr(0, line.find('#'));
+    if (trim(text).empty()) continue;
+    const std::string where =
+        "parse_cluster: line " + std::to_string(lineno) + ": ";
+    const auto eq = text.find('=');
+    if (eq == std::string_view::npos) {
+      throw std::runtime_error{where + "expected key = value"};
     }
-    auto trim = [](std::string s) {
-      const auto b = s.find_first_not_of(" \t\r");
-      const auto e = s.find_last_not_of(" \t\r");
-      return b == std::string::npos ? std::string{} : s.substr(b, e - b + 1);
-    };
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value_str = trim(line.substr(eq + 1));
-    double value = 0.0;
     try {
-      value = std::stod(value_str);
-    } catch (const std::exception&) {
-      throw std::runtime_error{"parse_cluster: line " + std::to_string(lineno) +
-                               ": bad number '" + value_str + "'"};
-    }
-    if (key == "nodes") {
-      base.nodes = static_cast<int>(value);
-    } else if (key == "ports_per_switch") {
-      base.ports_per_switch = static_cast<int>(value);
-    } else if (key == "nic_mbit") {
-      base.nic.rate = Rate::mbit(value);
-    } else if (key == "nic_latency_us") {
-      base.nic.latency = des::Duration::from_micros(value);
-    } else if (key == "nic_buffer_frames") {
-      base.nic.buffer = Bytes{static_cast<std::uint64_t>(value) * 1538};
-    } else if (key == "trunk_gbit") {
-      base.trunk.rate = Rate::gbit(value);
-    } else if (key == "trunk_latency_us") {
-      base.trunk.latency = des::Duration::from_micros(value);
-    } else if (key == "trunk_buffer_kib") {
-      base.trunk.buffer = Bytes{static_cast<std::uint64_t>(value) * 1024};
-    } else if (key == "switch_latency_us") {
-      base.switch_latency = des::Duration::from_micros(value);
-    } else if (key == "lookahead_us") {
-      // Overrides the derived cross-partition lookahead (see
-      // ClusterParams::lookahead()). Must not exceed the topology's safe
-      // bound — Network's partitioned constructor rejects it if it does.
-      base.lookahead_override = des::Duration::from_micros(value);
-      if (base.lookahead_override <= des::Duration{}) {
-        throw std::runtime_error{"parse_cluster: line " +
-                                 std::to_string(lineno) +
-                                 ": lookahead_us must be positive"};
-      }
-    } else if (key == "eager_threshold_kib") {
-      base.mpi.eager_threshold = Bytes{static_cast<std::uint64_t>(value) * 1024};
-    } else if (key == "send_overhead_us") {
-      base.host.send_overhead = des::Duration::from_micros(value);
-    } else if (key == "recv_overhead_us") {
-      base.host.recv_overhead = des::Duration::from_micros(value);
-    } else if (key == "copy_ns_per_byte") {
-      base.host.copy_ns_per_byte = value;
-    } else if (key == "jitter_sigma") {
-      base.host.jitter_sigma = value;
-    } else if (key == "spike_prob") {
-      base.host.spike_prob = value;
-    } else if (key == "spike_mean_us") {
-      base.host.spike_mean = des::Duration::from_micros(value);
-    } else if (key == "rto_ms") {
-      base.tcp.rto_initial = des::Duration::from_micros(value * 1e3);
-      base.tcp.rto_min = base.tcp.rto_initial;
-    } else if (key == "recv_window_kib") {
-      base.tcp.recv_window = Bytes{static_cast<std::uint64_t>(value) * 1024};
-    } else if (key == "fault_loss_rate") {
-      base.fault.loss_rate = value;
-    } else if (key == "fault_burst_enter") {
-      base.fault.ge_p_enter = value;
-    } else if (key == "fault_burst_exit") {
-      base.fault.ge_p_exit = value;
-    } else if (key == "fault_burst_loss") {
-      base.fault.ge_loss_bad = value;
-    } else if (key == "fault_seed") {
-      base.fault.seed = static_cast<std::uint64_t>(value);
-    } else if (key == "fault_down_start_ms") {
-      base.fault.down.push_back(
-          DownWindow{des::SimTime::from_micros(value * 1e3), des::kNever});
-    } else if (key == "fault_down_end_ms") {
-      if (base.fault.down.empty()) {
-        throw std::runtime_error{"parse_cluster: line " +
-                                 std::to_string(lineno) +
-                                 ": fault_down_end_ms before any "
-                                 "fault_down_start_ms"};
-      }
-      base.fault.down.back().end = des::SimTime::from_micros(value * 1e3);
-    } else {
-      throw std::runtime_error{"parse_cluster: line " + std::to_string(lineno) +
-                               ": unknown key '" + key + "'"};
+      apply_cluster_setting(base, trim(text.substr(0, eq)),
+                            trim(text.substr(eq + 1)));
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error{where + e.what()};
     }
   }
-  if (base.nodes < 1) throw std::runtime_error{"parse_cluster: nodes < 1"};
-  if (base.ports_per_switch < 1) {
-    throw std::runtime_error{"parse_cluster: ports_per_switch < 1"};
-  }
-  // The runtime partitions a multi-switch cluster by switch, which needs a
-  // positive lookahead between partitions (ClusterParams::safe_lookahead()).
-  if (base.switch_count() > 1 && base.safe_lookahead() <= des::Duration{}) {
-    throw std::runtime_error{
-        "parse_cluster: a multi-switch cluster needs a positive lookahead; "
-        "raise trunk_latency_us or switch_latency_us"};
-  }
-  const auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
-  if (!probability(base.fault.loss_rate) ||
-      !probability(base.fault.ge_p_enter) ||
-      !probability(base.fault.ge_p_exit) ||
-      !probability(base.fault.ge_loss_bad)) {
-    throw std::runtime_error{
-        "parse_cluster: fault probabilities must be in [0, 1]"};
+  try {
+    check_cluster(base);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error{std::string{"parse_cluster: "} + e.what()};
   }
   return base;
 }

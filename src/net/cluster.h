@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "net/calibration.h"
 
@@ -17,19 +18,53 @@ namespace net {
 /// Human-readable multi-line description of a configuration.
 [[nodiscard]] std::string describe(const ClusterParams& params);
 
-/// Parses "key = value" lines ('#' comments allowed) over a base
-/// configuration. Recognised keys:
-///   nodes, ports_per_switch, nic_mbit, nic_latency_us, nic_buffer_frames,
-///   trunk_gbit, trunk_latency_us, trunk_buffer_kib, switch_latency_us,
-///   eager_threshold_kib, send_overhead_us, recv_overhead_us,
-///   copy_ns_per_byte, jitter_sigma, spike_prob, spike_mean_us,
-///   rto_ms, recv_window_kib
+/// Sets one configuration key from its text value. This is the only code
+/// that knows what a cluster key means and which values it accepts; the
+/// `key = value` text below and mpibench's fault and TCP flags both go
+/// through it. Values parse strictly (pevpm::parse_number: the whole token,
+/// finite, in range). Keys, units and accepted values:
+///
+///   nodes, ports_per_switch            count         whole int
+///   nic_buffer_frames                  1538-B frames whole, fits 64 bits
+///   trunk_buffer_kib, eager_threshold_kib,
+///   recv_window_kib                    KiB           whole, fits 64 bits
+///   nic_mbit                           Mbit/s        finite, > 0
+///   trunk_gbit                         Gbit/s        finite, > 0
+///   lookahead_us                       us            finite, > 0
+///   nic_latency_us, trunk_latency_us, switch_latency_us,
+///   send_overhead_us, recv_overhead_us,
+///   spike_mean_us                      us            finite, >= 0
+///   rto_ms (sets the initial RTO and its floor)
+///                                      ms            finite, >= 0
+///   copy_ns_per_byte                   ns/B          finite, >= 0
+///   jitter_sigma                       lognormal s   finite, >= 0
+///   spike_prob                         probability   [0, 1]
+///
 /// Fault-injection keys (fault.h):
-///   fault_loss_rate, fault_burst_enter, fault_burst_exit, fault_burst_loss,
-///   fault_seed, fault_down_start_ms, fault_down_end_ms
+///
+///   fault_loss_rate, fault_burst_enter, fault_burst_exit,
+///   fault_burst_loss                   probability   [0, 1]
+///   fault_seed                         RNG seed      whole, all of uint64
+///   fault_down_start_ms                ms            finite, >= 0
+///   fault_down_end_ms                  ms            finite, >= the start
+///
 /// Each fault_down_start_ms opens a new outage window (initially unbounded);
-/// a following fault_down_end_ms closes it.
-/// Throws std::runtime_error on malformed input or unknown keys.
+/// a following fault_down_end_ms closes it. Throws std::runtime_error,
+/// naming the key, on an unknown key or a rejected value; `params` is then
+/// unchanged.
+void apply_cluster_setting(ClusterParams& params, std::string_view key,
+                           std::string_view value);
+
+/// The checks that involve more than one key: nodes and ports_per_switch
+/// at least 1, and a positive lookahead between switch partitions on a
+/// multi-switch cluster. Run it once, on the configuration that will run.
+/// Throws std::runtime_error on failure.
+void check_cluster(const ClusterParams& params);
+
+/// Parses "key = value" lines ('#' comments allowed) over a base
+/// configuration: apply_cluster_setting() per line, then check_cluster()
+/// on the result. Errors are prefixed "parse_cluster: line N: " (or
+/// "parse_cluster: " for check_cluster's) and thrown as std::runtime_error.
 [[nodiscard]] ClusterParams parse_cluster(std::istream& is,
                                           ClusterParams base = {});
 

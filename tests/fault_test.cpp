@@ -260,6 +260,12 @@ fault_down_end_ms = 20
   EXPECT_EQ(params.fault.down[0].start, des::SimTime::from_micros(10e3));
   EXPECT_EQ(params.fault.down[0].end, des::SimTime::from_micros(20e3));
   EXPECT_NE(net::describe(params).find("fault:"), std::string::npos);
+
+  // A seed above 2^53 must survive exactly (it used to pass through a
+  // double and come back as ...992).
+  std::istringstream big{"fault_seed = 9007199254740993\n"};
+  EXPECT_EQ(net::parse_cluster(big, net::perseus(2)).fault.seed,
+            9007199254740993ULL);
 }
 
 TEST(FaultConfig, RejectsBadFaultInput) {

@@ -455,6 +455,50 @@ TEST(Cluster, ParseRejectsUnknownKeyAndBadNumber) {
   EXPECT_THROW((void)net::parse_cluster(no_eq), std::runtime_error);
 }
 
+TEST(Cluster, ParseRejectsMalformedValues) {
+  // Each text once parsed through a double: trailing junk was ignored,
+  // negatives wrapped, out-of-range casts were undefined and NaN reached
+  // the simulator. Every one must now fail on its line, naming its key.
+  const struct {
+    const char* text;
+    const char* key;
+  } cases[] = {
+      {"nodes = 8x\n", "nodes"},
+      {"nic_mbit = nan\n", "nic_mbit"},
+      {"nodes = 1e12\n", "nodes"},
+      {"nic_buffer_frames = -3\n", "nic_buffer_frames"},
+      {"fault_seed = 1.5\n", "fault_seed"},
+      {"rto_ms = -1\n", "rto_ms"},
+      {"spike_prob = 2\n", "spike_prob"},
+      {"fault_down_start_ms = 5\nfault_down_end_ms = 1\n",
+       "fault_down_end_ms"},
+  };
+  for (const auto& c : cases) {
+    std::istringstream is{c.text};
+    try {
+      (void)net::parse_cluster(is, net::perseus(16));
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line "), std::string::npos) << what;
+      EXPECT_NE(what.find(c.key), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Cluster, RejectedSettingLeavesParamsUnchanged) {
+  net::ClusterParams params = net::perseus(16);
+  EXPECT_THROW(net::apply_cluster_setting(params, "nic_mbit", "0"),
+               std::runtime_error);
+  EXPECT_THROW(net::apply_cluster_setting(params, "fault_down_end_ms", "1"),
+               std::runtime_error);
+  EXPECT_DOUBLE_EQ(params.nic.rate.bps(), 100e6);
+  EXPECT_TRUE(params.fault.down.empty());
+  // check_cluster sees the whole configuration; a single key cannot.
+  params.ports_per_switch = 0;
+  EXPECT_THROW(net::check_cluster(params), std::runtime_error);
+}
+
 TEST(Cluster, ParseRejectsUnpartitionableMultiSwitch) {
   // Zero trunk and switch latency leave no lookahead between switch
   // partitions; the runtime cannot simulate that, so the text is rejected.

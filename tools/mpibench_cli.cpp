@@ -20,20 +20,23 @@
 //     --cluster FILE     cluster description overrides ("key = value")
 //     --seed S
 //
-//   Fault injection (see src/net/fault.h). With any of these the summary
-//   grows tail quantiles (p99.9) and retransmission/fault counters:
-//     --loss-rate P      i.i.d. per-packet loss probability on every link
-//     --fault-profile S  burst:ENTER,EXIT,LOSS (Gilbert-Elliott) or
-//                        down:START_MS,END_MS (link outage; repeatable)
-//     --fault-seed S     fault RNG master seed (default: --seed)
-//     --rto-ms R         TCP retransmission-timeout floor in milliseconds
+//   Fault injection (src/net/fault.h). Each flag is shorthand for cluster
+//   keys (src/net/cluster.h), applied after --cluster in command-line
+//   order. With faults the summary grows tail quantiles (p99.9) and
+//   retransmission/fault counters:
+//     --loss-rate P      fault_loss_rate = P
+//     --fault-profile S  burst:E,X,L is fault_burst_enter/exit/loss;
+//                        down:START_MS,END_MS is fault_down_start/end_ms
+//     --fault-seed S     fault_seed = S (default: --seed)
+//     --rto-ms R         rto_ms = R
 //
 // SIGINT/SIGTERM during a sweep stop unstarted cells; completed cells are
 // still printed (and the distribution table flushed, partially) before the
 // process exits with status 3.
 //
 // Numeric values must be whole, in-range numbers; --nodes, --ppn and --reps
-// at least 1 and --jobs at least 0. Anything else is a usage error.
+// at least 1, --jobs at least 0, --bin-us above 0 and each shorthand in its
+// key's range. Anything else is a usage error; a bad --cluster file is not.
 //
 // Exit codes: 0 success, 2 usage error, 3 runtime failure or interruption.
 #include <algorithm>
@@ -43,8 +46,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.h"
@@ -73,12 +78,8 @@ struct Args {
   std::string cluster_file;
   bool histograms = false;
   std::uint64_t seed = 1;
-
-  double loss_rate = -1.0;  ///< < 0 means "not set"
-  std::vector<std::string> fault_profiles;
-  std::uint64_t fault_seed = 0;
-  bool fault_seed_set = false;
-  double rto_ms = -1.0;     ///< < 0 means "not set"
+  /// The fault and TCP flags as "key = value" lines, in command-line order.
+  std::string cluster_settings;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -117,8 +118,42 @@ std::vector<net::Bytes> parse_sizes(const std::string& list,
   return out;
 }
 
+/// The cluster settings a --fault-profile spec stands for: "burst:E,X,L"
+/// sets the three fault_burst_* keys, "down:START_MS,END_MS" one outage
+/// window. Exits with usage() on a malformed spec.
+std::vector<std::pair<const char*, std::string>> fault_profile(
+    const std::string& spec, const char* argv0) {
+  const auto colon = spec.find(':');
+  if (colon == std::string::npos) usage(argv0);
+  const std::string kind = spec.substr(0, colon);
+  std::vector<std::string> f;
+  std::stringstream ss{spec.substr(colon + 1)};
+  std::string item;
+  while (std::getline(ss, item, ',')) f.push_back(item);
+  if (kind == "burst" && f.size() == 3) {
+    return {{"fault_burst_enter", f[0]},
+            {"fault_burst_exit", f[1]},
+            {"fault_burst_loss", f[2]}};
+  }
+  if (kind == "down" && f.size() == 2) {
+    return {{"fault_down_start_ms", f[0]}, {"fault_down_end_ms", f[1]}};
+  }
+  usage(argv0);
+}
+
 Args parse_args(int argc, char** argv) {
   Args args;
+  // Shorthands are checked on a scratch configuration as they are read.
+  net::ClusterParams scratch;
+  const auto setting = [&](const char* key, const std::string& text) {
+    try {
+      net::apply_cluster_setting(scratch, key, text);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+      usage(argv[0]);
+    }
+    args.cluster_settings += std::string{key} + " = " + text + "\n";
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> std::string {
@@ -143,6 +178,7 @@ Args parse_args(int argc, char** argv) {
       if (args.jobs < 0) usage(argv[0]);
     } else if (flag == "--bin-us") {
       args.bin_us = number<double>(value(), argv[0]);
+      if (!(args.bin_us > 0.0)) usage(argv[0]);
     } else if (flag == "--table") {
       args.table_file = value();
     } else if (flag == "--cluster") {
@@ -152,14 +188,15 @@ Args parse_args(int argc, char** argv) {
     } else if (flag == "--seed") {
       args.seed = number<std::uint64_t>(value(), argv[0]);
     } else if (flag == "--loss-rate") {
-      args.loss_rate = number<double>(value(), argv[0]);
+      setting("fault_loss_rate", value());
     } else if (flag == "--fault-profile") {
-      args.fault_profiles.push_back(value());
+      for (const auto& [key, text] : fault_profile(value(), argv[0])) {
+        setting(key, text);
+      }
     } else if (flag == "--fault-seed") {
-      args.fault_seed = number<std::uint64_t>(value(), argv[0]);
-      args.fault_seed_set = true;
+      setting("fault_seed", value());
     } else if (flag == "--rto-ms") {
-      args.rto_ms = number<double>(value(), argv[0]);
+      setting("rto_ms", value());
     } else if (flag == "--version") {
       std::printf("%s\n", pevpm::version_string("mpibench").c_str());
       std::exit(0);
@@ -170,34 +207,8 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-/// Applies a --fault-profile spec ("burst:E,X,L" or "down:START_MS,END_MS")
-/// onto `fault`. Exits with usage() on a malformed spec.
-void apply_fault_profile(const std::string& spec, net::FaultParams& fault,
-                         const char* argv0) {
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos) usage(argv0);
-  const std::string kind = spec.substr(0, colon);
-  std::vector<double> fields;
-  std::stringstream ss{spec.substr(colon + 1)};
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    fields.push_back(number<double>(item, argv0));
-  }
-  if (kind == "burst" && fields.size() == 3) {
-    fault.ge_p_enter = fields[0];
-    fault.ge_p_exit = fields[1];
-    fault.ge_loss_bad = fields[2];
-  } else if (kind == "down" && fields.size() == 2) {
-    fault.down.push_back(
-        net::DownWindow{des::SimTime::from_micros(fields[0] * 1e3),
-                        des::SimTime::from_micros(fields[1] * 1e3)});
-  } else {
-    usage(argv0);
-  }
-}
-
 /// Runs the benchmark the arguments describe and prints its results.
-int run(const Args& args, const char* argv0) {
+int run(const Args& args) {
   // Long sweeps (--jobs over big grids) should die gracefully: a SIGINT or
   // SIGTERM stops unstarted cells; whatever already finished still prints
   // (and the table flushes, partially) before exiting non-zero.
@@ -208,7 +219,11 @@ int run(const Args& args, const char* argv0) {
 
   mpibench::Options opt;
   opt.cancel = &g_interrupted;
-  opt.cluster = net::perseus(std::max(2, args.nodes));
+  // One "key = value" text: the --cluster file, a fault seed riding --seed
+  // (so it reproduces the loss pattern too), the shorthands, then --nodes.
+  // parse_cluster checks the configuration that runs, once.
+  const net::ClusterParams base = net::perseus(std::max(2, args.nodes));
+  std::string text;
   if (!args.cluster_file.empty()) {
     std::ifstream in{args.cluster_file};
     if (!in) {
@@ -216,33 +231,26 @@ int run(const Args& args, const char* argv0) {
                    args.cluster_file.c_str());
       return 3;
     }
-    try {
-      opt.cluster = net::parse_cluster(in, opt.cluster);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", args.cluster_file.c_str(), e.what());
-      return 3;
-    }
+    text.assign(std::istreambuf_iterator<char>{in}, {});
+    text += '\n';
   }
-  opt.cluster.nodes = args.nodes;
+  text += "fault_seed = " + std::to_string(args.seed) + "\n";
+  text += args.cluster_settings;
+  text += "nodes = " + std::to_string(args.nodes) + "\n";
+  try {
+    std::istringstream in{text};
+    opt.cluster = net::parse_cluster(in, base);
+  } catch (const std::exception& e) {
+    const char* source = args.cluster_file.empty() ? "mpibench"
+                                                   : args.cluster_file.c_str();
+    std::fprintf(stderr, "%s: %s\n", source, e.what());
+    return 3;
+  }
   opt.procs_per_node = args.ppn;
   opt.repetitions = args.reps;
   opt.warmup = std::max(8, args.reps / 10);
   opt.bin_width_us = args.bin_us;
   opt.seed = args.seed;
-
-  if (args.loss_rate >= 0.0) opt.cluster.fault.loss_rate = args.loss_rate;
-  for (const std::string& spec : args.fault_profiles) {
-    apply_fault_profile(spec, opt.cluster.fault, argv0);
-  }
-  if (args.rto_ms >= 0.0) {
-    opt.cluster.tcp.rto_initial = des::Duration::from_micros(args.rto_ms * 1e3);
-    opt.cluster.tcp.rto_min = opt.cluster.tcp.rto_initial;
-  }
-  if (opt.cluster.fault.enabled()) {
-    // The fault RNG rides the benchmark seed unless pinned explicitly, so
-    // "--seed S" reproduces the whole experiment, loss pattern included.
-    opt.cluster.fault.seed = args.fault_seed_set ? args.fault_seed : args.seed;
-  }
   const bool faults = opt.cluster.fault.enabled();
 
   std::printf("%s", net::describe(opt.cluster).c_str());
@@ -378,7 +386,7 @@ int main(int argc, char** argv) {
   // A configuration that parses but cannot run (say, an odd process count)
   // surfaces as an exception from the sweep: one line, runtime failure.
   try {
-    return run(args, argv[0]);
+    return run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mpibench: %s\n", e.what());
     return 3;
