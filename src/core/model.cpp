@@ -1,7 +1,6 @@
 #include "core/model.h"
 
 #include <sstream>
-#include <stdexcept>
 
 namespace pevpm {
 
@@ -162,141 +161,6 @@ std::string Model::str() const {
   }
   print_body(os, body, 0);
   return os.str();
-}
-
-Body& ModelBuilder::current() {
-  if (stack_.empty()) return root_;
-  Frame& top = stack_.back();
-  return top.kind == Frame::Kind::kRunonElse ? top.else_body : top.then_body;
-}
-
-void ModelBuilder::push(Node node) {
-  node.id = next_id_++;
-  current().push_back(std::make_shared<Node>(std::move(node)));
-}
-
-MessageNode ModelBuilder::message(MsgOp op, std::string_view size,
-                                  std::string_view peer, std::string handle) {
-  MessageNode node;
-  node.op = op;
-  node.size = parse_expr(size, variables_);
-  node.peer = parse_expr(peer, variables_);
-  if (!handle.empty()) node.handle_slot = handles_.intern(handle);
-  node.handle = std::move(handle);
-  return node;
-}
-
-ModelBuilder& ModelBuilder::serial(std::string_view seconds,
-                                   std::string label) {
-  push(Node{SerialNode{parse_expr(seconds, variables_), std::move(label)}, 0,
-            0});
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::send(std::string_view size, std::string_view to) {
-  push(Node{message(MsgOp::kSend, size, to, {}), 0, 0});
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::recv(std::string_view size,
-                                 std::string_view from) {
-  push(Node{message(MsgOp::kRecv, size, from, {}), 0, 0});
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::isend(std::string_view size, std::string_view to,
-                                  std::string handle) {
-  push(Node{message(MsgOp::kIsend, size, to, std::move(handle)), 0, 0});
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::irecv(std::string_view size,
-                                  std::string_view from, std::string handle) {
-  push(Node{message(MsgOp::kIrecv, size, from, std::move(handle)), 0, 0});
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::wait(std::string handle) {
-  WaitNode node;
-  if (!handle.empty()) node.handle_slot = handles_.intern(handle);
-  node.handle = std::move(handle);
-  push(Node{std::move(node), 0, 0});
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::barrier() {
-  push(Node{CollectiveNode{CollOp::kBarrier, nullptr, nullptr}, 0, 0});
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::collective(CollOp op, std::string_view size,
-                                       std::string_view root) {
-  push(Node{CollectiveNode{op, parse_expr(size, variables_),
-                           root.empty() ? nullptr
-                                        : parse_expr(root, variables_)},
-            0, 0});
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::loop(std::string_view count, std::string var) {
-  stack_.push_back(Frame{Frame::Kind::kLoop, parse_expr(count, variables_),
-                         {}, {}, std::move(var)});
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::runon(std::string_view condition) {
-  stack_.push_back(Frame{Frame::Kind::kRunonThen,
-                         parse_expr(condition, variables_), {}, {}, {}});
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::orelse() {
-  if (stack_.empty() || stack_.back().kind != Frame::Kind::kRunonThen) {
-    throw std::logic_error{"ModelBuilder::orelse: no open runon"};
-  }
-  stack_.back().kind = Frame::Kind::kRunonElse;
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::end() {
-  if (stack_.empty()) throw std::logic_error{"ModelBuilder::end: no open block"};
-  Frame frame = std::move(stack_.back());
-  stack_.pop_back();
-  if (frame.kind == Frame::Kind::kLoop) {
-    LoopNode loop;
-    loop.count = std::move(frame.expr);
-    loop.body = std::move(frame.then_body);
-    if (!frame.loop_var.empty()) {
-      loop.var_slot = variables_.intern(frame.loop_var);
-    }
-    loop.var = std::move(frame.loop_var);
-    push(Node{std::move(loop), 0, 0});
-  } else {
-    push(Node{RunonNode{std::move(frame.expr), std::move(frame.then_body),
-                        std::move(frame.else_body)},
-              0, 0});
-  }
-  return *this;
-}
-
-ModelBuilder& ModelBuilder::param(std::string name, double value) {
-  parameters_[std::move(name)] = value;
-  return *this;
-}
-
-Model ModelBuilder::build(std::string name) {
-  if (!stack_.empty()) {
-    throw std::logic_error{"ModelBuilder::build: unclosed block"};
-  }
-  Model model;
-  model.body = std::move(root_);
-  model.parameters = std::move(parameters_);
-  model.variables = std::move(variables_);
-  model.handles = std::move(handles_);
-  model.name = std::move(name);
-  model.node_count = next_id_ - 1;
-  index_cached_operands(model);
-  return model;
 }
 
 }  // namespace pevpm

@@ -127,68 +127,8 @@ struct Model {
 
 /// Gives every loop-invariant operand of `model.body` (one that reads no
 /// variable any loop of the model binds) a dense operand cache index and
-/// sets `model.cached_operands`. Both model parsers and ModelBuilder call
-/// it once the body is complete.
+/// sets `model.cached_operands`. Both model parsers call it once the body
+/// is complete.
 void index_cached_operands(Model& model);
-
-/// Fluent builder for constructing models programmatically.
-///
-///   ModelBuilder b;
-///   b.loop("iterations");
-///     b.runon("procnum % 2 == 0");
-///       b.send("xsize * 4", "procnum + 1");
-///       b.recv("xsize * 4", "procnum + 1");
-///     b.orelse();
-///       b.recv("xsize * 4", "procnum - 1");
-///       b.send("xsize * 4", "procnum - 1");
-///     b.end();
-///     b.serial("3.24 / numprocs");
-///   b.end();
-///   Model m = b.build("jacobi");
-class ModelBuilder {
- public:
-  ModelBuilder& serial(std::string_view seconds, std::string label = {});
-  ModelBuilder& send(std::string_view size, std::string_view to);
-  ModelBuilder& recv(std::string_view size, std::string_view from);
-  ModelBuilder& isend(std::string_view size, std::string_view to,
-                      std::string handle);
-  ModelBuilder& irecv(std::string_view size, std::string_view from,
-                      std::string handle);
-  ModelBuilder& wait(std::string handle);
-  ModelBuilder& barrier();
-  ModelBuilder& collective(CollOp op, std::string_view size,
-                           std::string_view root = "0");
-  ModelBuilder& loop(std::string_view count, std::string var = {});
-  ModelBuilder& runon(std::string_view condition);
-  /// Switches the innermost open runon to its else-branch.
-  ModelBuilder& orelse();
-  /// Closes the innermost open loop/runon.
-  ModelBuilder& end();
-  ModelBuilder& param(std::string name, double value);
-
-  /// Finalises; throws if blocks are still open.
-  [[nodiscard]] Model build(std::string name);
-
- private:
-  struct Frame {
-    enum class Kind { kLoop, kRunonThen, kRunonElse } kind;
-    ExprPtr expr;
-    Body then_body;
-    Body else_body;
-    std::string loop_var;
-  };
-  Body& current();
-  void push(Node node);
-  [[nodiscard]] MessageNode message(MsgOp op, std::string_view size,
-                                    std::string_view peer,
-                                    std::string handle);
-
-  Body root_;
-  std::vector<Frame> stack_;
-  Bindings parameters_;
-  SymbolTable variables_;
-  SymbolTable handles_;
-  int next_id_ = 1;
-};
 
 }  // namespace pevpm

@@ -5,15 +5,6 @@
 
 namespace serve {
 
-std::uint64_t content_hash(std::string_view text) noexcept {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 ArtifactCache::ArtifactCache(std::size_t capacity)
     : capacity_{std::max<std::size_t>(1, capacity)} {
   stats_.capacity = capacity_;
@@ -22,86 +13,48 @@ ArtifactCache::ArtifactCache(std::size_t capacity)
 std::shared_ptr<const void> ArtifactCache::get_or_load(
     Kind kind, std::string_view text,
     const std::function<std::shared_ptr<const void>()>& load) {
-  const Key key{kind, content_hash(text), text.size()};
+  const KeyView key{kind, text};
   pevpm::MutexLock lock{mu_};
-  if (const auto it = entries_.find(key); it != entries_.end()) {
+  if (const auto it = index_.find(key); it != index_.end()) {
     ++stats_.hits;
     if (kind == Kind::kScaling) ++scaling_stats_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return it->second.artifact;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->artifact;
   }
   ++stats_.misses;
   if (kind == Kind::kScaling) ++scaling_stats_.misses;
   // Parse outside the lock: loads can be slow and concurrent misses on
   // *different* artifacts should not serialise. A racing miss on the same
-  // key just parses twice and the second insert wins — wasted work, never
+  // key just parses twice and the first insert stays — wasted work, never
   // wrong, because artifacts are immutable.
   lock.unlock();
   std::shared_ptr<const void> artifact = load();
   lock.lock();
-  if (const auto it = entries_.find(key); it != entries_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return it->second.artifact;
+  if (const auto it = index_.find(key); it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->artifact;
   }
-  lru_.push_front(key);
-  entries_.insert_or_assign(key, Entry{artifact, lru_.begin()});
+  lru_.push_front(Entry{kind, std::string{text}, artifact});
+  index_.emplace(KeyView{kind, lru_.front().text}, lru_.begin());
   if (kind == Kind::kScaling) ++scaling_stats_.entries;
-  while (entries_.size() > capacity_) {
-    const Key victim = lru_.back();
-    lru_.pop_back();
-    entries_.erase(victim);
+  while (lru_.size() > capacity_) {
+    const Entry& victim = lru_.back();
+    index_.erase(KeyView{victim.kind, victim.text});
     ++stats_.evictions;
     if (victim.kind == Kind::kScaling) {
       ++scaling_stats_.evictions;
       --scaling_stats_.entries;
     }
+    lru_.pop_back();
   }
-  stats_.entries = entries_.size();
+  stats_.entries = lru_.size();
   return artifact;
-}
-
-std::shared_ptr<const pevpm::Model> ArtifactCache::model(
-    std::string_view text, const std::function<pevpm::Model()>& load) {
-  auto artifact = get_or_load(Kind::kModel, text, [&] {
-    return std::shared_ptr<const void>{
-        std::make_shared<const pevpm::Model>(load())};
-  });
-  return std::static_pointer_cast<const pevpm::Model>(artifact);
-}
-
-std::shared_ptr<const mpibench::DistributionTable> ArtifactCache::table(
-    std::string_view text,
-    const std::function<mpibench::DistributionTable()>& load) {
-  auto artifact = get_or_load(Kind::kTable, text, [&] {
-    return std::shared_ptr<const void>{
-        std::make_shared<const mpibench::DistributionTable>(load())};
-  });
-  return std::static_pointer_cast<const mpibench::DistributionTable>(artifact);
-}
-
-std::shared_ptr<const net::ClusterParams> ArtifactCache::cluster(
-    std::string_view text, const std::function<net::ClusterParams()>& load) {
-  auto artifact = get_or_load(Kind::kCluster, text, [&] {
-    return std::shared_ptr<const void>{
-        std::make_shared<const net::ClusterParams>(load())};
-  });
-  return std::static_pointer_cast<const net::ClusterParams>(artifact);
-}
-
-std::shared_ptr<const scaling::ScalingModel> ArtifactCache::scaling(
-    std::string_view text,
-    const std::function<scaling::ScalingModel()>& load) {
-  auto artifact = get_or_load(Kind::kScaling, text, [&] {
-    return std::shared_ptr<const void>{
-        std::make_shared<const scaling::ScalingModel>(load())};
-  });
-  return std::static_pointer_cast<const scaling::ScalingModel>(artifact);
 }
 
 CacheStats ArtifactCache::stats() const {
   pevpm::MutexLock lock{mu_};
   CacheStats out = stats_;
-  out.entries = entries_.size();
+  out.entries = lru_.size();
   return out;
 }
 
@@ -114,7 +67,7 @@ CacheStats ArtifactCache::scaling_stats() const {
 
 void ArtifactCache::clear() {
   pevpm::MutexLock lock{mu_};
-  entries_.clear();
+  index_.clear();
   lru_.clear();
   stats_.entries = 0;
   scaling_stats_.entries = 0;

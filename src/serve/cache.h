@@ -2,14 +2,14 @@
 //
 // Parsing a PEVPM model and loading a distribution table from text are the
 // expensive, perfectly shareable parts of a prediction request; the daemon
-// keys the parsed artifacts by a content hash of the request text so that
-// repeated queries — the common case for a what-if service — skip
-// parse/load entirely, whatever path or label the client attached.
+// keys the parsed artifacts by the request text itself so that repeated
+// queries — the common case for a what-if service — skip parse/load
+// entirely, whatever label the client attached.
 //
-// Keys are (kind, FNV-1a 64 of the text, text length); values are
-// shared_ptrs so an artifact can be evicted while in-flight requests still
-// hold it. All operations are thread-safe; hit/miss/eviction counters feed
-// the /stats endpoint.
+// Keys are (kind, text), the kind following from the artifact type;
+// values are shared_ptrs so an artifact can be evicted while in-flight
+// requests still hold it. All operations are thread-safe; hit/miss/eviction
+// counters feed the /stats endpoint.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +18,10 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "core/model.h"
 #include "core/thread_annotations.h"
@@ -27,10 +30,6 @@
 #include "scaling/model.h"
 
 namespace serve {
-
-/// FNV-1a 64-bit content hash (the cache key ingredient; also exposed for
-/// tests and for request de-duplication diagnostics).
-[[nodiscard]] std::uint64_t content_hash(std::string_view text) noexcept;
 
 struct CacheStats {
   std::uint64_t hits = 0;
@@ -45,31 +44,24 @@ class ArtifactCache {
   /// `capacity` bounds the number of resident artifacts (>= 1).
   explicit ArtifactCache(std::size_t capacity);
 
-  /// Returns the parsed model for `text`, loading via `load` on a miss.
+  /// Returns the artifact of type T (a pevpm::Model,
+  /// mpibench::DistributionTable, net::ClusterParams or
+  /// scaling::ScalingModel) for `text`, loading via `load` on a miss.
   /// `load` runs outside the lock, so concurrent misses on different
   /// artifacts parse in parallel (a racing miss on the same key parses
   /// twice; the artifacts are immutable so either copy is valid). `load`
   /// may throw, in which case nothing is cached and the exception
-  /// propagates.
-  [[nodiscard]] std::shared_ptr<const pevpm::Model> model(
-      std::string_view text,
-      const std::function<pevpm::Model()>& load);
-
-  [[nodiscard]] std::shared_ptr<const mpibench::DistributionTable> table(
-      std::string_view text,
-      const std::function<mpibench::DistributionTable()>& load);
-
-  [[nodiscard]] std::shared_ptr<const net::ClusterParams> cluster(
-      std::string_view text,
-      const std::function<net::ClusterParams()>& load);
-
-  /// Fitted per-quantile scaling model. `text` is the identity of whatever
-  /// the model derives from: a scaling artifact when the client shipped
-  /// one, or the table text when the daemon fits on demand — fitting is
-  /// deterministic, so table text keys the fit exactly.
-  [[nodiscard]] std::shared_ptr<const scaling::ScalingModel> scaling(
-      std::string_view text,
-      const std::function<scaling::ScalingModel()>& load);
+  /// propagates. A scaling model's `text` is the identity of whatever it
+  /// derives from: a shipped scaling artifact, or the table text when the
+  /// daemon fits on demand — fitting is deterministic, so table text keys
+  /// the fit exactly.
+  template <typename T, typename Load>
+  [[nodiscard]] std::shared_ptr<const T> get(std::string_view text,
+                                             const Load& load) {
+    return std::static_pointer_cast<const T>(get_or_load(
+        kind_of<T>(), text,
+        [&]() -> std::shared_ptr<const void> { return load(); }));
+  }
 
   [[nodiscard]] CacheStats stats() const EXCLUDES(mu_);
 
@@ -92,17 +84,30 @@ class ArtifactCache {
  private:
   enum class Kind : int { kModel, kTable, kCluster, kScaling };
 
-  struct Key {
-    Kind kind;
-    std::uint64_t hash;
-    std::size_t length;
-    [[nodiscard]] auto operator<=>(const Key&) const = default;
-  };
+  template <typename T>
+  static constexpr Kind kind_of() {
+    if constexpr (std::is_same_v<T, pevpm::Model>) {
+      return Kind::kModel;
+    } else if constexpr (std::is_same_v<T, mpibench::DistributionTable>) {
+      return Kind::kTable;
+    } else if constexpr (std::is_same_v<T, net::ClusterParams>) {
+      return Kind::kCluster;
+    } else {
+      static_assert(std::is_same_v<T, scaling::ScalingModel>,
+                    "not a cached artifact type");
+      return Kind::kScaling;
+    }
+  }
 
+  /// An entry's key text is owned by its LRU node, and the index keys on a
+  /// view of it, so each resident text is stored once.
   struct Entry {
+    Kind kind;
+    std::string text;
     std::shared_ptr<const void> artifact;
-    std::list<Key>::iterator lru;  ///< position in lru_ (front = hottest)
   };
+  using Lru = std::list<Entry>;
+  using KeyView = std::pair<Kind, std::string_view>;
 
   [[nodiscard]] std::shared_ptr<const void> get_or_load(
       Kind kind, std::string_view text,
@@ -110,8 +115,8 @@ class ArtifactCache {
 
   mutable pevpm::Mutex mu_;
   std::size_t capacity_;  ///< immutable after construction
-  std::map<Key, Entry> entries_ GUARDED_BY(mu_);
-  std::list<Key> lru_ GUARDED_BY(mu_);  ///< most recently used first
+  Lru lru_ GUARDED_BY(mu_);  ///< most recently used first
+  std::map<KeyView, Lru::iterator> index_ GUARDED_BY(mu_);
   CacheStats stats_ GUARDED_BY(mu_);
   CacheStats scaling_stats_ GUARDED_BY(mu_);  ///< kScaling subset of stats_
 };

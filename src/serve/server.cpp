@@ -9,8 +9,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -48,6 +46,9 @@ int listen_unix(const std::string& path) {
 }
 
 int listen_tcp(int port, int& bound_port) {
+  if (port > 65535) {
+    throw std::runtime_error{"tcp port out of range: " + std::to_string(port)};
+  }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket(AF_INET)");
   const int one = 1;
@@ -98,20 +99,6 @@ Json error_response(int status, std::string message) {
   return response;
 }
 
-/// Reads the file at `path`; false (with message) when unreadable.
-bool slurp_file(const std::string& path, std::string& out,
-                std::string& error) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    error = "cannot open " + path;
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
 Json tail_to_json(const stats::TailSummary& tail) {
   Json out;
   out.set("count", Json{static_cast<std::uint64_t>(tail.count)});
@@ -124,6 +111,114 @@ Json tail_to_json(const stats::TailSummary& tail) {
 }
 
 }  // namespace
+
+Json predict_frame(const pevpm::PredictRequest& request) {
+  Json procs{Json::Array{}};
+  for (const int p : request.procs) procs.as_array().emplace_back(p);
+  Json set{Json::Object{}};
+  for (const auto& [name, value] : request.overrides) {
+    set.set(name, Json{value});
+  }
+  Json frame{Json::Object{}};
+  frame.set("type", Json{"predict"});
+  frame.set("model_text", Json{request.model_text});
+  frame.set("model_name", Json{request.model_name});
+  frame.set("table_text", Json{request.table_text});
+  frame.set("table_label", Json{request.table_label});
+  frame.set("procs", std::move(procs));
+  frame.set("mode", Json{request.options.sampler.mode ==
+                                 pevpm::PredictionMode::kAverage
+                             ? "average"
+                         : request.options.sampler.mode ==
+                                 pevpm::PredictionMode::kMinimum
+                             ? "minimum"
+                             : "distribution"});
+  if (request.options.sampler.contention ==
+      pevpm::ContentionSource::kFixed) {
+    frame.set("contention",
+              Json{"fixed:" + std::to_string(
+                                  request.options.sampler.fixed_contention)});
+  }
+  frame.set("reps", Json{request.options.replications});
+  frame.set("seed", Json{request.options.seed});
+  frame.set("losses", Json{request.losses});
+  if (request.extrapolate) frame.set("extrapolate", Json{true});
+  if (!request.scaling_text.empty()) {
+    frame.set("scaling_text", Json{request.scaling_text});
+  }
+  if (!request.overrides.empty()) frame.set("set", std::move(set));
+  return frame;
+}
+
+pevpm::PredictRequest parse_predict_frame(const Json& frame,
+                                          units::Duration& deadline) {
+  pevpm::PredictRequest predict;  // model_name defaults to "model"
+  predict.table_label = "<inline>";
+  deadline = units::Duration{};
+
+  const Json* model = frame.find("model_text");
+  if (model == nullptr) throw JsonError{"request needs \"model_text\""};
+  predict.model_text = model->as_string();
+  const Json* table = frame.find("table_text");
+  if (table == nullptr) throw JsonError{"request needs \"table_text\""};
+  predict.table_text = table->as_string();
+  if (const Json* name = frame.find("model_name")) {
+    predict.model_name = name->as_string();
+  }
+  if (const Json* label = frame.find("table_label")) {
+    predict.table_label = label->as_string();
+  }
+
+  const Json* procs = frame.find("procs");
+  if (procs == nullptr) throw JsonError{"request needs \"procs\""};
+  for (const Json& value : procs->as_array()) {
+    int count = 0;
+    if (!pevpm::positive_int(value.as_int64(), count)) {
+      throw JsonError{"bad procs list"};
+    }
+    predict.procs.push_back(count);
+  }
+
+  if (const Json* mode = frame.find("mode")) {
+    if (!pevpm::parse_mode(mode->as_string(), predict.options.sampler)) {
+      throw JsonError{"bad mode \"" + mode->as_string() + "\""};
+    }
+  }
+  if (const Json* contention = frame.find("contention")) {
+    if (!pevpm::parse_contention(contention->as_string(),
+                                 predict.options.sampler)) {
+      throw JsonError{"bad contention \"" + contention->as_string() + "\""};
+    }
+  }
+  if (const Json* reps = frame.find("reps")) {
+    if (!pevpm::positive_int(reps->as_int64(),
+                             predict.options.replications)) {
+      throw JsonError{"reps must be a positive integer"};
+    }
+  }
+  if (const Json* seed = frame.find("seed")) {
+    predict.options.seed = seed->as_uint64();
+  }
+  if (const Json* losses = frame.find("losses")) {
+    predict.losses = losses->as_bool();
+  }
+  if (const Json* extrapolate = frame.find("extrapolate")) {
+    predict.extrapolate = extrapolate->as_bool();
+  }
+  if (const Json* scaling = frame.find("scaling_text")) {
+    predict.scaling_text = scaling->as_string();
+    predict.extrapolate = true;
+  }
+  if (const Json* overrides = frame.find("set")) {
+    for (const auto& [name, value] : overrides->as_object()) {
+      predict.overrides[name] = value.as_double();
+    }
+  }
+  if (const Json* deadline_json = frame.find("deadline_ms")) {
+    deadline = units::Duration::from_millis(deadline_json->as_double());
+  }
+  return predict;
+}
 
 Server::Server(const ServerOptions& options)
     : options_{options}, service_{options.service} {
@@ -317,101 +412,8 @@ Json Server::dispatch(const Json& request) {
 }
 
 Json Server::handle_predict(const Json& request) {
-  pevpm::PredictRequest predict;
   units::Duration deadline{};
-
-  // Model / table: by server-side path or as inline text.
-  std::string error;
-  if (const Json* text = request.find("model_text")) {
-    predict.model_text = text->as_string();
-    predict.model_name = "model";
-  } else if (const Json* path = request.find("model")) {
-    if (!slurp_file(path->as_string(), predict.model_text, error)) {
-      return error_response(400, error);
-    }
-    predict.model_name = path->as_string();
-  } else {
-    return error_response(400, "request needs \"model\" or \"model_text\"");
-  }
-  if (const Json* text = request.find("table_text")) {
-    predict.table_text = text->as_string();
-    predict.table_label = "<inline>";
-  } else if (const Json* path = request.find("table")) {
-    if (!slurp_file(path->as_string(), predict.table_text, error)) {
-      return error_response(400, error);
-    }
-    predict.table_label = path->as_string();
-  } else {
-    return error_response(400, "request needs \"table\" or \"table_text\"");
-  }
-  if (const Json* name = request.find("model_name")) {
-    predict.model_name = name->as_string();
-  }
-  if (const Json* label = request.find("table_label")) {
-    predict.table_label = label->as_string();
-  }
-
-  if (const Json* procs = request.find("procs")) {
-    if (procs->is_array()) {
-      for (const Json& value : procs->as_array()) {
-        int count = 0;
-        if (!pevpm::positive_int(value.as_int64(), count)) {
-          return error_response(400, "bad procs list");
-        }
-        predict.procs.push_back(count);
-      }
-    } else if (!pevpm::parse_procs(procs->as_string(), predict.procs)) {
-      return error_response(400, "bad procs list");
-    }
-  } else {
-    return error_response(400, "request needs \"procs\"");
-  }
-
-  if (const Json* mode = request.find("mode")) {
-    if (!pevpm::parse_mode(mode->as_string(), predict.options.sampler)) {
-      return error_response(400, "bad mode \"" + mode->as_string() + "\"");
-    }
-  }
-  if (const Json* contention = request.find("contention")) {
-    if (!pevpm::parse_contention(contention->as_string(),
-                                 predict.options.sampler)) {
-      return error_response(
-          400, "bad contention \"" + contention->as_string() + "\"");
-    }
-  }
-  if (const Json* reps = request.find("reps")) {
-    if (!pevpm::positive_int(reps->as_int64(),
-                             predict.options.replications)) {
-      return error_response(400, "reps must be a positive integer");
-    }
-  }
-  if (const Json* threads = request.find("threads")) {
-    // Accepted for CLI compatibility; scheduling belongs to the service
-    // and determinism makes the thread count unobservable in the reply.
-    predict.options.threads = static_cast<int>(threads->as_int64());
-  }
-  if (const Json* seed = request.find("seed")) {
-    predict.options.seed = seed->as_uint64();
-  }
-  if (const Json* losses = request.find("losses")) {
-    predict.losses = losses->as_bool();
-  }
-  if (const Json* extrapolate = request.find("extrapolate")) {
-    predict.extrapolate = extrapolate->as_bool();
-  }
-  if (const Json* scaling = request.find("scaling_text")) {
-    predict.scaling_text = scaling->as_string();
-    predict.extrapolate = true;
-  }
-  if (const Json* overrides = request.find("set")) {
-    for (const auto& [name, value] : overrides->as_object()) {
-      predict.overrides[name] = value.as_double();
-    }
-  }
-  if (const Json* deadline_json = request.find("deadline_ms")) {
-    deadline = units::Duration::from_millis(deadline_json->as_double());
-  }
-
+  const pevpm::PredictRequest predict = parse_predict_frame(request, deadline);
   const Service::Response result = service_.predict(predict, deadline);
   Json response;
   response.set("status", Json{result.status});
@@ -428,19 +430,10 @@ Json Server::handle_predict(const Json& request) {
 }
 
 Json Server::handle_cluster(const Json& request) {
-  std::string text;
-  if (const Json* inline_text = request.find("cluster_text")) {
-    text = inline_text->as_string();
-  } else if (const Json* path = request.find("cluster")) {
-    std::string error;
-    if (!slurp_file(path->as_string(), text, error)) {
-      return error_response(400, error);
-    }
-  } else {
-    return error_response(400,
-                          "request needs \"cluster\" or \"cluster_text\"");
-  }
-  const Service::Response result = service_.describe_cluster(text);
+  const Json* text = request.find("cluster_text");
+  if (text == nullptr) throw JsonError{"request needs \"cluster_text\""};
+  const Service::Response result =
+      service_.describe_cluster(text->as_string());
   if (result.status != 200) return error_response(result.status, result.error);
   Json response;
   response.set("status", Json{200});

@@ -7,17 +7,19 @@
 // Service::predict(), which is where queueing, fairness and admission
 // control actually live.
 //
-// Request objects (all share optional "id", echoed back):
-//   {"type":"predict", "model":PATH|"model_text":TEXT, "model_name":TEXT,
-//    "table":PATH|"table_text":TEXT, "procs":[4,8]|"4,8",
+// Request objects (all share optional "id", echoed back). Artifacts travel
+// as text only; the daemon never opens a file a client names.
+//   {"type":"predict", "model_text":TEXT, "model_name":TEXT,
+//    "table_text":TEXT, "table_label":TEXT, "procs":[4,8],
 //    "mode":"distribution|average|minimum",
 //    "contention":"scoreboard|fixed:N", "reps":R, "seed":S,
-//    "set":{"name":value,...}, "losses":BOOL, "deadline_ms":D,
-//    "table_label":TEXT, "threads":N (accepted, ignored — determinism
-//    makes the worker count unobservable in the reply)}
+//    "set":{"name":value,...}, "losses":BOOL, "extrapolate":BOOL,
+//    "scaling_text":TEXT, "deadline_ms":D}
 //   {"type":"stats"}    -> queue/cache/latency counters
-//   {"type":"cluster", "cluster":PATH|"cluster_text":TEXT}
+//   {"type":"cluster", "cluster_text":TEXT}
 //   {"type":"ping"}
+// Unknown members are ignored. predict_frame() and parse_predict_frame()
+// below are the only code that knows the predict frame.
 // Responses carry "status" (200/400/500/503/504); 200 predict responses
 // carry "summary" — byte-identical to the pevpm CLI's stdout block —
 // and "deadlocked"; 503 responses carry "retry_after_ms". A line longer
@@ -43,12 +45,26 @@
 
 namespace serve {
 
+/// The predict frame for `request` (no "id", no "deadline_ms"): what
+/// `pevpm --server` sends.
+[[nodiscard]] Json predict_frame(const pevpm::PredictRequest& request);
+
+/// The request a predict frame carries, its "deadline_ms" (zero when
+/// absent) in `deadline`. Members the frame omits keep their
+/// PredictRequest defaults, except `model_name` ("model") and
+/// `table_label` ("<inline>"). Throws JsonError on a missing text or
+/// procs list, a malformed procs, mode, contention or reps, or a member of
+/// the wrong JSON type.
+[[nodiscard]] pevpm::PredictRequest parse_predict_frame(
+    const Json& frame, units::Duration& deadline);
+
 struct ServerOptions {
   /// Path for the Unix-domain listener; empty disables it. An existing
   /// socket file at the path is replaced.
   std::string unix_path;
   /// Loopback TCP port; 0 picks an ephemeral port (see tcp_port()), and a
-  /// negative value disables the TCP listener.
+  /// negative value disables the TCP listener. Above 65535 the constructor
+  /// throws.
   int tcp_port = -1;
   ServiceOptions service{};
 };

@@ -209,25 +209,26 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
   std::shared_ptr<const mpibench::DistributionTable> table;
   std::shared_ptr<const scaling::ScalingModel> scaling;
   try {
-    model = cache_.model(request.model_text,
-                         [&] { return parse_request_model(request); });
-    table = cache_.table(request.table_text, [&] {
-      std::istringstream in{request.table_text};
-      return mpibench::DistributionTable::load(in);
+    model = cache_.get<pevpm::Model>(request.model_text, [&] {
+      return std::make_shared<const pevpm::Model>(
+          parse_request_model(request));
     });
-    // A shipped artifact is keyed by its own text; an on-demand fit is
-    // keyed by the table text (fitting is deterministic, so the table is
-    // the fit's full identity). Distinct cache kinds keep the fit entry
-    // from colliding with the parsed table under the same key.
-    if (!request.scaling_text.empty()) {
-      scaling = cache_.scaling(request.scaling_text, [&] {
-        std::istringstream in{request.scaling_text};
-        return scaling::ScalingModel::load(in);
-      });
-    } else if (request.extrapolate) {
-      scaling = cache_.scaling(request.table_text, [&] {
-        return scaling::fit_scaling_model(*table);
-      });
+    table = cache_.get<mpibench::DistributionTable>(request.table_text, [&] {
+      std::istringstream in{request.table_text};
+      return std::make_shared<const mpibench::DistributionTable>(
+          mpibench::DistributionTable::load(in));
+    });
+    // resolve_scaling() picks the model; the cache keys it by a shipped
+    // artifact's own text, or by the table text for an on-demand fit
+    // (fitting is deterministic, so the table is the fit's full
+    // identity). Distinct cache kinds keep the fit entry from colliding
+    // with the parsed table under the same key. Requests without a
+    // scaling model leave the scaling counters alone.
+    if (request.extrapolate || !request.scaling_text.empty()) {
+      scaling = cache_.get<scaling::ScalingModel>(
+          request.scaling_text.empty() ? request.table_text
+                                       : request.scaling_text,
+          [&] { return pevpm::resolve_scaling(request, *table); });
     }
   } catch (const std::exception& e) {
     pevpm::MutexLock lock{mu_};
@@ -343,9 +344,10 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
 Service::Response Service::describe_cluster(const std::string& cluster_text) {
   Response response;
   try {
-    const auto cluster = cache_.cluster(cluster_text, [&] {
+    const auto cluster = cache_.get<net::ClusterParams>(cluster_text, [&] {
       std::istringstream in{cluster_text};
-      return net::parse_cluster(in, net::perseus(16));
+      return std::make_shared<const net::ClusterParams>(
+          net::parse_cluster(in, net::perseus(16)));
     });
     response.summary = net::describe(*cluster);
   } catch (const std::exception& e) {

@@ -133,8 +133,8 @@ class Service {
     const pevpm::PredictRequest* request = nullptr;
     std::shared_ptr<const pevpm::Model> model;
     std::shared_ptr<const mpibench::DistributionTable> table;
-    /// Keeps the model behind options.sampler.scaling alive (cache entry
-    /// or per-request fit); null when the request doesn't extrapolate.
+    /// Keeps the model behind options.sampler.scaling alive while the
+    /// cache may evict it; null when the request doesn't extrapolate.
     std::shared_ptr<const scaling::ScalingModel> scaling;
     /// request->options with the tracer swapped for the service's own;
     /// seeds and slices are derived from this copy.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/model.h"
+#include "core/parse.h"
 #include "core/sampler.h"
 #include "core/vm.h"
 #include "mpi/comm.h"
@@ -84,11 +85,9 @@ TEST(MpiExtra, LargeCollectiveOnManyRanks) {
 }
 
 TEST(MpiExtra, BuilderCollectivesExecuteInVm) {
-  pevpm::ModelBuilder b;
-  b.serial("procnum * 0.01");
-  b.barrier();
-  b.collective(pevpm::CollOp::kBcast, "4096", "0");
-  const pevpm::Model model = b.build("coll");
+  const pevpm::Model model = pevpm::parse_model(
+      "serial time = procnum * 0.01\nbarrier\nbcast size = 4096 root = 0\n",
+      "coll");
 
   mpibench::DistributionTable table;
   table.insert(mpibench::OpKind::kPtpOneWay, net::Bytes{0}, 1,

@@ -1,5 +1,5 @@
-// Model construction: builder API, directive-language parser, and the
-// Figure-5 annotated-source extractor.
+// Model construction: the directive-language parser and the Figure-5
+// annotated-source extractor.
 #include <gtest/gtest.h>
 
 #include <variant>
@@ -15,43 +15,6 @@ using pevpm::Model;
 using pevpm::MsgOp;
 using pevpm::RunonNode;
 using pevpm::SerialNode;
-
-TEST(ModelBuilder, BuildsNestedStructure) {
-  pevpm::ModelBuilder b;
-  b.param("xsize", 256);
-  b.loop("10");
-  b.runon("procnum % 2 == 0");
-  b.send("xsize * 4", "procnum + 1");
-  b.orelse();
-  b.recv("xsize * 4", "procnum - 1");
-  b.end();
-  b.serial("0.01 / numprocs");
-  b.end();
-  const Model m = b.build("test");
-  ASSERT_EQ(m.body.size(), 1u);
-  const auto* loop = std::get_if<LoopNode>(&m.body[0]->data);
-  ASSERT_NE(loop, nullptr);
-  ASSERT_EQ(loop->body.size(), 2u);
-  const auto* runon = std::get_if<RunonNode>(&loop->body[0]->data);
-  ASSERT_NE(runon, nullptr);
-  EXPECT_EQ(runon->then_body.size(), 1u);
-  EXPECT_EQ(runon->else_body.size(), 1u);
-  EXPECT_TRUE(std::holds_alternative<SerialNode>(loop->body[1]->data));
-  EXPECT_DOUBLE_EQ(m.parameters.at("xsize"), 256.0);
-  EXPECT_GT(m.node_count, 0);
-}
-
-TEST(ModelBuilder, ErrorsOnMisuse) {
-  pevpm::ModelBuilder open_block;
-  open_block.loop("3");
-  EXPECT_THROW((void)open_block.build("x"), std::logic_error);
-
-  pevpm::ModelBuilder stray_end;
-  EXPECT_THROW(stray_end.end(), std::logic_error);
-
-  pevpm::ModelBuilder stray_else;
-  EXPECT_THROW(stray_else.orelse(), std::logic_error);
-}
 
 TEST(ParseModel, FullProgramRoundTrips) {
   const char* text = R"(

@@ -13,15 +13,9 @@
 
 namespace {
 
-pevpm::Model tiny_model(const std::string& name) {
-  return pevpm::parse_model("serial time = 0.001\n", name);
-}
-
-TEST(ServeCache, ContentHashIsStableAndDiscriminates) {
-  EXPECT_EQ(serve::content_hash("abc"), serve::content_hash("abc"));
-  EXPECT_NE(serve::content_hash("abc"), serve::content_hash("abd"));
-  // FNV-1a 64 of the empty string is the offset basis.
-  EXPECT_EQ(serve::content_hash(""), 14695981039346656037ULL);
+std::shared_ptr<const pevpm::Model> tiny_model(const std::string& name) {
+  return std::make_shared<const pevpm::Model>(
+      pevpm::parse_model("serial time = 0.001\n", name));
 }
 
 TEST(ServeCache, CountsHitsAndMisses) {
@@ -31,11 +25,11 @@ TEST(ServeCache, CountsHitsAndMisses) {
     ++loads;
     return tiny_model("m");
   };
-  const auto first = cache.model("text-a", load);
-  const auto second = cache.model("text-a", load);
+  const auto first = cache.get<pevpm::Model>("text-a", load);
+  const auto second = cache.get<pevpm::Model>("text-a", load);
   EXPECT_EQ(loads, 1);
   EXPECT_EQ(first.get(), second.get());  // the same resident artifact
-  (void)cache.model("text-b", load);
+  (void)cache.get<pevpm::Model>("text-b", load);
   EXPECT_EQ(loads, 2);
   const serve::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -52,18 +46,18 @@ TEST(ServeCache, EvictsLeastRecentlyUsedDeterministically) {
     ++loads;
     return tiny_model("m");
   };
-  (void)cache.model("a", load);  // LRU order: a
-  (void)cache.model("b", load);  // b a
-  (void)cache.model("a", load);  // a b (hit refreshes recency)
-  (void)cache.model("c", load);  // c a — b evicted
+  (void)cache.get<pevpm::Model>("a", load);  // LRU order: a
+  (void)cache.get<pevpm::Model>("b", load);  // b a
+  (void)cache.get<pevpm::Model>("a", load);  // a b (hit refreshes recency)
+  (void)cache.get<pevpm::Model>("c", load);  // c a — b evicted
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(loads, 3);
-  (void)cache.model("a", load);  // still resident
+  (void)cache.get<pevpm::Model>("a", load);  // still resident
   EXPECT_EQ(loads, 3);
-  (void)cache.model("b", load);  // evicted above, reloads; evicts c
+  (void)cache.get<pevpm::Model>("b", load);  // evicted above, reloads; evicts c
   EXPECT_EQ(loads, 4);
   EXPECT_EQ(cache.stats().evictions, 2u);
-  (void)cache.model("c", load);
+  (void)cache.get<pevpm::Model>("c", load);
   EXPECT_EQ(loads, 5);
   const serve::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
@@ -72,8 +66,10 @@ TEST(ServeCache, EvictsLeastRecentlyUsedDeterministically) {
 
 TEST(ServeCache, EvictedArtifactSurvivesWhileHeld) {
   serve::ArtifactCache cache{1};
-  const auto held = cache.model("x", [] { return tiny_model("held"); });
-  (void)cache.model("y", [] { return tiny_model("other"); });  // evicts x
+  const auto held =
+      cache.get<pevpm::Model>("x", [] { return tiny_model("held"); });
+  // Evicts x.
+  (void)cache.get<pevpm::Model>("y", [] { return tiny_model("other"); });
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(held->name, "held");  // still valid through the shared_ptr
 }
@@ -81,38 +77,60 @@ TEST(ServeCache, EvictedArtifactSurvivesWhileHeld) {
 TEST(ServeCache, DifferentKindsDoNotCollide) {
   serve::ArtifactCache cache{4};
   // The same text as a model and as a table must load twice — the key is
-  // (kind, hash, length), not the hash alone.
+  // (kind, text), not the text alone.
   const std::string text = "serial time = 0.001\n";
-  (void)cache.model(text, [&] { return tiny_model("m"); });
+  (void)cache.get<pevpm::Model>(text, [&] { return tiny_model("m"); });
   EXPECT_THROW(
-      (void)cache.table(text,
-                        [&]() -> mpibench::DistributionTable {
-                          throw std::runtime_error{"table loader ran"};
-                        }),
+      (void)cache.get<mpibench::DistributionTable>(
+          text,
+          [&]() -> std::shared_ptr<const mpibench::DistributionTable> {
+            throw std::runtime_error{"table loader ran"};
+          }),
       std::runtime_error);
+}
+
+TEST(ServeCache, KeyIsTheTextNotTheCallersBuffer) {
+  serve::ArtifactCache cache{4};
+  int loads = 0;
+  const auto load = [&] {
+    ++loads;
+    return tiny_model("m");
+  };
+  std::string text = "serial time = 0.001\n";
+  (void)cache.get<pevpm::Model>(text, load);
+  // Overwriting the caller's buffer must not change the resident key.
+  const std::string original = text;
+  text.assign(text.size(), 'x');
+  (void)cache.get<pevpm::Model>(text, load);
+  EXPECT_EQ(loads, 2);
+  (void)cache.get<pevpm::Model>(original, load);
+  EXPECT_EQ(loads, 2);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(ServeCache, ThrowingLoaderCachesNothing) {
   serve::ArtifactCache cache{4};
   int attempts = 0;
-  const auto failing = [&]() -> pevpm::Model {
+  const auto failing = [&]() -> std::shared_ptr<const pevpm::Model> {
     ++attempts;
     throw std::runtime_error{"parse error"};
   };
-  EXPECT_THROW((void)cache.model("bad", failing), std::runtime_error);
-  EXPECT_THROW((void)cache.model("bad", failing), std::runtime_error);
+  EXPECT_THROW((void)cache.get<pevpm::Model>("bad", failing),
+               std::runtime_error);
+  EXPECT_THROW((void)cache.get<pevpm::Model>("bad", failing),
+               std::runtime_error);
   EXPECT_EQ(attempts, 2);  // the failure was not cached
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(ServeCache, ClearResetsEntriesButKeepsCounters) {
   serve::ArtifactCache cache{4};
-  (void)cache.model("a", [] { return tiny_model("m"); });
+  (void)cache.get<pevpm::Model>("a", [] { return tiny_model("m"); });
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().misses, 1u);
   int loads = 0;
-  (void)cache.model("a", [&] {
+  (void)cache.get<pevpm::Model>("a", [&] {
     ++loads;
     return tiny_model("m");
   });

@@ -1,7 +1,10 @@
 // Property tests for the pevpmd wire protocol: random well-formed JSON
-// values must survive a dump/parse round trip, and Server::handle_line
-// must answer every frame — valid, garbled, or truncated — with a
-// well-formed response that echoes the request id and never crashes. Over
+// values must survive a dump/parse round trip, a predict frame decodes to
+// the request it encodes, and Server::handle_line must answer every frame
+// — valid, garbled, or truncated — with a well-formed response that
+// echoes the request id and never crashes. The daemon takes artifacts as
+// text only: a frame that names a file gets a 400 that does not depend on
+// the file. Over
 // a real socket, a request line past the length cap gets a 400 and costs
 // only its own connection, and a peer that hangs up before its replies
 // does not take the server down.
@@ -13,10 +16,15 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
+#include "core/request.h"
+#include "net/cluster.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/server.h"
@@ -88,6 +96,101 @@ TEST(ServeProtocolProperty, RandomValuesRoundTripThroughDump) {
     // dump() is canonical: a second round trip is a fixed point.
     EXPECT_EQ(reparsed.dump(), once) << once;
   }
+}
+
+void expect_same_request(const pevpm::PredictRequest& got,
+                         const pevpm::PredictRequest& want) {
+  EXPECT_EQ(got.model_text, want.model_text);
+  EXPECT_EQ(got.model_name, want.model_name);
+  EXPECT_EQ(got.table_text, want.table_text);
+  EXPECT_EQ(got.table_label, want.table_label);
+  EXPECT_EQ(got.procs, want.procs);
+  EXPECT_EQ(got.options.sampler.mode, want.options.sampler.mode);
+  EXPECT_EQ(got.options.sampler.contention, want.options.sampler.contention);
+  EXPECT_EQ(got.options.sampler.fixed_contention,
+            want.options.sampler.fixed_contention);
+  EXPECT_EQ(got.options.replications, want.options.replications);
+  EXPECT_EQ(got.options.seed, want.options.seed);
+  EXPECT_EQ(got.losses, want.losses);
+  EXPECT_EQ(got.extrapolate, want.extrapolate);
+  EXPECT_EQ(got.scaling_text, want.scaling_text);
+  EXPECT_EQ(got.overrides, want.overrides);
+}
+
+TEST(ServeProtocolCodec, PredictFrameRoundTrips) {
+  pevpm::PredictRequest full;
+  full.model_text = "param n = 2\nserial time = n * 0.001\n";
+  full.model_name = "jacobi.pvm";
+  full.table_text = "pevpm-table v1\n0\n";
+  full.table_label = "perseus.tbl";
+  full.procs = {2, 8, 64};
+  full.options.sampler.mode = pevpm::PredictionMode::kAverage;
+  full.options.sampler.contention = pevpm::ContentionSource::kFixed;
+  full.options.sampler.fixed_contention = 3;
+  full.options.replications = 17;
+  full.options.seed = 0xfedcba9876543210ULL;  // past a double's mantissa
+  full.losses = true;
+  full.extrapolate = true;
+  full.scaling_text = "pevpm-scaling v1\n";
+  full.overrides = {{"n", 4.0}, {"xsize", 0.1}};
+
+  pevpm::PredictRequest plain;  // defaults, minimum mode
+  plain.model_text = "serial time = 0.001\n";
+  plain.table_text = "pevpm-table v1\n0\n";
+  plain.procs = {4};
+  plain.options.sampler.mode = pevpm::PredictionMode::kMinimum;
+
+  for (const pevpm::PredictRequest& request : {full, plain}) {
+    units::Duration deadline = units::Duration::from_millis(5.0);
+    // Through the wire bytes, as a client's frame reaches the daemon.
+    const Json frame = Json::parse(serve::predict_frame(request).dump());
+    expect_same_request(serve::parse_predict_frame(frame, deadline), request);
+    EXPECT_EQ(deadline, units::Duration{});
+  }
+
+  Json frame = serve::predict_frame(plain);
+  frame.set("deadline_ms", Json{250});
+  units::Duration deadline{};
+  (void)serve::parse_predict_frame(frame, deadline);
+  EXPECT_EQ(deadline, units::Duration::from_millis(250.0));
+}
+
+TEST(ServeProtocolCodec, DecoderDefaultsAndRejections) {
+  units::Duration deadline{};
+  const pevpm::PredictRequest minimal = serve::parse_predict_frame(
+      Json::parse(R"({"model_text":"m","table_text":"t","procs":[2]})"),
+      deadline);
+  EXPECT_EQ(minimal.model_name, "model");
+  EXPECT_EQ(minimal.table_label, "<inline>");
+
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"table_text":"t","procs":[2]})", "request needs \"model_text\""},
+      {R"({"model_text":"m","procs":[2]})", "request needs \"table_text\""},
+      {R"({"model_text":"m","table_text":"t"})", "request needs \"procs\""},
+      {R"({"model_text":"m","table_text":"t","procs":[2,0]})",
+       "bad procs list"},
+      {R"({"model_text":"m","table_text":"t","procs":[2],"mode":"x"})",
+       "bad mode \"x\""},
+      {R"({"model_text":"m","table_text":"t","procs":[2],)"
+       R"("contention":"fixed:0"})",
+       "bad contention \"fixed:0\""},
+      {R"({"model_text":"m","table_text":"t","procs":[2],"reps":0})",
+       "reps must be a positive integer"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)serve::parse_predict_frame(Json::parse(text), deadline);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const serve::JsonError& e) {
+      EXPECT_STREQ(e.what(), message) << text;
+    }
+  }
+  // procs is an array; the old "4,8" spelling is a type error.
+  EXPECT_THROW((void)serve::parse_predict_frame(
+                   Json::parse(R"({"model_text":"m","table_text":"t",)"
+                               R"("procs":"4,8"})"),
+                   deadline),
+               serve::JsonError);
 }
 
 class ServeProtocolServer : public ::testing::Test {
@@ -203,6 +306,66 @@ TEST_F(ServeProtocolServer, PredictValidationErrorsAreClientErrors) {
     EXPECT_EQ(response.find("status")->as_int64(), 400) << frame;
   }
   EXPECT_EQ(server_->service().stats().accepted, 0u);
+}
+
+TEST_F(ServeProtocolServer, ClientNamedFilesAreNeverOpened) {
+  const std::string path =
+      "serve_secret_" + std::to_string(::getpid()) + ".txt";
+  const std::string marker = "hunter2-marker";
+  {
+    std::ofstream out{path};
+    out << "secret line one: " << marker << "\n";
+  }
+  const auto frames = [](const std::string& named) {
+    const std::string quoted = Json{named}.dump();
+    return std::vector<std::string>{
+        R"({"type":"predict","model":)" + quoted +
+            R"(,"table_text":"pevpm-table v1\n0\n","procs":[2]})",
+        R"({"type":"predict","model_text":"serial time = 0.001\n",)"
+        R"("table":)" + quoted + R"(,"procs":[2]})",
+        R"({"type":"cluster","cluster":)" + quoted + "}",
+    };
+  };
+  const std::vector<std::string> existing = frames(path);
+  const std::vector<std::string> missing = frames(path + ".missing");
+  for (std::size_t i = 0; i < existing.size(); ++i) {
+    const std::string reply = server_->handle_line(existing[i]);
+    EXPECT_EQ(Json::parse(reply).find("status")->as_int64(), 400) << reply;
+    EXPECT_EQ(reply.find(marker), std::string::npos) << reply;
+    // Nor may the reply tell an existing path from a missing one.
+    EXPECT_EQ(server_->handle_line(missing[i]), reply);
+  }
+  ::unlink(path.c_str());
+}
+
+TEST_F(ServeProtocolServer, ClusterRequestsDescribeCachedClusters) {
+  const std::string text = "nodes = 8\nnic_latency_us = 30\n";
+  std::istringstream in{text};
+  const std::string expected =
+      net::describe(net::parse_cluster(in, net::perseus(16)));
+  Json frame{Json::Object{}};
+  frame.set("type", Json{"cluster"});
+  frame.set("cluster_text", Json{text});
+
+  const Json first = Json::parse(server_->handle_line(frame.dump()));
+  EXPECT_EQ(first.find("status")->as_int64(), 200);
+  EXPECT_EQ(first.find("summary")->as_string(), expected);
+  const std::uint64_t hits = server_->service().stats().cache.hits;
+  const Json again = Json::parse(server_->handle_line(frame.dump()));
+  EXPECT_EQ(again.find("summary")->as_string(), expected);
+  EXPECT_EQ(server_->service().stats().cache.hits, hits + 1);
+
+  frame.set("cluster_text", Json{"nodes == eight\n"});
+  const Json bad = Json::parse(server_->handle_line(frame.dump()));
+  EXPECT_EQ(bad.find("status")->as_int64(), 400);
+  EXPECT_NE(bad.find("error")->as_string().find("line 1"), std::string::npos)
+      << bad.dump();
+
+  const Json missing =
+      Json::parse(server_->handle_line(R"({"type":"cluster"})"));
+  EXPECT_EQ(missing.find("status")->as_int64(), 400);
+  EXPECT_EQ(missing.find("error")->as_string(),
+            "request needs \"cluster_text\"");
 }
 
 /// The reply to a predict of `model_text` at 2 processes on a valid table

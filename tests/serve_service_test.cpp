@@ -68,22 +68,6 @@ pevpm::PredictRequest chain_request(std::uint64_t seed) {
   return request;
 }
 
-serve::Json wire_frame(const pevpm::PredictRequest& request) {
-  serve::Json frame{serve::Json::Object{}};
-  frame.set("type", serve::Json{"predict"});
-  frame.set("model_text", serve::Json{request.model_text});
-  frame.set("model_name", serve::Json{request.model_name});
-  frame.set("table_text", serve::Json{request.table_text});
-  frame.set("table_label", serve::Json{request.table_label});
-  serve::Json procs{serve::Json::Array{}};
-  for (const int p : request.procs) procs.as_array().emplace_back(p);
-  frame.set("procs", std::move(procs));
-  frame.set("reps", serve::Json{request.options.replications});
-  frame.set("seed", serve::Json{request.options.seed});
-  frame.set("losses", serve::Json{request.losses});
-  return frame;
-}
-
 TEST(ServeService, PredictionMatchesCliCodePathByteForByte) {
   const pevpm::PredictRequest request = chain_request(11);
   const pevpm::PredictReport reference = pevpm::run_request(request);
@@ -185,7 +169,7 @@ TEST(ServeService, ConcurrentSocketClientsMatchCliBytes) {
     clients.emplace_back([&, c] {
       serve::Client client = serve::Client::connect_unix(socket_path);
       const serve::Json response =
-          client.call(wire_frame(chain_request(100 + c)));
+          client.call(serve::predict_frame(chain_request(100 + c)));
       if (const serve::Json* status = response.find("status");
           status != nullptr && status->as_int64() == 200) {
         got[c] = response.find("summary")->as_string();
@@ -359,7 +343,7 @@ TEST(ServeService, ServerShutdownStillAnswersAdmittedRequests) {
   std::atomic<bool> answered{false};
   std::thread client_thread{[&] {
     serve::Client client = serve::Client::connect_unix(socket_path);
-    const serve::Json response = client.call(wire_frame(slow));
+    const serve::Json response = client.call(serve::predict_frame(slow));
     if (const serve::Json* status = response.find("status");
         status != nullptr && status->as_int64() == 200) {
       got = response.find("summary")->as_string();

@@ -47,6 +47,7 @@
 #include "core/version.h"
 #include "serve/client.h"
 #include "serve/json.h"
+#include "serve/server.h"
 #include "trace/trace.h"
 
 namespace {
@@ -81,55 +82,23 @@ std::string slurp(const std::string& path) {
 /// prints the returned summary — the same bytes local evaluation prints.
 int run_remote(const std::string& endpoint,
                const pevpm::PredictRequest& request) {
-  serve::Json procs{serve::Json::Array{}};
-  for (const int p : request.procs) procs.as_array().emplace_back(p);
-  serve::Json set{serve::Json::Object{}};
-  for (const auto& [name, value] : request.overrides) {
-    set.set(name, serve::Json{value});
-  }
-  serve::Json frame{serve::Json::Object{}};
-  frame.set("type", serve::Json{"predict"});
-  frame.set("model_text", serve::Json{request.model_text});
-  frame.set("model_name", serve::Json{request.model_name});
-  frame.set("table_text", serve::Json{request.table_text});
-  frame.set("table_label", serve::Json{request.table_label});
-  frame.set("procs", std::move(procs));
-  frame.set("mode", serve::Json{request.options.sampler.mode ==
-                                        pevpm::PredictionMode::kAverage
-                                    ? "average"
-                                : request.options.sampler.mode ==
-                                        pevpm::PredictionMode::kMinimum
-                                    ? "minimum"
-                                    : "distribution"});
-  if (request.options.sampler.contention ==
-      pevpm::ContentionSource::kFixed) {
-    frame.set("contention",
-              serve::Json{"fixed:" + std::to_string(
-                              request.options.sampler.fixed_contention)});
-  }
-  frame.set("reps", serve::Json{request.options.replications});
-  frame.set("seed", serve::Json{request.options.seed});
-  frame.set("losses", serve::Json{request.losses});
-  if (request.extrapolate) frame.set("extrapolate", serve::Json{true});
-  if (!request.scaling_text.empty()) {
-    frame.set("scaling_text", serve::Json{request.scaling_text});
-  }
-  if (!request.overrides.empty()) frame.set("set", std::move(set));
-
   const auto colon = endpoint.rfind(':');
   const bool tcp = colon != std::string::npos &&
                    endpoint.find('/') == std::string::npos;
   int port = 0;
-  if (tcp && !pevpm::parse_number(std::string_view{endpoint}.substr(colon + 1),
-                                  port)) {
-    std::fprintf(stderr, "--server %s: malformed port\n", endpoint.c_str());
+  if (tcp &&
+      (!pevpm::parse_number(std::string_view{endpoint}.substr(colon + 1),
+                            port) ||
+       port < 1 || port > 65535)) {
+    std::fprintf(stderr, "--server %s: port must be 1-65535\n",
+                 endpoint.c_str());
     return 2;
   }
   try {
     serve::Client client =
         tcp ? serve::Client::connect_tcp(endpoint.substr(0, colon), port)
             : serve::Client::connect_unix(endpoint);
-    const serve::Json response = client.call(frame);
+    const serve::Json response = client.call(serve::predict_frame(request));
     const serve::Json* status = response.find("status");
     if (status == nullptr || status->as_int64() != 200) {
       const serve::Json* error = response.find("error");

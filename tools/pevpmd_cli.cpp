@@ -10,8 +10,9 @@
 // Usage:
 //   pevpmd --socket PATH [options]
 //     --socket PATH      unix-domain socket to listen on
-//     --tcp PORT         also listen on 127.0.0.1:PORT (0 = ephemeral; the
-//                        chosen port is printed at startup)
+//     --tcp PORT         also listen on 127.0.0.1:PORT, 0-65535 (0 =
+//                        ephemeral; the chosen port is printed at startup;
+//                        -1 = off, the default)
 //     --threads N        prediction worker threads (default: one per
 //                        hardware thread)
 //     --queue-cap N      max requests in the system before 503 (default 64)
@@ -71,6 +72,7 @@ int main(int argc, char** argv) {
       options.unix_path = value();
     } else if (flag == "--tcp") {
       number(options.tcp_port);
+      if (options.tcp_port < -1 || options.tcp_port > 65535) usage(argv[0]);
     } else if (flag == "--threads") {
       number(options.service.threads);
     } else if (flag == "--queue-cap") {
