@@ -25,7 +25,6 @@
 // is measured). PEVPM_BENCH_QUICK=1 scales repetition counts down for
 // smoke runs.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -35,8 +34,8 @@
 
 #include "bench_util.h"
 #include "gate.h"
-#include "scaling/crossval.h"
 #include "scaling/model.h"
+#include "stats/summary.h"
 
 namespace {
 
@@ -44,16 +43,6 @@ namespace {
 /// pattern keeps nprocs/2 messages in flight; see measure_isend_table).
 int contention_level(const mpibench::Config& config) {
   return std::max(1, config.nodes * config.procs_per_node / 2);
-}
-
-double sample_quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
 }
 
 /// Per-track relative errors of the fitted model against one measured
@@ -65,15 +54,9 @@ void extrapolation_errors(const scaling::ScalingModel& model,
   const auto op = mpibench::OpKind::kPtpOneWay;
   const stats::EmpiricalDistribution* dist = actual.exact(op, size, level);
   if (dist == nullptr || !model.covers(op)) return;
-  const auto predicted =
-      model.quantiles(op, size.to_double(), level);
-  for (int t = 0; t < scaling::ScalingModel::kTracks; ++t) {
-    const double truth =
-        dist->quantile(scaling::ScalingModel::track_quantile(t));
-    errors.push_back(std::fabs(predicted[static_cast<std::size_t>(t)] -
-                               truth) /
-                     std::max(std::fabs(truth), 1e-9));
-  }
+  const auto cell = scaling::track_errors(
+      model.quantiles(op, size.to_double(), level), *dist);
+  errors.insert(errors.end(), cell.begin(), cell.end());
 }
 
 }  // namespace
@@ -148,10 +131,10 @@ int main(int argc, char** argv) {
     extrapolation_errors(model, procs_truth, size,
                          contention_level(big_configs[0]), procs_errors);
   }
-  const double size_median = 100.0 * sample_quantile(size_errors, 0.5);
-  const double size_p95 = 100.0 * sample_quantile(size_errors, 0.95);
-  const double procs_median = 100.0 * sample_quantile(procs_errors, 0.5);
-  const double procs_p95 = 100.0 * sample_quantile(procs_errors, 0.95);
+  const double size_median = 100.0 * stats::quantile(size_errors, 0.5);
+  const double size_p95 = 100.0 * stats::quantile(size_errors, 0.95);
+  const double procs_median = 100.0 * stats::quantile(procs_errors, 0.5);
+  const double procs_p95 = 100.0 * stats::quantile(procs_errors, 0.95);
   doc.set("extrap_size_median_pct", size_median);
   doc.set("extrap_size_p95_pct", size_p95);
   doc.set("extrap_procs_median_pct", procs_median);

@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace pevpm {
+
+namespace {
+/// Sender-side cost when the table lacks kPtpSender entries.
+constexpr double kDefaultSenderSeconds = 25e-6;
+}  // namespace
 
 DeliverySampler::DeliverySampler(const mpibench::DistributionTable& table,
                                  SamplerOptions options, std::uint64_t seed)
@@ -65,48 +71,51 @@ stats::EmpiricalDistribution DeliverySampler::resolve(mpibench::OpKind op,
     const bool off_grid =
         !e.measured || bytes < e.min_size || bytes > e.max_size ||
         contention < e.min_contention || contention > e.max_contention;
-    if (off_grid) return options_.scaling->distribution(op, bytes, contention);
+    if (off_grid) {
+      try {
+        return options_.scaling->distribution(op, bytes, contention);
+      } catch (const std::domain_error& error) {
+        // A hand-made artifact is model input like any other: name the
+        // key that it cannot answer.
+        throw ModelError{mpibench::to_string(op) + " at " +
+                         std::to_string(bytes.count()) + " bytes, contention " +
+                         std::to_string(contention) + ": " + error.what()};
+      }
+    }
   }
   return table_.lookup(op, bytes, contention);
 }
 
-DeliverySampler::Cell& DeliverySampler::cell(mpibench::OpKind op,
-                                             net::Bytes bytes,
-                                             int contention) {
+const DeliverySampler::Cell& DeliverySampler::cell(mpibench::OpKind op,
+                                                   net::Bytes bytes,
+                                                   int contention) {
   const auto op_id = static_cast<std::int32_t>(op);
   // Relaxed is enough: the memo is a hint, re-validated against the full
-  // key, and concurrent readers (see the class contract) only ever see an
-  // index another reader stored after the cell vector stopped growing.
-  const std::uint32_t memo_pos = last_cell_.load(std::memory_order_relaxed);
-  if (memo_pos != kEmpty) {
-    Cell& memo = cells_[memo_pos];
-    if (memo.op == op_id && memo.bytes == bytes &&
-        memo.contention == contention) {
-      return memo;
-    }
+  // key, cells never move once made, and concurrent readers (see the class
+  // contract) only run after the cell index stopped growing.
+  const Cell* memo = last_cell_.load(std::memory_order_relaxed);
+  if (memo != nullptr && memo->op == op_id && memo->bytes == bytes &&
+      memo->contention == contention) {
+    return *memo;
   }
   if (index_.empty()) rehash(16);
   const std::size_t mask = index_.size() - 1;
   std::size_t b = hash_key(op_id, bytes, contention) & mask;
   while (index_[b] != kEmpty) {
-    Cell& c = cells_[index_[b]];
+    const Cell& c = cells_[index_[b]];
     if (c.op == op_id && c.bytes == bytes && c.contention == contention) {
-      last_cell_.store(index_[b], std::memory_order_relaxed);
+      last_cell_.store(&c, std::memory_order_relaxed);
       return c;
     }
     b = (b + 1) & mask;
   }
-  stats::EmpiricalDistribution dist = resolve(op, bytes, contention);
-  Cell& fresh = cells_.emplace_back();
-  fresh.bytes = bytes;
-  fresh.op = op_id;
-  fresh.contention = contention;
-  fresh.dist = std::move(dist);
+  const Cell& fresh = cells_.emplace_back(
+      Cell{bytes, op_id, contention, resolve(op, bytes, contention)});
   index_[b] = static_cast<std::uint32_t>(cells_.size() - 1);
-  last_cell_.store(index_[b], std::memory_order_relaxed);
+  last_cell_.store(&fresh, std::memory_order_relaxed);
   // Keep the load factor under 1/2 so probe chains stay short.
   if (cells_.size() * 2 >= index_.size()) rehash(index_.size() * 2);
-  return cells_.back();
+  return fresh;
 }
 
 double DeliverySampler::draw(mpibench::OpKind op, net::Bytes bytes,
@@ -118,18 +127,7 @@ double DeliverySampler::draw(mpibench::OpKind op, net::Bytes bytes,
         "DeliverySampler: distribution table has no entries for " +
         mpibench::to_string(op)};
   }
-  Cell& c = cell(op, bytes, contention);
-  if (options_.sample_from_fits) {
-    if (!c.fit) c.fit = stats::fit_best(c.dist).distribution;
-    const stats::FittedDistribution& fitted = *c.fit;
-    switch (options_.mode) {
-      case PredictionMode::kDistribution:
-        return std::max(fitted.support_min(), fitted.sample(rng_));
-      case PredictionMode::kAverage: return fitted.mean();
-      case PredictionMode::kMinimum: return fitted.support_min();
-    }
-    return fitted.mean();
-  }
+  const Cell& c = cell(op, bytes, contention);
   switch (options_.mode) {
     case PredictionMode::kDistribution: return c.dist.sample(rng_);
     case PredictionMode::kAverage: return c.dist.mean();
@@ -150,7 +148,7 @@ double DeliverySampler::sender_seconds(net::Bytes bytes, int outstanding) {
                              ? outstanding
                              : options_.fixed_contention;
   return draw(mpibench::OpKind::kPtpSender, bytes, contention,
-              options_.default_sender_seconds);
+              kDefaultSenderSeconds);
 }
 
 double DeliverySampler::late_recv_seconds(net::Bytes bytes, int outstanding) {

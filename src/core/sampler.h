@@ -22,6 +22,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -29,7 +30,6 @@
 #include "core/model.h"
 #include "mpibench/table.h"
 #include "scaling/model.h"
-#include "stats/fit.h"
 #include "stats/rng.h"
 
 namespace pevpm {
@@ -41,12 +41,6 @@ struct SamplerOptions {
   PredictionMode mode = PredictionMode::kDistribution;
   ContentionSource contention = ContentionSource::kScoreboard;
   int fixed_contention = 2;
-  /// Fallback sender-side cost when the table lacks kPtpSender entries.
-  double default_sender_seconds = 25e-6;
-  /// Sample from parametric fits to the empirical PDFs (Section 2 of the
-  /// paper) instead of the histograms themselves. Fits smooth the bin
-  /// quantisation of coarse tables and compress table storage.
-  bool sample_from_fits = false;
   /// Per-quantile scaling model (src/scaling) used as a fallback for grid
   /// cells the table does not cover: keys outside the measured size or
   /// contention range of an operation, or operations with no table entries
@@ -56,13 +50,9 @@ struct SamplerOptions {
 };
 
 // Thread-safety contract: a DeliverySampler is single-threaded while any
-// call can grow the cell index or draw randomness. Once every (op, size,
-// contention) key has been resolved at least once (warm), deterministic
-// modes — kAverage / kMinimum without sample_from_fits — become read-only
-// and MAY be called from several threads concurrently: the only remaining
-// write is the last-cell memo, which is atomic and key-validated, so a
-// racing update is at worst one wasted probe. kDistribution mode and fit
-// sampling mutate the RNG / fit cache and stay single-threaded.
+// call can grow the cell index or draw randomness. Once every key has been
+// resolved (warm), kAverage and kMinimum are read-only and MAY be called
+// from several threads; the atomic last-cell memo is their only write.
 class DeliverySampler {
  public:
   DeliverySampler(const mpibench::DistributionTable& table,
@@ -96,17 +86,15 @@ class DeliverySampler {
  private:
   static constexpr std::uint32_t kEmpty = UINT32_MAX;
 
-  /// One memoised (op, size, contention) cell: the interpolated empirical
-  /// distribution plus its lazily computed parametric fit. Models use few
-  /// distinct message sizes and a bounded range of contention levels, so
-  /// steady-state sampling resolves every key from this index without
-  /// touching the table.
+  /// One memoised (op, size, contention) cell and its distribution. Models
+  /// use few distinct message sizes and a bounded range of contention
+  /// levels, so steady-state sampling resolves every key from this index
+  /// without touching the table.
   struct Cell {
     net::Bytes bytes{};
     std::int32_t op = 0;
     std::int32_t contention = 0;
     stats::EmpiricalDistribution dist;
-    std::optional<stats::FittedDistribution> fit;
   };
 
   /// Measured-grid extent of one operation, resolved lazily (the table is
@@ -125,10 +113,11 @@ class DeliverySampler {
   /// Flat-hash lookup of the memoised cell for a key, interpolating from
   /// the table — or reconstructing from the scaling model when the key is
   /// off the measured grid — and growing the index on first use.
-  [[nodiscard]] Cell& cell(mpibench::OpKind op, net::Bytes bytes,
-                           int contention);
+  [[nodiscard]] const Cell& cell(mpibench::OpKind op, net::Bytes bytes,
+                                 int contention);
   /// The distribution behind a fresh cell: scaling-model reconstruction
   /// for off-grid keys (when enabled), table interpolation otherwise.
+  /// A non-finite scaling prediction raises a ModelError naming the key.
   [[nodiscard]] stats::EmpiricalDistribution resolve(mpibench::OpKind op,
                                                      net::Bytes bytes,
                                                      int contention);
@@ -148,15 +137,16 @@ class DeliverySampler {
   /// afterwards — same lifecycle as the cell index below.
   std::array<GridExtent, 6> extents_{};
   /// Memoised cells in insertion order; `index_` holds open-addressed
-  /// bucket -> cell positions (kEmpty = vacant).
-  std::vector<Cell> cells_;
+  /// bucket -> cell positions (kEmpty = vacant). A deque, so a cell never
+  /// moves once made and the memo below can point at it.
+  std::deque<Cell> cells_;
   std::vector<std::uint32_t> index_;
   /// Draws cluster on one key (a model phase hammers a single message
   /// size), so the last resolved cell is checked before probing. Atomic
   /// (relaxed) because of the concurrent-read contract above: a stale or
   /// torn-free racing value only costs one extra probe, never wrong data,
   /// since the memo is validated against the full key on every use.
-  std::atomic<std::uint32_t> last_cell_{kEmpty};
+  std::atomic<const Cell*> last_cell_{nullptr};
 };
 
 }  // namespace pevpm

@@ -135,6 +135,10 @@ DistributionTable DistributionTable::load(std::istream& is) {
     if (!(is >> key.op >> raw_bytes >> key.contention)) {
       throw std::runtime_error{"DistributionTable::load: truncated key"};
     }
+    if (!is_op_kind(key.op)) {
+      throw std::runtime_error{"DistributionTable::load: unknown op " +
+                               std::to_string(key.op)};
+    }
     key.bytes = net::Bytes{raw_bytes};
     table.entries_[key] = stats::EmpiricalDistribution::load(is);
   }

@@ -29,6 +29,13 @@ enum class OpKind : int {
 
 [[nodiscard]] std::string to_string(OpKind op);
 
+/// True when `id` is the value of an OpKind; loaders check every id they
+/// read from an artifact.
+[[nodiscard]] constexpr bool is_op_kind(int id) noexcept {
+  return id >= static_cast<int>(OpKind::kPtpOneWay) &&
+         id <= static_cast<int>(OpKind::kPtpSender);
+}
+
 class DistributionTable {
  public:
   void insert(OpKind op, net::Bytes bytes, int contention,

@@ -7,9 +7,13 @@ namespace scaling {
 
 namespace {
 
-/// Floor for the 1/y^2 residual weights so zero observations cannot blow
-/// the solve up; one nanosecond is far below any simulated operation.
-constexpr double kTimeFloor = 1e-9;
+/// The bounded exponent lattice, after Extra-P's practice: polynomial
+/// exponents in small rational steps, log exponents 0..2 on both axes.
+/// Scan order is the tie rule, so the order is part of the fit.
+constexpr double kSizeExponents[] = {0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0,
+                                     1.0, 4.0 / 3.0, 1.5, 2.0};
+constexpr double kProcsExponents[] = {0.0, 0.5, 1.0, 1.5, 2.0};
+constexpr int kLogExponents[] = {0, 1, 2};
 
 struct Candidate {
   AxisTerm size;
@@ -104,8 +108,7 @@ double mean_rel_error(std::span<const Observation> points,
 
 }  // namespace
 
-TermFit fit_normal_form(std::span<const Observation> points,
-                        const SearchSpace& space) {
+TermFit fit_normal_form(std::span<const Observation> points) {
   if (points.empty()) {
     throw std::invalid_argument{"fit_normal_form: no observations"};
   }
@@ -121,10 +124,10 @@ TermFit fit_normal_form(std::span<const Observation> points,
   // smaller than this absolute floor is noise, not signal.
   const double noise_floor = static_cast<double>(points.size()) * 1e-24;
 
-  for (const double se : space.size_exponents) {
-    for (const int sle : space.size_log_exponents) {
-      for (const double pe : space.procs_exponents) {
-        for (const int ple : space.procs_log_exponents) {
+  for (const double se : kSizeExponents) {
+    for (const int sle : kLogExponents) {
+      for (const double pe : kProcsExponents) {
+        for (const int ple : kLogExponents) {
           const Candidate candidate{AxisTerm{se, sle}, AxisTerm{pe, ple}};
           if (candidate.size.trivial() && candidate.procs.trivial()) {
             continue;  // the constant model, already solved above

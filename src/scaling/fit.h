@@ -10,7 +10,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "scaling/normal_form.h"
 
@@ -23,15 +22,10 @@ struct Observation {
   double seconds = 0.0;
 };
 
-/// The bounded exponent lattice. Defaults follow Extra-P's practice:
-/// polynomial exponents in small rational steps, log exponents 0..2.
-struct SearchSpace {
-  std::vector<double> size_exponents{0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0,
-                                     1.0, 4.0 / 3.0, 1.5, 2.0};
-  std::vector<int> size_log_exponents{0, 1, 2};
-  std::vector<double> procs_exponents{0.0, 0.5, 1.0, 1.5, 2.0};
-  std::vector<int> procs_log_exponents{0, 1, 2};
-};
+/// Floor for relative-error scales and predicted times: one nanosecond is
+/// far below any simulated operation, and it keeps zero observations from
+/// blowing up the 1/y^2 weights.
+inline constexpr double kTimeFloor = 1e-9;
 
 struct TermFit {
   NormalForm form{};
@@ -42,15 +36,15 @@ struct TermFit {
   double mean_rel_error = 0.0;
 };
 
-/// Fits the best single-term normal form to `points`. Ties prefer the
-/// earlier (simpler) lattice candidate, so the result is deterministic.
+/// Fits the best single-term normal form to `points` over the fixed
+/// exponent lattice in fit.cpp. Ties prefer the earlier (simpler) lattice
+/// candidate, so the result is deterministic.
 /// Coefficients are constrained non-negative: completion time must not be
 /// fitted as decreasing without bound in size or contention, or
 /// extrapolation would cross zero. Throws std::invalid_argument on empty
 /// input. Axes with a single distinct value degrade to constant factors
 /// automatically (their basis carries no information, so the constant
 /// candidate wins the tie).
-[[nodiscard]] TermFit fit_normal_form(std::span<const Observation> points,
-                                      const SearchSpace& space = {});
+[[nodiscard]] TermFit fit_normal_form(std::span<const Observation> points);
 
 }  // namespace scaling

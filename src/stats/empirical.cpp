@@ -29,6 +29,13 @@ EmpiricalDistribution EmpiricalDistribution::from_samples(
     std::span<const double> xs) {
   EmpiricalDistribution d;
   std::vector<double> sorted(xs.begin(), xs.end());
+  // NaN never equals itself, so the run loop below would never end.
+  for (const double x : sorted) {
+    if (!std::isfinite(x)) {
+      throw std::invalid_argument{"EmpiricalDistribution::from_samples: "
+                                  "non-finite sample"};
+    }
+  }
   std::sort(sorted.begin(), sorted.end());
   for (std::size_t i = 0; i < sorted.size();) {
     std::size_t j = i;

@@ -27,7 +27,8 @@ class EmpiricalDistribution {
   explicit EmpiricalDistribution(const Histogram& hist);
 
   /// Builds an exact empirical distribution from raw samples (each sample
-  /// is an atom of equal weight).
+  /// is an atom of equal weight). Throws std::invalid_argument on a NaN or
+  /// infinite sample.
   static EmpiricalDistribution from_samples(std::span<const double> xs);
 
   /// A degenerate distribution that always returns `value`.

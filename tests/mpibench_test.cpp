@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "mpi/comm.h"
 #include "mpi/runtime.h"
@@ -196,6 +197,20 @@ TEST(Table, SaveLoadRoundTrips) {
               table.lookup(OpKind::kPtpOneWay, net::Bytes{256}, 2).mean(), 1e-5);
   std::stringstream bad{"not-a-table v9"};
   EXPECT_THROW((void)DistributionTable::load(bad), std::runtime_error);
+}
+
+TEST(Table, LoadRejectsUnknownOp) {
+  DistributionTable table;
+  table.insert(OpKind::kPtpOneWay, net::Bytes{256}, 2,
+               stats::EmpiricalDistribution::constant(5e-5));
+  std::stringstream ss;
+  table.save(ss);
+  std::string text = ss.str();
+  const std::string key = "\n0 256 2\n";
+  ASSERT_NE(text.find(key), std::string::npos);
+  text.replace(text.find(key), key.size(), "\n99 256 2\n");
+  std::istringstream unknown{text};
+  EXPECT_THROW((void)DistributionTable::load(unknown), std::runtime_error);
 }
 
 TEST(Table, MeasureIsendTableCoversGrid) {

@@ -173,43 +173,6 @@ TEST(Theoretical, TableMatchesHockneyMeans) {
   EXPECT_GT(busy.mean(), quiet.mean());
 }
 
-TEST(Sampler, FittedSamplingTracksHistogramSampling) {
-  // sample_from_fits replaces each table histogram with its best
-  // parametric fit; means must agree closely and samples must respect the
-  // fitted lower bound.
-  DistributionTable table;
-  stats::Histogram h{5e-6};
-  stats::Rng gen{12};
-  for (int i = 0; i < 5000; ++i) h.add(200e-6 + gen.exponential(40e-6));
-  table.insert(OpKind::kPtpOneWay, net::Bytes{1024}, 1, stats::EmpiricalDistribution{h});
-  table.insert(OpKind::kPtpSender, net::Bytes{1024}, 1,
-               stats::EmpiricalDistribution::constant(20e-6));
-
-  pevpm::SamplerOptions hist_opts;
-  pevpm::SamplerOptions fit_opts;
-  fit_opts.sample_from_fits = true;
-
-  pevpm::DeliverySampler hist_sampler{table, hist_opts, 5};
-  pevpm::DeliverySampler fit_sampler{table, fit_opts, 5};
-  stats::Summary hist_mean;
-  stats::Summary fit_mean;
-  for (int i = 0; i < 4000; ++i) {
-    hist_mean.add(hist_sampler.delivery_seconds(net::Bytes{1024}, 1));
-    const double v = fit_sampler.delivery_seconds(net::Bytes{1024}, 1);
-    EXPECT_GE(v, 190e-6);  // fitted support respects the bounded minimum
-    fit_mean.add(v);
-  }
-  EXPECT_NEAR(fit_mean.mean(), hist_mean.mean(), 0.05 * hist_mean.mean());
-
-  // Average/minimum modes follow the fit.
-  fit_opts.mode = pevpm::PredictionMode::kAverage;
-  pevpm::DeliverySampler fit_avg{table, fit_opts, 5};
-  EXPECT_NEAR(fit_avg.delivery_seconds(net::Bytes{1024}, 1), 240e-6, 15e-6);
-  fit_opts.mode = pevpm::PredictionMode::kMinimum;
-  pevpm::DeliverySampler fit_min{table, fit_opts, 5};
-  EXPECT_NEAR(fit_min.delivery_seconds(net::Bytes{1024}, 1), 200e-6, 12e-6);
-}
-
 TEST(Theoretical, DrivesEndToEndPrediction) {
   pevpm::TheoreticalMachine machine;
   const std::vector<net::Bytes> sizes{net::Bytes{1024}};

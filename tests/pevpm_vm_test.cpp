@@ -812,10 +812,8 @@ TEST(Sampler, FallbackSenderCostWhenTableLacksEntries) {
   DistributionTable table;
   table.insert(OpKind::kPtpOneWay, net::Bytes{100}, 1,
                stats::EmpiricalDistribution::constant(1e-3));
-  pevpm::SamplerOptions opts;
-  opts.default_sender_seconds = 33e-6;
-  pevpm::DeliverySampler sampler{table, opts, 1};
-  EXPECT_DOUBLE_EQ(sampler.sender_seconds(net::Bytes{100}, 1), 33e-6);
+  pevpm::DeliverySampler sampler{table, {}, 1};
+  EXPECT_DOUBLE_EQ(sampler.sender_seconds(net::Bytes{100}, 1), 25e-6);
 }
 
 TEST(Sampler, MissingOneWayTableThrows) {

@@ -5,6 +5,7 @@
 // covers the DeliverySampler's scaling fallback against the table edge.
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,6 +116,31 @@ TEST(SamplerScaling, ModelCoversOpsWithNoTableEntries) {
   pevpm::DeliverySampler sampler{table, options, 1};
   const double t = sampler.collective_seconds(pevpm::CollOp::kBcast, net::Bytes{512}, 4);
   EXPECT_NEAR(t, 4e-5, 1e-6);
+}
+
+TEST(SamplerScaling, NonFinitePredictionIsAModelError) {
+  // Every track is 1e308 * log2(s + 1): infinite anywhere off the grid.
+  std::string text = "pevpm-scaling v1\n1 16\n0\n";
+  for (int t = 0; t < scaling::ScalingModel::kTracks; ++t) {
+    text += "0 1e308 0 1 0 0\n";
+  }
+  std::istringstream in{text};
+  const scaling::ScalingModel model = scaling::ScalingModel::load(in);
+  pevpm::SamplerOptions options;
+  options.mode = pevpm::PredictionMode::kAverage;
+  options.scaling = &model;
+  const auto table = law_table();
+  pevpm::DeliverySampler sampler{table, options, 1};
+  try {
+    (void)sampler.delivery_seconds(net::Bytes{100000}, 2);
+    FAIL() << "expected a ModelError";
+  } catch (const pevpm::ModelError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("ptp_oneway"), std::string::npos) << what;
+    EXPECT_NE(what.find("100000 bytes"), std::string::npos) << what;
+  }
+  // On-grid keys never consult the model.
+  EXPECT_GT(sampler.delivery_seconds(net::Bytes{1024}, 2), 0.0);
 }
 
 const char* kChainModel = R"(

@@ -1,17 +1,22 @@
 // Unit tests for src/scaling: normal-form evaluation, model-term search,
 // the per-quantile ScalingModel, and leave-one-out cross-validation.
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mpibench/table.h"
-#include "scaling/crossval.h"
 #include "scaling/fit.h"
 #include "scaling/model.h"
 #include "scaling/normal_form.h"
 #include "stats/empirical.h"
+#include "stats/rng.h"
+#include "stats/summary.h"
 
 namespace {
 
@@ -209,10 +214,51 @@ TEST(ScalingModel, LoadRejectsMalformedArtifacts) {
                std::runtime_error);
 }
 
+/// One serialised series of `op` whose every track is `track`.
+std::string series_text(int op, const std::string& track) {
+  std::string text = std::to_string(op) + "\n";
+  for (int t = 0; t < scaling::ScalingModel::kTracks; ++t) {
+    text += track + "\n";
+  }
+  return text;
+}
+
+std::string one_series_artifact(int op, const std::string& track) {
+  return "pevpm-scaling v1\n1 16\n" + series_text(op, track);
+}
+
+TEST(ScalingModel, LoadRejectsUnknownOp) {
+  std::istringstream in{one_series_artifact(99, "1e-6 0 0 0 0 0")};
+  EXPECT_THROW((void)scaling::ScalingModel::load(in), std::runtime_error);
+}
+
+TEST(ScalingModel, LoadRejectsRepeatedOp) {
+  std::istringstream in{"pevpm-scaling v1\n2 16\n" +
+                        series_text(0, "1e-6 0 0 0 0 0") +
+                        series_text(0, "2e-6 0 0 0 0 0")};
+  EXPECT_THROW((void)scaling::ScalingModel::load(in), std::runtime_error);
+}
+
+TEST(ScalingModel, NonFinitePredictionsThrow) {
+  // 1e308 * log2(s + 1) overflows to infinity; a zero coefficient times an
+  // infinite log power is NaN.
+  for (const char* track : {"0 1e308 0 1 0 0", "0 0 0 4000000 0 0"}) {
+    std::istringstream in{one_series_artifact(0, track)};
+    const scaling::ScalingModel model = scaling::ScalingModel::load(in);
+    EXPECT_THROW((void)model.quantiles(OpKind::kPtpOneWay, 100000.0, 16.0),
+                 std::domain_error)
+        << track;
+    EXPECT_THROW((void)model.distribution(OpKind::kPtpOneWay,
+                                          net::Bytes{100000}, 16),
+                 std::domain_error)
+        << track;
+  }
+}
+
 TEST(ScalingModel, FitDiagnosticsReportGridAndError) {
   const auto table = synthetic_table(OpKind::kPtpOneWay);
   std::vector<scaling::OpFitDiagnostics> diagnostics;
-  (void)scaling::fit_scaling_model(table, {}, &diagnostics);
+  (void)scaling::fit_scaling_model(table, &diagnostics);
   ASSERT_EQ(diagnostics.size(), 1u);
   EXPECT_EQ(diagnostics[0].op, OpKind::kPtpOneWay);
   EXPECT_EQ(diagnostics[0].grid_cells, 16);
@@ -229,6 +275,55 @@ TEST(CrossValidate, SyntheticLawValidatesTightly) {
   // The generating law is in the search space, so held-out error is small.
   EXPECT_LT(report.per_op[0].median_rel_error, 0.05);
   EXPECT_LT(report.worst_p95(), 0.25);
+}
+
+/// A 4 x 3 grid whose quantiles follow no lattice law exactly and carry
+/// per-cell noise, so leaving any cell out moves the fit. `skip` names a
+/// (size, level) cell to leave out of the table; every other cell is the
+/// same whatever is skipped.
+mpibench::DistributionTable noisy_table(net::Bytes skip_size = {},
+                                        int skip_level = 0) {
+  mpibench::DistributionTable table;
+  const net::Bytes sizes[] = {net::Bytes{64}, net::Bytes{512},
+                              net::Bytes{4096}, net::Bytes{32768}};
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    for (const int p : {2, 4, 8}) {
+      if (sizes[i] == skip_size && p == skip_level) continue;
+      stats::Rng rng{1000 * i + static_cast<std::size_t>(p)};
+      const double base = 4e-6 + 3e-9 * std::pow(sizes[i].to_double(), 1.1) *
+                                     (1.0 + 0.25 * std::sqrt(p));
+      std::vector<double> samples;
+      for (int k = 0; k < 48; ++k) {
+        samples.push_back(base * (1.0 + rng.exponential(0.3)));
+      }
+      table.insert(OpKind::kPtpOneWay, sizes[i], p,
+                   stats::EmpiricalDistribution::from_samples(samples));
+    }
+  }
+  return table;
+}
+
+TEST(CrossValidate, EachCellMatchesAFitOfTheTableWithoutIt) {
+  const scaling::CrossValidationReport report =
+      scaling::cross_validate(noisy_table());
+  ASSERT_EQ(report.cells.size(), 12u);
+  const mpibench::DistributionTable full = noisy_table();
+  for (const scaling::CrossValidationCell& cell : report.cells) {
+    const scaling::ScalingModel without = scaling::fit_scaling_model(
+        noisy_table(cell.size_bytes, cell.contention));
+    const stats::EmpiricalDistribution* measured =
+        full.exact(cell.op, cell.size_bytes, cell.contention);
+    ASSERT_NE(measured, nullptr);
+    const auto errors = scaling::track_errors(
+        without.quantiles(cell.op, cell.size_bytes.to_double(),
+                          cell.contention),
+        *measured);
+    SCOPED_TRACE(testing::Message() << cell.size_bytes.count() << " bytes, level "
+                                    << cell.contention);
+    EXPECT_EQ(cell.median_rel_error, stats::quantile(errors, 0.5));
+    EXPECT_EQ(cell.max_rel_error,
+              *std::max_element(errors.begin(), errors.end()));
+  }
 }
 
 TEST(CrossValidate, SkipsOpsWithTooFewCells) {

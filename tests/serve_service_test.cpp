@@ -143,6 +143,24 @@ TEST(ServeService, MalformedScalingArtifactAnswers400) {
   EXPECT_EQ(service.stats().bad_requests, 1u);
 }
 
+TEST(ServeService, NonFiniteScalingPredictionAnswers400AndKeepsServing) {
+  pevpm::PredictRequest request = chain_request(19);
+  request.procs = {4, 8};  // 8 pushes contention past the measured levels
+  // Every track is 1e308 * log2(s + 1): infinite anywhere off the grid.
+  request.scaling_text = "pevpm-scaling v1\n1 16\n0\n";
+  for (int t = 0; t < scaling::ScalingModel::kTracks; ++t) {
+    request.scaling_text += "0 1e308 0 1 0 0\n";
+  }
+  request.extrapolate = true;
+  serve::Service service{serve::ServiceOptions{}};
+  const serve::Service::Response response = service.predict(request);
+  EXPECT_EQ(response.status, 400) << response.error;
+  EXPECT_NE(response.error.find("ptp_oneway"), std::string::npos)
+      << response.error;
+  const serve::Service::Response next = service.predict(chain_request(19));
+  EXPECT_EQ(next.status, 200) << next.error;
+}
+
 TEST(ServeService, ConcurrentSocketClientsMatchCliBytes) {
   const std::string socket_path =
       "serve_svc_" + std::to_string(::getpid()) + ".sock";

@@ -5,7 +5,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "stats/empirical.h"
@@ -264,6 +266,16 @@ TEST(Empirical, FromSamplesIsExact) {
   for (int i = 0; i < 100; ++i) {
     const double x = d.sample(rng);
     EXPECT_TRUE(x == 1.0 || x == 2.0 || x == 3.0);
+  }
+}
+
+TEST(Empirical, FromSamplesRejectsNonFiniteSamples) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    const std::vector<double> xs{1.0, bad, 2.0};
+    EXPECT_THROW((void)stats::EmpiricalDistribution::from_samples(xs),
+                 std::invalid_argument);
   }
 }
 

@@ -21,7 +21,6 @@
 
 #include "core/version.h"
 #include "mpibench/table.h"
-#include "scaling/crossval.h"
 #include "scaling/model.h"
 
 namespace {
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
 
     std::vector<scaling::OpFitDiagnostics> diagnostics;
     const scaling::ScalingModel model =
-        scaling::fit_scaling_model(table, {}, &diagnostics);
+        scaling::fit_scaling_model(table, &diagnostics);
     if (model.empty()) {
       std::fprintf(stderr, "table %s has no fittable operation series\n",
                    table_file.c_str());
