@@ -1,5 +1,7 @@
 #include "core/scoreboard.h"
 
+#include <algorithm>
+
 #include "stats/rng.h"
 
 namespace pevpm {
@@ -16,47 +18,38 @@ std::uint64_t pair_key(int src, int dst) noexcept {
 }  // namespace
 
 void Scoreboard::rehash(std::size_t buckets) {
-  index_.assign(buckets, kEmpty);
+  index_.assign(buckets, kNoStream);
   const std::size_t mask = buckets - 1;
   for (std::uint32_t pos = 0; pos < streams_.size(); ++pos) {
     std::size_t b = stats::mix64(streams_[pos].key) & mask;
-    while (index_[b] != kEmpty) b = (b + 1) & mask;
+    while (index_[b] != kNoStream) b = (b + 1) & mask;
     index_[b] = pos;
   }
 }
 
 // LINT:hot-path begin (per-message scoreboard traffic: pooled messages and
-// hashed stream records; only pool, record and index growth allocate)
-std::uint32_t Scoreboard::find(std::uint64_t key) const noexcept {
-  if (index_.empty()) return kEmpty;
-  const std::size_t mask = index_.size() - 1;
-  std::size_t b = stats::mix64(key) & mask;
-  while (index_[b] != kEmpty) {
-    if (streams_[index_[b]].key == key) return index_[b];
-    b = (b + 1) & mask;
-  }
-  return kEmpty;
-}
-
-Scoreboard::Stream& Scoreboard::stream(int src, int dst) {
+// indexed stream records; only pool, record and index growth allocate)
+std::uint32_t Scoreboard::stream_of(int src, int dst) {
+  ++lookups_;
   if (index_.empty()) rehash(16);
   const std::uint64_t key = pair_key(src, dst);
   const std::size_t mask = index_.size() - 1;
   std::size_t b = stats::mix64(key) & mask;
-  while (index_[b] != kEmpty) {
-    if (streams_[index_[b]].key == key) return streams_[index_[b]];
+  while (index_[b] != kNoStream) {
+    if (streams_[index_[b]].key == key) return index_[b];
     b = (b + 1) & mask;
   }
-  index_[b] = static_cast<std::uint32_t>(streams_.size());
+  const auto pos = static_cast<std::uint32_t>(streams_.size());
+  index_[b] = pos;
   streams_.push_back(Stream{key});
   // Keep the load factor under 1/2 so probe chains stay short.
   if (streams_.size() * 2 >= index_.size()) rehash(index_.size() * 2);
-  return streams_.back();
+  return pos;
 }
 
-MessageRef Scoreboard::add(int src, int dst, net::Bytes bytes, double depart,
-                           int send_directive) {
-  Stream& s = stream(src, dst);
+MessageRef Scoreboard::add(std::uint32_t stream, net::Bytes bytes,
+                           double depart, int send_directive) {
+  Stream& s = streams_[stream];
   TransitMessage* message = free_;
   if (message != nullptr) {
     free_ = message->next;
@@ -65,12 +58,10 @@ MessageRef Scoreboard::add(int src, int dst, net::Bytes bytes, double depart,
   }
   *message = TransitMessage{};
   message->id = next_id_++;
-  message->src = src;
-  message->dst = dst;
   message->bytes = bytes;
   message->depart = depart;
   message->send_directive = send_directive;
-  message->stream = static_cast<std::uint32_t>(&s - streams_.data());
+  message->stream = stream;
   if (s.tail != nullptr) {
     s.tail->next = message;
   } else {
@@ -83,10 +74,8 @@ MessageRef Scoreboard::add(int src, int dst, net::Bytes bytes, double depart,
   return message;
 }
 
-MessageRef Scoreboard::claim(int src, int dst) {
-  const std::uint32_t pos = find(pair_key(src, dst));
-  if (pos == kEmpty) return nullptr;
-  Stream& s = streams_[pos];
+MessageRef Scoreboard::claim(std::uint32_t stream) {
+  Stream& s = streams_[stream];
   TransitMessage* message = s.unclaimed;
   if (message == nullptr) return nullptr;
   message->claimed = true;
@@ -115,14 +104,11 @@ void Scoreboard::take_unassigned(std::vector<MessageRef>& out) {
   out.swap(unassigned_);
 }
 
-double Scoreboard::arrival_floor(int src, int dst) const {
-  const std::uint32_t pos = find(pair_key(src, dst));
-  return pos == kEmpty ? 0.0 : streams_[pos].last_arrival;
-}
-
-void Scoreboard::note_arrival(int src, int dst, double arrival) {
-  double& last = stream(src, dst).last_arrival;
-  if (arrival > last) last = arrival;
+double Scoreboard::settle_arrival(MessageRef message, double sampled) {
+  double& floor = streams_[message->stream].last_arrival;
+  const double arrival = std::max(sampled, floor);
+  if (arrival > floor) floor = arrival;
+  return arrival;
 }
 // LINT:hot-path end
 

@@ -10,10 +10,12 @@
 //
 // Layout: messages live in a pool with a free list, so a run allocates
 // only while its peak number of messages in transit grows. Each (src, dst)
-// stream is one record (its FIFO and its in-order arrival floor), found
-// through an open-addressed hash on the pair; records exist only for
-// pairs that have carried a message, so memory follows the active pairs
-// rather than P^2.
+// stream is one record (its FIFO and its in-order arrival floor). The
+// record is found once, through an open-addressed hash on the pair
+// (`stream_of`), and named by its index after that: by the message, by a
+// posted receive and by the caller's operand cache. Records exist only for
+// pairs that have carried or awaited a message, so memory follows the
+// active pairs rather than P^2.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +28,6 @@ namespace pevpm {
 
 struct TransitMessage {
   std::uint64_t id = 0;
-  int src = -1;
-  int dst = -1;
   net::Bytes bytes{};
   double depart = 0.0;        ///< sender clock at the send directive
   double arrival = -1.0;      ///< assigned during a match phase
@@ -46,12 +46,20 @@ using MessageRef = TransitMessage*;
 
 class Scoreboard {
  public:
-  /// Adds a message in send order; returns its handle.
-  MessageRef add(int src, int dst, net::Bytes bytes, double depart,
+  /// An index no record has: a vacant hash bucket, or (to callers that
+  /// keep indexes) a stream not yet looked up.
+  static constexpr std::uint32_t kNoStream = UINT32_MAX;
+
+  /// Index of the src->dst stream record, created on first use. The only
+  /// hashed lookup; every other call takes the index it returns.
+  [[nodiscard]] std::uint32_t stream_of(int src, int dst);
+
+  /// Adds a message to `stream` in send order; returns its handle.
+  MessageRef add(std::uint32_t stream, net::Bytes bytes, double depart,
                  int send_directive);
 
-  /// Oldest unclaimed src->dst message, or nullptr. Marks it claimed.
-  [[nodiscard]] MessageRef claim(int src, int dst);
+  /// Oldest unclaimed message of `stream`, or nullptr. Marks it claimed.
+  [[nodiscard]] MessageRef claim(std::uint32_t stream);
 
   /// Marks a claimed message consumed and removes settled queue heads.
   void consume(MessageRef message);
@@ -66,16 +74,18 @@ class Scoreboard {
   /// phase stops allocating once it has grown.
   void take_unassigned(std::vector<MessageRef>& out);
 
-  /// Per-(src,dst) in-order delivery floor: no message may arrive before
-  /// an earlier message on the same stream (TCP delivers in order).
-  [[nodiscard]] double arrival_floor(int src, int dst) const;
-  void note_arrival(int src, int dst, double arrival);
+  /// The arrival time of `message` given its `sampled` one: never before
+  /// an earlier message on the same stream (TCP delivers in order). Raises
+  /// the stream's floor to the result.
+  [[nodiscard]] double settle_arrival(MessageRef message, double sampled);
 
   [[nodiscard]] std::uint64_t total_messages() const noexcept { return next_id_ - 1; }
+  /// `stream_of` calls so far.
+  [[nodiscard]] std::uint64_t stream_lookups() const noexcept {
+    return lookups_;
+  }
 
  private:
-  static constexpr std::uint32_t kEmpty = UINT32_MAX;
-
   /// One (src, dst) stream: a FIFO threaded through TransitMessage::next.
   /// Claims are taken in order, so claimed messages form a prefix and
   /// `unclaimed` marks where it ends.
@@ -87,10 +97,6 @@ class Scoreboard {
     double last_arrival = 0.0;            ///< in-order delivery floor
   };
 
-  /// Record index of a pair, or kEmpty.
-  [[nodiscard]] std::uint32_t find(std::uint64_t key) const noexcept;
-  /// Record of a pair, created on first use.
-  Stream& stream(int src, int dst);
   void rehash(std::size_t buckets);
 
   /// Message storage: a deque never moves its elements, so MessageRefs stay
@@ -98,12 +104,13 @@ class Scoreboard {
   std::deque<TransitMessage> pool_;
   TransitMessage* free_ = nullptr;
   /// Stream records in first-use order; `index_` holds open-addressed
-  /// bucket -> record positions (kEmpty = vacant).
+  /// bucket -> record positions (kNoStream = vacant).
   std::vector<Stream> streams_;
   std::vector<std::uint32_t> index_;
   std::vector<MessageRef> unassigned_;
   int outstanding_ = 0;
   std::uint64_t next_id_ = 1;
+  std::uint64_t lookups_ = 0;
 };
 
 }  // namespace pevpm

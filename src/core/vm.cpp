@@ -49,13 +49,17 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
                         static_cast<std::size_t>(model.cached_operands));
 }
 
-// LINT:hot-path begin (operand evaluation: a cached operand is one load)
+// LINT:hot-path begin (operand evaluation and stream resolution: a cached
+// operand or stream is one load)
+Vm::CachedOperand& Vm::cached(const Process& proc, int cache) {
+  return operand_cache_[static_cast<std::size_t>(proc.rank) *
+                            static_cast<std::size_t>(model_.cached_operands) +
+                        static_cast<std::size_t>(cache)];
+}
+
 double Vm::eval(const Process& proc, const Expr& expr, int cache) {
   if (cache < 0) return expr.eval(proc.env);
-  CachedOperand& entry =
-      operand_cache_[static_cast<std::size_t>(proc.rank) *
-                         static_cast<std::size_t>(model_.cached_operands) +
-                     static_cast<std::size_t>(cache)];
+  CachedOperand& entry = cached(proc, cache);
   if (!entry.known) {
     entry.value = expr.eval(proc.env);
     entry.known = true;
@@ -66,6 +70,16 @@ double Vm::eval(const Process& proc, const Expr& expr, int cache) {
 long Vm::eval_int(const Process& proc, const Expr& expr, int cache,
                   const char* what) {
   return checked_int(eval(proc, expr, cache), expr, what);
+}
+
+std::uint32_t Vm::stream_for(const Process& proc, int cache, int src,
+                             int dst) {
+  if (cache < 0) return scoreboard_.stream_of(src, dst);
+  CachedOperand& entry = cached(proc, cache);
+  if (entry.stream == Scoreboard::kNoStream) {
+    entry.stream = scoreboard_.stream_of(src, dst);
+  }
+  return entry.stream;
 }
 // LINT:hot-path end
 
@@ -95,7 +109,7 @@ Vm::Claim& Vm::reuse_handle(Process& proc, const MessageNode& msg) const {
 // messages come from the scoreboard's pool)
 bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
   if (!claim.message) {
-    claim.message = scoreboard_.claim(claim.src, proc.rank);
+    claim.message = scoreboard_.claim(claim.stream);
   }
   if (!claim.message || !claim.message->arrival_known) {
     if (!proc.blocked) {
@@ -150,7 +164,8 @@ bool Vm::exec(Process& proc, const Node& node) {
           throw ModelError{"message sent to self at process " +
                            std::to_string(proc.rank)};
         }
-        scoreboard_.add(proc.rank, dst, bytes, proc.clock, node.id);
+        scoreboard_.add(stream_for(proc, msg->peer_cache, proc.rank, dst),
+                        bytes, proc.clock, node.id);
         const double cost =
             sampler_.sender_seconds(bytes, scoreboard_.outstanding());
         proc.clock += cost;
@@ -166,9 +181,10 @@ bool Vm::exec(Process& proc, const Node& node) {
       case MsgOp::kRecv: {
         if (!proc.blocked) {
           proc.wanted = Claim{};
-          proc.wanted.src =
+          const int src =
               eval_rank(proc, *msg->peer, msg->peer_cache, "recv from rank");
-          proc.wanted.bytes = bytes;
+          proc.wanted.stream =
+              stream_for(proc, msg->peer_cache, src, proc.rank);
         }
         return try_receive(proc, proc.wanted, node.id);
       }
@@ -181,9 +197,8 @@ bool Vm::exec(Process& proc, const Node& node) {
         Claim& claim = reuse_handle(proc, *msg);
         claim = Claim{};
         claim.active = true;
-        claim.src = src;
-        claim.bytes = bytes;
-        claim.message = scoreboard_.claim(src, proc.rank);
+        claim.stream = stream_for(proc, msg->peer_cache, src, proc.rank);
+        claim.message = scoreboard_.claim(claim.stream);
         return true;
       }
     }
@@ -345,9 +360,7 @@ void Vm::match() {
         message->depart +
         sampler_.delivery_seconds(message->bytes, contention);
     // In-order delivery per stream: never ahead of an earlier message.
-    message->arrival = std::max(
-        sampled, scoreboard_.arrival_floor(message->src, message->dst));
-    scoreboard_.note_arrival(message->src, message->dst, message->arrival);
+    message->arrival = scoreboard_.settle_arrival(message, sampled);
     message->arrival_known = true;
   }
 }
@@ -400,6 +413,7 @@ SimulationResult Vm::collect() const {
   result.messages = scoreboard_.total_messages();
   result.sweep_phases = sweeps_;
   result.match_phases = matches_;
+  result.stream_lookups = scoreboard_.stream_lookups();
   return result;
 }
 

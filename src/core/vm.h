@@ -49,6 +49,11 @@ struct SimulationResult {
   std::uint64_t messages = 0;
   std::uint64_t sweep_phases = 0;
   std::uint64_t match_phases = 0;
+  /// Hashed (src, dst) stream lookups (`Scoreboard::stream_of` calls).
+  /// Operands the model caches resolve their stream once per process, so
+  /// a model whose peers are all cached makes a fixed number of lookups
+  /// however many messages it sends.
+  std::uint64_t stream_lookups = 0;
 
   /// Largest per-directive blocked-time contributors, most costly first.
   [[nodiscard]] std::vector<std::pair<int, double>> top_losses(
@@ -76,17 +81,23 @@ class Vm {
 
   struct Claim {
     MessageRef message = nullptr;  ///< null until a sender catches up
-    int src = -1;
-    net::Bytes bytes{};
+    /// The src->receiver stream, resolved when the receive is posted.
+    std::uint32_t stream = Scoreboard::kNoStream;
     bool pending = true;
     bool active = false;  ///< a handle's outstanding op (Wait may name it)
   };
 
-  /// One operand cache entry: the operand's value once evaluated.
+  /// One operand cache entry: the operand's value once evaluated and, for
+  /// a message's peer, the scoreboard stream it names (sends go from the
+  /// process to the peer, receives the other way; each cache index belongs
+  /// to one operand of one directive, so the direction is fixed).
   struct CachedOperand {
     double value = 0.0;
     bool known = false;
+    std::uint32_t stream = Scoreboard::kNoStream;
   };
+  static_assert(sizeof(CachedOperand) == 16,
+                "the stream index lives in the entry's padding");
 
   struct Process {
     int rank = -1;
@@ -132,6 +143,13 @@ class Vm {
   /// An operand naming a rank: an integer in [0, numprocs).
   [[nodiscard]] int eval_rank(const Process& proc, const Expr& expr,
                               int cache, const char* what);
+  /// Entry `cache` (>= 0) of `proc`'s operand cache.
+  [[nodiscard]] CachedOperand& cached(const Process& proc, int cache);
+  /// The src->dst stream of a message whose peer is operand `cache` of
+  /// `proc`: looked up once and kept in the operand cache, or looked up
+  /// every time when `cache` is -1.
+  [[nodiscard]] std::uint32_t stream_for(const Process& proc, int cache,
+                                         int src, int dst);
   /// The handle claim an Isend/Irecv is about to (re)use; throws if it
   /// still holds a pending receive, whose message would be orphaned.
   [[nodiscard]] Claim& reuse_handle(Process& proc,

@@ -163,6 +163,96 @@ runon procnum == 0 {
   EXPECT_EQ(result.messages, 2u);
 }
 
+// Stream matching under the constant table (10 ms delivery, 1 ms sender
+// cost and late-receive drain): every finish time below is worked by hand.
+constexpr double kStreamOneWay = 10e-3;
+constexpr double kStreamSender = 1e-3;
+
+TEST(VmStreams, ReceivesPostedBeforeTheirSendsOnTwoStreams) {
+  // p0 posts each receive before its sender has sent: p1 sends only after
+  // p0 sweeps, and p2 only after a message from p1 reaches it.
+  const char* text = R"(
+runon procnum == 0 {
+  message recv size = 100 from = 1
+  message recv size = 100 from = 2
+} else {
+  runon procnum == 1 {
+    serial time = 1.0
+    message send size = 100 to = 0
+    message send size = 100 to = 2
+  } else {
+    message recv size = 100 from = 1
+    message send size = 100 to = 0
+  }
+}
+)";
+  const auto model = pevpm::parse_model(text);
+  const auto result =
+      run(model, 3, constant_table(kStreamOneWay, kStreamSender));
+  ASSERT_FALSE(result.deadlocked);
+  EXPECT_EQ(result.messages, 3u);
+  // p1 departs at 1.000 (to p0) and 1.001 (to p2), done at 1.002; p2 gets
+  // its message at 1.011 and departs then, done at 1.012; p0 gets p1's at
+  // 1.010, then p2's at 1.021.
+  EXPECT_DOUBLE_EQ(result.processes[1].finish, 1.002);
+  EXPECT_DOUBLE_EQ(result.processes[2].finish, 1.012);
+  EXPECT_DOUBLE_EQ(result.processes[0].finish, 1.021);
+  EXPECT_DOUBLE_EQ(result.processes[0].blocked, 1.021);
+}
+
+TEST(VmStreams, TwoIrecvsWaitedInReverseOrder) {
+  // Both messages are on the stream when p1 posts its irecvs, so a claims
+  // the first and b the second; b completes (and is consumed) first. The
+  // second round reuses the stream after both left it.
+  const char* text = R"(
+loop 2 {
+  runon procnum == 0 {
+    message send size = 100 to = 1
+    serial time = 1.0
+    message send size = 100 to = 1
+  } else {
+    message irecv size = 100 from = 0 handle = a
+    message irecv size = 100 from = 0 handle = b
+    wait b
+    wait a
+  }
+}
+)";
+  const auto model = pevpm::parse_model(text);
+  const auto result =
+      run(model, 2, constant_table(kStreamOneWay, kStreamSender));
+  ASSERT_FALSE(result.deadlocked);
+  EXPECT_EQ(result.messages, 4u);
+  // p0 departs at 0, 1.001, 1.002 and 2.003, done at 2.004. p1 waits for
+  // b (1.011), drains a (1.012), then waits for b (2.013), drains a.
+  EXPECT_DOUBLE_EQ(result.processes[0].finish, 2.004);
+  EXPECT_DOUBLE_EQ(result.processes[1].finish, 2.014);
+}
+
+TEST(VmStreams, PeerReadingAnInductionVariableIsResolvedEachTime) {
+  // The peers read k, so no operand cache holds their streams.
+  const char* text = R"(
+runon procnum == 0 {
+  serial time = 0.1
+}
+loop numprocs - 1 as k {
+  message send size = 100 to = (procnum + k + 1) % numprocs
+  message recv size = 100 from = (procnum + numprocs - k - 1) % numprocs
+}
+)";
+  const auto model = pevpm::parse_model(text);
+  const auto result =
+      run(model, 3, constant_table(kStreamOneWay, kStreamSender));
+  ASSERT_FALSE(result.deadlocked);
+  EXPECT_EQ(result.messages, 6u);
+  // k = 0: p0 departs at 0.1 and drains p2's early message (0.102); p1
+  // waits for p0's (0.110), p2 for p1's (0.010). k = 1: p0 waits for p1's
+  // (departed 0.110), p1 drains p2's (0.112), p2 waits for p0's (0.112).
+  EXPECT_DOUBLE_EQ(result.processes[0].finish, 0.120);
+  EXPECT_DOUBLE_EQ(result.processes[1].finish, 0.112);
+  EXPECT_DOUBLE_EQ(result.processes[2].finish, 0.112);
+}
+
 TEST(Vm, DeadlockIsReportedNotThrown) {
   const char* text = R"(
 message recv size = 8 from = (procnum + 1) % numprocs
@@ -724,16 +814,61 @@ barrier
   EXPECT_EQ(losses, expected);
 }
 
+/// kJacobiFig5 run for `iterations` iterations instead of five.
+std::string jacobi_iterations(int iterations) {
+  std::string text = kJacobiFig5;
+  const std::string five = "Loop iterations = 5";
+  text.replace(text.find(five), five.size(),
+               "Loop iterations = " + std::to_string(iterations));
+  return text;
+}
+
+TEST(VmStreamLookups, JacobiLooksUpEachStreamOncePerProcess) {
+  // Every Jacobi peer is a cached operand, so the hashed lookups are one
+  // per (process, peer operand) however long the model runs.
+  const auto table = spread_table();
+  const auto lookups = [&](int iterations) {
+    const auto model =
+        pevpm::parse_annotated_source(jacobi_iterations(iterations), "j");
+    pevpm::DeliverySampler sampler{table, {}, 1234};
+    const auto result = pevpm::simulate(model, 64, {}, sampler);
+    EXPECT_FALSE(result.deadlocked);
+    EXPECT_EQ(result.messages, 126u * static_cast<unsigned>(iterations));
+    return result.stream_lookups;
+  };
+  const std::uint64_t at10 = lookups(10);
+  EXPECT_EQ(lookups(100), at10);
+  EXPECT_LE(at10, 4u * 64u);
+  // 62 interior processes name four peers, the two edge processes two.
+  EXPECT_EQ(at10, 62u * 4u + 2u * 2u);
+}
+
+TEST(VmStreamLookups, UncachedPeersLookUpOncePerSendAndPostedReceive) {
+  // Six sends and six receives, each peer reading the induction variable.
+  const char* text = R"(
+loop numprocs - 1 as k {
+  message send size = 100 to = (procnum + k + 1) % numprocs
+  message recv size = 100 from = (procnum + numprocs - k - 1) % numprocs
+}
+)";
+  const auto model = pevpm::parse_model(text);
+  const auto result =
+      run(model, 3, constant_table(kStreamOneWay, kStreamSender));
+  EXPECT_EQ(result.messages, 6u);
+  EXPECT_EQ(result.stream_lookups, 12u);
+}
+
 TEST(Scoreboard, FifoClaimAndOutstandingCount) {
   pevpm::Scoreboard board;
-  const auto m1 = board.add(0, 1, net::Bytes{100}, 0.0, 1);
-  const auto m2 = board.add(0, 1, net::Bytes{200}, 0.1, 2);
+  const std::uint32_t s01 = board.stream_of(0, 1);
+  const auto m1 = board.add(s01, net::Bytes{100}, 0.0, 1);
+  const auto m2 = board.add(s01, net::Bytes{200}, 0.1, 2);
   EXPECT_EQ(board.outstanding(), 2);
-  const auto c1 = board.claim(0, 1);
+  const auto c1 = board.claim(s01);
   EXPECT_EQ(c1->id, m1->id);
-  const auto c2 = board.claim(0, 1);
+  const auto c2 = board.claim(s01);
   EXPECT_EQ(c2->id, m2->id);
-  EXPECT_EQ(board.claim(0, 1), nullptr);
+  EXPECT_EQ(board.claim(s01), nullptr);
   board.consume(c1);
   EXPECT_EQ(board.outstanding(), 1);
   board.consume(c2);
@@ -743,7 +878,7 @@ TEST(Scoreboard, FifoClaimAndOutstandingCount) {
 
 TEST(Scoreboard, UnassignedDrainsOnce) {
   pevpm::Scoreboard board;
-  board.add(0, 1, net::Bytes{100}, 0.0, 1);
+  board.add(board.stream_of(0, 1), net::Bytes{100}, 0.0, 1);
   std::vector<pevpm::MessageRef> unassigned;
   board.take_unassigned(unassigned);
   EXPECT_EQ(unassigned.size(), 1u);
@@ -752,12 +887,39 @@ TEST(Scoreboard, UnassignedDrainsOnce) {
 }
 
 TEST(Scoreboard, ArrivalFloorMonotone) {
+  // A message sampled at time 0 settles at its stream's floor, so it
+  // reads the floor.
   pevpm::Scoreboard board;
-  EXPECT_DOUBLE_EQ(board.arrival_floor(0, 1), 0.0);
-  board.note_arrival(0, 1, 5.0);
-  board.note_arrival(0, 1, 3.0);  // earlier arrival must not lower the floor
-  EXPECT_DOUBLE_EQ(board.arrival_floor(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(board.arrival_floor(1, 0), 0.0);
+  const std::uint32_t s01 = board.stream_of(0, 1);
+  const std::uint32_t s10 = board.stream_of(1, 0);
+  const auto at = [&](std::uint32_t stream, double sampled) {
+    return board.settle_arrival(
+        board.add(stream, net::Bytes{100}, 0.0, 1), sampled);
+  };
+  EXPECT_DOUBLE_EQ(at(s01, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(at(s01, 5.0), 5.0);
+  // An earlier arrival must not lower the floor; it is held back to it.
+  EXPECT_DOUBLE_EQ(at(s01, 3.0), 5.0);
+  EXPECT_DOUBLE_EQ(at(s01, 0.0), 5.0);
+  EXPECT_DOUBLE_EQ(at(s10, 0.0), 0.0);
+}
+
+TEST(Scoreboard, StreamOfFindsOneRecordPerPairAndCountsLookups) {
+  // Enough pairs to grow the hash index several times; every index found
+  // before a rehash still names its pair after it.
+  pevpm::Scoreboard board;
+  std::vector<std::uint32_t> first;
+  for (int src = 0; src < 20; ++src) {
+    for (int dst = 0; dst < 5; ++dst) {
+      first.push_back(board.stream_of(src, dst));
+    }
+  }
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i], i);
+  }
+  EXPECT_EQ(board.stream_of(7, 3), first[7 * 5 + 3]);
+  EXPECT_NE(board.stream_of(3, 7), first[7 * 5 + 3]);
+  EXPECT_EQ(board.stream_lookups(), first.size() + 2);
 }
 
 TEST(Predict, ReplicationsSummarise) {

@@ -25,7 +25,8 @@
 //                        byte-identical at any --threads count.
 //     --scaling FILE     use a pre-fitted scaling model (scalefit output)
 //                        instead of fitting from the table; implies
-//                        --extrapolate
+//                        --extrapolate. A FILE with no series is a usage
+//                        error.
 //     --dump             print the parsed model and exit
 //     --server SOCKET    send the request to a running pevpmd instead of
 //                        evaluating locally (SOCKET is a unix path, or
@@ -45,6 +46,7 @@
 
 #include "core/request.h"
 #include "core/version.h"
+#include "scaling/model.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/server.h"
@@ -76,6 +78,21 @@ std::string slurp(const std::string& path) {
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// True when a --scaling file holds no series: it is blank, or a
+/// well-formed artifact that lists none. A malformed one is reported when
+/// the request runs.
+bool lacks_series(const std::string& scaling_text) {
+  if (scaling_text.find_first_not_of(" \t\r\n") == std::string::npos) {
+    return true;
+  }
+  std::istringstream in{scaling_text};
+  try {
+    return scaling::ScalingModel::load(in).empty();
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 /// Ships the request to a pevpmd at `endpoint` (unix path or host:port) and
@@ -216,7 +233,16 @@ int main(int argc, char** argv) {
   }
   request.table_text = slurp(table_file);
   request.table_label = table_file;
-  if (!scaling_file.empty()) request.scaling_text = slurp(scaling_file);
+  if (!scaling_file.empty()) {
+    request.scaling_text = slurp(scaling_file);
+    // Else an empty file would silently fit from the table, and an
+    // artifact listing no series would silently extrapolate nothing.
+    if (lacks_series(request.scaling_text)) {
+      std::fprintf(stderr, "--scaling %s: no scaling series\n",
+                   scaling_file.c_str());
+      usage(argv[0]);
+    }
+  }
 
   if (!server.empty()) return run_remote(server, request);
 
