@@ -1,9 +1,9 @@
 #include "core/expr.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 
 namespace pevpm {
@@ -138,7 +138,9 @@ class Unary final : public Expr {
     return op_ == '-' ? -v : (v == 0.0 ? 1.0 : 0.0);
   }
   std::string str() const override {
-    return std::string{op_} + arg_->str();
+    std::string out{op_};  // not `string + string`: see Parser::fail_depth
+    out += arg_->str();
+    return out;
   }
   void collect_vars(std::vector<std::string>& out) const override {
     arg_->collect_vars(out);
@@ -163,8 +165,33 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw ParseError{"expression error at offset " + std::to_string(pos_) +
-                     " in '" + std::string{text_} + "': " + what};
+    // Quote a long expression by its head only: a rejected model may be
+    // megabytes of text.
+    constexpr std::size_t kQuoted = 80;
+    std::string message =
+        "expression error at offset " + std::to_string(pos_) + " in '";
+    message += text_.substr(0, kQuoted);
+    if (text_.size() > kQuoted) message += "...";
+    message += "': ";
+    message += what;
+    throw ParseError{message};
+  }
+
+  [[noreturn]] void fail_depth() const {
+    // A literal message: gcc's -fanalyzer (the CI deep-analysis sweep)
+    // misreads std::string concatenation on these paths.
+    static_assert(kMaxModelDepth == 1000);
+    throw ParseError{"expression nested deeper than 1000"};
+  }
+
+  /// `lhs op rhs`, where `lhs` is the subexpression parsed last and
+  /// `operand` parses `rhs`.
+  ExprPtr binary(Op op, ExprPtr lhs, ExprPtr (Parser::*operand)()) {
+    const int lhs_depth = depth_;
+    ExprPtr rhs = (this->*operand)();
+    depth_ = std::max(lhs_depth, depth_) + 1;
+    if (depth_ > kMaxModelDepth) fail_depth();
+    return std::make_shared<Binary>(op, std::move(lhs), std::move(rhs));
   }
 
   void skip_ws() {
@@ -190,33 +217,29 @@ class Parser {
 
   ExprPtr parse_or() {
     ExprPtr lhs = parse_and();
-    while (eat("||")) {
-      lhs = std::make_shared<Binary>(Op::kOr, lhs, parse_and());
-    }
+    while (eat("||")) lhs = binary(Op::kOr, lhs, &Parser::parse_and);
     return lhs;
   }
 
   ExprPtr parse_and() {
     ExprPtr lhs = parse_cmp();
-    while (eat("&&")) {
-      lhs = std::make_shared<Binary>(Op::kAnd, lhs, parse_cmp());
-    }
+    while (eat("&&")) lhs = binary(Op::kAnd, lhs, &Parser::parse_cmp);
     return lhs;
   }
 
   ExprPtr parse_cmp() {
     ExprPtr lhs = parse_add();
-    if (eat("==")) return std::make_shared<Binary>(Op::kEq, lhs, parse_add());
-    if (eat("!=")) return std::make_shared<Binary>(Op::kNe, lhs, parse_add());
-    if (eat("<=")) return std::make_shared<Binary>(Op::kLe, lhs, parse_add());
-    if (eat(">=")) return std::make_shared<Binary>(Op::kGe, lhs, parse_add());
+    if (eat("==")) return binary(Op::kEq, lhs, &Parser::parse_add);
+    if (eat("!=")) return binary(Op::kNe, lhs, &Parser::parse_add);
+    if (eat("<=")) return binary(Op::kLe, lhs, &Parser::parse_add);
+    if (eat(">=")) return binary(Op::kGe, lhs, &Parser::parse_add);
     if (peek() == '<' && text_.substr(pos_, 2) != "<<") {
       ++pos_;
-      return std::make_shared<Binary>(Op::kLt, lhs, parse_add());
+      return binary(Op::kLt, lhs, &Parser::parse_add);
     }
     if (peek() == '>' && text_.substr(pos_, 2) != ">>") {
       ++pos_;
-      return std::make_shared<Binary>(Op::kGt, lhs, parse_add());
+      return binary(Op::kGt, lhs, &Parser::parse_add);
     }
     return lhs;
   }
@@ -225,10 +248,10 @@ class Parser {
     ExprPtr lhs = parse_mul();
     for (;;) {
       if (eat("+")) {
-        lhs = std::make_shared<Binary>(Op::kAdd, lhs, parse_mul());
+        lhs = binary(Op::kAdd, lhs, &Parser::parse_mul);
       } else if (peek() == '-') {
         ++pos_;
-        lhs = std::make_shared<Binary>(Op::kSub, lhs, parse_mul());
+        lhs = binary(Op::kSub, lhs, &Parser::parse_mul);
       } else {
         return lhs;
       }
@@ -239,11 +262,11 @@ class Parser {
     ExprPtr lhs = parse_unary();
     for (;;) {
       if (eat("*")) {
-        lhs = std::make_shared<Binary>(Op::kMul, lhs, parse_unary());
+        lhs = binary(Op::kMul, lhs, &Parser::parse_unary);
       } else if (eat("/")) {
-        lhs = std::make_shared<Binary>(Op::kDiv, lhs, parse_unary());
+        lhs = binary(Op::kDiv, lhs, &Parser::parse_unary);
       } else if (eat("%")) {
-        lhs = std::make_shared<Binary>(Op::kMod, lhs, parse_unary());
+        lhs = binary(Op::kMod, lhs, &Parser::parse_unary);
       } else {
         return lhs;
       }
@@ -251,15 +274,15 @@ class Parser {
   }
 
   ExprPtr parse_unary() {
-    if (peek() == '-' ) {
-      ++pos_;
-      return std::make_shared<Unary>('-', parse_unary());
-    }
-    if (peek() == '!' && text_.substr(pos_, 2) != "!=") {
-      ++pos_;
-      return std::make_shared<Unary>('!', parse_unary());
-    }
-    return parse_primary();
+    char op = peek();
+    if (op == '!' && text_.substr(pos_, 2) == "!=") op = '\0';
+    if (op != '-' && op != '!') return parse_primary();
+    ++pos_;
+    if (++open_ > kMaxModelDepth) fail_depth();
+    ExprPtr arg = parse_unary();
+    --open_;
+    if (++depth_ > kMaxModelDepth) fail_depth();
+    return std::make_shared<Unary>(op, std::move(arg));
   }
 
   ExprPtr parse_primary() {
@@ -268,12 +291,16 @@ class Parser {
     const char c = text_[pos_];
     if (c == '(') {
       ++pos_;
+      if (++open_ > kMaxModelDepth) fail_depth();
       ExprPtr inner = parse_or();
+      --open_;
       skip_ws();
       if (pos_ >= text_.size() || text_[pos_] != ')') fail("expected ')'");
       ++pos_;
+      if (++depth_ > kMaxModelDepth) fail_depth();
       return inner;
     }
+    depth_ = 0;
     if (std::isdigit(static_cast<unsigned char>(c)) || c == '.') {
       const char* begin = text_.data() + pos_;
       char* end = nullptr;
@@ -298,15 +325,12 @@ class Parser {
   std::string_view text_;
   SymbolTable& symbols_;
   std::size_t pos_ = 0;
+  /// Depth (see kMaxModelDepth) of the subexpression parsed last.
+  int depth_ = 0;
+  /// Parentheses and unary operators being parsed: the parser's own
+  /// recursion stops where the depth limit would.
+  int open_ = 0;
 };
-
-[[noreturn]] void throw_out_of_range(const Expr& expr, double value,
-                                     const char* what, const char* why) {
-  std::ostringstream os;
-  os << what << " evaluates to " << value << ", which is not " << why << " ("
-     << expr.str() << ")";
-  throw ModelError{os.str()};
-}
 
 }  // namespace
 
@@ -339,21 +363,16 @@ ExprPtr variable(std::string name, SymbolTable& symbols) {
   return std::make_shared<Variable>(std::move(name), slot);
 }
 
-long checked_int(double value, const Expr& expr, const char* what) {
-  // Truncation is defined only for values whose integral part fits a long
-  // (the comparisons are false for NaN). -LONG_MIN is a power of two, so
-  // it converts to double exactly.
-  constexpr double kLimit =
-      -static_cast<double>(std::numeric_limits<long>::min());
-  if (!(value >= -kLimit && value < kLimit)) {
-    throw_out_of_range(expr, value, what, "an integer in range");
-  }
-  return static_cast<long>(value);
+namespace detail {
+
+void throw_out_of_range(const Expr& expr, double value, const char* what,
+                        const char* why) {
+  std::ostringstream os;
+  os << what << " evaluates to " << value << ", which is not " << why << " ("
+     << expr.str() << ")";
+  throw ModelError{os.str()};
 }
 
-double checked_finite(double value, const Expr& expr, const char* what) {
-  if (!std::isfinite(value)) throw_out_of_range(expr, value, what, "finite");
-  return value;
-}
+}  // namespace detail
 
 }  // namespace pevpm

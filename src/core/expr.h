@@ -24,6 +24,8 @@
 // integer semantics (like the C snippets the annotations sit beside).
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -90,8 +92,17 @@ class Expr {
 
 using ExprPtr = std::shared_ptr<const Expr>;
 
+/// Deepest nesting a parsed model may hold: within one expression, the
+/// operators and parentheses on any path from the whole expression to a
+/// number or name (`1+1+1` and `-(1)` are 2 deep); within a model body,
+/// the loops and runon branches around any directive. Both trees are
+/// walked recursively (evaluation, printing, operand indexing,
+/// destruction), so the parsers refuse anything deeper with a ParseError.
+inline constexpr int kMaxModelDepth = 1000;
+
 /// Parses an expression, interning its variable names into `symbols`.
-/// Throws ParseError with position info on failure.
+/// Throws ParseError with position info on failure, including for an
+/// expression nested deeper than kMaxModelDepth.
 [[nodiscard]] ExprPtr parse_expr(std::string_view text, SymbolTable& symbols);
 
 /// Convenience: constant / variable leaf constructors for the builder API.
@@ -113,17 +124,42 @@ class ModelError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+namespace detail {
+/// Raises the ModelError of checked_int and checked_finite: operand `what`
+/// evaluates to `value`, which is not `why`.
+[[noreturn]] void throw_out_of_range(const Expr& expr, double value,
+                                     const char* what, const char* why);
+}  // namespace detail
+
+// The two checks below run on every operand use of a replication, so they
+// are defined here to inline; only their error path is out of line.
+
 /// Truncates toward zero the value `expr` evaluated to, for counts, ranks
 /// and sizes. A value that is not finite or does not fit a `long` raises a
 /// ModelError naming `what` (the directive operand, e.g. "loop count"),
 /// the value and the expression.
-[[nodiscard]] long checked_int(double value, const Expr& expr,
-                               const char* what);
+[[nodiscard]] inline long checked_int(double value, const Expr& expr,
+                                      const char* what) {
+  // Truncation is defined only for values whose integral part fits a long
+  // (the comparisons are false for NaN). -LONG_MIN is a power of two, so
+  // it converts to double exactly.
+  constexpr double kLimit =
+      -static_cast<double>(std::numeric_limits<long>::min());
+  if (!(value >= -kLimit && value < kLimit)) {
+    detail::throw_out_of_range(expr, value, what, "an integer in range");
+  }
+  return static_cast<long>(value);
+}
 
 /// Passes through the value of an operand that must be finite (a Serial
 /// time); NaN or an infinity raises a ModelError naming `what` and the
 /// value.
-[[nodiscard]] double checked_finite(double value, const Expr& expr,
-                                    const char* what);
+[[nodiscard]] inline double checked_finite(double value, const Expr& expr,
+                                           const char* what) {
+  if (!std::isfinite(value)) {
+    detail::throw_out_of_range(expr, value, what, "finite");
+  }
+  return value;
+}
 
 }  // namespace pevpm

@@ -72,7 +72,11 @@ class Assembler {
 
   /// Parses an operand expression against the model's variable slots.
   [[nodiscard]] ExprPtr expr(std::string_view text) {
-    return parse_expr(text, variables_);
+    try {
+      return parse_expr(text, variables_);
+    } catch (const ParseError& e) {
+      fail(e.what());
+    }
   }
 
   /// Folds a parameter definition against the parameters defined so far.
@@ -97,6 +101,7 @@ class Assembler {
 
   void push_loop(ExprPtr count, std::string var = {}) {
     settle_pending_runon();
+    check_depth(1);
     Frame frame;
     frame.kind = Frame::Kind::kLoop;
     frame.loop_count = std::move(count);
@@ -108,6 +113,7 @@ class Assembler {
   void push_runon(std::vector<ExprPtr> conditions) {
     if (conditions.empty()) fail("runon needs at least one condition");
     settle_pending_runon();
+    check_depth(conditions.size());
     Frame frame;
     frame.kind = Frame::Kind::kRunon;
     frame.conditions = std::move(conditions);
@@ -198,6 +204,18 @@ class Assembler {
     std::string loop_var;
     int loop_slot = -1;
   };
+
+  /// Fails when a block `levels` deeper than the open ones would nest
+  /// deeper than kMaxModelDepth. A runon of k conditions is k levels: its
+  /// elif chain nests k runon nodes.
+  void check_depth(std::size_t levels) const {
+    for (const Frame& frame : frames_) {
+      levels += frame.kind == Frame::Kind::kLoop ? 1 : frame.conditions.size();
+    }
+    if (levels > static_cast<std::size_t>(kMaxModelDepth)) {
+      fail("blocks nested deeper than " + std::to_string(kMaxModelDepth));
+    }
+  }
 
   Body& target() {
     // New directives settle any completed runon first (its else didn't

@@ -4,6 +4,19 @@
 #include <sstream>
 
 namespace pevpm {
+namespace {
+
+/// Vm::eval_rank's error, built out of line so the check inlines.
+[[noreturn]] void throw_rank_out_of_range(const Expr& expr, long value,
+                                          const char* what, int numprocs,
+                                          int rank) {
+  std::ostringstream os;
+  os << what << ' ' << value << " out of range [0, " << numprocs
+     << ") at process " << rank << " (" << expr.str() << ")";
+  throw ModelError{os.str()};
+}
+
+}  // namespace
 
 std::vector<std::pair<int, double>> SimulationResult::top_losses(
     std::size_t count) const {
@@ -34,6 +47,7 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
     base.bind(slot, static_cast<double>(numprocs));
   }
   const int procnum = model.variables.find("procnum");
+  flatten(model.body);
   processes_.resize(numprocs);
   for (int r = 0; r < numprocs; ++r) {
     Process& proc = processes_[r];
@@ -41,12 +55,73 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
     proc.env = base;
     if (procnum >= 0) proc.env.bind(procnum, static_cast<double>(r));
     proc.handles.resize(model.handles.size());
-    proc.stack.push_back(Frame{&model.body, 0, 0, false});
   }
   // From here on only loops write a process's variables, so the operands
   // the model indexed keep one value per process for the whole run.
   operand_cache_.resize(static_cast<std::size_t>(numprocs) *
                         static_cast<std::size_t>(model.cached_operands));
+}
+
+void Vm::flatten(const Body& body) {
+  const auto here = [this] {
+    return static_cast<std::uint32_t>(program_.size());
+  };
+  for (const NodePtr& node : body) {
+    Instruction instruction;
+    instruction.id = node->id;
+    if (const auto* serial = std::get_if<SerialNode>(&node->data)) {
+      instruction.op = Opcode::kSerial;
+      instruction.serial = serial;
+      program_.push_back(instruction);
+    } else if (const auto* msg = std::get_if<MessageNode>(&node->data)) {
+      switch (msg->op) {
+        case MsgOp::kSend: instruction.op = Opcode::kSend; break;
+        case MsgOp::kIsend: instruction.op = Opcode::kIsend; break;
+        case MsgOp::kRecv: instruction.op = Opcode::kRecv; break;
+        case MsgOp::kIrecv: instruction.op = Opcode::kIrecv; break;
+      }
+      instruction.message = msg;
+      program_.push_back(instruction);
+    } else if (const auto* wait = std::get_if<WaitNode>(&node->data)) {
+      instruction.op = Opcode::kWait;
+      instruction.wait = wait;
+      program_.push_back(instruction);
+    } else if (const auto* coll = std::get_if<CollectiveNode>(&node->data)) {
+      instruction.op = Opcode::kCollective;
+      instruction.collective = coll;
+      program_.push_back(instruction);
+    } else if (const auto* runon = std::get_if<RunonNode>(&node->data)) {
+      // branch (not taken -> else), then-body, [jump -> end, else-body]
+      const std::size_t branch = program_.size();
+      instruction.op = Opcode::kBranch;
+      instruction.runon = runon;
+      program_.push_back(instruction);
+      flatten(runon->then_body);
+      if (!runon->else_body.empty()) {
+        const std::size_t jump = program_.size();
+        instruction.op = Opcode::kJump;
+        program_.push_back(instruction);
+        program_[branch].target = here();
+        flatten(runon->else_body);
+        program_[jump].target = here();
+      } else {
+        program_[branch].target = here();
+      }
+    } else if (const auto* loop = std::get_if<LoopNode>(&node->data)) {
+      // enter (no iterations -> end), body, next (again -> body)
+      const std::size_t enter = program_.size();
+      instruction.op = Opcode::kLoopEnter;
+      instruction.loop = loop;
+      program_.push_back(instruction);
+      if (!loop->body.empty()) {
+        flatten(loop->body);
+        instruction.op = Opcode::kLoopNext;
+        instruction.target = static_cast<std::uint32_t>(enter + 1);
+        program_.push_back(instruction);
+      }
+      program_[enter].target = here();
+    }
+  }
 }
 
 // LINT:hot-path begin (operand evaluation and stream resolution: a cached
@@ -81,19 +156,16 @@ std::uint32_t Vm::stream_for(const Process& proc, int cache, int src,
   }
   return entry.stream;
 }
-// LINT:hot-path end
 
 int Vm::eval_rank(const Process& proc, const Expr& expr, int cache,
                   const char* what) {
   const long value = eval_int(proc, expr, cache, what);
   if (value < 0 || value >= numprocs_) {
-    std::ostringstream os;
-    os << what << ' ' << value << " out of range [0, " << numprocs_
-       << ") at process " << proc.rank << " (" << expr.str() << ")";
-    throw ModelError{os.str()};
+    throw_rank_out_of_range(expr, value, what, numprocs_, proc.rank);
   }
   return static_cast<int>(value);
 }
+// LINT:hot-path end
 
 Vm::Claim& Vm::reuse_handle(Process& proc, const MessageNode& msg) const {
   Claim& claim = proc.handles[static_cast<std::size_t>(msg.handle_slot)];
@@ -140,138 +212,170 @@ bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
   return true;
 }
 
-bool Vm::exec(Process& proc, const Node& node) {
-  if (const auto* serial = std::get_if<SerialNode>(&node.data)) {
-    const double dt =
-        checked_finite(eval(proc, *serial->seconds, serial->seconds_cache),
-                       *serial->seconds, "serial time");
-    if (dt < 0) throw ModelError{"Serial directive with negative time"};
-    proc.clock += dt;
-    proc.report.compute += dt;
-    return true;
-  }
-  if (const auto* msg = std::get_if<MessageNode>(&node.data)) {
-    const long size_value =
-        eval_int(proc, *msg->size, msg->size_cache, "message size");
-    if (size_value < 0) throw ModelError{"message with negative size"};
-    const auto bytes = static_cast<net::Bytes>(size_value);
-    switch (msg->op) {
-      case MsgOp::kSend:
-      case MsgOp::kIsend: {
+net::Bytes Vm::message_bytes(const Process& proc, const MessageNode& msg) {
+  const long size_value =
+      eval_int(proc, *msg.size, msg.size_cache, "message size");
+  if (size_value < 0) throw ModelError{"message with negative size"};
+  return static_cast<net::Bytes>(size_value);
+}
+
+bool Vm::exec(Process& proc) {
+  const std::size_t end = program_.size();
+  while (proc.pc < end) {
+    const Instruction& instruction = program_[proc.pc];
+    std::uint32_t next = proc.pc + 1;
+    switch (instruction.op) {
+      case Opcode::kSerial: {
+        const SerialNode& serial = *instruction.serial;
+        const double dt =
+            checked_finite(eval(proc, *serial.seconds, serial.seconds_cache),
+                           *serial.seconds, "serial time");
+        if (dt < 0) throw ModelError{"Serial directive with negative time"};
+        proc.clock += dt;
+        proc.report.compute += dt;
+        break;
+      }
+      case Opcode::kSend:
+      case Opcode::kIsend: {
+        const MessageNode& msg = *instruction.message;
+        const net::Bytes bytes = message_bytes(proc, msg);
         const int dst =
-            eval_rank(proc, *msg->peer, msg->peer_cache, "send to rank");
+            eval_rank(proc, *msg.peer, msg.peer_cache, "send to rank");
         if (dst == proc.rank) {
           throw ModelError{"message sent to self at process " +
                            std::to_string(proc.rank)};
         }
-        scoreboard_.add(stream_for(proc, msg->peer_cache, proc.rank, dst),
-                        bytes, proc.clock, node.id);
+        scoreboard_.add(stream_for(proc, msg.peer_cache, proc.rank, dst), bytes,
+                        proc.clock, instruction.id);
         const double cost =
             sampler_.sender_seconds(bytes, scoreboard_.outstanding());
         proc.clock += cost;
         proc.report.send_overhead += cost;
-        if (msg->op == MsgOp::kIsend && msg->handle_slot >= 0) {
-          Claim& claim = reuse_handle(proc, *msg);
+        if (instruction.op == Opcode::kIsend && msg.handle_slot >= 0) {
+          Claim& claim = reuse_handle(proc, msg);
           claim = Claim{};
           claim.pending = false;  // eager: locally complete at once
           claim.active = true;
         }
-        return true;
+        break;
       }
-      case MsgOp::kRecv: {
+      case Opcode::kRecv: {
+        const MessageNode& msg = *instruction.message;
+        (void)message_bytes(proc, msg);
         if (!proc.blocked) {
           proc.wanted = Claim{};
           const int src =
-              eval_rank(proc, *msg->peer, msg->peer_cache, "recv from rank");
-          proc.wanted.stream =
-              stream_for(proc, msg->peer_cache, src, proc.rank);
+              eval_rank(proc, *msg.peer, msg.peer_cache, "recv from rank");
+          proc.wanted.stream = stream_for(proc, msg.peer_cache, src, proc.rank);
         }
-        return try_receive(proc, proc.wanted, node.id);
+        if (!try_receive(proc, proc.wanted, instruction.id)) return false;
+        break;
       }
-      case MsgOp::kIrecv: {
-        if (msg->handle_slot < 0) {
-          throw ModelError{"irecv requires a handle"};
-        }
+      case Opcode::kIrecv: {
+        const MessageNode& msg = *instruction.message;
+        (void)message_bytes(proc, msg);
+        if (msg.handle_slot < 0) throw ModelError{"irecv requires a handle"};
         const int src =
-            eval_rank(proc, *msg->peer, msg->peer_cache, "irecv from rank");
-        Claim& claim = reuse_handle(proc, *msg);
+            eval_rank(proc, *msg.peer, msg.peer_cache, "irecv from rank");
+        Claim& claim = reuse_handle(proc, msg);
         claim = Claim{};
         claim.active = true;
-        claim.stream = stream_for(proc, msg->peer_cache, src, proc.rank);
+        claim.stream = stream_for(proc, msg.peer_cache, src, proc.rank);
         claim.message = scoreboard_.claim(claim.stream);
-        return true;
+        break;
+      }
+      case Opcode::kWait: {
+        const WaitNode& wait = *instruction.wait;
+        Claim* claim = wait.handle_slot < 0
+                           ? nullptr
+                           : &proc.handles[static_cast<std::size_t>(
+                                 wait.handle_slot)];
+        if (claim == nullptr || !claim->active) {
+          throw ModelError{"wait on unknown handle '" + wait.handle + "'"};
+        }
+        // A completed send (or already-satisfied op) completes at once.
+        if (claim->pending && !try_receive(proc, *claim, instruction.id)) {
+          return false;
+        }
+        claim->active = false;
+        break;
+      }
+      case Opcode::kCollective: {
+        const CollectiveNode& coll = *instruction.collective;
+        if (!proc.blocked) {
+          // First arrival: record operands, then wait for everyone.
+          long size_value = 0;
+          if (coll.size) {
+            size_value =
+                eval_int(proc, *coll.size, coll.size_cache, "collective size");
+          }
+          if (size_value < 0) throw ModelError{"collective with negative size"};
+          if (coll.root) {
+            (void)eval_rank(proc, *coll.root, coll.root_cache,
+                            "collective root rank");
+          }
+          proc.coll_bytes = static_cast<net::Bytes>(size_value);
+          proc.at_collective = true;
+          proc.coll_ready = false;
+          proc.blocked = true;
+          proc.blocked_directive = instruction.id;
+          proc.blocked_since = proc.clock;
+          return false;
+        }
+        if (!proc.coll_ready) return false;  // others still on their way
+        const double before = proc.clock;
+        proc.clock = std::max(proc.clock, proc.coll_exit);
+        const double idle = proc.clock - before;
+        proc.report.blocked += idle;
+        if (idle > 0.0) {
+          proc.report.blocked_by_directive[instruction.id] += idle;
+        }
+        proc.at_collective = false;
+        proc.coll_ready = false;
+        proc.blocked = false;
+        ++proc.coll_seq;
+        break;
+      }
+      case Opcode::kBranch: {
+        const RunonNode& runon = *instruction.runon;
+        const bool taken =
+            eval(proc, *runon.condition, runon.condition_cache) != 0.0;
+        if (!taken) next = instruction.target;
+        break;
+      }
+      case Opcode::kJump:
+        next = instruction.target;
+        break;
+      case Opcode::kLoopEnter: {
+        const LoopNode& loop = *instruction.loop;
+        const long n =
+            eval_int(proc, *loop.count, loop.count_cache, "loop count");
+        if (n <= 0 || loop.body.empty()) {
+          next = instruction.target;
+          break;
+        }
+        proc.loops.push_back(Frame{n, 0});
+        if (loop.var_slot >= 0) proc.env.bind(loop.var_slot, 0.0);
+        break;
+      }
+      case Opcode::kLoopNext: {
+        Frame& frame = proc.loops.back();
+        if (--frame.remaining > 0) {
+          if (instruction.loop->var_slot >= 0) {
+            proc.env.bind(instruction.loop->var_slot,
+                          static_cast<double>(++frame.iteration));
+          }
+          next = instruction.target;
+        } else {
+          proc.loops.pop_back();
+        }
+        break;
       }
     }
-    return true;
+    proc.pc = next;
+    ++executed_;
   }
-  if (const auto* wait = std::get_if<WaitNode>(&node.data)) {
-    Claim* claim = wait->handle_slot < 0
-                       ? nullptr
-                       : &proc.handles[static_cast<std::size_t>(
-                             wait->handle_slot)];
-    if (claim == nullptr || !claim->active) {
-      throw ModelError{"wait on unknown handle '" + wait->handle + "'"};
-    }
-    // A completed send (or already-satisfied op) completes at once.
-    if (claim->pending && !try_receive(proc, *claim, node.id)) return false;
-    claim->active = false;
-    return true;
-  }
-  if (const auto* runon = std::get_if<RunonNode>(&node.data)) {
-    const bool taken =
-        eval(proc, *runon->condition, runon->condition_cache) != 0.0;
-    const Body& body = taken ? runon->then_body : runon->else_body;
-    if (!body.empty()) {
-      proc.stack.push_back(Frame{&body, 0, 0, false});
-    }
-    return true;
-  }
-  if (const auto* loop = std::get_if<LoopNode>(&node.data)) {
-    const long n = eval_int(proc, *loop->count, loop->count_cache, "loop count");
-    if (n > 0 && !loop->body.empty()) {
-      Frame frame{&loop->body, 0, n, true};
-      if (loop->var_slot >= 0) {
-        frame.loop_slot = loop->var_slot;
-        proc.env.bind(loop->var_slot, 0.0);
-      }
-      proc.stack.push_back(frame);
-    }
-    return true;
-  }
-  if (const auto* coll = std::get_if<CollectiveNode>(&node.data)) {
-    if (!proc.blocked) {
-      // First arrival: record operands, then wait for everyone.
-      long size_value = 0;
-      if (coll->size) {
-        size_value =
-            eval_int(proc, *coll->size, coll->size_cache, "collective size");
-      }
-      if (size_value < 0) throw ModelError{"collective with negative size"};
-      if (coll->root) {
-        (void)eval_rank(proc, *coll->root, coll->root_cache,
-                        "collective root rank");
-      }
-      proc.coll_bytes = static_cast<net::Bytes>(size_value);
-      proc.at_collective = true;
-      proc.coll_ready = false;
-      proc.blocked = true;
-      proc.blocked_directive = node.id;
-      proc.blocked_since = proc.clock;
-      return false;
-    }
-    if (!proc.coll_ready) return false;  // others still on their way
-    const double before = proc.clock;
-    proc.clock = std::max(proc.clock, proc.coll_exit);
-    const double idle = proc.clock - before;
-    proc.report.blocked += idle;
-    if (idle > 0.0) proc.report.blocked_by_directive[node.id] += idle;
-    proc.at_collective = false;
-    proc.coll_ready = false;
-    proc.blocked = false;
-    ++proc.coll_seq;
-    return true;
-  }
-  throw ModelError{"unknown directive"};
+  return true;
 }
 // LINT:hot-path end
 
@@ -295,18 +399,15 @@ void Vm::resolve_collectives() {
     latest_arrival = std::max(latest_arrival, proc.clock);
   }
   if (seq == -1) return;
-  const Node* node = nullptr;
   // All processes are at the same collective; sample each exit time.
   for (Process& proc : processes_) {
-    const Frame& frame = proc.stack.back();
-    node = (*frame.body)[frame.index].get();
-    const auto* coll = std::get_if<CollectiveNode>(&node->data);
-    if (coll == nullptr) {
+    const Instruction& instruction = program_[proc.pc];
+    if (instruction.op != Opcode::kCollective) {
       throw ModelError{"internal: collective resolution on non-collective"};
     }
-    proc.coll_exit =
-        latest_arrival +
-        sampler_.collective_seconds(coll->op, proc.coll_bytes, numprocs_);
+    proc.coll_exit = latest_arrival +
+                     sampler_.collective_seconds(instruction.collective->op,
+                                                 proc.coll_bytes, numprocs_);
     proc.coll_ready = true;
   }
 }
@@ -315,36 +416,7 @@ void Vm::resolve_collectives() {
 // buffer)
 void Vm::sweep(Process& proc) {
   ++sweeps_;
-  // A blocked process retries its pending receive first.
-  if (proc.blocked) {
-    const std::size_t fi = proc.stack.size() - 1;
-    const Node& node = *(*proc.stack[fi].body)[proc.stack[fi].index];
-    if (!exec(proc, node)) return;  // still blocked
-    ++executed_;
-    ++proc.stack[fi].index;
-  }
-  while (!proc.stack.empty()) {
-    const std::size_t fi = proc.stack.size() - 1;
-    Frame& frame = proc.stack[fi];
-    if (frame.index >= frame.body->size()) {
-      if (frame.is_loop && --frame.remaining > 0) {
-        frame.index = 0;
-        if (frame.loop_slot >= 0) {
-          proc.env.bind(frame.loop_slot,
-                        static_cast<double>(++frame.iteration));
-        }
-        continue;
-      }
-      proc.stack.pop_back();
-      continue;
-    }
-    const Node& node = *(*frame.body)[frame.index];
-    // exec may push a frame (runon/loop bodies), invalidating references
-    // into the stack — index through `fi` afterwards.
-    if (!exec(proc, node)) return;  // blocked at a decision point
-    ++executed_;
-    ++proc.stack[fi].index;
-  }
+  if (!exec(proc)) return;  // blocked at a decision point
   proc.finished = true;
   proc.report.finish = proc.clock;
 }

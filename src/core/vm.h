@@ -17,6 +17,16 @@
 // which processes are blocked at which directives. The VM also attributes
 // per-directive performance loss (time spent blocked at each receive),
 // giving the paper's "location and extent of performance loss" analysis.
+//
+// The Vm does not walk the directive tree. Its constructor flattens
+// `model.body` into one vector of instructions with jump targets: a runon
+// is a conditional branch (plus a jump over its else-body when it has
+// one), a loop an enter/next pair around its body. A process is then a
+// program counter plus a stack of the loops it is inside, and `exec` runs
+// it in one loop around a switch over the opcode. The program is a few
+// dozen instructions for a model like Jacobi and is built per Vm, so
+// Model and both parsers keep the tree, and a hand-built model runs the
+// same way.
 #pragma once
 
 #include <cstdint>
@@ -70,13 +80,40 @@ class Vm {
   [[nodiscard]] SimulationResult run();
 
  private:
+  /// One instruction of the flattened program. Directive opcodes point at
+  /// their node's operands; control-flow opcodes carry a jump target.
+  enum class Opcode : std::uint8_t {
+    kSerial,
+    kSend,
+    kIsend,
+    kRecv,
+    kIrecv,
+    kWait,
+    kCollective,
+    kBranch,     ///< runon: evaluate the condition, not taken -> target
+    kJump,       ///< end of a then-body with an else-body -> target
+    kLoopEnter,  ///< evaluate the count; a loop that never runs -> target
+    kLoopNext,   ///< another iteration -> target (the body's first pc)
+  };
+
+  struct Instruction {
+    Opcode op = Opcode::kSerial;
+    int id = 0;                 ///< directive id (loss attribution)
+    std::uint32_t target = 0;   ///< branch, jump and loop targets
+    union {
+      const SerialNode* serial = nullptr;
+      const MessageNode* message;
+      const WaitNode* wait;
+      const CollectiveNode* collective;
+      const RunonNode* runon;
+      const LoopNode* loop;     ///< kLoopEnter and kLoopNext
+    };
+  };
+
+  /// The state of one loop a process is inside.
   struct Frame {
-    const Body* body = nullptr;
-    std::size_t index = 0;
-    long remaining = 0;  ///< loop iterations left (0 for plain blocks)
-    bool is_loop = false;
-    int loop_slot = -1;  ///< induction variable's slot, if any
-    long iteration = 0;
+    long remaining = 0;  ///< iterations left, this one included
+    long iteration = 0;  ///< the induction variable's value
   };
 
   struct Claim {
@@ -103,7 +140,8 @@ class Vm {
     int rank = -1;
     double clock = 0.0;
     Env env;                 ///< indexed by Model::variables slot
-    std::vector<Frame> stack;
+    std::uint32_t pc = 0;    ///< next (or blocked) instruction
+    std::vector<Frame> loops;  ///< innermost last
     bool finished = false;
 
     // Blocking state.
@@ -123,10 +161,17 @@ class Vm {
     ProcessReport report;
   };
 
+  /// Appends the instructions of `body` to `program_`.
+  void flatten(const Body& body);
+  /// The byte count operand `msg.size` evaluates to at `proc`.
+  [[nodiscard]] net::Bytes message_bytes(const Process& proc,
+                                         const MessageNode& msg);
   /// Runs `proc` until it blocks or finishes.
   void sweep(Process& proc);
-  /// Executes one directive; returns false if the process blocked on it.
-  bool exec(Process& proc, const Node& node);
+  /// Executes `proc`'s instructions from its `pc` on. Returns false when
+  /// the process blocks, leaving `pc` on the directive it waits at (the
+  /// next call retries it), and true when the program ends.
+  bool exec(Process& proc);
   /// Attempts to satisfy a claim (receive); blocks the process otherwise.
   bool try_receive(Process& proc, Claim& claim, int directive);
   void match();
@@ -159,13 +204,17 @@ class Vm {
   int numprocs_;
   DeliverySampler& sampler_;
   Scoreboard scoreboard_;
+  std::vector<Instruction> program_;
   std::vector<Process> processes_;
   /// Model::cached_operands entries per process, process after process.
   std::vector<CachedOperand> operand_cache_;
   std::vector<MessageRef> unassigned_;  ///< match-phase buffer, reused
   std::uint64_t sweeps_ = 0;
   std::uint64_t matches_ = 0;
-  std::uint64_t executed_ = 0;  ///< directives completed; progress detector
+  /// Instructions completed; the progress detector. A jump or loop step
+  /// only runs after a directive completed in the same sweep, so a round
+  /// that completes no directive leaves it unchanged.
+  std::uint64_t executed_ = 0;
 };
 
 /// Convenience: one full evaluation.

@@ -65,15 +65,15 @@ void EmpiricalDistribution::finalize() {
   if (total_ == 0) return;
   // Every cell carries weight, so cells <= total_ and the scale fits 64
   // bits; rounding it down keeps each bucket at or below the exact one.
-  using Wide = unsigned __int128;
   const std::uint64_t cells = cells_.size();
   limit_ = Rng::max() - Rng::max() % total_;
+  remainder_magic_ = remainder_magic(total_);
   bucket_scale_ =
-      static_cast<std::uint64_t>(Wide{Rng::max()} * cells / total_);
+      static_cast<std::uint64_t>(Uint128{Rng::max()} * cells / total_);
   guide_.resize(cells);
   std::uint32_t first = 0;
   for (std::uint64_t j = 0; j < cells; ++j) {
-    const Wide scaled = Wide{j} * total_;
+    const Uint128 scaled = Uint128{j} * total_;
     const auto lowest = static_cast<std::uint64_t>(
         scaled / cells + (scaled % cells != 0 ? 1 : 0));
     while (cells_[first].cum <= lowest) ++first;
@@ -96,17 +96,18 @@ void EmpiricalDistribution::finalize() {
   max_ = cells_.back().hi;
 }
 
-// LINT:hot-path begin (the Monte-Carlo draw: no search, one division)
+// LINT:hot-path begin (the Monte-Carlo draw: no search, no division)
 double EmpiricalDistribution::sample(Rng& rng) const {
   if (!valid()) throw std::logic_error{"sampling an empty distribution"};
-  // rng.below(total_) against the precomputed rejection limit.
+  // rng.below(total_) against the precomputed rejection limit, with its
+  // `draw % total_` done by multiplication.
   std::uint64_t draw = rng();
   while (draw >= limit_) draw = rng();
-  const std::uint64_t pick = draw % total_;
+  const std::uint64_t pick = exact_remainder(draw, remainder_magic_, total_);
   // The first cell whose cumulative weight exceeds `pick`, scanning from
   // the first cell its bucket can hold.
   const auto bucket = static_cast<std::size_t>(
-      (static_cast<unsigned __int128>(pick) * bucket_scale_) >> 64);
+      (static_cast<Uint128>(pick) * bucket_scale_) >> 64);
   std::size_t index = guide_[bucket];
   while (cells_[index].cum <= pick) ++index;
   const Cell& cell = cells_[index];

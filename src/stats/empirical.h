@@ -17,6 +17,26 @@
 
 namespace stats {
 
+using Uint128 = unsigned __int128;
+
+/// The multiplier `exact_remainder` needs for divisor `d` (d >= 1):
+/// ceil(2^128 / d), which wraps to 0 for d == 1.
+[[nodiscard]] constexpr Uint128 remainder_magic(std::uint64_t d) noexcept {
+  return ~Uint128{0} / d + 1;
+}
+
+/// `a % d` by two multiplications, for every 64-bit `a` and `d >= 1`, given
+/// `magic == remainder_magic(d)` (Lemire, Kaser & Kurz, "Faster Remainder
+/// by Direct Computation", 2019): the fraction a / d, held in 128 bits, is
+/// scaled back up by d and its integer part read off.
+[[nodiscard]] constexpr std::uint64_t exact_remainder(
+    std::uint64_t a, Uint128 magic, std::uint64_t d) noexcept {
+  const Uint128 fraction = magic * a;  // mod 2^128
+  const Uint128 low = (fraction & ~std::uint64_t{0}) * d;
+  const Uint128 high = (fraction >> 64) * d;
+  return static_cast<std::uint64_t>((high + (low >> 64)) >> 64);
+}
+
 class EmpiricalDistribution {
  public:
   EmpiricalDistribution() = default;
@@ -81,6 +101,8 @@ class EmpiricalDistribution {
   std::uint64_t total_ = 0;
   /// Rng::below's rejection limit for total_: draws at or above it repeat.
   std::uint64_t limit_ = 0;
+  /// remainder_magic(total_): the pick is exact_remainder(draw, ...).
+  Uint128 remainder_magic_ = 0;
   /// Maps a pick p to bucket (p * bucket_scale_) >> 64, never above
   /// floor(p * cells / total_).
   std::uint64_t bucket_scale_ = 0;

@@ -10,37 +10,12 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return mix64(x);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& word : s_) word = splitmix64(seed);
   // Avoid the (astronomically unlikely) all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 top bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
 }
 
 std::uint64_t Rng::below(std::uint64_t n) noexcept {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace stats {
@@ -31,13 +32,30 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-  result_type operator()() noexcept;
+  // The draw and the uniform doubles are defined here so that the
+  // Monte-Carlo sampler's loop inlines them.
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // 53 top bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept;
+  double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [0, n). Unbiased (rejection sampling).
   std::uint64_t below(std::uint64_t n) noexcept;

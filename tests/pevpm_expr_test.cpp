@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "core/expr.h"
 
@@ -102,6 +103,62 @@ TEST(Expr, ParseErrorsCarryContext) {
   EXPECT_THROW((void)pevpm::parse_expr("(1 + 2", symbols), pevpm::ParseError);
   EXPECT_THROW((void)pevpm::parse_expr("1 ; 2", symbols), pevpm::ParseError);
   EXPECT_THROW((void)pevpm::parse_expr("", symbols), pevpm::ParseError);
+}
+
+/// Sums of `depth + 1` ones: `depth` left-nested additions.
+std::string sum_chain(int depth) {
+  std::string text = "1";
+  for (int i = 0; i < depth; ++i) text += "+1";
+  return text;
+}
+
+std::string parenthesised(int depth, const std::string& inner = "1") {
+  return std::string(static_cast<std::size_t>(depth), '(') + inner +
+         std::string(static_cast<std::size_t>(depth), ')');
+}
+
+std::string negated(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '-') + "1";
+}
+
+/// The ParseError message parsing `text` raises (empty if none).
+std::string parse_error(const std::string& text) {
+  pevpm::SymbolTable symbols;
+  try {
+    (void)pevpm::parse_expr(text, symbols);
+  } catch (const pevpm::ParseError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(ExprDepth, AcceptsTheLimitAndRejectsOneLevelMore) {
+  constexpr int kLimit = pevpm::kMaxModelDepth;
+  static_assert(kLimit == 1000);
+  EXPECT_DOUBLE_EQ(ev(sum_chain(kLimit).c_str()), kLimit + 1.0);
+  EXPECT_DOUBLE_EQ(ev(parenthesised(kLimit).c_str()), 1.0);
+  EXPECT_DOUBLE_EQ(ev(negated(kLimit).c_str()), 1.0);
+  EXPECT_DOUBLE_EQ(
+      ev(parenthesised(1, sum_chain(kLimit - 1)).c_str()), kLimit + 0.0);
+  for (const std::string& text :
+       {sum_chain(kLimit + 1), parenthesised(kLimit + 1), negated(kLimit + 1),
+        parenthesised(1, sum_chain(kLimit)), "-" + sum_chain(kLimit)}) {
+    const std::string what = parse_error(text);
+    EXPECT_NE(what.find("nested deeper than 1000"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(ExprDepth, RejectsVeryDeepInputWithoutRecursingIntoIt) {
+  // Each of these overflowed the stack before the parser bounded depth.
+  for (const std::string& text :
+       {sum_chain(300000), negated(300000), parenthesised(20000)}) {
+    const std::string what = parse_error(text);
+    EXPECT_NE(what.find("nested deeper than 1000"), std::string::npos)
+        << what.substr(0, 200);
+    // The message quotes the expression's head, not megabytes of it.
+    EXPECT_LT(what.size(), 200u);
+  }
 }
 
 TEST(Expr, StrRoundTripsThroughParser) {

@@ -2,6 +2,7 @@
 // annotated-source extractor.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <variant>
 
 #include "core/model.h"
@@ -81,6 +82,81 @@ TEST(ParseModel, ReportsErrorsWithLineNumbers) {
   EXPECT_THROW(
       (void)pevpm::parse_model("message isend size = 4 to = 1\n"),
       pevpm::ParseError);
+}
+
+/// `depth` nested `loop 1 {` blocks around one Serial directive.
+std::string nested_loops(int depth) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += "loop 1 {\n";
+  text += "serial time = 1\n";
+  for (int i = 0; i < depth; ++i) text += "}\n";
+  return text;
+}
+
+/// `depth` nested runons (each with an else) around one Serial directive.
+std::string nested_runons(int depth) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += "runon procnum >= 0 {\n";
+  text += "serial time = 1\n";
+  for (int i = 0; i < depth; ++i) text += "} else {\n}\n";
+  return text;
+}
+
+/// The ParseError message parsing `text` raises (empty if none).
+std::string model_parse_error(const std::string& text) {
+  try {
+    (void)pevpm::parse_model(text);
+  } catch (const pevpm::ParseError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(ParseModelDepth, AcceptsTheLimitAndRejectsOneBlockMore) {
+  constexpr int kLimit = pevpm::kMaxModelDepth;
+  for (const auto& nest : {nested_loops, nested_runons}) {
+    const Model model = pevpm::parse_model(nest(kLimit));
+    EXPECT_EQ(model.node_count, kLimit + 1);
+    EXPECT_FALSE(model.str().empty());
+    // The opening line of the 1001st block is named.
+    const std::string what = model_parse_error(nest(kLimit + 1));
+    EXPECT_NE(what.find("line 1001: blocks nested deeper than 1000"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_NE(model_parse_error(nested_loops(50000)).find("nested deeper"),
+            std::string::npos);
+}
+
+TEST(ParseModelDepth, AnElifChainCountsOneLevelPerCondition) {
+  // A Runon of k conditions nests k runon nodes.
+  const auto runon = [](int conditions) {
+    std::string text = "// PEVPM Loop iterations = 1\n// PEVPM {\n";
+    text += "// PEVPM Runon c0 = procnum == 0\n";
+    for (int i = 1; i < conditions; ++i) {
+      text += "// PEVPM & c" + std::to_string(i) + " = procnum == " +
+              std::to_string(i) + "\n";
+    }
+    for (int i = 0; i < conditions; ++i) {
+      text += "// PEVPM {\n// PEVPM Serial on x time = 1\n// PEVPM }\n";
+    }
+    return text + "// PEVPM }\n";
+  };
+  EXPECT_NO_THROW((void)pevpm::parse_annotated_source(runon(999)));
+  EXPECT_THROW((void)pevpm::parse_annotated_source(runon(1000)),
+               pevpm::ParseError);
+}
+
+TEST(ParseModelDepth, DeepExpressionsNameTheirLine) {
+  std::string sum = "1";
+  for (int i = 0; i < 300000; ++i) sum += "+1";
+  const std::string what =
+      model_parse_error("serial time = 1\nserial time = " + sum + "\n");
+  EXPECT_EQ(what.rfind("PEVPM model, line 2: ", 0), 0u) << what;
+  EXPECT_NE(what.find("nested deeper than 1000"), std::string::npos) << what;
+  EXPECT_EQ(
+      model_parse_error("serial time = " + std::string(1000, '-') + "1\n"),
+      "");
 }
 
 // The paper's Figure 5, lightly abridged: the annotated Jacobi skeleton.

@@ -549,6 +549,44 @@ loop 3 {
   EXPECT_EQ(what, "PEVPM expression: division by zero");
 }
 
+TEST(VmOperandCache, RunonWithEmptyBodiesStillEvaluatesItsCondition) {
+  EXPECT_EQ(model_error("runon 1 / 0 {\n}\n"),
+            "PEVPM expression: division by zero");
+  EXPECT_EQ(model_error("runon missing {\n} else {\n}\n"),
+            "unbound PEVPM variable 'missing'");
+}
+
+TEST(VmOperandCache, LoopWithAnEmptyBodyStillEvaluatesItsCount) {
+  EXPECT_EQ(model_error("loop 1 / 0 {\n}\n"),
+            "PEVPM expression: division by zero");
+  EXPECT_EQ(model_error("loop missing as k {\n}\n"),
+            "unbound PEVPM variable 'missing'");
+  EXPECT_EQ(model_error("loop 1e30 {\n}\n"),
+            "loop count evaluates to 1e+30, which is not an integer in "
+            "range (1e+30)");
+}
+
+TEST(VmOperandCache, LoopWithAnEmptyBodyBindsNothingAndKeepsNoState) {
+  // The empty inner loop neither binds `z` (the Serial time reads the
+  // param) nor leaves loop state behind for the outer loop's next step.
+  const auto model = pevpm::parse_model(
+      "param z = 7\nloop 2 {\n loop 3 as z {\n }\n serial time = z\n}\n");
+  const auto result = run(model, 2, constant_table(1e-3, 0.0));
+  EXPECT_DOUBLE_EQ(result.processes[0].compute, 14.0);
+  EXPECT_DOUBLE_EQ(result.makespan, 14.0);
+}
+
+TEST(VmOperandCache, ReceiveSizeIsCheckedThoughNothingIsSent) {
+  EXPECT_EQ(model_error(R"(
+runon procnum == 0 {
+  message send size = 8 to = 1
+} else {
+  message recv size = -8 from = 0
+}
+)"),
+            "message with negative size");
+}
+
 TEST(VmOperandCache, HandBuiltNodesWithoutAnIndexStillEvaluate) {
   pevpm::Model model;
   pevpm::Body body;
@@ -803,6 +841,89 @@ barrier
       {4, 4, 0x3f3a45a36f51df54ULL},
       {4, 11, 0x3f5958f03636d424ULL},
       {4, 13, 0x3f2da5d2e1359580ULL}};
+  std::vector<std::tuple<int, int, std::uint64_t>> losses;
+  for (std::size_t rank = 0; rank < result.processes.size(); ++rank) {
+    for (const auto& [directive, loss] :
+         result.processes[rank].blocked_by_directive) {
+      losses.emplace_back(static_cast<int>(rank), directive,
+                          std::bit_cast<std::uint64_t>(loss));
+    }
+  }
+  EXPECT_EQ(losses, expected);
+}
+
+TEST(VmGolden, FlattenedControlFlow) {
+  // Control flow the instruction program must reproduce: a runon whose
+  // then-body is empty, a loop entered with count 0 (its induction
+  // variable stays unbound, so `z` still reads the param), nested
+  // induction loops re-entered (the inner one restarts at 0), a collective
+  // in a loop in a runon, and a deadlock inside a nested runon.
+  const char* text = R"(
+param w = 0.00002
+param z = 7
+loop 2 as outer {
+  runon procnum % 2 == 0 {
+  } else {
+    message send size = 64 + 32 * outer to = procnum - 1
+    serial time = w * (procnum + 1)
+  }
+  runon procnum % 2 == 0 {
+    message recv size = 64 + 32 * outer from = procnum + 1
+  }
+  loop outer as z {
+    serial time = w
+  }
+  serial time = w * z
+  loop 2 as i {
+    loop 3 as j {
+      message isend size = 128 * (j + 1) to = (procnum + i + j + 1) % numprocs handle = s
+      message irecv size = 128 * (j + 1) from = (procnum - i - j - 1 + 2 * numprocs) % numprocs handle = r
+      serial time = w * (i + 1) * (j + 1)
+      wait r
+      wait s
+    }
+  }
+  runon numprocs > 1 {
+    loop 2 as c {
+      allreduce size = 8 * (c + 1)
+      serial time = w * procnum
+    }
+  }
+}
+runon procnum % 3 == 0 {
+  runon procnum > 0 {
+    message recv size = 8 from = procnum - 1
+  }
+}
+)";
+  const auto model = pevpm::parse_model(text, "flat");
+  const auto table = spread_table();
+  pevpm::DeliverySampler sampler{table, {}, 2027};
+  const auto result = pevpm::simulate(model, 6, {}, sampler);
+  ASSERT_TRUE(result.deadlocked);
+  EXPECT_EQ(result.deadlocked_processes, std::vector<int>{3});
+  EXPECT_EQ(result.deadlocked_directives, std::vector<int>{21});
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.makespan), 0x3f775d096216971bULL);
+  EXPECT_EQ(result.messages, 78u);
+  EXPECT_EQ(result.sweep_phases, 115u);
+  EXPECT_EQ(result.match_phases, 19u);
+  // (rank, directive id, blocked-seconds bits) for every entry.
+  const std::vector<std::tuple<int, int, std::uint64_t>> expected{
+      {0, 4, 0x3f23e681799f7050ULL},
+      {0, 12, 0x3f5981e495a47507ULL},
+      {0, 16, 0x3f65d36b2491a1f7ULL},
+      {1, 12, 0x3f58cd8546c7d100ULL},
+      {1, 16, 0x3f655cc5fe714bebULL},
+      {2, 4, 0x3f280d8788f4c940ULL},
+      {2, 12, 0x3f592e21339efaefULL},
+      {2, 16, 0x3f6474fda06cc103ULL},
+      {3, 12, 0x3f5713a04ee90cc2ULL},
+      {3, 16, 0x3f6530858c95692aULL},
+      {4, 4, 0x3f3feda2dd9bcfb4ULL},
+      {4, 12, 0x3f56d43a2e1c040aULL},
+      {4, 16, 0x3f630b27900495c9ULL},
+      {5, 12, 0x3f564f4e8d3febecULL},
+      {5, 16, 0x3f6282550964cbddULL}};
   std::vector<std::tuple<int, int, std::uint64_t>> losses;
   for (std::size_t rank = 0; rank < result.processes.size(); ++rank) {
     for (const auto& [directive, loss] :

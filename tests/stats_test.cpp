@@ -528,6 +528,29 @@ TEST(EmpiricalGuide, MatchesUpperBoundAtTotalsNear2To64) {
   }
 }
 
+TEST(ExactRemainder, MatchesModuloAtEdgeDivisorsAndDividends) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  const std::uint64_t divisors[] = {1,      2,          3,          7,
+                                    kTwo32 - 1, kTwo32, kTwo32 + 1, kTwo63,
+                                    kTwo63 + 1, kMax};
+  stats::Rng rng{2019};
+  for (const std::uint64_t d : divisors) {
+    SCOPED_TRACE(d);
+    const stats::Uint128 magic = stats::remainder_magic(d);
+    std::vector<std::uint64_t> dividends{0, 1, d - 1, d, d + 1, kMax};
+    for (int i = 0; i < 100000; ++i) dividends.push_back(rng());
+    std::size_t wrong = 0;
+    for (const std::uint64_t a : dividends) {
+      if (stats::exact_remainder(a, magic, d) != a % d) {
+        if (wrong++ == 0) ADD_FAILURE() << a << " % " << d;
+      }
+    }
+    EXPECT_EQ(wrong, 0u);
+  }
+}
+
 struct FitCase {
   stats::FitFamily family;
   const char* name;
