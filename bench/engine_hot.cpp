@@ -9,7 +9,8 @@
 //     forwarding path (route cache + transit pool + TCP-sized frames),
 //   * events/sec through the partitioned engine: one fixed multi-switch
 //     contention workload on an 8-partition PartitionSet, whose
-//     cross-partition posts share the one event heap,
+//     cross-partition posts share the one event heap and carry
+//     Engine::cross_tag, the key every Network crossing uses,
 //
 // with heap allocations counted by instrumented global operator new. The
 // result document is emitted through gate.h.
@@ -226,7 +227,8 @@ ForwardResult run_forwarding(std::uint64_t packets) {
 // Partitioned engine: the multi-switch contention scenario. Eight
 // partitions (one per "switch"), each loaded with self-rescheduling timer
 // chains as in the mix above, plus a ring of cross-partition posts so
-// PartitionSet::post and its cross-tagged keys are on the measured path.
+// PartitionSet::post and its Engine::cross_tag keys are on the measured
+// path.
 // The workload is a pure function of its constants.
 
 constexpr int kScalingPartitions = 8;

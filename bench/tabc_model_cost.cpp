@@ -7,7 +7,14 @@
 // of the packet-level cluster simulator is also reported for context: the
 // PEVPM abstraction is what makes prediction cheap, independent of how the
 // "real machine" is realised.
+//
+// One evaluation takes tens of milliseconds, so host load moves a single
+// timing by half its value. The bench times `evaluations` of them and
+// reports the median `pevpm_wall_s` with its interquartile range, which
+// two builds can be ranked by.
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "bench_util.h"
 #include "jacobi_workload.h"
@@ -21,6 +28,14 @@ double wall_seconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// The q-quantile of sorted `v`, interpolating between neighbours.
+double quantile(const std::vector<double>& v, double q) {
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
 }  // namespace
 
 int main() {
@@ -28,6 +43,7 @@ int main() {
   const int iterations = benchutil::scaled(1000, 50);
   const int table_reps = benchutil::scaled(150, 30);
   const int procs = 64;
+  const int evaluations = benchutil::scaled(21, 5);
 
   const std::vector<net::Bytes> sizes{jacobi::kHaloBytes};
   const std::vector<mpibench::Config> configs{{2, 1}, {16, 1}, {64, 1}};
@@ -37,13 +53,19 @@ int main() {
   const pevpm::Model looped = jacobi::looped_model(iterations);
 
   double virtual_seconds = 0.0;
-  double pevpm_wall = 0.0;
-  pevpm_wall = wall_seconds([&] {
-    pevpm::PredictOptions opts;
-    opts.replications = 1;
-    const auto prediction = pevpm::predict(looped, procs, {}, table, opts);
-    virtual_seconds = prediction.seconds();
-  });
+  std::vector<double> pevpm_walls;
+  for (int i = 0; i < evaluations; ++i) {
+    pevpm_walls.push_back(wall_seconds([&] {
+      pevpm::PredictOptions opts;
+      opts.replications = 1;
+      const auto prediction = pevpm::predict(looped, procs, {}, table, opts);
+      virtual_seconds = prediction.seconds();
+    }));
+  }
+  std::sort(pevpm_walls.begin(), pevpm_walls.end());
+  const double pevpm_wall = quantile(pevpm_walls, 0.5);
+  const double pevpm_iqr =
+      quantile(pevpm_walls, 0.75) - quantile(pevpm_walls, 0.25);
 
   double actual_virtual = 0.0;
   const double simulator_wall = wall_seconds([&] {
@@ -52,7 +74,9 @@ int main() {
 
   std::printf("metric,value\n");
   std::printf("modelled_program_virtual_s,%.2f\n", virtual_seconds);
-  std::printf("pevpm_wall_s,%.3f\n", pevpm_wall);
+  std::printf("pevpm_evaluations,%d\n", evaluations);
+  std::printf("pevpm_wall_s,%.5f\n", pevpm_wall);
+  std::printf("pevpm_wall_s_iqr,%.5f\n", pevpm_iqr);
   std::printf("speed_ratio_execution_over_pevpm,%.1f\n",
               virtual_seconds / pevpm_wall);
   std::printf("cluster_simulator_virtual_s,%.2f\n", actual_virtual);

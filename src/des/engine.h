@@ -5,13 +5,14 @@
 // schedule-time + sequence tiebreak makes same-time same-priority events
 // FIFO. Within one engine `sched` (the value of now() when the event was
 // scheduled) is non-decreasing in sequence order, so the extra key changes
-// nothing sequentially. The partitioned engine (partitioned_engine.h)
-// schedules its cross-partition posts through schedule_injected() with a
-// tag in the high bits of their sequence number, which fixes their order
-// against local events. Exactly one
-// execution context (the engine loop or one cooperative process) is active
-// at any instant, so the queue needs no locking: a process switch
-// (process.h) is a fiber switch on the engine's own thread.
+// nothing sequentially. A frame or a transport registration that crosses
+// from one cluster switch to another is scheduled through
+// schedule_injected() with cross_tag(source switch) in the high bits of
+// its sequence number, which fixes its order against every other event
+// (DESIGN.md section 9). Exactly one execution context (the engine loop
+// or one cooperative process) is active at any instant, so the queue
+// needs no locking: a process switch (process.h) is a fiber switch on the
+// engine's own thread.
 //
 // Storage is allocation-free in steady state: events live in pooled slots
 // recycled through a free list, callbacks are constructed directly into the
@@ -115,11 +116,23 @@ class Engine {
   /// Sequence numbers stay below 2^kTagShift wherever a tag is in use:
   /// schedule_injected() ORs its `tag` above them.
   static constexpr unsigned kTagShift = 44;
+  /// Sources a cross tag can name: the field between the top bit and
+  /// kTagShift.
+  static constexpr int kMaxCrossSources = 1 << (63 - kTagShift);
 
-  /// Schedules an already-built callback (the partitioned engine's posts)
-  /// at absolute time `t` (>= now), with `tag` (zero, or a value with no
-  /// bit below kTagShift) ORed into its sequence number; a tag orders the
-  /// event after every untagged one of equal (time, priority, sched).
+  /// The `tag` of a cross post from `source` (in [0, kMaxCrossSources)):
+  /// the top bit, then the source. At equal (time, priority, sched) a
+  /// cross post runs after every untagged event, and cross posts run in
+  /// (source, post order). This is the one definition of that key.
+  [[nodiscard]] static constexpr std::uint64_t cross_tag(int source) noexcept {
+    return std::uint64_t{1} << 63 | static_cast<std::uint64_t>(source)
+                                        << kTagShift;
+  }
+
+  /// Schedules an already-built callback (a cross post) at absolute time
+  /// `t` (>= now), with `tag` (zero, or a value with no bit below
+  /// kTagShift) ORed into its sequence number; a tag orders the event
+  /// after every untagged one of equal (time, priority, sched).
   /// Throws std::overflow_error when a nonzero tag would meet a sequence
   /// number of 2^kTagShift or more. Always takes the heap path.
   EventId schedule_injected(SimTime t, SmallFn fn, int priority = 0,

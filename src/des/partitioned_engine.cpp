@@ -29,10 +29,8 @@ void PartitionSet::post(PartitionId from, PartitionId to, SimTime at,
   if (at < engine_.now() + lookahead_) {
     throw std::logic_error{"PartitionSet::post: event inside the lookahead"};
   }
-  constexpr std::uint64_t kCross = std::uint64_t{1} << 63;
-  engine_.schedule_injected(
-      at, std::move(fn), priority,
-      kCross | static_cast<std::uint64_t>(from.value()) << Engine::kTagShift);
+  engine_.schedule_injected(at, std::move(fn), priority,
+                            Engine::cross_tag(from.value()));
 }
 // LINT:hot-path end
 

@@ -1,31 +1,20 @@
-// Conservative partitioned discrete-event simulation on one event heap.
+// A set of K labelled partitions on one des::Engine.
 //
-// A PartitionSet models K logical processes (one per cluster switch) whose
-// only interactions are posts that land at least one lookahead after the
-// posting instant — the classic conservative-synchronisation invariant.
-// All K partitions share one des::Engine: engine(p) returns it for every
-// p, and run() is Engine::run(). What keeps the partitions apart is the
+// PartitionSet is what remains of the conservative partitioned engine. It
+// is a range-checked reference to one engine plus post(), which picks the
 // ordering key (DESIGN.md section 9):
 //
 //   * a local event — Engine::schedule_at, Engine::reserve_key, or
-//     post(p, p, ...) — keys as (time, priority, sched, seq), `seq` being
-//     the engine's counter;
+//     post(p, p, ...) — keys as (time, priority, sched, seq);
 //   * a cross-partition post — post(from, to, ...) with from != to — keys
-//     as (time, priority, sched, 1, source partition, post order), the
-//     last three packed into the 64-bit `seq`: the top bit, then
-//     kSourceBits of source partition, then the engine's counter.
+//     as (time, priority, sched, 1, source partition, post order), through
+//     Engine::cross_tag(from).
 //
-// At equal (time, priority, sched) a cross post therefore runs after every
-// local event, and cross posts run in (source, FIFO) order. Because posts
-// land at least one lookahead out, this gives each partition exactly the
-// event order of a per-partition engine run in lookahead windows with a
-// (destination, source, FIFO) drain between them (DESIGN.md section 9
-// has the proof); the lookahead check in post() is what the proof needs.
-//
-// A partitioned run is its own reference: it is not ordering-equivalent to
-// the same model on one partition, where every boundary hop would be a
-// local event (DESIGN.md section 9 has the reproduction). smpi::Runtime
-// therefore always partitions by switch.
+// No simulator layer uses it: net::Network and net::Transport take the
+// same key from the topology, with the switch as the source. The class,
+// units::PartitionId and mpibench::Options::sim_threads stay only because
+// the benchmark harness (perfbench/) still names them; the next change to
+// that harness deletes all three together with their uses there.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +31,8 @@ using units::PartitionId;
 
 class PartitionSet {
  public:
-  /// Width of the source-partition field of a cross post's `seq`: it sits
-  /// between the top ("cross") bit and the engine's counter.
-  static constexpr unsigned kSourceBits = 63 - Engine::kTagShift;
-  static constexpr int kMaxPartitions = 1 << kSourceBits;
+  /// A source partition must fit Engine::cross_tag's source field.
+  static constexpr int kMaxPartitions = Engine::kMaxCrossSources;
 
   /// `lookahead` is the minimum cross-partition latency in virtual time;
   /// required > 0 when partitions > 1. Throws std::invalid_argument when

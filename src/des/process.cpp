@@ -104,8 +104,7 @@ namespace des {
 /// One process's stack and saved stack pointers. enter() runs on the
 /// caller's stack and returns when the fiber calls leave() or exit();
 /// leave() returns when the next enter() comes. Every enter() comes from
-/// the thread that runs the owning engine (a PartitionSet's partitions
-/// share one engine, run on PartitionSet::run()'s caller), never two at once.
+/// the thread that runs the owning engine, never two at once.
 /// The ASan caller-stack bounds are still taken afresh at every switch,
 /// so a later run() may come from another thread.
 class Process::Fiber {

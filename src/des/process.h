@@ -12,8 +12,8 @@
 // blocking code while virtual time stays fully deterministic (all wake-ups
 // are engine events ordered by time/seq).
 //
-// A des::PartitionSet runs every partition on its one engine, on the thread
-// that called PartitionSet::run(), so all fibers of a simulation share it.
+// A simulation runs on one engine, on the thread that called
+// Engine::run(), so all fibers of a simulation share that thread.
 //
 // Blocking primitives and their guarantees:
 //   delay(dt)            advance this process's virtual clock by dt

@@ -12,10 +12,8 @@ namespace smpi {
 
 Runtime::Runtime(Options options)
     : options_{std::move(options)},
-      sim_{options_.cluster.switch_count(), options_.cluster.lookahead()},
-      engine_{sim_.engine(units::PartitionId{0})},
-      network_{sim_, options_.cluster},
-      transport_{sim_, network_} {
+      network_{engine_, options_.cluster},
+      transport_{engine_, network_} {
   if (options_.nprocs < 1) throw MpiError{"Runtime: nprocs < 1"};
   if (options_.procs_per_node < 1) {
     throw MpiError{"Runtime: procs_per_node < 1"};
@@ -69,8 +67,8 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
         engine_, "rank" + std::to_string(r),
         [&rank_main, &comm] { rank_main(comm); });
   }
-  sim_.run();
-  finish_time_ = sim_.last_event_time();
+  engine_.run();
+  finish_time_ = engine_.now();
 
   for (auto& state : ranks_) state->process->rethrow_if_failed();
 
@@ -147,8 +145,7 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
 
   if (src_node == dst_node) {
     // SMP shared-memory channel: always eager; pay the copy, then the
-    // message crosses the memory system. Same node means same partition,
-    // so the arrival event and the per-sender ordering state are local.
+    // message crosses the memory system.
     rs.process->delay(send_cost(rs, bytes));
     const auto& host = options_.cluster.host;
     const des::Duration xfer{static_cast<std::int64_t>(
@@ -323,8 +320,8 @@ void Runtime::on_match(detail::RankState& rank,
 void Runtime::grant_rendezvous(detail::RankState& rank,
                                const std::shared_ptr<detail::RequestState>& recv,
                                const detail::Inbound& inbound) {
-  // Runs in the destination partition: file the receiver half, then CTS
-  // back on the reverse-direction stream. The id alone lets the CTS
+  // File the receiver half, then CTS back on the reverse-direction
+  // stream. The id alone lets the CTS
   // handler find the sender half.
   const int src = inbound.source;
   const int dst = rank.rank.value();
@@ -338,7 +335,7 @@ void Runtime::grant_rendezvous(detail::RankState& rank,
 }
 
 void Runtime::cts_arrive(std::uint64_t rendezvous) {
-  // Runs in the source partition (the CTS landed at the sender's node).
+  // The CTS landed at the sender's node.
   auto it = rdv_out_.find(rendezvous);
   if (it == rdv_out_.end()) {
     throw MpiError{"internal: CTS for unknown rendezvous"};

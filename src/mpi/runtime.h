@@ -17,16 +17,11 @@
 // clock-synchronisation algorithm runs against these imperfect clocks just
 // as the real tool did against unsynchronised node clocks.
 //
-// Partitioned simulation: the runtime always partitions the cluster by
-// switch (one des::PartitionSet partition per switch; a single-switch
-// cluster is one partition), and all partitions share one event heap. A
-// rank's state — its process, RNG, clock, receive queues, rendezvous
-// bookkeeping — is touched only by its node's partition: every
-// process-context call runs as that partition's events, and every
-// engine-context handler below runs in the partition of the rank it
-// touches. Rendezvous bookkeeping is split into a sender half (touched by
-// the source partition) and a receiver half (touched by the destination
-// partition), each in one map shared by every partition and keyed by a
+// The simulation runs on one des::Engine, which the runtime owns. A
+// multi-switch cluster orders its trunk crossings and cross-switch
+// transport registrations by the cross key of des::Engine::cross_tag
+// (net/network.h, DESIGN.md section 9). Rendezvous bookkeeping is split
+// into a sender half and a receiver half, each in one map keyed by a
 // rendezvous id that is unique across ranks.
 #pragma once
 
@@ -40,7 +35,6 @@
 #include <vector>
 
 #include "des/engine.h"
-#include "des/partitioned_engine.h"
 #include "des/process.h"
 #include "net/cluster.h"
 #include "net/network.h"
@@ -135,9 +129,6 @@ class Runtime {
   /// Virtual time at which the last rank finished.
   [[nodiscard]] des::SimTime elapsed() const noexcept { return finish_time_; }
 
-  /// The partition set the simulation runs on: one partition per switch.
-  [[nodiscard]] des::PartitionSet& sim() noexcept { return sim_; }
-  /// The one engine every partition runs on.
   [[nodiscard]] des::Engine& engine() noexcept { return engine_; }
   [[nodiscard]] net::Network& network() noexcept { return network_; }
   [[nodiscard]] net::Transport& transport() noexcept { return transport_; }
@@ -161,9 +152,6 @@ class Runtime {
   void compute(int rank, double seconds);
 
   // ---- engine-context message machinery ----
-  // Each handler runs in the partition of the rank it names: arrivals
-  // run where the transport delivers (the destination node's partition),
-  // cts_arrive where the CTS lands (the source node's).
   /// An eager message or a rendezvous RTS reaching `dst`: matched against
   /// the first fitting posted receive (see on_match), else queued as
   /// unexpected.
@@ -185,7 +173,6 @@ class Runtime {
                 const std::shared_ptr<detail::RequestState>& recv,
                 const detail::Inbound& inbound);
   /// Completes a receive request at `when` (engine event) and unparks.
-  /// Must be called from the owner rank's partition context.
   void complete_recv_at(const std::shared_ptr<detail::RequestState>& recv,
                         const detail::Inbound& inbound, des::SimTime when);
   void complete_send_at(const std::shared_ptr<detail::RequestState>& send,
@@ -220,16 +207,14 @@ class Runtime {
   }
 
   Options options_;
-  des::PartitionSet sim_;
-  des::Engine& engine_;
+  des::Engine engine_;
   net::Network network_;
   net::Transport transport_;
 
   std::vector<std::unique_ptr<detail::RankState>> ranks_;
   std::vector<std::unique_ptr<Comm>> comms_;
 
-  /// Sender-side half of an in-flight rendezvous, touched only by the
-  /// source node's partition.
+  /// Sender-side half of an in-flight rendezvous.
   struct RendezvousOut {
     std::shared_ptr<detail::RequestState> send_request;
     int src_rank = -1;
@@ -237,8 +222,7 @@ class Runtime {
     net::Bytes bytes{};
     std::shared_ptr<std::vector<std::byte>> payload;
   };
-  /// Receiver-side half, touched only by the destination node's partition
-  /// from the moment the receive matches the RTS.
+  /// Receiver-side half, from the moment the receive matches the RTS.
   struct RendezvousIn {
     std::shared_ptr<detail::RequestState> recv_request;
     int src_rank = -1;

@@ -43,7 +43,7 @@ PointToPointResult run_isend(const Options& options, net::Bytes size) {
       nprocs, std::vector<double>(total, 0.0));
   // Sender-side op durations are also logged per rank and folded in rank
   // order after the run, so the float sum does not depend on the order in
-  // which rank bodies on different partitions execute.
+  // which rank bodies execute.
   std::vector<std::vector<double>> sender_samples(nprocs);
 
   rt.run([&](smpi::Comm& comm) {
@@ -111,10 +111,10 @@ PointToPointResult run_isend(const Options& options, net::Bytes size) {
   result.tcp_fast_retransmits = rt.transport().fast_retransmits();
   result.link_drops = rt.network().total_drops();
   result.faults_injected = rt.network().total_faults();
-  result.events_cancelled = rt.sim().cancelled();
-  result.heap_high_water = rt.sim().heap_high_water();
-  result.pending_high_water = rt.sim().pending_high_water();
-  result.resumes = rt.sim().resumes();
+  result.events_cancelled = rt.engine().cancelled();
+  result.heap_high_water = rt.engine().heap_high_water();
+  result.pending_high_water = rt.engine().pending_high_water();
+  result.resumes = rt.engine().resumes();
   return result;
 }
 

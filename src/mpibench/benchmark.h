@@ -30,9 +30,9 @@ struct Options {
   double bin_width_us = 10.0;    ///< histogram bin width (the accuracy knob)
   int sync_rounds = 32;          ///< clock-sync ping-pongs per rank
   int resync_interval = 64;      ///< barrier every this many repetitions
-  /// Ignored: the switch-partitioned engine always runs on one worker. The
-  /// field remains only for the benchmark harness, which still sets it, and
-  /// goes with that harness's next change.
+  /// Ignored: a simulation runs on one des::Engine. The field remains only
+  /// for the benchmark harness, which still sets it, and goes with that
+  /// harness's next change.
   int sim_threads = 0;
 
   /// Optional cooperative-cancellation flag (typically set from a SIGINT

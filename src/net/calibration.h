@@ -124,8 +124,8 @@ struct ClusterParams {
   /// injection must leave every result bit-identical.
   FaultParams fault{};
 
-  /// Conservative-parallel lookahead override (parse_cluster key
-  /// `lookahead_us`); 0 means "derive from the topology", see lookahead().
+  /// Lookahead override (parse_cluster key `lookahead_us`); 0 means
+  /// "derive from the topology", see lookahead().
   des::Duration lookahead_override{};
 
   [[nodiscard]] int switch_count() const noexcept {
@@ -135,14 +135,15 @@ struct ClusterParams {
     return node / ports_per_switch;
   }
 
-  /// Per-switch-boundary lookahead for the conservative parallel engine.
-  /// A frame crossing into a neighbouring partition is resolved when it is
-  /// submitted to the last link its own partition owns (the trunk when
-  /// ascending, the fabric or an earlier trunk when descending), so the
-  /// earliest it can affect the neighbour is one link propagation latency
-  /// plus the store-and-forward switch hop. The safe bound is therefore
-  /// min(fabric, trunk latency) + switch_latency — 7 us for the calibrated
-  /// Perseus numbers, against end-to-end message times of 15 us and up.
+  /// The least time between a crossing into a neighbouring switch and its
+  /// effect there. A crossing frame is resolved when it is submitted to
+  /// the last link of its current switch (the trunk when ascending, the
+  /// fabric or an earlier trunk when descending), so the earliest it can
+  /// land is one link propagation latency plus the store-and-forward
+  /// switch hop. The safe bound is therefore min(fabric, trunk latency) +
+  /// switch_latency — 7 us for the calibrated Perseus numbers, against
+  /// end-to-end message times of 15 us and up. lookahead() is how far
+  /// ahead a cross-switch transport registration lands.
   [[nodiscard]] des::Duration safe_lookahead() const noexcept {
     const des::Duration entry =
         fabric.latency < trunk.latency ? fabric.latency : trunk.latency;

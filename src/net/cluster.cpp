@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/number.h"
+#include "des/engine.h"
 
 namespace net {
 
@@ -78,16 +79,38 @@ Bytes blocks(std::string_view key, std::string_view value,
   return Bytes{n * unit};
 }
 
-enum class Range { kPositive, kNonNegative, kProbability };
+/// The accepted interval of a real-valued key and how a rejection names it.
+struct Bounds {
+  double lo;
+  bool lo_open;  ///< lo itself is rejected
+  double hi;
+  const char* wanted;
+};
 
-double real(std::string_view key, std::string_view value, Range range) {
-  static constexpr const char* kWanted[] = {
-      "a finite number > 0", "a finite number >= 0", "a probability in [0, 1]"};
+constexpr double kUnbounded = std::numeric_limits<double>::max();
+constexpr Bounds kNonNegative{0.0, false, kUnbounded, "a finite number >= 0"};
+constexpr Bounds kProbability{0.0, false, 1.0, "a probability in [0, 1]"};
+// Caps on the duration keys and floors on the rate keys. With every
+// latency and overhead at its cap and every link at its floor rate, a
+// full-size frame's unqueued path across the most switches check_cluster
+// admits (2^19) takes under 10^7 s, a thousandth of the 9.2 * 10^9 s a
+// Duration holds. The RTO cap is Linux's TCP_RTO_MAX.
+constexpr Bounds kMicros{0.0, false, 1e6, "a duration in [0, 1e6] us"};
+constexpr Bounds kLookaheadMicros{0.0, true, 1e6,
+                                  "a duration in (0, 1e6] us"};
+constexpr Bounds kRtoMillis{0.0, false, 120e3,
+                            "a duration in [0, 120000] ms"};
+constexpr Bounds kMbit{1e-3, false, kUnbounded, "a rate >= 0.001 Mbit/s"};
+constexpr Bounds kGbit{1e-6, false, kUnbounded, "a rate >= 1e-6 Gbit/s"};
+constexpr Bounds kCopyNs{0.0, false, 1e6, "a cost in [0, 1e6] ns/B"};
+
+double real(std::string_view key, std::string_view value,
+            const Bounds& bounds) {
   double x = 0.0;
   const bool ok = pevpm::parse_number(value, x) &&
-                  (range == Range::kPositive ? x > 0.0 : x >= 0.0) &&
-                  (range != Range::kProbability || x <= 1.0);
-  if (!ok) reject(key, value, kWanted[static_cast<int>(range)]);
+                  (bounds.lo_open ? x > bounds.lo : x >= bounds.lo) &&
+                  x <= bounds.hi;
+  if (!ok) reject(key, value, bounds.wanted);
   return x;
 }
 
@@ -102,21 +125,21 @@ std::string_view trim(std::string_view s) {
 void apply_cluster_setting(ClusterParams& p, std::string_view key,
                            std::string_view value) {
   const auto micros = [&] {
-    return des::Duration::from_micros(real(key, value, Range::kNonNegative));
+    return des::Duration::from_micros(real(key, value, kMicros));
   };
-  const auto probability = [&] { return real(key, value, Range::kProbability); };
+  const auto probability = [&] { return real(key, value, kProbability); };
   if (key == "nodes") {
     p.nodes = whole<int>(key, value);
   } else if (key == "ports_per_switch") {
     p.ports_per_switch = whole<int>(key, value);
   } else if (key == "nic_mbit") {
-    p.nic.rate = Rate::mbit(real(key, value, Range::kPositive));
+    p.nic.rate = Rate::mbit(real(key, value, kMbit));
   } else if (key == "nic_latency_us") {
     p.nic.latency = micros();
   } else if (key == "nic_buffer_frames") {
     p.nic.buffer = blocks(key, value, 1538);
   } else if (key == "trunk_gbit") {
-    p.trunk.rate = Rate::gbit(real(key, value, Range::kPositive));
+    p.trunk.rate = Rate::gbit(real(key, value, kGbit));
   } else if (key == "trunk_latency_us") {
     p.trunk.latency = micros();
   } else if (key == "trunk_buffer_kib") {
@@ -124,11 +147,11 @@ void apply_cluster_setting(ClusterParams& p, std::string_view key,
   } else if (key == "switch_latency_us") {
     p.switch_latency = micros();
   } else if (key == "lookahead_us") {
-    // Overrides the derived cross-partition lookahead (see
-    // ClusterParams::lookahead()). Must not exceed the topology's safe
-    // bound — Network's partitioned constructor rejects it if it does.
+    // Overrides the derived lookahead (see ClusterParams::lookahead()).
+    // Must not exceed the topology's safe bound — Network's constructor
+    // rejects a multi-switch cluster whose override does.
     p.lookahead_override =
-        des::Duration::from_micros(real(key, value, Range::kPositive));
+        des::Duration::from_micros(real(key, value, kLookaheadMicros));
   } else if (key == "eager_threshold_kib") {
     p.mpi.eager_threshold = blocks(key, value, 1024);
   } else if (key == "send_overhead_us") {
@@ -136,16 +159,16 @@ void apply_cluster_setting(ClusterParams& p, std::string_view key,
   } else if (key == "recv_overhead_us") {
     p.host.recv_overhead = micros();
   } else if (key == "copy_ns_per_byte") {
-    p.host.copy_ns_per_byte = real(key, value, Range::kNonNegative);
+    p.host.copy_ns_per_byte = real(key, value, kCopyNs);
   } else if (key == "jitter_sigma") {
-    p.host.jitter_sigma = real(key, value, Range::kNonNegative);
+    p.host.jitter_sigma = real(key, value, kNonNegative);
   } else if (key == "spike_prob") {
     p.host.spike_prob = probability();
   } else if (key == "spike_mean_us") {
     p.host.spike_mean = micros();
   } else if (key == "rto_ms") {
-    p.tcp.rto_initial = des::Duration::from_micros(
-        real(key, value, Range::kNonNegative) * 1e3);
+    p.tcp.rto_initial =
+        des::Duration::from_micros(real(key, value, kRtoMillis) * 1e3);
     p.tcp.rto_min = p.tcp.rto_initial;
   } else if (key == "recv_window_kib") {
     p.tcp.recv_window = blocks(key, value, 1024);
@@ -161,10 +184,10 @@ void apply_cluster_setting(ClusterParams& p, std::string_view key,
     p.fault.seed = whole<std::uint64_t>(key, value);
   } else if (key == "fault_down_start_ms") {
     p.fault.down.push_back(DownWindow{
-        des::SimTime::from_micros(real(key, value, Range::kNonNegative) * 1e3),
+        des::SimTime::from_micros(real(key, value, kNonNegative) * 1e3),
         des::kNever});
   } else if (key == "fault_down_end_ms") {
-    const double ms = real(key, value, Range::kNonNegative);
+    const double ms = real(key, value, kNonNegative);
     if (p.fault.down.empty()) {
       throw std::runtime_error{
           "fault_down_end_ms before any fault_down_start_ms"};
@@ -184,8 +207,17 @@ void check_cluster(const ClusterParams& params) {
   if (params.ports_per_switch < 1) {
     throw std::runtime_error{"ports_per_switch < 1"};
   }
-  // The runtime partitions a multi-switch cluster by switch, which needs a
-  // positive lookahead between partitions (ClusterParams::safe_lookahead()).
+  // A crossing's key packs its source switch into the field
+  // des::Engine::cross_tag has for it.
+  if (params.switch_count() > des::Engine::kMaxCrossSources) {
+    throw std::runtime_error{
+        "more than " + std::to_string(des::Engine::kMaxCrossSources) +
+        " switches (2^19, the cross key's source field); raise "
+        "ports_per_switch or lower nodes"};
+  }
+  // The cross key reproduces the event order of the retired window engine,
+  // whose crossings land at least one positive lookahead ahead
+  // (ClusterParams::safe_lookahead(), DESIGN.md section 9).
   if (params.switch_count() > 1 &&
       params.safe_lookahead() <= des::Duration{}) {
     throw std::runtime_error{

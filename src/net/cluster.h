@@ -28,16 +28,20 @@ namespace net {
 ///   nic_buffer_frames                  1538-B frames whole, fits 64 bits
 ///   trunk_buffer_kib, eager_threshold_kib,
 ///   recv_window_kib                    KiB           whole, fits 64 bits
-///   nic_mbit                           Mbit/s        finite, > 0
-///   trunk_gbit                         Gbit/s        finite, > 0
-///   lookahead_us                       us            finite, > 0
+///   nic_mbit                           Mbit/s        finite, >= 0.001
+///   trunk_gbit                         Gbit/s        finite, >= 1e-6
+///   lookahead_us                       us            (0, 1e6]
 ///   nic_latency_us, trunk_latency_us, switch_latency_us,
 ///   send_overhead_us, recv_overhead_us,
-///   spike_mean_us                      us            finite, >= 0
+///   spike_mean_us                      us            [0, 1e6]
 ///   rto_ms (sets the initial RTO and its floor)
-///                                      ms            finite, >= 0
-///   copy_ns_per_byte                   ns/B          finite, >= 0
+///                                      ms            [0, 120000]
+///   copy_ns_per_byte                   ns/B          [0, 1e6]
 ///   jitter_sigma                       lognormal s   finite, >= 0
+///
+/// The caps (one second per latency or overhead, Linux's 120 s maximum
+/// RTO) and the rate floors (1 kbit/s) keep a frame's worst-case path
+/// latency far inside a des::Duration.
 ///   spike_prob                         probability   [0, 1]
 ///
 /// Fault-injection keys (fault.h):
@@ -56,9 +60,10 @@ void apply_cluster_setting(ClusterParams& params, std::string_view key,
                            std::string_view value);
 
 /// The checks that involve more than one key: nodes and ports_per_switch
-/// at least 1, and a positive lookahead between switch partitions on a
-/// multi-switch cluster. Run it once, on the configuration that will run.
-/// Throws std::runtime_error on failure.
+/// at least 1, at most des::Engine::kMaxCrossSources (2^19) switches, and
+/// a positive lookahead between switches on a multi-switch cluster.
+/// Run it once, on the configuration that will run; net::Network's
+/// constructor runs it too. Throws std::runtime_error on failure.
 void check_cluster(const ClusterParams& params);
 
 /// Parses "key = value" lines ('#' comments allowed) over a base

@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/units.h"
 #include "des/engine.h"
 #include "net/calibration.h"
 #include "net/fault.h"
@@ -30,15 +29,16 @@ namespace net {
 
 class Link {
  public:
-  /// `partition` is the index of the logical process that owns this link
-  /// under the conservative parallel engine; every submit must come from
-  /// that partition's execution context. Sequential networks leave it 0.
+  /// `switch_index` is the cluster switch the link belongs to (a NIC: its
+  /// node's switch; a trunk: the lower of the two it joins). A hop onto a
+  /// link of another switch is a crossing, which net::Network orders by
+  /// the cross key (des::Engine::cross_tag).
   Link(des::Engine& engine, std::string name, LinkParams params,
-       units::PartitionId partition = units::PartitionId{})
+       int switch_index = 0)
       : engine_{engine},
         name_{std::move(name)},
         params_{params},
-        partition_{partition} {}
+        switch_index_{switch_index} {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -54,7 +54,7 @@ class Link {
   /// queueing + serialisation + propagation (kDelivered) — unless an
   /// installed fault model loses it on the wire (kLost), after it paid for
   /// its queue space and serialisation. Resolving at the submit instant is
-  /// what gives the partitioned network its lookahead.
+  /// what puts a crossing at least one lookahead ahead of now.
   [[nodiscard]] Resolved submit_resolved(const Packet& packet);
 
   /// Installs (or clears, with nullptr) the fault injector for this link.
@@ -68,9 +68,7 @@ class Link {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const LinkParams& params() const noexcept { return params_; }
   [[nodiscard]] des::Engine& engine() const noexcept { return engine_; }
-  [[nodiscard]] units::PartitionId partition() const noexcept {
-    return partition_;
-  }
+  [[nodiscard]] int switch_index() const noexcept { return switch_index_; }
 
   /// Wire bytes currently queued or being serialised (retires first).
   [[nodiscard]] Bytes backlog() noexcept {
@@ -107,7 +105,7 @@ class Link {
   des::Engine& engine_;
   std::string name_;
   LinkParams params_;
-  units::PartitionId partition_{};
+  int switch_index_ = 0;
 
   std::unique_ptr<FaultModel> fault_;
 

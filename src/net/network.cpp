@@ -5,55 +5,43 @@
 #include <stdexcept>
 #include <utility>
 
+#include "net/cluster.h"
+
 namespace net {
 
 Network::Network(des::Engine& engine, ClusterParams params)
     : engine_{engine}, params_{std::move(params)} {
-  build_links();
-}
-
-Network::Network(des::PartitionSet& sim, ClusterParams params)
-    : sim_{&sim},
-      engine_{sim.engine(units::PartitionId{0})},
-      params_{std::move(params)} {
-  const int k = sim.partitions();
-  if (k != params_.switch_count()) {
-    throw std::invalid_argument{
-        "Network: partition count must equal the switch count"};
-  }
+  check_cluster(params_);
   // Compare against the derived bound, not lookahead(): a config override
   // must not be able to vouch for itself.
-  if (k > 1 && sim.lookahead() > params_.safe_lookahead()) {
+  if (params_.switch_count() > 1 &&
+      params_.lookahead() > params_.safe_lookahead()) {
     throw std::invalid_argument{
-        "Network: engine lookahead exceeds the topology's safe bound"};
+        "Network: lookahead exceeds the topology's safe bound"};
   }
   build_links();
 }
 
 void Network::build_links() {
-  const bool partitioned = partitions() > 1;
   nic_tx_.reserve(params_.nodes);
   nic_rx_.reserve(params_.nodes);
   for (int n = 0; n < params_.nodes; ++n) {
-    const units::PartitionId part = partition_of_node(n);
+    const int sw = params_.switch_of(n);
     nic_tx_.push_back(std::make_unique<Link>(
-        engine_, "nic_tx." + std::to_string(n), params_.nic, part));
+        engine_, "nic_tx." + std::to_string(n), params_.nic, sw));
     nic_rx_.push_back(std::make_unique<Link>(
-        engine_, "nic_rx." + std::to_string(n), params_.nic, part));
+        engine_, "nic_rx." + std::to_string(n), params_.nic, sw));
   }
   const int switches = params_.switch_count();
   for (int s = 0; s < switches; ++s) {
-    const units::PartitionId part{partitioned ? s : 0};
     fabric_.push_back(std::make_unique<Link>(
-        engine_, "fabric." + std::to_string(s), params_.fabric, part));
+        engine_, "fabric." + std::to_string(s), params_.fabric, s));
   }
   for (int s = 0; s + 1 < switches; ++s) {
-    // The half-duplex trunk is owned by the lower switch's partition; the
-    // descending direction reaches it through a boundary handoff, so every
-    // submit still comes from the owner's context.
-    const units::PartitionId part{partitioned ? s : 0};
+    // The half-duplex trunk belongs to the lower switch, so a descending
+    // route reaches it through a crossing.
     trunk_.push_back(std::make_unique<Link>(
-        engine_, "trunk." + std::to_string(s), params_.trunk, part));
+        engine_, "trunk." + std::to_string(s), params_.trunk, s));
   }
   // Assigned rather than resized: gcc 12's -fanalyzer misreads the
   // libstdc++ default-append path of resize() as a null dereference.
@@ -61,10 +49,9 @@ void Network::build_links() {
       static_cast<std::size_t>(params_.nodes) * params_.nodes);
 
   // Fault injection: every link gets an independent RNG stream drawn from
-  // the master seed in construction order, which is deterministic (and
-  // identical across partition counts), so a fixed seed reproduces the
-  // exact same loss pattern. With injection disabled no model is installed
-  // and the fast path is untouched.
+  // the master seed in construction order, which is deterministic, so a
+  // fixed seed reproduces the exact same loss pattern. With injection
+  // disabled no model is installed and the fast path is untouched.
   if (params_.fault.enabled()) {
     stats::Rng seeder{params_.fault.seed};
     for_each_link([&](Link& link) {
@@ -159,9 +146,8 @@ void Network::send(const Packet& packet, DeliverFn deliver, DropFn drop) {
 }
 
 // LINT:hot-path begin (per-packet forwarding: transit records come from the
-// pool, hop events capture (network, index), and cross-partition
-// continuations go through PartitionSet::post; nothing allocates; enforced
-// by tools/repro_lint)
+// pool, hop events capture (network, index), and a crossing is one tagged
+// heap push; nothing allocates; enforced by tools/repro_lint)
 void Network::forward_hop(std::uint32_t index) {
   Transit& record = transits_[index];
   Link* link = record.path[record.hop];
@@ -183,16 +169,12 @@ void Network::forward_hop(std::uint32_t index) {
     return;
   }
   Link* next = record.path[record.hop + 1];
-  if (next->partition() != link->partition()) {
-    // Partition boundary: the outcome was resolved at the submit instant
-    // (queueing, serialisation, fault decision — all sender-side state);
-    // hand the record to the neighbouring partition. The continuation
-    // lands at arrival + switch latency, i.e. at least one link latency +
-    // switch latency ahead of now: the lookahead. The current link belongs
-    // to the partition the transit is in: a route starts in the source
-    // node's partition, and the trunk a descending route crosses is
-    // reached through a handoff into its owner.
-    sim_->post(link->partition(), next->partition(),
+  if (next->switch_index() != link->switch_index()) {
+    // Crossing: the outcome was resolved at the submit instant (queueing,
+    // serialisation, fault decision — all state of the current link). The
+    // continuation lands at arrival + switch latency, at least one link
+    // latency + switch latency ahead of now: the lookahead.
+    post_cross(link->switch_index(),
                resolved.arrive + params_.switch_latency, [this, index] {
                  ++transits_[index].hop;
                  forward_hop(index);
@@ -208,6 +190,16 @@ void Network::forward_hop(std::uint32_t index) {
       forward_hop(index);
     });
   });
+}
+
+void Network::post_cross(int source, des::SimTime at, des::SmallFn fn) {
+#if PEVPM_UNITS_CHECKED
+  if (at < engine_.now() + params_.lookahead()) {
+    throw std::logic_error{"Network::post_cross: inside the lookahead"};
+  }
+#endif
+  engine_.schedule_injected(at, std::move(fn), 0,
+                            des::Engine::cross_tag(source));
 }
 
 void Network::finish_transit(std::uint32_t index, bool delivered) {

@@ -9,20 +9,16 @@
 // (network, index) and no std::function is built per hop; the user's
 // callbacks wait in the record until the packet arrives or is lost.
 //
-// Partitioned mode (the conservative parallel engine): each switch — its
-// node NICs, its forwarding fabric, and the trunk to its upper neighbour —
-// is one logical process, and every link is tagged with it
-// (Link::partition()). All partitions run on the set's one des::Engine and
-// share one transit pool and one route cache; a transit record is touched
-// only by the partition its packet is in. A frame whose next hop belongs to
-// another partition is resolved at submit time on the last link this
-// partition owns (Link::submit_resolved) and the continuation is posted
-// through PartitionSet::post, arriving at least min-link-latency +
-// switch-latency later — the lookahead (ClusterParams::lookahead()). A
-// single-switch cluster is one partition: no boundaries exist and no posts
-// happen. The des::Engine constructor puts every switch on one engine with
-// no boundaries either; it is the harness for network-level tests and
-// benches, not a mode of smpi::Runtime.
+// Crossings: each link belongs to one switch (Link::switch_index(): a NIC
+// to its node's switch, a fabric to its own, a trunk to the lower switch
+// it joins). A hop onto a link of another switch is a crossing. Its
+// outcome is resolved at submit time on the current link
+// (Link::submit_resolved), and its continuation is scheduled at arrival +
+// switch latency — at least ClusterParams::lookahead() ahead — under the
+// cross key (time, priority, sched, 1, source switch, post order) of
+// des::Engine::cross_tag. Every other hop is two plain events. A
+// multi-switch cluster therefore has one event order, whoever builds the
+// Network (DESIGN.md section 9).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +30,6 @@
 #include <vector>
 
 #include "des/engine.h"
-#include "des/partitioned_engine.h"
 #include "net/calibration.h"
 #include "net/link.h"
 #include "net/packet.h"
@@ -46,32 +41,29 @@ class Network {
   using DeliverFn = std::function<void(const Packet&)>;
   using DropFn = std::function<void(const Packet&)>;
 
-  /// Single-engine network: every link on one engine, one partition.
+  /// Throws std::runtime_error when check_cluster() rejects `params`, and
+  /// std::invalid_argument when a multi-switch cluster's lookahead()
+  /// exceeds its safe_lookahead().
   Network(des::Engine& engine, ClusterParams params);
-
-  /// Switch-partitioned network over a conservative parallel engine set,
-  /// which must have exactly params.switch_count() partitions.
-  Network(des::PartitionSet& sim, ClusterParams params);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   [[nodiscard]] const ClusterParams& params() const noexcept { return params_; }
   [[nodiscard]] int nodes() const noexcept { return params_.nodes; }
-  [[nodiscard]] int partitions() const noexcept {
-    return sim_ ? sim_->partitions() : 1;
-  }
-  [[nodiscard]] units::PartitionId partition_of_node(int node) const noexcept {
-    return units::PartitionId{sim_ ? params_.switch_of(node) : 0};
-  }
 
   /// Sends a packet from packet.src_node to packet.dst_node. `deliver`
   /// fires at arrival at the destination host; `drop` fires (at the drop
   /// instant) if any hop's queue overflows. src == dst is not routed here
-  /// (intra-node traffic uses the SMP channel in the MPI layer). In
-  /// partitioned mode the call must come from the source node's partition
-  /// context; `deliver` then runs in the destination node's partition.
+  /// (intra-node traffic uses the SMP channel in the MPI layer).
   void send(const Packet& packet, DeliverFn deliver, DropFn drop);
+
+  /// Schedules `fn` at `at` as a crossing out of switch `source`: under
+  /// des::Engine::cross_tag(source), so it runs after every untagged event
+  /// of equal (time, priority, sched). Both callers (a trunk-crossing hop
+  /// and Transport's cross-switch registration) land at least lookahead()
+  /// ahead of now by construction; checked builds assert it.
+  void post_cross(int source, des::SimTime at, des::SmallFn fn);
 
   /// Number of links a src->dst packet traverses (NICs + trunks). Computed
   /// arithmetically; no route is materialised.
@@ -104,10 +96,9 @@ class Network {
  private:
   static constexpr std::uint32_t kNil = UINT32_MAX;
 
-  /// One in-flight packet, from send() until delivery or loss; the link at
-  /// its current hop belongs to the partition it is in. Pool-allocated and
-  /// addressed by index so per-hop callbacks, boundary handoffs included,
-  /// capture 16 bytes.
+  /// One in-flight packet, from send() until delivery or loss.
+  /// Pool-allocated and addressed by index so per-hop callbacks, crossings
+  /// included, capture 16 bytes.
   struct Transit {
     Packet packet{};
     std::span<Link* const> path{};
@@ -138,23 +129,22 @@ class Network {
 
   /// Submits the transit's packet to the link at its current hop; the
   /// arrival event advances the hop (after the store-and-forward switch
-  /// latency) until the final link delivers to the destination host, or a
-  /// partition boundary hands the continuation to the neighbour.
+  /// latency) until the final link delivers to the destination host; a
+  /// hop onto another switch's link goes through post_cross().
   void forward_hop(std::uint32_t index);
   /// Releases the record, then runs its deliver (or drop) callback.
   void finish_transit(std::uint32_t index, bool delivered);
 
   void check_route_args(int src_node, int dst_node) const;
 
-  des::PartitionSet* sim_ = nullptr;  ///< null in sequential mode
-  des::Engine& engine_;  ///< the one engine every partition runs on
+  des::Engine& engine_;
   ClusterParams params_;
   std::vector<std::unique_ptr<Link>> nic_tx_;
   std::vector<std::unique_ptr<Link>> nic_rx_;
   /// One shared forwarding fabric per switch; every frame entering the
   /// switch crosses it once.
   std::vector<std::unique_ptr<Link>> fabric_;
-  /// trunk_[s] joins switch s and s+1, owned by partition s (both
+  /// trunk_[s] joins switch s and s+1, belongs to switch s (both
   /// directions: the 510T stacking matrix behaves as a shared bus — both
   /// directions contend for the same 2.1 Gbit/s, which is what makes the
   /// paper's 24 x 84.25 Mbit/s = 2.02 Gbit/s offered load saturate it).

@@ -13,18 +13,6 @@ Transport::Transport(des::Engine& engine, Network& network)
       tcp_{network.params().tcp},
       wire_{network.params().wire} {}
 
-Transport::Transport(des::PartitionSet& sim, Network& network)
-    : sim_{&sim},
-      engine_{sim.engine(units::PartitionId{0})},
-      network_{network},
-      tcp_{network.params().tcp},
-      wire_{network.params().wire} {
-  if (network.partitions() != sim.partitions()) {
-    throw std::invalid_argument{
-        "Transport: network was built over a different partition set"};
-  }
-}
-
 Transport::Sender& Transport::sender(std::uint64_t stream, int src, int dst) {
   auto [it, inserted] = senders_.try_emplace(stream);
   Sender& conn = it->second;
@@ -93,23 +81,21 @@ void Transport::send(std::uint64_t stream, int src_node, int dst_node,
   }
   Sender& conn = sender(stream, src_node, dst_node);
   conn.stream_end += bytes;
-  const units::PartitionId sp = network_.partition_of_node(src_node);
-  const units::PartitionId dp = network_.partition_of_node(dst_node);
-  if (sp == dp) {
+  const int src_switch = network_.params().switch_of(src_node);
+  if (src_switch == network_.params().switch_of(dst_node)) {
     register_message(stream, src_node, dst_node, conn.stream_end,
                      std::move(on_delivered));
   } else {
-    // The receiver half lives in the destination partition: ship the
-    // (end offset, callback) pair through PartitionSet::post one
-    // lookahead out.
-    // It beats the first data byte — see the class comment.
+    // A crossing one lookahead out; it beats the first data byte — see
+    // the class comment.
     const SeqNo end = conn.stream_end;
-    sim_->post(sp, dp, engine_.now() + sim_->lookahead(),
-               [this, stream, src_node, dst_node, end,
-                cb = std::move(on_delivered)]() mutable {
-                 register_message(stream, src_node, dst_node, end,
-                                  std::move(cb));
-               });
+    network_.post_cross(src_switch,
+                        engine_.now() + network_.params().lookahead(),
+                        [this, stream, src_node, dst_node, end,
+                         cb = std::move(on_delivered)]() mutable {
+                          register_message(stream, src_node, dst_node, end,
+                                           std::move(cb));
+                        });
   }
   pump(conn);
 }
@@ -144,9 +130,8 @@ void Transport::transmit_segment(Sender& conn, SeqNo seq, Bytes len) {
   packet.payload = len;
   packet.wire_bytes = wire_.segment_wire_bytes(len);
   ++segments_sent_;
-  // The delivery callback runs in the destination partition; it captures
-  // no sender state — the packet's conn field resolves the receiver half
-  // there.
+  // The delivery callback captures no sender state — the packet's conn
+  // field resolves the receiver half.
   network_.send(
       packet, [this](const Packet& arrived) { on_data(arrived); },
       /*drop=*/nullptr);  // loss is detected via ACKs / the RTO timer

@@ -13,17 +13,14 @@
 // Messages are byte counts; delivery callbacks fire when the last stream
 // byte of a message arrives in order at the destination host.
 //
-// Partitioned mode: a connection's sender half (sequence numbers,
-// congestion state, the RTO timer) is touched only by the source node's
-// partition and its receiver half (reassembly, pending deliveries) only by
-// the destination node's, matching where the network delivers data and ACK
-// packets. Both halves sit in one map per kind, shared by every partition
-// on the set's one engine. The only sender-to-receiver control transfer
-// outside the packet path — registering a message's end offset and
-// delivery callback — rides PartitionSet::post one lookahead ahead, which
+// A connection's sender half (sequence numbers, congestion state, the RTO
+// timer) and its receiver half (reassembly, pending deliveries) sit in one
+// map per kind. The only sender-to-receiver control transfer outside the
+// packet path — registering a message's end offset and delivery callback —
+// is immediate when both nodes share a switch. Across switches it is a
+// crossing (Network::post_cross) one ClusterParams::lookahead() out, which
 // always beats the first data byte (end-to-end is at least two NIC
-// latencies plus a switch hop). With one partition every path is the
-// sequential one.
+// latencies plus a switch hop).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +30,6 @@
 #include <utility>
 
 #include "des/engine.h"
-#include "des/partitioned_engine.h"
 #include "net/network.h"
 #include "trace/trace.h"
 
@@ -43,10 +39,8 @@ class Transport {
  public:
   using DeliveredFn = std::function<void()>;
 
-  /// Sequential transport on a single engine.
+  /// `network` must run on `engine`.
   Transport(des::Engine& engine, Network& network);
-  /// Partitioned transport; `network` must be built over the same set.
-  Transport(des::PartitionSet& sim, Network& network);
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
@@ -62,11 +56,9 @@ class Transport {
   /// one TCP-lite connection; MPICH 1.2 (ch_p4) opened one socket per
   /// process pair, so the MPI layer passes a per-rank-pair stream id. All
   /// streams between two nodes still contend for the same NIC and trunk
-  /// links. `on_delivered` runs, in engine context (the destination
-  /// partition's, when partitioned), when the final byte arrives in order
-  /// at `dst_node`. Messages on one stream are delivered in submission
-  /// order. A stream's (src, dst) binding must not change. In partitioned
-  /// mode the call must come from the source node's partition context.
+  /// links. `on_delivered` runs, in engine context, when the final byte
+  /// arrives in order at `dst_node`. Messages on one stream are delivered
+  /// in submission order. A stream's (src, dst) binding must not change.
   void send(std::uint64_t stream, int src_node, int dst_node, Bytes bytes,
             DeliveredFn on_delivered);
 
@@ -87,8 +79,7 @@ class Transport {
   void reset_stats() noexcept;
 
  private:
-  /// Sender half of a connection, touched only by the source node's
-  /// partition.
+  /// Sender half of a connection.
   struct Sender {
     std::uint64_t id = 0;
     int src = 0;
@@ -105,7 +96,7 @@ class Transport {
     des::Engine::EventId rto_timer{};
   };
 
-  /// Receiver half, touched only by the destination node's partition.
+  /// Receiver half of a connection.
   struct Receiver {
     std::uint64_t id = 0;
     int src = 0;
@@ -119,7 +110,6 @@ class Transport {
   [[nodiscard]] Sender& sender_of(const Packet& ack_packet);
   [[nodiscard]] Receiver& receiver_of(const Packet& data_packet);
   /// Creates/locates the receiver half and appends one pending message.
-  /// Runs in the destination partition's context.
   void register_message(std::uint64_t stream, int src, int dst, SeqNo end,
                         DeliveredFn cb);
 
@@ -134,8 +124,7 @@ class Transport {
   [[nodiscard]] Bytes window_bytes(const Sender& conn) const noexcept;
   void trace_event(const Sender& conn, std::string detail);
 
-  des::PartitionSet* sim_ = nullptr;  ///< null in sequential mode
-  des::Engine& engine_;  ///< the one engine every partition runs on
+  des::Engine& engine_;
   Network& network_;
   const TcpParams tcp_;
   const WireFormat wire_;

@@ -676,8 +676,9 @@ TEST(PartitionedGolden, SamePartitionPostTiesLikeALocalSchedule) {
 }
 
 TEST(PartitionedGolden, PartitionCountMustFitTheSourceField) {
-  // A cross post's seq packs its source partition into kSourceBits bits
-  // between the cross bit and the counter; a larger set must be refused.
+  // A cross post's seq packs its source partition into the field
+  // Engine::cross_tag has between the cross bit and the counter; a larger
+  // set must be refused.
   constexpr int kMax = des::PartitionSet::kMaxPartitions;
   EXPECT_THROW((des::PartitionSet{kMax + 1, kLookahead}),
                std::invalid_argument);
@@ -701,6 +702,29 @@ TEST(PartitionedGolden, PartitionCountMustFitTheSourceField) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_THROW((void)sim.engine(des::PartitionId{kMax}), std::out_of_range);
+}
+
+TEST(PartitionedGolden, CrossPostKeysAsTheEngineCrossTag) {
+  // PartitionSet::post and the network's crossings share one key builder,
+  // Engine::cross_tag: a post from partition 1 sorts between injected
+  // events tagged with sources 0 and 2, and after a local event, at equal
+  // (time, priority, sched), whatever the call order.
+  des::PartitionSet sim{3, kLookahead};
+  des::Engine& engine = sim.engine(des::PartitionId{0});
+  std::vector<int> order;
+  const auto record = [&order](int label) {
+    return [&order, label] { order.push_back(label); };
+  };
+  const des::SimTime at{20};
+  engine.schedule_at(des::SimTime{0}, [&] {
+    engine.schedule_injected(at, record(3), 0, des::Engine::cross_tag(2));
+    sim.post(des::PartitionId{1}, des::PartitionId{2}, at, record(2));
+    engine.schedule_injected(at, record(1), 0, des::Engine::cross_tag(0));
+    engine.schedule_at(at, record(0));
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(des::PartitionSet::kMaxPartitions, des::Engine::kMaxCrossSources);
 }
 
 TEST(EngineGolden, RunUntilHonoursCancellationAndResumes) {

@@ -522,6 +522,63 @@ TEST(Cluster, ParseRejectsUnpartitionableMultiSwitch) {
       des::Duration{});
 }
 
+TEST(Cluster, ParseRejectsMoreSwitchesThanTheCrossKeyHolds) {
+  // A crossing's key packs its source switch into 19 bits; a larger
+  // cluster must be refused at parse time, naming the bound. Parsing
+  // builds nothing: no network, simulation or thread.
+  const int max = des::Engine::kMaxCrossSources;
+  ASSERT_EQ(max, 1 << 19);
+  std::istringstream over{"ports_per_switch = 1\nnodes = " +
+                          std::to_string(max + 1) + "\n"};
+  try {
+    (void)net::parse_cluster(over);
+    FAIL() << "accepted " << max + 1 << " switches";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("2^19"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(max)), std::string::npos) << what;
+  }
+  std::istringstream at{"ports_per_switch = 1\nnodes = " +
+                        std::to_string(max) + "\n"};
+  EXPECT_EQ(net::parse_cluster(at).switch_count(), max);
+}
+
+TEST(Cluster, ParseBoundsEveryDurationAndRateKey) {
+  // A value that would overflow a Duration somewhere on a frame's path is
+  // a parse error naming its key; the largest accepted value still parses.
+  const struct {
+    const char* key;
+    const char* over;
+    const char* limit;
+  } cases[] = {
+      {"nic_latency_us", "1e300", "1e6"},
+      {"trunk_latency_us", "1000001", "1e6"},
+      {"switch_latency_us", "1e7", "1e6"},
+      {"send_overhead_us", "1e300", "1e6"},
+      {"recv_overhead_us", "1e300", "1e6"},
+      {"spike_mean_us", "1e300", "1e6"},
+      {"lookahead_us", "1e300", "1e6"},
+      {"rto_ms", "1e300", "120000"},
+      {"copy_ns_per_byte", "1e300", "1e6"},
+      {"nic_mbit", "1e-300", "0.001"},
+      {"trunk_gbit", "1e-300", "1e-6"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.key);
+    std::istringstream bad{std::string{c.key} + " = " + c.over + "\n"};
+    try {
+      (void)net::parse_cluster(bad, net::perseus(16));
+      ADD_FAILURE() << "accepted " << c.over;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.key), std::string::npos) << what;
+    }
+    std::istringstream edge{std::string{c.key} + " = " + c.limit + "\n"};
+    EXPECT_NO_THROW((void)net::parse_cluster(edge, net::perseus(16)));
+  }
+}
+
 TEST(Units, RateConversions) {
   EXPECT_DOUBLE_EQ(net::Rate::mbit(100).bps(), 1e8);
   EXPECT_DOUBLE_EQ(net::Rate::gbit(2.1).bps(), 2.1e9);

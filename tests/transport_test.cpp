@@ -1,8 +1,11 @@
 // Unit tests for the TCP-lite reliable transport.
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "des/engine.h"
-#include "des/partitioned_engine.h"
 #include "net/cluster.h"
 #include "net/network.h"
 #include "net/transport.h"
@@ -104,19 +107,76 @@ TEST(Transport, RejectsMisuse) {
 }
 
 TEST(Transport, PartitionedStreamRebindIsRejected) {
-  // 50 nodes span 3 switches, one partition each. Node 0 is on switch 0
-  // and node 40 on switch 1, so the two sends start in different
-  // partitions; the binding must hold across them.
+  // 50 nodes span 3 switches. Node 0 is on switch 0 and node 40 on
+  // switch 1, so the two sends start on different switches, and the first
+  // registers its message through a crossing; the binding must hold
+  // across them.
   const net::ClusterParams params = net::perseus(50);
-  des::PartitionSet sim{params.switch_count(), params.lookahead()};
-  net::Network network{sim, params};
-  net::Transport transport{sim, network};
+  des::Engine engine;
+  net::Network network{engine, params};
+  net::Transport transport{engine, network};
   bool delivered = false;
   transport.send(7, 0, 30, net::Bytes{10}, [&] { delivered = true; });
   EXPECT_THROW(transport.send(7, 40, 1, net::Bytes{10}, nullptr),
                std::invalid_argument);
-  sim.run();
+  engine.run();
   EXPECT_TRUE(delivered);
+}
+
+TEST(CrossSwitchOrder, HandBuiltStackDeliversInTheRecordedOrder) {
+  // perseus(64) has three switches. At t = 0 four node triples, one node
+  // on each switch, send one message each way between every two of their
+  // nodes, so equal frames reach the fabrics and trunks at the same
+  // nanoseconds and every message crosses at least one trunk. The
+  // (label, delivery time) sequence below was recorded from the
+  // switch-partitioned network mpibench ran on before a plain des::Engine
+  // carried the cross key; a hand-built stack used to deliver in another
+  // order (the first delivery was label 1 at 205694 ns).
+  des::Engine engine;
+  net::Network network{engine, net::perseus(64)};
+  net::Transport transport{engine, network};
+  std::vector<std::pair<int, std::int64_t>> delivered;
+  int label = 0;
+  for (int i = 0; i < 4; ++i) {
+    const int a = i;
+    const int b = 24 + i;
+    const int c = 48 + i;
+    const int pairs[][2] = {{a, b}, {b, c}, {c, a}, {b, a}, {c, b}, {a, c}};
+    for (const auto& pair : pairs) {
+      const int l = label++;
+      const net::Bytes size{l % 3 == 0 ? 4000u : 1000u};
+      transport.send(static_cast<std::uint64_t>(l), pair[0], pair[1], size,
+                     [&delivered, &engine, l] {
+                       delivered.emplace_back(l, engine.now().ns());
+                     });
+    }
+  }
+  engine.run();
+  const std::vector<std::pair<int, std::int64_t>> expected{
+      {1, 209801},  {2, 217801},  {7, 218015},  {8, 226015},  {13, 226229},
+      {14, 234229}, {19, 234443}, {20, 242443}, {4, 371342},  {10, 377201},
+      {16, 384756}, {22, 392615}, {5, 463881},  {11, 473847}, {17, 483813},
+      {23, 494049}, {0, 720255},  {3, 726924},  {6, 731335},  {9, 735746},
+      {12, 740187}, {15, 744598}, {21, 749009}, {18, 753420},
+  };
+  EXPECT_EQ(delivered, expected);
+}
+
+TEST(CrossSwitchOrder, LookaheadAboveTheSafeBoundIsRejected) {
+  // The override must not exceed min(fabric, trunk latency) + switch
+  // latency on any multi-switch network, whoever builds it; one switch has
+  // no crossings to bound.
+  net::ClusterParams params = net::perseus(64);
+  params.lookahead_override =
+      params.safe_lookahead() + des::Duration::from_micros(1.0);
+  des::Engine engine;
+  EXPECT_THROW((net::Network{engine, params}), std::invalid_argument);
+  params.lookahead_override = params.safe_lookahead();
+  EXPECT_NO_THROW((net::Network{engine, params}));
+  net::ClusterParams single = net::perseus(16);
+  single.lookahead_override =
+      single.safe_lookahead() + des::Duration::from_micros(1.0);
+  EXPECT_NO_THROW((net::Network{engine, single}));
 }
 
 TEST(Transport, ThroughputApproachesWireRate) {
