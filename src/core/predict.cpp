@@ -29,8 +29,10 @@ SimulationResult run_replication(const Model& model, int numprocs,
                                  const Bindings& overrides,
                                  const mpibench::DistributionTable& table,
                                  const PredictOptions& options, int rep,
-                                 std::uint64_t seed) {
-  DeliverySampler sampler{table, options.sampler, seed};
+                                 std::uint64_t seed, SamplerCells* cells) {
+  DeliverySampler sampler = cells != nullptr
+                                ? DeliverySampler{*cells, seed}
+                                : DeliverySampler{table, options.sampler, seed};
   SimulationResult result = simulate(model, numprocs, overrides, sampler);
   if (options.tracer != nullptr && options.tracer->enabled()) {
     options.tracer->record(
@@ -62,18 +64,20 @@ Prediction predict(const Model& model, int numprocs,
 
   const unsigned threads = std::min<unsigned>(
       resolve_threads(options.threads), static_cast<unsigned>(std::max(reps, 1)));
-  // Each replication owns its sampler and Vm state and only reads the
-  // shared model/table, so workers touch disjoint slots (parallel_for runs
-  // inline at one thread). The reduction below runs in replication order
+  // Each replication owns its sampler and Vm state, reads the shared
+  // model/table and resolves each distribution once through the shared
+  // cells, so workers touch disjoint slots (parallel_for runs inline at
+  // one thread). The reduction below runs in replication order
   // over those slots, which makes the merged summary bit-identical at any
   // thread count — Welford updates are not reorderable, so order (not
   // associativity) is what guarantees thread-count invariance.
   std::vector<double> makespans(static_cast<std::size_t>(reps), 0.0);
   std::vector<unsigned char> deadlocked(static_cast<std::size_t>(reps), 0);
   SimulationResult detail;
+  SamplerCells cells{table, options.sampler};
   parallel_for(reps, threads, [&](int rep) {
-    SimulationResult result = run_replication(model, numprocs, overrides,
-                                              table, options, rep, seeds[rep]);
+    SimulationResult result = run_replication(
+        model, numprocs, overrides, table, options, rep, seeds[rep], &cells);
     makespans[rep] = result.makespan;
     deadlocked[rep] = result.deadlocked ? 1 : 0;
     if (rep == reps - 1) detail = std::move(result);

@@ -68,14 +68,17 @@ struct Prediction {
 [[nodiscard]] std::vector<std::uint64_t> replication_seeds(
     const PredictOptions& options);
 
-/// Evaluates replication `rep` with sampler seed `seed`. Safe to call
-/// concurrently for distinct reps: each call owns its sampler and Vm state
-/// and only reads the shared model/table. Records the per-replication
-/// tracer event when options.tracer is enabled.
+/// Evaluates replication `rep` with sampler seed `seed`, drawing from
+/// `cells` — shared by the replications of one prediction and built from
+/// `table` and options.sampler — or, when null, from private cells. Safe
+/// to call concurrently for distinct reps: each call owns its sampler and
+/// Vm state, reads the shared model/table and resolves cells through the
+/// thread-safe SamplerCells. Records the per-replication tracer event when
+/// options.tracer is enabled.
 [[nodiscard]] SimulationResult run_replication(
     const Model& model, int numprocs, const Bindings& overrides,
     const mpibench::DistributionTable& table, const PredictOptions& options,
-    int rep, std::uint64_t seed);
+    int rep, std::uint64_t seed, SamplerCells* cells = nullptr);
 
 /// Reduces per-replication results — which must be in replication order —
 /// into a Prediction exactly as predict() does (Welford updates in order,

@@ -1,76 +1,50 @@
 #include "core/sampler.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace pevpm {
 
-namespace {
-/// Sender-side cost when the table lacks kPtpSender entries.
-constexpr double kDefaultSenderSeconds = 25e-6;
-}  // namespace
-
-DeliverySampler::DeliverySampler(const mpibench::DistributionTable& table,
-                                 SamplerOptions options, std::uint64_t seed)
-    : table_{table}, options_{options}, rng_{seed} {}
-
-std::size_t DeliverySampler::hash_key(std::int32_t op, net::Bytes bytes,
-                                      std::int32_t contention) noexcept {
-  // splitmix64 finaliser over the packed key; op and contention are small,
-  // so folding them into the high bits keeps distinct keys distinct.
-  return static_cast<std::size_t>(stats::mix64(
-      bytes.count() ^ (static_cast<std::uint64_t>(op) << 56) ^
-      (static_cast<std::uint64_t>(contention) << 40)));
-}
-
-void DeliverySampler::rehash(std::size_t buckets) {
-  index_.assign(buckets, kEmpty);
-  const std::size_t mask = buckets - 1;
-  for (std::uint32_t pos = 0; pos < cells_.size(); ++pos) {
-    const Cell& c = cells_[pos];
-    std::size_t b = hash_key(c.op, c.bytes, c.contention) & mask;
-    while (index_[b] != kEmpty) b = (b + 1) & mask;
-    index_[b] = pos;
+SamplerCells::SamplerCells(const mpibench::DistributionTable& table,
+                           SamplerOptions options)
+    : table_{table}, options_{options} {
+  for (std::size_t id = 0; id < grid_.size(); ++id) {
+    const auto op = static_cast<mpibench::OpKind>(id);
+    OpGrid& g = grid_[id];
+    // Both lists come sorted from the table.
+    const std::vector<net::Bytes> sizes = table_.sizes(op);
+    const std::vector<int> contentions = table_.contentions(op);
+    g.measured = !sizes.empty() && !contentions.empty();
+    if (g.measured) {
+      g.min_size = sizes.front();
+      g.max_size = sizes.back();
+      g.min_contention = contentions.front();
+      g.max_contention = contentions.back();
+    }
+    g.extrapolated =
+        options_.scaling != nullptr && options_.scaling->covers(op);
+    g.covered = g.measured || g.extrapolated;
+    g.key_min = g.extrapolated ? std::numeric_limits<int>::min()
+                               : g.min_contention;
+    g.key_max = g.extrapolated ? std::numeric_limits<int>::max()
+                               : g.max_contention;
   }
 }
 
-const DeliverySampler::GridExtent& DeliverySampler::extent(
-    mpibench::OpKind op) {
-  GridExtent& e = extents_[static_cast<std::size_t>(op)];
-  if (e.known) return e;
-  e.known = true;
-  const std::vector<net::Bytes> sizes = table_.sizes(op);
-  const std::vector<int> contentions = table_.contentions(op);
-  if (!sizes.empty() && !contentions.empty()) {
-    e.measured = true;
-    e.min_size = *std::min_element(sizes.begin(), sizes.end());
-    e.max_size = *std::max_element(sizes.begin(), sizes.end());
-    e.min_contention = *std::min_element(contentions.begin(),
-                                         contentions.end());
-    e.max_contention = *std::max_element(contentions.begin(),
-                                         contentions.end());
-  }
-  return e;
-}
-
-bool DeliverySampler::covered(mpibench::OpKind op) {
-  if (extent(op).measured) return true;
-  return options_.scaling != nullptr && options_.scaling->covers(op);
-}
-
-stats::EmpiricalDistribution DeliverySampler::resolve(mpibench::OpKind op,
-                                                      net::Bytes bytes,
-                                                      int contention) {
+stats::EmpiricalDistribution SamplerCells::resolve(mpibench::OpKind op,
+                                                   net::Bytes bytes,
+                                                   int contention) const {
   // The scaling model answers keys the table cannot: operations with no
   // measurements at all, and keys outside the measured grid extent (where
   // lookup() would otherwise clamp to the edge distribution). On-grid keys
   // always come from the table — measured data beats any fitted law.
-  if (options_.scaling != nullptr && options_.scaling->covers(op)) {
-    const GridExtent& e = extent(op);
+  const OpGrid& g = grid_[static_cast<std::size_t>(op)];
+  if (g.extrapolated) {
     const bool off_grid =
-        !e.measured || bytes < e.min_size || bytes > e.max_size ||
-        contention < e.min_contention || contention > e.max_contention;
+        !g.measured || bytes < g.min_size || bytes > g.max_size ||
+        contention < g.min_contention || contention > g.max_contention;
     if (off_grid) {
       try {
         return options_.scaling->distribution(op, bytes, contention);
@@ -86,73 +60,85 @@ stats::EmpiricalDistribution DeliverySampler::resolve(mpibench::OpKind op,
   return table_.lookup(op, bytes, contention);
 }
 
-const DeliverySampler::Cell& DeliverySampler::cell(mpibench::OpKind op,
-                                                   net::Bytes bytes,
-                                                   int contention) {
+const stats::EmpiricalDistribution& SamplerCells::distribution(
+    mpibench::OpKind op, net::Bytes bytes, int contention) {
+  const Key key{static_cast<int>(op), bytes, contention};
+  MutexLock lock{mu_};
+  if (const auto it = cells_.find(key); it != cells_.end()) return it->second;
+  // Resolved under the lock, so each key is resolved once per prediction
+  // however many replications race to it; a throw inserts nothing.
+  return cells_.emplace(key, resolve(op, bytes, contention)).first->second;
+}
+
+std::size_t SamplerCells::resolved() const {
+  MutexLock lock{mu_};
+  return cells_.size();
+}
+
+DeliverySampler::DeliverySampler(const mpibench::DistributionTable& table,
+                                 SamplerOptions options, std::uint64_t seed)
+    : own_cells_{std::make_unique<SamplerCells>(table, options)},
+      cells_{own_cells_.get()},
+      mode_{options.mode},
+      fixed_contention_{options.contention == ContentionSource::kFixed},
+      contention_level_{options.fixed_contention},
+      rng_{seed} {}
+
+DeliverySampler::DeliverySampler(SamplerCells& cells, std::uint64_t seed)
+    : cells_{&cells},
+      mode_{cells.options().mode},
+      fixed_contention_{cells.options().contention ==
+                        ContentionSource::kFixed},
+      contention_level_{cells.options().fixed_contention},
+      rng_{seed} {}
+
+void DeliverySampler::throw_uncovered(mpibench::OpKind op) {
+  throw std::runtime_error{
+      "DeliverySampler: distribution table has no entries for " +
+      mpibench::to_string(op)};
+}
+
+void DeliverySampler::place_row(std::uint32_t pos) {
+  const Row& row = rows_[pos];
+  const std::size_t mask = row_slots_.size() - 1;
+  std::size_t slot = home_slot(row.op, row.bytes);
+  while (row_slots_[slot] != kNoRow) slot = (slot + 1) & mask;
+  row_slots_[slot] = pos;
+}
+
+const stats::EmpiricalDistribution& DeliverySampler::index_miss(
+    mpibench::OpKind op, net::Bytes bytes, int contention) {
+  const stats::EmpiricalDistribution& dist =
+      cells_->distribution(op, bytes, contention);
   const auto op_id = static_cast<std::int32_t>(op);
-  // Relaxed is enough: the memo is a hint, re-validated against the full
-  // key, cells never move once made, and concurrent readers (see the class
-  // contract) only run after the cell index stopped growing.
-  const Cell* memo = last_cell_.load(std::memory_order_relaxed);
-  if (memo != nullptr && memo->op == op_id && memo->bytes == bytes &&
-      memo->contention == contention) {
-    return *memo;
-  }
-  if (index_.empty()) rehash(16);
-  const std::size_t mask = index_.size() - 1;
-  std::size_t b = hash_key(op_id, bytes, contention) & mask;
-  while (index_[b] != kEmpty) {
-    const Cell& c = cells_[index_[b]];
-    if (c.op == op_id && c.bytes == bytes && c.contention == contention) {
-      last_cell_.store(&c, std::memory_order_relaxed);
-      return c;
+  std::uint32_t pos = find_row(op_id, bytes);
+  if (pos == kNoRow) {
+    pos = static_cast<std::uint32_t>(rows_.size());
+    rows_.push_back(Row{bytes, op_id, contention, {}});
+    if (rows_.size() * 2 > row_slots_.size()) {
+      // Keep the slots at most half full: double them and place every row
+      // again.
+      row_slots_.assign(row_slots_.size() * 2, kNoRow);
+      --slot_shift_;
+      for (std::uint32_t p = 0; p < rows_.size(); ++p) place_row(p);
+    } else {
+      place_row(pos);
     }
-    b = (b + 1) & mask;
   }
-  const Cell& fresh = cells_.emplace_back(
-      Cell{bytes, op_id, contention, resolve(op, bytes, contention)});
-  index_[b] = static_cast<std::uint32_t>(cells_.size() - 1);
-  last_cell_.store(&fresh, std::memory_order_relaxed);
-  // Keep the load factor under 1/2 so probe chains stay short.
-  if (cells_.size() * 2 >= index_.size()) rehash(index_.size() * 2);
-  return fresh;
-}
-
-double DeliverySampler::draw(mpibench::OpKind op, net::Bytes bytes,
-                             int contention,
-                             std::optional<double> fallback) {
-  if (!covered(op)) {
-    if (fallback) return *fallback;
-    throw std::runtime_error{
-        "DeliverySampler: distribution table has no entries for " +
-        mpibench::to_string(op)};
-  }
-  const Cell& c = cell(op, bytes, contention);
-  switch (options_.mode) {
-    case PredictionMode::kDistribution: return c.dist.sample(rng_);
-    case PredictionMode::kAverage: return c.dist.mean();
-    case PredictionMode::kMinimum: return c.dist.min();
-  }
-  return c.dist.mean();
-}
-
-double DeliverySampler::delivery_seconds(net::Bytes bytes, int outstanding) {
-  const int contention = options_.contention == ContentionSource::kScoreboard
-                             ? outstanding
-                             : options_.fixed_contention;
-  return draw(mpibench::OpKind::kPtpOneWay, bytes, contention, std::nullopt);
-}
-
-double DeliverySampler::sender_seconds(net::Bytes bytes, int outstanding) {
-  const int contention = options_.contention == ContentionSource::kScoreboard
-                             ? outstanding
-                             : options_.fixed_contention;
-  return draw(mpibench::OpKind::kPtpSender, bytes, contention,
-              kDefaultSenderSeconds);
-}
-
-double DeliverySampler::late_recv_seconds(net::Bytes bytes, int outstanding) {
-  return sender_seconds(bytes, outstanding);
+  Row& row = rows_[pos];
+  const std::int64_t first = std::min<std::int64_t>(row.first, contention);
+  const std::int64_t last = std::max<std::int64_t>(
+      row.first + static_cast<std::int64_t>(row.by_contention.size()) - 1,
+      contention);
+  if (last - first >= kDenseContention) return dist;
+  row.by_contention.insert(row.by_contention.begin(),
+                           static_cast<std::size_t>(row.first - first),
+                           nullptr);
+  row.by_contention.resize(static_cast<std::size_t>(last - first + 1),
+                           nullptr);
+  row.first = static_cast<int>(first);
+  row.by_contention[static_cast<std::size_t>(contention - first)] = &dist;
+  return dist;
 }
 
 double DeliverySampler::collective_seconds(CollOp op, net::Bytes bytes,
@@ -167,11 +153,12 @@ double DeliverySampler::collective_seconds(CollOp op, net::Bytes bytes,
     }
     return mpibench::OpKind::kBarrier;
   }();
-  if (covered(table_op)) {
-    double t = draw(table_op, bytes, nprocs, std::nullopt);
+  if (cells_->covered(table_op)) {
+    double t = draw(table_op, bytes, nprocs);
     // No direct allreduce table: compose as reduce followed by bcast.
-    if (op == CollOp::kAllreduce && covered(mpibench::OpKind::kBcast)) {
-      t += draw(mpibench::OpKind::kBcast, bytes, nprocs, std::nullopt);
+    if (op == CollOp::kAllreduce &&
+        cells_->covered(mpibench::OpKind::kBcast)) {
+      t += draw(mpibench::OpKind::kBcast, bytes, nprocs);
     }
     return t;
   }
@@ -199,7 +186,7 @@ double DeliverySampler::collective_seconds(CollOp op, net::Bytes bytes,
   const net::Bytes per_round = op == CollOp::kBarrier ? net::Bytes{} : bytes;
   double total = 0.0;
   for (int i = 0; i < rounds; ++i) {
-    total += draw(mpibench::OpKind::kPtpOneWay, per_round, c, std::nullopt);
+    total += draw(mpibench::OpKind::kPtpOneWay, per_round, c);
   }
   return total;
 }

@@ -19,15 +19,15 @@
 //                   "2x1" curves; or n*p for the "n x p averages" curves)
 #pragma once
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <optional>
-#include <utility>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "core/model.h"
+#include "core/thread_annotations.h"
 #include "mpibench/table.h"
 #include "scaling/model.h"
 #include "stats/rng.h"
@@ -49,14 +49,106 @@ struct SamplerOptions {
   const scaling::ScalingModel* scaling = nullptr;
 };
 
-// Thread-safety contract: a DeliverySampler is single-threaded while any
-// call can grow the cell index or draw randomness. Once every key has been
-// resolved (warm), kAverage and kMinimum are read-only and MAY be called
-// from several threads; the atomic last-cell memo is their only write.
+/// Widest window of contention levels a DeliverySampler indexes densely
+/// per (op, size). Only ops the scaling model covers keep keys outside
+/// their measured levels, so only their rows can outgrow it; a key that
+/// would widen a row's window past it is asked of the cells on every draw.
+inline constexpr int kDenseContention = 1 << 16;
+
+/// The per-prediction, read-mostly half of the sampler: the distribution
+/// behind each (op, size, contention) key, resolved once and shared by every
+/// replication of the prediction. Each op's coverage and measured grid
+/// extent are fixed at construction (the table and scaling model are
+/// immutable). Thread-safe; distributions never move once resolved, so a
+/// DeliverySampler may keep pointers to them for the cells' lifetime.
+class SamplerCells {
+ public:
+  /// `table` and `options.scaling` are not owned and must outlive the cells.
+  SamplerCells(const mpibench::DistributionTable& table,
+               SamplerOptions options);
+  SamplerCells(const SamplerCells&) = delete;
+  SamplerCells& operator=(const SamplerCells&) = delete;
+
+  [[nodiscard]] const SamplerOptions& options() const noexcept {
+    return options_;
+  }
+
+  /// True when draws for `op` can be answered at all — from the table or
+  /// from a scaling-model series.
+  [[nodiscard]] bool covered(mpibench::OpKind op) const noexcept {
+    return grid_[static_cast<std::size_t>(op)].covered;
+  }
+
+  /// The contention level a key for `op` is formed with. Without a scaling
+  /// series for `op`, levels outside its measured range clamp to the edge
+  /// level — the one DistributionTable::lookup would answer with — so all
+  /// of them share one distribution.
+  [[nodiscard]] int key_contention(mpibench::OpKind op,
+                                   int contention) const noexcept {
+    const OpGrid& g = grid_[static_cast<std::size_t>(op)];
+    return std::clamp(contention, g.key_min, g.key_max);
+  }
+
+  /// The distribution for a key normalised by key_contention(), resolved on
+  /// first use: scaling-model reconstruction for a key off the measured
+  /// grid (when enabled), table interpolation otherwise. A non-finite
+  /// scaling prediction raises a ModelError naming the key and caches
+  /// nothing.
+  [[nodiscard]] const stats::EmpiricalDistribution& distribution(
+      mpibench::OpKind op, net::Bytes bytes, int contention) EXCLUDES(mu_);
+
+  /// Number of distributions resolved so far.
+  [[nodiscard]] std::size_t resolved() const EXCLUDES(mu_);
+
+ private:
+  static constexpr std::size_t kOpKinds =
+      static_cast<std::size_t>(mpibench::OpKind::kPtpSender) + 1;
+
+  /// Measured-grid extent and key range of one operation. `measured` is
+  /// false when the op has no table entries.
+  struct OpGrid {
+    bool measured = false;
+    bool extrapolated = false;  ///< the scaling model has a series for it
+    bool covered = false;
+    net::Bytes min_size{};
+    net::Bytes max_size{};
+    int min_contention = 0;
+    int max_contention = 0;
+    int key_min = 0;
+    int key_max = 0;
+  };
+  struct Key {
+    int op = 0;
+    net::Bytes bytes{};
+    int contention = 0;
+    [[nodiscard]] auto operator<=>(const Key&) const = default;
+  };
+
+  [[nodiscard]] stats::EmpiricalDistribution resolve(mpibench::OpKind op,
+                                                     net::Bytes bytes,
+                                                     int contention) const;
+
+  const mpibench::DistributionTable& table_;
+  SamplerOptions options_;
+  std::array<OpGrid, kOpKinds> grid_{};
+  mutable Mutex mu_;
+  /// Resolved distributions; map nodes keep their addresses.
+  std::map<Key, stats::EmpiricalDistribution> cells_ GUARDED_BY(mu_);
+};
+
+// Thread-safety contract: a DeliverySampler is one replication's sampler
+// and single-threaded while any call can grow its index or draw
+// randomness. Once every key it draws has been indexed (warm), kAverage and
+// kMinimum draws write nothing and MAY be called from several threads.
+// Several samplers may share one SamplerCells from different threads.
 class DeliverySampler {
  public:
+  /// A sampler with private cells.
   DeliverySampler(const mpibench::DistributionTable& table,
                   SamplerOptions options, std::uint64_t seed);
+  /// A sampler over cells shared with the other replications of one
+  /// prediction; `cells` must outlive it.
+  DeliverySampler(SamplerCells& cells, std::uint64_t seed);
 
   /// One-way delivery time (seconds) for a message of `bytes` with
   /// `outstanding` messages on the scoreboard.
@@ -78,75 +170,114 @@ class DeliverySampler {
   [[nodiscard]] double collective_seconds(CollOp op, net::Bytes bytes,
                                           int nprocs);
 
-  [[nodiscard]] const SamplerOptions& options() const noexcept {
-    return options_;
-  }
-  [[nodiscard]] stats::Rng& rng() noexcept { return rng_; }
-
  private:
-  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+  /// Sender-side cost when the table lacks kPtpSender entries.
+  static constexpr double kDefaultSenderSeconds = 25e-6;
+  static constexpr std::uint32_t kNoRow = UINT32_MAX;
 
-  /// One memoised (op, size, contention) cell and its distribution. Models
-  /// use few distinct message sizes and a bounded range of contention
-  /// levels, so steady-state sampling resolves every key from this index
-  /// without touching the table.
-  struct Cell {
+  /// One (op, size): its distributions for key contention `first`,
+  /// `first + 1`, ..., null where not yet asked of the cells.
+  struct Row {
     net::Bytes bytes{};
     std::int32_t op = 0;
-    std::int32_t contention = 0;
-    stats::EmpiricalDistribution dist;
+    int first = 0;
+    std::vector<const stats::EmpiricalDistribution*> by_contention;
   };
 
-  /// Measured-grid extent of one operation, resolved lazily (the table is
-  /// immutable). `measured` is false when the op has no table entries.
-  struct GridExtent {
-    bool known = false;
-    bool measured = false;
-    net::Bytes min_size{};
-    net::Bytes max_size{};
-    int min_contention = 0;
-    int max_contention = 0;
-  };
-
+  [[nodiscard]] int contention_of(int outstanding) const noexcept;
   [[nodiscard]] double draw(mpibench::OpKind op, net::Bytes bytes,
-                            int contention, std::optional<double> fallback);
-  /// Flat-hash lookup of the memoised cell for a key, interpolating from
-  /// the table — or reconstructing from the scaling model when the key is
-  /// off the measured grid — and growing the index on first use.
-  [[nodiscard]] const Cell& cell(mpibench::OpKind op, net::Bytes bytes,
-                                 int contention);
-  /// The distribution behind a fresh cell: scaling-model reconstruction
-  /// for off-grid keys (when enabled), table interpolation otherwise.
-  /// A non-finite scaling prediction raises a ModelError naming the key.
-  [[nodiscard]] stats::EmpiricalDistribution resolve(mpibench::OpKind op,
-                                                     net::Bytes bytes,
-                                                     int contention);
-  [[nodiscard]] const GridExtent& extent(mpibench::OpKind op);
-  /// True when draws for `op` can be answered at all — from the table or
-  /// from a scaling-model series.
-  [[nodiscard]] bool covered(mpibench::OpKind op);
-  void rehash(std::size_t buckets);
-  [[nodiscard]] static std::size_t hash_key(std::int32_t op, net::Bytes bytes,
-                                            std::int32_t contention) noexcept;
+                            int contention);
+  /// Position of the (op, size) row in rows_, or kNoRow.
+  [[nodiscard]] std::uint32_t find_row(std::int32_t op,
+                                       net::Bytes bytes) const noexcept;
+  [[nodiscard]] std::size_t home_slot(std::int32_t op,
+                                      net::Bytes bytes) const noexcept;
+  /// Asks the cells for a key the index lacks and indexes it unless that
+  /// would widen its row's window past kDenseContention.
+  [[nodiscard]] const stats::EmpiricalDistribution& index_miss(
+      mpibench::OpKind op, net::Bytes bytes, int contention);
+  void place_row(std::uint32_t pos);
+  [[noreturn]] static void throw_uncovered(mpibench::OpKind op);
 
-  const mpibench::DistributionTable& table_;
-  SamplerOptions options_;
+  std::unique_ptr<SamplerCells> own_cells_;  ///< null when shared
+  SamplerCells* cells_ = nullptr;
+  PredictionMode mode_ = PredictionMode::kDistribution;
+  bool fixed_contention_ = false;
+  int contention_level_ = 0;  ///< the fixed level, when fixed_contention_
   stats::Rng rng_;
-  /// Lazily resolved grid extents, one slot per OpKind. Filled during the
-  /// single-threaded warm-up (any cell resolution touches them), read-only
-  /// afterwards — same lifecycle as the cell index below.
-  std::array<GridExtent, 6> extents_{};
-  /// Memoised cells in insertion order; `index_` holds open-addressed
-  /// bucket -> cell positions (kEmpty = vacant). A deque, so a cell never
-  /// moves once made and the memo below can point at it.
-  std::deque<Cell> cells_;
-  std::vector<std::uint32_t> index_;
-  /// Draws cluster on one key (a model phase hammers a single message
-  /// size), so the last resolved cell is checked before probing. Atomic
-  /// (relaxed) because of the concurrent-read contract above: a stale or
-  /// torn-free racing value only costs one extra probe, never wrong data,
-  /// since the memo is validated against the full key on every use.
-  std::atomic<const Cell*> last_cell_{nullptr};
+  /// Rows in insertion order, found through `row_slots_`: open-addressed
+  /// (op, size) -> row position, kNoRow where vacant, a power of two at
+  /// most half full so a probe nearly always ends at its home slot.
+  std::vector<Row> rows_;
+  std::vector<std::uint32_t> row_slots_ = std::vector<std::uint32_t>(8, kNoRow);
+  int slot_shift_ = 61;  ///< 64 - log2(row_slots_.size())
 };
+
+// LINT:hot-path begin (the per-message draw: a coverage bit, a row probe
+// and a dense index; a key the index lacks goes out of line to the cells)
+inline int DeliverySampler::contention_of(int outstanding) const noexcept {
+  return fixed_contention_ ? contention_level_ : outstanding;
+}
+
+inline std::size_t DeliverySampler::home_slot(
+    std::int32_t op, net::Bytes bytes) const noexcept {
+  // Fibonacci hashing: the top bits of the product mix every key bit.
+  const std::uint64_t key =
+      bytes.count() ^ (static_cast<std::uint64_t>(op) << 56);
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                  slot_shift_);
+}
+
+inline std::uint32_t DeliverySampler::find_row(
+    std::int32_t op, net::Bytes bytes) const noexcept {
+  const std::size_t mask = row_slots_.size() - 1;
+  for (std::size_t slot = home_slot(op, bytes);; slot = (slot + 1) & mask) {
+    const std::uint32_t pos = row_slots_[slot];
+    if (pos == kNoRow) return kNoRow;
+    const Row& row = rows_[pos];
+    if (row.bytes == bytes && row.op == op) return pos;
+  }
+}
+
+inline double DeliverySampler::draw(mpibench::OpKind op, net::Bytes bytes,
+                                    int contention) {
+  if (!cells_->covered(op)) [[unlikely]] throw_uncovered(op);
+  const int key = cells_->key_contention(op, contention);
+  const stats::EmpiricalDistribution* dist = nullptr;
+  if (const std::uint32_t pos = find_row(static_cast<std::int32_t>(op), bytes);
+      pos != kNoRow) {
+    const Row& row = rows_[pos];
+    // Unsigned, so a key below `first` wraps past the window and misses.
+    const unsigned offset =
+        static_cast<unsigned>(key) - static_cast<unsigned>(row.first);
+    if (offset < row.by_contention.size()) dist = row.by_contention[offset];
+  }
+  if (dist == nullptr) [[unlikely]] dist = &index_miss(op, bytes, key);
+  switch (mode_) {
+    case PredictionMode::kDistribution: return dist->sample(rng_);
+    case PredictionMode::kAverage: return dist->mean();
+    case PredictionMode::kMinimum: return dist->min();
+  }
+  return dist->mean();
+}
+
+inline double DeliverySampler::delivery_seconds(net::Bytes bytes,
+                                                int outstanding) {
+  return draw(mpibench::OpKind::kPtpOneWay, bytes, contention_of(outstanding));
+}
+
+inline double DeliverySampler::sender_seconds(net::Bytes bytes,
+                                              int outstanding) {
+  if (!cells_->covered(mpibench::OpKind::kPtpSender)) {
+    return kDefaultSenderSeconds;
+  }
+  return draw(mpibench::OpKind::kPtpSender, bytes, contention_of(outstanding));
+}
+
+inline double DeliverySampler::late_recv_seconds(net::Bytes bytes,
+                                                 int outstanding) {
+  return sender_seconds(bytes, outstanding);
+}
+// LINT:hot-path end
 
 }  // namespace pevpm

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "mpi/comm.h"
@@ -91,6 +93,24 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
 // Cost model helpers
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// A host cost in nanoseconds as a Duration. Truncation (not rounding) is
+/// deliberate: it is the historical cost-model behaviour and the golden
+/// outputs are calibrated to it. A cost past the int64 range (a huge
+/// copy_ns_per_byte times message size) is a configuration error.
+des::Duration host_cost(double ns) {
+  if (!(ns >= 0.0 && ns < units::detail::kInt64MaxAsDouble)) {
+    throw std::runtime_error{
+        "host cost of " + std::to_string(ns) +
+        " ns (overhead + copy_ns_per_byte x bytes, jittered) does not fit "
+        "a Duration"};
+  }
+  return des::Duration{static_cast<std::int64_t>(ns)};
+}
+
+}  // namespace
+
 des::Duration Runtime::jittered(detail::RankState& rank, des::Duration base) {
   const auto& host = options_.cluster.host;
   double t = static_cast<double>(base.ns());
@@ -100,25 +120,19 @@ des::Duration Runtime::jittered(detail::RankState& rank, des::Duration base) {
   if (host.spike_prob > 0 && rank.rng.bernoulli(host.spike_prob)) {
     t += rank.rng.exponential(static_cast<double>(host.spike_mean.ns()));
   }
-  // Truncation (not rounding) is deliberate: it is the historical cost-model
-  // behaviour and the golden outputs are calibrated to it.
-  return des::Duration{static_cast<std::int64_t>(t)};
+  return host_cost(t);
 }
 
 des::Duration Runtime::send_cost(detail::RankState& rank, net::Bytes bytes) {
   const auto& host = options_.cluster.host;
-  const des::Duration base{static_cast<std::int64_t>(
-      static_cast<double>(host.send_overhead.ns()) +
-      host.copy_ns_per_byte * bytes.to_double())};
-  return jittered(rank, base);
+  return jittered(rank, host_cost(static_cast<double>(host.send_overhead.ns()) +
+                                  host.copy_ns_per_byte * bytes.to_double()));
 }
 
 des::Duration Runtime::recv_cost(detail::RankState& rank, net::Bytes bytes) {
   const auto& host = options_.cluster.host;
-  const des::Duration base{static_cast<std::int64_t>(
-      static_cast<double>(host.recv_overhead.ns()) +
-      host.copy_ns_per_byte * bytes.to_double())};
-  return jittered(rank, base);
+  return jittered(rank, host_cost(static_cast<double>(host.recv_overhead.ns()) +
+                                  host.copy_ns_per_byte * bytes.to_double()));
 }
 
 // ---------------------------------------------------------------------------
@@ -148,9 +162,9 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
     // message crosses the memory system.
     rs.process->delay(send_cost(rs, bytes));
     const auto& host = options_.cluster.host;
-    const des::Duration xfer{static_cast<std::int64_t>(
-        static_cast<double>(host.smp_latency.ns()) +
-        bytes.to_double() / host.smp_rate.byte_per_sec() * 1e9)};
+    const des::Duration xfer =
+        host_cost(static_cast<double>(host.smp_latency.ns()) +
+                  bytes.to_double() / host.smp_rate.byte_per_sec() * 1e9);
     des::SimTime arrival = engine_.now() + jittered(rs, xfer);
     // Non-overtaking per sender on the SMP channel.
     detail::RankState& rd = rank_state(dst);
@@ -355,9 +369,8 @@ void Runtime::cts_arrive(std::uint64_t rendezvous) {
                     rendezvous_data_arrive(dst, id, payload);
                   });
   // The sender's copy through the socket layer completes the send request.
-  const des::Duration copy{
-      static_cast<std::int64_t>(options_.cluster.host.copy_ns_per_byte *
-                                pending.bytes.to_double())};
+  const des::Duration copy = host_cost(
+      options_.cluster.host.copy_ns_per_byte * pending.bytes.to_double());
   complete_send_at(pending.send_request,
                    engine_.now() + jittered(rs, copy));
 }

@@ -103,6 +103,11 @@ constexpr Bounds kRtoMillis{0.0, false, 120e3,
 constexpr Bounds kMbit{1e-3, false, kUnbounded, "a rate >= 0.001 Mbit/s"};
 constexpr Bounds kGbit{1e-6, false, kUnbounded, "a rate >= 1e-6 Gbit/s"};
 constexpr Bounds kCopyNs{0.0, false, 1e6, "a cost in [0, 1e6] ns/B"};
+// The polar method's normal draws stay within 12.1 (its smallest nonzero
+// radius is 2^-104), so exp(N(0, 1)) stays under 2 * 10^5 and a jittered
+// overhead at its cap (10^12 ns) under 2 * 10^17 ns.
+constexpr Bounds kJitterSigma{0.0, false, 1.0,
+                              "a lognormal sigma in [0, 1]"};
 
 double real(std::string_view key, std::string_view value,
             const Bounds& bounds) {
@@ -161,7 +166,7 @@ void apply_cluster_setting(ClusterParams& p, std::string_view key,
   } else if (key == "copy_ns_per_byte") {
     p.host.copy_ns_per_byte = real(key, value, kCopyNs);
   } else if (key == "jitter_sigma") {
-    p.host.jitter_sigma = real(key, value, kNonNegative);
+    p.host.jitter_sigma = real(key, value, kJitterSigma);
   } else if (key == "spike_prob") {
     p.host.spike_prob = probability();
   } else if (key == "spike_mean_us") {

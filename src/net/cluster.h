@@ -37,11 +37,13 @@ namespace net {
 ///   rto_ms (sets the initial RTO and its floor)
 ///                                      ms            [0, 120000]
 ///   copy_ns_per_byte                   ns/B          [0, 1e6]
-///   jitter_sigma                       lognormal s   finite, >= 0
+///   jitter_sigma                       lognormal s   [0, 1]
 ///
 /// The caps (one second per latency or overhead, Linux's 120 s maximum
 /// RTO) and the rate floors (1 kbit/s) keep a frame's worst-case path
-/// latency far inside a des::Duration.
+/// latency far inside a des::Duration. The jitter_sigma cap keeps a
+/// jittered overhead under 2 * 10^17 ns; only copy_ns_per_byte times a huge
+/// message can still overflow a host cost, which smpi::Runtime reports.
 ///   spike_prob                         probability   [0, 1]
 ///
 /// Fault-injection keys (fault.h):

@@ -171,7 +171,8 @@ void Service::worker_loop() {
     try {
       result = pevpm::run_replication(
           *job->model, procs, job->request->overrides, *job->table,
-          job->options, rep, job->seeds[static_cast<std::size_t>(rep)]);
+          job->options, rep, job->seeds[static_cast<std::size_t>(rep)],
+          &*job->cells);
     } catch (const pevpm::ModelError& e) {
       ok = false;
       model_error = true;
@@ -257,6 +258,7 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
   job.options.sampler.scaling = job.scaling.get();
   job.reps = pevpm::replication_count(job.options);
   job.seeds = pevpm::replication_seeds(job.options);
+  job.cells.emplace(*job.table, job.options.sampler);
   job.results.assign(
       request.procs.size(),
       std::vector<pevpm::SimulationResult>(

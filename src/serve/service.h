@@ -31,11 +31,13 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/request.h"
+#include "core/sampler.h"
 #include "core/thread_annotations.h"
 #include "serve/cache.h"
 #include "stats/summary.h"
@@ -140,6 +142,9 @@ class Service {
     /// seeds and slices are derived from this copy.
     pevpm::PredictOptions options{};
     std::vector<std::uint64_t> seeds;
+    /// Sampler cells shared by all of the job's slices (built from table
+    /// and options.sampler; internally synchronised).
+    std::optional<pevpm::SamplerCells> cells;
     std::uint64_t id = 0;
     int reps = 0;
     /// results[entry][replication]; slots are written by exactly one slice.

@@ -470,6 +470,7 @@ TEST(Cluster, ParseRejectsMalformedValues) {
       {"fault_seed = 1.5\n", "fault_seed"},
       {"rto_ms = -1\n", "rto_ms"},
       {"spike_prob = 2\n", "spike_prob"},
+      {"jitter_sigma = 1000\n", "jitter_sigma"},
       {"fault_down_start_ms = 5\nfault_down_end_ms = 1\n",
        "fault_down_end_ms"},
   };

@@ -136,12 +136,10 @@ TEST(PredictParallel, AutoThreadsMatchesSerialResult) {
   EXPECT_EQ(parallel.makespan.stddev(), serial.makespan.stddev());
 }
 
-// Regression for the DeliverySampler last-cell memo: it used to be a plain
-// uint32_t, so two warm readers racing through cell() tripped TSan (and
-// could, in principle, publish a torn index). The memo is now atomic and
-// key-validated; this test exercises the documented concurrent-read
-// contract — warm sampler, deterministic kAverage mode, many threads
-// alternating keys so the memo thrashes — and must run clean under TSan.
+// The documented concurrent-read contract of a warm DeliverySampler:
+// deterministic kAverage mode, many threads alternating keys through one
+// sampler's dense index. Warm draws write nothing, so this must run clean
+// under TSan.
 TEST(SamplerConcurrency, WarmAverageModeReadersShareTheMemo) {
   mpibench::DistributionTable table;
   const std::vector<net::Bytes> sizes{net::Bytes{64}, net::Bytes{1024},
@@ -157,8 +155,7 @@ TEST(SamplerConcurrency, WarmAverageModeReadersShareTheMemo) {
   options.fixed_contention = 2;
   pevpm::DeliverySampler sampler{table, options, 1};
 
-  // Warm every key single-threaded: after this, kAverage draws touch no
-  // state but the atomic memo.
+  // Warm every key single-threaded: after this, kAverage draws only read.
   std::vector<double> expected;
   for (const net::Bytes bytes : sizes) {
     expected.push_back(sampler.delivery_seconds(bytes, 0));
@@ -167,8 +164,8 @@ TEST(SamplerConcurrency, WarmAverageModeReadersShareTheMemo) {
   std::atomic<int> mismatches{0};
   pevpm::parallel_for(8, 8, [&sampler, &sizes, &expected,
                              &mismatches](int worker) {
-    // Each worker starts on a different key so the shared memo is
-    // overwritten constantly from several threads at once.
+    // Each worker starts on a different key, so several threads read
+    // different rows at once.
     for (int i = 0; i < 5000; ++i) {
       const std::size_t k = (static_cast<std::size_t>(worker) + i) % 3;
       if (sampler.delivery_seconds(sizes[k], 0) != expected[k]) {
@@ -177,6 +174,167 @@ TEST(SamplerConcurrency, WarmAverageModeReadersShareTheMemo) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+/// One-way and sender entries at two sizes and two contention levels.
+mpibench::DistributionTable two_size_table() {
+  mpibench::DistributionTable table;
+  stats::Rng rng{9};
+  for (const net::Bytes bytes : {net::Bytes{256}, net::Bytes{4096}}) {
+    for (const int contention : {2, 8}) {
+      std::vector<double> xs;
+      for (int i = 0; i < 64; ++i) {
+        xs.push_back(1e-9 * bytes.to_double() * contention +
+                     1e-5 * rng.uniform());
+      }
+      table.insert(mpibench::OpKind::kPtpOneWay, bytes, contention,
+                   stats::EmpiricalDistribution::from_samples(xs));
+      for (double& x : xs) x *= 0.1;
+      table.insert(mpibench::OpKind::kPtpSender, bytes, contention,
+                   stats::EmpiricalDistribution::from_samples(xs));
+    }
+  }
+  return table;
+}
+
+pevpm::Model two_size_exchange() {
+  const char* text = R"(
+loop 10 {
+  runon procnum % 2 == 0 {
+    message send size = 256 to = procnum + 1
+    message recv size = 4096 from = procnum + 1
+  } else {
+    message recv size = 256 from = procnum - 1
+    message send size = 4096 to = procnum - 1
+  }
+}
+)";
+  return pevpm::parse_model(text, "two-size");
+}
+
+/// predict()'s replications run through the per-replication API over one
+/// caller-owned SamplerCells, so the cells it resolved can be counted. The
+/// prediction must equal predict()'s bit for bit.
+std::size_t resolved_cells(const pevpm::Model& model,
+                           const mpibench::DistributionTable& table,
+                           const pevpm::PredictOptions& opts) {
+  pevpm::SamplerCells cells{table, opts.sampler};
+  const std::vector<std::uint64_t> seeds = pevpm::replication_seeds(opts);
+  std::vector<pevpm::SimulationResult> results(seeds.size());
+  pevpm::parallel_for(static_cast<int>(seeds.size()),
+                      pevpm::resolve_threads(opts.threads), [&](int rep) {
+                        results[static_cast<std::size_t>(rep)] =
+                            pevpm::run_replication(
+                                model, 8, {}, table, opts, rep,
+                                seeds[static_cast<std::size_t>(rep)], &cells);
+                      });
+  const pevpm::Prediction shared =
+      pevpm::reduce_replications(std::move(results));
+  const pevpm::Prediction reference = pevpm::predict(model, 8, {}, table, opts);
+  EXPECT_EQ(shared.makespan.mean(), reference.makespan.mean());
+  EXPECT_EQ(shared.makespan.stddev(), reference.makespan.stddev());
+  return cells.resolved();
+}
+
+TEST(SamplerCells, ResolvesEachDistinctKeyOnce) {
+  const auto table = two_size_table();
+  const auto model = two_size_exchange();
+  pevpm::PredictOptions opts;
+  opts.seed = 4242;
+  opts.sampler.contention = pevpm::ContentionSource::kFixed;
+  // Every fixed level — below, between and above the measured 2 and 8 —
+  // makes four keys: one-way and sender at each of the two sizes (levels
+  // outside [2, 8] clamp to the edge level, as the table lookup does).
+  for (const int level : {1, 5, 20}) {
+    opts.sampler.fixed_contention = level;
+    for (const int reps : {1, 16}) {
+      for (const int threads : {1, 4}) {
+        opts.replications = reps;
+        opts.threads = threads;
+        EXPECT_EQ(resolved_cells(model, table, opts), 4u)
+            << "level " << level << ", " << reps << " reps, " << threads
+            << " threads";
+      }
+    }
+  }
+  // Scoreboard contention: whatever levels the scoreboard reaches, the
+  // clamp keeps them within the 7 levels 2..8 per (op, size), and the
+  // count does not depend on the thread count.
+  opts.sampler.contention = pevpm::ContentionSource::kScoreboard;
+  for (const int reps : {1, 16}) {
+    opts.replications = reps;
+    opts.threads = 1;
+    const std::size_t serial = resolved_cells(model, table, opts);
+    opts.threads = 4;
+    EXPECT_EQ(resolved_cells(model, table, opts), serial);
+    EXPECT_GE(serial, 4u);
+    EXPECT_LE(serial, 2u * 2u * 7u);
+  }
+}
+
+TEST(SamplerCells, OffRangeLevelsShareTheEdgeCell) {
+  const auto table = two_size_table();
+  pevpm::SamplerCells cells{table, {}};
+  pevpm::DeliverySampler sampler{cells, 1};
+  // Levels at or below the lowest measured one (2) share its cell, levels
+  // at or above the highest (8) share that one; a level between them is
+  // a cell of its own.
+  for (const int contention : {0, 1, 2}) {
+    (void)sampler.delivery_seconds(net::Bytes{256}, contention);
+  }
+  EXPECT_EQ(cells.resolved(), 1u);
+  for (const int contention : {8, 9, 1000, 100000}) {
+    (void)sampler.delivery_seconds(net::Bytes{256}, contention);
+  }
+  EXPECT_EQ(cells.resolved(), 2u);
+  (void)sampler.delivery_seconds(net::Bytes{256}, 5);
+  EXPECT_EQ(cells.resolved(), 3u);
+  // A second sampler over the same cells resolves nothing new.
+  pevpm::DeliverySampler other{cells, 2};
+  for (const int contention : {0, 5, 8, 70000}) {
+    (void)other.delivery_seconds(net::Bytes{256}, contention);
+  }
+  EXPECT_EQ(cells.resolved(), 3u);
+}
+
+// Samplers on several threads share one cold SamplerCells and race to
+// resolve the same keys first; every sampler must draw exactly what a
+// sampler with private cells draws from the same seed.
+TEST(SamplerConcurrency, SharedCellsResolveRacesMatchSerialDraws) {
+  const auto table = two_size_table();
+  pevpm::SamplerOptions options;
+  constexpr int kWorkers = 8;
+  const auto script = [](pevpm::DeliverySampler& sampler) {
+    std::vector<double> draws;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (const int contention : {0, 2, 3, 5, 8, 13}) {
+        for (const net::Bytes bytes :
+             {net::Bytes{256}, net::Bytes{1000}, net::Bytes{4096}}) {
+          draws.push_back(sampler.delivery_seconds(bytes, contention));
+          draws.push_back(sampler.sender_seconds(bytes, contention));
+        }
+      }
+      draws.push_back(sampler.collective_seconds(pevpm::CollOp::kAllreduce,
+                                                 net::Bytes{256}, 8));
+    }
+    return draws;
+  };
+  std::vector<std::vector<double>> serial(kWorkers);
+  for (int w = 0; w < kWorkers; ++w) {
+    pevpm::DeliverySampler sampler{table, options,
+                                   static_cast<std::uint64_t>(100 + w)};
+    serial[static_cast<std::size_t>(w)] = script(sampler);
+  }
+  for (int round = 0; round < 4; ++round) {
+    pevpm::SamplerCells cells{table, options};
+    std::vector<std::vector<double>> shared(kWorkers);
+    pevpm::parallel_for(kWorkers, kWorkers, [&](int w) {
+      pevpm::DeliverySampler sampler{cells,
+                                     static_cast<std::uint64_t>(100 + w)};
+      shared[static_cast<std::size_t>(w)] = script(sampler);
+    });
+    EXPECT_EQ(shared, serial) << "round " << round;
+  }
 }
 
 TEST(PredictParallel, DeadlockDetectedAcrossWorkers) {
