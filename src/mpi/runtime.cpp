@@ -57,8 +57,6 @@ int Runtime::node_of(int rank) const {
 
 detail::RankState& Runtime::rank_state(int rank) { return *ranks_.at(rank); }
 
-stats::Rng& Runtime::rng_of(int rank) { return ranks_.at(rank)->rng; }
-
 void Runtime::run(const std::function<void(Comm&)>& rank_main) {
   if (ran_) throw MpiError{"Runtime::run may only be called once"};
   ran_ = true;
@@ -143,15 +141,12 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
                        net::Bytes bytes, int dst, int tag) {
   detail::RankState& rs = rank_state(src);
   auto req = std::make_shared<detail::RequestState>();
-  req->kind = detail::RequestState::Kind::kSend;
   req->owner = src;
 
   std::shared_ptr<std::vector<std::byte>> payload;
   if (!data.empty()) {
     payload = std::make_shared<std::vector<std::byte>>(data.begin(), data.end());
   }
-  ++rs.messages_sent;
-  rs.bytes_sent += bytes;
 
   const auto& mpi = options_.cluster.mpi;
   const int src_node = rs.node;
@@ -174,9 +169,8 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
     detail::Inbound inbound{.source = src,
                             .tag = tag,
                             .bytes = bytes,
-                            .is_rts = false,
-                            .rendezvous = 0,
-                            .payload = std::move(payload)};
+                            .payload = std::move(payload),
+                            .rts = nullptr};
     engine_.schedule_at(arrival, [this, dst, inbound = std::move(inbound)] {
       arrive(dst, inbound);
     });
@@ -189,9 +183,8 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
     detail::Inbound inbound{.source = src,
                             .tag = tag,
                             .bytes = bytes,
-                            .is_rts = false,
-                            .rendezvous = 0,
-                            .payload = std::move(payload)};
+                            .payload = std::move(payload),
+                            .rts = nullptr};
     transport_.send(stream_id(src, dst), src_node, dst_node,
                     bytes + mpi.eager_header,
                     [this, dst, inbound = std::move(inbound)] {
@@ -201,22 +194,21 @@ Request Runtime::isend(int src, std::span<const std::byte> data,
     return Request{req};
   }
 
-  // Rendezvous: announce with an RTS; data follows the receiver's CTS. The
-  // sender half (request, payload) waits here, filed under an id that
-  // encodes the source rank.
+  // Rendezvous: announce with an RTS that carries the record; data follows
+  // the receiver's CTS.
   rs.process->delay(jittered(rs, options_.cluster.host.send_overhead));
-  const std::uint64_t id = rendezvous_id(src, rs.next_rendezvous++);
-  rdv_out_.emplace(id, RendezvousOut{.send_request = req,
-                                     .src_rank = src,
-                                     .dst_rank = dst,
-                                     .bytes = bytes,
-                                     .payload = std::move(payload)});
   detail::Inbound rts{.source = src,
                       .tag = tag,
                       .bytes = bytes,
-                      .is_rts = true,
-                      .rendezvous = id,
-                      .payload = nullptr};
+                      .payload = nullptr,
+                      .rts = std::make_shared<detail::Rendezvous>(
+                          detail::Rendezvous{.send_request = req,
+                                             .recv_request = nullptr,
+                                             .src = src,
+                                             .dst = dst,
+                                             .tag = tag,
+                                             .bytes = bytes,
+                                             .payload = std::move(payload)})};
   transport_.send(stream_id(src, dst), src_node, dst_node,
                   mpi.rendezvous_ctrl,
                   [this, dst, rts = std::move(rts)] { arrive(dst, rts); });
@@ -227,7 +219,6 @@ Request Runtime::irecv(int dst, std::span<std::byte> buffer,
                        net::Bytes max_bytes, int source, int tag) {
   detail::RankState& rd = rank_state(dst);
   auto req = std::make_shared<detail::RequestState>();
-  req->kind = detail::RequestState::Kind::kRecv;
   req->owner = dst;
   req->source = source;
   req->tag = tag;
@@ -323,75 +314,47 @@ bool Runtime::match_posted_against_unexpected(
 void Runtime::on_match(detail::RankState& rank,
                        const std::shared_ptr<detail::RequestState>& recv,
                        const detail::Inbound& inbound) {
-  if (inbound.is_rts) {
-    grant_rendezvous(rank, recv, inbound);
+  if (inbound.rts) {
+    grant_rendezvous(rank, recv, inbound.rts);
   } else {
     complete_recv_at(recv, inbound,
                      engine_.now() + recv_cost(rank, inbound.bytes));
   }
 }
 
-void Runtime::grant_rendezvous(detail::RankState& rank,
-                               const std::shared_ptr<detail::RequestState>& recv,
-                               const detail::Inbound& inbound) {
-  // File the receiver half, then CTS back on the reverse-direction
-  // stream. The id alone lets the CTS
-  // handler find the sender half.
-  const int src = inbound.source;
-  const int dst = rank.rank.value();
-  rdv_in_.emplace(inbound.rendezvous, RendezvousIn{.recv_request = recv,
-                                                   .src_rank = src,
-                                                   .tag = inbound.tag,
-                                                   .bytes = inbound.bytes});
-  transport_.send(stream_id(dst, src), rank.node, rank_state(src).node,
-                  options_.cluster.mpi.rendezvous_ctrl,
-                  [this, id = inbound.rendezvous] { cts_arrive(id); });
+void Runtime::grant_rendezvous(
+    detail::RankState& rank, const std::shared_ptr<detail::RequestState>& recv,
+    const std::shared_ptr<detail::Rendezvous>& rendezvous) {
+  // CTS back on the reverse-direction stream.
+  rendezvous->recv_request = recv;
+  const int src = rendezvous->src;
+  transport_.send(stream_id(rank.rank.value(), src), rank.node,
+                  rank_state(src).node, options_.cluster.mpi.rendezvous_ctrl,
+                  [this, rendezvous] { cts_arrive(rendezvous); });
 }
 
-void Runtime::cts_arrive(std::uint64_t rendezvous) {
+void Runtime::cts_arrive(const std::shared_ptr<detail::Rendezvous>& rendezvous) {
   // The CTS landed at the sender's node.
-  auto it = rdv_out_.find(rendezvous);
-  if (it == rdv_out_.end()) {
-    throw MpiError{"internal: CTS for unknown rendezvous"};
-  }
-  RendezvousOut pending = std::move(it->second);
-  rdv_out_.erase(it);
-  const int src = pending.src_rank;
-  detail::RankState& rs = rank_state(src);
-  const auto& mpi = options_.cluster.mpi;
-  const int dst = pending.dst_rank;
-  const std::uint64_t id = rendezvous;
-  // The payload travels inside the delivery closure; the receiver half
-  // holds everything else it needs.
-  transport_.send(stream_id(src, dst), rs.node, rank_state(dst).node,
-                  pending.bytes + mpi.eager_header,
-                  [this, dst, id, payload = std::move(pending.payload)] {
-                    rendezvous_data_arrive(dst, id, payload);
-                  });
+  detail::RankState& rs = rank_state(rendezvous->src);
+  transport_.send(stream_id(rendezvous->src, rendezvous->dst), rs.node,
+                  rank_state(rendezvous->dst).node,
+                  rendezvous->bytes + options_.cluster.mpi.eager_header,
+                  [this, rendezvous] { rendezvous_data_arrive(*rendezvous); });
   // The sender's copy through the socket layer completes the send request.
-  const des::Duration copy = host_cost(
-      options_.cluster.host.copy_ns_per_byte * pending.bytes.to_double());
-  complete_send_at(pending.send_request,
+  const des::Duration copy = host_cost(options_.cluster.host.copy_ns_per_byte *
+                                       rendezvous->bytes.to_double());
+  complete_send_at(rendezvous->send_request,
                    engine_.now() + jittered(rs, copy));
 }
 
-void Runtime::rendezvous_data_arrive(
-    int dst, std::uint64_t rendezvous,
-    std::shared_ptr<std::vector<std::byte>> payload) {
-  auto it = rdv_in_.find(rendezvous);
-  if (it == rdv_in_.end()) {
-    throw MpiError{"internal: data for unknown rendezvous"};
-  }
-  RendezvousIn pending = std::move(it->second);
-  rdv_in_.erase(it);
-  detail::RankState& rd = rank_state(dst);
-  detail::Inbound inbound{.source = pending.src_rank,
-                          .tag = pending.tag,
-                          .bytes = pending.bytes,
-                          .is_rts = false,
-                          .rendezvous = 0,
-                          .payload = std::move(payload)};
-  complete_recv_at(pending.recv_request, inbound,
+void Runtime::rendezvous_data_arrive(detail::Rendezvous& rendezvous) {
+  detail::RankState& rd = rank_state(rendezvous.dst);
+  const detail::Inbound inbound{.source = rendezvous.src,
+                                .tag = rendezvous.tag,
+                                .bytes = rendezvous.bytes,
+                                .payload = std::move(rendezvous.payload),
+                                .rts = nullptr};
+  complete_recv_at(rendezvous.recv_request, inbound,
                    engine_.now() + recv_cost(rd, inbound.bytes));
 }
 

@@ -20,9 +20,9 @@
 // The simulation runs on one des::Engine, which the runtime owns. A
 // multi-switch cluster orders its trunk crossings and cross-switch
 // transport registrations by the cross key of des::Engine::cross_tag
-// (net/network.h, DESIGN.md section 9). Rendezvous bookkeeping is split
-// into a sender half and a receiver half, each in one map keyed by a
-// rendezvous id that is unique across ranks.
+// (net/network.h, DESIGN.md section 9). Each rendezvous is one record,
+// created by the sender and shared by the RTS, the CTS and the data
+// closures that carry it, so no handler looks it up.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +49,6 @@ class Comm;
 namespace detail {
 
 struct RequestState {
-  enum class Kind : std::uint8_t { kSend, kRecv };
-  Kind kind = Kind::kSend;
   int owner = -1;       ///< rank that owns the request
   bool complete = false;
 
@@ -64,6 +62,18 @@ struct RequestState {
   std::string error;
 };
 
+/// One rendezvous-protocol message, from the sender's RTS until its data
+/// lands: the RTS, CTS and data closures each hold it.
+struct Rendezvous {
+  std::shared_ptr<RequestState> send_request;
+  std::shared_ptr<RequestState> recv_request;  ///< set when a receive matches
+  int src = -1;
+  int dst = -1;
+  int tag = kAnyTag;
+  net::Bytes bytes{};
+  std::shared_ptr<std::vector<std::byte>> payload;  ///< may be null
+};
+
 /// A message that arrived (eager payload) or announced itself (rendezvous
 /// RTS) before a matching receive was posted, or any arrival waiting in
 /// envelope order.
@@ -71,9 +81,8 @@ struct Inbound {
   int source = -1;
   int tag = kAnyTag;
   net::Bytes bytes{};
-  bool is_rts = false;
-  std::uint64_t rendezvous = 0;                    ///< RTS id
-  std::shared_ptr<std::vector<std::byte>> payload; ///< may be null
+  std::shared_ptr<std::vector<std::byte>> payload;  ///< may be null
+  std::shared_ptr<Rendezvous> rts;  ///< set for an RTS, null when eager
 };
 
 struct RankState {
@@ -88,13 +97,6 @@ struct RankState {
   std::deque<Inbound> unexpected;
   /// Enforces non-overtaking arrival order on the SMP channel, per sender.
   std::map<int, des::SimTime> smp_last_arrival;
-  /// Rank-local rendezvous counter; combined with the rank it yields ids
-  /// that are unique without a shared counter.
-  std::uint64_t next_rendezvous = 1;
-
-  // Statistics.
-  std::uint64_t messages_sent = 0;
-  net::Bytes bytes_sent{};
 };
 
 }  // namespace detail
@@ -138,7 +140,6 @@ class Runtime {
   friend class Comm;
 
   detail::RankState& rank_state(int rank);
-  [[nodiscard]] stats::Rng& rng_of(int rank);
 
   // ---- process-context operations (called via Comm from rank fibers) ----
   Request isend(int src, std::span<const std::byte> data, net::Bytes bytes,
@@ -156,9 +157,10 @@ class Runtime {
   /// the first fitting posted receive (see on_match), else queued as
   /// unexpected.
   void arrive(int dst, detail::Inbound inbound);
-  void cts_arrive(std::uint64_t rendezvous);
-  void rendezvous_data_arrive(int dst, std::uint64_t rendezvous,
-                              std::shared_ptr<std::vector<std::byte>> payload);
+  /// The CTS reached the sender: sends the data and completes the send.
+  void cts_arrive(const std::shared_ptr<detail::Rendezvous>& rendezvous);
+  /// The data reached the receiver: completes the matched receive.
+  void rendezvous_data_arrive(detail::Rendezvous& rendezvous);
 
   /// Matches a posted receive against an inbound message; returns true and
   /// completes/advances the protocol if they match.
@@ -186,24 +188,15 @@ class Runtime {
   [[nodiscard]] des::Duration jittered(detail::RankState& rank,
                                        des::Duration base);
 
-  /// Sends the CTS for a matched rendezvous and records the waiting recv.
+  /// Records the matched receive in the rendezvous and sends the CTS.
   void grant_rendezvous(detail::RankState& rank,
                         const std::shared_ptr<detail::RequestState>& recv,
-                        const detail::Inbound& inbound);
+                        const std::shared_ptr<detail::Rendezvous>& rendezvous);
 
   [[nodiscard]] static std::uint64_t stream_id(int src_rank, int dst_rank) noexcept {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank))
             << 32) |
            static_cast<std::uint32_t>(dst_rank);
-  }
-  /// Rendezvous ids carry the source rank (biased so id 0 never occurs)
-  /// next to the rank-local counter, so they are unique without a shared
-  /// counter.
-  [[nodiscard]] static std::uint64_t rendezvous_id(int src_rank,
-                                                   std::uint64_t n) noexcept {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank) + 1)
-            << 32) |
-           static_cast<std::uint32_t>(n);
   }
 
   Options options_;
@@ -213,24 +206,6 @@ class Runtime {
 
   std::vector<std::unique_ptr<detail::RankState>> ranks_;
   std::vector<std::unique_ptr<Comm>> comms_;
-
-  /// Sender-side half of an in-flight rendezvous.
-  struct RendezvousOut {
-    std::shared_ptr<detail::RequestState> send_request;
-    int src_rank = -1;
-    int dst_rank = -1;
-    net::Bytes bytes{};
-    std::shared_ptr<std::vector<std::byte>> payload;
-  };
-  /// Receiver-side half, from the moment the receive matches the RTS.
-  struct RendezvousIn {
-    std::shared_ptr<detail::RequestState> recv_request;
-    int src_rank = -1;
-    int tag = kAnyTag;
-    net::Bytes bytes{};
-  };
-  std::map<std::uint64_t, RendezvousOut> rdv_out_;
-  std::map<std::uint64_t, RendezvousIn> rdv_in_;
 
   des::SimTime finish_time_{};
   bool ran_ = false;

@@ -8,17 +8,13 @@
 
 namespace net {
 
-enum class PacketKind : std::uint8_t { kData, kAck };
-
 struct Packet {
   std::uint64_t id = 0;        ///< globally unique, for tracing
-  PacketKind kind = PacketKind::kData;
   int src_node = 0;
   int dst_node = 0;
   Bytes wire_bytes{};          ///< full cost on the wire incl. all framing
 
   // Transport fields (TCP-lite).
-  std::uint64_t conn = 0;      ///< connection id
   SeqNo seq{};                 ///< data: first stream byte;  ack: cumulative
   Bytes payload{};             ///< data: stream bytes carried (0 for acks)
 };

@@ -13,61 +13,21 @@ Transport::Transport(des::Engine& engine, Network& network)
       tcp_{network.params().tcp},
       wire_{network.params().wire} {}
 
-Transport::Sender& Transport::sender(std::uint64_t stream, int src, int dst) {
-  auto [it, inserted] = senders_.try_emplace(stream);
-  Sender& conn = it->second;
-  if (inserted) {
-    conn.id = stream;
-    conn.src = src;
-    conn.dst = dst;
-    conn.cwnd = static_cast<double>(tcp_.initial_cwnd);
-    conn.rto = tcp_.rto_initial;
-  } else if (conn.src != src || conn.dst != dst) {
-    throw std::invalid_argument{
-        "Transport::send: stream rebound to new endpoints"};
-  }
-  return conn;
-}
-
-Transport::Sender& Transport::sender_of(const Packet& ack_packet) {
-  const auto it = senders_.find(ack_packet.conn);
-  if (it == senders_.end()) {
-    throw std::logic_error{"Transport: ACK for unknown stream"};
-  }
-  return it->second;
-}
-
-Transport::Receiver& Transport::receiver_of(const Packet& data_packet) {
-  auto [it, inserted] = receivers_.try_emplace(data_packet.conn);
-  Receiver& conn = it->second;
-  if (inserted) {
-    conn.id = data_packet.conn;
-    conn.src = data_packet.src_node;
-    conn.dst = data_packet.dst_node;
-  }
-  return conn;
-}
-
-void Transport::register_message(std::uint64_t stream, int src, int dst,
-                                 SeqNo end, DeliveredFn cb) {
-  auto [it, inserted] = receivers_.try_emplace(stream);
-  Receiver& conn = it->second;
-  if (inserted) {
-    conn.id = stream;
-    conn.src = src;
-    conn.dst = dst;
-  }
+void Transport::register_message(Connection& conn, SeqNo end,
+                                 DeliveredFn cb) {
   conn.pending.emplace_back(end, std::move(cb));
   // Registration always precedes the message's own data (it travels one
-  // lookahead ahead of an end-to-end path that is strictly longer), so this
-  // drain only matters for messages whose predecessors already advanced
-  // rcv_nxt past this end — which cannot happen either; it is a guard, not
-  // a code path.
+  // lookahead ahead of an end-to-end path that is strictly longer), so
+  // this delivers nothing; it is a guard, not a code path.
+  deliver_in_order(conn);
+}
+
+void Transport::deliver_in_order(Connection& conn) {
   while (!conn.pending.empty() && conn.pending.front().first <= conn.rcv_nxt) {
-    DeliveredFn ready = std::move(conn.pending.front().second);
+    DeliveredFn cb = std::move(conn.pending.front().second);
     conn.pending.pop_front();
     ++messages_delivered_;
-    if (ready) ready();
+    if (cb) cb();
   }
 }
 
@@ -79,34 +39,42 @@ void Transport::send(std::uint64_t stream, int src_node, int dst_node,
   if (src_node == dst_node) {
     throw std::invalid_argument{"Transport::send: src == dst"};
   }
-  Sender& conn = sender(stream, src_node, dst_node);
+  auto [it, inserted] = connections_.try_emplace(stream);
+  Connection& conn = it->second;
+  if (inserted) {
+    conn.id = stream;
+    conn.src = src_node;
+    conn.dst = dst_node;
+    conn.cwnd = static_cast<double>(tcp_.initial_cwnd);
+    conn.rto = tcp_.rto_initial;
+  } else if (conn.src != src_node || conn.dst != dst_node) {
+    throw std::invalid_argument{
+        "Transport::send: stream rebound to new endpoints"};
+  }
   conn.stream_end += bytes;
   const int src_switch = network_.params().switch_of(src_node);
   if (src_switch == network_.params().switch_of(dst_node)) {
-    register_message(stream, src_node, dst_node, conn.stream_end,
-                     std::move(on_delivered));
+    register_message(conn, conn.stream_end, std::move(on_delivered));
   } else {
     // A crossing one lookahead out; it beats the first data byte — see
     // the class comment.
-    const SeqNo end = conn.stream_end;
     network_.post_cross(src_switch,
                         engine_.now() + network_.params().lookahead(),
-                        [this, stream, src_node, dst_node, end,
+                        [this, &conn, end = conn.stream_end,
                          cb = std::move(on_delivered)]() mutable {
-                          register_message(stream, src_node, dst_node, end,
-                                           std::move(cb));
+                          register_message(conn, end, std::move(cb));
                         });
   }
   pump(conn);
 }
 
-Bytes Transport::window_bytes(const Sender& conn) const noexcept {
+Bytes Transport::window_bytes(const Connection& conn) const noexcept {
   const Bytes cwnd_bytes{
       static_cast<std::uint64_t>(conn.cwnd * wire_.mss().to_double())};
   return std::min(cwnd_bytes, tcp_.recv_window);
 }
 
-void Transport::pump(Sender& conn) {
+void Transport::pump(Connection& conn) {
   while (conn.snd_nxt < conn.stream_end) {
     const Bytes in_flight = conn.snd_nxt - conn.snd_una;
     const Bytes window = window_bytes(conn);
@@ -119,41 +87,36 @@ void Transport::pump(Sender& conn) {
   if (conn.snd_una < conn.snd_nxt && !conn.rto_timer.valid()) arm_rto(conn);
 }
 
-void Transport::transmit_segment(Sender& conn, SeqNo seq, Bytes len) {
+void Transport::transmit_segment(Connection& conn, SeqNo seq, Bytes len) {
   Packet packet;
   packet.id = next_packet_id_++;
-  packet.kind = PacketKind::kData;
   packet.src_node = conn.src;
   packet.dst_node = conn.dst;
-  packet.conn = conn.id;
   packet.seq = seq;
   packet.payload = len;
   packet.wire_bytes = wire_.segment_wire_bytes(len);
   ++segments_sent_;
-  // The delivery callback captures no sender state — the packet's conn
-  // field resolves the receiver half.
   network_.send(
-      packet, [this](const Packet& arrived) { on_data(arrived); },
+      packet,
+      [this, &conn](const Packet& arrived) { on_data(conn, arrived); },
       /*drop=*/nullptr);  // loss is detected via ACKs / the RTO timer
 }
 
-void Transport::send_ack(Receiver& conn) {
+void Transport::send_ack(Connection& conn) {
   Packet packet;
   packet.id = next_packet_id_++;
-  packet.kind = PacketKind::kAck;
   packet.src_node = conn.dst;  // ACKs flow dst -> src
   packet.dst_node = conn.src;
-  packet.conn = conn.id;
   packet.seq = conn.rcv_nxt;
   packet.payload = Bytes{};
   packet.wire_bytes = wire_.ack_wire_bytes();
   network_.send(
-      packet, [this](const Packet& arrived) { on_ack(arrived); },
+      packet,
+      [this, &conn](const Packet& arrived) { on_ack(conn, arrived); },
       /*drop=*/nullptr);  // a lost ACK is covered by later cumulative ACKs
 }
 
-void Transport::on_data(const Packet& packet) {
-  Receiver& conn = receiver_of(packet);
+void Transport::on_data(Connection& conn, const Packet& packet) {
   const SeqNo seg_end = packet.seq + packet.payload;
   if (seg_end <= conn.rcv_nxt) {
     // Duplicate of already-received data (e.g. a spurious retransmit):
@@ -173,21 +136,15 @@ void Transport::on_data(const Packet& packet) {
     conn.out_of_order.insert({packet.seq, packet.payload});
   }
   send_ack(conn);
-  // Deliver every message whose final byte is now in order.
-  while (!conn.pending.empty() && conn.pending.front().first <= conn.rcv_nxt) {
-    DeliveredFn cb = std::move(conn.pending.front().second);
-    conn.pending.pop_front();
-    ++messages_delivered_;
-    if (cb) cb();
-  }
+  deliver_in_order(conn);
 }
 
-void Transport::on_ack(const Packet& packet) {
-  Sender& conn = sender_of(packet);
+void Transport::on_ack(Connection& conn, const Packet& packet) {
   const SeqNo ackno = packet.seq;
   if (ackno > conn.snd_una) {
     conn.snd_una = ackno;
     conn.dupacks = 0;
+    conn.consecutive_timeouts = 0;
     if (conn.in_recovery && ackno >= conn.recover_end) {
       conn.in_recovery = false;
     } else if (conn.in_recovery) {
@@ -234,13 +191,17 @@ void Transport::on_ack(const Packet& packet) {
   }
 }
 
-void Transport::on_rto(std::uint64_t stream) {
-  const auto it = senders_.find(stream);
-  if (it == senders_.end()) return;
-  Sender& conn = it->second;
+void Transport::on_rto(Connection& conn) {
   conn.rto_timer = {};
   if (conn.snd_una >= conn.snd_nxt) return;  // everything got acknowledged
   ++timeouts_;
+  if (++conn.consecutive_timeouts == kMaxConsecutiveTimeouts) {
+    throw std::runtime_error{
+        "Transport: stream " + std::to_string(conn.id) + " from node " +
+        std::to_string(conn.src) + " to node " + std::to_string(conn.dst) +
+        " gave up after " + std::to_string(conn.consecutive_timeouts) +
+        " consecutive retransmission timeouts without a fresh ACK"};
+  }
   ++retransmits_;
   const double flight =
       (conn.snd_nxt - conn.snd_una).to_double() / wire_.mss().to_double();
@@ -257,20 +218,19 @@ void Transport::on_rto(std::uint64_t stream) {
   arm_rto(conn);
 }
 
-void Transport::trace_event(const Sender& conn, std::string detail) {
+void Transport::trace_event(const Connection& conn, std::string detail) {
   if (tracer_ == nullptr || !tracer_->enabled()) return;
   tracer_->record(engine_.now(), trace::Category::kTransport,
                   static_cast<std::int64_t>(conn.id), std::move(detail));
 }
 
-void Transport::arm_rto(Sender& conn) {
+void Transport::arm_rto(Connection& conn) {
   disarm_rto(conn);
-  conn.rto_timer = engine_.schedule_in(
-      std::max(conn.rto, tcp_.rto_min),
-      [this, stream = conn.id] { on_rto(stream); });
+  conn.rto_timer = engine_.schedule_in(std::max(conn.rto, tcp_.rto_min),
+                                       [this, &conn] { on_rto(conn); });
 }
 
-void Transport::disarm_rto(Sender& conn) {
+void Transport::disarm_rto(Connection& conn) {
   if (conn.rto_timer.valid()) {
     engine_.cancel(conn.rto_timer);
     conn.rto_timer = {};

@@ -13,14 +13,16 @@
 // Messages are byte counts; delivery callbacks fire when the last stream
 // byte of a message arrives in order at the destination host.
 //
-// A connection's sender half (sequence numbers, congestion state, the RTO
-// timer) and its receiver half (reassembly, pending deliveries) sit in one
-// map per kind. The only sender-to-receiver control transfer outside the
-// packet path — registering a message's end offset and delivery callback —
-// is immediate when both nodes share a switch. Across switches it is a
-// crossing (Network::post_cross) one ClusterParams::lookahead() out, which
-// always beats the first data byte (end-to-end is at least two NIC
-// latencies plus a switch hop).
+// Each stream is one Connection record, holding both ends: the sender's
+// sequence numbers, congestion state and RTO timer, and the receiver's
+// reassembly state and pending deliveries. Only send() looks a connection
+// up; every packet, ACK and timer callback carries a reference to its
+// record, and records are never erased. The only sender-to-receiver
+// control transfer outside the packet path — registering a message's end
+// offset and delivery callback — is immediate when both nodes share a
+// switch. Across switches it is a crossing (Network::post_cross) one
+// ClusterParams::lookahead() out, which always beats the first data byte
+// (end-to-end is at least two NIC latencies plus a switch hop).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +40,12 @@ namespace net {
 class Transport {
  public:
   using DeliveredFn = std::function<void()>;
+
+  /// Consecutive RTO firings, with no fresh ACK between them, after which
+  /// a connection is dead (every copy of its head segment, or every ACK,
+  /// was lost) and gives up: Linux's tcp_retries2 default. With the 2 s
+  /// rto_max that is about 25 s of virtual time without progress.
+  static constexpr int kMaxConsecutiveTimeouts = 15;
 
   /// `network` must run on `engine`.
   Transport(des::Engine& engine, Network& network);
@@ -59,6 +67,8 @@ class Transport {
   /// links. `on_delivered` runs, in engine context, when the final byte
   /// arrives in order at `dst_node`. Messages on one stream are delivered
   /// in submission order. A stream's (src, dst) binding must not change.
+  /// A stream that gives up (see kMaxConsecutiveTimeouts) makes the
+  /// engine's run() throw std::runtime_error.
   void send(std::uint64_t stream, int src_node, int dst_node, Bytes bytes,
             DeliveredFn on_delivered);
 
@@ -79,11 +89,13 @@ class Transport {
   void reset_stats() noexcept;
 
  private:
-  /// Sender half of a connection.
-  struct Sender {
+  /// One TCP-lite connection: both ends of one stream.
+  struct Connection {
     std::uint64_t id = 0;
     int src = 0;
     int dst = 0;
+
+    // Sender end.
     SeqNo snd_una{};              ///< oldest unacknowledged byte
     SeqNo snd_nxt{};              ///< next byte to transmit
     SeqNo stream_end{};           ///< total bytes submitted
@@ -94,35 +106,31 @@ class Transport {
     SeqNo recover_end{};
     des::Duration rto{};
     des::Engine::EventId rto_timer{};
-  };
+    int consecutive_timeouts = 0;  ///< RTO firings since the last fresh ACK
 
-  /// Receiver half of a connection.
-  struct Receiver {
-    std::uint64_t id = 0;
-    int src = 0;
-    int dst = 0;
+    // Receiver end.
     SeqNo rcv_nxt{};
     std::map<SeqNo, Bytes> out_of_order;          ///< start -> length
     std::deque<std::pair<SeqNo, DeliveredFn>> pending;  ///< (end, cb)
   };
 
-  [[nodiscard]] Sender& sender(std::uint64_t stream, int src, int dst);
-  [[nodiscard]] Sender& sender_of(const Packet& ack_packet);
-  [[nodiscard]] Receiver& receiver_of(const Packet& data_packet);
-  /// Creates/locates the receiver half and appends one pending message.
-  void register_message(std::uint64_t stream, int src, int dst, SeqNo end,
-                        DeliveredFn cb);
+  /// Appends one pending message to the receiver end and delivers what is
+  /// in order.
+  void register_message(Connection& conn, SeqNo end, DeliveredFn cb);
+  /// Runs, in order, the callback of every pending message whose final
+  /// byte has arrived.
+  void deliver_in_order(Connection& conn);
 
-  void pump(Sender& conn);
-  void transmit_segment(Sender& conn, SeqNo seq, Bytes len);
-  void send_ack(Receiver& conn);
-  void on_data(const Packet& packet);
-  void on_ack(const Packet& packet);
-  void on_rto(std::uint64_t stream);
-  void arm_rto(Sender& conn);
-  void disarm_rto(Sender& conn);
-  [[nodiscard]] Bytes window_bytes(const Sender& conn) const noexcept;
-  void trace_event(const Sender& conn, std::string detail);
+  void pump(Connection& conn);
+  void transmit_segment(Connection& conn, SeqNo seq, Bytes len);
+  void send_ack(Connection& conn);
+  void on_data(Connection& conn, const Packet& packet);
+  void on_ack(Connection& conn, const Packet& packet);
+  void on_rto(Connection& conn);
+  void arm_rto(Connection& conn);
+  void disarm_rto(Connection& conn);
+  [[nodiscard]] Bytes window_bytes(const Connection& conn) const noexcept;
+  void trace_event(const Connection& conn, std::string detail);
 
   des::Engine& engine_;
   Network& network_;
@@ -130,8 +138,8 @@ class Transport {
   const WireFormat wire_;
   trace::Tracer* tracer_ = nullptr;
 
-  std::map<std::uint64_t, Sender> senders_;
-  std::map<std::uint64_t, Receiver> receivers_;
+  /// Map nodes never move, so callbacks hold Connection references.
+  std::map<std::uint64_t, Connection> connections_;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t segments_sent_ = 0;
   std::uint64_t retransmits_ = 0;

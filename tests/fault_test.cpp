@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -137,6 +139,42 @@ TEST(TransportFault, RtoBacksOffExponentially) {
   EXPECT_LT(delivered_at, des::SimTime::from_micros(1450e3));
   EXPECT_EQ(f.transport.timeouts(), 3u);
   EXPECT_EQ(f.transport.retransmits(), 3u);
+}
+
+TEST(TransportFault, GivesUpAfterFifteenConsecutiveTimeouts) {
+  Fixture f{net::perseus(2)};
+  net::FaultParams dead;
+  dead.loss_rate = 1.0;
+  f.network.nic_tx(0).install_fault_model(
+      std::make_unique<net::FaultModel>(dead, 1));
+  f.transport.send(1, 0, 1, net::Bytes{1000}, [] {});
+  // Backoff reaches rto_max (2 s) after four timeouts, so fifteen take
+  // about 25 s; the 600 s bound makes a transport that never gives up
+  // fail here rather than hang.
+  EXPECT_THROW(f.engine.run_until(des::SimTime::from_seconds(600)),
+               std::runtime_error);
+  EXPECT_EQ(f.transport.timeouts(), 15u);
+}
+
+TEST(TransportFault, FreshAckResetsTheTimeoutCount) {
+  Fixture f{net::perseus(2)};
+  // Fourteen lost copies of each of two one-segment messages: 28
+  // timeouts in all, but never fifteen without an ACK between them.
+  std::vector<std::uint64_t> lost;
+  for (std::uint64_t n = 1; n <= 29; ++n) {
+    if (n != 15) lost.push_back(n);
+  }
+  f.network.nic_tx(0).install_fault_model(
+      std::make_unique<net::FaultModel>(drop_schedule(lost), 1));
+  int delivered = 0;
+  f.transport.send(1, 0, 1, net::Bytes{1000}, [&] { ++delivered; });
+  // The first message is through and acknowledged after about 23 s.
+  f.engine.schedule_at(des::SimTime::from_seconds(60), [&] {
+    f.transport.send(1, 0, 1, net::Bytes{1000}, [&] { ++delivered; });
+  });
+  f.engine.run();
+  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(f.transport.timeouts(), 28u);
 }
 
 TEST(TransportFault, LostAckIsCoveredByRetransmission) {

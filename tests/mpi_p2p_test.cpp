@@ -100,25 +100,35 @@ TEST(P2P, TagMatchingSelectsCorrectMessage) {
 }
 
 TEST(P2P, WildcardsMatchAnything) {
-  smpi::Runtime rt{options(3, 1, 3)};
-  rt.run([&](smpi::Comm& comm) {
-    if (comm.rank() != 2) {
-      comm.compute(0.001 * (comm.rank() + 1));
-      comm.send_value(comm.rank(), 2, comm.rank() + 10);
-    } else {
-      int seen = 0;
-      for (int i = 0; i < 2; ++i) {
-        int v = 0;
-        const smpi::Status st = comm.recv(
-            std::as_writable_bytes(std::span<int, 1>{&v, 1}), smpi::kAnySource,
-            smpi::kAnyTag);
-        EXPECT_EQ(st.source, v);
-        EXPECT_EQ(st.tag, v + 10);
-        ++seen;
+  // An int goes eagerly; 64 KiB goes by rendezvous, so there the wildcard
+  // status has to come through the RTS and the rendezvous it announces.
+  for (const std::size_t bytes : {sizeof(int), std::size_t{64 * 1024}}) {
+    SCOPED_TRACE(bytes);
+    smpi::Runtime rt{options(3, 1, 3)};
+    rt.run([&](smpi::Comm& comm) {
+      if (comm.rank() != 2) {
+        comm.compute(0.001 * (comm.rank() + 1));
+        std::vector<std::byte> data(bytes);
+        const int rank = comm.rank();
+        std::memcpy(data.data(), &rank, sizeof rank);
+        comm.send(data, 2, rank + 10);
+      } else {
+        int seen = 0;
+        for (int i = 0; i < 2; ++i) {
+          std::vector<std::byte> data(bytes);
+          const smpi::Status st =
+              comm.recv(data, smpi::kAnySource, smpi::kAnyTag);
+          int v = -1;
+          std::memcpy(&v, data.data(), sizeof v);
+          EXPECT_EQ(st.source, v);
+          EXPECT_EQ(st.tag, v + 10);
+          EXPECT_EQ(st.bytes, net::Bytes{bytes});
+          ++seen;
+        }
+        EXPECT_EQ(seen, 2);
       }
-      EXPECT_EQ(seen, 2);
-    }
-  });
+    });
+  }
 }
 
 TEST(P2P, UnexpectedMessagesBufferUntilReceived) {

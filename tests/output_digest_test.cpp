@@ -4,15 +4,19 @@
 // event queue, link and forwarding layers underneath it are tuned for
 // speed under one rule: the simulated schedule, and so every output byte,
 // must not change. This test holds that rule against committed digests
-// rather than against a second implementation. Each case runs a 64-node
-// Perseus sweep (three switch partitions) and hashes every field of every
+// rather than against a second implementation. Most cases run a 64-node
+// Perseus sweep (three switch partitions) and hash every field of every
 // result plus the distribution-table text the CLI would save; the expected
 // values were recorded when the test was added. A change that moves one of
 // them changes simulator output and has to say so.
 //
-// Cases: 1 KiB (eager) and 16 KiB (rendezvous) at seeds 1-3; 64 KiB with
-// 1 % injected loss, where TCP retransmission timers fire as well as being
-// cancelled by ACKs; and 1 KiB alone at seed 1.
+// Cases: 1 KiB and 16 KiB at seeds 1-3, both eager (MPICH sends a message
+// of up to eager_threshold = 16 KiB eagerly); 16 KiB + 1 and 64 KiB at
+// seeds 1-3, both rendezvous (RTS, CTS, then data); 64 KiB on 32 nodes x 2
+// processes; bcast of 64 KiB and alltoall of 32 KiB blocks on 16 nodes,
+// whose collectives pass rendezvous messages; 64 KiB with 1 % injected
+// loss, where TCP retransmission timers fire as well as being cancelled
+// by ACKs; and 1 KiB alone at seed 1.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -74,17 +78,63 @@ std::string sweep_digest(const mpibench::Options& opt,
   return digest_of(opt, mpibench::run_isend_sweep(opt, sizes, 1));
 }
 
-const std::vector<net::Bytes> kEagerAndRendezvous{net::Bytes{1024},
-                                                  net::Bytes{16384}};
+/// 1 KiB and the eager threshold itself: both go eagerly.
+const std::vector<net::Bytes> kEagerSizes{net::Bytes{1024},
+                                          net::Bytes{16384}};
+
+/// One byte past the eager threshold, and 64 KiB: both go by rendezvous.
+const std::vector<net::Bytes> kRendezvousSizes{net::Bytes{16385},
+                                               net::Bytes{65536}};
 
 TEST(OutputDigest, PerseusSeedsOneToThree) {
   const char* const expected[] = {"ca40f1645e223598", "6076031183fe7282",
                                   "6a588ffe162300d6"};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    EXPECT_EQ(sweep_digest(perseus64(seed), kEagerAndRendezvous),
+    EXPECT_EQ(sweep_digest(perseus64(seed), kEagerSizes),
               expected[seed - 1]);
   }
+}
+
+TEST(OutputDigest, RendezvousSeedsOneToThree) {
+  const char* const expected[] = {"0f987e81894c90b6", "cd6b90c400af107c",
+                                  "b2dfd23ec35223bc"};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_EQ(sweep_digest(perseus64(seed), kRendezvousSizes),
+              expected[seed - 1]);
+  }
+}
+
+TEST(OutputDigest, RendezvousTwoRanksPerNode) {
+  // Two ranks share each node and its NIC, so each NIC carries two
+  // rendezvous streams at once.
+  mpibench::Options opt = perseus64(1);
+  opt.cluster = net::perseus(32);
+  opt.procs_per_node = 2;
+  const std::vector<net::Bytes> sizes{net::Bytes{65536}};
+  EXPECT_EQ(sweep_digest(opt, sizes), "8067f728469644ba");
+}
+
+std::string collective_digest(const mpibench::CollectiveResult& result) {
+  Digest digest;
+  digest.add(result.size.count());
+  digest.add(result.operations);
+  digest.add(result.completion);
+  digest.add(result.tcp_timeouts);
+  digest.add(result.tcp_retransmits);
+  digest.add(result.faults_injected);
+  return digest.hex();
+}
+
+TEST(OutputDigest, RendezvousCollectives) {
+  mpibench::Options opt = perseus64(1);
+  opt.cluster = net::perseus(16);
+  EXPECT_EQ(collective_digest(mpibench::run_bcast(opt, net::Bytes{65536})),
+            "841605d80854a193");
+  EXPECT_EQ(
+      collective_digest(mpibench::run_alltoall(opt, net::Bytes{32768})),
+      "816443f621ccd8f6");
 }
 
 TEST(OutputDigest, LossyRunWithRetransmissionTimeouts) {

@@ -7,8 +7,9 @@
 // these values). A change that moves one changes simulator output.
 //
 // The grid below sweeps seeds x topologies (1, 2, 3 and 5 switches) x
-// fault injection off/on, for Isend at eager/rendezvous sizes and for
-// barrier, bcast and alltoall; MatchesPerseusSeedOneTable pins the 64-node
+// fault injection off/on, for Isend at two eager sizes (1 KiB and the
+// eager threshold itself, the largest eager message) and for barrier,
+// bcast and alltoall; MatchesPerseusSeedOneTable pins the 64-node
 // Perseus table that once changed with the worker count.
 #include <sstream>
 #include <string>
@@ -99,8 +100,9 @@ const char* expected_digest(const GridDigests& table, int switches,
   return table[row][seed - 1];
 }
 
-// Isend: faults off/on x 1 KiB (eager) and the eager threshold
-// (rendezvous), hashed in that order.
+// Isend: faults off/on x 1 KiB and the eager threshold (both eager: a
+// message of exactly eager_threshold bytes is still sent eagerly), hashed
+// in that order.
 GridDigests kIsendDigests = {
     {"f31146751182a4ca", "e3e8fab571254a78", "3770d55adb1658da",
      "787443522ed2a287", "393a0113844984f2", "81cd715090a4a9cc",
