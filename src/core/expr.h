@@ -96,7 +96,7 @@ using ExprPtr = std::shared_ptr<const Expr>;
 /// operators and parentheses on any path from the whole expression to a
 /// number or name (`1+1+1` and `-(1)` are 2 deep); within a model body,
 /// the loops and runon branches around any directive. Both trees are
-/// walked recursively (evaluation, printing, operand indexing,
+/// walked recursively (evaluation, printing, compiling,
 /// destruction), so the parsers refuse anything deeper with a ParseError.
 inline constexpr int kMaxModelDepth = 1000;
 

@@ -1,5 +1,6 @@
 #include "core/model.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace pevpm {
@@ -71,86 +72,113 @@ void print_body(std::ostringstream& os, const Body& body, int indent) {
   for (const NodePtr& node : body) print_node(os, *node, indent);
 }
 
-/// Marks every variable slot a loop of `body` binds.
-void mark_loop_slots(const Body& body, std::vector<char>& written) {
+/// Appends the instructions of `body` to `code`, leaving every operand
+/// uncached.
+void emit(const Body& body, std::vector<Instruction>& code) {
+  const auto here = [&code] { return static_cast<std::uint32_t>(code.size()); };
   for (const NodePtr& node : body) {
-    if (const auto* loop = std::get_if<LoopNode>(&node->data)) {
-      if (loop->var_slot >= 0) {
-        written[static_cast<std::size_t>(loop->var_slot)] = 1;
+    Instruction in;
+    in.id = node->id;
+    if (const auto* serial = std::get_if<SerialNode>(&node->data)) {
+      in.serial = serial;
+      code.push_back(in);
+    } else if (const auto* msg = std::get_if<MessageNode>(&node->data)) {
+      switch (msg->op) {
+        case MsgOp::kSend: in.op = Opcode::kSend; break;
+        case MsgOp::kIsend: in.op = Opcode::kIsend; break;
+        case MsgOp::kRecv: in.op = Opcode::kRecv; break;
+        case MsgOp::kIrecv: in.op = Opcode::kIrecv; break;
       }
-      mark_loop_slots(loop->body, written);
+      in.message = msg;
+      code.push_back(in);
+    } else if (const auto* wait = std::get_if<WaitNode>(&node->data)) {
+      in.op = Opcode::kWait;
+      in.wait = wait;
+      code.push_back(in);
+    } else if (const auto* coll = std::get_if<CollectiveNode>(&node->data)) {
+      in.op = Opcode::kCollective;
+      in.collective = coll;
+      code.push_back(in);
     } else if (const auto* runon = std::get_if<RunonNode>(&node->data)) {
-      mark_loop_slots(runon->then_body, written);
-      mark_loop_slots(runon->else_body, written);
+      // branch (not taken -> else), then-body, [jump -> end, else-body]
+      const std::size_t branch = code.size();
+      in.op = Opcode::kBranch;
+      in.runon = runon;
+      code.push_back(in);
+      emit(runon->then_body, code);
+      if (!runon->else_body.empty()) {
+        const std::size_t jump = code.size();
+        in.op = Opcode::kJump;
+        code.push_back(in);
+        code[branch].target = here();
+        emit(runon->else_body, code);
+        code[jump].target = here();
+      } else {
+        code[branch].target = here();
+      }
+    } else if (const auto* loop = std::get_if<LoopNode>(&node->data)) {
+      // enter (no iterations -> end), body, next (again -> body)
+      const std::size_t enter = code.size();
+      in.op = Opcode::kLoopEnter;
+      in.loop = loop;
+      code.push_back(in);
+      if (!loop->body.empty()) {
+        emit(loop->body, code);
+        in.op = Opcode::kLoopNext;
+        in.target = static_cast<std::uint32_t>(enter + 1);
+        code.push_back(in);
+      }
+      code[enter].target = here();
     }
   }
 }
 
-/// Rebuilds a body with operand cache indexes (see index_cached_operands).
-class OperandIndexer {
- public:
-  OperandIndexer(const SymbolTable& variables, std::vector<char> loop_slots)
-      : variables_{variables}, loop_slots_{std::move(loop_slots)} {}
-
-  [[nodiscard]] Body index(const Body& body) {
-    Body out;
-    out.reserve(body.size());
-    for (const NodePtr& node : body) out.push_back(index(*node));
-    return out;
-  }
-
-  [[nodiscard]] int count() const noexcept { return next_; }
-
- private:
-  [[nodiscard]] NodePtr index(const Node& node) {
-    Node out = node;
-    if (auto* serial = std::get_if<SerialNode>(&out.data)) {
-      serial->seconds_cache = operand(serial->seconds);
-    } else if (auto* msg = std::get_if<MessageNode>(&out.data)) {
-      msg->size_cache = operand(msg->size);
-      msg->peer_cache = operand(msg->peer);
-    } else if (auto* coll = std::get_if<CollectiveNode>(&out.data)) {
-      coll->size_cache = operand(coll->size);
-      coll->root_cache = operand(coll->root);
-    } else if (auto* runon = std::get_if<RunonNode>(&out.data)) {
-      runon->condition_cache = operand(runon->condition);
-      runon->then_body = index(runon->then_body);
-      runon->else_body = index(runon->else_body);
-    } else if (auto* loop = std::get_if<LoopNode>(&out.data)) {
-      loop->count_cache = operand(loop->count);
-      loop->body = index(loop->body);
-    }
-    return std::make_shared<const Node>(std::move(out));
-  }
-
-  /// A fresh cache index, or -1 when `expr` is absent or reads a slot
-  /// some loop writes.
-  [[nodiscard]] int operand(const ExprPtr& expr) {
-    if (!expr) return -1;
-    std::vector<std::string> names;
-    expr->collect_vars(names);
-    for (const std::string& name : names) {
-      const int slot = variables_.find(name);
-      if (slot >= 0 && loop_slots_[static_cast<std::size_t>(slot)] != 0) {
-        return -1;
-      }
-    }
-    return next_++;
-  }
-
-  const SymbolTable& variables_;
-  std::vector<char> loop_slots_;
-  int next_ = 0;
-};
-
 }  // namespace
 
-void index_cached_operands(Model& model) {
+std::array<const Expr*, 2> operands(const Instruction& in) {
+  switch (in.op) {
+    case Opcode::kSerial: return {in.serial->seconds.get(), nullptr};
+    case Opcode::kSend:
+    case Opcode::kIsend:
+    case Opcode::kRecv:
+    case Opcode::kIrecv:
+      return {in.message->size.get(), in.message->peer.get()};
+    case Opcode::kCollective:
+      return {in.collective->size.get(), in.collective->root.get()};
+    case Opcode::kBranch: return {in.runon->condition.get(), nullptr};
+    case Opcode::kLoopEnter: return {in.loop->count.get(), nullptr};
+    default: return {nullptr, nullptr};
+  }
+}
+
+Program compile(const Model& model) {
+  Program program;
+  program.source_ = model.body;
+  emit(model.body, program.code_);
+  // Once a process has started, only loops write its variables, so an
+  // operand that reads no slot a loop binds keeps one value per process.
   std::vector<char> loop_slots(model.variables.size(), 0);
-  mark_loop_slots(model.body, loop_slots);
-  OperandIndexer indexer{model.variables, std::move(loop_slots)};
-  model.body = indexer.index(model.body);
-  model.cached_operands = indexer.count();
+  for (const Instruction& in : program.code_) {
+    if (in.op == Opcode::kLoopEnter && in.loop->var_slot >= 0) {
+      loop_slots[static_cast<std::size_t>(in.loop->var_slot)] = 1;
+    }
+  }
+  std::vector<std::string> names;
+  for (Instruction& in : program.code_) {
+    const std::array<const Expr*, 2> exprs = operands(in);
+    for (std::size_t i = 0; i < exprs.size(); ++i) {
+      if (exprs[i] == nullptr) continue;
+      names.clear();
+      exprs[i]->collect_vars(names);
+      const bool variant =
+          std::any_of(names.begin(), names.end(), [&](const std::string& n) {
+            const int slot = model.variables.find(n);
+            return slot >= 0 && loop_slots[static_cast<std::size_t>(slot)];
+          });
+      if (!variant) in.cache[i] = program.cached_++;
+    }
+  }
+  return program;
 }
 
 std::string Model::str() const {

@@ -1,4 +1,4 @@
-// PEVPM model representation: the directive AST.
+// PEVPM model representation: the directive AST and its compiled program.
 //
 // The paper's performance directives (Figure 5) compose the computation and
 // communication structure of a message-passing program:
@@ -18,15 +18,19 @@
 // of the model's symbol tables when the model is built, so evaluation
 // never looks a name up.
 //
-// An operand that reads no loop induction variable has one value per
-// process for a whole run: only loops write a process's variables once it
-// has started. When a model is built, each such operand gets a dense index
-// (its `*_cache` field) into a per-process operand cache, so the Vm
-// evaluates it once per process and reads the cache after that. An index
-// of -1 means "evaluate every time": operands that read an induction
-// variable, and any node built by hand.
+// A model is compiled once, when it is built: `compile` turns the tree
+// into a `Program`, one flat vector of instructions with jump targets
+// that every Vm of the model runs (every replication, every pevpmd
+// slice). An operand that reads no loop induction variable has one value
+// per process for a whole run, since only loops write a process's
+// variables once it has started; compile gives each such operand a dense
+// slot in a per-process operand cache, so the Vm evaluates it once per
+// process and reads the cache after that. The tree stays for printing
+// (`str()`) and for the instructions to point into.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <variant>
@@ -47,7 +51,6 @@ enum class MsgOp { kSend, kRecv, kIsend, kIrecv };
 struct SerialNode {
   ExprPtr seconds;            ///< duration of the serial segment
   std::string label;          ///< optional annotation for loss attribution
-  int seconds_cache = -1;     ///< operand cache index; -1 = no cache
 };
 
 struct MessageNode {
@@ -56,8 +59,6 @@ struct MessageNode {
   ExprPtr peer;               ///< destination (sends) / source (recvs)
   std::string handle;         ///< nonblocking ops: name matched by Wait
   int handle_slot = -1;       ///< Model::handles slot; -1 without a handle
-  int size_cache = -1;        ///< operand cache index; -1 = no cache
-  int peer_cache = -1;        ///< operand cache index; -1 = no cache
 };
 
 struct WaitNode {
@@ -77,15 +78,12 @@ struct CollectiveNode {
   CollOp op = CollOp::kBarrier;
   ExprPtr size;               ///< payload bytes (null for barrier)
   ExprPtr root;               ///< root rank where applicable (may be null)
-  int size_cache = -1;        ///< operand cache index; -1 = no cache
-  int root_cache = -1;        ///< operand cache index; -1 = no cache
 };
 
 struct RunonNode {
   ExprPtr condition;
   Body then_body;
   Body else_body;             ///< may be empty
-  int condition_cache = -1;   ///< operand cache index; -1 = no cache
 };
 
 struct LoopNode {
@@ -95,7 +93,6 @@ struct LoopNode {
   /// ("loop numprocs - 1 as round { ... }").
   std::string var;
   int var_slot = -1;          ///< Model::variables slot; -1 without a var
-  int count_cache = -1;       ///< operand cache index; -1 = no cache
 };
 
 struct Node {
@@ -106,12 +103,77 @@ struct Node {
   int line = 0;               ///< source line when parsed from text
 };
 
+/// One instruction of a compiled program. A runon is a branch (plus a jump
+/// over its else-body when it has one), a loop an enter/next pair around
+/// its body.
+enum class Opcode : std::uint8_t {
+  kSerial,
+  kSend,
+  kIsend,
+  kRecv,
+  kIrecv,
+  kWait,
+  kCollective,
+  kBranch,     ///< runon: evaluate the condition, not taken -> target
+  kJump,       ///< end of a then-body with an else-body -> target
+  kLoopEnter,  ///< evaluate the count; a loop that never runs -> target
+  kLoopNext,   ///< another iteration -> target (the body's first pc)
+};
+
+struct Instruction {
+  Opcode op = Opcode::kSerial;
+  int id = 0;                 ///< directive id (loss attribution)
+  std::uint32_t target = 0;   ///< branch, jump and loop targets
+  /// Operand cache slot of each of `operands(*this)`; -1 when the operand
+  /// is evaluated each time or absent.
+  std::array<int, 2> cache{-1, -1};
+  union {
+    const SerialNode* serial = nullptr;
+    const MessageNode* message;
+    const WaitNode* wait;
+    const CollectiveNode* collective;
+    const RunonNode* runon;   ///< kBranch and kJump
+    const LoopNode* loop;     ///< kLoopEnter and kLoopNext
+  };
+};
+static_assert(sizeof(Instruction) <= 32, "two instructions per cache line");
+
+/// The operand expressions of `in`, null when absent: kSerial {seconds};
+/// messages {size, peer}; kCollective {size, root}; kBranch {condition};
+/// kLoopEnter {count}; the rest none.
+[[nodiscard]] std::array<const Expr*, 2> operands(const Instruction& in);
+
+struct Model;
+
+/// A model's directive tree compiled to one flat instruction vector. It is
+/// immutable once `compile` returns, so every Vm of the model reads the
+/// same Program, from any thread.
+class Program {
+ public:
+  [[nodiscard]] const std::vector<Instruction>& instructions() const noexcept {
+    return code_;
+  }
+  /// Operand cache entries per process.
+  [[nodiscard]] int cached_operands() const noexcept { return cached_; }
+  /// The body it was compiled from; it owns the nodes the instructions
+  /// point into.
+  [[nodiscard]] const Body& source() const noexcept { return source_; }
+
+ private:
+  friend Program compile(const Model& model);
+
+  Body source_;
+  std::vector<Instruction> code_;
+  int cached_ = 0;
+};
+
 /// A complete model: the program body plus default parameter bindings.
 /// `numprocs` and `procnum` are bound by the evaluator; everything else the
 /// expressions reference must appear in `parameters` or be supplied at
-/// prediction time. The body's slots index `variables` and `handles`, and
-/// its operand cache indexes run below `cached_operands`, so a body only
-/// runs with the tables it was built against.
+/// prediction time. The body's slots index `variables` and `handles`, so a
+/// body only runs with the tables it was built against, and `program` is
+/// the body compiled: the Vm runs only a model whose program was compiled
+/// from its current body.
 struct Model {
   Body body;
   Bindings parameters;
@@ -119,16 +181,16 @@ struct Model {
   SymbolTable handles;        ///< nonblocking handle names
   std::string name;
   int node_count = 0;         ///< total directives, for reporting
-  int cached_operands = 0;    ///< operand cache entries per process
+  Program program;            ///< compile(*this)
 
   /// Pretty-prints the directive program.
   [[nodiscard]] std::string str() const;
 };
 
-/// Gives every loop-invariant operand of `model.body` (one that reads no
-/// variable any loop of the model binds) a dense operand cache index and
-/// sets `model.cached_operands`. Both model parsers call it once the body
-/// is complete.
-void index_cached_operands(Model& model);
+/// Compiles `model.body` against `model.variables`. An operand gets an
+/// operand cache slot when it reads no variable any loop of the model
+/// binds. Both model parsers call it once the body is complete; a model
+/// built by hand must too (`model.program = compile(model)`).
+[[nodiscard]] Program compile(const Model& model);
 
 }  // namespace pevpm

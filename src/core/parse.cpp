@@ -189,7 +189,7 @@ class Assembler {
     model.handles = std::move(handles_);
     model.name = std::move(name);
     model.node_count = next_id_ - 1;
-    index_cached_operands(model);
+    model.program = compile(model);
     return model;
   }
 

@@ -1,5 +1,6 @@
 #include "core/request.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -66,6 +67,30 @@ bool parse_procs(std::string_view text, std::vector<int>& out) {
   if (parsed.empty()) return false;
   out = std::move(parsed);
   return true;
+}
+
+std::string admission_error(const PredictRequest& request) {
+  if (request.procs.empty() ||
+      std::any_of(request.procs.begin(), request.procs.end(),
+                  [](int p) { return p <= 0; })) {
+    return "procs must be a non-empty list of positive integers";
+  }
+  const std::int64_t reps = replication_count(request.options);
+  std::int64_t procs = 0;
+  for (const int p : request.procs) {
+    if (p > kMaxProcs) {
+      return "procs entry " + std::to_string(p) + " is over the limit of " +
+             std::to_string(kMaxProcs);
+    }
+    // procs stays below kMaxProcessReplications + kMaxProcs here, so the
+    // product cannot overflow.
+    procs += p;
+    if (procs * reps > kMaxProcessReplications) {
+      return "procs x replications is over the limit of " +
+             std::to_string(kMaxProcessReplications) + " processes";
+    }
+  }
+  return {};
 }
 
 Model parse_request_model(const PredictRequest& request) {

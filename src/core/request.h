@@ -69,6 +69,19 @@ struct PredictRequest {
 /// empty input or a malformed/non-positive entry.
 [[nodiscard]] bool parse_procs(std::string_view text, std::vector<int>& out);
 
+/// The largest process count one `procs` entry may ask for.
+inline constexpr int kMaxProcs = 65536;
+
+/// The most processes one request may simulate: the sum of its `procs`
+/// entries times its replication count.
+inline constexpr std::int64_t kMaxProcessReplications = std::int64_t{1} << 20;
+
+/// Why `request` may not run (its `procs` list is empty, holds a count
+/// that is not positive or is above kMaxProcs, or asks for more than
+/// kMaxProcessReplications processes in all), or an empty string when it
+/// may. Checked before anything is sized by the request.
+[[nodiscard]] std::string admission_error(const PredictRequest& request);
+
 /// Parses the request's model text, auto-detecting annotated C/C++ source
 /// (a "// PEVPM" marker) versus the standalone directive language. Throws
 /// ParseError on malformed input.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 namespace pevpm {
 namespace {
@@ -38,6 +39,9 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
        DeliverySampler& sampler)
     : model_{model}, numprocs_{numprocs}, sampler_{sampler} {
   if (numprocs < 1) throw ModelError{"Vm: numprocs < 1"};
+  if (model.program.source() != model.body) {
+    throw std::logic_error{"Vm: the model was not compiled (pevpm::compile)"};
+  }
   // Names are resolved here, once: every process starts from the same
   // slot environment and differs only in procnum.
   Env base{model.variables.size()};
@@ -47,7 +51,6 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
     base.bind(slot, static_cast<double>(numprocs));
   }
   const int procnum = model.variables.find("procnum");
-  flatten(model.body);
   processes_.resize(numprocs);
   for (int r = 0; r < numprocs; ++r) {
     Process& proc = processes_[r];
@@ -57,78 +60,18 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
     proc.handles.resize(model.handles.size());
   }
   // From here on only loops write a process's variables, so the operands
-  // the model indexed keep one value per process for the whole run.
-  operand_cache_.resize(static_cast<std::size_t>(numprocs) *
-                        static_cast<std::size_t>(model.cached_operands));
-}
-
-void Vm::flatten(const Body& body) {
-  const auto here = [this] {
-    return static_cast<std::uint32_t>(program_.size());
-  };
-  for (const NodePtr& node : body) {
-    Instruction instruction;
-    instruction.id = node->id;
-    if (const auto* serial = std::get_if<SerialNode>(&node->data)) {
-      instruction.op = Opcode::kSerial;
-      instruction.serial = serial;
-      program_.push_back(instruction);
-    } else if (const auto* msg = std::get_if<MessageNode>(&node->data)) {
-      switch (msg->op) {
-        case MsgOp::kSend: instruction.op = Opcode::kSend; break;
-        case MsgOp::kIsend: instruction.op = Opcode::kIsend; break;
-        case MsgOp::kRecv: instruction.op = Opcode::kRecv; break;
-        case MsgOp::kIrecv: instruction.op = Opcode::kIrecv; break;
-      }
-      instruction.message = msg;
-      program_.push_back(instruction);
-    } else if (const auto* wait = std::get_if<WaitNode>(&node->data)) {
-      instruction.op = Opcode::kWait;
-      instruction.wait = wait;
-      program_.push_back(instruction);
-    } else if (const auto* coll = std::get_if<CollectiveNode>(&node->data)) {
-      instruction.op = Opcode::kCollective;
-      instruction.collective = coll;
-      program_.push_back(instruction);
-    } else if (const auto* runon = std::get_if<RunonNode>(&node->data)) {
-      // branch (not taken -> else), then-body, [jump -> end, else-body]
-      const std::size_t branch = program_.size();
-      instruction.op = Opcode::kBranch;
-      instruction.runon = runon;
-      program_.push_back(instruction);
-      flatten(runon->then_body);
-      if (!runon->else_body.empty()) {
-        const std::size_t jump = program_.size();
-        instruction.op = Opcode::kJump;
-        program_.push_back(instruction);
-        program_[branch].target = here();
-        flatten(runon->else_body);
-        program_[jump].target = here();
-      } else {
-        program_[branch].target = here();
-      }
-    } else if (const auto* loop = std::get_if<LoopNode>(&node->data)) {
-      // enter (no iterations -> end), body, next (again -> body)
-      const std::size_t enter = program_.size();
-      instruction.op = Opcode::kLoopEnter;
-      instruction.loop = loop;
-      program_.push_back(instruction);
-      if (!loop->body.empty()) {
-        flatten(loop->body);
-        instruction.op = Opcode::kLoopNext;
-        instruction.target = static_cast<std::uint32_t>(enter + 1);
-        program_.push_back(instruction);
-      }
-      program_[enter].target = here();
-    }
-  }
+  // the program caches keep one value per process for the whole run.
+  operand_cache_.resize(
+      static_cast<std::size_t>(numprocs) *
+      static_cast<std::size_t>(model.program.cached_operands()));
 }
 
 // LINT:hot-path begin (operand evaluation and stream resolution: a cached
 // operand or stream is one load)
 Vm::CachedOperand& Vm::cached(const Process& proc, int cache) {
   return operand_cache_[static_cast<std::size_t>(proc.rank) *
-                            static_cast<std::size_t>(model_.cached_operands) +
+                            static_cast<std::size_t>(
+                                model_.program.cached_operands()) +
                         static_cast<std::size_t>(cache)];
 }
 
@@ -212,23 +155,23 @@ bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
   return true;
 }
 
-net::Bytes Vm::message_bytes(const Process& proc, const MessageNode& msg) {
+net::Bytes Vm::message_bytes(const Process& proc, const Instruction& in) {
   const long size_value =
-      eval_int(proc, *msg.size, msg.size_cache, "message size");
+      eval_int(proc, *in.message->size, in.cache[0], "message size");
   if (size_value < 0) throw ModelError{"message with negative size"};
   return static_cast<net::Bytes>(size_value);
 }
 
 bool Vm::exec(Process& proc) {
-  const std::size_t end = program_.size();
-  while (proc.pc < end) {
-    const Instruction& instruction = program_[proc.pc];
+  const std::vector<Instruction>& code = model_.program.instructions();
+  while (proc.pc < code.size()) {
+    const Instruction& instruction = code[proc.pc];
     std::uint32_t next = proc.pc + 1;
     switch (instruction.op) {
       case Opcode::kSerial: {
         const SerialNode& serial = *instruction.serial;
         const double dt =
-            checked_finite(eval(proc, *serial.seconds, serial.seconds_cache),
+            checked_finite(eval(proc, *serial.seconds, instruction.cache[0]),
                            *serial.seconds, "serial time");
         if (dt < 0) throw ModelError{"Serial directive with negative time"};
         proc.clock += dt;
@@ -238,14 +181,14 @@ bool Vm::exec(Process& proc) {
       case Opcode::kSend:
       case Opcode::kIsend: {
         const MessageNode& msg = *instruction.message;
-        const net::Bytes bytes = message_bytes(proc, msg);
-        const int dst =
-            eval_rank(proc, *msg.peer, msg.peer_cache, "send to rank");
+        const int peer = instruction.cache[1];
+        const net::Bytes bytes = message_bytes(proc, instruction);
+        const int dst = eval_rank(proc, *msg.peer, peer, "send to rank");
         if (dst == proc.rank) {
           throw ModelError{"message sent to self at process " +
                            std::to_string(proc.rank)};
         }
-        scoreboard_.add(stream_for(proc, msg.peer_cache, proc.rank, dst), bytes,
+        scoreboard_.add(stream_for(proc, peer, proc.rank, dst), bytes,
                         proc.clock, instruction.id);
         const double cost =
             sampler_.sender_seconds(bytes, scoreboard_.outstanding());
@@ -261,26 +204,26 @@ bool Vm::exec(Process& proc) {
       }
       case Opcode::kRecv: {
         const MessageNode& msg = *instruction.message;
-        (void)message_bytes(proc, msg);
+        const int peer = instruction.cache[1];
+        (void)message_bytes(proc, instruction);
         if (!proc.blocked) {
           proc.wanted = Claim{};
-          const int src =
-              eval_rank(proc, *msg.peer, msg.peer_cache, "recv from rank");
-          proc.wanted.stream = stream_for(proc, msg.peer_cache, src, proc.rank);
+          const int src = eval_rank(proc, *msg.peer, peer, "recv from rank");
+          proc.wanted.stream = stream_for(proc, peer, src, proc.rank);
         }
         if (!try_receive(proc, proc.wanted, instruction.id)) return false;
         break;
       }
       case Opcode::kIrecv: {
         const MessageNode& msg = *instruction.message;
-        (void)message_bytes(proc, msg);
+        const int peer = instruction.cache[1];
+        (void)message_bytes(proc, instruction);
         if (msg.handle_slot < 0) throw ModelError{"irecv requires a handle"};
-        const int src =
-            eval_rank(proc, *msg.peer, msg.peer_cache, "irecv from rank");
+        const int src = eval_rank(proc, *msg.peer, peer, "irecv from rank");
         Claim& claim = reuse_handle(proc, msg);
         claim = Claim{};
         claim.active = true;
-        claim.stream = stream_for(proc, msg.peer_cache, src, proc.rank);
+        claim.stream = stream_for(proc, peer, src, proc.rank);
         claim.message = scoreboard_.claim(claim.stream);
         break;
       }
@@ -306,12 +249,12 @@ bool Vm::exec(Process& proc) {
           // First arrival: record operands, then wait for everyone.
           long size_value = 0;
           if (coll.size) {
-            size_value =
-                eval_int(proc, *coll.size, coll.size_cache, "collective size");
+            size_value = eval_int(proc, *coll.size, instruction.cache[0],
+                                  "collective size");
           }
           if (size_value < 0) throw ModelError{"collective with negative size"};
           if (coll.root) {
-            (void)eval_rank(proc, *coll.root, coll.root_cache,
+            (void)eval_rank(proc, *coll.root, instruction.cache[1],
                             "collective root rank");
           }
           proc.coll_bytes = static_cast<net::Bytes>(size_value);
@@ -339,7 +282,7 @@ bool Vm::exec(Process& proc) {
       case Opcode::kBranch: {
         const RunonNode& runon = *instruction.runon;
         const bool taken =
-            eval(proc, *runon.condition, runon.condition_cache) != 0.0;
+            eval(proc, *runon.condition, instruction.cache[0]) != 0.0;
         if (!taken) next = instruction.target;
         break;
       }
@@ -349,7 +292,7 @@ bool Vm::exec(Process& proc) {
       case Opcode::kLoopEnter: {
         const LoopNode& loop = *instruction.loop;
         const long n =
-            eval_int(proc, *loop.count, loop.count_cache, "loop count");
+            eval_int(proc, *loop.count, instruction.cache[0], "loop count");
         if (n <= 0 || loop.body.empty()) {
           next = instruction.target;
           break;
@@ -401,7 +344,7 @@ void Vm::resolve_collectives() {
   if (seq == -1) return;
   // All processes are at the same collective; sample each exit time.
   for (Process& proc : processes_) {
-    const Instruction& instruction = program_[proc.pc];
+    const Instruction& instruction = model_.program.instructions()[proc.pc];
     if (instruction.op != Opcode::kCollective) {
       throw ModelError{"internal: collective resolution on non-collective"};
     }

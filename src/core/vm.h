@@ -18,15 +18,12 @@
 // per-directive performance loss (time spent blocked at each receive),
 // giving the paper's "location and extent of performance loss" analysis.
 //
-// The Vm does not walk the directive tree. Its constructor flattens
-// `model.body` into one vector of instructions with jump targets: a runon
-// is a conditional branch (plus a jump over its else-body when it has
-// one), a loop an enter/next pair around its body. A process is then a
-// program counter plus a stack of the loops it is inside, and `exec` runs
-// it in one loop around a switch over the opcode. The program is a few
-// dozen instructions for a model like Jacobi and is built per Vm, so
-// Model and both parsers keep the tree, and a hand-built model runs the
-// same way.
+// The Vm does not walk the directive tree. It runs the model's compiled
+// Program (model.h): a process is a program counter plus a stack of the
+// loops it is inside, and `exec` runs it in one loop around a switch over
+// the opcode. The program is compiled once per model and shared by every
+// Vm of it, so a Vm holds only per-run state: the processes, their operand
+// cache and the scoreboard.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +69,9 @@ struct SimulationResult {
 
 class Vm {
  public:
-  /// `overrides` extend/override the model's parameter bindings.
+  /// `overrides` extend/override the model's parameter bindings. Throws
+  /// std::logic_error when `model.program` was not compiled from
+  /// `model.body`.
   Vm(const Model& model, int numprocs, const Bindings& overrides,
      DeliverySampler& sampler);
 
@@ -80,36 +79,6 @@ class Vm {
   [[nodiscard]] SimulationResult run();
 
  private:
-  /// One instruction of the flattened program. Directive opcodes point at
-  /// their node's operands; control-flow opcodes carry a jump target.
-  enum class Opcode : std::uint8_t {
-    kSerial,
-    kSend,
-    kIsend,
-    kRecv,
-    kIrecv,
-    kWait,
-    kCollective,
-    kBranch,     ///< runon: evaluate the condition, not taken -> target
-    kJump,       ///< end of a then-body with an else-body -> target
-    kLoopEnter,  ///< evaluate the count; a loop that never runs -> target
-    kLoopNext,   ///< another iteration -> target (the body's first pc)
-  };
-
-  struct Instruction {
-    Opcode op = Opcode::kSerial;
-    int id = 0;                 ///< directive id (loss attribution)
-    std::uint32_t target = 0;   ///< branch, jump and loop targets
-    union {
-      const SerialNode* serial = nullptr;
-      const MessageNode* message;
-      const WaitNode* wait;
-      const CollectiveNode* collective;
-      const RunonNode* runon;
-      const LoopNode* loop;     ///< kLoopEnter and kLoopNext
-    };
-  };
-
   /// The state of one loop a process is inside.
   struct Frame {
     long remaining = 0;  ///< iterations left, this one included
@@ -161,11 +130,9 @@ class Vm {
     ProcessReport report;
   };
 
-  /// Appends the instructions of `body` to `program_`.
-  void flatten(const Body& body);
-  /// The byte count operand `msg.size` evaluates to at `proc`.
+  /// The byte count message `in`'s size operand evaluates to at `proc`.
   [[nodiscard]] net::Bytes message_bytes(const Process& proc,
-                                         const MessageNode& msg);
+                                         const Instruction& in);
   /// Runs `proc` until it blocks or finishes.
   void sweep(Process& proc);
   /// Executes `proc`'s instructions from its `pc` on. Returns false when
@@ -204,9 +171,8 @@ class Vm {
   int numprocs_;
   DeliverySampler& sampler_;
   Scoreboard scoreboard_;
-  std::vector<Instruction> program_;
   std::vector<Process> processes_;
-  /// Model::cached_operands entries per process, process after process.
+  /// Program::cached_operands entries per process, process after process.
   std::vector<CachedOperand> operand_cache_;
   std::vector<MessageRef> unassigned_;  ///< match-phase buffer, reused
   std::uint64_t sweeps_ = 0;

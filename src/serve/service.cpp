@@ -238,13 +238,11 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
     response.error = e.what();
     return response;
   }
-  if (request.procs.empty() ||
-      std::any_of(request.procs.begin(), request.procs.end(),
-                  [](int p) { return p <= 0; })) {
+  if (std::string why = pevpm::admission_error(request); !why.empty()) {
     pevpm::MutexLock lock{mu_};
     ++bad_requests_;
     response.status = 400;
-    response.error = "procs must be a non-empty list of positive integers";
+    response.error = std::move(why);
     return response;
   }
 

@@ -2,11 +2,16 @@
 // annotated-source extractor.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <variant>
 
 #include "core/model.h"
 #include "core/parse.h"
+#include "core/vm.h"
+#include "mpibench/table.h"
+#include "program_layout.h"
 
 namespace {
 
@@ -37,9 +42,25 @@ loop 100 {
   const Model m = pevpm::parse_model(text, "jacobi");
   ASSERT_EQ(m.body.size(), 1u);
   EXPECT_DOUBLE_EQ(m.parameters.at("xsize"), 256.0);
-  // The pretty-printed model must itself parse to the same structure.
+  // The pretty-printed model must itself parse to the same structure,
+  // compile to the same program and run to the same bits.
   const Model again = pevpm::parse_model(m.str(), "jacobi");
   EXPECT_EQ(again.str(), m.str());
+  EXPECT_EQ(testlayout::layout(again.program), testlayout::layout(m.program));
+  mpibench::DistributionTable table;
+  for (const auto kind : {mpibench::OpKind::kPtpOneWay,
+                          mpibench::OpKind::kPtpSender}) {
+    table.insert(kind, net::Bytes{0}, 1,
+                 stats::EmpiricalDistribution::constant(1e-4));
+    table.insert(kind, net::Bytes{1 << 20}, 1,
+                 stats::EmpiricalDistribution::constant(3e-3));
+  }
+  const auto makespan_bits = [&table](const Model& model) {
+    pevpm::DeliverySampler sampler{table, {}, 7};
+    return std::bit_cast<std::uint64_t>(
+        pevpm::simulate(model, 6, {}, sampler).makespan);
+  };
+  EXPECT_EQ(makespan_bits(again), makespan_bits(m));
 }
 
 TEST(ParseModel, NonblockingAndWait) {

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <variant>
@@ -18,6 +19,7 @@
 #include "core/sampler.h"
 #include "core/vm.h"
 #include "mpibench/table.h"
+#include "program_layout.h"
 
 namespace {
 
@@ -39,6 +41,10 @@ DistributionTable constant_table(double oneway_s, double sender_s,
                stats::EmpiricalDistribution::constant(sender_s));
   return table;
 }
+
+/// Spread delivery and sender distributions (defined below, beside the
+/// golden runs that use them).
+DistributionTable spread_table();
 
 pevpm::SimulationResult run(const pevpm::Model& model, int nprocs,
                             const DistributionTable& table,
@@ -351,9 +357,15 @@ runon procnum == 0 {
   const auto result = run(model, 4, constant_table(1e-3, 1e-4));
   EXPECT_FALSE(result.deadlocked);
   EXPECT_EQ(result.messages, 3u);
-  // Printed form round-trips the "as" syntax.
+  // Printed form round-trips the "as" syntax, and compiles and runs the
+  // same.
   const auto again = pevpm::parse_model(model.str(), "model");
   EXPECT_EQ(again.str(), model.str());
+  EXPECT_EQ(testlayout::layout(again.program),
+            testlayout::layout(model.program));
+  const auto table = spread_table();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(run(again, 4, table).makespan),
+            std::bit_cast<std::uint64_t>(run(model, 4, table).makespan));
 }
 
 TEST(Vm, UnboundVariableInUntakenBranchStillPredicts) {
@@ -473,18 +485,33 @@ runon procnum == 0 {
   EXPECT_EQ(result.messages, 2u);
 }
 
-/// The operand cache index of `body[i]`'s Serial time.
-int serial_cache(const pevpm::Body& body, std::size_t i) {
-  return std::get<pevpm::SerialNode>(body.at(i)->data).seconds_cache;
+/// The operand cache slot of the first operand of instruction `pc`, which
+/// must have opcode `op`.
+int operand_cache(const pevpm::Program& program, std::size_t pc,
+                  pevpm::Opcode op) {
+  const pevpm::Instruction& in = program.instructions().at(pc);
+  EXPECT_EQ(in.op, op) << "instruction " << pc;
+  return in.cache[0];
+}
+
+/// The operand cache slot of the Serial time at instruction `pc`.
+int serial_cache(const pevpm::Program& program, std::size_t pc) {
+  return operand_cache(program, pc, pevpm::Opcode::kSerial);
+}
+
+/// The operand cache slot of the count of the loop entered at `pc`.
+int count_cache(const pevpm::Program& program, std::size_t pc) {
+  return operand_cache(program, pc, pevpm::Opcode::kLoopEnter);
 }
 
 TEST(VmOperandCache, InvariantOperandsAreEvaluatedOncePerProcess) {
   const auto model = pevpm::parse_model(
       "loop 3 {\n serial time = procnum + 1\n}\n");
-  const auto& loop = std::get<pevpm::LoopNode>(model.body.at(0)->data);
-  EXPECT_EQ(model.cached_operands, 2);  // the count and the Serial time
-  EXPECT_GE(loop.count_cache, 0);
-  EXPECT_GE(serial_cache(loop.body, 0), 0);
+  // enter, serial, next
+  const pevpm::Program& program = model.program;
+  EXPECT_EQ(program.cached_operands(), 2);  // the count and the Serial time
+  EXPECT_GE(count_cache(program, 0), 0);
+  EXPECT_GE(serial_cache(program, 1), 0);
   // Each process reads its own entry.
   const auto result = run(model, 3, constant_table(1e-3, 0.0));
   for (std::size_t r = 0; r < 3; ++r) {
@@ -495,10 +522,10 @@ TEST(VmOperandCache, InvariantOperandsAreEvaluatedOncePerProcess) {
 TEST(VmOperandCache, InductionReadersAreReevaluatedEachIteration) {
   const auto model = pevpm::parse_model(
       "loop 4 as i {\n serial time = 0.25 * i\n}\n");
-  const auto& loop = std::get<pevpm::LoopNode>(model.body.at(0)->data);
-  EXPECT_GE(loop.count_cache, 0);
-  EXPECT_EQ(serial_cache(loop.body, 0), -1);
-  EXPECT_EQ(model.cached_operands, 1);
+  const pevpm::Program& program = model.program;
+  EXPECT_GE(count_cache(program, 0), 0);
+  EXPECT_EQ(serial_cache(program, 1), -1);
+  EXPECT_EQ(program.cached_operands(), 1);
   EXPECT_DOUBLE_EQ(run(model, 2, constant_table(1e-3, 0.0)).makespan, 1.5);
 }
 
@@ -516,8 +543,8 @@ loop 2 {
 }
 )";
   const auto model = pevpm::parse_model(text);
-  const auto& outer = std::get<pevpm::LoopNode>(model.body.at(0)->data);
-  EXPECT_EQ(serial_cache(outer.body, 0), -1);
+  // enter 2, serial k, enter 3 as k, serial 0, next, next
+  EXPECT_EQ(serial_cache(model.program, 1), -1);
   // First outer iteration reads the param, the second the inner loop's
   // last value: 5 + 2.
   EXPECT_DOUBLE_EQ(run(model, 2, constant_table(1e-3, 0.0)).makespan, 7.0);
@@ -601,10 +628,36 @@ TEST(VmOperandCache, HandBuiltNodesWithoutAnIndexStillEvaluate) {
   model.body.push_back(std::make_shared<const pevpm::Node>(
       pevpm::Node{std::move(loop), 1, 0}));
   model.node_count = 2;
-  ASSERT_EQ(model.cached_operands, 0);
+  model.program = pevpm::compile(model);
+  // A hand-built model compiles like its parsed twin.
+  const pevpm::Model twin = pevpm::parse_model(
+      "loop 2 {\n serial time = 0.5 * (procnum + 1)\n}\n");
+  ASSERT_EQ(testlayout::layout(model.program),
+            testlayout::layout(twin.program));
   const auto result = run(model, 2, constant_table(1e-3, 0.0));
   EXPECT_DOUBLE_EQ(result.processes[0].compute, 1.0);
   EXPECT_DOUBLE_EQ(result.processes[1].compute, 2.0);
+}
+
+TEST(VmOperandCache, ModelThatWasNeverCompiledIsRejected) {
+  // A body without its program would run nothing, to a makespan of 0.
+  pevpm::Model model;
+  model.body.push_back(std::make_shared<const pevpm::Node>(pevpm::Node{
+      pevpm::SerialNode{pevpm::constant(0.5), {}}, 1, 0}));
+  model.node_count = 1;
+  try {
+    (void)run(model, 2, constant_table(1e-3, 0.0));
+    FAIL() << "expected a logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("not compiled"), std::string::npos)
+        << e.what();
+  }
+  // A program compiled from another body is no program of this one.
+  model.program = pevpm::compile(pevpm::parse_model("serial time = 0.5\n"));
+  EXPECT_THROW((void)run(model, 2, constant_table(1e-3, 0.0)),
+               std::logic_error);
+  model.program = pevpm::compile(model);
+  EXPECT_DOUBLE_EQ(run(model, 2, constant_table(1e-3, 0.0)).makespan, 0.5);
 }
 
 TEST(VmOperandCache, BuilderIndexesLikeTheParser) {
@@ -612,12 +665,13 @@ TEST(VmOperandCache, BuilderIndexesLikeTheParser) {
   // the induction variable stays uncached, the invariant one is cached.
   const pevpm::Model parsed = pevpm::parse_model(
       "loop 3 as i {\n serial time = 0.1 * i\n serial time = 0.5\n}\n");
-  const auto& loop = std::get<pevpm::LoopNode>(parsed.body.at(0)->data);
-  EXPECT_EQ(parsed.cached_operands, 2);
-  EXPECT_GE(loop.count_cache, 0);
-  EXPECT_EQ(serial_cache(loop.body, 0), -1);
-  EXPECT_GE(serial_cache(loop.body, 1), 0);
-  EXPECT_NE(serial_cache(loop.body, 1), loop.count_cache);
+  // enter, serial, serial, next
+  const pevpm::Program& program = parsed.program;
+  EXPECT_EQ(program.cached_operands(), 2);
+  EXPECT_GE(count_cache(program, 0), 0);
+  EXPECT_EQ(serial_cache(program, 1), -1);
+  EXPECT_GE(serial_cache(program, 2), 0);
+  EXPECT_NE(serial_cache(program, 2), count_cache(program, 0));
 }
 
 long peak_rss_kb() {
@@ -734,28 +788,15 @@ constexpr const char* kJacobiFig5 = R"(
 // PEVPM }
 )";
 
-/// Counts the operands of `body` and those without a cache index.
-void count_operands(const pevpm::Body& body, int& operands, int& uncached) {
-  const auto note = [&](const pevpm::ExprPtr& expr, int cache) {
-    if (!expr) return;
-    ++operands;
-    if (cache < 0) ++uncached;
-  };
-  for (const pevpm::NodePtr& node : body) {
-    if (const auto* serial = std::get_if<pevpm::SerialNode>(&node->data)) {
-      note(serial->seconds, serial->seconds_cache);
-    } else if (const auto* msg =
-                   std::get_if<pevpm::MessageNode>(&node->data)) {
-      note(msg->size, msg->size_cache);
-      note(msg->peer, msg->peer_cache);
-    } else if (const auto* runon =
-                   std::get_if<pevpm::RunonNode>(&node->data)) {
-      note(runon->condition, runon->condition_cache);
-      count_operands(runon->then_body, operands, uncached);
-      count_operands(runon->else_body, operands, uncached);
-    } else if (const auto* loop = std::get_if<pevpm::LoopNode>(&node->data)) {
-      note(loop->count, loop->count_cache);
-      count_operands(loop->body, operands, uncached);
+/// Counts the operands of `program` and those without a cache slot.
+void count_operands(const pevpm::Program& program, int& operands,
+                    int& uncached) {
+  for (const pevpm::Instruction& in : program.instructions()) {
+    const auto exprs = pevpm::operands(in);
+    for (std::size_t i = 0; i < exprs.size(); ++i) {
+      if (exprs[i] == nullptr) continue;
+      ++operands;
+      if (in.cache[i] < 0) ++uncached;
     }
   }
 }
@@ -765,10 +806,10 @@ TEST(VmOperandCache, EveryJacobiOperandIsInvariant) {
   const auto model = pevpm::parse_annotated_source(kJacobiFig5, "jacobi");
   int operands = 0;
   int uncached = 0;
-  count_operands(model.body, operands, uncached);
+  count_operands(model.program, operands, uncached);
   EXPECT_EQ(operands, 25);
   EXPECT_EQ(uncached, 0);
-  EXPECT_EQ(model.cached_operands, operands);
+  EXPECT_EQ(model.program.cached_operands(), operands);
 }
 
 // Golden values recorded before the evaluator moved to slot-indexed

@@ -143,6 +143,25 @@ TEST(ServeService, MalformedScalingArtifactAnswers400) {
   EXPECT_EQ(service.stats().bad_requests, 1u);
 }
 
+TEST(ServeService, OversizedRequestsAnswer400BeforeAnythingIsSized) {
+  serve::Service service{serve::ServiceOptions{}};
+  pevpm::PredictRequest huge_procs = chain_request(23);
+  huge_procs.procs = {4, 2000000000};
+  serve::Service::Response response = service.predict(huge_procs);
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.error.find("limit of 65536"), std::string::npos)
+      << response.error;
+  pevpm::PredictRequest huge_reps = chain_request(23);
+  huge_reps.options.replications = 2000000000;
+  response = service.predict(huge_reps);
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.error.find("limit of 1048576"), std::string::npos)
+      << response.error;
+  EXPECT_EQ(service.stats().bad_requests, 2u);
+  EXPECT_EQ(service.stats().accepted, 0u);
+  EXPECT_EQ(service.predict(chain_request(23)).status, 200);
+}
+
 TEST(ServeService, NonFiniteScalingPredictionAnswers400AndKeepsServing) {
   pevpm::PredictRequest request = chain_request(19);
   request.procs = {4, 8};  // 8 pushes contention past the measured levels

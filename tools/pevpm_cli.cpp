@@ -5,7 +5,9 @@
 //     --model FILE       directive program, or C/C++ source with
 //                        "// PEVPM" annotations (detected automatically)
 //     --table FILE       distribution table from mpibench --table
-//     --procs N          number of virtual processes (or a,b,c list)
+//     --procs N          number of virtual processes (or a,b,c list);
+//                        each at most 65536, and their sum times the
+//                        replication count at most 1048576
 //     --mode M           distribution | average | minimum (default
 //                        distribution)
 //     --contention C     scoreboard | fixed:<level> (default scoreboard)
@@ -213,6 +215,13 @@ int main(int argc, char** argv) {
   if (model_file.empty() || (!dump && table_file.empty()) ||
       (!dump && request.procs.empty())) {
     usage(argv[0]);
+  }
+  if (!dump) {
+    if (const std::string why = pevpm::admission_error(request);
+        !why.empty()) {
+      std::fprintf(stderr, "%s\n", why.c_str());
+      usage(argv[0]);
+    }
   }
   if (!server.empty() && !trace_file.empty()) {
     std::fprintf(stderr, "--trace records locally; it cannot follow a "
