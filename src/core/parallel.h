@@ -1,9 +1,10 @@
 // Index fan-out for the Monte-Carlo prediction engine and the mpibench
 // sweeps.
 //
-// PEVPM replications are embarrassingly parallel: each one owns its
-// DeliverySampler (seeded from the per-replication splitmix64 sequence) and
-// its Vm state, and only reads the shared Model / DistributionTable. So the
+// PEVPM replications are embarrassingly parallel: each batch of them owns
+// its DeliverySampler (one lane per seed of the per-replication splitmix64
+// sequence) and its Vm state, and only reads the shared Model /
+// DistributionTable. So the
 // only primitive needed is `parallel_for`: it starts its own threads for
 // one call, they claim indices from an atomic counter, and it joins them
 // before returning. There is no pool and no task queue (serve::Service

@@ -1,6 +1,8 @@
 #include "core/predict.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,23 +27,42 @@ std::vector<std::uint64_t> replication_seeds(const PredictOptions& options) {
   return seeds;
 }
 
+namespace {
+
+/// Evaluates replications first_rep, first_rep + 1, ... in lockstep, one
+/// per seed, and records each one's tracer event.
+std::vector<SimulationResult> run_batch(
+    const Model& model, int numprocs, const Bindings& overrides,
+    SamplerCells& cells, const PredictOptions& options, int first_rep,
+    std::span<const std::uint64_t> seeds) {
+  DeliverySampler sampler{cells, seeds};
+  std::vector<SimulationResult> results =
+      simulate_lanes(model, numprocs, overrides, sampler);
+  if (options.tracer != nullptr && options.tracer->enabled()) {
+    for (std::size_t lane = 0; lane < results.size(); ++lane) {
+      const SimulationResult& result = results[lane];
+      options.tracer->record(
+          des::SimTime::from_seconds(result.makespan),
+          trace::Category::kPevpm, first_rep + static_cast<int>(lane),
+          "replication makespan_s=" + std::to_string(result.makespan) +
+              (result.deadlocked ? " deadlocked" : ""));
+    }
+  }
+  return results;
+}
+
+}  // namespace
+
 SimulationResult run_replication(const Model& model, int numprocs,
                                  const Bindings& overrides,
                                  const mpibench::DistributionTable& table,
                                  const PredictOptions& options, int rep,
                                  std::uint64_t seed, SamplerCells* cells) {
-  DeliverySampler sampler = cells != nullptr
-                                ? DeliverySampler{*cells, seed}
-                                : DeliverySampler{table, options.sampler, seed};
-  SimulationResult result = simulate(model, numprocs, overrides, sampler);
-  if (options.tracer != nullptr && options.tracer->enabled()) {
-    options.tracer->record(
-        des::SimTime::from_seconds(result.makespan), trace::Category::kPevpm,
-        rep,
-        "replication makespan_s=" + std::to_string(result.makespan) +
-            (result.deadlocked ? " deadlocked" : ""));
-  }
-  return result;
+  std::optional<SamplerCells> own_cells;
+  if (cells == nullptr) cells = &own_cells.emplace(table, options.sampler);
+  return std::move(run_batch(model, numprocs, overrides, *cells, options, rep,
+                             {&seed, 1})
+                       .front());
 }
 
 Prediction reduce_replications(std::vector<SimulationResult> results) {
@@ -64,27 +85,43 @@ Prediction predict(const Model& model, int numprocs,
 
   const unsigned threads = std::min<unsigned>(
       resolve_threads(options.threads), static_cast<unsigned>(std::max(reps, 1)));
-  // Each replication owns its sampler and Vm state, reads the shared
-  // model/table and resolves each distribution once through the shared
-  // cells, so workers touch disjoint slots (parallel_for runs inline at
-  // one thread). The reduction below runs in replication order
-  // over those slots, which makes the merged summary bit-identical at any
-  // thread count — Welford updates are not reorderable, so order (not
-  // associativity) is what guarantees thread-count invariance.
+  // Contiguous batches of replications run in lockstep, as many as keep
+  // every thread busy and at most kMaxLanes each. Each batch owns its
+  // sampler and Vm state, reads the shared model/table and resolves each
+  // distribution once through the shared cells, so workers touch disjoint
+  // slots (parallel_for runs inline at one thread), and each lane's result
+  // is that of its replication run alone. The reduction below runs in
+  // replication order over those slots, which makes the merged summary
+  // bit-identical at any thread count — Welford updates are not
+  // reorderable, so order (not associativity) is what guarantees
+  // thread-count invariance.
+  const int lanes = std::min(
+      kMaxLanes, (std::max(reps, 1) + static_cast<int>(threads) - 1) /
+                     static_cast<int>(threads));
+  const int batches = (reps + lanes - 1) / lanes;
   std::vector<double> makespans(static_cast<std::size_t>(reps), 0.0);
   std::vector<unsigned char> deadlocked(static_cast<std::size_t>(reps), 0);
   SimulationResult detail;
   SamplerCells cells{table, options.sampler};
-  parallel_for(reps, threads, [&](int rep) {
-    SimulationResult result = run_replication(
-        model, numprocs, overrides, table, options, rep, seeds[rep], &cells);
-    makespans[rep] = result.makespan;
-    deadlocked[rep] = result.deadlocked ? 1 : 0;
-    if (rep == reps - 1) detail = std::move(result);
+  parallel_for(batches, threads, [&](int batch) {
+    const int first = batch * lanes;
+    const int count = std::min(lanes, reps - first);
+    std::vector<SimulationResult> results = run_batch(
+        model, numprocs, overrides, cells, options, first,
+        std::span<const std::uint64_t>{seeds}.subspan(
+            static_cast<std::size_t>(first), static_cast<std::size_t>(count)));
+    for (int lane = 0; lane < count; ++lane) {
+      const int rep = first + lane;
+      SimulationResult& result = results[static_cast<std::size_t>(lane)];
+      makespans[static_cast<std::size_t>(rep)] = result.makespan;
+      deadlocked[static_cast<std::size_t>(rep)] = result.deadlocked ? 1 : 0;
+      if (rep == reps - 1) detail = std::move(result);
+    }
   });
   for (int rep = 0; rep < reps; ++rep) {
-    prediction.makespan.add(makespans[rep]);
-    prediction.deadlocked = prediction.deadlocked || deadlocked[rep] != 0;
+    prediction.makespan.add(makespans[static_cast<std::size_t>(rep)]);
+    prediction.deadlocked =
+        prediction.deadlocked || deadlocked[static_cast<std::size_t>(rep)] != 0;
   }
   prediction.detail = std::move(detail);
   return prediction;

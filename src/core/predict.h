@@ -18,6 +18,16 @@
 
 namespace pevpm {
 
+/// Most replications predict() runs in lockstep in one Vm. A batch keeps
+/// each process's values once per lane, so this bounds its memory at
+/// procs x kMaxLanes values. Measured on one thread over 64 replications of
+/// the 100-iteration Jacobi model at 16, 64 and 256 processes, CPU per
+/// replication fell 30-50 % from 1 to 4 lanes and about 20 % more from 4
+/// to 16, where the shared control work is already small beside the
+/// per-lane draws; each further doubling gained 0-15 %, within the spread
+/// of the runs, for twice the memory (EXPERIMENTS.md Perf 13).
+inline constexpr int kMaxLanes = 16;
+
 struct PredictOptions {
   SamplerOptions sampler{};
   int replications = 8;
@@ -68,7 +78,9 @@ struct Prediction {
 [[nodiscard]] std::vector<std::uint64_t> replication_seeds(
     const PredictOptions& options);
 
-/// Evaluates replication `rep` with sampler seed `seed`, drawing from
+/// Evaluates replication `rep` with sampler seed `seed` (the batch of one;
+/// predict() runs the same replications in lockstep batches and gets the
+/// same bits), drawing from
 /// `cells` — shared by the replications of one prediction and built from
 /// `table` and options.sampler — or, when null, from private cells. Safe
 /// to call concurrently for distinct reps: each call owns its sampler and

@@ -82,15 +82,19 @@ DeliverySampler::DeliverySampler(const mpibench::DistributionTable& table,
       mode_{options.mode},
       fixed_contention_{options.contention == ContentionSource::kFixed},
       contention_level_{options.fixed_contention},
-      rng_{seed} {}
+      rngs_{stats::Rng{seed}} {}
 
 DeliverySampler::DeliverySampler(SamplerCells& cells, std::uint64_t seed)
+    : DeliverySampler{cells, std::span<const std::uint64_t>{&seed, 1}} {}
+
+DeliverySampler::DeliverySampler(SamplerCells& cells,
+                                 std::span<const std::uint64_t> seeds)
     : cells_{&cells},
       mode_{cells.options().mode},
       fixed_contention_{cells.options().contention ==
                         ContentionSource::kFixed},
       contention_level_{cells.options().fixed_contention},
-      rng_{seed} {}
+      rngs_(seeds.begin(), seeds.end()) {}
 
 void DeliverySampler::throw_uncovered(mpibench::OpKind op) {
   throw std::runtime_error{
@@ -143,6 +147,13 @@ const stats::EmpiricalDistribution& DeliverySampler::index_miss(
 
 double DeliverySampler::collective_seconds(CollOp op, net::Bytes bytes,
                                            int nprocs) {
+  double seconds = 0.0;
+  collective_seconds(op, bytes, nprocs, {&seconds, 1});
+  return seconds;
+}
+
+void DeliverySampler::collective_seconds(CollOp op, net::Bytes bytes,
+                                         int nprocs, std::span<double> out) {
   const auto table_op = [op] {
     switch (op) {
       case CollOp::kBarrier: return mpibench::OpKind::kBarrier;
@@ -153,14 +164,20 @@ double DeliverySampler::collective_seconds(CollOp op, net::Bytes bytes,
     }
     return mpibench::OpKind::kBarrier;
   }();
+  const int lanes = static_cast<int>(out.size());
   if (cells_->covered(table_op)) {
-    double t = draw(table_op, bytes, nprocs);
+    draw(table_op, bytes, nprocs, lanes,
+         [&](int lane, double seconds) { out[lane] = seconds; });
     // No direct allreduce table: compose as reduce followed by bcast.
     if (op == CollOp::kAllreduce &&
         cells_->covered(mpibench::OpKind::kBcast)) {
-      t += draw(mpibench::OpKind::kBcast, bytes, nprocs);
+      const stats::EmpiricalDistribution& bcast =
+          cell(mpibench::OpKind::kBcast, bytes, nprocs);
+      for (std::size_t lane = 0; lane < out.size(); ++lane) {
+        out[lane] += sample(bcast, static_cast<int>(lane));
+      }
     }
-    return t;
+    return;
   }
   // Synthesis from point-to-point data: binomial trees are log-depth,
   // all-to-all is (P-1) pairwise rounds. Contention during a collective is
@@ -183,12 +200,18 @@ double DeliverySampler::collective_seconds(CollOp op, net::Bytes bytes,
       rounds = nprocs - 1;
       break;
   }
+  std::fill(out.begin(), out.end(), 0.0);
+  if (rounds == 0) return;
   const net::Bytes per_round = op == CollOp::kBarrier ? net::Bytes{} : bytes;
-  double total = 0.0;
-  for (int i = 0; i < rounds; ++i) {
-    total += draw(mpibench::OpKind::kPtpOneWay, per_round, c);
+  const stats::EmpiricalDistribution& round =
+      cell(mpibench::OpKind::kPtpOneWay, per_round, c);
+  for (std::size_t lane = 0; lane < out.size(); ++lane) {
+    double total = 0.0;
+    for (int i = 0; i < rounds; ++i) {
+      total += sample(round, static_cast<int>(lane));
+    }
+    out[lane] = total;
   }
-  return total;
 }
 
 }  // namespace pevpm

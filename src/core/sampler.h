@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/model.h"
@@ -136,39 +137,62 @@ class SamplerCells {
   std::map<Key, stats::EmpiricalDistribution> cells_ GUARDED_BY(mu_);
 };
 
-// Thread-safety contract: a DeliverySampler is one replication's sampler
-// and single-threaded while any call can grow its index or draw
-// randomness. Once every key it draws has been indexed (warm), kAverage and
-// kMinimum draws write nothing and MAY be called from several threads.
-// Several samplers may share one SamplerCells from different threads.
+// Thread-safety contract: a DeliverySampler is one batch's sampler and
+// single-threaded while any call can grow its index or draw randomness.
+// Once every key it draws has been indexed (warm), kAverage and kMinimum
+// draws write nothing and MAY be called from several threads. Several
+// samplers may share one SamplerCells from different threads.
+//
+// A sampler draws for a batch of replications run in lockstep (vm.h): one
+// lane per replication, each with its own random stream. A lane's draws
+// depend only on its seed and on the keys asked of it, so a lane draws
+// exactly what a sampler of that seed alone would. The lane-wise calls
+// look a key up once and call `f(lane, seconds)` with one draw per lane,
+// lane 0 first; the scalar calls draw on lane 0 only.
 class DeliverySampler {
  public:
-  /// A sampler with private cells.
+  /// A sampler of one lane with private cells.
   DeliverySampler(const mpibench::DistributionTable& table,
                   SamplerOptions options, std::uint64_t seed);
-  /// A sampler over cells shared with the other replications of one
-  /// prediction; `cells` must outlive it.
+  /// A sampler of one lane over cells shared with the other replications
+  /// of one prediction; `cells` must outlive it.
   DeliverySampler(SamplerCells& cells, std::uint64_t seed);
+  /// A sampler of one lane per seed, in order, over shared cells.
+  DeliverySampler(SamplerCells& cells, std::span<const std::uint64_t> seeds);
+
+  [[nodiscard]] int lanes() const noexcept {
+    return static_cast<int>(rngs_.size());
+  }
 
   /// One-way delivery time (seconds) for a message of `bytes` with
   /// `outstanding` messages on the scoreboard.
   [[nodiscard]] double delivery_seconds(net::Bytes bytes, int outstanding);
+  template <class F>
+  void delivery_seconds(net::Bytes bytes, int outstanding, F&& f);
 
   /// Local cost of the send operation at the sender.
   [[nodiscard]] double sender_seconds(net::Bytes bytes, int outstanding);
+  template <class F>
+  void sender_seconds(net::Bytes bytes, int outstanding, F&& f);
 
   /// Local cost of completing a receive whose message already arrived (the
   /// one-way distribution covers receiver cost only when the receive was
   /// waiting). Uses the kPtpSender table as a proxy for per-size local MPI
-  /// op cost.
+  /// op cost. The lane-wise form draws only on lanes with `late[lane]` set.
   [[nodiscard]] double late_recv_seconds(net::Bytes bytes, int outstanding);
+  template <class F>
+  void late_recv_seconds(net::Bytes bytes, int outstanding,
+                         const unsigned char* late, F&& f);
 
   /// Per-process completion time of a collective over `nprocs` processes.
   /// Uses measured collective tables when present (keyed by nprocs on the
   /// contention axis); otherwise synthesises a log-tree / pairwise
-  /// estimate from the point-to-point table.
+  /// estimate from the point-to-point table. The span form draws into
+  /// `out[lane]` for lanes 0 .. out.size() - 1.
   [[nodiscard]] double collective_seconds(CollOp op, net::Bytes bytes,
                                           int nprocs);
+  void collective_seconds(CollOp op, net::Bytes bytes, int nprocs,
+                          std::span<double> out);
 
  private:
   /// Sender-side cost when the table lacks kPtpSender entries.
@@ -185,8 +209,17 @@ class DeliverySampler {
   };
 
   [[nodiscard]] int contention_of(int outstanding) const noexcept;
-  [[nodiscard]] double draw(mpibench::OpKind op, net::Bytes bytes,
-                            int contention);
+  /// The distribution behind a key: a coverage bit, a row probe and a
+  /// dense index.
+  [[nodiscard]] const stats::EmpiricalDistribution& cell(
+      mpibench::OpKind op, net::Bytes bytes, int contention);
+  /// One draw from `dist` on `lane`'s stream (or its mean or minimum).
+  [[nodiscard]] double sample(const stats::EmpiricalDistribution& dist,
+                              int lane);
+  /// Looks a key up once, then calls f(lane, draw) for lanes 0 .. lanes - 1.
+  template <class F>
+  void draw(mpibench::OpKind op, net::Bytes bytes, int contention, int lanes,
+            F&& f);
   /// Position of the (op, size) row in rows_, or kNoRow.
   [[nodiscard]] std::uint32_t find_row(std::int32_t op,
                                        net::Bytes bytes) const noexcept;
@@ -204,7 +237,7 @@ class DeliverySampler {
   PredictionMode mode_ = PredictionMode::kDistribution;
   bool fixed_contention_ = false;
   int contention_level_ = 0;  ///< the fixed level, when fixed_contention_
-  stats::Rng rng_;
+  std::vector<stats::Rng> rngs_;  ///< one per lane
   /// Rows in insertion order, found through `row_slots_`: open-addressed
   /// (op, size) -> row position, kNoRow where vacant, a power of two at
   /// most half full so a probe nearly always ends at its home slot.
@@ -239,8 +272,8 @@ inline std::uint32_t DeliverySampler::find_row(
   }
 }
 
-inline double DeliverySampler::draw(mpibench::OpKind op, net::Bytes bytes,
-                                    int contention) {
+inline const stats::EmpiricalDistribution& DeliverySampler::cell(
+    mpibench::OpKind op, net::Bytes bytes, int contention) {
   if (!cells_->covered(op)) [[unlikely]] throw_uncovered(op);
   const int key = cells_->key_contention(op, contention);
   const stats::EmpiricalDistribution* dist = nullptr;
@@ -253,17 +286,57 @@ inline double DeliverySampler::draw(mpibench::OpKind op, net::Bytes bytes,
     if (offset < row.by_contention.size()) dist = row.by_contention[offset];
   }
   if (dist == nullptr) [[unlikely]] dist = &index_miss(op, bytes, key);
+  return *dist;
+}
+
+inline double DeliverySampler::sample(const stats::EmpiricalDistribution& dist,
+                                      int lane) {
   switch (mode_) {
-    case PredictionMode::kDistribution: return dist->sample(rng_);
-    case PredictionMode::kAverage: return dist->mean();
-    case PredictionMode::kMinimum: return dist->min();
+    case PredictionMode::kDistribution:
+      return dist.sample(rngs_[static_cast<std::size_t>(lane)]);
+    case PredictionMode::kAverage: return dist.mean();
+    case PredictionMode::kMinimum: return dist.min();
   }
-  return dist->mean();
+  return dist.mean();
+}
+
+template <class F>
+inline void DeliverySampler::draw(mpibench::OpKind op, net::Bytes bytes,
+                                  int contention, int lanes, F&& f) {
+  const stats::EmpiricalDistribution& dist = cell(op, bytes, contention);
+  if (mode_ == PredictionMode::kDistribution) {
+    for (int lane = 0; lane < lanes; ++lane) {
+      f(lane, dist.sample(rngs_[static_cast<std::size_t>(lane)]));
+    }
+    return;
+  }
+  const double value = sample(dist, 0);
+  for (int lane = 0; lane < lanes; ++lane) f(lane, value);
+}
+
+template <class F>
+inline void DeliverySampler::delivery_seconds(net::Bytes bytes,
+                                              int outstanding, F&& f) {
+  draw(mpibench::OpKind::kPtpOneWay, bytes, contention_of(outstanding),
+       lanes(), f);
 }
 
 inline double DeliverySampler::delivery_seconds(net::Bytes bytes,
                                                 int outstanding) {
-  return draw(mpibench::OpKind::kPtpOneWay, bytes, contention_of(outstanding));
+  return sample(cell(mpibench::OpKind::kPtpOneWay, bytes,
+                     contention_of(outstanding)),
+                0);
+}
+
+template <class F>
+inline void DeliverySampler::sender_seconds(net::Bytes bytes, int outstanding,
+                                            F&& f) {
+  if (!cells_->covered(mpibench::OpKind::kPtpSender)) {
+    for (int lane = 0; lane < lanes(); ++lane) f(lane, kDefaultSenderSeconds);
+    return;
+  }
+  draw(mpibench::OpKind::kPtpSender, bytes, contention_of(outstanding),
+       lanes(), f);
 }
 
 inline double DeliverySampler::sender_seconds(net::Bytes bytes,
@@ -271,12 +344,32 @@ inline double DeliverySampler::sender_seconds(net::Bytes bytes,
   if (!cells_->covered(mpibench::OpKind::kPtpSender)) {
     return kDefaultSenderSeconds;
   }
-  return draw(mpibench::OpKind::kPtpSender, bytes, contention_of(outstanding));
+  return sample(cell(mpibench::OpKind::kPtpSender, bytes,
+                     contention_of(outstanding)),
+                0);
 }
 
 inline double DeliverySampler::late_recv_seconds(net::Bytes bytes,
                                                  int outstanding) {
   return sender_seconds(bytes, outstanding);
+}
+
+template <class F>
+inline void DeliverySampler::late_recv_seconds(net::Bytes bytes,
+                                               int outstanding,
+                                               const unsigned char* late,
+                                               F&& f) {
+  if (!cells_->covered(mpibench::OpKind::kPtpSender)) {
+    for (int lane = 0; lane < lanes(); ++lane) {
+      if (late[lane] != 0) f(lane, kDefaultSenderSeconds);
+    }
+    return;
+  }
+  const stats::EmpiricalDistribution& dist =
+      cell(mpibench::OpKind::kPtpSender, bytes, contention_of(outstanding));
+  for (int lane = 0; lane < lanes(); ++lane) {
+    if (late[lane] != 0) f(lane, sample(dist, lane));
+  }
 }
 // LINT:hot-path end
 

@@ -17,6 +17,13 @@ std::uint64_t pair_key(int src, int dst) noexcept {
 
 }  // namespace
 
+Scoreboard::Scoreboard(int lanes) : lanes_{lanes} {
+  // Room for the messages and streams of a small run, so most runs size
+  // these once instead of through a chain of regrowths.
+  times_.reserve(64 * 2 * static_cast<std::size_t>(lanes));
+  floors_.reserve(16 * static_cast<std::size_t>(lanes));
+}
+
 void Scoreboard::rehash(std::size_t buckets) {
   index_.assign(buckets, kNoStream);
   const std::size_t mask = buckets - 1;
@@ -42,26 +49,31 @@ std::uint32_t Scoreboard::stream_of(int src, int dst) {
   const auto pos = static_cast<std::uint32_t>(streams_.size());
   index_[b] = pos;
   streams_.push_back(Stream{key});
+  floors_.resize(floors_.size() + static_cast<std::size_t>(lanes_), 0.0);
   // Keep the load factor under 1/2 so probe chains stay short.
   if (streams_.size() * 2 >= index_.size()) rehash(index_.size() * 2);
   return pos;
 }
 
 MessageRef Scoreboard::add(std::uint32_t stream, net::Bytes bytes,
-                           double depart, int send_directive) {
+                           int send_directive) {
   Stream& s = streams_[stream];
   TransitMessage* message = free_;
+  std::uint32_t slot = 0;
   if (message != nullptr) {
     free_ = message->next;
+    slot = message->slot;
   } else {
+    slot = static_cast<std::uint32_t>(pool_.size());
     message = &pool_.emplace_back();
+    times_.resize(times_.size() + 2 * static_cast<std::size_t>(lanes_));
   }
   *message = TransitMessage{};
   message->id = next_id_++;
   message->bytes = bytes;
-  message->depart = depart;
   message->send_directive = send_directive;
   message->stream = stream;
+  message->slot = slot;
   if (s.tail != nullptr) {
     s.tail->next = message;
   } else {
@@ -104,12 +116,6 @@ void Scoreboard::take_unassigned(std::vector<MessageRef>& out) {
   out.swap(unassigned_);
 }
 
-double Scoreboard::settle_arrival(MessageRef message, double sampled) {
-  double& floor = streams_[message->stream].last_arrival;
-  const double arrival = std::max(sampled, floor);
-  if (arrival > floor) floor = arrival;
-  return arrival;
-}
 // LINT:hot-path end
 
 }  // namespace pevpm

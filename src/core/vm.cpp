@@ -28,8 +28,11 @@ std::vector<std::pair<int, double>> SimulationResult::top_losses(
     }
   }
   std::vector<std::pair<int, double>> out(merged.begin(), merged.end());
+  // Most costly first; equal losses in ascending directive id, so the
+  // order is total and does not depend on the sort.
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second > b.second;
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
   });
   if (out.size() > count) out.resize(count);
   return out;
@@ -37,7 +40,11 @@ std::vector<std::pair<int, double>> SimulationResult::top_losses(
 
 Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
        DeliverySampler& sampler)
-    : model_{model}, numprocs_{numprocs}, sampler_{sampler} {
+    : model_{model},
+      numprocs_{numprocs},
+      sampler_{sampler},
+      lanes_{sampler.lanes()},
+      scoreboard_{sampler.lanes()} {
   if (numprocs < 1) throw ModelError{"Vm: numprocs < 1"};
   if (model.program.source() != model.body) {
     throw std::logic_error{"Vm: the model was not compiled (pevpm::compile)"};
@@ -64,6 +71,22 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
   operand_cache_.resize(
       static_cast<std::size_t>(numprocs) *
       static_cast<std::size_t>(model.program.cached_operands()));
+  values_.resize(static_cast<std::size_t>(numprocs) *
+                 static_cast<std::size_t>(lanes_));
+  draws_.resize(static_cast<std::size_t>(lanes_));
+  late_.resize(static_cast<std::size_t>(lanes_));
+  latest_.resize(static_cast<std::size_t>(lanes_));
+}
+
+Vm::LaneValues* Vm::lanes_of(const Process& proc) {
+  return &values_[static_cast<std::size_t>(proc.rank) *
+                  static_cast<std::size_t>(lanes_)];
+}
+
+void Vm::fail_lane(int lane) {
+  lane_errors_.resize(static_cast<std::size_t>(lanes_));
+  std::exception_ptr& error = lane_errors_[static_cast<std::size_t>(lane)];
+  if (!error) error = std::current_exception();
 }
 
 // LINT:hot-path begin (operand evaluation and stream resolution: a cached
@@ -122,6 +145,11 @@ Vm::Claim& Vm::reuse_handle(Process& proc, const MessageNode& msg) const {
 
 // LINT:hot-path begin (per-directive evaluation: names are slots and
 // messages come from the scoreboard's pool)
+void Vm::account_blocked(LaneValues& lane, double idle, int directive) {
+  lane.blocked += idle;
+  if (idle > 0.0) lane.blocked_by_directive[directive] += idle;
+}
+
 bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
   if (!claim.message) {
     claim.message = scoreboard_.claim(claim.stream);
@@ -130,24 +158,49 @@ bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
     if (!proc.blocked) {
       proc.blocked = true;
       proc.blocked_directive = directive;
-      proc.blocked_since = proc.clock;
     }
     return false;
   }
   // Deliver. The one-way distribution spans send start to receive
   // completion, so a receive that waited finishes at the arrival time; a
   // receive that found its message already delivered still pays the local
-  // cost of draining it from the buffer.
-  const double before = proc.clock;
-  if (claim.message->arrival > proc.clock) {
-    proc.clock = claim.message->arrival;
-  } else {
-    proc.clock += sampler_.late_recv_seconds(claim.message->bytes,
-                                             scoreboard_.outstanding());
+  // cost of draining it from the buffer. Which of the two it is depends on
+  // the lane's times, so each lane takes its own.
+  LaneValues* values = lanes_of(proc);
+  const double* arrival = scoreboard_.arrivals(claim.message);
+  bool any_late = false;
+  for (int lane = 0; lane < lanes_; ++lane) {
+    LaneValues& v = values[lane];
+    const bool late = !(arrival[lane] > v.clock);
+    late_[static_cast<std::size_t>(lane)] = late ? 1 : 0;
+    if (late) {
+      any_late = true;
+    } else {
+      const double before = v.clock;
+      v.clock = arrival[lane];
+      account_blocked(v, v.clock - before, directive);
+    }
   }
-  const double idle = proc.clock - before;
-  proc.report.blocked += idle;
-  if (idle > 0.0) proc.report.blocked_by_directive[directive] += idle;
+  if (any_late) {
+    try {
+      sampler_.late_recv_seconds(
+          claim.message->bytes, scoreboard_.outstanding(), late_.data(),
+          [&](int lane, double cost) {
+            LaneValues& v = values[lane];
+            const double before = v.clock;
+            v.clock += cost;
+            account_blocked(v, v.clock - before, directive);
+          });
+    } catch (...) {
+      // Only the late lanes drew. Lane 0's error is the batch's whatever
+      // happens later, so it ends the run at once; another lane's waits
+      // until the lanes below it have finished or failed.
+      for (int lane = 0; lane < lanes_; ++lane) {
+        if (late_[static_cast<std::size_t>(lane)] != 0) fail_lane(lane);
+      }
+      if (late_.front() != 0) throw;
+    }
+  }
   scoreboard_.consume(claim.message);
   claim.message = nullptr;
   claim.pending = false;
@@ -174,8 +227,9 @@ bool Vm::exec(Process& proc) {
             checked_finite(eval(proc, *serial.seconds, instruction.cache[0]),
                            *serial.seconds, "serial time");
         if (dt < 0) throw ModelError{"Serial directive with negative time"};
-        proc.clock += dt;
-        proc.report.compute += dt;
+        LaneValues* values = lanes_of(proc);
+        for (int lane = 0; lane < lanes_; ++lane) values[lane].clock += dt;
+        proc.compute += dt;
         break;
       }
       case Opcode::kSend:
@@ -188,12 +242,17 @@ bool Vm::exec(Process& proc) {
           throw ModelError{"message sent to self at process " +
                            std::to_string(proc.rank)};
         }
-        scoreboard_.add(stream_for(proc, peer, proc.rank, dst), bytes,
-                        proc.clock, instruction.id);
-        const double cost =
-            sampler_.sender_seconds(bytes, scoreboard_.outstanding());
-        proc.clock += cost;
-        proc.report.send_overhead += cost;
+        const MessageRef message = scoreboard_.add(
+            stream_for(proc, peer, proc.rank, dst), bytes, instruction.id);
+        LaneValues* values = lanes_of(proc);
+        double* depart = scoreboard_.departs(message);
+        sampler_.sender_seconds(
+            bytes, scoreboard_.outstanding(), [&](int lane, double cost) {
+              LaneValues& v = values[lane];
+              depart[lane] = v.clock;
+              v.clock += cost;
+              v.send_overhead += cost;
+            });
         if (instruction.op == Opcode::kIsend && msg.handle_slot >= 0) {
           Claim& claim = reuse_handle(proc, msg);
           claim = Claim{};
@@ -262,16 +321,15 @@ bool Vm::exec(Process& proc) {
           proc.coll_ready = false;
           proc.blocked = true;
           proc.blocked_directive = instruction.id;
-          proc.blocked_since = proc.clock;
           return false;
         }
         if (!proc.coll_ready) return false;  // others still on their way
-        const double before = proc.clock;
-        proc.clock = std::max(proc.clock, proc.coll_exit);
-        const double idle = proc.clock - before;
-        proc.report.blocked += idle;
-        if (idle > 0.0) {
-          proc.report.blocked_by_directive[instruction.id] += idle;
+        LaneValues* values = lanes_of(proc);
+        for (int lane = 0; lane < lanes_; ++lane) {
+          LaneValues& v = values[lane];
+          const double before = v.clock;
+          v.clock = std::max(v.clock, v.coll_exit);
+          account_blocked(v, v.clock - before, instruction.id);
         }
         proc.at_collective = false;
         proc.coll_ready = false;
@@ -316,7 +374,11 @@ bool Vm::exec(Process& proc) {
       }
     }
     proc.pc = next;
-    ++executed_;
+    if (++executed_ > kMaxDirectiveSteps) [[unlikely]] {
+      throw ModelError{"model exceeds the budget of " +
+                       std::to_string(kMaxDirectiveSteps) +
+                       " directive steps"};
+    }
   }
   return true;
 }
@@ -327,7 +389,6 @@ void Vm::resolve_collectives() {
   // directive of the same collective round.
   long seq = -1;
   int directive = -1;
-  double latest_arrival = 0.0;
   for (const Process& proc : processes_) {
     if (proc.finished || !proc.at_collective || proc.coll_ready) return;
     if (seq == -1) {
@@ -339,18 +400,30 @@ void Vm::resolve_collectives() {
       throw ModelError{
           "collective mismatch: processes reached different collectives"};
     }
-    latest_arrival = std::max(latest_arrival, proc.clock);
   }
   if (seq == -1) return;
-  // All processes are at the same collective; sample each exit time.
+  // All processes are at the same collective: each lane releases them
+  // after its last arrival, each process at its own sampled exit time.
+  std::fill(latest_.begin(), latest_.end(), 0.0);
+  for (Process& proc : processes_) {
+    const LaneValues* values = lanes_of(proc);
+    for (int lane = 0; lane < lanes_; ++lane) {
+      latest_[static_cast<std::size_t>(lane)] =
+          std::max(latest_[static_cast<std::size_t>(lane)], values[lane].clock);
+    }
+  }
   for (Process& proc : processes_) {
     const Instruction& instruction = model_.program.instructions()[proc.pc];
     if (instruction.op != Opcode::kCollective) {
       throw ModelError{"internal: collective resolution on non-collective"};
     }
-    proc.coll_exit = latest_arrival +
-                     sampler_.collective_seconds(instruction.collective->op,
-                                                 proc.coll_bytes, numprocs_);
+    sampler_.collective_seconds(instruction.collective->op, proc.coll_bytes,
+                                numprocs_, draws_);
+    LaneValues* values = lanes_of(proc);
+    for (int lane = 0; lane < lanes_; ++lane) {
+      values[lane].coll_exit = latest_[static_cast<std::size_t>(lane)] +
+                               draws_[static_cast<std::size_t>(lane)];
+    }
     proc.coll_ready = true;
   }
 }
@@ -359,9 +432,7 @@ void Vm::resolve_collectives() {
 // buffer)
 void Vm::sweep(Process& proc) {
   ++sweeps_;
-  if (!exec(proc)) return;  // blocked at a decision point
-  proc.finished = true;
-  proc.report.finish = proc.clock;
+  if (exec(proc)) proc.finished = true;
 }
 
 void Vm::match() {
@@ -371,59 +442,85 @@ void Vm::match() {
   // the total number of messages on the scoreboard.
   const int contention = scoreboard_.outstanding();
   for (const MessageRef message : unassigned_) {
-    const double sampled =
-        message->depart +
-        sampler_.delivery_seconds(message->bytes, contention);
-    // In-order delivery per stream: never ahead of an earlier message.
-    message->arrival = scoreboard_.settle_arrival(message, sampled);
+    const double* depart = scoreboard_.departs(message);
+    sampler_.delivery_seconds(
+        message->bytes, contention, [&](int lane, double seconds) {
+          // In-order delivery per stream: never ahead of an earlier
+          // message.
+          scoreboard_.settle_arrival(message, depart[lane] + seconds, lane);
+        });
     message->arrival_known = true;
   }
 }
 // LINT:hot-path end
 
-SimulationResult Vm::run() {
-  for (Process& proc : processes_) sweep(proc);
-  for (;;) {
-    bool all_finished = true;
-    for (const Process& proc : processes_) {
-      if (!proc.finished) {
-        all_finished = false;
+std::vector<SimulationResult> Vm::run() {
+  bool deadlocked = false;
+  try {
+    for (Process& proc : processes_) sweep(proc);
+    for (;;) {
+      bool all_finished = true;
+      for (const Process& proc : processes_) {
+        if (!proc.finished) {
+          all_finished = false;
+          break;
+        }
+      }
+      if (all_finished) break;
+
+      match();
+      resolve_collectives();
+      const std::uint64_t executed_before = executed_;
+      for (Process& proc : processes_) {
+        if (proc.finished || !proc.blocked) continue;
+        sweep(proc);
+      }
+      // Progress means at least one directive completed somewhere; a round
+      // of retries that all stay blocked is a deadlock.
+      if (executed_ == executed_before) {
+        deadlocked = true;
         break;
       }
     }
-    if (all_finished) break;
-
-    match();
-    resolve_collectives();
-    const std::uint64_t executed_before = executed_;
-    for (Process& proc : processes_) {
-      if (proc.finished || !proc.blocked) continue;
-      sweep(proc);
+  } catch (...) {
+    // The error ends every lane still running, so lane 0 fails with it
+    // unless its own draw failed earlier.
+    if (!lane_errors_.empty() && lane_errors_.front()) {
+      std::rethrow_exception(lane_errors_.front());
     }
-    // Progress means at least one directive completed somewhere; a round of
-    // retries that all stay blocked is a deadlock.
-    if (executed_ == executed_before) {
-      SimulationResult result = collect();
-      result.deadlocked = true;
-      for (const Process& proc : processes_) {
-        if (!proc.finished) {
-          result.deadlocked_processes.push_back(proc.rank);
-          result.deadlocked_directives.push_back(proc.blocked_directive);
-        }
+    throw;
+  }
+  for (const std::exception_ptr& error : lane_errors_) {
+    if (error) std::rethrow_exception(error);
+  }
+  std::vector<SimulationResult> results(static_cast<std::size_t>(lanes_));
+  for (int lane = 0; lane < lanes_; ++lane) {
+    SimulationResult& result = results[static_cast<std::size_t>(lane)];
+    result = collect(lane);
+    if (!deadlocked) continue;
+    result.deadlocked = true;
+    for (const Process& proc : processes_) {
+      if (!proc.finished) {
+        result.deadlocked_processes.push_back(proc.rank);
+        result.deadlocked_directives.push_back(proc.blocked_directive);
       }
-      return result;
     }
   }
-  return collect();
+  return results;
 }
 
-SimulationResult Vm::collect() const {
+SimulationResult Vm::collect(int lane) {
   SimulationResult result;
   result.processes.reserve(processes_.size());
   for (const Process& proc : processes_) {
-    result.makespan = std::max(result.makespan, proc.clock);
-    result.processes.push_back(proc.report);
-    result.processes.back().finish = proc.clock;
+    LaneValues& v = lanes_of(proc)[lane];
+    result.makespan = std::max(result.makespan, v.clock);
+    ProcessReport& report = result.processes.emplace_back();
+    report.finish = v.clock;
+    report.compute = proc.compute;
+    report.send_overhead = v.send_overhead;
+    report.blocked = v.blocked;
+    report.blocked_by_directive = std::move(v.blocked_by_directive);
   }
   result.messages = scoreboard_.total_messages();
   result.sweep_phases = sweeps_;
@@ -432,10 +529,19 @@ SimulationResult Vm::collect() const {
   return result;
 }
 
+std::vector<SimulationResult> simulate_lanes(const Model& model, int numprocs,
+                                             const Bindings& overrides,
+                                             DeliverySampler& sampler) {
+  return Vm{model, numprocs, overrides, sampler}.run();
+}
+
 SimulationResult simulate(const Model& model, int numprocs,
                           const Bindings& overrides,
                           DeliverySampler& sampler) {
-  return Vm{model, numprocs, overrides, sampler}.run();
+  if (sampler.lanes() != 1) {
+    throw std::logic_error{"simulate: the sampler has more than one lane"};
+  }
+  return std::move(simulate_lanes(model, numprocs, overrides, sampler).front());
 }
 
 }  // namespace pevpm

@@ -24,9 +24,25 @@
 // the opcode. The program is compiled once per model and shared by every
 // Vm of it, so a Vm holds only per-run state: the processes, their operand
 // cache and the scoreboard.
+//
+// One Vm runs a batch of Monte-Carlo replications in lockstep, one lane
+// per seed of its sampler. A process blocks only at a receive whose
+// message has no arrival time yet, and every draw is keyed by message size
+// and the scoreboard's message count, never by a sampled time. So every
+// replication takes the same sweeps, matches, claims and contention
+// levels: that schedule (program counters, loop frames, operand cache,
+// claims, blocked and collective flags, the scoreboard's FIFOs) is kept
+// once per batch, and only the values are kept per lane: each process's
+// clock, collective exit and report, each message's departure and
+// arrival, each stream's in-order floor and each lane's random stream. No
+// branch that reads a value steers the schedule; the late-receive cost and
+// the loss-attribution entry are taken lane by lane. So each lane makes
+// exactly the draws of its replication run alone, in the same order, and
+// its result has the same bits, deadlock or model error included.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <string>
 #include <vector>
@@ -67,16 +83,30 @@ struct SimulationResult {
       std::size_t count = 5) const;
 };
 
+/// Most directive steps (instructions completed, loop steps and branches
+/// included, summed over all processes) one run of a model may take; one
+/// more is a ModelError naming the budget, so a runaway model such as
+/// `loop 1000000000000000000 { serial time = 1e-9 }` ends in under a
+/// second instead of never. The largest model in the tests, benches,
+/// examples and perfbench takes 668 064 steps (tabc_model_cost: 1000
+/// Jacobi iterations on 64 processes), and 2^26 is just over 100x that.
+/// The lanes of a batch share the schedule, so a batch counts the steps of
+/// one replication run alone, at any batch size or thread count.
+inline constexpr std::uint64_t kMaxDirectiveSteps = std::uint64_t{1} << 26;
+
 class Vm {
  public:
-  /// `overrides` extend/override the model's parameter bindings. Throws
+  /// Runs one replication per lane of `sampler`. `overrides`
+  /// extend/override the model's parameter bindings. Throws
   /// std::logic_error when `model.program` was not compiled from
   /// `model.body`.
   Vm(const Model& model, int numprocs, const Bindings& overrides,
      DeliverySampler& sampler);
 
-  /// Runs to completion (or deadlock) and returns the result.
-  [[nodiscard]] SimulationResult run();
+  /// Runs to completion (or deadlock) and returns each lane's result, in
+  /// lane order. A model error ends the batch with the error of its
+  /// lowest lane that fails, as that lane's replication alone would.
+  [[nodiscard]] std::vector<SimulationResult> run();
 
  private:
   /// The state of one loop a process is inside.
@@ -105,30 +135,40 @@ class Vm {
   static_assert(sizeof(CachedOperand) == 16,
                 "the stream index lives in the entry's padding");
 
+  /// A process's schedule state; its values live per lane in the Vm.
   struct Process {
     int rank = -1;
-    double clock = 0.0;
     Env env;                 ///< indexed by Model::variables slot
     std::uint32_t pc = 0;    ///< next (or blocked) instruction
     std::vector<Frame> loops;  ///< innermost last
     bool finished = false;
+    double compute = 0.0;    ///< time inside Serial directives (no draw)
 
     // Blocking state.
     bool blocked = false;
     int blocked_directive = 0;
-    double blocked_since = 0.0;
     Claim wanted;                 ///< the receive being waited on
     std::vector<Claim> handles;   ///< indexed by Model::handles slot
 
     // Collective synchronisation state.
     bool at_collective = false;   ///< blocked at a collective directive
     long coll_seq = 0;            ///< collectives completed so far
-    bool coll_ready = false;      ///< resolution assigned an exit time
-    double coll_exit = 0.0;
+    bool coll_ready = false;      ///< resolution assigned exit times
     net::Bytes coll_bytes{};
-
-    ProcessReport report;
   };
+
+  /// A process's values on one lane.
+  struct LaneValues {
+    double clock = 0.0;
+    double coll_exit = 0.0;      ///< the exit time resolution assigned
+    double send_overhead = 0.0;  ///< local cost of send operations
+    double blocked = 0.0;        ///< time waiting at receives
+    std::map<int, double> blocked_by_directive;
+  };
+  /// `proc`'s values, lane after lane.
+  [[nodiscard]] LaneValues* lanes_of(const Process& proc);
+  /// Adds `idle` seconds blocked at `directive` to a lane's report.
+  static void account_blocked(LaneValues& lane, double idle, int directive);
 
   /// The byte count message `in`'s size operand evaluates to at `proc`.
   [[nodiscard]] net::Bytes message_bytes(const Process& proc,
@@ -144,7 +184,10 @@ class Vm {
   void match();
   /// Releases a collective once every process has arrived at it.
   void resolve_collectives();
-  [[nodiscard]] SimulationResult collect() const;
+  /// Lane `lane`'s result; moves its loss maps out.
+  [[nodiscard]] SimulationResult collect(int lane);
+  /// Ends a lane whose own draw failed; the batch goes on for the others.
+  void fail_lane(int lane);
   /// The value of operand `expr` at `proc`: evaluated on first use and
   /// read from the process's operand cache after that, or evaluated every
   /// time when `cache` is -1. A throwing evaluation caches nothing.
@@ -170,8 +213,18 @@ class Vm {
   const Model& model_;
   int numprocs_;
   DeliverySampler& sampler_;
+  int lanes_;
   Scoreboard scoreboard_;
   std::vector<Process> processes_;
+  /// Per-lane values, `lanes_` entries per process, process after process.
+  std::vector<LaneValues> values_;
+  std::vector<double> draws_;   ///< a collective's draw per lane, reused
+  /// Per lane: whether the receive being delivered found its message
+  /// already arrived.
+  std::vector<unsigned char> late_;
+  std::vector<double> latest_;  ///< a collective's last arrival per lane
+  /// The error a lane's own draw raised, or null; empty until one fails.
+  std::vector<std::exception_ptr> lane_errors_;
   /// Program::cached_operands entries per process, process after process.
   std::vector<CachedOperand> operand_cache_;
   std::vector<MessageRef> unassigned_;  ///< match-phase buffer, reused
@@ -183,7 +236,13 @@ class Vm {
   std::uint64_t executed_ = 0;
 };
 
-/// Convenience: one full evaluation.
+/// Convenience: one full evaluation per lane of `sampler`, in lane order.
+[[nodiscard]] std::vector<SimulationResult> simulate_lanes(
+    const Model& model, int numprocs, const Bindings& overrides,
+    DeliverySampler& sampler);
+
+/// Convenience: one full evaluation, the batch of one. Throws
+/// std::logic_error when `sampler` has more than one lane.
 [[nodiscard]] SimulationResult simulate(const Model& model, int numprocs,
                                         const Bindings& overrides,
                                         DeliverySampler& sampler);

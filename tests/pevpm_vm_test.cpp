@@ -1084,6 +1084,25 @@ TEST(Scoreboard, StreamOfFindsOneRecordPerPairAndCountsLookups) {
   EXPECT_EQ(board.stream_lookups(), first.size() + 2);
 }
 
+TEST(VmLosses, EqualLossesRankByDirectiveId) {
+  // 20 directives with one loss between them: past 16 elements the
+  // library's sort is not stable, so only the tie-break fixes the order.
+  pevpm::SimulationResult result;
+  result.processes.resize(2);
+  for (int directive = 40; directive > 0; directive -= 2) {
+    result.processes[0].blocked_by_directive[directive] = 0.25;
+    result.processes[1].blocked_by_directive[directive] = 0.25;
+  }
+  result.processes[1].blocked_by_directive[7] = 0.75;
+  const auto top = result.top_losses(25);
+  ASSERT_EQ(top.size(), 21u);
+  EXPECT_EQ(top[0], std::make_pair(7, 0.75));
+  for (std::size_t i = 1; i < top.size(); ++i) {
+    EXPECT_EQ(top[i].first, 2 * static_cast<int>(i)) << "position " << i;
+    EXPECT_EQ(top[i].second, 0.5);
+  }
+}
+
 TEST(Predict, ReplicationsSummarise) {
   const char* text = R"(
 runon procnum == 0 {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/request.h"
+#include "core/vm.h"
 #include "mpibench/benchmark.h"
 #include "scaling/model.h"
 #include "serve/client.h"
@@ -177,6 +178,24 @@ TEST(ServeService, NonFiniteScalingPredictionAnswers400AndKeepsServing) {
   EXPECT_NE(response.error.find("ptp_oneway"), std::string::npos)
       << response.error;
   const serve::Service::Response next = service.predict(chain_request(19));
+  EXPECT_EQ(next.status, 200) << next.error;
+}
+
+TEST(ServeService, RunawayModelAnswers400AndKeepsServing) {
+  // Without the step budget this slice would never end.
+  pevpm::PredictRequest request = chain_request(29);
+  request.model_text = "loop 1000000000000000000 {\n  serial time = 1e-9\n}\n";
+  request.procs = {2};
+  request.options.replications = 1;
+  serve::Service service{serve::ServiceOptions{}};
+  const serve::Service::Response response = service.predict(request);
+  EXPECT_EQ(response.status, 400) << response.error;
+  EXPECT_NE(response.error.find("budget of " +
+                                std::to_string(pevpm::kMaxDirectiveSteps) +
+                                " directive steps"),
+            std::string::npos)
+      << response.error;
+  const serve::Service::Response next = service.predict(chain_request(29));
   EXPECT_EQ(next.status, 200) << next.error;
 }
 
