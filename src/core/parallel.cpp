@@ -26,6 +26,7 @@ void parallel_for(int total, unsigned threads,
   std::atomic<int> next{0};
   std::atomic<bool> failed{false};
   std::exception_ptr error;
+  int error_index = total;
   std::mutex error_mu;
   auto drain = [&] {
     for (;;) {
@@ -35,8 +36,13 @@ void parallel_for(int total, unsigned threads,
       try {
         fn(i);
       } catch (...) {
+        // Every index below i was claimed before it and runs to its end,
+        // so the lowest failing index is the one a serial loop reports.
         std::lock_guard lock{error_mu};
-        if (!error) error = std::current_exception();
+        if (i < error_index) {
+          error = std::current_exception();
+          error_index = i;
+        }
         failed.store(true, std::memory_order_relaxed);
         return;
       }

@@ -27,8 +27,9 @@ namespace pevpm {
 /// Serial (no threads, no locks) when threads <= 1 or total <= 1. Indices
 /// are claimed in order but may complete out of order; callers needing
 /// determinism write to per-index slots and reduce in index order
-/// afterwards. The first exception thrown by fn is rethrown here (after
-/// every thread has joined); remaining indices are abandoned.
+/// afterwards. Once fn throws, no further index is claimed; after every
+/// thread has joined, the exception of the lowest failing index is
+/// rethrown, the one the serial loop would have thrown.
 void parallel_for(int total, unsigned threads,
                   const std::function<void(int)>& fn);
 

@@ -27,10 +27,12 @@ std::vector<std::uint64_t> replication_seeds(const PredictOptions& options) {
   return seeds;
 }
 
-namespace {
+int batch_lanes(int reps, unsigned threads) noexcept {
+  const long long workers = std::max(threads, 1u);
+  return static_cast<int>(std::min<long long>(
+      kMaxLanes, (std::max(reps, 1) + workers - 1) / workers));
+}
 
-/// Evaluates replications first_rep, first_rep + 1, ... in lockstep, one
-/// per seed, and records each one's tracer event.
 std::vector<SimulationResult> run_batch(
     const Model& model, int numprocs, const Bindings& overrides,
     SamplerCells& cells, const PredictOptions& options, int first_rep,
@@ -50,8 +52,6 @@ std::vector<SimulationResult> run_batch(
   }
   return results;
 }
-
-}  // namespace
 
 SimulationResult run_replication(const Model& model, int numprocs,
                                  const Bindings& overrides,
@@ -83,21 +83,18 @@ Prediction predict(const Model& model, int numprocs,
   const std::vector<std::uint64_t> seeds = replication_seeds(options);
   const int reps = replication_count(options);
 
-  const unsigned threads = std::min<unsigned>(
-      resolve_threads(options.threads), static_cast<unsigned>(std::max(reps, 1)));
-  // Contiguous batches of replications run in lockstep, as many as keep
-  // every thread busy and at most kMaxLanes each. Each batch owns its
-  // sampler and Vm state, reads the shared model/table and resolves each
-  // distribution once through the shared cells, so workers touch disjoint
-  // slots (parallel_for runs inline at one thread), and each lane's result
-  // is that of its replication run alone. The reduction below runs in
-  // replication order over those slots, which makes the merged summary
-  // bit-identical at any thread count — Welford updates are not
-  // reorderable, so order (not associativity) is what guarantees
+  const unsigned threads = resolve_threads(options.threads);
+  // Contiguous batches of replications run in lockstep (batch_lanes: as
+  // many as keep every thread busy, at most kMaxLanes each). Each batch
+  // owns its sampler and Vm state, reads the shared model/table and
+  // resolves each distribution once through the shared cells, so workers
+  // touch disjoint slots (parallel_for runs inline at one thread), and each
+  // lane's result is that of its replication run alone. The reduction
+  // below runs in replication order over those slots, which makes the
+  // merged summary bit-identical at any thread count — Welford updates are
+  // not reorderable, so order (not associativity) is what guarantees
   // thread-count invariance.
-  const int lanes = std::min(
-      kMaxLanes, (std::max(reps, 1) + static_cast<int>(threads) - 1) /
-                     static_cast<int>(threads));
+  const int lanes = batch_lanes(reps, threads);
   const int batches = (reps + lanes - 1) / lanes;
   std::vector<double> makespans(static_cast<std::size_t>(reps), 0.0);
   std::vector<unsigned char> deadlocked(static_cast<std::size_t>(reps), 0);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/model.h"
@@ -18,7 +19,7 @@
 
 namespace pevpm {
 
-/// Most replications predict() runs in lockstep in one Vm. A batch keeps
+/// Most replications one batch runs in lockstep in one Vm. A batch keeps
 /// each process's values once per lane, so this bounds its memory at
 /// procs x kMaxLanes values. Measured on one thread over 64 replications of
 /// the 100-iteration Jacobi model at 16, 64 and 256 processes, CPU per
@@ -62,13 +63,16 @@ struct Prediction {
                                  const mpibench::DistributionTable& table,
                                  const PredictOptions& options);
 
-// --- Per-replication decomposition -----------------------------------
-// predict() is a reduction over the three functions below; they are exposed
-// so an external scheduler (the pevpmd service, whose slice workers run
-// replications from many concurrent requests) can interleave them and still
+// --- Batch decomposition ---------------------------------------------
+// predict() is a reduction over the functions below; they are exposed so
+// an external scheduler (the pevpmd service, whose slice workers run
+// batches from many concurrent requests) can interleave them and still
 // reproduce predict()'s output bit for bit: seeds are a pure function of
-// options.seed, each replication is independent, and the reduction is
-// defined over replication order rather than completion order.
+// options.seed, each replication's result is the same whichever batch runs
+// it, and the reduction is defined over replication order rather than
+// completion order. Both split a prediction's replications by the one rule
+// of batch_lanes, so a request alone on a W-worker service runs exactly the
+// batches of `pevpm --threads W`.
 
 /// Number of Monte-Carlo replications the options imply (the deterministic
 /// average/minimum modes collapse to one).
@@ -78,15 +82,29 @@ struct Prediction {
 [[nodiscard]] std::vector<std::uint64_t> replication_seeds(
     const PredictOptions& options);
 
-/// Evaluates replication `rep` with sampler seed `seed` (the batch of one;
-/// predict() runs the same replications in lockstep batches and gets the
-/// same bits), drawing from
-/// `cells` — shared by the replications of one prediction and built from
-/// `table` and options.sampler — or, when null, from private cells. Safe
-/// to call concurrently for distinct reps: each call owns its sampler and
-/// Vm state, reads the shared model/table and resolves cells through the
-/// thread-safe SamplerCells. Records the per-replication tracer event when
-/// options.tracer is enabled.
+/// Replications per lockstep batch when `reps` replications run on
+/// `threads` workers: as many as keep every worker busy, at most kMaxLanes
+/// (and at least 1). Batches are contiguous runs of this many replications,
+/// the last one shorter when it does not divide `reps`.
+[[nodiscard]] int batch_lanes(int reps, unsigned threads) noexcept;
+
+/// Evaluates replications first_rep, first_rep + 1, ... in lockstep, one
+/// lane per seed of `seeds` (their sampler seeds), drawing from `cells` —
+/// shared by the replications of one prediction and built from its table
+/// and options.sampler. Each lane's result has the bits of its replication
+/// run alone; a batch that fails throws the error of its lowest failing
+/// lane. Safe to call concurrently for disjoint batches: each call owns its
+/// sampler and Vm state, reads the shared model and resolves cells through
+/// the thread-safe SamplerCells. Records one tracer event per replication
+/// when options.tracer is enabled.
+[[nodiscard]] std::vector<SimulationResult> run_batch(
+    const Model& model, int numprocs, const Bindings& overrides,
+    SamplerCells& cells, const PredictOptions& options, int first_rep,
+    std::span<const std::uint64_t> seeds);
+
+/// Evaluates replication `rep` with sampler seed `seed`: the batch of one,
+/// drawing from `cells` or, when null, from private cells built from
+/// `table` and options.sampler.
 [[nodiscard]] SimulationResult run_replication(
     const Model& model, int numprocs, const Bindings& overrides,
     const mpibench::DistributionTable& table, const PredictOptions& options,

@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -159,20 +160,22 @@ void Service::worker_loop() {
       work_cv_.wait(lock);
       continue;
     }
-    const std::size_t entry = slice / static_cast<std::size_t>(job->reps);
-    const auto rep = static_cast<int>(
-        slice % static_cast<std::size_t>(job->reps));
+    const std::size_t entry = slice / job->batches;
+    const int first = static_cast<int>(slice % job->batches) * job->lanes;
+    const int count = std::min(job->lanes, job->reps - first);
     const int procs = job->request->procs[entry];
     lock.unlock();
-    pevpm::SimulationResult result;
+    std::vector<pevpm::SimulationResult> results;
     bool ok = true;
     bool model_error = false;
     std::string error;
     try {
-      result = pevpm::run_replication(
-          *job->model, procs, job->request->overrides, *job->table,
-          job->options, rep, job->seeds[static_cast<std::size_t>(rep)],
-          &*job->cells);
+      results = pevpm::run_batch(
+          *job->model, procs, job->request->overrides, *job->cells,
+          job->options, first,
+          std::span<const std::uint64_t>{job->seeds}.subspan(
+              static_cast<std::size_t>(first),
+              static_cast<std::size_t>(count)));
     } catch (const pevpm::ModelError& e) {
       ok = false;
       model_error = true;
@@ -184,9 +187,13 @@ void Service::worker_loop() {
     lock.lock();
     ++job->finished;
     if (ok) {
-      job->results[entry][static_cast<std::size_t>(rep)] = std::move(result);
-    } else if (!job->failed) {
+      std::move(results.begin(), results.end(),
+                job->results[entry].begin() + first);
+    } else if (!job->failed || slice < job->failed_slice) {
+      // Every lower slice has started and finishes before the job
+      // answers, so the lowest failed slice wins whatever the timing.
       job->failed = true;
+      job->failed_slice = slice;
       job->model_error = model_error;
       job->error = std::move(error);
     }
@@ -254,15 +261,16 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
   job.options = request.options;
   job.options.tracer = options_.tracer;
   job.options.sampler.scaling = job.scaling.get();
-  job.reps = pevpm::replication_count(job.options);
+  job.reps = std::max(pevpm::replication_count(job.options), 0);
   job.seeds = pevpm::replication_seeds(job.options);
   job.cells.emplace(*job.table, job.options.sampler);
   job.results.assign(
       request.procs.size(),
-      std::vector<pevpm::SimulationResult>(
-          static_cast<std::size_t>(std::max(job.reps, 0))));
-  job.total_slices =
-      request.procs.size() * static_cast<std::size_t>(std::max(job.reps, 0));
+      std::vector<pevpm::SimulationResult>(static_cast<std::size_t>(job.reps)));
+  job.lanes = pevpm::batch_lanes(job.reps, threads());
+  job.batches =
+      static_cast<std::size_t>((job.reps + job.lanes - 1) / job.lanes);
+  job.total_slices = request.procs.size() * job.batches;
 
   pevpm::MutexLock lock{mu_};
   job.id = next_job_id_++;

@@ -5,16 +5,21 @@
 // request scheduler they run. The socket front end (server.h) is a thin
 // shell over it, and tests drive it directly.
 //
-// Scheduling: each admitted request ("job") decomposes into its
-// (procs entry x Monte-Carlo replication) slices via the per-replication
-// API in core/predict.h. The service's own worker threads pick slices
-// round-robin *across jobs*, so a 1000-replication request and a
-// 4-replication request admitted together finish in interleaved fashion
-// rather than head-of-line order — one huge query cannot starve small
-// ones. Slices store results into per-(entry, replication) slots and the
-// reduction runs in replication order, so a service reply is byte-identical
-// to `pevpm` run locally with the same model, table, procs and seed at any
-// thread count.
+// Scheduling: each admitted request ("job") decomposes into slices, one
+// per (procs entry x lockstep batch): contiguous replications of one entry,
+// split by the batching rule of core/predict.h (pevpm::batch_lanes with the
+// service's worker count), run by pevpm::run_batch. A request alone on a
+// W-worker service so runs exactly the batches of `pevpm --threads W`. The
+// service's own worker threads pick slices round-robin *across jobs*, so a
+// 1000-replication request and a 4-replication request admitted together
+// finish in interleaved fashion rather than head-of-line order — one huge
+// query cannot starve small ones. Slices store each lane's result into its
+// per-(entry, replication) slot and the reduction runs in replication
+// order, so a service reply is byte-identical to `pevpm` run locally with
+// the same model, table, procs and seed at any thread count. A failed job
+// answers with the error of its lowest failing slice, as a serial run
+// would: slices start in order, so every lower slice has run to its end
+// before the job answers.
 //
 // Admission control: at most `queue_capacity` jobs may be in the system
 // (queued + running). Beyond that submissions are rejected immediately
@@ -147,6 +152,10 @@ class Service {
     std::optional<pevpm::SamplerCells> cells;
     std::uint64_t id = 0;
     int reps = 0;
+    /// Replications per slice (pevpm::batch_lanes) and slices per procs
+    /// entry; slice s runs batch s % batches of entry s / batches.
+    int lanes = 1;
+    std::size_t batches = 0;
     /// results[entry][replication]; slots are written by exactly one slice.
     std::vector<std::vector<pevpm::SimulationResult>> results;
     std::size_t total_slices = 0;
@@ -161,6 +170,7 @@ class Service {
     bool failed = false;
     bool model_error = false;  ///< the failure was a pevpm::ModelError
     std::string error;
+    std::size_t failed_slice = 0;  ///< the lowest failed slice, when failed
     bool done = false;
     /// Waits on the service's mu_. (Job fields are guarded by mu_ too, but
     /// a nested struct cannot name the owner's mutex in a GUARDED_BY; the

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.h"
@@ -49,6 +51,39 @@ TEST(ParallelFor, PropagatesFirstException) {
                             if (i == 13) throw std::runtime_error{"boom"};
                           }),
       std::runtime_error);
+}
+
+TEST(ParallelFor, RethrowsTheLowestFailingIndex) {
+  // Index 1 throws only after index 2 has, so the first exception in wall
+  // time is index 2's; the serial loop would have thrown index 1's.
+  std::atomic<bool> second_threw{false};
+  try {
+    pevpm::parallel_for(3, 2, [&second_threw](int i) {
+      if (i == 1) {
+        while (!second_threw.load()) std::this_thread::yield();
+        // Gives index 2's exception time to be captured first.
+        std::this_thread::sleep_for(std::chrono::milliseconds{20});
+        throw std::runtime_error{"index 1"};
+      }
+      if (i == 2) {
+        second_threw = true;
+        throw std::runtime_error{"index 2"};
+      }
+    });
+    FAIL() << "parallel_for did not throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "index 1");
+  }
+}
+
+TEST(BatchLanes, KeepsEveryThreadBusyUpToMaxLanes) {
+  EXPECT_EQ(pevpm::batch_lanes(16, 2), 8);
+  EXPECT_EQ(pevpm::batch_lanes(17, 3), 6);  // batches of 6, 6 and 5
+  EXPECT_EQ(pevpm::batch_lanes(17, 1), pevpm::kMaxLanes);
+  EXPECT_EQ(pevpm::batch_lanes(1000, 4), pevpm::kMaxLanes);
+  EXPECT_EQ(pevpm::batch_lanes(3, 8), 1);
+  EXPECT_EQ(pevpm::batch_lanes(0, 4), 1);
+  EXPECT_EQ(pevpm::batch_lanes(5, 0), 5);  // no threads counts as one
 }
 
 mpibench::DistributionTable synthetic_table() {

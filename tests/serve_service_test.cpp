@@ -12,14 +12,19 @@
 #include <thread>
 #include <vector>
 
+#include "core/predict.h"
 #include "core/request.h"
 #include "core/vm.h"
 #include "mpibench/benchmark.h"
+#include "mpibench/table.h"
 #include "scaling/model.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "stats/empirical.h"
+#include "stats/histogram.h"
+#include "trace/trace.h"
 
 namespace {
 
@@ -86,6 +91,195 @@ TEST(ServeService, PredictionMatchesCliCodePathByteForByte) {
   ASSERT_EQ(again.status, 200);
   EXPECT_EQ(again.summary, reference.summary);
   EXPECT_GE(service.stats().cache.hits, 2u);
+}
+
+TEST(ServeService, EachSliceIsOneBatchAndRepliesMatchTheCli) {
+  // 17 replications make uneven batches: 16 + 1 on one worker, 9 + 8 on
+  // two, 6 + 6 + 5 on three.
+  pevpm::PredictRequest request = chain_request(37);
+  request.options.replications = 17;
+  const pevpm::PredictReport reference = pevpm::run_request(request);
+  for (const int workers : {1, 2, 3}) {
+    trace::Tracer tracer;
+    tracer.enable();
+    serve::ServiceOptions options;
+    options.threads = workers;
+    options.tracer = &tracer;
+    serve::Service service{options};
+    const serve::Service::Response response = service.predict(request);
+    ASSERT_EQ(response.status, 200) << response.error;
+    EXPECT_EQ(response.summary, reference.summary) << workers << " workers";
+    EXPECT_EQ(response.deadlocked, reference.deadlocked);
+    // predict() returns after the job's completion record, which the
+    // service lock orders after every slice's records.
+    const int lanes = pevpm::batch_lanes(17, static_cast<unsigned>(workers));
+    const auto batches = static_cast<std::size_t>((17 + lanes - 1) / lanes);
+    const std::string slices = std::to_string(request.procs.size() * batches);
+    const std::string done = " slices=" + slices + "/" + slices;
+    int completions = 0;
+    for (const trace::Record& record : tracer.records()) {
+      if (record.category != trace::Category::kServe ||
+          record.detail.rfind("request completed", 0) != 0) {
+        continue;
+      }
+      ++completions;
+      EXPECT_NE(record.detail.find(done), std::string::npos)
+          << record.detail << " at " << workers << " workers";
+    }
+    EXPECT_EQ(completions, 1);
+    // A batch still records one event per replication.
+    EXPECT_EQ(tracer.count(trace::Category::kPevpm),
+              request.procs.size() * 17u);
+  }
+}
+
+TEST(ServeService, MidBatchModelErrorAnswers400WithTheLocalText) {
+  // Every lane of every batch reaches the negative size after the ten
+  // loop iterations of messages.
+  pevpm::PredictRequest request = chain_request(47);
+  request.model_text = chain_model_text() +
+                       "runon procnum == 0 {\n"
+                       "  message send size = 0 - 1 to = 1\n"
+                       "}\n";
+  request.options.replications = 17;
+  std::string local_error;
+  try {
+    static_cast<void>(pevpm::run_request(request));
+  } catch (const pevpm::ModelError& error) {
+    local_error = error.what();
+  }
+  ASSERT_NE(local_error.find("negative size"), std::string::npos)
+      << local_error;
+  for (const int workers : {1, 2, 3}) {
+    serve::ServiceOptions options;
+    options.threads = workers;
+    serve::Service service{options};
+    const serve::Service::Response response = service.predict(request);
+    EXPECT_EQ(response.status, 400);
+    EXPECT_EQ(response.error, local_error) << workers << " workers";
+    EXPECT_EQ(service.stats().failed, 1u);
+    EXPECT_EQ(service.predict(chain_request(47)).status, 200);
+  }
+}
+
+/// A request whose replications fail or pass by their sampled times, with
+/// an error text that depends on where each one fails. Six ranks: 0, 1 and
+/// 2 send 64 KiB, 1 KiB and 64 B to 4, 3 and 5 (contention 1, 2 and 3 at
+/// the sends). The send cost comes only from a scaling law, 1e300 * s *
+/// p^12, finite at every send and infinite for the cost of draining a
+/// message that is already there: 1 KiB at contention 3 (rank 3, when its
+/// 100 us of serial work outlast the delivery) and 64 KiB at contention 2
+/// (rank 4, after 400 us).
+pevpm::PredictRequest lane_dependent_failure_request(std::uint64_t seed) {
+  scaling::ScalingModel law;
+  scaling::ScalingModel::Series series;
+  for (scaling::NormalForm& track : series.tracks) {
+    track.coefficient = 1e300;
+    track.size = scaling::AxisTerm{1.0, 0};
+    track.procs = scaling::AxisTerm{12.0, 0};
+  }
+  law.set_series(mpibench::OpKind::kPtpSender, series);
+  mpibench::DistributionTable table;
+  for (const int level : {1, 2, 3}) {
+    stats::Histogram oneway{1e-6};
+    for (int i = 0; i < 40; ++i) oneway.add((60.0 + i * 37 % 80) * 1e-6);
+    const stats::EmpiricalDistribution small{oneway};
+    table.insert(mpibench::OpKind::kPtpOneWay, net::Bytes{64}, level, small);
+    table.insert(mpibench::OpKind::kPtpOneWay, net::Bytes{1024}, level,
+                 small);
+    table.insert(mpibench::OpKind::kPtpOneWay, net::Bytes{65536}, level,
+                 small.scaled(4.0));
+  }
+  pevpm::PredictRequest request;
+  request.model_text = R"(runon procnum == 0 {
+  message send size = 65536 to = 4
+}
+runon procnum == 1 {
+  message send size = 1024 to = 3
+}
+runon procnum == 2 {
+  message send size = 64 to = 5
+}
+runon procnum == 3 {
+  serial time = 0.0001
+  message recv size = 1024 from = 1
+}
+runon procnum == 4 {
+  serial time = 0.0004
+  message recv size = 65536 from = 0
+}
+runon procnum == 5 {
+  message recv size = 64 from = 2
+}
+)";
+  request.model_name = "late";
+  std::ostringstream table_out;
+  table.save(table_out);
+  request.table_text = table_out.str();
+  std::ostringstream law_out;
+  law.save(law_out);
+  request.scaling_text = law_out.str();
+  request.extrapolate = true;
+  request.procs = {6};
+  request.options.replications = 17;
+  request.options.seed = seed;
+  return request;
+}
+
+TEST(ServeService, FailedRequestReportsItsLowestFailingReplication) {
+  // At seed 21 replication 1 is the first to fail, at 64 KiB, while 7, 9
+  // and 12, the first failing lanes of later batches at 2 and 3 workers,
+  // fail at 1 KiB; 9 and 12 start their batches and end them at once,
+  // long before the first batch has run its every lane.
+  const pevpm::PredictRequest request = lane_dependent_failure_request(21);
+  // Each replication alone, in order: the first error is the serial run's.
+  const pevpm::Model model = pevpm::parse_request_model(request);
+  std::istringstream table_in{request.table_text};
+  const auto table = mpibench::DistributionTable::load(table_in);
+  std::istringstream law_in{request.scaling_text};
+  const auto law = scaling::ScalingModel::load(law_in);
+  pevpm::PredictOptions options = request.options;
+  options.sampler.scaling = &law;
+  const std::vector<std::uint64_t> seeds = pevpm::replication_seeds(options);
+  std::vector<std::string> errors;
+  std::string first_error;
+  for (int rep = 0; rep < 17; ++rep) {
+    try {
+      static_cast<void>(pevpm::run_replication(
+          model, 6, {}, table, options, rep,
+          seeds[static_cast<std::size_t>(rep)]));
+    } catch (const pevpm::ModelError& error) {
+      errors.emplace_back(error.what());
+      if (first_error.empty()) first_error = error.what();
+    }
+  }
+  // Both failure sites occur, and a later replication fails with another
+  // text than the first one, so any other choice of error shows.
+  ASSERT_FALSE(first_error.empty());
+  bool other_text = false;
+  for (const std::string& error : errors) {
+    other_text = other_text || error != first_error;
+  }
+  ASSERT_TRUE(other_text) << first_error;
+  ASSERT_LT(errors.size(), 17u) << "some replications must pass";
+
+  std::string local_error;
+  try {
+    static_cast<void>(pevpm::run_request(request));
+  } catch (const pevpm::ModelError& error) {
+    local_error = error.what();
+  }
+  EXPECT_EQ(local_error, first_error);
+  for (const int workers : {1, 2, 3}) {
+    serve::ServiceOptions service_options;
+    service_options.threads = workers;
+    serve::Service service{service_options};
+    for (int round = 0; round < 3; ++round) {
+      const serve::Service::Response response = service.predict(request);
+      EXPECT_EQ(response.status, 400);
+      EXPECT_EQ(response.error, first_error) << workers << " workers";
+    }
+  }
 }
 
 TEST(ServeService, ExtrapolateRequestMatchesCliAndCountsCacheTraffic) {
