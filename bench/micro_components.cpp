@@ -4,6 +4,8 @@
 // claim (Table C) depends on the VM staying cheap.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/parse.h"
 #include "core/predict.h"
 #include "des/engine.h"
@@ -58,6 +60,27 @@ void BM_EmpiricalSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EmpiricalSample);
+
+/// The lockstep draw: one batch over 16 lanes' generators (PEVPM's
+/// kMaxLanes), counted per lane draw.
+void BM_EmpiricalSampleLanes(benchmark::State& state) {
+  constexpr int kLanes = 16;
+  stats::Rng rng{3};
+  stats::Histogram hist{1e-5};
+  for (int i = 0; i < 10000; ++i) hist.add(rng.lognormal(-8.0, 0.3));
+  const stats::EmpiricalDistribution dist{hist};
+  std::vector<stats::Rng> lanes;
+  for (int lane = 0; lane < kLanes; ++lane) lanes.emplace_back(4 + lane);
+  std::vector<double> out(kLanes);
+  double acc = 0.0;
+  for (auto _ : state) {
+    dist.sample(lanes, out);
+    acc += out[0];
+  }
+  benchmark::DoNotOptimize(acc);
+  state.SetItemsProcessed(state.iterations() * kLanes);
+}
+BENCHMARK(BM_EmpiricalSampleLanes);
 
 void BM_LinkPacketForwarding(benchmark::State& state) {
   for (auto _ : state) {

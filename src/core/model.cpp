@@ -1,6 +1,7 @@
 #include "core/model.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 namespace pevpm {
@@ -177,6 +178,21 @@ Program compile(const Model& model) {
           });
       if (!variant) in.cache[i] = program.cached_++;
     }
+  }
+  const auto blocks = [](const Instruction& in) {
+    return in.op == Opcode::kRecv || in.op == Opcode::kWait ||
+           in.op == Opcode::kCollective;
+  };
+  std::set<int> distinct;
+  for (const Instruction& in : program.code_) {
+    if (blocks(in)) distinct.insert(in.id);
+  }
+  std::vector<int>& ids = program.loss_ids_;
+  ids.assign(distinct.begin(), distinct.end());
+  for (Instruction& in : program.code_) {
+    if (!blocks(in)) continue;
+    in.loss = static_cast<std::uint32_t>(
+        std::lower_bound(ids.begin(), ids.end(), in.id) - ids.begin());
   }
   return program;
 }

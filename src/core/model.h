@@ -25,7 +25,9 @@
 // per process for a whole run, since only loops write a process's
 // variables once it has started; compile gives each such operand a dense
 // slot in a per-process operand cache, so the Vm evaluates it once per
-// process and reads the cache after that. The tree stays for printing
+// process and reads the cache after that. Each distinct directive id a
+// process can block at gets a dense loss slot, so the Vm keeps blocked
+// time per slot in a flat array. The tree stays for printing
 // (`str()`) and for the instructions to point into.
 #pragma once
 
@@ -127,6 +129,9 @@ struct Instruction {
   /// Operand cache slot of each of `operands(*this)`; -1 when the operand
   /// is evaluated each time or absent.
   std::array<int, 2> cache{-1, -1};
+  /// kRecv, kWait and kCollective (the instructions a process blocks at):
+  /// the loss slot of `id`, its index in Program::loss_ids(). 0 elsewhere.
+  std::uint32_t loss = 0;
   union {
     const SerialNode* serial = nullptr;
     const MessageNode* message;
@@ -155,6 +160,11 @@ class Program {
   }
   /// Operand cache entries per process.
   [[nodiscard]] int cached_operands() const noexcept { return cached_; }
+  /// The distinct directive ids of the instructions a process blocks at,
+  /// ascending: loss slot i attributes blocked time to loss_ids()[i].
+  [[nodiscard]] const std::vector<int>& loss_ids() const noexcept {
+    return loss_ids_;
+  }
   /// The body it was compiled from; it owns the nodes the instructions
   /// point into.
   [[nodiscard]] const Body& source() const noexcept { return source_; }
@@ -165,6 +175,7 @@ class Program {
   Body source_;
   std::vector<Instruction> code_;
   int cached_ = 0;
+  std::vector<int> loss_ids_;
 };
 
 /// A complete model: the program body plus default parameter bindings.
@@ -189,7 +200,8 @@ struct Model {
 
 /// Compiles `model.body` against `model.variables`. An operand gets an
 /// operand cache slot when it reads no variable any loop of the model
-/// binds. Both model parsers call it once the body is complete; a model
+/// binds, and each distinct directive id of a blocking instruction a dense
+/// loss slot. Both model parsers call it once the body is complete; a model
 /// built by hand must too (`model.program = compile(model)`).
 [[nodiscard]] Program compile(const Model& model);
 

@@ -7,6 +7,16 @@
 
 namespace pevpm {
 
+namespace {
+
+/// "<op> at N bytes, contention C": the key an error names.
+std::string key_name(mpibench::OpKind op, net::Bytes bytes, int contention) {
+  return mpibench::to_string(op) + " at " + std::to_string(bytes.count()) +
+         " bytes, contention " + std::to_string(contention);
+}
+
+}  // namespace
+
 SamplerCells::SamplerCells(const mpibench::DistributionTable& table,
                            SamplerOptions options)
     : table_{table}, options_{options} {
@@ -51,13 +61,18 @@ stats::EmpiricalDistribution SamplerCells::resolve(mpibench::OpKind op,
       } catch (const std::domain_error& error) {
         // A hand-made artifact is model input like any other: name the
         // key that it cannot answer.
-        throw ModelError{mpibench::to_string(op) + " at " +
-                         std::to_string(bytes.count()) + " bytes, contention " +
-                         std::to_string(contention) + ": " + error.what()};
+        throw ModelError{key_name(op, bytes, contention) + ": " +
+                         error.what()};
       }
     }
   }
-  return table_.lookup(op, bytes, contention);
+  try {
+    return table_.lookup(op, bytes, contention);
+  } catch (const std::overflow_error& error) {
+    // Interpolating a table whose weights are near 2^64 can overflow; the
+    // table is model input, so name the key.
+    throw ModelError{key_name(op, bytes, contention) + ": " + error.what()};
+  }
 }
 
 const stats::EmpiricalDistribution& SamplerCells::distribution(
@@ -82,7 +97,8 @@ DeliverySampler::DeliverySampler(const mpibench::DistributionTable& table,
       mode_{options.mode},
       fixed_contention_{options.contention == ContentionSource::kFixed},
       contention_level_{options.fixed_contention},
-      rngs_{stats::Rng{seed}} {}
+      rngs_{stats::Rng{seed}},
+      drawn_(1) {}
 
 DeliverySampler::DeliverySampler(SamplerCells& cells, std::uint64_t seed)
     : DeliverySampler{cells, std::span<const std::uint64_t>{&seed, 1}} {}
@@ -94,7 +110,8 @@ DeliverySampler::DeliverySampler(SamplerCells& cells,
       fixed_contention_{cells.options().contention ==
                         ContentionSource::kFixed},
       contention_level_{cells.options().fixed_contention},
-      rngs_(seeds.begin(), seeds.end()) {}
+      rngs_(seeds.begin(), seeds.end()),
+      drawn_(seeds.size()) {}
 
 void DeliverySampler::throw_uncovered(mpibench::OpKind op) {
   throw std::runtime_error{
@@ -171,11 +188,8 @@ void DeliverySampler::collective_seconds(CollOp op, net::Bytes bytes,
     // No direct allreduce table: compose as reduce followed by bcast.
     if (op == CollOp::kAllreduce &&
         cells_->covered(mpibench::OpKind::kBcast)) {
-      const stats::EmpiricalDistribution& bcast =
-          cell(mpibench::OpKind::kBcast, bytes, nprocs);
-      for (std::size_t lane = 0; lane < out.size(); ++lane) {
-        out[lane] += sample(bcast, static_cast<int>(lane));
-      }
+      draw(cell(mpibench::OpKind::kBcast, bytes, nprocs), lanes,
+           [&](int lane, double seconds) { out[lane] += seconds; });
     }
     return;
   }
@@ -205,12 +219,10 @@ void DeliverySampler::collective_seconds(CollOp op, net::Bytes bytes,
   const net::Bytes per_round = op == CollOp::kBarrier ? net::Bytes{} : bytes;
   const stats::EmpiricalDistribution& round =
       cell(mpibench::OpKind::kPtpOneWay, per_round, c);
-  for (std::size_t lane = 0; lane < out.size(); ++lane) {
-    double total = 0.0;
-    for (int i = 0; i < rounds; ++i) {
-      total += sample(round, static_cast<int>(lane));
-    }
-    out[lane] = total;
+  // Each lane adds its rounds in order, as a sum over one lane's draws
+  // would.
+  for (int i = 0; i < rounds; ++i) {
+    draw(round, lanes, [&](int lane, double seconds) { out[lane] += seconds; });
   }
 }
 

@@ -216,7 +216,11 @@ class DeliverySampler {
   /// One draw from `dist` on `lane`'s stream (or its mean or minimum).
   [[nodiscard]] double sample(const stats::EmpiricalDistribution& dist,
                               int lane);
-  /// Looks a key up once, then calls f(lane, draw) for lanes 0 .. lanes - 1.
+  /// Calls f(lane, draw) for lanes 0 .. lanes - 1, drawing every lane in
+  /// one batch (or its mean or minimum, which writes nothing).
+  template <class F>
+  void draw(const stats::EmpiricalDistribution& dist, int lanes, F&& f);
+  /// Looks a key up once, then draws it as above.
   template <class F>
   void draw(mpibench::OpKind op, net::Bytes bytes, int contention, int lanes,
             F&& f);
@@ -238,6 +242,7 @@ class DeliverySampler {
   bool fixed_contention_ = false;
   int contention_level_ = 0;  ///< the fixed level, when fixed_contention_
   std::vector<stats::Rng> rngs_;  ///< one per lane
+  std::vector<double> drawn_;     ///< a batch draw per lane, reused
   /// Rows in insertion order, found through `row_slots_`: open-addressed
   /// (op, size) -> row position, kNoRow where vacant, a power of two at
   /// most half full so a probe nearly always ends at its home slot.
@@ -301,17 +306,25 @@ inline double DeliverySampler::sample(const stats::EmpiricalDistribution& dist,
 }
 
 template <class F>
-inline void DeliverySampler::draw(mpibench::OpKind op, net::Bytes bytes,
-                                  int contention, int lanes, F&& f) {
-  const stats::EmpiricalDistribution& dist = cell(op, bytes, contention);
+inline void DeliverySampler::draw(const stats::EmpiricalDistribution& dist,
+                                  int lanes, F&& f) {
   if (mode_ == PredictionMode::kDistribution) {
+    const auto count = static_cast<std::size_t>(lanes);
+    dist.sample(std::span<stats::Rng>{rngs_}.first(count),
+                std::span<double>{drawn_}.first(count));
     for (int lane = 0; lane < lanes; ++lane) {
-      f(lane, dist.sample(rngs_[static_cast<std::size_t>(lane)]));
+      f(lane, drawn_[static_cast<std::size_t>(lane)]);
     }
     return;
   }
   const double value = sample(dist, 0);
   for (int lane = 0; lane < lanes; ++lane) f(lane, value);
+}
+
+template <class F>
+inline void DeliverySampler::draw(mpibench::OpKind op, net::Bytes bytes,
+                                  int contention, int lanes, F&& f) {
+  draw(cell(op, bytes, contention), lanes, f);
 }
 
 template <class F>
@@ -367,8 +380,16 @@ inline void DeliverySampler::late_recv_seconds(net::Bytes bytes,
   }
   const stats::EmpiricalDistribution& dist =
       cell(mpibench::OpKind::kPtpSender, bytes, contention_of(outstanding));
+  if (mode_ == PredictionMode::kDistribution) {
+    dist.sample(rngs_, late, drawn_);
+    for (int lane = 0; lane < lanes(); ++lane) {
+      if (late[lane] != 0) f(lane, drawn_[static_cast<std::size_t>(lane)]);
+    }
+    return;
+  }
+  const double value = sample(dist, 0);
   for (int lane = 0; lane < lanes(); ++lane) {
-    if (late[lane] != 0) f(lane, sample(dist, lane));
+    if (late[lane] != 0) f(lane, value);
   }
 }
 // LINT:hot-path end

@@ -73,6 +73,9 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
       static_cast<std::size_t>(model.program.cached_operands()));
   values_.resize(static_cast<std::size_t>(numprocs) *
                  static_cast<std::size_t>(lanes_));
+  loss_blocks_.assign(static_cast<std::size_t>(numprocs) *
+                          model.program.loss_ids().size(),
+                      kNoLosses);
   draws_.resize(static_cast<std::size_t>(lanes_));
   late_.resize(static_cast<std::size_t>(lanes_));
   latest_.resize(static_cast<std::size_t>(lanes_));
@@ -81,6 +84,23 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
 Vm::LaneValues* Vm::lanes_of(const Process& proc) {
   return &values_[static_cast<std::size_t>(proc.rank) *
                   static_cast<std::size_t>(lanes_)];
+}
+
+double* Vm::losses_of(const Process& proc, std::uint32_t slot) {
+  std::uint32_t& block =
+      loss_blocks_[static_cast<std::size_t>(proc.rank) *
+                       model_.program.loss_ids().size() +
+                   slot];
+  if (block == kNoLosses) [[unlikely]] block = add_loss_block();
+  return &losses_[static_cast<std::size_t>(block) *
+                  static_cast<std::size_t>(lanes_)];
+}
+
+std::uint32_t Vm::add_loss_block() {
+  const std::size_t lanes = static_cast<std::size_t>(lanes_);
+  const auto block = static_cast<std::uint32_t>(losses_.size() / lanes);
+  losses_.resize(losses_.size() + lanes, 0.0);
+  return block;
 }
 
 void Vm::fail_lane(int lane) {
@@ -145,19 +165,19 @@ Vm::Claim& Vm::reuse_handle(Process& proc, const MessageNode& msg) const {
 
 // LINT:hot-path begin (per-directive evaluation: names are slots and
 // messages come from the scoreboard's pool)
-void Vm::account_blocked(LaneValues& lane, double idle, int directive) {
+void Vm::account_blocked(LaneValues& lane, double& loss, double idle) {
   lane.blocked += idle;
-  if (idle > 0.0) lane.blocked_by_directive[directive] += idle;
+  if (idle > 0.0) loss += idle;
 }
 
-bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
+bool Vm::try_receive(Process& proc, Claim& claim, const Instruction& in) {
   if (!claim.message) {
     claim.message = scoreboard_.claim(claim.stream);
   }
   if (!claim.message || !claim.message->arrival_known) {
     if (!proc.blocked) {
       proc.blocked = true;
-      proc.blocked_directive = directive;
+      proc.blocked_directive = in.id;
     }
     return false;
   }
@@ -167,6 +187,7 @@ bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
   // cost of draining it from the buffer. Which of the two it is depends on
   // the lane's times, so each lane takes its own.
   LaneValues* values = lanes_of(proc);
+  double* losses = losses_of(proc, in.loss);
   const double* arrival = scoreboard_.arrivals(claim.message);
   bool any_late = false;
   for (int lane = 0; lane < lanes_; ++lane) {
@@ -178,7 +199,7 @@ bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
     } else {
       const double before = v.clock;
       v.clock = arrival[lane];
-      account_blocked(v, v.clock - before, directive);
+      account_blocked(v, losses[lane], v.clock - before);
     }
   }
   if (any_late) {
@@ -189,7 +210,7 @@ bool Vm::try_receive(Process& proc, Claim& claim, int directive) {
             LaneValues& v = values[lane];
             const double before = v.clock;
             v.clock += cost;
-            account_blocked(v, v.clock - before, directive);
+            account_blocked(v, losses[lane], v.clock - before);
           });
     } catch (...) {
       // Only the late lanes drew. Lane 0's error is the batch's whatever
@@ -270,7 +291,7 @@ bool Vm::exec(Process& proc) {
           const int src = eval_rank(proc, *msg.peer, peer, "recv from rank");
           proc.wanted.stream = stream_for(proc, peer, src, proc.rank);
         }
-        if (!try_receive(proc, proc.wanted, instruction.id)) return false;
+        if (!try_receive(proc, proc.wanted, instruction)) return false;
         break;
       }
       case Opcode::kIrecv: {
@@ -296,7 +317,7 @@ bool Vm::exec(Process& proc) {
           throw ModelError{"wait on unknown handle '" + wait.handle + "'"};
         }
         // A completed send (or already-satisfied op) completes at once.
-        if (claim->pending && !try_receive(proc, *claim, instruction.id)) {
+        if (claim->pending && !try_receive(proc, *claim, instruction)) {
           return false;
         }
         claim->active = false;
@@ -325,11 +346,12 @@ bool Vm::exec(Process& proc) {
         }
         if (!proc.coll_ready) return false;  // others still on their way
         LaneValues* values = lanes_of(proc);
+        double* losses = losses_of(proc, instruction.loss);
         for (int lane = 0; lane < lanes_; ++lane) {
           LaneValues& v = values[lane];
           const double before = v.clock;
           v.clock = std::max(v.clock, v.coll_exit);
-          account_blocked(v, v.clock - before, instruction.id);
+          account_blocked(v, losses[lane], v.clock - before);
         }
         proc.at_collective = false;
         proc.coll_ready = false;
@@ -512,15 +534,28 @@ std::vector<SimulationResult> Vm::run() {
 SimulationResult Vm::collect(int lane) {
   SimulationResult result;
   result.processes.reserve(processes_.size());
+  const std::vector<int>& ids = model_.program.loss_ids();
+  const std::uint32_t* blocks = loss_blocks_.data();
   for (const Process& proc : processes_) {
-    LaneValues& v = lanes_of(proc)[lane];
+    const LaneValues& v = lanes_of(proc)[lane];
     result.makespan = std::max(result.makespan, v.clock);
     ProcessReport& report = result.processes.emplace_back();
     report.finish = v.clock;
     report.compute = proc.compute;
     report.send_overhead = v.send_overhead;
     report.blocked = v.blocked;
-    report.blocked_by_directive = std::move(v.blocked_by_directive);
+    // A slot is non-zero exactly when some positive idle time reached it,
+    // and the ids ascend, so each entry goes in at the end.
+    for (std::size_t slot = 0; slot < ids.size(); ++slot, ++blocks) {
+      if (*blocks == kNoLosses) continue;
+      const double loss = losses_[static_cast<std::size_t>(*blocks) *
+                                      static_cast<std::size_t>(lanes_) +
+                                  static_cast<std::size_t>(lane)];
+      if (loss != 0.0) {
+        report.blocked_by_directive.emplace_hint(
+            report.blocked_by_directive.end(), ids[slot], loss);
+      }
+    }
   }
   result.messages = scoreboard_.total_messages();
   result.sweep_phases = sweeps_;

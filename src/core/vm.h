@@ -163,12 +163,18 @@ class Vm {
     double coll_exit = 0.0;      ///< the exit time resolution assigned
     double send_overhead = 0.0;  ///< local cost of send operations
     double blocked = 0.0;        ///< time waiting at receives
-    std::map<int, double> blocked_by_directive;
   };
   /// `proc`'s values, lane after lane.
   [[nodiscard]] LaneValues* lanes_of(const Process& proc);
-  /// Adds `idle` seconds blocked at `directive` to a lane's report.
-  static void account_blocked(LaneValues& lane, double idle, int directive);
+  /// `proc`'s blocked time at loss slot `slot`, lane after lane: a block
+  /// of losses_, made (all zero) the first time the process reaches it.
+  [[nodiscard]] double* losses_of(const Process& proc, std::uint32_t slot);
+  /// Appends a zeroed block of `lanes_` values to losses_; returns its
+  /// index.
+  [[nodiscard]] std::uint32_t add_loss_block();
+  /// Adds `idle` seconds blocked to a lane's report and, when positive, to
+  /// its `loss` slot.
+  static void account_blocked(LaneValues& lane, double& loss, double idle);
 
   /// The byte count message `in`'s size operand evaluates to at `proc`.
   [[nodiscard]] net::Bytes message_bytes(const Process& proc,
@@ -179,12 +185,13 @@ class Vm {
   /// the process blocks, leaving `pc` on the directive it waits at (the
   /// next call retries it), and true when the program ends.
   bool exec(Process& proc);
-  /// Attempts to satisfy a claim (receive); blocks the process otherwise.
-  bool try_receive(Process& proc, Claim& claim, int directive);
+  /// Attempts to satisfy a claim (receive) for blocking instruction `in`;
+  /// blocks the process otherwise.
+  bool try_receive(Process& proc, Claim& claim, const Instruction& in);
   void match();
   /// Releases a collective once every process has arrived at it.
   void resolve_collectives();
-  /// Lane `lane`'s result; moves its loss maps out.
+  /// Lane `lane`'s result, its loss slots turned into loss maps.
   [[nodiscard]] SimulationResult collect(int lane);
   /// Ends a lane whose own draw failed; the batch goes on for the others.
   void fail_lane(int lane);
@@ -218,6 +225,17 @@ class Vm {
   std::vector<Process> processes_;
   /// Per-lane values, `lanes_` entries per process, process after process.
   std::vector<LaneValues> values_;
+  static constexpr std::uint32_t kNoLosses = UINT32_MAX;
+  /// Per process and loss slot (Program::loss_ids), slot after slot: the
+  /// losses_ block of its blocked time, or kNoLosses until the process
+  /// first completes a blocking instruction of that slot. A block follows
+  /// each such completion, so a run past kMaxDirectiveSteps has made at
+  /// most that many and 32 bits index them.
+  std::vector<std::uint32_t> loss_blocks_;
+  /// Blocked time, `lanes_` values per block, in the order blocks were
+  /// made. Only the slots a process reaches hold values, so a model's
+  /// blocking directives cost each process 4 bytes, not 8 per lane.
+  std::vector<double> losses_;
   std::vector<double> draws_;   ///< a collective's draw per lane, reused
   /// Per lane: whether the receive being delivered found its message
   /// already arrived.

@@ -1,6 +1,7 @@
 #include "stats/empirical.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <istream>
 #include <limits>
@@ -61,22 +62,24 @@ void EmpiricalDistribution::finalize() {
     total_ += cell.weight;
     cell.cum = total_;
   }
+  thresholds_.clear();
   guide_.clear();
   if (total_ == 0) return;
-  // Every cell carries weight, so cells <= total_ and the scale fits 64
-  // bits; rounding it down keeps each bucket at or below the exact one.
-  const std::uint64_t cells = cells_.size();
   limit_ = Rng::max() - Rng::max() % total_;
   remainder_magic_ = remainder_magic(total_);
-  bucket_scale_ =
-      static_cast<std::uint64_t>(Uint128{Rng::max()} * cells / total_);
-  guide_.resize(cells);
+  thresholds_.reserve(cells_.size());
+  for (const Cell& cell : cells_) {
+    thresholds_.push_back(pick_threshold(cell.cum, remainder_magic_, total_));
+  }
+  // At least four buckets per cell, so a scan from the guide entry passes
+  // a quarter of a threshold on average.
+  const std::uint64_t buckets = std::bit_ceil(4 * std::uint64_t{cells_.size()});
+  guide_shift_ = 64 - std::countr_zero(buckets);
+  guide_.resize(buckets);
   std::uint32_t first = 0;
-  for (std::uint64_t j = 0; j < cells; ++j) {
-    const Uint128 scaled = Uint128{j} * total_;
-    const auto lowest = static_cast<std::uint64_t>(
-        scaled / cells + (scaled % cells != 0 ? 1 : 0));
-    while (cells_[first].cum <= lowest) ++first;
+  for (std::uint64_t j = 0; j < buckets; ++j) {
+    const Uint128 lowest = Uint128{j} << (64 + guide_shift_);
+    while (thresholds_[first] <= lowest) ++first;
     guide_[j] = first;
   }
   double sum = 0.0;
@@ -96,28 +99,9 @@ void EmpiricalDistribution::finalize() {
   max_ = cells_.back().hi;
 }
 
-// LINT:hot-path begin (the Monte-Carlo draw: no search, no division)
-double EmpiricalDistribution::sample(Rng& rng) const {
-  if (!valid()) throw std::logic_error{"sampling an empty distribution"};
-  // rng.below(total_) against the precomputed rejection limit, with its
-  // `draw % total_` done by multiplication.
-  std::uint64_t draw = rng();
-  while (draw >= limit_) draw = rng();
-  const std::uint64_t pick = exact_remainder(draw, remainder_magic_, total_);
-  // The first cell whose cumulative weight exceeds `pick`, scanning from
-  // the first cell its bucket can hold.
-  const auto bucket = static_cast<std::size_t>(
-      (static_cast<Uint128>(pick) * bucket_scale_) >> 64);
-  std::size_t index = guide_[bucket];
-  while (cells_[index].cum <= pick) ++index;
-  const Cell& cell = cells_[index];
-  if (cell.lo == cell.hi) return cell.lo;
-  // Clamp to the exact observed extrema: bins quantise the support, but
-  // communication times have a hard physical minimum (the paper's bounded
-  // minimum) which sampling must respect.
-  return std::clamp(rng.uniform(cell.lo, cell.hi), min_, max_);
+void EmpiricalDistribution::throw_empty() {
+  throw std::logic_error{"sampling an empty distribution"};
 }
-// LINT:hot-path end
 
 double EmpiricalDistribution::cdf(double x) const {
   if (!valid()) throw std::logic_error{"cdf of an empty distribution"};
@@ -186,18 +170,27 @@ EmpiricalDistribution EmpiricalDistribution::blended(
   const auto wb = kScale - wa;
   if (wb == 0) return *this;
   if (wa == 0) return other;
+  // Each weight is below 2^64 and each scale at most 2^20, so the
+  // products and their sum fit 128 bits; the mixture's total must fit 64.
   EmpiricalDistribution out;
-  for (const auto& cell : cells_) {
-    if (cell.weight == 0) continue;
-    out.cells_.push_back(Cell{.lo = cell.lo,
-                              .hi = cell.hi,
-                              .weight = cell.weight * wa});
-  }
-  for (const auto& cell : other.cells_) {
-    if (cell.weight == 0) continue;
-    out.cells_.push_back(Cell{.lo = cell.lo,
-                              .hi = cell.hi,
-                              .weight = cell.weight * wb});
+  Uint128 total = 0;
+  const auto add = [&](const EmpiricalDistribution& from,
+                       std::uint64_t scale) {
+    for (const auto& cell : from.cells_) {
+      if (cell.weight == 0) continue;
+      const Uint128 weight = Uint128{cell.weight} * scale;
+      total += weight;
+      out.cells_.push_back(Cell{.lo = cell.lo,
+                                .hi = cell.hi,
+                                .weight = static_cast<std::uint64_t>(weight)});
+    }
+  };
+  add(*this, wa);
+  add(other, wb);
+  if (total > std::numeric_limits<std::uint64_t>::max()) {
+    throw std::overflow_error{
+        "EmpiricalDistribution::blended: the interpolated weights overflow "
+        "64 bits"};
   }
   std::sort(out.cells_.begin(), out.cells_.end(),
             [](const Cell& a, const Cell& b) {

@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -1101,6 +1102,129 @@ TEST(VmLosses, EqualLossesRankByDirectiveId) {
     EXPECT_EQ(top[i].first, 2 * static_cast<int>(i)) << "position " << i;
     EXPECT_EQ(top[i].second, 0.5);
   }
+}
+
+/// `body` with each directive id that `ids` names replaced.
+pevpm::Body with_ids(const pevpm::Body& body, const std::map<int, int>& ids) {
+  pevpm::Body out;
+  for (const pevpm::NodePtr& node : body) {
+    pevpm::Node copy = *node;
+    if (auto* runon = std::get_if<pevpm::RunonNode>(&copy.data)) {
+      runon->then_body = with_ids(runon->then_body, ids);
+      runon->else_body = with_ids(runon->else_body, ids);
+    } else if (auto* loop = std::get_if<pevpm::LoopNode>(&copy.data)) {
+      loop->body = with_ids(loop->body, ids);
+    }
+    if (const auto it = ids.find(copy.id); it != ids.end()) {
+      copy.id = it->second;
+    }
+    out.push_back(std::make_shared<const pevpm::Node>(std::move(copy)));
+  }
+  return out;
+}
+
+TEST(VmLossSlots, RepeatedZeroAndSparseIdsMatchTheLossMaps) {
+  // A hand-built model whose blocking directives carry ids 0, 1000000 and
+  // 3 twice (a receive and a collective): each distinct id is one dense
+  // loss slot, and the loss maps are the ones a map per process and lane
+  // produced, bit for bit (recorded on that implementation).
+  const pevpm::Model parsed = pevpm::parse_model(R"(
+runon procnum % 2 == 0 {
+  serial time = 0.0001 * (procnum + 1)
+  message send size = 1024 to = procnum + 1
+  message recv size = 1024 from = procnum + 1
+  message irecv size = 64 from = procnum + 1 handle = h
+  serial time = 0.00005
+  wait h
+} else {
+  message recv size = 1024 from = procnum - 1
+  serial time = 0.0002
+  message send size = 1024 to = procnum - 1
+  message send size = 64 to = procnum - 1
+}
+loop 2 {
+  allreduce size = 8
+}
+)");
+  std::vector<int> blocking;
+  for (const pevpm::Instruction& in : parsed.program.instructions()) {
+    if (in.op == pevpm::Opcode::kRecv || in.op == pevpm::Opcode::kWait ||
+        in.op == pevpm::Opcode::kCollective) {
+      blocking.push_back(in.id);
+    }
+  }
+  ASSERT_EQ(blocking.size(), 4u);
+  pevpm::Model model = parsed;
+  model.body = with_ids(parsed.body, {{blocking[0], 0},
+                                      {blocking[1], 1000000},
+                                      {blocking[2], 3},
+                                      {blocking[3], 3}});
+  model.program = pevpm::compile(model);
+  // One slot per distinct id: the sparse id sizes nothing.
+  EXPECT_EQ(model.program.loss_ids(), (std::vector<int>{0, 3, 1000000}));
+
+  const DistributionTable table = spread_table();
+  pevpm::SamplerCells cells{table, {}};
+  const std::uint64_t seeds[] = {1, 2, 3};
+  pevpm::DeliverySampler sampler{cells, seeds};
+  const std::vector<pevpm::SimulationResult> results =
+      pevpm::simulate_lanes(model, 4, {}, sampler);
+  std::vector<std::tuple<int, int, int, std::uint64_t>> losses;
+  for (std::size_t lane = 0; lane < results.size(); ++lane) {
+    const auto& processes = results[lane].processes;
+    for (std::size_t rank = 0; rank < processes.size(); ++rank) {
+      for (const auto& [directive, loss] :
+           processes[rank].blocked_by_directive) {
+        losses.emplace_back(static_cast<int>(lane), static_cast<int>(rank),
+                            directive, std::bit_cast<std::uint64_t>(loss));
+      }
+    }
+  }
+  // (lane, rank, directive id, loss bits)
+  const std::vector<std::tuple<int, int, int, std::uint64_t>> expected = {
+      {0, 0, 0, 0x3f394088cf94e95bULL},
+      {0, 0, 3, 0x3f5282b505318e70ULL},
+      {0, 0, 1000000, 0x3ef168c5428e89e0ULL},
+      {0, 1, 3, 0x3f570281b62102d4ULL},
+      {0, 2, 0, 0x3f42e969b34e214eULL},
+      {0, 2, 3, 0x3f47bbd8e1499103ULL},
+      {0, 2, 1000000, 0x3ef0c22766094ba0ULL},
+      {0, 3, 3, 0x3f570ce8882a23c1ULL},
+      {1, 0, 0, 0x3f35784506f779d4ULL},
+      {1, 0, 3, 0x3f533822d13b9abeULL},
+      {1, 0, 1000000, 0x3ef657837113a040ULL},
+      {1, 1, 3, 0x3f563386d15c7242ULL},
+      {1, 2, 0, 0x3f424fb3397093f6ULL},
+      {1, 2, 3, 0x3f46cb9e30c25dbeULL},
+      {1, 2, 1000000, 0x3ee74c7d6fecfbc0ULL},
+      {1, 3, 3, 0x3f5670d399a7bd6aULL},
+      {2, 0, 0, 0x3f4338693ed76fcdULL},
+      {2, 0, 3, 0x3f46d49a4619ae72ULL},
+      {2, 0, 1000000, 0x3ee6df5e8869a200ULL},
+      {2, 1, 3, 0x3f536afd8128ad3eULL},
+      {2, 2, 0, 0x3f3883617d417d8fULL},
+      {2, 2, 3, 0x3f47cab1d9dce825ULL},
+      {2, 2, 1000000, 0x3ef7b0805f0a40e0ULL},
+      {2, 3, 3, 0x3f54021b80948f98ULL}};
+  EXPECT_EQ(losses, expected);
+}
+
+TEST(VmLossSlots, NegativeIdleTimeAddsNoEntry) {
+  // A hand-made table may hold a negative local cost. A late receive then
+  // idles a negative time: it counts in `blocked`, but only positive idle
+  // time makes a loss entry, so the receive's slot stays empty.
+  const auto model = pevpm::parse_model(R"(
+runon procnum == 0 {
+  message send size = 100 to = 1
+} else {
+  serial time = 1.0
+  message recv size = 100 from = 0
+}
+)");
+  const auto result = run(model, 2, constant_table(10e-3, -1e-6));
+  EXPECT_NEAR(result.processes[1].blocked, -1e-6, 1e-12);
+  EXPECT_TRUE(result.processes[1].blocked_by_directive.empty());
+  EXPECT_TRUE(result.processes[0].blocked_by_directive.empty());
 }
 
 TEST(Predict, ReplicationsSummarise) {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "stats/empirical.h"
@@ -528,7 +529,11 @@ TEST(EmpiricalGuide, MatchesUpperBoundAtTotalsNear2To64) {
   }
 }
 
-TEST(ExactRemainder, MatchesModuloAtEdgeDivisorsAndDividends) {
+TEST(PickThreshold, MatchesModuloAtEdgeDivisorsAndDividends) {
+  // The fraction-domain rule sample() picks a cell by: below the rejection
+  // limit, `a % d >= c` exactly when `magic * a >= pick_threshold(c)`.
+  // Each dividend is checked against the thresholds that bracket its
+  // remainder, the first and last picks, and d itself (all-ones).
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
   constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
@@ -539,16 +544,190 @@ TEST(ExactRemainder, MatchesModuloAtEdgeDivisorsAndDividends) {
   for (const std::uint64_t d : divisors) {
     SCOPED_TRACE(d);
     const stats::Uint128 magic = stats::remainder_magic(d);
-    std::vector<std::uint64_t> dividends{0, 1, d - 1, d, d + 1, kMax};
+    const std::uint64_t limit = kMax - kMax % d;
+    std::vector<std::uint64_t> dividends{0, 1, d - 1, d, d + 1, kMax,
+                                         limit - 1};
     for (int i = 0; i < 100000; ++i) dividends.push_back(rng());
+    std::size_t checked = 0;
     std::size_t wrong = 0;
     for (const std::uint64_t a : dividends) {
-      if (stats::exact_remainder(a, magic, d) != a % d) {
-        if (wrong++ == 0) ADD_FAILURE() << a << " % " << d;
+      if (a >= limit) continue;  // rejected: sample() draws again
+      ++checked;
+      const std::uint64_t r = a % d;
+      const stats::Uint128 fraction = magic * a;
+      for (const std::uint64_t c : {std::uint64_t{0}, std::uint64_t{1}, r,
+                                    r + 1, d - 1, d}) {
+        if (c > d) continue;
+        const bool at_least =
+            stats::pick_threshold(c, magic, d) <= fraction;
+        if (at_least != (r >= c)) {
+          if (wrong++ == 0) ADD_FAILURE() << a << " % " << d << " vs " << c;
+        }
       }
     }
     EXPECT_EQ(wrong, 0u);
+    // Under half the draws are rejected, at d just above 2^63.
+    EXPECT_GT(checked, 40000u);
   }
+}
+
+TEST(PickThreshold, DrawsMatchUpperBoundWhereFractionsMeetThresholds) {
+  // At a total of 2^k the fraction of pick r is exactly r * 2^(128 - k),
+  // the threshold of a cell whose cumulative weight is r. With 2^k above
+  // the guide's bucket count that threshold lies inside a bucket, so only
+  // the scan can step past it, and 1 draw in 16, 32 or 64 needs it to.
+  const char* tables[] = {
+      "2\n0 0 5\n1 1 11\n",
+      "3\n0 1 3\n1 1 17\n2 3 12\n",
+      "2\n0 0 3\n1 2 61\n",
+  };
+  std::uint64_t seed = 200;
+  for (const char* text : tables) {
+    SCOPED_TRACE(text);
+    expect_matches_upper_bound(load_text(text), 5000, seed++);
+  }
+}
+
+/// The distributions EmpiricalGuide.* draws from: every constructor, and
+/// totals near 2^64.
+std::vector<stats::EmpiricalDistribution> guide_cases() {
+  stats::Rng rng{77};
+  stats::Histogram skewed{0.5};
+  stats::Histogram wide{1e-6};
+  for (int i = 0; i < 4000; ++i) {
+    skewed.add(rng.lognormal(1.0, 0.9));
+    wide.add((60.0 + (i * 37 % 400)) * 1e-6);
+  }
+  const stats::EmpiricalDistribution hist{skewed};
+  const stats::EmpiricalDistribution other{wide};
+  std::vector<double> xs;
+  for (int i = 0; i < 300; ++i) xs.push_back(std::floor(rng.normal(20, 4)));
+  std::stringstream saved;
+  hist.save(saved);
+  return {
+      hist,
+      other,
+      hist.blended(other.scaled(1e6), 0.3),
+      other.blended(stats::EmpiricalDistribution::constant(70e-6), 1e-3),
+      hist.scaled(3.0),
+      hist.scaled(-2.0),
+      stats::EmpiricalDistribution::from_samples(xs),
+      stats::EmpiricalDistribution::from_samples(std::vector<double>{1, 2, 3}),
+      stats::EmpiricalDistribution::constant(4.5),
+      stats::EmpiricalDistribution::load(saved),
+      load_text("4\n0 1 1\n1 2 9223372036854775808\n2 3 4611686018427387904\n"
+                "3 3 4611686018427387902\n"),
+      load_text("2\n0 1 9223372036854775808\n5 5 1\n"),
+      load_text("5\n0 0 1\n1 1 1\n2 3 18446744073709551600\n4 4 1\n5 6 1\n"),
+      load_text("3\n0 0 1\n1 1 1\n2 2 1\n"),
+  };
+}
+
+std::vector<stats::Rng> lane_rngs(int lanes, std::uint64_t seed) {
+  std::vector<stats::Rng> rngs;
+  for (int lane = 0; lane < lanes; ++lane) {
+    rngs.emplace_back(seed * 1000 + static_cast<std::uint64_t>(lane));
+  }
+  return rngs;
+}
+
+TEST(EmpiricalLanes, BatchMatchesScalarSampleOnEveryGuideCase) {
+  // 1-16 lanes (PEVPM batches hold at most 16), and two wider batches.
+  std::vector<int> widths;
+  for (int lanes = 1; lanes <= 16; ++lanes) widths.push_back(lanes);
+  widths.push_back(17);
+  widths.push_back(40);
+  const std::vector<stats::EmpiricalDistribution> cases = guide_cases();
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    for (const int lanes : widths) {
+      SCOPED_TRACE(testing::Message() << "case " << k << ", " << lanes
+                                      << " lanes");
+      std::vector<stats::Rng> batch = lane_rngs(lanes, k + 1);
+      std::vector<stats::Rng> solo = lane_rngs(lanes, k + 1);
+      std::vector<double> out(static_cast<std::size_t>(lanes));
+      for (int round = 0; round < 60; ++round) {
+        cases[k].sample(batch, out);
+        for (int lane = 0; lane < lanes; ++lane) {
+          const double want = cases[k].sample(solo[lane]);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out[lane]),
+                    std::bit_cast<std::uint64_t>(want))
+              << "round " << round << ", lane " << lane;
+        }
+      }
+      for (int lane = 0; lane < lanes; ++lane) {
+        EXPECT_EQ(batch[lane](), solo[lane]()) << "lane " << lane;
+      }
+    }
+  }
+}
+
+TEST(EmpiricalLanes, MaskedBatchDrawsOnlyOnMaskedLanes) {
+  const std::vector<stats::EmpiricalDistribution> cases = guide_cases();
+  constexpr int kLanes = 19;
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    SCOPED_TRACE(k);
+    std::vector<stats::Rng> batch = lane_rngs(kLanes, k + 1);
+    std::vector<stats::Rng> solo = lane_rngs(kLanes, k + 1);
+    std::vector<double> out(kLanes);
+    std::vector<unsigned char> mask(kLanes);
+    constexpr double kUntouched = -12345.0;
+    for (int round = 0; round < 60; ++round) {
+      for (int lane = 0; lane < kLanes; ++lane) {
+        mask[lane] = (lane * 7 + round) % 3 == 0 ? 0 : 1;
+      }
+      std::fill(out.begin(), out.end(), kUntouched);
+      cases[k].sample(batch, mask.data(), out);
+      for (int lane = 0; lane < kLanes; ++lane) {
+        if (mask[lane] == 0) {
+          ASSERT_EQ(out[lane], kUntouched) << "lane " << lane;
+          continue;
+        }
+        const double want = cases[k].sample(solo[lane]);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[lane]),
+                  std::bit_cast<std::uint64_t>(want))
+            << "round " << round << ", lane " << lane;
+      }
+    }
+    // An unmasked lane's generator was never called.
+    for (int lane = 0; lane < kLanes; ++lane) {
+      EXPECT_EQ(batch[lane](), solo[lane]()) << "lane " << lane;
+    }
+  }
+}
+
+TEST(EmpiricalLanes, EmptyDistributionThrowsBeforeAnyLaneDraws) {
+  const stats::EmpiricalDistribution empty;
+  std::vector<stats::Rng> rngs = lane_rngs(3, 9);
+  std::vector<stats::Rng> twins = lane_rngs(3, 9);
+  std::vector<double> out(3);
+  EXPECT_THROW(empty.sample(rngs, out), std::logic_error);
+  for (std::size_t lane = 0; lane < rngs.size(); ++lane) {
+    EXPECT_EQ(rngs[lane](), twins[lane]());
+  }
+}
+
+TEST(Empirical, BlendedRejectsOverflowingWeights) {
+  // Blending scales each weight by up to 2^20: totals of 2^50 load, but
+  // their mixture's total is about 2^70. It used to wrap silently (equal
+  // totals wrapped to an empty distribution).
+  const auto a = load_text("1\n1 2 1125899906842624\n");
+  const auto b = load_text("1\n3 4 1125899906842624\n");
+  try {
+    (void)a.blended(b, 0.5);
+    FAIL() << "expected an overflow_error";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("overflow"), std::string::npos)
+        << e.what();
+  }
+  // Unequal totals used to wrap to a non-empty, wrongly weighted mixture.
+  const auto c = load_text("2\n1 2 35184372088832\n2 3 3\n");
+  EXPECT_THROW((void)c.blended(b, 0.25), std::overflow_error);
+  // 2^43 * 2^20 still fits: the mixture keeps both halves' weight.
+  const auto fits_a = load_text("1\n1 2 8796093022208\n");
+  const auto fits_b = load_text("1\n3 4 8796093022208\n");
+  const auto mixed = fits_a.blended(fits_b, 0.5);
+  EXPECT_EQ(mixed.sample_count(), std::uint64_t{8796093022208} << 20);
+  EXPECT_DOUBLE_EQ(mixed.mean(), 2.5);
 }
 
 struct FitCase {
