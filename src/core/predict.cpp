@@ -37,7 +37,7 @@ std::vector<SimulationResult> run_batch(
     const Model& model, int numprocs, const Bindings& overrides,
     SamplerCells& cells, const PredictOptions& options, int first_rep,
     std::span<const std::uint64_t> seeds) {
-  DeliverySampler sampler{cells, seeds};
+  DeliverySampler sampler{cells, options.sampler, seeds};
   std::vector<SimulationResult> results =
       simulate_lanes(model, numprocs, overrides, sampler);
   if (options.tracer != nullptr && options.tracer->enabled()) {
@@ -59,7 +59,9 @@ SimulationResult run_replication(const Model& model, int numprocs,
                                  const PredictOptions& options, int rep,
                                  std::uint64_t seed, SamplerCells* cells) {
   std::optional<SamplerCells> own_cells;
-  if (cells == nullptr) cells = &own_cells.emplace(table, options.sampler);
+  if (cells == nullptr) {
+    cells = &own_cells.emplace(table, options.sampler.scaling);
+  }
   return std::move(run_batch(model, numprocs, overrides, *cells, options, rep,
                              {&seed, 1})
                        .front());
@@ -99,7 +101,7 @@ Prediction predict(const Model& model, int numprocs,
   std::vector<double> makespans(static_cast<std::size_t>(reps), 0.0);
   std::vector<unsigned char> deadlocked(static_cast<std::size_t>(reps), 0);
   SimulationResult detail;
-  SamplerCells cells{table, options.sampler};
+  SamplerCells cells{table, options.sampler.scaling};
   parallel_for(batches, threads, [&](int batch) {
     const int first = batch * lanes;
     const int count = std::min(lanes, reps - first);

@@ -89,14 +89,16 @@ struct Prediction {
 [[nodiscard]] int batch_lanes(int reps, unsigned threads) noexcept;
 
 /// Evaluates replications first_rep, first_rep + 1, ... in lockstep, one
-/// lane per seed of `seeds` (their sampler seeds), drawing from `cells` —
-/// shared by the replications of one prediction and built from its table
-/// and options.sampler. Each lane's result has the bits of its replication
-/// run alone; a batch that fails throws the error of its lowest failing
-/// lane. Safe to call concurrently for disjoint batches: each call owns its
-/// sampler and Vm state, reads the shared model and resolves cells through
-/// the thread-safe SamplerCells. Records one tracer event per replication
-/// when options.tracer is enabled.
+/// lane per seed of `seeds` (their sampler seeds), drawing by
+/// options.sampler from `cells` — built from the prediction's table and
+/// options.sampler.scaling, and shared by its replications (and, in
+/// `pevpmd`, by every job on that table and scaling model, whatever their
+/// mode and contention source). Each lane's result has the bits of its
+/// replication run alone; a batch that fails throws the error of its
+/// lowest failing lane. Safe to call concurrently for disjoint batches:
+/// each call owns its sampler and Vm state, reads the shared model and
+/// resolves cells through the thread-safe SamplerCells. Records one tracer
+/// event per replication when options.tracer is enabled.
 [[nodiscard]] std::vector<SimulationResult> run_batch(
     const Model& model, int numprocs, const Bindings& overrides,
     SamplerCells& cells, const PredictOptions& options, int first_rep,
@@ -104,7 +106,7 @@ struct Prediction {
 
 /// Evaluates replication `rep` with sampler seed `seed`: the batch of one,
 /// drawing from `cells` or, when null, from private cells built from
-/// `table` and options.sampler.
+/// `table` and options.sampler.scaling.
 [[nodiscard]] SimulationResult run_replication(
     const Model& model, int numprocs, const Bindings& overrides,
     const mpibench::DistributionTable& table, const PredictOptions& options,

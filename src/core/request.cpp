@@ -93,6 +93,20 @@ std::string admission_error(const PredictRequest& request) {
   return {};
 }
 
+std::string admission_error(const PredictRequest& request,
+                            const Model& model) {
+  if (std::string why = admission_error(request); !why.empty()) return why;
+  const std::uint64_t per_process = Vm::process_state_bytes(model);
+  std::uint64_t procs = 0;
+  for (const int p : request.procs) procs += static_cast<std::uint64_t>(p);
+  if (procs > kMaxProcessStateBytes / per_process) {
+    return "procs x per-process model state (" + std::to_string(per_process) +
+           " bytes) is over the limit of " +
+           std::to_string(kMaxProcessStateBytes) + " bytes";
+  }
+  return {};
+}
+
 Model parse_request_model(const PredictRequest& request) {
   const bool annotated =
       request.model_text.find("// PEVPM") != std::string::npos;
@@ -180,7 +194,10 @@ std::shared_ptr<const scaling::ScalingModel> resolve_scaling(
 }
 
 PredictReport run_request(const PredictRequest& request) {
-  const Model model = parse_request_model(request);
+  return run_request(request, parse_request_model(request));
+}
+
+PredictReport run_request(const PredictRequest& request, const Model& model) {
   std::istringstream table_in{request.table_text};
   const auto table = mpibench::DistributionTable::load(table_in);
   PredictOptions options = request.options;

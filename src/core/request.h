@@ -76,11 +76,26 @@ inline constexpr int kMaxProcs = 65536;
 /// entries times its replication count.
 inline constexpr std::int64_t kMaxProcessReplications = std::int64_t{1} << 20;
 
+/// The most per-process model state (Vm::process_state_bytes) a request
+/// may ask for in all: the sum of its `procs` entries times that state. A
+/// Vm sizes it before it runs, and nothing else bounds it but the model's
+/// size. The largest request of the tests, benches, examples and perfbench
+/// asks for under 80 MB (2000 receives at 1024 processes); 2000 receives
+/// at 65536 processes would ask for 4.7 GB.
+inline constexpr std::uint64_t kMaxProcessStateBytes = std::uint64_t{1}
+                                                       << 30;
+
 /// Why `request` may not run (its `procs` list is empty, holds a count
 /// that is not positive or is above kMaxProcs, or asks for more than
 /// kMaxProcessReplications processes in all), or an empty string when it
 /// may. Checked before anything is sized by the request.
 [[nodiscard]] std::string admission_error(const PredictRequest& request);
+
+/// admission_error(request), or, when that is empty, why `model` at the
+/// request's process counts asks for more than kMaxProcessStateBytes of
+/// per-process state. Checked before any Vm of the model is made.
+[[nodiscard]] std::string admission_error(const PredictRequest& request,
+                                          const Model& model);
 
 /// Parses the request's model text, auto-detecting annotated C/C++ source
 /// (a "// PEVPM" marker) versus the standalone directive language. Throws
@@ -126,5 +141,10 @@ struct PredictReport {
 /// the daemon schedules replications itself and calls format_report).
 /// Throws ParseError / std::runtime_error on malformed model or table.
 [[nodiscard]] PredictReport run_request(const PredictRequest& request);
+
+/// run_request with the request's model already parsed
+/// (parse_request_model).
+[[nodiscard]] PredictReport run_request(const PredictRequest& request,
+                                        const Model& model);
 
 }  // namespace pevpm

@@ -18,8 +18,8 @@ std::string key_name(mpibench::OpKind op, net::Bytes bytes, int contention) {
 }  // namespace
 
 SamplerCells::SamplerCells(const mpibench::DistributionTable& table,
-                           SamplerOptions options)
-    : table_{table}, options_{options} {
+                           const scaling::ScalingModel* scaling)
+    : table_{table}, scaling_{scaling} {
   for (std::size_t id = 0; id < grid_.size(); ++id) {
     const auto op = static_cast<mpibench::OpKind>(id);
     OpGrid& g = grid_[id];
@@ -33,8 +33,7 @@ SamplerCells::SamplerCells(const mpibench::DistributionTable& table,
       g.min_contention = contentions.front();
       g.max_contention = contentions.back();
     }
-    g.extrapolated =
-        options_.scaling != nullptr && options_.scaling->covers(op);
+    g.extrapolated = scaling_ != nullptr && scaling_->covers(op);
     g.covered = g.measured || g.extrapolated;
     g.key_min = g.extrapolated ? std::numeric_limits<int>::min()
                                : g.min_contention;
@@ -57,7 +56,7 @@ stats::EmpiricalDistribution SamplerCells::resolve(mpibench::OpKind op,
         contention < g.min_contention || contention > g.max_contention;
     if (off_grid) {
       try {
-        return options_.scaling->distribution(op, bytes, contention);
+        return scaling_->distribution(op, bytes, contention);
       } catch (const std::domain_error& error) {
         // A hand-made artifact is model input like any other: name the
         // key that it cannot answer.
@@ -80,8 +79,8 @@ const stats::EmpiricalDistribution& SamplerCells::distribution(
   const Key key{static_cast<int>(op), bytes, contention};
   MutexLock lock{mu_};
   if (const auto it = cells_.find(key); it != cells_.end()) return it->second;
-  // Resolved under the lock, so each key is resolved once per prediction
-  // however many replications race to it; a throw inserts nothing.
+  // Resolved under the lock, so each key is resolved once per set of cells
+  // however many samplers race to it; a throw inserts nothing.
   return cells_.emplace(key, resolve(op, bytes, contention)).first->second;
 }
 
@@ -92,7 +91,7 @@ std::size_t SamplerCells::resolved() const {
 
 DeliverySampler::DeliverySampler(const mpibench::DistributionTable& table,
                                  SamplerOptions options, std::uint64_t seed)
-    : own_cells_{std::make_unique<SamplerCells>(table, options)},
+    : own_cells_{std::make_unique<SamplerCells>(table, options.scaling)},
       cells_{own_cells_.get()},
       mode_{options.mode},
       fixed_contention_{options.contention == ContentionSource::kFixed},
@@ -100,18 +99,26 @@ DeliverySampler::DeliverySampler(const mpibench::DistributionTable& table,
       rngs_{stats::Rng{seed}},
       drawn_(1) {}
 
-DeliverySampler::DeliverySampler(SamplerCells& cells, std::uint64_t seed)
-    : DeliverySampler{cells, std::span<const std::uint64_t>{&seed, 1}} {}
+DeliverySampler::DeliverySampler(SamplerCells& cells,
+                                 const SamplerOptions& options,
+                                 std::uint64_t seed)
+    : DeliverySampler{cells, options,
+                      std::span<const std::uint64_t>{&seed, 1}} {}
 
 DeliverySampler::DeliverySampler(SamplerCells& cells,
+                                 const SamplerOptions& options,
                                  std::span<const std::uint64_t> seeds)
     : cells_{&cells},
-      mode_{cells.options().mode},
-      fixed_contention_{cells.options().contention ==
-                        ContentionSource::kFixed},
-      contention_level_{cells.options().fixed_contention},
+      mode_{options.mode},
+      fixed_contention_{options.contention == ContentionSource::kFixed},
+      contention_level_{options.fixed_contention},
       rngs_(seeds.begin(), seeds.end()),
-      drawn_(seeds.size()) {}
+      drawn_(seeds.size()) {
+  if (options.scaling != cells.scaling()) {
+    throw std::invalid_argument{
+        "DeliverySampler: the cells were built with another scaling model"};
+  }
+}
 
 void DeliverySampler::throw_uncovered(mpibench::OpKind op) {
   throw std::runtime_error{

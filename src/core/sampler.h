@@ -56,22 +56,27 @@ struct SamplerOptions {
 /// would widen a row's window past it is asked of the cells on every draw.
 inline constexpr int kDenseContention = 1 << 16;
 
-/// The per-prediction, read-mostly half of the sampler: the distribution
-/// behind each (op, size, contention) key, resolved once and shared by every
-/// replication of the prediction. Each op's coverage and measured grid
-/// extent are fixed at construction (the table and scaling model are
-/// immutable). Thread-safe; distributions never move once resolved, so a
-/// DeliverySampler may keep pointers to them for the cells' lifetime.
+/// The read-mostly half of the sampler: the distribution behind each (op,
+/// size, contention) key, resolved once and shared by every sampler drawing
+/// from the cells. They are a function of the table and the scaling model
+/// alone — the mode and contention source belong to the samplers — so one
+/// set serves every prediction on a table (predict() builds one per call;
+/// `pevpmd` one per cached table and scaling model). Each op's coverage and
+/// measured grid extent are fixed at construction (the table and scaling
+/// model are immutable). Thread-safe; distributions never move once
+/// resolved, so a DeliverySampler may keep pointers to them for the cells'
+/// lifetime.
 class SamplerCells {
  public:
-  /// `table` and `options.scaling` are not owned and must outlive the cells.
+  /// `table` and `scaling` (null: no extrapolation) are not owned and must
+  /// outlive the cells.
   SamplerCells(const mpibench::DistributionTable& table,
-               SamplerOptions options);
+               const scaling::ScalingModel* scaling);
   SamplerCells(const SamplerCells&) = delete;
   SamplerCells& operator=(const SamplerCells&) = delete;
 
-  [[nodiscard]] const SamplerOptions& options() const noexcept {
-    return options_;
+  [[nodiscard]] const scaling::ScalingModel* scaling() const noexcept {
+    return scaling_;
   }
 
   /// True when draws for `op` can be answered at all — from the table or
@@ -130,7 +135,7 @@ class SamplerCells {
                                                      int contention) const;
 
   const mpibench::DistributionTable& table_;
-  SamplerOptions options_;
+  const scaling::ScalingModel* scaling_;
   std::array<OpGrid, kOpKinds> grid_{};
   mutable Mutex mu_;
   /// Resolved distributions; map nodes keep their addresses.
@@ -141,7 +146,8 @@ class SamplerCells {
 // single-threaded while any call can grow its index or draw randomness.
 // Once every key it draws has been indexed (warm), kAverage and kMinimum
 // draws write nothing and MAY be called from several threads. Several
-// samplers may share one SamplerCells from different threads.
+// samplers may share one SamplerCells from different threads, whatever
+// their modes and contention sources.
 //
 // A sampler draws for a batch of replications run in lockstep (vm.h): one
 // lane per replication, each with its own random stream. A lane's draws
@@ -154,11 +160,14 @@ class DeliverySampler {
   /// A sampler of one lane with private cells.
   DeliverySampler(const mpibench::DistributionTable& table,
                   SamplerOptions options, std::uint64_t seed);
-  /// A sampler of one lane over cells shared with the other replications
-  /// of one prediction; `cells` must outlive it.
-  DeliverySampler(SamplerCells& cells, std::uint64_t seed);
+  /// A sampler of one lane over shared cells, drawing by `options`' mode
+  /// and contention source; `cells` must outlive it and be built with
+  /// `options.scaling` (else std::invalid_argument).
+  DeliverySampler(SamplerCells& cells, const SamplerOptions& options,
+                  std::uint64_t seed);
   /// A sampler of one lane per seed, in order, over shared cells.
-  DeliverySampler(SamplerCells& cells, std::span<const std::uint64_t> seeds);
+  DeliverySampler(SamplerCells& cells, const SamplerOptions& options,
+                  std::span<const std::uint64_t> seeds);
 
   [[nodiscard]] int lanes() const noexcept {
     return static_cast<int>(rngs_.size());

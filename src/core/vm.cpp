@@ -81,6 +81,16 @@ Vm::Vm(const Model& model, int numprocs, const Bindings& overrides,
   latest_.resize(static_cast<std::size_t>(lanes_));
 }
 
+std::uint64_t Vm::process_state_bytes(const Model& model) noexcept {
+  // Env keeps a double and a bound flag per slot.
+  return sizeof(Process) +
+         model.variables.size() * (sizeof(double) + sizeof(unsigned char)) +
+         model.handles.size() * sizeof(Claim) +
+         static_cast<std::uint64_t>(model.program.cached_operands()) *
+             sizeof(CachedOperand) +
+         model.program.loss_ids().size() * sizeof(std::uint32_t);
+}
+
 Vm::LaneValues* Vm::lanes_of(const Process& proc) {
   return &values_[static_cast<std::size_t>(proc.rank) *
                   static_cast<std::size_t>(lanes_)];

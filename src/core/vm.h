@@ -108,6 +108,12 @@ class Vm {
   /// lowest lane that fails, as that lane's replication alone would.
   [[nodiscard]] std::vector<SimulationResult> run();
 
+  /// Bytes of state per process that a Vm of `model` allocates before it
+  /// runs, whatever its lanes: the process record, its variable slots and
+  /// handle claims, its operand cache entries and its loss-slot index.
+  [[nodiscard]] static std::uint64_t process_state_bytes(
+      const Model& model) noexcept;
+
  private:
   /// The state of one loop a process is inside.
   struct Frame {

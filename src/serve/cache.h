@@ -10,8 +10,22 @@
 // values are shared_ptrs so an artifact can be evicted while in-flight
 // requests still hold it. All operations are thread-safe; hit/miss/eviction
 // counters feed the /stats endpoint.
+//
+// Next to each table the cache keeps the sampler cells resolved from it:
+// one pevpm::SamplerCells per scaling model the jobs on that table use (or
+// none), shared by all of those jobs whatever their mode and contention
+// source, so each distribution is interpolated once for the life of the
+// table's entry instead of once per request. The cache shares a set
+// while both its table's entry and its scaling model's entry are resident
+// and it holds fewer than kMaxCellSetDistributions distributions, so the
+// resident sets are bounded by the resident artifacts, however many
+// scaling models or message sizes clients send. A set holds the table and
+// scaling model it reads, so an eviction never leaves it dangling for a
+// job still drawing from it. Cell sets are not artifacts: they take no
+// capacity and leave CacheStats alone.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -24,6 +38,7 @@
 #include <utility>
 
 #include "core/model.h"
+#include "core/sampler.h"
 #include "core/thread_annotations.h"
 #include "mpibench/table.h"
 #include "net/calibration.h"
@@ -38,6 +53,23 @@ struct CacheStats {
   std::size_t entries = 0;
   std::size_t capacity = 0;
 };
+
+struct CellStats {
+  std::size_t sets = 0;      ///< resident cell sets
+  std::size_t resolved = 0;  ///< distributions the resident sets hold
+  /// Distributions resolved since the cache was made, by resident sets and
+  /// by sets it has let go of (a set still held by a running job adds what
+  /// it resolves after that when the job lets it go).
+  std::uint64_t resolutions = 0;
+};
+
+/// Most distributions a cached cell set may hold before the next job on its
+/// table gets a fresh set in its place; jobs already holding the full set
+/// finish on it. Without a cap, requests with ever-new message sizes would
+/// grow a set that lives as long as its table without bound. The
+/// pevpmd_mixed benchmark workload resolves 58 in all; 4096 one-way
+/// distributions of its table take about 1.8 MB.
+inline constexpr std::size_t kMaxCellSetDistributions = 4096;
 
 class ArtifactCache {
  public:
@@ -63,7 +95,22 @@ class ArtifactCache {
         [&]() -> std::shared_ptr<const void> { return load(); }));
   }
 
+  /// The cell set shared by every job on `table` — the table artifact
+  /// cached for `table_text` — with scaling model `scaling` (null: none,
+  /// and `scaling_key` is ignored), the scaling artifact cached for
+  /// `scaling_key`; made on first use. A set holding
+  /// kMaxCellSetDistributions distributions is replaced by a fresh one.
+  /// An entry evicted since the caller loaded `table` or `scaling` is put
+  /// back; evicting either entry drops the set for later jobs.
+  [[nodiscard]] std::shared_ptr<pevpm::SamplerCells> cells(
+      std::string_view table_text,
+      std::shared_ptr<const mpibench::DistributionTable> table,
+      std::string_view scaling_key,
+      std::shared_ptr<const scaling::ScalingModel> scaling) EXCLUDES(mu_);
+
   [[nodiscard]] CacheStats stats() const EXCLUDES(mu_);
+
+  [[nodiscard]] CellStats cell_stats() const EXCLUDES(mu_);
 
   /// Hit/miss/eviction counters restricted to scaling-model entries (the
   /// /stats endpoint reports fitted-model cache behaviour separately —
@@ -75,8 +122,9 @@ class ArtifactCache {
 
   /// The entry-map lock, exposed for lock-order declarations only
   /// (Service::mu_ is ACQUIRED_BEFORE this: stats() queries the cache
-  /// with the service lock held). Leaf: get_or_load runs the loader
-  /// outside the lock and never acquires another mutex under it.
+  /// with the service lock held). get_or_load runs the loader outside the
+  /// lock; the only lock taken under it is a cell set's own, a leaf, to
+  /// count what the set resolved.
   [[nodiscard]] pevpm::Mutex& mutex() const RETURN_CAPABILITY(mu_) {
     return mu_;
   }
@@ -99,12 +147,19 @@ class ArtifactCache {
     }
   }
 
+  struct CellSet;
+  /// A table's cell sets by scaling model: (false, "") without one, (true,
+  /// "") for a fit from the table (cached under the table's text), (true,
+  /// text) for a shipped artifact.
+  using CellsKey = std::pair<bool, std::string>;
+
   /// An entry's key text is owned by its LRU node, and the index keys on a
   /// view of it, so each resident text is stored once.
   struct Entry {
     Kind kind;
     std::string text;
     std::shared_ptr<const void> artifact;
+    std::map<CellsKey, std::shared_ptr<CellSet>> cells;  ///< kTable only
   };
   using Lru = std::list<Entry>;
   using KeyView = std::pair<Kind, std::string_view>;
@@ -112,6 +167,14 @@ class ArtifactCache {
   [[nodiscard]] std::shared_ptr<const void> get_or_load(
       Kind kind, std::string_view text,
       const std::function<std::shared_ptr<const void>()>& load) EXCLUDES(mu_);
+  /// Puts a new entry at the front and evicts past capacity.
+  Entry& insert(Kind kind, std::string_view text,
+                std::shared_ptr<const void> artifact) REQUIRES(mu_);
+  /// Stops sharing `set`: what it resolved so far moves to retired_.
+  void retire(CellSet& set) REQUIRES(mu_);
+  /// Drops every table's cell set for the scaling model cached under
+  /// `scaling_key`.
+  void drop_cells_of(std::string_view scaling_key) REQUIRES(mu_);
 
   mutable pevpm::Mutex mu_;
   std::size_t capacity_;  ///< immutable after construction
@@ -119,6 +182,11 @@ class ArtifactCache {
   std::map<KeyView, Lru::iterator> index_ GUARDED_BY(mu_);
   CacheStats stats_ GUARDED_BY(mu_);
   CacheStats scaling_stats_ GUARDED_BY(mu_);  ///< kScaling subset of stats_
+  /// Resolutions of the sets the cache has let go of; shared with them,
+  /// since one that outlives its entry adds its later resolutions when it
+  /// dies.
+  std::shared_ptr<std::atomic<std::uint64_t>> retired_ =
+      std::make_shared<std::atomic<std::uint64_t>>(0);
 };
 
 }  // namespace serve

@@ -161,16 +161,18 @@ class JsonParser {
     expect('"');
     std::string out;
     for (;;) {
+      // Append each run of plain characters in one go.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string", pos_);
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("control character in string", pos_ - 1);
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (c != '\\') fail("control character in string", pos_ - 1);
       if (pos_ >= text_.size()) fail("bad escape", pos_);
       const char esc = text_[pos_++];
       switch (esc) {

@@ -456,6 +456,11 @@ Json Server::handle_stats() const {
   scaling_cache.set("evictions", Json{stats.scaling_cache.evictions});
   scaling_cache.set(
       "entries", Json{static_cast<std::uint64_t>(stats.scaling_cache.entries)});
+  Json cells;
+  cells.set("sets", Json{static_cast<std::uint64_t>(stats.cells.sets)});
+  cells.set("resolved",
+            Json{static_cast<std::uint64_t>(stats.cells.resolved)});
+  cells.set("resolutions", Json{stats.cells.resolutions});
   Json body;
   body.set("queue_depth", Json{static_cast<std::uint64_t>(stats.queue_depth)});
   body.set("in_flight", Json{static_cast<std::uint64_t>(stats.in_flight)});
@@ -468,6 +473,7 @@ Json Server::handle_stats() const {
   body.set("extrapolations", Json{stats.extrapolations});
   body.set("cache", std::move(cache));
   body.set("scaling_cache", std::move(scaling_cache));
+  body.set("cells", std::move(cells));
   body.set("predict_latency", tail_to_json(stats.predict_latency));
   body.set("queue_wait", tail_to_json(stats.queue_wait));
   body.set("draining", Json{stats.draining});

@@ -15,7 +15,9 @@
 //    "contention":"scoreboard|fixed:N", "reps":R, "seed":S,
 //    "set":{"name":value,...}, "losses":BOOL, "extrapolate":BOOL,
 //    "scaling_text":TEXT, "deadline_ms":D}
-//   {"type":"stats"}    -> queue/cache/latency counters
+//   {"type":"stats"}    -> queue/cache/latency counters, and "cells":
+//                          {"sets","resolved","resolutions"} of the
+//                          sampler cells cached next to the tables
 //   {"type":"cluster", "cluster_text":TEXT}
 //   {"type":"ping"}
 // Unknown members are ignored. predict_frame() and parse_predict_frame()

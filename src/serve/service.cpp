@@ -216,6 +216,9 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
   std::shared_ptr<const pevpm::Model> model;
   std::shared_ptr<const mpibench::DistributionTable> table;
   std::shared_ptr<const scaling::ScalingModel> scaling;
+  const std::string& scaling_key = request.scaling_text.empty()
+                                       ? request.table_text
+                                       : request.scaling_text;
   try {
     model = cache_.get<pevpm::Model>(request.model_text, [&] {
       return std::make_shared<const pevpm::Model>(
@@ -234,9 +237,7 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
     // scaling model leave the scaling counters alone.
     if (request.extrapolate || !request.scaling_text.empty()) {
       scaling = cache_.get<scaling::ScalingModel>(
-          request.scaling_text.empty() ? request.table_text
-                                       : request.scaling_text,
-          [&] { return pevpm::resolve_scaling(request, *table); });
+          scaling_key, [&] { return pevpm::resolve_scaling(request, *table); });
     }
   } catch (const std::exception& e) {
     pevpm::MutexLock lock{mu_};
@@ -245,7 +246,8 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
     response.error = e.what();
     return response;
   }
-  if (std::string why = pevpm::admission_error(request); !why.empty()) {
+  if (std::string why = pevpm::admission_error(request, *model);
+      !why.empty()) {
     pevpm::MutexLock lock{mu_};
     ++bad_requests_;
     response.status = 400;
@@ -256,14 +258,16 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
   Job job;
   job.request = &request;
   job.model = std::move(model);
-  job.table = std::move(table);
-  job.scaling = std::move(scaling);
+  job.table = table;
+  job.cells = cache_.cells(request.table_text, std::move(table), scaling_key,
+                           std::move(scaling));
   job.options = request.options;
   job.options.tracer = options_.tracer;
-  job.options.sampler.scaling = job.scaling.get();
+  // The cells' own scaling model: a set made before the scaling entry was
+  // evicted and loaded again reads the earlier, identical copy.
+  job.options.sampler.scaling = job.cells->scaling();
   job.reps = std::max(pevpm::replication_count(job.options), 0);
   job.seeds = pevpm::replication_seeds(job.options);
-  job.cells.emplace(*job.table, job.options.sampler);
   job.results.assign(
       request.procs.size(),
       std::vector<pevpm::SimulationResult>(static_cast<std::size_t>(job.reps)));
@@ -297,7 +301,7 @@ Service::Response Service::predict(const pevpm::PredictRequest& request,
     return response;
   }
   ++accepted_;
-  if (job.scaling != nullptr) ++extrapolations_;
+  if (job.options.sampler.scaling != nullptr) ++extrapolations_;
   job.admitted_at = Clock::now();
   const units::Duration effective_deadline =
       deadline > units::Duration{} ? deadline : options_.default_deadline;
@@ -386,6 +390,7 @@ ServiceStats Service::stats() const {
   out.extrapolations = extrapolations_;
   out.cache = cache_.stats();
   out.scaling_cache = cache_.scaling_stats();
+  out.cells = cache_.cell_stats();
   out.predict_latency = stats::tail_summary(latency_samples_);
   out.queue_wait = stats::tail_summary(wait_samples_);
   out.draining = draining_;

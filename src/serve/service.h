@@ -21,6 +21,14 @@
 // would: slices start in order, so every lower slice has run to its end
 // before the job answers.
 //
+// Sampler cells: slices draw from the cells the artifact cache keeps next
+// to the job's table, one set per table and scaling model, shared by
+// every job on them whatever its mode or contention source (cache.h). A
+// distribution is so resolved once per cached table, not once per job,
+// until the set reaches kMaxCellSetDistributions and later jobs get a
+// fresh one. A distribution depends only on the table, the scaling model
+// and its key, so sharing changes no draw.
+//
 // Admission control: at most `queue_capacity` jobs may be in the system
 // (queued + running). Beyond that submissions are rejected immediately
 // with a 503-style response carrying a Retry-After hint derived from
@@ -36,7 +44,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,6 +89,8 @@ struct ServiceStats {
   /// Fitted scaling-model subset of `cache` (hit rate of the expensive
   /// per-quantile fits, keyed by table or artifact text).
   CacheStats scaling_cache;
+  /// The sampler cells cached next to the tables.
+  CellStats cells;
   stats::TailSummary predict_latency;  ///< seconds, completed predicts
   stats::TailSummary queue_wait;       ///< seconds, admission -> first slice
   bool draining = false;
@@ -140,16 +149,18 @@ class Service {
     const pevpm::PredictRequest* request = nullptr;
     std::shared_ptr<const pevpm::Model> model;
     std::shared_ptr<const mpibench::DistributionTable> table;
-    /// Keeps the model behind options.sampler.scaling alive while the
-    /// cache may evict it; null when the request doesn't extrapolate.
-    std::shared_ptr<const scaling::ScalingModel> scaling;
-    /// request->options with the tracer swapped for the service's own;
-    /// seeds and slices are derived from this copy.
+    /// Sampler cells of the table and the request's scaling model, from the
+    /// artifact cache: shared by the job's slices and by every other job on
+    /// the same table and scaling model (internally synchronised). They
+    /// hold the artifacts they read, so they stay valid, and the scaling
+    /// model behind options.sampler.scaling alive, after the cache lets
+    /// any of them go.
+    std::shared_ptr<pevpm::SamplerCells> cells;
+    /// request->options with the tracer swapped for the service's own and
+    /// sampler.scaling pointing at the cells' scaling model; seeds and
+    /// slices are derived from this copy.
     pevpm::PredictOptions options{};
     std::vector<std::uint64_t> seeds;
-    /// Sampler cells shared by all of the job's slices (built from table
-    /// and options.sampler; internally synchronised).
-    std::optional<pevpm::SamplerCells> cells;
     std::uint64_t id = 0;
     int reps = 0;
     /// Replications per slice (pevpm::batch_lanes) and slices per procs

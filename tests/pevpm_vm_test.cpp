@@ -1164,9 +1164,9 @@ loop 2 {
   EXPECT_EQ(model.program.loss_ids(), (std::vector<int>{0, 3, 1000000}));
 
   const DistributionTable table = spread_table();
-  pevpm::SamplerCells cells{table, {}};
+  pevpm::SamplerCells cells{table, nullptr};
   const std::uint64_t seeds[] = {1, 2, 3};
-  pevpm::DeliverySampler sampler{cells, seeds};
+  pevpm::DeliverySampler sampler{cells, {}, seeds};
   const std::vector<pevpm::SimulationResult> results =
       pevpm::simulate_lanes(model, 4, {}, sampler);
   std::vector<std::tuple<int, int, int, std::uint64_t>> losses;

@@ -15,6 +15,7 @@
 #include "core/predict.h"
 #include "core/sampler.h"
 #include "mpibench/table.h"
+#include "scaling/model.h"
 #include "stats/empirical.h"
 #include "stats/rng.h"
 
@@ -253,7 +254,7 @@ loop 10 {
 std::size_t resolved_cells(const pevpm::Model& model,
                            const mpibench::DistributionTable& table,
                            const pevpm::PredictOptions& opts) {
-  pevpm::SamplerCells cells{table, opts.sampler};
+  pevpm::SamplerCells cells{table, opts.sampler.scaling};
   const std::vector<std::uint64_t> seeds = pevpm::replication_seeds(opts);
   std::vector<pevpm::SimulationResult> results(seeds.size());
   pevpm::parallel_for(static_cast<int>(seeds.size()),
@@ -309,8 +310,8 @@ TEST(SamplerCells, ResolvesEachDistinctKeyOnce) {
 
 TEST(SamplerCells, OffRangeLevelsShareTheEdgeCell) {
   const auto table = two_size_table();
-  pevpm::SamplerCells cells{table, {}};
-  pevpm::DeliverySampler sampler{cells, 1};
+  pevpm::SamplerCells cells{table, nullptr};
+  pevpm::DeliverySampler sampler{cells, {}, 1};
   // Levels at or below the lowest measured one (2) share its cell, levels
   // at or above the highest (8) share that one; a level between them is
   // a cell of its own.
@@ -325,11 +326,58 @@ TEST(SamplerCells, OffRangeLevelsShareTheEdgeCell) {
   (void)sampler.delivery_seconds(net::Bytes{256}, 5);
   EXPECT_EQ(cells.resolved(), 3u);
   // A second sampler over the same cells resolves nothing new.
-  pevpm::DeliverySampler other{cells, 2};
+  pevpm::DeliverySampler other{cells, {}, 2};
   for (const int contention : {0, 5, 8, 70000}) {
     (void)other.delivery_seconds(net::Bytes{256}, contention);
   }
   EXPECT_EQ(cells.resolved(), 3u);
+}
+
+// The cells depend on the table and scaling model only: samplers of every
+// mode and contention source share one set and draw exactly what samplers
+// with private cells draw.
+TEST(SamplerCells, SamplersOfEveryModeAndContentionSourceShareOneSet) {
+  const auto table = two_size_table();
+  pevpm::SamplerCells cells{table, nullptr};
+  for (const auto mode :
+       {pevpm::PredictionMode::kDistribution, pevpm::PredictionMode::kAverage,
+        pevpm::PredictionMode::kMinimum}) {
+    for (const int fixed : {0, 3, 8}) {
+      pevpm::SamplerOptions options;
+      options.mode = mode;
+      if (fixed > 0) {
+        options.contention = pevpm::ContentionSource::kFixed;
+        options.fixed_contention = fixed;
+      }
+      pevpm::DeliverySampler shared{cells, options, 7};
+      pevpm::DeliverySampler alone{table, options, 7};
+      for (const int outstanding : {0, 2, 5, 8, 12}) {
+        for (const std::uint64_t bytes : {256u, 1024u, 4096u}) {
+          EXPECT_EQ(shared.delivery_seconds(net::Bytes{bytes}, outstanding),
+                    alone.delivery_seconds(net::Bytes{bytes}, outstanding));
+          EXPECT_EQ(shared.sender_seconds(net::Bytes{bytes}, outstanding),
+                    alone.sender_seconds(net::Bytes{bytes}, outstanding));
+        }
+      }
+    }
+  }
+  // Three sizes at the two measured levels, the level between them and
+  // the fixed level 3, for each of the two ops.
+  EXPECT_EQ(cells.resolved(), 2u * 3u * 4u);
+}
+
+TEST(SamplerCells, SamplerWantsTheScalingModelItsCellsWereBuiltWith) {
+  const auto table = two_size_table();
+  const scaling::ScalingModel law;
+  pevpm::SamplerOptions with_law;
+  with_law.scaling = &law;
+  pevpm::SamplerCells plain{table, nullptr};
+  pevpm::SamplerCells extrapolating{table, &law};
+  EXPECT_THROW((pevpm::DeliverySampler{plain, with_law, 1}),
+               std::invalid_argument);
+  EXPECT_THROW((pevpm::DeliverySampler{extrapolating, {}, 1}),
+               std::invalid_argument);
+  EXPECT_NO_THROW((pevpm::DeliverySampler{extrapolating, with_law, 1}));
 }
 
 // Samplers on several threads share one cold SamplerCells and race to
@@ -361,10 +409,10 @@ TEST(SamplerConcurrency, SharedCellsResolveRacesMatchSerialDraws) {
     serial[static_cast<std::size_t>(w)] = script(sampler);
   }
   for (int round = 0; round < 4; ++round) {
-    pevpm::SamplerCells cells{table, options};
+    pevpm::SamplerCells cells{table, options.scaling};
     std::vector<std::vector<double>> shared(kWorkers);
     pevpm::parallel_for(kWorkers, kWorkers, [&](int w) {
-      pevpm::DeliverySampler sampler{cells,
+      pevpm::DeliverySampler sampler{cells, options,
                                      static_cast<std::uint64_t>(100 + w)};
       shared[static_cast<std::size_t>(w)] = script(sampler);
     });

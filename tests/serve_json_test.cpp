@@ -46,6 +46,55 @@ TEST(ServeJson, StringEscapes) {
   EXPECT_THROW((void)Json::parse(R"("\ud83d")"), JsonError);
 }
 
+/// The message Json::parse(text) throws, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)Json::parse(text);
+  } catch (const JsonError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ServeJson, StringErrorsNameTheirByteOffset) {
+  // Byte 0 is the opening quote.
+  EXPECT_EQ(parse_error("\"ab\x01" "cd\""),
+            "control character in string at offset 3");
+  EXPECT_EQ(parse_error("{\"k\":\"v\x1f\"}"),
+            "control character in string at offset 7");
+  EXPECT_EQ(parse_error("\"a\\n\n\""),
+            "control character in string at offset 4");
+  EXPECT_EQ(parse_error("\"abc"), "unterminated string at offset 4");
+  EXPECT_EQ(parse_error("\"abc\\n"), "unterminated string at offset 6");
+  EXPECT_EQ(parse_error("\""), "unterminated string at offset 1");
+  EXPECT_EQ(parse_error("\"ab\\q\""), "bad escape at offset 4");
+  EXPECT_EQ(parse_error("\"\\x"), "bad escape at offset 2");
+  EXPECT_EQ(parse_error("\"ab\\"), "bad escape at offset 4");
+}
+
+TEST(ServeJson, EscapesAtTheEdgesOfPlainRunsRoundTrip) {
+  // Escapes first, in the middle and last in a string, back to back, and
+  // around long plain runs.
+  const std::string texts[] = {
+      "\nabc",
+      "ab\ncd",
+      "abc\n",
+      "\"\\",
+      "\t",
+      "",
+      "a\x01" "b\"c\\",
+      "\xc3\xa9x\"\ty\xe2\x82\xac",
+      std::string(300, 'x') + "\n" + std::string(300, 'y'),
+  };
+  for (const std::string& text : texts) {
+    const std::string dumped = Json{text}.dump();
+    EXPECT_EQ(Json::parse(dumped).as_string(), text) << dumped;
+  }
+  EXPECT_EQ(Json::parse(R"("\u00e9abc\n")").as_string(),
+            "\xc3\xa9" "abc\n");
+  EXPECT_EQ(Json::parse(R"("abc\/def\u0041")").as_string(), "abc/defA");
+}
+
 TEST(ServeJson, DumpEscapesControlCharacters) {
   // Split the literal around \x01 — "\x01c" would be one greedy hex escape.
   const Json value{std::string{"a\nb\x01" "c\"d"}};

@@ -24,10 +24,12 @@
 #include <vector>
 
 #include "core/request.h"
+#include "mpibench/table.h"
 #include "net/cluster.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/server.h"
+#include "stats/empirical.h"
 
 namespace {
 
@@ -336,6 +338,43 @@ TEST_F(ServeProtocolServer, ClientNamedFilesAreNeverOpened) {
     EXPECT_EQ(server_->handle_line(missing[i]), reply);
   }
   ::unlink(path.c_str());
+}
+
+TEST_F(ServeProtocolServer, StatsReplyCountsCellResolutions) {
+  mpibench::DistributionTable table;
+  std::vector<double> xs;
+  for (int i = 1; i <= 16; ++i) xs.push_back(1e-6 * i);
+  table.insert(mpibench::OpKind::kPtpOneWay, net::Bytes{1024}, 2,
+               stats::EmpiricalDistribution::from_samples(xs));
+  std::ostringstream table_text;
+  table.save(table_text);
+  pevpm::PredictRequest request;
+  request.model_text =
+      "runon procnum == 0 {\n  message send size = 1024 to = 1\n} else {\n"
+      "  message recv size = 1024 from = 0\n}\n";
+  request.table_text = table_text.str();
+  request.procs = {2};
+  const std::string frame = serve::predict_frame(request).dump();
+  const auto cells = [&] {
+    const Json reply = Json::parse(server_->handle_line(R"({"type":"stats"})"));
+    const Json* stats = reply.find("stats");
+    EXPECT_NE(stats->find("cache")->find("hits"), nullptr);
+    const Json* block = stats->find("cells");
+    return std::vector<std::uint64_t>{block->find("sets")->as_uint64(),
+                                      block->find("resolved")->as_uint64(),
+                                      block->find("resolutions")->as_uint64()};
+  };
+  EXPECT_EQ(cells(), (std::vector<std::uint64_t>{0, 0, 0}));
+  EXPECT_EQ(Json::parse(server_->handle_line(frame)).find("status")->as_int64(),
+            200);
+  const std::vector<std::uint64_t> first = cells();
+  EXPECT_EQ(first[0], 1u);
+  EXPECT_GT(first[1], 0u);
+  EXPECT_EQ(first[2], first[1]);
+  // The same request again resolves nothing new.
+  EXPECT_EQ(Json::parse(server_->handle_line(frame)).find("status")->as_int64(),
+            200);
+  EXPECT_EQ(cells(), first);
 }
 
 TEST_F(ServeProtocolServer, ClusterRequestsDescribeCachedClusters) {

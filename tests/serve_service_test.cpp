@@ -1,7 +1,7 @@
 // Integration tests for the pevpmd prediction service: byte-identity with
 // the CLI code path (directly and over a real socket, including under
-// concurrency), bounded-queue admission control, deadlines, and
-// drain-on-shutdown.
+// concurrency, and with sampler cells shared through the artifact cache),
+// bounded-queue admission control, deadlines, and drain-on-shutdown.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,6 +19,7 @@
 #include "mpibench/table.h"
 #include "scaling/model.h"
 #include "serve/client.h"
+#include "serve/cache.h"
 #include "serve/json.h"
 #include "serve/server.h"
 #include "serve/service.h"
@@ -610,6 +611,216 @@ TEST(ServeService, ServerShutdownStillAnswersAdmittedRequests) {
   ASSERT_TRUE(answered.load());
   EXPECT_EQ(got, expected);
   ::unlink(socket_path.c_str());
+}
+
+/// Runs every request on its own thread against one service and checks
+/// each reply against the CLI code path.
+void expect_concurrent_replies_match_cli(
+    serve::Service& service, const std::vector<pevpm::PredictRequest>& requests) {
+  std::vector<std::string> expected;
+  for (const pevpm::PredictRequest& request : requests) {
+    expected.push_back(pevpm::run_request(request).summary);
+  }
+  std::vector<serve::Service::Response> got(requests.size());
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    clients.emplace_back([&, i] { got[i] = service.predict(requests[i]); });
+  }
+  for (std::thread& t : clients) t.join();
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(got[i].status, 200) << i << ": " << got[i].error;
+    EXPECT_EQ(got[i].summary, expected[i]) << "request " << i;
+  }
+}
+
+TEST(ServeService, JobsShareOneCellSetAcrossModesAndContention) {
+  // Cells depend on the table and scaling model only, so jobs in every
+  // mode and contention source draw from one set, at the same time.
+  std::vector<pevpm::PredictRequest> requests;
+  for (const auto mode :
+       {pevpm::PredictionMode::kDistribution, pevpm::PredictionMode::kAverage,
+        pevpm::PredictionMode::kMinimum}) {
+    for (const int fixed : {0, 3, 6}) {
+      pevpm::PredictRequest request = chain_request(200 + requests.size());
+      request.options.replications = 9;
+      request.options.sampler.mode = mode;
+      if (fixed > 0) {
+        request.options.sampler.contention = pevpm::ContentionSource::kFixed;
+        request.options.sampler.fixed_contention = fixed;
+      }
+      requests.push_back(std::move(request));
+    }
+  }
+  serve::ServiceOptions options;
+  options.threads = 2;
+  serve::Service service{options};
+  expect_concurrent_replies_match_cli(service, requests);
+  const serve::CellStats cells = service.stats().cells;
+  EXPECT_EQ(cells.sets, 1u);
+  EXPECT_GT(cells.resolved, 0u);
+  EXPECT_EQ(cells.resolutions, cells.resolved);
+}
+
+TEST(ServeService, ExtrapolatingAndShippedScalingShareTheTable) {
+  pevpm::PredictRequest fitted = chain_request(41);
+  fitted.procs = {4, 8};  // 8 pushes contention past the measured levels
+  fitted.extrapolate = true;
+  pevpm::PredictRequest shipped = fitted;
+  std::istringstream table_in{shipped.table_text};
+  std::ostringstream artifact;
+  scaling::fit_scaling_model(mpibench::DistributionTable::load(table_in))
+      .save(artifact);
+  shipped.scaling_text = artifact.str();
+  shipped.options.seed = 42;
+  pevpm::PredictRequest plain = chain_request(43);
+  plain.procs = {4, 8};
+
+  serve::ServiceOptions options;
+  options.threads = 3;
+  serve::Service service{options};
+  for (int round = 0; round < 2; ++round) {
+    expect_concurrent_replies_match_cli(service,
+                                        {fitted, shipped, plain, fitted});
+  }
+  // One set per scaling model on the table: the fit, the artifact, none.
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cells.sets, 3u);
+  EXPECT_EQ(stats.cells.resolutions, stats.cells.resolved);
+  EXPECT_EQ(stats.extrapolations, 6u);
+}
+
+TEST(ServeService, RequestAfterTheTableWasEvictedWhileAJobHeldItsCells) {
+  // One worker and room for two artifacts: a request on another table
+  // evicts the long job's table (and its cell set) while the job still
+  // runs on those cells, and a later request loads the table again.
+  serve::ServiceOptions options;
+  options.threads = 1;
+  options.cache_capacity = 2;
+  serve::Service service{options};
+  pevpm::PredictRequest held = chain_request(51);
+  held.procs = {16};
+  held.options.replications = 10000;
+  pevpm::PredictRequest evicting = chain_request(52);
+  evicting.table_text = table_text() + "\n";  // another key, same table
+  const pevpm::PredictRequest again = chain_request(53);
+  const std::string held_expected = pevpm::run_request(held).summary;
+  const std::string evicting_expected = pevpm::run_request(evicting).summary;
+  const std::string again_expected = pevpm::run_request(again).summary;
+
+  serve::Service::Response held_reply;
+  std::thread held_client{[&] { held_reply = service.predict(held); }};
+  while (service.stats().accepted == 0) std::this_thread::yield();
+  const serve::Service::Response evicting_reply = service.predict(evicting);
+  ASSERT_EQ(evicting_reply.status, 200) << evicting_reply.error;
+  EXPECT_EQ(evicting_reply.summary, evicting_expected);
+  EXPECT_EQ(service.stats().cache.evictions, 1u);
+  const serve::Service::Response again_reply = service.predict(again);
+  ASSERT_EQ(again_reply.status, 200) << again_reply.error;
+  EXPECT_EQ(again_reply.summary, again_expected);
+  // The long job still runs on the evicted set; the one resident set is
+  // the reloaded table's (the other table's went with its entry).
+  serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.cache.evictions, 2u);
+  EXPECT_EQ(stats.cells.sets, 1u);
+  held_client.join();
+  ASSERT_EQ(held_reply.status, 200) << held_reply.error;
+  EXPECT_EQ(held_reply.summary, held_expected);
+  // The let-go sets' resolutions still count.
+  stats = service.stats();
+  EXPECT_GT(stats.cells.resolutions, stats.cells.resolved);
+}
+
+TEST(ServeService, ManyMessageSizesReplaceTheCellSetAtItsCap) {
+  // Every request asks for 100 sizes no earlier request used, so a set
+  // kept for the table's life would grow without bound. Each request
+  // resolves the same number of keys, K; a job that finds its set at the
+  // cap gets a fresh one, so the resident set never holds more than the
+  // cap plus what one job adds to it.
+  const std::string model = R"(param base = 1
+loop 100 as it {
+  runon procnum == 0 {
+    message send size = base + it to = 1
+  } else {
+    message recv size = base + it from = 0
+  }
+}
+)";
+  serve::ServiceOptions options;
+  options.threads = 2;
+  serve::Service service{options};
+  const auto request_for = [&](int i) {
+    pevpm::PredictRequest request = chain_request(60);
+    request.model_text = model;
+    request.procs = {2};
+    request.options.replications = 1;
+    request.options.sampler.mode = pevpm::PredictionMode::kAverage;
+    request.options.sampler.contention = pevpm::ContentionSource::kFixed;
+    request.options.sampler.fixed_contention = 2;
+    request.overrides = {{"base", 2000.0 + 100.0 * i}};
+    return request;
+  };
+  std::uint64_t keys = 0;
+  std::uint64_t before = 0;
+  bool replaced = false;
+  for (int i = 0; i * keys <= 2 * serve::kMaxCellSetDistributions; ++i) {
+    const pevpm::PredictRequest request = request_for(i);
+    const serve::Service::Response reply = service.predict(request);
+    ASSERT_EQ(reply.status, 200) << reply.error;
+    EXPECT_EQ(reply.summary, pevpm::run_request(request).summary) << i;
+    const serve::CellStats cells = service.stats().cells;
+    if (i == 0) keys = cells.resolutions;
+    ASSERT_GT(keys, 0u);
+    EXPECT_EQ(cells.resolutions - before, keys) << i;
+    before = cells.resolutions;
+    EXPECT_EQ(cells.sets, 1u);
+    EXPECT_LT(cells.resolved, serve::kMaxCellSetDistributions + keys) << i;
+    if (cells.resolved < cells.resolutions) replaced = true;
+  }
+  EXPECT_TRUE(replaced);
+}
+
+TEST(ServeService, RepeatedRequestResolvesNoNewDistributions) {
+  serve::ServiceOptions options;
+  options.threads = 2;
+  serve::Service service{options};
+  const pevpm::PredictRequest request = chain_request(71);
+  ASSERT_EQ(service.predict(request).status, 200);
+  const serve::CellStats first = service.stats().cells;
+  EXPECT_GT(first.resolutions, 0u);
+  const serve::Service::Response again = service.predict(request);
+  ASSERT_EQ(again.status, 200) << again.error;
+  EXPECT_EQ(again.summary, pevpm::run_request(request).summary);
+  const serve::CellStats second = service.stats().cells;
+  EXPECT_EQ(second.resolutions, first.resolutions);
+  EXPECT_EQ(second.resolved, first.resolved);
+  EXPECT_EQ(second.sets, 1u);
+}
+
+TEST(ServeService, ModelStateOverTheLimitAnswers400) {
+  // 2000 receives no process takes still size 2000 loss slots and their
+  // operands per process: far past the limit at 65536 processes.
+  std::string model = "runon procnum < 0 {\n";
+  for (int i = 0; i < 2000; ++i) {
+    model += "  message recv size = 64 from = 0\n";
+  }
+  model += "}\nserial time = 0.001\n";
+  pevpm::PredictRequest request = chain_request(81);
+  request.model_text = model;
+  request.procs = {65536};
+  request.options.replications = 1;
+  request.options.sampler.mode = pevpm::PredictionMode::kAverage;
+  serve::Service service{serve::ServiceOptions{}};
+  const serve::Service::Response response = service.predict(request);
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.error.find(
+                "limit of " + std::to_string(pevpm::kMaxProcessStateBytes) +
+                " bytes"),
+            std::string::npos)
+      << response.error;
+  EXPECT_EQ(service.stats().accepted, 0u);
+  request.procs = {64};
+  EXPECT_EQ(service.predict(request).status, 200);
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ int check_lockstep(const pevpm::Model& model, int procs,
                    const DistributionTable& table,
                    pevpm::SamplerOptions sampler_options = {}) {
   int varied = 0;
-  pevpm::SamplerCells cells{table, sampler_options};
+  pevpm::SamplerCells cells{table, sampler_options.scaling};
   for (const int batch : kBatchSizes) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
       pevpm::PredictOptions options;
@@ -141,12 +141,12 @@ int check_lockstep(const pevpm::Model& model, int procs,
       options.seed = seed;
       const std::vector<std::uint64_t> seeds =
           pevpm::replication_seeds(options);
-      pevpm::DeliverySampler sampler{cells, seeds};
+      pevpm::DeliverySampler sampler{cells, sampler_options, seeds};
       const std::vector<pevpm::SimulationResult> lanes =
           pevpm::simulate_lanes(model, procs, {}, sampler);
       EXPECT_EQ(lanes.size(), seeds.size());
       for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-        pevpm::DeliverySampler alone{cells, seeds[lane]};
+        pevpm::DeliverySampler alone{cells, sampler_options, seeds[lane]};
         const pevpm::SimulationResult solo =
             pevpm::simulate(model, procs, {}, alone);
         expect_same(lanes[lane], solo,
@@ -261,9 +261,9 @@ runon procnum == 3 {
 )",
                                         "deadlock");
   const DistributionTable table = spread_table();
-  pevpm::SamplerCells cells{table, {}};
+  pevpm::SamplerCells cells{table, nullptr};
   const std::vector<std::uint64_t> seeds{11, 12, 13};
-  pevpm::DeliverySampler sampler{cells, seeds};
+  pevpm::DeliverySampler sampler{cells, {}, seeds};
   const auto lanes = pevpm::simulate_lanes(model, 6, {}, sampler);
   for (const pevpm::SimulationResult& lane : lanes) {
     EXPECT_TRUE(lane.deadlocked);
@@ -299,8 +299,8 @@ loop 3 as it {
 )",
                                         "error");
   const DistributionTable table = spread_table();
-  pevpm::SamplerCells cells{table, {}};
-  pevpm::DeliverySampler alone{cells, 5};
+  pevpm::SamplerCells cells{table, nullptr};
+  pevpm::DeliverySampler alone{cells, {}, 5};
   const std::string solo =
       error_of([&] { (void)pevpm::simulate(model, 4, {}, alone); });
   ASSERT_NE(solo.find("out of range"), std::string::npos) << solo;
@@ -308,7 +308,7 @@ loop 3 as it {
     pevpm::PredictOptions options;
     options.replications = batch;
     const std::vector<std::uint64_t> seeds = pevpm::replication_seeds(options);
-    pevpm::DeliverySampler sampler{cells, seeds};
+    pevpm::DeliverySampler sampler{cells, {}, seeds};
     EXPECT_EQ(error_of([&] {
                 (void)pevpm::simulate_lanes(model, 4, {}, sampler);
               }),
@@ -342,7 +342,7 @@ TEST(VmLockstep, LateReceiveErrorFailsOnlyTheLanesThatDrawIt) {
   }
   pevpm::SamplerOptions sampler_options;
   sampler_options.scaling = &law;
-  pevpm::SamplerCells cells{table, sampler_options};
+  pevpm::SamplerCells cells{table, sampler_options.scaling};
   const auto model = pevpm::parse_model(R"(
 runon procnum == 0 {
   message send size = 65536 to = 1
@@ -366,7 +366,7 @@ runon procnum == 0 {
       std::string first_error;
       std::vector<pevpm::SimulationResult> solo;
       for (const std::uint64_t lane_seed : seeds) {
-        pevpm::DeliverySampler alone{cells, lane_seed};
+        pevpm::DeliverySampler alone{cells, sampler_options, lane_seed};
         const std::string error = error_of([&] {
           solo.push_back(pevpm::simulate(model, 2, {}, alone));
         });
@@ -377,7 +377,7 @@ runon procnum == 0 {
           if (first_error.empty()) first_error = error;
         }
       }
-      pevpm::DeliverySampler sampler{cells, seeds};
+      pevpm::DeliverySampler sampler{cells, sampler_options, seeds};
       std::vector<pevpm::SimulationResult> lanes;
       const std::string error = error_of(
           [&] { lanes = pevpm::simulate_lanes(model, 2, {}, sampler); });
@@ -400,9 +400,9 @@ runon procnum == 0 {
 TEST(VmLockstep, SimulateWantsOneLane) {
   const auto model = pevpm::parse_model("serial time = 1\n");
   const DistributionTable table = spread_table();
-  pevpm::SamplerCells cells{table, {}};
+  pevpm::SamplerCells cells{table, nullptr};
   const std::vector<std::uint64_t> seeds{1, 2};
-  pevpm::DeliverySampler sampler{cells, seeds};
+  pevpm::DeliverySampler sampler{cells, {}, seeds};
   EXPECT_THROW((void)pevpm::simulate(model, 2, {}, sampler),
                std::logic_error);
 }

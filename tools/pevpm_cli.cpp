@@ -7,7 +7,8 @@
 //     --table FILE       distribution table from mpibench --table
 //     --procs N          number of virtual processes (or a,b,c list);
 //                        each at most 65536, and their sum times the
-//                        replication count at most 1048576
+//                        replication count at most 1048576 and times
+//                        the model's per-process state at most 1 GiB
 //     --mode M           distribution | average | minimum (default
 //                        distribution)
 //     --contention C     scoreboard | fixed:<level> (default scoreboard)
@@ -262,7 +263,13 @@ int main(int argc, char** argv) {
 
   pevpm::PredictReport report;
   try {
-    report = pevpm::run_request(request);
+    const pevpm::Model model = pevpm::parse_request_model(request);
+    if (const std::string why = pevpm::admission_error(request, model);
+        !why.empty()) {
+      std::fprintf(stderr, "%s\n", why.c_str());
+      usage(argv[0]);
+    }
+    report = pevpm::run_request(request, model);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 3;
